@@ -50,10 +50,33 @@ def _substitute_coeff(c, values: Mapping[str, Poly]):
     return c
 
 
-def _eval_coeff(c, values: Mapping[str, Fraction]) -> Fraction:
-    if isinstance(c, Poly):
+def _eval_coeff(c, values: Mapping[str, Fraction] | None = None) -> Fraction:
+    """A coefficient as a rational: evaluated at the point `values` when one
+    is given, otherwise it must be constant."""
+    if not isinstance(c, Poly):
+        return as_fraction(c)
+    if values is not None:
         return c.eval(values)
-    return as_fraction(c)
+    if not c.is_constant():
+        raise ValueError(f"coefficient {c} is not constant and no point was given")
+    return c.constant_value()
+
+
+def op_matrix(op: MultiOp, degree: int,
+              point: Mapping[str, Fraction] | None = None) -> list[list[Fraction]]:
+    """Degree-`degree` block of an arity-1 operation as a rational matrix.
+
+    Columns index the source basis in `degree`, rows the target basis in
+    `degree + op.degree`.  Polynomial coefficients are evaluated at `point`
+    (coordinate values) when it is given and must be constant otherwise.
+    """
+    rows = op.target.dim(degree + op.degree)
+    cols = op.source.dim(degree)
+    m = [[Fraction(0)] * cols for _ in range(rows)]
+    for i in range(cols):
+        for (_, j), c in op.evaluate_basis(((degree, i),)).items():
+            m[j][i] = _eval_coeff(c, point)
+    return m
 
 
 def map_op_coeffs(op: MultiOp, fn) -> MultiOp:
@@ -273,6 +296,40 @@ def product_bundle(a: LinftyBundle, b: LinftyBundle) -> tuple["LinftyBundle", di
     return LinftyBundle(coords, fiber, delta, ops), m1, m2
 
 
+def product_projection(prod: LinftyBundle, factor: LinftyBundle,
+                       first: bool) -> "Morphism":
+    """Strict projection of a product bundle onto its first or second factor."""
+    n = len(factor.coords)
+    if first:
+        base = tuple(Poly.variable(c) for c in prod.coords[:n])
+        offset = {d: 0 for d in factor.fiber.degrees()}
+    else:
+        base = tuple(Poly.variable(c) for c in prod.coords[len(prod.coords) - n:])
+        offset = {d: prod.fiber.dims.get(d, 0) - factor.fiber.dims[d]
+                  for d in factor.fiber.degrees()}
+
+    def value(tup):
+        (d, i), = tup
+        if d not in factor.fiber.dims:
+            return {}
+        j = i - offset.get(d, 0)
+        if 0 <= j < factor.fiber.dims[d]:
+            return {(d, j): Fraction(1)}
+        return {}
+
+    op = MultiOp.from_function(1, 0, prod.fiber, factor.fiber, value)
+    return Morphism(prod, factor, base,
+                    OpFamily(0, prod.fiber, factor.fiber,
+                             {1: op} if not op.is_zero() else {}))
+
+
+def plain_bundle(coords: Sequence[str]) -> LinftyBundle:
+    """Affine space on the given coordinates: zero fiber, no operations."""
+    empty = GradedSpace.build({})
+    return LinftyBundle(tuple(coords), empty, MultiOp.zero(1, 1, empty, empty),
+                        OpFamily(1, empty, empty, {}))
+
+
 # ---------------------------------------------------------------------------
 # morphisms
 # ---------------------------------------------------------------------------
@@ -422,20 +479,12 @@ def invert_linear_op(op: MultiOp) -> MultiOp:
     src, dst = op.source, op.target
     if src.dims != dst.dims:
         raise ValueError("linear part is not square")
+    if op.degree != 0:
+        raise ValueError("linear part is not degree preserving")
     coeffs: dict = {}
     for d in src.degrees():
         n = src.dims[d]
-        m = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
-            vec = op.evaluate_basis(((d, i),))
-            for (dd, j), c in vec.items():
-                if isinstance(c, Poly):
-                    if not c.is_constant():
-                        raise ValueError("linear part must have constant coefficients")
-                    c = c.constant_value()
-                if dd != d:
-                    raise ValueError("linear part is not degree preserving")
-                m[j][i] = Fraction(c)
+        m = op_matrix(op, d)
         try:
             minv = mat_inverse(m)
         except ValueError:
@@ -541,24 +590,6 @@ def transport_target(phi: OpFamily, ell: OpFamily, verify: bool = True) -> OpFam
     return ellp
 
 
-def _constant_matrix(op: MultiOp, degree: int) -> list[list[Fraction]]:
-    """Matrix of an arity-1 degree-0 op on one degree slot, rejecting
-    polynomial entries."""
-    rows = op.target.dims.get(degree, 0)
-    cols = op.source.dims.get(degree, 0)
-    m = [[Fraction(0)] * cols for _ in range(rows)]
-    for i in range(cols):
-        vec = op.evaluate_basis(((degree, i),))
-        for (dd, j), c in vec.items():
-            if isinstance(c, Poly):
-                if not c.is_constant():
-                    raise ValueError(
-                        "fiber map has non-constant coefficients; refusing to split")
-                c = c.constant_value()
-            m[j][i] = Fraction(c)
-    return m
-
-
 @dataclass
 class LinearizedFibration:
     """Fibration rewritten as an isomorphism followed by a strict projection.
@@ -596,7 +627,7 @@ def linearize_fibration(m: Morphism) -> LinearizedFibration:
     kmats: dict[int, list[list[Fraction]]] = {}
     comp_dims: dict[int, int] = {}
     for d in sorted(set(src.fiber.degrees()) | set(dst.fiber.degrees())):
-        mat = _constant_matrix(phi1, d)
+        mat = op_matrix(phi1, d)
         pmats[d] = mat
         if dst.fiber.dims.get(d, 0):
             w = right_inverse(mat)

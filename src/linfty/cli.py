@@ -20,17 +20,18 @@ import ast
 import sys
 from fractions import Fraction
 
-from .algebra import LinftyBundle, check_mc, check_morphism
+from .algebra import LinftyBundle, check_mc, check_morphism, plain_bundle
 from .geometry import (classical_point, cohomology, find_classical_points,
                        is_fibration, is_weak_equivalence, shifted_tangent,
                        tangent_complex, virtual_dimension)
 from .modelio import (ModelFormatError, algebra_to_json, bundle_to_json, dumps,
                       frac_str, load_contraction, load_model, load_morphism,
                       parse_frac)
-from .pathspace import (axis_submanifold, derived_intersection,
-                        derived_path_space, factorize_diagonal,
-                        graph_submanifold, homotopy_fibered_product,
-                        verify_factorization, zero_locus_model)
+from .pathspace import (ambient_coord_names, axis_submanifold,
+                        derived_intersection, derived_path_space,
+                        factorize_diagonal, graph_submanifold,
+                        homotopy_fibered_product, verify_factorization,
+                        zero_locus_model)
 from .poly import DegreeCapError, Poly
 from .transfer import transfer, transfer_trees
 
@@ -323,13 +324,9 @@ def _input_bundle(args) -> LinftyBundle:
 
 
 def _affine_bundle(m: int) -> LinftyBundle:
-    from .graded import GradedSpace, MultiOp, OpFamily
     if m <= 0:
         raise ModelFormatError("--manifold needs a positive dimension")
-    coords = tuple("xyz"[i] if m <= 3 else f"x{i}" for i in range(m))
-    empty = GradedSpace.build({})
-    return LinftyBundle(coords, empty, MultiOp.zero(1, 1, empty, empty),
-                        OpFamily(1, empty, empty, {}))
+    return plain_bundle(ambient_coord_names(m))
 
 
 def cmd_path_space(args) -> int:

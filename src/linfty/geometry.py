@@ -20,21 +20,15 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import (LinftyBundle, Morphism, _affine_parts, check_mc,
-                      check_morphism, compose, invert_iso,
+from .algebra import (LinftyBundle, Morphism, _affine_parts, _eval_coeff,
+                      check_mc, check_morphism, compose, invert_iso,
                       linearize_fibration, map_family_coeffs, map_op_coeffs,
-                      op_then, rename_morphism_source)
+                      op_matrix, op_then, rename_morphism_source)
 from .graded import GradedSpace, MultiOp, OpFamily, bullet
 from .linalg import bareiss_rank, kernel_basis, rank, right_inverse
-from .poly import Poly, as_fraction
+from .poly import Poly
 
 Matrix = list[list[Fraction]]
-
-
-def _eval_at(c, values: dict[str, Fraction]) -> Fraction:
-    if isinstance(c, Poly):
-        return c.eval(values)
-    return as_fraction(c)
 
 
 def _point_values(coords, point) -> dict[str, Fraction]:
@@ -172,7 +166,7 @@ def curvature_residual(bundle: LinftyBundle, point) -> Fraction:
     values = _point_values(bundle.coords, point)
     worst = Fraction(0)
     for _, c in bundle.curvature_section().items():
-        worst = max(worst, abs(_eval_at(c, values)))
+        worst = max(worst, abs(_eval_coeff(c, values)))
     return worst
 
 
@@ -206,21 +200,6 @@ def curvature_derivative(bundle: LinftyBundle, point: ClassicalPoint) -> Matrix:
     return jac
 
 
-def _arity_one_matrix(bundle: LinftyBundle, degree: int,
-                      values: dict[str, Fraction]) -> Matrix:
-    op = bundle.total().op(1)
-    rows = bundle.fiber.dim(degree + 1)
-    cols = bundle.fiber.dim(degree)
-    m = [[Fraction(0)] * cols for _ in range(rows)]
-    for i in range(cols):
-        vec = op.evaluate_basis(((degree, i),))
-        for (dd, j), c in vec.items():
-            if dd != degree + 1:
-                raise AssertionError("arity-one operation is not degree +1")
-            m[j][i] = _eval_at(c, values)
-    return m
-
-
 def tangent_complex(bundle: LinftyBundle, point: ClassicalPoint) -> CochainComplex:
     """Tangent complex at a classical point.
 
@@ -236,8 +215,9 @@ def tangent_complex(bundle: LinftyBundle, point: ClassicalPoint) -> CochainCompl
     jac = curvature_derivative(bundle, point)
     if jac and any(any(row) for row in jac):
         diffs[0] = jac
+    ell1 = bundle.total().op(1)
     for d in bundle.fiber.degrees():
-        m = _arity_one_matrix(bundle, d, values)
+        m = op_matrix(ell1, d, values)
         if m and any(any(row) for row in m):
             diffs[d] = m
     return CochainComplex(dims, diffs)
@@ -258,21 +238,6 @@ def virtual_dimension(bundle: LinftyBundle) -> int:
 # ---------------------------------------------------------------------------
 # Tangent maps and the etale / weak equivalence / fibration tests
 # ---------------------------------------------------------------------------
-
-
-def _linear_part_matrix(mor: Morphism, degree: int,
-                        values: dict[str, Fraction]) -> Matrix:
-    op = mor.phi.op(1)
-    rows = mor.dst.fiber.dim(degree)
-    cols = mor.src.fiber.dim(degree)
-    m = [[Fraction(0)] * cols for _ in range(rows)]
-    for i in range(cols):
-        vec = op.evaluate_basis(((degree, i),))
-        for (dd, j), c in vec.items():
-            if dd != degree:
-                raise AssertionError("linear part is not degree preserving")
-            m[j][i] = _eval_at(c, values)
-    return m
 
 
 def _base_jacobian(mor: Morphism, values: dict[str, Fraction]) -> Matrix:
@@ -297,11 +262,11 @@ def tangent_map(mor: Morphism, point: ClassicalPoint
     """
     src_cx = tangent_complex(mor.src, point)
     values = _point_values(mor.src.coords, point.coords)
-    image = tuple(_eval_at(p, values) for p in mor.base_map)
+    image = tuple(_eval_coeff(p, values) for p in mor.base_map)
     dst_cx = tangent_complex(mor.dst, classical_point(mor.dst, image))
     maps: dict[int, Matrix] = {0: _base_jacobian(mor, values)}
     for d in mor.src.fiber.degrees():
-        maps[d] = _linear_part_matrix(mor, d, values)
+        maps[d] = op_matrix(mor.phi.op(1), d, values)
     return src_cx, dst_cx, maps
 
 
@@ -350,7 +315,7 @@ def is_weak_equivalence(mor: Morphism, src_points, dst_points) -> WeakEquivRepor
     images = []
     for p in src_pts:
         values = _point_values(mor.src.coords, p.coords)
-        image = tuple(_eval_at(poly, values) for poly in mor.base_map)
+        image = tuple(_eval_coeff(poly, values) for poly in mor.base_map)
         pairs.append((p, image))
         images.append(image)
     bijection_ok = (len(set(images)) == len(images) == len(dst_set)
@@ -381,36 +346,49 @@ def _probe_points(coords, samples) -> list[tuple[Fraction, ...]]:
 def is_fibration(mor: Morphism, samples=()) -> FibrationReport:
     """Submersion on the base plus degreewise surjective linear part.
 
-    The base Jacobian must have full row rank at every supplied sample
-    point.  The linear fiber part must be surjective in every degree with
-    the same rank at all samples and a few deterministic probe points: a
-    rank that varies is rejected outright rather than reported.
+    An affine base map has a constant Jacobian, whose full row rank is
+    checked once, exactly.  Otherwise the Jacobian must have full row rank
+    at every supplied sample point, and with no sample point the submersion
+    is reported as unchecked, never as holding.  The linear fiber part must
+    be surjective in every degree with the same rank at all samples and a
+    few deterministic probe points: a rank that varies is rejected outright
+    rather than reported.
     """
     sample_pts = [tuple(Fraction(v) for v in p) for p in samples]
-    submersion_ok = True
     target_rows = len(mor.dst.coords)
-    for pt in sample_pts:
-        values = _point_values(mor.src.coords, pt)
-        if rank(_base_jacobian(mor, values)) != target_rows:
-            submersion_ok = False
-            break
+    note = FibrationReport.note
+    affine = _try_affine(mor.base_map, mor.src.coords)
+    if affine is not None:
+        submersion_ok = rank(affine[0]) == target_rows
+        if not sample_pts:
+            note = ("submersion checked exactly (affine base map); linear "
+                    "ranks checked at deterministic probe points only")
+    elif sample_pts:
+        submersion_ok = all(
+            rank(_base_jacobian(mor, _point_values(mor.src.coords, pt))) == target_rows
+            for pt in sample_pts)
+    else:
+        submersion_ok = False
+        note = ("no point was checked: the base map is not affine and no "
+                "sample points were given, so the submersion is unverified")
 
     surj: dict[int, bool] = {}
     ranks: dict[int, int] = {}
+    phi1 = mor.phi.op(1)
     probes = _probe_points(mor.src.coords, sample_pts)
     degrees = sorted(set(mor.src.fiber.degrees()) | set(mor.dst.fiber.degrees()))
     for d in degrees:
         seen = set()
         for pt in probes:
             values = _point_values(mor.src.coords, pt)
-            seen.add(rank(_linear_part_matrix(mor, d, values)))
+            seen.add(rank(op_matrix(phi1, d, values)))
         if len(seen) > 1:
             raise ValueError(f"linear part has non-constant rank in degree {d}")
         r = seen.pop() if seen else 0
         ranks[d] = r
         surj[d] = r == mor.dst.fiber.dim(d)
     ok = submersion_ok and all(surj.values())
-    return FibrationReport(ok, submersion_ok, surj, ranks)
+    return FibrationReport(ok, submersion_ok, surj, ranks, note)
 
 
 # ---------------------------------------------------------------------------

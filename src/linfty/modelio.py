@@ -287,23 +287,11 @@ def morphism_to_json(mor: Morphism, metadata: dict | None = None) -> dict:
            "base_map": [coeff_to_json(p, mor.src.coords) for p in mor.base_map],
            "phi": sorted(
                (e for k in mor.phi.arities()
-                for e in _op_entries_mixed(mor.phi.op(k), mor.src.coords)),
+                for e in _op_entries(mor.phi.op(k), mor.src.coords)),
                key=lambda e: (e["arity"], e["inputs"], e["output"]))}
     if metadata:
         doc["metadata"] = {k: metadata[k] for k in sorted(metadata)}
     return doc
-
-
-def _op_entries_mixed(op: MultiOp, coords) -> list[dict]:
-    # like _op_entries but for maps between different spaces
-    entries = []
-    for tup, vec in op.coeffs.items():
-        for okey, c in vec.items():
-            entries.append({"arity": op.arity,
-                            "inputs": [list(k) for k in tup],
-                            "output": list(okey),
-                            "coeff": coeff_to_json(c, coords)})
-    return entries
 
 
 def _entries_to_family(entries, src: GradedSpace, dst: GradedSpace, coords,
@@ -363,11 +351,11 @@ def contraction_to_json(con: Contraction, metadata: dict | None = None) -> dict:
     doc = {"kind": "contraction",
            "space": space_to_json(con.space),
            "h": space_to_json(con.h_space),
-           "delta": sorted(_op_entries_mixed(con.delta, no_coords),
+           "delta": sorted(_op_entries(con.delta, no_coords),
                            key=lambda e: (e["inputs"], e["output"])),
-           "eta": sorted(_op_entries_mixed(con.eta, no_coords),
+           "eta": sorted(_op_entries(con.eta, no_coords),
                          key=lambda e: (e["inputs"], e["output"])),
-           "iota": sorted(_op_entries_mixed(con.iota, no_coords),
+           "iota": sorted(_op_entries(con.iota, no_coords),
                           key=lambda e: (e["inputs"], e["output"]))}
     meta = dict(metadata or {})
     sm = space_metadata(con.space)

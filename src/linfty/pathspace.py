@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (CurvedAlgebra, LinftyBundle, Morphism, check_mc,
-                      check_morphism, compose, product_bundle,
-                      rename_morphism_source)
+                      check_morphism, compose, plain_bundle, product_bundle,
+                      product_projection, rename_morphism_source)
 from .geometry import (ClassicalPoint, PullbackResult, classical_point,
                        find_classical_points, is_fibration,
                        is_weak_equivalence, pullback_fibration,
@@ -391,11 +391,7 @@ def path_space_manifold(m: int, cap: int | None = None) -> DerivedPathSpace:
     """Derived path space of a plain affine space of dimension m."""
     if m <= 0:
         raise ValueError("dimension must be positive")
-    coords = tuple("xyz"[i] if m <= 3 else f"x{i}" for i in range(m))
-    empty = GradedSpace.build({})
-    bundle = LinftyBundle(coords, empty, MultiOp.zero(1, 1, empty, empty),
-                          OpFamily(1, empty, empty, {}))
-    return derived_path_space(bundle, cap)
+    return derived_path_space(plain_bundle(ambient_coord_names(m)), cap)
 
 
 # ---------------------------------------------------------------------------
@@ -523,8 +519,8 @@ def homotopy_fibered_product(f: Morphism, g: Morphism,
     left_factor = f.src.rename_coords(dict(zip(f.src.coords, src_prod.coords[:n])))
     right_factor = g_used.src.rename_coords(dict(zip(g_used.src.coords,
                                                      src_prod.coords[n:])))
-    left_proj = _factor_projection(src_prod, left_factor, first=True)
-    right_proj = _factor_projection(src_prod, right_factor, first=False)
+    left_proj = product_projection(src_prod, left_factor, first=True)
+    right_proj = product_projection(src_prod, right_factor, first=False)
     to_left = compose(left_proj, res.to_other_source)
     to_right = compose(right_proj, res.to_other_source)
 
@@ -533,33 +529,6 @@ def homotopy_fibered_product(f: Morphism, g: Morphism,
     if virtual_dimension(res.bundle) != want:
         raise AssertionError("virtual dimension is not additive")
     return FiberedProduct(res.bundle, to_left, to_right, dps, res, f, g_used)
-
-
-def _factor_projection(prod: LinftyBundle, factor: LinftyBundle,
-                       first: bool) -> Morphism:
-    """Strict projection of an explicit product bundle onto one factor."""
-    n = len(factor.coords)
-    if first:
-        base = tuple(Poly.variable(c) for c in prod.coords[:n])
-        offset = {d: 0 for d in factor.fiber.degrees()}
-    else:
-        base = tuple(Poly.variable(c) for c in prod.coords[len(prod.coords) - n:])
-        offset = {d: prod.fiber.dims.get(d, 0) - factor.fiber.dims[d]
-                  for d in factor.fiber.degrees()}
-
-    def value(tup):
-        (d, i), = tup
-        if d not in factor.fiber.dims:
-            return {}
-        j = i - offset.get(d, 0)
-        if 0 <= j < factor.fiber.dims[d]:
-            return {(d, j): Fraction(1)}
-        return {}
-
-    op = MultiOp.from_function(1, 0, prod.fiber, factor.fiber, value)
-    return Morphism(prod, factor, base,
-                    OpFamily(0, prod.fiber, factor.fiber,
-                             {1: op} if not op.is_zero() else {}))
 
 
 # ---------------------------------------------------------------------------
@@ -596,15 +565,8 @@ def graph_submanifold(fn: Poly, param: str = "u") -> Submanifold:
     return Submanifold((param,), (Poly.variable(param), p), name="graph")
 
 
-def _plain_bundle(coords) -> LinftyBundle:
-    empty = GradedSpace.build({})
-    return LinftyBundle(tuple(coords), empty,
-                        MultiOp.zero(1, 1, empty, empty),
-                        OpFamily(1, empty, empty, {}))
-
-
 def _inclusion_morphism(sub: Submanifold, ambient: LinftyBundle) -> Morphism:
-    src = _plain_bundle(sub.params)
+    src = plain_bundle(sub.params)
     base = []
     for p in sub.image:
         pr = p.pruned()
@@ -651,7 +613,7 @@ def derived_intersection(x: Submanifold, y: Submanifold,
     if x.ambient_dim != y.ambient_dim:
         raise ValueError("submanifolds live in different ambient spaces")
     m = x.ambient_dim
-    ambient = _plain_bundle(ambient_coord_names(m))
+    ambient = plain_bundle(ambient_coord_names(m))
     inc_x = _inclusion_morphism(x, ambient)
     inc_y = _inclusion_morphism(y, ambient)
     fp = homotopy_fibered_product(inc_x, inc_y, cap)

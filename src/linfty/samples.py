@@ -15,8 +15,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .algebra import (CurvedAlgebra, LinftyBundle, Morphism, check_mc,
-                      compose, invert_linear_op, product_bundle,
-                      transport_source)
+                      compose, invert_linear_op, op_matrix, product_bundle,
+                      product_projection, transport_source)
 from .graded import (GradedSpace, MultiOp, OpFamily, canonical_tuples,
                      op_nilpotency_order)
 from .linalg import kernel_basis, rank
@@ -134,13 +134,8 @@ def _kernel_curvature(rng: Rng, ell1: MultiOp, density: float = 0.8):
     n = space.dim(1)
     if not n:
         return {}
-    rows = space.dim(2)
-    mat = [[Fraction(0)] * n for _ in range(rows)]
-    for i in range(n):
-        for (dd, j), c in ell1.evaluate_basis(((1, i),)).items():
-            mat[j][i] = Fraction(c)
     vec = [Fraction(0)] * n
-    for v in kernel_basis(mat, cols=n):
+    for v in kernel_basis(op_matrix(ell1, 1), cols=n):
         if rng.random() < density:
             c = small_fraction(rng)
             if c:
@@ -333,14 +328,8 @@ def random_bundle(rng: Rng, coords: Sequence[str], amplitude: int = 2,
     fiber = random_graded_space(rng, amplitude, max_dim)
     delta0, _, _ = staircase(rng, fiber)
     ops: dict[int, MultiOp] = {}
-    n1 = fiber.dim(1)
-    rows = fiber.dim(2)
-    mat = [[Fraction(0)] * n1 for _ in range(rows)]
-    for i in range(n1):
-        for (dd, j), c in delta0.evaluate_basis(((1, i),)).items():
-            mat[j][i] = Fraction(c)
     cur = {}
-    for v in kernel_basis(mat, cols=n1):
+    for v in kernel_basis(op_matrix(delta0, 1), cols=fiber.dim(1)):
         p = random_poly(rng, coords, coeff_degree)
         if p:
             for i, c in enumerate(v):
@@ -363,40 +352,6 @@ def random_bundle(rng: Rng, coords: Sequence[str], amplitude: int = 2,
                         OpFamily(1, fiber, fiber, lam_ops))
 
 
-def plain_bundle(coords: Sequence[str]) -> LinftyBundle:
-    empty = GradedSpace.build({})
-    return LinftyBundle(tuple(coords), empty,
-                        MultiOp.zero(1, 1, empty, empty),
-                        OpFamily(1, empty, empty, {}))
-
-
-def projection_morphism_onto(prod: LinftyBundle, factor: LinftyBundle,
-                             first: bool) -> Morphism:
-    """Strict projection of a product bundle onto one of its two factors."""
-    n = len(factor.coords)
-    if first:
-        base = tuple(Poly.variable(c) for c in prod.coords[:n])
-        offset = {d: 0 for d in factor.fiber.degrees()}
-    else:
-        base = tuple(Poly.variable(c) for c in prod.coords[len(prod.coords) - n:])
-        offset = {d: prod.fiber.dims.get(d, 0) - factor.fiber.dims[d]
-                  for d in factor.fiber.degrees()}
-
-    def value(tup):
-        (d, i), = tup
-        if d not in factor.fiber.dims:
-            return {}
-        j = i - offset.get(d, 0)
-        if 0 <= j < factor.fiber.dims[d]:
-            return {(d, j): Fraction(1)}
-        return {}
-
-    op = MultiOp.from_function(1, 0, prod.fiber, factor.fiber, value)
-    return Morphism(prod, factor, base,
-                    OpFamily(0, prod.fiber, factor.fiber,
-                             {1: op} if not op.is_zero() else {}))
-
-
 def random_morphism_onto(rng: Rng, dst: LinftyBundle, tag: str,
                          amplitude: int = 2) -> Morphism:
     """Random morphism with target dst: a product projection precomposed
@@ -405,7 +360,7 @@ def random_morphism_onto(rng: Rng, dst: LinftyBundle, tag: str,
                           amplitude=amplitude, max_dim=2, coeff_degree=1)
     renamed = dst.rename_coords({c: f"{c}_{tag}" for c in dst.coords})
     prod, _, _ = product_bundle(renamed, extra)
-    proj = projection_morphism_onto(prod, renamed, first=True)
+    proj = product_projection(prod, renamed, first=True)
     fix_names = Morphism(prod, dst, tuple(
         Poly.variable(f"{c}_{tag}") for c in dst.coords), proj.phi)
 

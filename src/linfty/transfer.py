@@ -36,30 +36,16 @@ from math import factorial
 from typing import Iterator, Sequence
 
 from .algebra import (CurvedAlgebra, Morphism, algebra_as_bundle, linear_apply,
-                      op_then)
+                      op_matrix, op_then)
 from .graded import (GradedSpace, MultiOp, OpFamily, Vector, arity_bound,
                      bullet, koszul_sign, op_nilpotency_order, vec_add_into)
 from .linalg import inverse as mat_inverse
 from .linalg import rref, solve
-from .poly import Poly
-
-
-def _op_matrix(op: MultiOp, degree: int) -> list[list[Fraction]]:
-    """Degree-d block of an arity-1 operation as a rational matrix."""
-    rows = op.target.dim(degree + op.degree)
-    cols = op.source.dim(degree)
-    m = [[Fraction(0)] * cols for _ in range(rows)]
-    for i in range(cols):
-        for (dd, j), c in op.evaluate_basis(((degree, i),)).items():
-            if isinstance(c, Poly):
-                raise ValueError("expected rational coefficients")
-            m[j][i] = Fraction(c)
-    return m
 
 
 def _image_basis(op: MultiOp, degree: int) -> list[list[Fraction]]:
     """Basis (as coordinate vectors) of the image of the degree-d block."""
-    m = _op_matrix(op, degree)
+    m = op_matrix(op, degree)
     if not m or not m[0]:
         return []
     red, pivots = rref([list(col) for col in zip(*m)])
@@ -86,6 +72,23 @@ def neumann_inverse(op: MultiOp, label: str = "operator") -> MultiOp:
 # ---------------------------------------------------------------------------
 
 
+def _checked_projector(space: GradedSpace, delta: MultiOp, eta: MultiOp) -> MultiOp:
+    """1 - [delta, eta], once delta^2 = 0, eta^2 = 0 and eta delta eta = eta hold."""
+    if delta.arity != 1 or delta.degree != 1:
+        raise ValueError("differential must be arity 1, degree 1")
+    if eta.arity != 1 or eta.degree != -1:
+        raise ValueError("homotopy must be arity 1, degree -1")
+    if not delta.compose_linear(delta).is_zero():
+        raise ValueError("differential does not square to zero")
+    if not eta.compose_linear(eta).is_zero():
+        raise ValueError("homotopy does not square to zero")
+    de = delta.compose_linear(eta)
+    if eta.compose_linear(de) != eta:
+        raise ValueError("eta delta eta = eta fails")
+    ed = eta.compose_linear(delta)
+    return MultiOp.identity(space).minus(de.plus(ed))
+
+
 @dataclass
 class Contraction:
     """Ambient space with differential, homotopy, and induced retract data."""
@@ -97,68 +100,31 @@ class Contraction:
     iota: MultiOp
     pi: MultiOp
     delta_h: MultiOp
+    projector: MultiOp       # 1 - [delta, eta], equal to iota pi
 
     @staticmethod
     def build(space: GradedSpace, delta: MultiOp, eta: MultiOp) -> "Contraction":
         """Derive the retract from (delta, eta) alone.
 
         Requires delta^2 = 0, eta^2 = 0 and eta delta eta = eta; everything
-        else (the projector, H, the side conditions) follows.
+        else (the projector, H, the side conditions) follows.  H gets the
+        reduced echelon basis of the projector's image, labelled h{d}_{i}.
         """
-        if delta.arity != 1 or delta.degree != 1:
-            raise ValueError("differential must be arity 1, degree 1")
-        if eta.arity != 1 or eta.degree != -1:
-            raise ValueError("homotopy must be arity 1, degree -1")
-        if not delta.compose_linear(delta).is_zero():
-            raise ValueError("differential does not square to zero")
-        if not eta.compose_linear(eta).is_zero():
-            raise ValueError("homotopy does not square to zero")
-        ede = eta.compose_linear(delta.compose_linear(eta))
-        if ede != eta:
-            raise ValueError("eta delta eta = eta fails")
-
-        de = delta.compose_linear(eta)
-        ed = eta.compose_linear(delta)
-        proj = MultiOp.identity(space).minus(de.plus(ed))
-
-        dims: dict[int, int] = {}
+        proj = _checked_projector(space, delta, eta)
         columns: dict[int, list[list[Fraction]]] = {}
         for d in space.degrees():
             basis = _image_basis(proj, d)
             if basis:
-                dims[d] = len(basis)
                 columns[d] = basis
-        h_space = GradedSpace.build(dims, labels={d: tuple(f"h{d}_{i}" for i in range(n))
-                                                  for d, n in dims.items()})
-
-        iota_coeffs = {}
-        for d, basis in columns.items():
-            for i, vec in enumerate(basis):
-                out = {(d, j): c for j, c in enumerate(vec) if c}
-                iota_coeffs[((d, i),)] = out
-        iota = MultiOp(1, 0, h_space, space, iota_coeffs)
-
-        pi_coeffs = {}
-        for d in space.degrees():
-            if d not in columns:
-                continue
-            hmat = [[columns[d][i][j] for i in range(dims[d])]
-                    for j in range(space.dim(d))]
-            for idx in range(space.dim(d)):
-                pvec = proj.evaluate_basis(((d, idx),))
-                rhs = [Fraction(pvec.get((d, j), 0)) for j in range(space.dim(d))]
-                sol = solve(hmat, rhs)
-                if sol is None:
-                    raise ValueError("projector image escaped its own basis")
-                out = {(d, i): c for i, c in enumerate(sol) if c}
-                if out:
-                    pi_coeffs[((d, idx),)] = out
-        pi = MultiOp(1, 0, space, h_space, pi_coeffs)
-
-        delta_h = pi.compose_linear(delta.compose_linear(iota))
-        con = Contraction(space, delta, eta, h_space, iota, pi, delta_h)
-        con.validate()
-        return con
+        h_space = GradedSpace.build(
+            {d: len(basis) for d, basis in columns.items()},
+            labels={d: tuple(f"h{d}_{i}" for i in range(len(basis)))
+                    for d, basis in columns.items()})
+        iota = MultiOp(1, 0, h_space, space,
+                       {((d, i),): {(d, j): c for j, c in enumerate(vec) if c}
+                        for d, basis in columns.items()
+                        for i, vec in enumerate(basis)})
+        return Contraction._from_projector(space, delta, eta, proj, h_space, iota)
 
     @staticmethod
     def from_basis(space: GradedSpace, delta: MultiOp, eta: MultiOp,
@@ -168,35 +134,27 @@ class Contraction:
         iota's columns must span the image of 1 - [delta, eta] exactly; the
         projection is solved from that basis and everything is validated.
         """
+        return Contraction._from_projector(space, delta, eta,
+                                           _checked_projector(space, delta, eta),
+                                           h_space, iota)
+
+    @staticmethod
+    def _from_projector(space: GradedSpace, delta: MultiOp, eta: MultiOp,
+                        proj: MultiOp, h_space: GradedSpace,
+                        iota: MultiOp) -> "Contraction":
+        """Solve pi from iota pi = proj degree by degree, then validate."""
         if iota.arity != 1 or iota.degree != 0:
             raise ValueError("inclusion must be arity 1, degree 0")
-        if not delta.compose_linear(delta).is_zero():
-            raise ValueError("differential does not square to zero")
-        if not eta.compose_linear(eta).is_zero():
-            raise ValueError("homotopy does not square to zero")
-        if eta.compose_linear(delta.compose_linear(eta)) != eta:
-            raise ValueError("eta delta eta = eta fails")
-        de = delta.compose_linear(eta)
-        ed = eta.compose_linear(delta)
-        proj = MultiOp.identity(space).minus(de.plus(ed))
-
         pi_coeffs = {}
         for d in space.degrees():
-            n_h = h_space.dim(d)
-            n_v = space.dim(d)
-            if not n_h:
-                for idx in range(n_v):
-                    if proj.evaluate_basis(((d, idx),)):
-                        raise ValueError("projector image escaped the given basis")
+            pmat = op_matrix(proj, d)
+            if not h_space.dim(d):
+                if any(any(row) for row in pmat):
+                    raise ValueError("projector image escaped the given basis")
                 continue
-            hmat = [[Fraction(0)] * n_h for _ in range(n_v)]
-            for i in range(n_h):
-                for (dd, j), c in iota.evaluate_basis(((d, i),)).items():
-                    hmat[j][i] = Fraction(c)
-            for idx in range(n_v):
-                pvec = proj.evaluate_basis(((d, idx),))
-                rhs = [Fraction(pvec.get((d, j), 0)) for j in range(n_v)]
-                sol = solve(hmat, rhs)
+            hmat = op_matrix(iota, d)
+            for idx in range(space.dim(d)):
+                sol = solve(hmat, [row[idx] for row in pmat])
                 if sol is None:
                     raise ValueError("projector image escaped the given basis")
                 out = {(d, i): c for i, c in enumerate(sol) if c}
@@ -204,7 +162,7 @@ class Contraction:
                     pi_coeffs[((d, idx),)] = out
         pi = MultiOp(1, 0, space, h_space, pi_coeffs)
         delta_h = pi.compose_linear(delta.compose_linear(iota))
-        con = Contraction(space, delta, eta, h_space, iota, pi, delta_h)
+        con = Contraction(space, delta, eta, h_space, iota, pi, delta_h, proj)
         con.validate()
         return con
 
@@ -216,18 +174,10 @@ class Contraction:
             raise ValueError("eta iota != 0")
         if not self.pi.compose_linear(self.eta).is_zero():
             raise ValueError("pi eta != 0")
-        de = self.delta.compose_linear(self.eta)
-        ed = self.eta.compose_linear(self.delta)
-        proj = MultiOp.identity(self.space).minus(de.plus(ed))
-        if self.iota.compose_linear(self.pi) != proj:
+        if self.iota.compose_linear(self.pi) != self.projector:
             raise ValueError("iota pi != 1 - [delta, eta]")
         if not self.delta_h.compose_linear(self.delta_h).is_zero():
             raise ValueError("induced differential does not square to zero")
-
-    def projector(self) -> MultiOp:
-        de = self.delta.compose_linear(self.eta)
-        ed = self.eta.compose_linear(self.delta)
-        return MultiOp.identity(self.space).minus(de.plus(ed))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from linfty.algebra import (CurvedAlgebra, LinftyBundle, Morphism, check_mc,
-                            check_morphism, identity_morphism)
+                            check_morphism, identity_morphism, plain_bundle)
 from linfty.geometry import is_weak_equivalence, shifted_tangent, virtual_dimension
 from linfty.graded import GradedSpace, MultiOp, OpFamily, bullet
 from linfty.modelio import (algebra_to_json, bundle_from_json, bundle_to_json,
@@ -26,7 +26,7 @@ from linfty.pathspace import (Submanifold, axis_submanifold,
                               zero_locus_model)
 from linfty.poly import (PathSection, Poly, path_delta, path_eta, pi_con,
                          pi_lin, pullback)
-from linfty.samples import (break_algebra, plain_bundle, random_affine_images,
+from linfty.samples import (break_algebra, random_affine_images,
                             random_bundle, random_mc_algebra,
                             random_morphism_onto, random_perturbation_instance,
                             random_transfer_instance)

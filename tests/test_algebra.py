@@ -9,12 +9,12 @@ from linfty.algebra import (CurvedAlgebra, LinftyBundle, Morphism,
                             algebra_as_bundle, check_mc, check_morphism,
                             compose, identity_morphism, invert_iso,
                             invert_linear_op, linearize_fibration,
-                            product_bundle, transport_source,
+                            op_matrix, plain_bundle, product_bundle,
+                            product_projection, transport_source,
                             transport_target)
-from linfty.graded import GradedSpace, MultiOp, OpFamily
+from linfty.graded import GradedSpace, MultiOp, OpFamily, bullet, circ
 from linfty.poly import Poly
-from linfty.samples import (plain_bundle, projection_morphism_onto,
-                            random_bundle, random_formal_iso,
+from linfty.samples import (random_bundle, random_formal_iso,
                             random_mc_algebra, random_morphism_onto)
 
 x = Poly.variable("x")
@@ -126,6 +126,15 @@ def test_at_point_specializes_coefficients():
     assert alg.ops.op(0).coeffs[()] == {(1, 0): Fraction(9)}
     with pytest.raises(ValueError):
         square_bundle().at_point((1, 2))
+    # the same rule on one degree block of an arity-1 operation: a constant
+    # Poly is its constant, any other Poly needs a point
+    fiber = square_bundle().fiber
+    const = MultiOp(1, 0, fiber, fiber, {((1, 0),): {(1, 0): Poly.constant(3)}})
+    assert op_matrix(const, 1) == [[Fraction(3)]]
+    scaled = MultiOp(1, 0, fiber, fiber, {((1, 0),): {(1, 0): 2 * x}})
+    with pytest.raises(ValueError):
+        op_matrix(scaled, 1)
+    assert op_matrix(scaled, 1, {"x": Fraction(5)}) == [[Fraction(10)]]
 
 
 def test_structure_equation_survives_specialization():
@@ -308,6 +317,25 @@ def test_transport_round_trip():
     assert back == alg.total()
 
 
+def test_transport_worked_example():
+    # unary structure on e, a -> f plus a quadratic change of coordinates
+    sp = GradedSpace.build({1: 2, 2: 1, 3: 1},
+                           labels={1: ["e", "a"], 2: ["f"], 3: ["g"]})
+    delta = MultiOp(1, 1, sp, sp, {((1, 1),): {(2, 0): Fraction(1)}})
+    lam1 = MultiOp(1, 1, sp, sp, {((1, 0),): {(2, 0): Fraction(1)}})
+    alg = CurvedAlgebra(sp, delta, OpFamily(1, sp, sp, {1: lam1}))
+    assert check_mc(alg).ok
+    ell = alg.total()
+    psi2 = MultiOp(2, 0, sp, sp, {((1, 0), (1, 1)): {(2, 0): Fraction(3)},
+                                  ((1, 0), (2, 0)): {(3, 0): Fraction(-2)}})
+    psi = OpFamily(0, sp, sp, {1: MultiOp.identity(sp), 2: psi2})
+    moved = transport_source(psi, ell)
+    assert circ(psi, moved) == bullet(ell, psi)
+    assert check_mc(CurvedAlgebra(sp, MultiOp.zero(1, 1, sp, sp),
+                                  OpFamily(1, sp, sp, dict(moved.ops)))).ok
+    assert transport_target(psi, moved) == ell
+
+
 # -- fibration splitting ---------------------------------------------------------------
 
 def test_linearize_projection_fibration():
@@ -315,7 +343,7 @@ def test_linearize_projection_fibration():
     a = random_bundle(rng, ("x",), amplitude=2, max_dim=2, coeff_degree=1)
     b = random_bundle(rng, ("y",), amplitude=2, max_dim=2, coeff_degree=1)
     prod, _, _ = product_bundle(a, b)
-    m = projection_morphism_onto(prod, a, first=True)
+    m = product_projection(prod, a, first=True)
     assert check_morphism(m).ok
     lf = linearize_fibration(m)
     assert check_mc(lf.middle.as_algebra()).ok

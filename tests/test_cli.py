@@ -5,13 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from linfty.algebra import LinftyBundle, Morphism, identity_morphism
+from linfty.algebra import LinftyBundle, Morphism, identity_morphism, plain_bundle
 from linfty.cli import main, parse_poly_expr
 from linfty.graded import GradedSpace, MultiOp, OpFamily
 from linfty.modelio import (ModelFormatError, bundle_to_json,
                             contraction_to_json, dumps, morphism_to_json)
 from linfty.poly import Poly
-from linfty.samples import plain_bundle
 from linfty.transfer import Contraction
 
 x = Poly.variable("x")
@@ -205,6 +204,15 @@ def test_fibration_rejects_non_submersion(tmp_path, capsys):
     code, out, _ = run(capsys, "fibration", path, "--samples", "0")
     assert code == 1
     assert "NO" in out
+
+
+def test_fibration_without_samples_does_not_pass_a_non_affine_map(tmp_path, capsys):
+    src, dst = plain_bundle(("u",)), plain_bundle(("x",))
+    fold = Morphism(src, dst, (u * u,), OpFamily(0, src.fiber, dst.fiber, {}))
+    path = write_doc(tmp_path, "fold.json", morphism_to_json(fold))
+    code, out, _ = run(capsys, "fibration", path)
+    assert code == 1
+    assert "NO" in out and "no point was checked" in out
 
 
 def test_fibration_rank_jump_is_a_witnessed_failure(tmp_path, capsys):

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from linfty.algebra import (LinftyBundle, Morphism, check_mc, check_morphism,
-                            compose, identity_morphism)
+                            compose, identity_morphism, linearize_fibration,
+                            plain_bundle, product_bundle, product_projection)
 from linfty.geometry import (ClassicalPoint, CochainComplex, classical_point,
                              curvature_derivative, curvature_residual,
                              find_classical_points, is_etale_at, is_fibration,
@@ -15,8 +16,7 @@ from linfty.geometry import (ClassicalPoint, CochainComplex, classical_point,
                              tangent_complex, tangent_map, virtual_dimension)
 from linfty.graded import GradedSpace, MultiOp, OpFamily
 from linfty.poly import Poly
-from linfty.samples import (plain_bundle, projection_morphism_onto,
-                            product_bundle, random_bundle)
+from linfty.samples import random_bundle
 
 x = Poly.variable("x")
 y = Poly.variable("y")
@@ -134,6 +134,13 @@ def test_tangent_complex_of_a_simple_zero_is_acyclic():
     assert cx.is_acyclic()
 
 
+def test_tangent_complex_on_the_circle():
+    b = section_bundle(("x", "y"), (x ** 2 + y ** 2 - 1,))
+    cx = tangent_complex(b, classical_point(b, (1, 0)))
+    assert cx.cohomology("both") == {0: 1}
+    assert virtual_dimension(b) == 1
+
+
 def test_curvature_derivative_rows():
     b = square_bundle()
     assert curvature_derivative(b, classical_point(b, (0,))) == [[0]]
@@ -234,8 +241,67 @@ def test_product_projection_is_a_fibration():
     a = random_bundle(rng, ("x",), coeff_degree=1)
     b = random_bundle(rng, ("y",), coeff_degree=1)
     prod, _, _ = product_bundle(a, b)
-    m = projection_morphism_onto(prod, a, first=True)
+    m = product_projection(prod, a, first=True)
     assert is_fibration(m, samples=[(0, 0)]).ok
+
+
+def test_fibration_without_samples_is_never_vacuous():
+    # a non-affine base map with no sample point: nothing was checked
+    fold = Morphism(plain_bundle(("x",)), plain_bundle(("y",)), (x ** 2,),
+                    OpFamily(0, GradedSpace.build({}), GradedSpace.build({}), {}))
+    rep = is_fibration(fold)
+    assert not rep.ok and not rep.submersion_ok
+    assert "no point was checked" in rep.note
+    # an affine base map has a constant Jacobian, checked exactly
+    src, dst = plain_bundle(("x", "y")), plain_bundle(("z",))
+    proj = Morphism(src, dst, (x + y,), OpFamily(0, src.fiber, dst.fiber, {}))
+    rep = is_fibration(proj)
+    assert rep.ok and "checked exactly" in rep.note
+    pt = plain_bundle(())
+    into = Morphism(pt, dst, (Poly.constant(0),), OpFamily(0, pt.fiber, dst.fiber, {}))
+    rep = is_fibration(into)
+    assert not rep.ok and not rep.submersion_ok
+
+
+def plane_onto_line():
+    """(x, y) with curvature (x^2, xy) projected onto u with curvature u^2."""
+    u = Poly.variable("u")
+    fib_m = GradedSpace.build({1: 2}, labels={1: ["l0", "l1"]})
+    m = LinftyBundle(("x", "y"), fib_m, MultiOp.zero(1, 1, fib_m, fib_m),
+                     OpFamily(1, fib_m, fib_m, {0: MultiOp(0, 1, fib_m, fib_m, {
+                         (): {(1, 0): x * x, (1, 1): x * y}})}))
+    fib_n = GradedSpace.build({1: 1}, labels={1: ["eps"]})
+    n = LinftyBundle(("u",), fib_n, MultiOp.zero(1, 1, fib_n, fib_n),
+                     OpFamily(1, fib_n, fib_n, {0: MultiOp(0, 1, fib_n, fib_n, {
+                         (): {(1, 0): u * u}})}))
+    phi1 = MultiOp(1, 0, fib_m, fib_n, {((1, 0),): {(1, 0): Fraction(1)}})
+    return Morphism(m, n, (x,), OpFamily(0, fib_m, fib_n, {1: phi1}))
+
+
+def test_plane_onto_line_is_a_fibration_and_linearizes():
+    p = plane_onto_line()
+    assert check_morphism(p).ok
+    assert is_fibration(p, samples=[(0, 0), (1, 2)]).ok
+    lin = linearize_fibration(p)
+    assert check_morphism(lin.iso).ok and check_morphism(lin.linear).ok
+    assert compose(lin.linear, lin.iso).phi == p.phi
+
+
+def test_pullback_of_a_fibration_along_a_non_affine_map():
+    # w -> w^2 with curvature w^4 over the line, against the plane projection
+    p = plane_onto_line()
+    w = Poly.variable("w")
+    fib_w = GradedSpace.build({1: 1}, labels={1: ["m0"]})
+    src = LinftyBundle(("w",), fib_w, MultiOp.zero(1, 1, fib_w, fib_w),
+                       OpFamily(1, fib_w, fib_w, {0: MultiOp(0, 1, fib_w, fib_w, {
+                           (): {(1, 0): w ** 4}})}))
+    psi1 = MultiOp(1, 0, fib_w, p.dst.fiber, {((1, 0),): {(1, 0): Fraction(1)}})
+    f = Morphism(src, p.dst, (w * w,), OpFamily(0, fib_w, p.dst.fiber, {1: psi1}))
+    assert check_morphism(f).ok
+    pb = pullback_fibration(p, f)
+    assert check_mc(pb.bundle.as_algebra()).ok
+    want = virtual_dimension(p.src) + virtual_dimension(src) - virtual_dimension(p.dst)
+    assert virtual_dimension(pb.bundle) == want
 
 
 def test_fibration_rejects_rank_jumps():
@@ -307,6 +373,16 @@ def test_shifted_tangent_of_the_squared_function():
     assert st.ops.op(1).coeffs == {((1, 0),): {(2, 0): 2 * x}}
     # original curvature rides along on the undifferentiated copy
     assert st.ops.op(0).coeffs == {(): {(1, 1): x ** 2}}
+
+
+def test_shifted_tangent_of_an_amplitude_two_model():
+    fiber = GradedSpace.build({1: 1, 2: 1}, labels={1: ["e"], 2: ["f"]})
+    lam1 = MultiOp(1, 1, fiber, fiber, {((1, 0),): {(2, 0): x}})
+    lam2 = MultiOp(2, 1, fiber, fiber, {((1, 0), (1, 0)): {(2, 0): y}})
+    amp2 = LinftyBundle(("x", "y"), fiber, MultiOp.zero(1, 1, fiber, fiber),
+                        OpFamily(1, fiber, fiber, {1: lam1, 2: lam2}))
+    assert check_mc(amp2.as_algebra()).ok
+    assert check_mc(shifted_tangent(amp2).as_algebra()).ok
 
 
 def test_shifted_tangent_doubles_the_virtual_dimension_count():

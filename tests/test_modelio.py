@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from linfty.algebra import LinftyBundle, Morphism, check_mc, identity_morphism
+from linfty.algebra import (LinftyBundle, Morphism, check_mc, identity_morphism,
+                            plain_bundle)
 from linfty.geometry import shifted_tangent
 from linfty.graded import GradedSpace, MultiOp, OpFamily
 from linfty.modelio import (ModelFormatError, algebra_to_json, bundle_from_json,
@@ -14,7 +15,6 @@ from linfty.modelio import (ModelFormatError, algebra_to_json, bundle_from_json,
                             morphism_to_json, parse_frac)
 from linfty.pathspace import derived_path_space
 from linfty.poly import Poly
-from linfty.samples import plain_bundle
 from linfty.transfer import Contraction
 
 x = Poly.variable("x")

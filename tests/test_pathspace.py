@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from linfty.algebra import LinftyBundle, Morphism, check_mc, check_morphism
+from linfty.algebra import (LinftyBundle, Morphism, check_mc, check_morphism,
+                            plain_bundle)
 from linfty.geometry import (classical_point, find_classical_points,
                              tangent_complex, virtual_dimension)
 from linfty.graded import GradedSpace, MultiOp, OpFamily, bullet
@@ -18,7 +19,6 @@ from linfty.pathspace import (Submanifold, axis_submanifold, build_path_model,
                               homotopy_fibered_product, path_curved_structure,
                               path_space_manifold, required_t_degree,
                               verify_factorization, zero_locus_model)
-from linfty.samples import plain_bundle
 
 x = Poly.variable("x")
 

@@ -50,21 +50,28 @@ def test_build_with_zero_data_is_the_identity_retract():
     assert con.iota.compose_linear(con.pi) == MultiOp.identity(sp)
 
 
-def test_build_rejects_broken_side_conditions():
+def from_worked_basis(sp, delta, eta):
+    con = worked_contraction()
+    return Contraction.from_basis(sp, delta, eta, con.h_space, con.iota)
+
+
+@pytest.mark.parametrize("make", [Contraction.build, from_worked_basis],
+                         ids=["build", "from_basis"])
+def test_build_rejects_broken_side_conditions(make):
     sp = worked_space()
     delta = MultiOp(1, 1, sp, sp, {((1, 1),): {(2, 0): Fraction(1)}})
     bad_eta = MultiOp(1, -1, sp, sp, {((2, 0),): {(1, 1): Fraction(2)}})
-    with pytest.raises(ValueError):
-        Contraction.build(sp, delta, bad_eta)
+    with pytest.raises(ValueError, match="eta delta eta"):
+        make(sp, delta, bad_eta)
     bad_delta = MultiOp(1, 1, sp, sp, {((1, 1),): {(2, 0): Fraction(1)},
                                        ((2, 0),): {(3, 0): Fraction(1)}})
     eta = MultiOp(1, -1, sp, sp, {((2, 0),): {(1, 1): Fraction(1)}})
-    with pytest.raises(ValueError):
-        Contraction.build(sp, bad_delta, eta)
+    with pytest.raises(ValueError, match="differential does not square"):
+        make(sp, bad_delta, eta)
     eta_sq = MultiOp(1, -1, sp, sp, {((2, 0),): {(1, 1): Fraction(1)},
                                      ((3, 0),): {(2, 0): Fraction(1)}})
-    with pytest.raises(ValueError):
-        Contraction.build(sp, delta, eta_sq)
+    with pytest.raises(ValueError, match="homotopy does not square"):
+        make(sp, delta, eta_sq)
 
 
 def test_from_basis_accepts_the_canonical_basis():
@@ -85,7 +92,7 @@ def test_from_basis_rejects_a_short_basis():
 
 def test_projector_identity():
     con = worked_contraction()
-    assert con.iota.compose_linear(con.pi) == con.projector()
+    assert con.iota.compose_linear(con.pi) == con.projector
     con.validate()
 
 
