@@ -25,12 +25,12 @@ the base map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .graded import (GradedSpace, MultiOp, OpFamily, Vector, arity_bound,
-                     bullet, circ, vec_eq, vec_merge)
+                     bullet, circ, vec_merge)
 from .linalg import inverse as mat_inverse
 from .linalg import kernel_basis, right_inverse
 from .poly import Poly, as_fraction
@@ -167,7 +167,7 @@ class MCReport:
         return "\n".join(lines)
 
 
-def check_mc(alg: "CurvedAlgebra", method: str = "auto") -> MCReport:
+def check_mc(alg: "CurvedAlgebra") -> MCReport:
     """Verify delta^2 = 0 and [delta, lam] + lam o lam = 0 with witnesses.
 
     Both conditions together are equivalent to ell o ell = 0 for the merged
@@ -176,7 +176,7 @@ def check_mc(alg: "CurvedAlgebra", method: str = "auto") -> MCReport:
     d2 = alg.delta.compose_linear(alg.delta)
     dfails = [((key,), vec) for (key,), vec in d2.coeffs.items()]
     ell = alg.total()
-    sq = circ(ell, ell, method=method)
+    sq = circ(ell, ell)
     sfails = []
     for n in sq.arities():
         for tup, vec in sq.op(n).coeffs.items():
@@ -377,18 +377,10 @@ class Morphism:
     def base_values(self) -> Mapping[str, Poly]:
         return {name: p for name, p in zip(self.dst.coords, self.base_map)}
 
-    def push_point(self, point: Sequence[Rat]) -> list[Fraction]:
-        values = {name: as_fraction(v) for name, v in zip(self.src.coords, point)}
-        return [p.eval(values) for p in self.base_map]
-
 
 def pullback_family(fam: OpFamily, values: Mapping[str, Poly]) -> OpFamily:
     """Substitute base coordinates in every coefficient of a family."""
     return map_family_coeffs(fam, lambda c: _substitute_coeff(c, values))
-
-
-def pullback_op(op: MultiOp, values: Mapping[str, Poly]) -> MultiOp:
-    return map_op_coeffs(op, lambda c: _substitute_coeff(c, values))
 
 
 @dataclass
@@ -403,15 +395,15 @@ class MorphismReport:
                          for n, tup, vec in self.failures)
 
 
-def check_morphism(m: Morphism, method: str = "auto") -> MorphismReport:
+def check_morphism(m: Morphism) -> MorphismReport:
     """Verify phi o ell_src = ell_dst^pulled . phi, arity by arity.
 
     The arity-0 component is the curvature compatibility
     phi_1(curv_src) = curv_dst o base_map; it is part of the same equation.
     """
     values = m.base_values()
-    lhs = circ(m.phi, m.src.total(), method=method)
-    rhs = bullet(pullback_family(m.dst.total(), values), m.phi, method=method)
+    lhs = circ(m.phi, m.src.total())
+    rhs = bullet(pullback_family(m.dst.total(), values), m.phi)
     diff = lhs.minus(rhs)
     failures = []
     for n in diff.arities():

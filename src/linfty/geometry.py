@@ -17,7 +17,7 @@ that satisfy the equations exactly are promoted.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (LinftyBundle, Morphism, _affine_parts, _eval_coeff,
@@ -25,7 +25,7 @@ from .algebra import (LinftyBundle, Morphism, _affine_parts, _eval_coeff,
                       linearize_fibration, map_family_coeffs, map_op_coeffs,
                       op_matrix, op_then, rename_morphism_source)
 from .graded import GradedSpace, MultiOp, OpFamily, bullet
-from .linalg import bareiss_rank, kernel_basis, rank, right_inverse
+from .linalg import kernel_basis, rank, right_inverse
 from .poly import Poly
 
 Matrix = list[list[Fraction]]
@@ -76,30 +76,20 @@ class CochainComplex:
     def degrees(self) -> list[int]:
         return sorted(self.dims)
 
-    def rank_of(self, k: int, method: str = "rref") -> int:
+    def rank_of(self, k: int) -> int:
         d = self.diffs.get(k)
-        if not d:
-            return 0
-        if method == "bareiss":
-            return bareiss_rank(d)
-        return rank(d)
+        return rank(d) if d else 0
 
-    def cohomology(self, method: str = "rref") -> dict[int, int]:
-        """Betti numbers by exact rank computation.
+    def cohomology(self) -> dict[int, int]:
+        """Betti numbers by exact rational rank computation.
 
-        method "rref" uses rational row reduction, "bareiss" the
-        fraction-free elimination, "both" runs the two and insists they
-        agree.
+        Each differential is reduced once; its rank enters the Betti
+        numbers of both its source and its target degree.
         """
-        if method == "both":
-            a = self.cohomology("rref")
-            b = self.cohomology("bareiss")
-            if a != b:
-                raise ArithmeticError("rank computations disagree")
-            return a
+        ranks = {k: self.rank_of(k) for k in self.diffs}
         betti = {}
         for k in self.degrees():
-            b = self.dims[k] - self.rank_of(k, method) - self.rank_of(k - 1, method)
+            b = self.dims[k] - ranks.get(k, 0) - ranks.get(k - 1, 0)
             if b:
                 betti[k] = b
         return betti
@@ -107,8 +97,8 @@ class CochainComplex:
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * n for k, n in self.dims.items())
 
-    def is_acyclic(self, method: str = "both") -> bool:
-        return not self.cohomology(method)
+    def is_acyclic(self) -> bool:
+        return not self.cohomology()
 
 
 def mapping_cone(maps: dict[int, Matrix], a: CochainComplex,
@@ -223,8 +213,8 @@ def tangent_complex(bundle: LinftyBundle, point: ClassicalPoint) -> CochainCompl
     return CochainComplex(dims, diffs)
 
 
-def cohomology(cx: CochainComplex, method: str = "both") -> dict[int, int]:
-    return cx.cohomology(method)
+def cohomology(cx: CochainComplex) -> dict[int, int]:
+    return cx.cohomology()
 
 
 def virtual_dimension(bundle: LinftyBundle) -> int:
@@ -281,7 +271,7 @@ def is_etale_at(mor: Morphism, point: ClassicalPoint) -> EtaleReport:
     """Quasi-isomorphism of tangent complexes, certified by an acyclic cone."""
     src_cx, dst_cx, maps = tangent_map(mor, point)
     cone = mapping_cone(maps, src_cx, dst_cx)
-    betti = cone.cohomology("both")
+    betti = cone.cohomology()
     return EtaleReport(not betti, betti, point)
 
 

@@ -22,18 +22,18 @@ Two composition products are provided:
   over set partitions of the inputs.  It is associative in the sense
   (lam . phi) . psi = lam . (phi . psi) and linear in lam only.
 
-Both products are computed by a literal permutation sum for small arities
-and by an unshuffle/partition enumeration in general; the two paths agree
-on their overlap and the test suite pins that down.
+Each product has one engine at every arity: circ enumerates the 2^n
+unshuffles of its inputs and bullet the set partitions, with the Koszul
+sign of each.  The literal n!-permutation sums that define them live in
+the test suite as a reference the engines are checked against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, permutations
-from math import factorial
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from itertools import combinations, combinations_with_replacement
+from typing import Callable, Iterator, Mapping, Sequence
 
 BasisKey = tuple[int, int]  # (degree, index within degree)
 Vector = dict  # BasisKey -> scalar
@@ -180,12 +180,7 @@ def sort_keys_with_sign(keys: Sequence[BasisKey]) -> tuple[tuple[BasisKey, ...],
                 return tuple(keys[i] for i in order), 0
             if order[a] > order[b] and kb[0] % 2:
                 sign = -sign
-    # repeated odd keys that were already adjacent in order still collapse
-    srt = tuple(keys[i] for i in order)
-    for a in range(len(srt) - 1):
-        if srt[a] == srt[a + 1] and srt[a][0] % 2:
-            return srt, 0
-    return srt, sign
+    return tuple(keys[i] for i in order), sign
 
 
 def unshuffle_sign(degrees: Sequence[int], front: Sequence[int]) -> int:
@@ -245,10 +240,6 @@ def vec_scale(v: Vector, scale) -> Vector:
         if sc:
             out[k] = sc
     return out
-
-
-def vec_is_zero(v: Vector) -> bool:
-    return all(not c for c in v.values())
 
 
 def vec_eq(a: Vector, b: Vector) -> bool:
@@ -470,11 +461,6 @@ class OpFamily:
         self.ops = clean
 
     @classmethod
-    def from_ops(cls, degree: int, source: GradedSpace, target: GradedSpace,
-                 ops: Iterable[MultiOp]) -> "OpFamily":
-        return cls(degree, source, target, {op.arity: op for op in ops})
-
-    @classmethod
     def identity(cls, space: GradedSpace) -> "OpFamily":
         return cls(0, space, space, {1: MultiOp.identity(space)})
 
@@ -537,28 +523,6 @@ def arity_bound(fam_degree: int, target: GradedSpace, source: GradedSpace) -> in
 # ---------------------------------------------------------------------------
 
 
-def _circ_value_literal(lam: OpFamily, mu: OpFamily, tup) -> Vector:
-    n = len(tup)
-    degs = [k[0] for k in tup]
-    out: Vector = {}
-    for perm in permutations(range(n)):
-        sign = koszul_sign(degs, perm)
-        ptup = tuple(tup[i] for i in perm)
-        for k in range(n + 1):
-            mu_k = mu.ops.get(k)
-            lam_op = lam.ops.get(n + 1 - k)
-            if mu_k is None or lam_op is None:
-                continue
-            inner = mu_k.evaluate_basis(ptup[:k])
-            if not inner:
-                continue
-            weight = Fraction(sign, factorial(k) * factorial(n - k))
-            res = lam_op.evaluate_mixed(inner, ptup[k:])
-            for okey, c in res.items():
-                vec_add_into(out, okey, weight * c)
-    return out
-
-
 def _circ_value_unshuffle(lam: OpFamily, mu: OpFamily, tup) -> Vector:
     n = len(tup)
     degs = [k[0] for k in tup]
@@ -582,7 +546,7 @@ def _circ_value_unshuffle(lam: OpFamily, mu: OpFamily, tup) -> Vector:
     return out
 
 
-def circ(lam: OpFamily, mu: OpFamily, method: str = "auto") -> OpFamily:
+def circ(lam: OpFamily, mu: OpFamily) -> OpFamily:
     """Insertion product: one mu-output fed into one lam-slot, unshuffled.
 
     mu must be an endo-family; the result has degree lam.degree + mu.degree
@@ -595,24 +559,19 @@ def circ(lam: OpFamily, mu: OpFamily, method: str = "auto") -> OpFamily:
     degree = lam.degree + mu.degree
     n_max = min(arity_bound(degree, lam.target, lam.source),
                 lam.max_arity + mu.max_arity - 1 if (lam.ops and mu.ops) else -1)
+    fn = lambda tup: _circ_value_unshuffle(lam, mu, tup)
     ops = {}
     for n in range(n_max + 1):
-        if method == "literal" or (method == "auto" and n <= 4):
-            fn = lambda tup: _circ_value_literal(lam, mu, tup)
-        elif method in ("auto", "unshuffle"):
-            fn = lambda tup: _circ_value_unshuffle(lam, mu, tup)
-        else:
-            raise ValueError(f"unknown method {method!r}")
         op = MultiOp.from_function(n, degree, lam.source, lam.target, fn)
         if not op.is_zero():
             ops[n] = op
     return OpFamily(degree, lam.source, lam.target, ops)
 
 
-def commutator(a: OpFamily, b: OpFamily, method: str = "auto") -> OpFamily:
+def commutator(a: OpFamily, b: OpFamily) -> OpFamily:
     """Graded commutator [a, b] = a o b - (-1)^{|a||b|} b o a."""
-    ab = circ(a, b, method=method)
-    ba = circ(b, a, method=method)
+    ab = circ(a, b)
+    ba = circ(b, a)
     sign = -1 if (a.degree % 2) and (b.degree % 2) else 1
     return ab.minus(ba.scaled(sign))
 
@@ -633,53 +592,6 @@ def set_partitions(items: Sequence[int]) -> Iterator[list[list[int]]]:
         for i in range(len(part)):
             yield part[:i] + [[first] + part[i]] + part[i + 1:]
         yield [[first]] + part
-
-
-def _compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """Ordered tuples of k positive integers summing to n."""
-    if k == 0:
-        if n == 0:
-            yield ()
-        return
-    for head in range(1, n - k + 2):
-        for tail in _compositions(n - head, k - 1):
-            yield (head,) + tail
-
-
-def _bullet_value_literal(lam: OpFamily, phi: OpFamily, tup) -> Vector:
-    n = len(tup)
-    degs = [k[0] for k in tup]
-    out: Vector = {}
-    if n == 0:
-        lam0 = lam.ops.get(0)
-        return dict(lam0.evaluate_basis(())) if lam0 else {}
-    for perm in permutations(range(n)):
-        sign = koszul_sign(degs, perm)
-        ptup = tuple(tup[i] for i in perm)
-        for k in range(1, n + 1):
-            lam_k = lam.ops.get(k)
-            if lam_k is None:
-                continue
-            for comp in _compositions(n, k):
-                weight = Fraction(sign, factorial(k))
-                vecs = []
-                pos = 0
-                dead = False
-                for nj in comp:
-                    weight /= factorial(nj)
-                    block = ptup[pos:pos + nj]
-                    pos += nj
-                    v = phi.op(nj).evaluate_basis(block)
-                    if not v:
-                        dead = True
-                        break
-                    vecs.append(v)
-                if dead:
-                    continue
-                res = lam_k.evaluate(vecs)
-                for okey, c in res.items():
-                    vec_add_into(out, okey, weight * c)
-    return out
 
 
 def _bullet_value_partitions(lam: OpFamily, phi: OpFamily, tup) -> Vector:
@@ -715,7 +627,7 @@ def _bullet_value_partitions(lam: OpFamily, phi: OpFamily, tup) -> Vector:
     return out
 
 
-def bullet(lam: OpFamily, phi: OpFamily, method: str = "auto") -> OpFamily:
+def bullet(lam: OpFamily, phi: OpFamily) -> OpFamily:
     """Composition product: phi-packets fill all slots of lam.
 
     phi must have internal degree 0 (and no arity-0 component, which in
@@ -733,14 +645,9 @@ def bullet(lam: OpFamily, phi: OpFamily, method: str = "auto") -> OpFamily:
         n_max = min(n_max, lam.max_arity * phi.max_arity)
     elif 0 not in lam.ops:
         n_max = -1
+    fn = lambda tup: _bullet_value_partitions(lam, phi, tup)
     ops = {}
     for n in range(max(n_max, 0 if 0 in lam.ops else -1) + 1):
-        if method == "literal" or (method == "auto" and n <= 4):
-            fn = lambda tup: _bullet_value_literal(lam, phi, tup)
-        elif method in ("auto", "partitions"):
-            fn = lambda tup: _bullet_value_partitions(lam, phi, tup)
-        else:
-            raise ValueError(f"unknown method {method!r}")
         op = MultiOp.from_function(n, lam.degree, phi.source, lam.target, fn)
         if not op.is_zero():
             ops[n] = op

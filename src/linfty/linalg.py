@@ -1,15 +1,12 @@
 """Exact dense linear algebra over the rationals.
 
 Matrices are lists of rows of Fraction.  Everything here is elementary
-Gaussian elimination; ranks are additionally available through a
-fraction-free Bareiss elimination on integer-scaled matrices so the two
-pipelines can cross-check each other in tests.
+Gaussian elimination through one reduced row echelon routine.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import Sequence
 
 Matrix = list[list[Fraction]]
@@ -28,29 +25,6 @@ def identity(n: int) -> Matrix:
     for i in range(n):
         out[i][i] = Fraction(1)
     return out
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if a and b and len(a[0]) != len(b):
-        raise ValueError("shape mismatch")
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = zeros(rows, cols)
-    for i in range(rows):
-        ai = a[i]
-        for k in range(inner):
-            c = ai[k]
-            if not c:
-                continue
-            bk = b[k]
-            oi = out[i]
-            for j in range(cols):
-                if bk[j]:
-                    oi[j] += c * bk[j]
-    return out
-
-
-def mat_vec(a: Matrix, v: Sequence[Fraction]) -> list[Fraction]:
-    return [sum((row[j] * v[j] for j in range(len(v)) if v[j]), Fraction(0)) for row in a]
 
 
 def transpose(a: Matrix) -> Matrix:
@@ -86,35 +60,6 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
 
 def rank(a: Matrix) -> int:
     return len(rref(a)[1])
-
-
-def bareiss_rank(a: Matrix) -> int:
-    """Rank via fraction-free elimination on an integer-scaled copy."""
-    if not a or not a[0]:
-        return 0
-    m: list[list[int]] = []
-    for row in a:
-        den = 1
-        for x in row:
-            den = den * x.denominator // gcd(den, x.denominator)
-        m.append([int(x * den) for x in row])
-    rows, cols = len(m), len(m[0])
-    r = 0
-    prev = 1
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        for i in range(r + 1, rows):
-            for j in range(c + 1, cols):
-                m[i][j] = (m[i][j] * m[r][c] - m[i][c] * m[r][j]) // prev
-            m[i][c] = 0
-        prev = m[r][c]
-        r += 1
-        if r == rows:
-            break
-    return r
 
 
 def kernel_basis(a: Matrix, cols: int | None = None) -> list[list[Fraction]]:
@@ -179,15 +124,3 @@ def right_inverse(a: Matrix) -> Matrix | None:
     # wt holds W's columns; transpose into rows
     return [[wt[j][i] for j in range(rows)] for i in range(cols)]
 
-
-def solve_upper_unitriangular(a: Matrix, b: Sequence[Fraction]) -> list[Fraction]:
-    """Back substitution for unit upper triangular a."""
-    n = len(a)
-    x = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        s = Fraction(b[i])
-        for j in range(i + 1, n):
-            if a[i][j]:
-                s -= a[i][j] * x[j]
-        x[i] = s
-    return x

@@ -77,12 +77,6 @@ class PathModel:
     h_avg: dict[tuple, tuple]          # fiber key -> constant one-form key
     h_end: dict[tuple, tuple]          # (fiber key, 0|1) -> end-value key
 
-    def plain_inv(self):
-        return {v: k for k, v in self.plain.items()}
-
-    def one_form_inv(self):
-        return {v: k for k, v in self.one_form.items()}
-
 
 def required_t_degree(bundle: LinftyBundle) -> int:
     """t-degree the transfer stays within: coefficient degree times amplitude.
@@ -633,7 +627,7 @@ def derived_intersection(x: Submanifold, y: Submanifold,
     reports = []
     for p in pts:
         cx = tangent_complex(bundle, p)
-        betti = cx.cohomology("both")
+        betti = cx.cohomology()
         values = {n: v for n, v in zip(bundle.coords, p.coords)}
         amb = tuple(poly.eval(values) for poly in fp.to_left.base_map)
         amb_img = tuple(poly.eval({n: v for n, v in

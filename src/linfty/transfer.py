@@ -32,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
 from typing import Iterator, Sequence
 
 from .algebra import (CurvedAlgebra, Morphism, algebra_as_bundle, linear_apply,
@@ -562,11 +561,7 @@ class AdaptedBasis:
                     return tuple(letters[i] for i in order), 0
                 if order[x] > order[y] and dx % 2 and self.degree(ly) % 2:
                     sign = -sign
-        srt = tuple(letters[i] for i in order)
-        for x in range(len(srt) - 1):
-            if srt[x] == srt[x + 1] and self.degree(srt[x]) % 2:
-                return srt, 0
-        return srt, sign
+        return tuple(letters[i] for i in order), sign
 
     def keys_to_state(self, keys: Sequence) -> dict:
         """Expand an ambient basis tuple into adapted monomials."""

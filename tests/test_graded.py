@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from oracles import bullet_literal, circ_literal
 
 from linfty.graded import (GradedSpace, MultiOp, OpFamily, bullet,
                            canonical_tuples, circ, commutator, koszul_sign,
@@ -36,6 +37,11 @@ def test_sort_keys_collapses_odd_repeats():
     assert sign == 0
     _, sign = sort_keys_with_sign(((2, 0), (2, 0)))
     assert sign == 1
+    # an odd repeat collapses even when another key sits between the copies
+    keys, sign = sort_keys_with_sign(((1, 0), (2, 0), (1, 0)))
+    assert keys == ((1, 0), (1, 0), (2, 0)) and sign == 0
+    _, sign = sort_keys_with_sign(((3, 0), (1, 1), (2, 0), (3, 0)))
+    assert sign == 0
 
 
 def test_sort_keys_tracks_transpositions():
@@ -168,14 +174,19 @@ def random_family(rng, space, degree, max_arity=2, scale=1):
 
 
 def test_circ_literal_matches_unshuffle():
+    """Production circ equals the permutation-sum definition at arities 0-5."""
     rng = random.Random(11)
-    sp = GradedSpace.build({1: 2, 2: 2, 3: 1, 4: 1})
-    for _ in range(6):
-        a = random_family(rng, sp, 1)
-        b = random_family(rng, sp, 1)
-        lit = circ(a, b, method="literal")
-        uns = circ(a, b, method="unshuffle")
-        assert lit == uns
+    reached = set()
+    for dims, max_arity, draws in (({1: 2, 2: 2, 3: 1, 4: 1}, 2, 6),
+                                   ({1: 5, 2: 1, 4: 1, 7: 1}, 3, 3)):
+        sp = GradedSpace.build(dims)
+        for _ in range(draws):
+            a = random_family(rng, sp, 1, max_arity)
+            b = random_family(rng, sp, 1, max_arity)
+            got = circ(a, b)
+            assert got == circ_literal(a, b)
+            reached |= set(got.arities())
+    assert reached == {0, 1, 2, 3, 4, 5}
 
 
 def test_commutator_jacobi_identity():
@@ -236,12 +247,19 @@ def test_bullet_is_associative():
 
 
 def test_bullet_literal_matches_partitions():
+    """Production bullet equals the permutation-sum definition at arities 0-5."""
     rng = random.Random(23)
-    sp = GradedSpace.build({1: 2, 2: 2, 3: 1})
-    for _ in range(5):
-        lam = random_family(rng, sp, 1)
-        phi = random_degree0_family(rng, sp)
-        assert bullet(lam, phi, method="literal") == bullet(lam, phi, method="partitions")
+    reached = set()
+    for dims, max_arity, draws in (({1: 2, 2: 2, 3: 1}, 2, 5),
+                                   ({1: 4, 2: 1, 3: 1, 4: 1, 5: 1, 6: 1, 7: 1}, 3, 3)):
+        sp = GradedSpace.build(dims)
+        for _ in range(draws):
+            lam = random_family(rng, sp, 1, max_arity)
+            phi = random_degree0_family(rng, sp, max_arity)
+            got = bullet(lam, phi)
+            assert got == bullet_literal(lam, phi)
+            reached |= set(got.arities())
+    assert reached == {0, 1, 2, 3, 4, 5}
 
 
 def test_bullet_rejects_nonzero_degree_right_factor():

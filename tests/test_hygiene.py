@@ -1,0 +1,55 @@
+"""Source hygiene: every name a `linfty` module imports is used there."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "linfty"
+
+
+def imported_names(tree: ast.Module) -> dict[str, int]:
+    """Names bound by the module's imports, with the line that binds them."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                out[name] = node.lineno
+    return out
+
+
+def referenced_names(tree: ast.Module) -> set[str]:
+    """Names read anywhere, including inside string annotations."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        annotations = []
+        if isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        for ann in annotations:
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                names |= referenced_names(ast.parse(ann.value, mode="eval"))
+    return names
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = referenced_names(tree)
+    unused = {name: line for name, line in imported_names(tree).items() if name not in used}
+    assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def test_the_scan_finds_an_unused_import():
+    tree = ast.parse("from math import factorial, gcd\n"
+                     "def f(x: 'Fraction') -> int:\n"
+                     "    return gcd(x, 2)\n"
+                     "from fractions import Fraction\n")
+    used = referenced_names(tree)
+    assert [n for n in imported_names(tree) if n not in used] == ["factorial"]

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -10,10 +11,10 @@ from linfty.graded import (GradedSpace, MultiOp, OpFamily, bullet,
                            op_nilpotency_order)
 from linfty.samples import (random_contraction, random_perturbation_instance,
                             random_transfer_instance)
-from linfty.transfer import (Contraction, Tree, neumann_inverse,
+from linfty.transfer import (AdaptedBasis, Contraction, Tree, neumann_inverse,
                              perturbation_check, projection_morphism,
-                             projection_phi1, transfer, transfer_trees,
-                             transferred_mu0, transferred_mu1,
+                             projection_phi1, sym_homotopy_defect, transfer,
+                             transfer_trees, transferred_mu0, transferred_mu1,
                              transferred_phi1)
 
 
@@ -227,6 +228,22 @@ def test_projection_morphism_is_left_inverse_to_phi():
         pi_ext = projection_morphism(con, lam)
         comp = bullet(pi_ext, res.phi)
         assert comp == OpFamily.identity(con.h_space)
+
+
+def test_monomial_homotopy_side_conditions():
+    """D K + K D + I P = 1 on every adapted monomial of length at most 3."""
+    rng = random.Random(505)
+    checked = 0
+    for _ in range(6):
+        ab = AdaptedBasis.build(random_contraction(rng, 3, 3))
+        for n in range(4):
+            for letters in combinations_with_replacement(list(ab.letter_to_vec), n):
+                mono, sign = ab.sort_letters(letters)
+                if sign == 0:
+                    continue
+                assert sym_homotopy_defect(ab, mono) == {}, mono
+                checked += 1
+    assert checked > 100
 
 
 def test_projection_arity_one_closed_form():
