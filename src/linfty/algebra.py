@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .graded import (GradedSpace, MultiOp, OpFamily, Vector, arity_bound,
-                     bullet, circ, vec_merge)
+                     bullet, bullet_op, circ, vec_merge)
 from .linalg import inverse as mat_inverse
 from .linalg import kernel_basis, right_inverse
 from .poly import Poly, as_fraction
@@ -513,7 +513,7 @@ def invert_iso(m: Morphism) -> Morphism:
     psi = OpFamily(0, m.dst.fiber, m.src.fiber, {1: psi1})
     top = arity_bound(0, m.src.fiber, m.dst.fiber)
     for n in range(2, top + 1):
-        resid = bullet(phi_pulled, psi).op(n)
+        resid = bullet_op(phi_pulled, psi, n)
         if resid.is_zero():
             continue
         psi = psi.with_op(op_then(resid, psi1).scaled(-1))
@@ -570,7 +570,7 @@ def transport_target(phi: OpFamily, ell: OpFamily, verify: bool = True) -> OpFam
     top = arity_bound(1, phi.target, phi.target)
     lhs = circ(phi, ell)
     for n in range(top + 1):
-        defect = lhs.op(n).minus(bullet(ellp, phi).op(n))
+        defect = lhs.op(n).minus(bullet_op(ellp, phi, n))
         if defect.is_zero():
             continue
         if n == 0:

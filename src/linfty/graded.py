@@ -21,6 +21,8 @@ Two composition products are provided:
 * bullet(lam, phi): feed disjoint phi-packets into all slots of lam, summed
   over set partitions of the inputs.  It is associative in the sense
   (lam . phi) . psi = lam . (phi . psi) and linear in lam only.
+  bullet_op(lam, phi, n) is its arity-n part alone, for recursions that
+  fix phi one arity at a time; bullet is the loop over it.
 
 Each product has one engine at every arity: circ enumerates the 2^n
 unshuffles of its inputs and bullet the set partitions, with the Koszul
@@ -166,8 +168,19 @@ def sort_keys_with_sign(keys: Sequence[BasisKey]) -> tuple[tuple[BasisKey, ...],
     """Canonically sort basis keys, tracking the Koszul sign.
 
     Returns sign 0 when an odd-degree key repeats (the symmetric power
-    collapses there in characteristic zero).
+    collapses there in characteristic zero).  Input that is already sorted,
+    the common case, is recognised in one pass: its sign is 1 unless two
+    adjacent keys are the same odd key.
     """
+    sign = 1
+    for a in range(len(keys) - 1):
+        ka, kb = keys[a], keys[a + 1]
+        if ka > kb:
+            break
+        if ka == kb and ka[0] % 2:
+            sign = 0
+    else:
+        return tuple(keys), sign
     order = sorted(range(len(keys)), key=lambda i: (keys[i], i))
     sign = 1
     for a in range(len(keys)):
@@ -627,13 +640,8 @@ def _bullet_value_partitions(lam: OpFamily, phi: OpFamily, tup) -> Vector:
     return out
 
 
-def bullet(lam: OpFamily, phi: OpFamily) -> OpFamily:
-    """Composition product: phi-packets fill all slots of lam.
-
-    phi must have internal degree 0 (and no arity-0 component, which in
-    positively graded spaces is automatic); lam may be any family out of
-    phi's target.  The result maps phi.source to lam.target with lam's degree.
-    """
+def _bullet_reach(lam: OpFamily, phi: OpFamily) -> int:
+    """Check the factors of lam . phi; return the highest arity it can reach, or -1."""
     if phi.degree != 0:
         raise ValueError("bullet expects a degree-0 family on the right")
     if 0 in phi.ops:
@@ -645,10 +653,31 @@ def bullet(lam: OpFamily, phi: OpFamily) -> OpFamily:
         n_max = min(n_max, lam.max_arity * phi.max_arity)
     elif 0 not in lam.ops:
         n_max = -1
-    fn = lambda tup: _bullet_value_partitions(lam, phi, tup)
+    return max(n_max, 0 if 0 in lam.ops else -1)
+
+
+def bullet_op(lam: OpFamily, phi: OpFamily, n: int) -> MultiOp:
+    """The arity-n part of bullet(lam, phi), tabulated on its own.
+
+    Recursions that fix one arity of phi at a time call this at each step
+    instead of rebuilding every arity of the product.
+    """
+    if n > _bullet_reach(lam, phi):
+        return MultiOp.zero(n, lam.degree, phi.source, lam.target)
+    return MultiOp.from_function(n, lam.degree, phi.source, lam.target,
+                                 lambda tup: _bullet_value_partitions(lam, phi, tup))
+
+
+def bullet(lam: OpFamily, phi: OpFamily) -> OpFamily:
+    """Composition product: phi-packets fill all slots of lam.
+
+    phi must have internal degree 0 (and no arity-0 component, which in
+    positively graded spaces is automatic); lam may be any family out of
+    phi's target.  The result maps phi.source to lam.target with lam's degree.
+    """
     ops = {}
-    for n in range(max(n_max, 0 if 0 in lam.ops else -1) + 1):
-        op = MultiOp.from_function(n, lam.degree, phi.source, lam.target, fn)
+    for n in range(_bullet_reach(lam, phi) + 1):
+        op = bullet_op(lam, phi, n)
         if not op.is_zero():
             ops[n] = op
     return OpFamily(lam.degree, phi.source, lam.target, ops)

@@ -13,7 +13,13 @@ solves the fixed point
 
 arity by arity (the arity-1 obstruction (1 + eta lam_1) is inverted as a
 Neumann series, so eta lam_1 must be nilpotent) and produces transferred
-operations mu = pi (lam . phi) on H, curvature included.
+operations mu = pi (lam . phi) on H, curvature included.  Step n tabulates
+only resid_n = (lam . phi_{<n})_n; since phi_n enters arity n of the
+product only through the single-block partition,
+
+    (lam . phi)_n = resid_n + lam_1 phi_n
+
+and mu is read off these values with no second pass over the product.
 
 `transfer_trees` recomputes phi and mu as an explicit sum over rooted
 trees with symmetry-factor weights; agreement with the fixed-point route
@@ -37,7 +43,7 @@ from typing import Iterator, Sequence
 from .algebra import (CurvedAlgebra, Morphism, algebra_as_bundle, linear_apply,
                       op_matrix, op_then)
 from .graded import (GradedSpace, MultiOp, OpFamily, Vector, arity_bound,
-                     bullet, koszul_sign, op_nilpotency_order, vec_add_into)
+                     bullet_op, koszul_sign, op_nilpotency_order, vec_add_into)
 from .linalg import inverse as mat_inverse
 from .linalg import rref, solve
 
@@ -196,33 +202,44 @@ class TransferResult:
                         (), self.phi)
 
 
+def _curvature_on_h(con: Contraction, lam: OpFamily) -> MultiOp:
+    """pi lam_0 as an arity-0 operation on H."""
+    mu0 = op_then(lam.op(0), con.pi)
+    # arity-0 ops never read their source; re-home it on H
+    return MultiOp(0, 1, con.h_space, con.h_space, dict(mu0.coeffs))
+
+
 def transfer(con: Contraction, lam: OpFamily) -> TransferResult:
     """Transfer curved operations through a contraction.
 
     phi_n = (1 + eta lam_1)^{-1} (iota_n - [eta (lam . phi_{<n})]_n),
     mu = pi (lam . phi); both are exact and finite in positive degrees.
+
+    Each arity of lam . phi is tabulated once.  The only set partition of
+    n inputs that reaches phi_n is the single block, so with
+    resid_n = (lam . phi_{<n})_n the arity-n part of the whole product is
+    (lam . phi)_n = resid_n + lam_1 phi_n, and mu_n is pi of it; mu_0 is
+    pi lam_0.
     """
     if lam.degree != 1 or lam.source != con.space or lam.target != con.space:
         raise ValueError("operations must be a degree-1 endofamily of the ambient space")
-    eta_lam1 = con.eta.compose_linear(lam.op(1))
-    inv1 = neumann_inverse(eta_lam1, label="eta lam_1")
+    lam1 = lam.op(1)
+    inv1 = neumann_inverse(con.eta.compose_linear(lam1), label="eta lam_1")
 
-    phi = OpFamily(0, con.h_space, con.space,
-                   {1: inv1.compose_linear(con.iota)})
+    phi1 = inv1.compose_linear(con.iota)
+    phi = OpFamily(0, con.h_space, con.space, {1: phi1})
+    lam_phi = {1: op_then(phi1, lam1)}
     top = arity_bound(0, con.space, con.h_space)
     for n in range(2, top + 1):
-        resid = bullet(lam, phi).op(n)
+        resid = bullet_op(lam, phi, n)
         if resid.is_zero():
             continue
-        corr = op_then(op_then(resid, con.eta), inv1).scaled(-1)
-        phi = phi.with_op(corr)
+        phi_n = op_then(op_then(resid, con.eta), inv1).scaled(-1)
+        phi = phi.with_op(phi_n)
+        lam_phi[n] = resid.plus(op_then(phi_n, lam1))
 
-    lam_phi = bullet(lam, phi)
-    mu_ops = {}
-    for k in lam_phi.arities():
-        op = op_then(lam_phi.op(k), con.pi)
-        if not op.is_zero():
-            mu_ops[k] = op
+    mu_ops = {n: op_then(op, con.pi) for n, op in lam_phi.items()}
+    mu_ops[0] = _curvature_on_h(con, lam)
     mu = OpFamily(1, con.h_space, con.h_space, mu_ops)
     return TransferResult(con, phi, CurvedAlgebra(con.h_space, con.delta_h, mu))
 
@@ -419,13 +436,7 @@ def transfer_trees(con: Contraction, lam: OpFamily) -> TransferResult:
             phi_ops[n] = acc
     phi = OpFamily(0, con.h_space, con.space, phi_ops)
 
-    mu_ops: dict[int, MultiOp] = {}
-    lam0 = lam.ops.get(0)
-    if lam0 is not None:
-        mu0 = op_then(lam0, con.pi)
-        if not mu0.is_zero():
-            # arity-0 ops never read their source; re-home it on H
-            mu_ops[0] = MultiOp(0, 1, con.h_space, con.h_space, dict(mu0.coeffs))
+    mu_ops: dict[int, MultiOp] = {0: _curvature_on_h(con, lam)}
     for n in range(1, top_mu + 1):
         acc = MultiOp.zero(n, 1, con.h_space, con.h_space)
         pool = [t for m in range(1, n + 1) for t in alive.get(m, [])]

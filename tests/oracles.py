@@ -3,9 +3,13 @@
 These are the definitions written out literally, with no attention to
 cost: `circ_literal` and `bullet_literal` sum over all n! orderings of the
 inputs with the 1/(k!(n-k)!) and 1/(k! n_1! ... n_k!) weights of the
-graded-symmetric products, and `bareiss_rank` computes a rank by
-fraction-free elimination (Bareiss 1968) on an integer-scaled copy, a
-pipeline independent of the rational row reduction in `linfty.linalg`.
+graded-symmetric products, `sort_keys_general` sorts basis keys by the
+general pairwise sign count with no shortcut for sorted input,
+`transfer_rebuild` solves the transfer fixed point by rebuilding the whole
+product lam . phi at every arity and once more for mu, and `bareiss_rank`
+computes a rank by fraction-free elimination (Bareiss 1968) on an
+integer-scaled copy, a pipeline independent of the rational row reduction
+in `linfty.linalg`.
 """
 
 from __future__ import annotations
@@ -15,7 +19,27 @@ from itertools import permutations
 from math import factorial, gcd
 from typing import Iterator
 
-from linfty.graded import MultiOp, OpFamily, Vector, koszul_sign, vec_add_into
+from linfty.algebra import CurvedAlgebra, op_then
+from linfty.graded import (BasisKey, MultiOp, OpFamily, Vector, arity_bound, bullet,
+                           koszul_sign, vec_add_into)
+from linfty.transfer import Contraction, TransferResult, neumann_inverse
+
+
+def sort_keys_general(keys) -> tuple[tuple[BasisKey, ...], int]:
+    """Stable sort of basis keys with the Koszul sign, 0 on an odd repeat."""
+    order = sorted(range(len(keys)), key=lambda i: (keys[i], i))
+    sign = 1
+    for a in range(len(keys)):
+        ka = keys[order[a]]
+        if ka[0] % 2 == 0:
+            continue
+        for b in range(a + 1, len(keys)):
+            kb = keys[order[b]]
+            if ka == kb:
+                return tuple(keys[i] for i in order), 0
+            if order[a] > order[b] and kb[0] % 2:
+                sign = -sign
+    return tuple(keys[i] for i in order), sign
 
 
 def _circ_value_literal(lam: OpFamily, mu: OpFamily, tup) -> Vector:
@@ -104,6 +128,33 @@ def bullet_literal(lam: OpFamily, phi: OpFamily) -> OpFamily:
     top = lam.max_arity * phi.max_arity if lam.ops and phi.ops else 0
     return _tabulate(range(top + 1), lam.degree, phi.source, lam.target,
                      lambda tup: _bullet_value_literal(lam, phi, tup))
+
+
+def transfer_rebuild(con: Contraction, lam: OpFamily) -> TransferResult:
+    """The fixed-point transfer with the whole lam . phi rebuilt at each arity."""
+    if lam.degree != 1 or lam.source != con.space or lam.target != con.space:
+        raise ValueError("operations must be a degree-1 endofamily of the ambient space")
+    eta_lam1 = con.eta.compose_linear(lam.op(1))
+    inv1 = neumann_inverse(eta_lam1, label="eta lam_1")
+
+    phi = OpFamily(0, con.h_space, con.space,
+                   {1: inv1.compose_linear(con.iota)})
+    top = arity_bound(0, con.space, con.h_space)
+    for n in range(2, top + 1):
+        resid = bullet(lam, phi).op(n)
+        if resid.is_zero():
+            continue
+        corr = op_then(op_then(resid, con.eta), inv1).scaled(-1)
+        phi = phi.with_op(corr)
+
+    lam_phi = bullet(lam, phi)
+    mu_ops = {}
+    for k in lam_phi.arities():
+        op = op_then(lam_phi.op(k), con.pi)
+        if not op.is_zero():
+            mu_ops[k] = op
+    mu = OpFamily(1, con.h_space, con.h_space, mu_ops)
+    return TransferResult(con, phi, CurvedAlgebra(con.h_space, con.delta_h, mu))
 
 
 def bareiss_rank(a) -> int:

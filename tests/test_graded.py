@@ -4,9 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import bullet_literal, circ_literal
+from oracles import bullet_literal, circ_literal, sort_keys_general
 
-from linfty.graded import (GradedSpace, MultiOp, OpFamily, bullet,
+from linfty.graded import (GradedSpace, MultiOp, OpFamily, bullet, bullet_op,
                            canonical_tuples, circ, commutator, koszul_sign,
                            op_nilpotency_order, sort_keys_with_sign,
                            unshuffle_sign)
@@ -49,6 +49,27 @@ def test_sort_keys_tracks_transpositions():
     assert keys == ((1, 0), (1, 1)) and sign == -1
     keys, sign = sort_keys_with_sign(((2, 1), (2, 0)))
     assert keys == ((2, 0), (2, 1)) and sign == 1
+
+
+def test_sort_keys_agrees_with_the_general_sort():
+    """The sorted-input shortcut returns what the pairwise sign count does."""
+    rng = random.Random(31)
+    pool = [(d, i) for d in (1, 2, 3) for i in range(3)]
+    seen = {"sorted": 0, "unsorted": 0, "odd repeat": 0}
+    for _ in range(600):
+        keys = [rng.choice(pool) for _ in range(rng.randint(0, 6))]
+        if rng.random() < 0.3 and keys:
+            odd = rng.choice([k for k in pool if k[0] % 2])
+            keys[rng.randrange(len(keys))] = odd
+            keys.insert(rng.randrange(len(keys) + 1), odd)
+        if rng.random() < 0.5:
+            keys.sort()
+        want = sort_keys_general(keys)
+        assert sort_keys_with_sign(keys) == want
+        assert sort_keys_with_sign(tuple(keys)) == want
+        seen["sorted" if keys == sorted(keys) else "unsorted"] += 1
+        seen["odd repeat"] += want[1] == 0
+    assert min(seen.values()) >= 50
 
 
 def test_unshuffle_sign_pulls_front_in_order():
@@ -262,11 +283,37 @@ def test_bullet_literal_matches_partitions():
     assert reached == {0, 1, 2, 3, 4, 5}
 
 
+def test_bullet_op_is_one_arity_of_bullet():
+    """bullet_op(lam, phi, n) is bullet(lam, phi).op(n), past the top arity too."""
+    rng = random.Random(37)
+    curved = 0
+    for dims, max_arity, draws in (({1: 2, 2: 2, 3: 1}, 2, 5),
+                                   ({1: 4, 2: 1, 3: 1, 4: 1, 5: 1, 6: 1, 7: 1}, 3, 2)):
+        sp = GradedSpace.build(dims)
+        for _ in range(draws):
+            lam = random_family(rng, sp, 1, max_arity)
+            phi = random_degree0_family(rng, sp, max_arity)
+            curved += 0 in lam.ops
+            full = bullet(lam, phi)
+            for n in range(lam.max_arity * phi.max_arity + 2):
+                assert bullet_op(lam, phi, n) == full.op(n)
+    assert curved
+    # curvature alone, and an empty right factor
+    sp = chain_space()
+    lam0 = MultiOp(0, 1, sp, sp, {(): {(1, 0): Fraction(2)}})
+    lam = OpFamily(1, sp, sp, {0: lam0})
+    for phi in (OpFamily.identity(sp), OpFamily.zero(0, sp, sp)):
+        assert bullet_op(lam, phi, 0) == lam0
+        assert bullet_op(lam, phi, 1).is_zero() and bullet_op(lam, phi, 2).is_zero()
+
+
 def test_bullet_rejects_nonzero_degree_right_factor():
     sp = chain_space()
     lam = family(sp, {1: MultiOp(1, 1, sp, sp, {((1, 0),): {(2, 0): Fraction(1)}})})
     with pytest.raises(ValueError):
         bullet(lam, lam)
+    with pytest.raises(ValueError):
+        bullet_op(lam, lam, 1)
 
 
 def test_bullet_is_linear_in_the_left_factor():

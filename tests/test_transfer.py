@@ -5,9 +5,12 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
+from oracles import transfer_rebuild
 
+import linfty.graded
+import linfty.transfer
 from linfty.algebra import check_mc, check_morphism
-from linfty.graded import (GradedSpace, MultiOp, OpFamily, bullet,
+from linfty.graded import (GradedSpace, MultiOp, OpFamily, arity_bound, bullet,
                            op_nilpotency_order)
 from linfty.samples import (random_contraction, random_perturbation_instance,
                             random_transfer_instance)
@@ -176,6 +179,55 @@ def test_transferred_structure_is_mc_and_phi_is_a_morphism():
         amb_alg = CurvedAlgebra(ambient.space, ambient.delta, lam)
         assert check_mc(amb_alg).ok
         assert check_morphism(res.inclusion_morphism(amb_alg)).ok
+
+
+def test_transfer_matches_the_full_rebuild():
+    """Reading mu off (lam . phi)_n = resid_n + lam_1 phi_n changes no value."""
+    rng = random.Random(404)
+    curved = 0
+    phi_arities: set[int] = set()
+    mu_arities: set[int] = set()
+    for amplitude, max_dim, draws in ((3, 4, 10), (4, 3, 10), (5, 3, 10)):
+        for _ in range(draws):
+            con, lam = random_transfer_instance(rng, amplitude, max_dim)
+            got = transfer(con, lam)
+            want = transfer_rebuild(con, lam)
+            assert got.phi == want.phi
+            assert got.algebra.ops == want.algebra.ops
+            assert got.algebra.delta == want.algebra.delta
+            curved += not lam.op(0).is_zero()
+            phi_arities |= set(got.phi.arities())
+            mu_arities |= set(got.algebra.ops.arities())
+    assert curved >= 5
+    assert phi_arities == {1, 2, 3}
+    assert mu_arities == {0, 1, 2, 3}
+
+
+def test_transfer_tabulates_each_arity_once(monkeypatch):
+    """One bullet_op call per arity 2..top, and no whole product."""
+    calls = []
+    real = linfty.graded.bullet_op
+
+    def counting(lam, phi, n):
+        calls.append(n)
+        return real(lam, phi, n)
+
+    def forbidden(*args):
+        raise AssertionError("transfer built a whole bullet product")
+
+    monkeypatch.setattr(linfty.transfer, "bullet_op", counting)
+    monkeypatch.setattr(linfty.graded, "bullet", forbidden)
+    assert not hasattr(linfty.transfer, "bullet")
+    rng = random.Random(404)
+    tops = set()
+    for _ in range(6):
+        con, lam = random_transfer_instance(rng, 4, 3)
+        calls.clear()
+        transfer(con, lam)
+        top = arity_bound(0, con.space, con.h_space)
+        assert calls == list(range(2, top + 1))
+        tops.add(top)
+    assert max(tops) >= 4
 
 
 # -- tree expansion -----------------------------------------------------------------
