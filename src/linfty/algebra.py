@@ -30,9 +30,9 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .graded import (GradedSpace, MultiOp, OpFamily, Vector, arity_bound,
-                     bullet, bullet_op, circ, vec_merge)
+                     bullet, bullet_op, circ)
 from .linalg import inverse as mat_inverse
-from .linalg import kernel_basis, right_inverse
+from .linalg import kernel_basis, right_inverse, solve
 from .poly import Poly, as_fraction
 
 Rat = Fraction | int
@@ -90,6 +90,19 @@ def map_op_coeffs(op: MultiOp, fn) -> MultiOp:
 def map_family_coeffs(fam: OpFamily, fn) -> OpFamily:
     return OpFamily(fam.degree, fam.source, fam.target,
                     {k: map_op_coeffs(op, fn) for k, op in fam.ops.items()})
+
+
+def reindex_op(op: MultiOp, source: GradedSpace, target: GradedSpace,
+               inputs: Mapping, outputs: Mapping) -> MultiOp:
+    """op carried onto new spaces through basis-key maps.
+
+    Each input key goes through inputs and each output key through
+    outputs; inputs must keep input tuples canonically sorted, as the
+    embeddings of a direct sum do.
+    """
+    coeffs = {tuple(inputs[k] for k in tup): {outputs[r]: c for r, c in vec.items()}
+              for tup, vec in op.coeffs.items()}
+    return MultiOp(op.arity, op.degree, source, target, coeffs)
 
 
 def linear_apply(op: MultiOp, vec: Vector) -> Vector:
@@ -277,22 +290,13 @@ def product_bundle(a: LinftyBundle, b: LinftyBundle) -> tuple["LinftyBundle", di
     fiber, m1, m2 = a.fiber.direct_sum(b.fiber)
     coords = a.coords + b.coords
 
-    def lifted(op_a: MultiOp, op_b: MultiOp, arity: int, degree: int) -> MultiOp:
-        coeffs = {}
-        for src_op, keymap in ((op_a, m1), (op_b, m2)):
-            for tup, vec in src_op.coeffs.items():
-                ntup = tuple(keymap[k] for k in tup)
-                out = {keymap[k]: c for k, c in vec.items()}
-                if ntup in coeffs:
-                    vec_merge(coeffs[ntup], out)
-                else:
-                    coeffs[ntup] = out
-        return MultiOp(arity, degree, fiber, fiber, coeffs)
+    def lifted(op_a: MultiOp, op_b: MultiOp) -> MultiOp:
+        return reindex_op(op_a, fiber, fiber, m1, m1).plus(
+            reindex_op(op_b, fiber, fiber, m2, m2))
 
-    delta = lifted(a.delta, b.delta, 1, 1)
+    delta = lifted(a.delta, b.delta)
     ks = set(a.ops.ops) | set(b.ops.ops)
-    ops = OpFamily(1, fiber, fiber,
-                   {k: lifted(a.ops.op(k), b.ops.op(k), k, 1) for k in ks})
+    ops = OpFamily(1, fiber, fiber, {k: lifted(a.ops.op(k), b.ops.op(k)) for k in ks})
     return LinftyBundle(coords, fiber, delta, ops), m1, m2
 
 
@@ -412,6 +416,11 @@ def check_morphism(m: Morphism) -> MorphismReport:
     return MorphismReport(not failures, failures)
 
 
+def same_morphism(a: Morphism, b: Morphism) -> bool:
+    """Equal base maps and equal fiber families; the bundles are not compared."""
+    return a.phi == b.phi and all(p == q for p, q in zip(a.base_map, b.base_map))
+
+
 def identity_morphism(bundle: LinftyBundle) -> Morphism:
     base = tuple(Poly.variable(c) for c in bundle.coords)
     return Morphism(bundle, bundle, base, OpFamily.identity(bundle.fiber))
@@ -520,16 +529,29 @@ def invert_iso(m: Morphism) -> Morphism:
     inv = Morphism(m.dst, m.src, tuple(inv_base), psi)
 
     for left, right, bundle in ((inv, m, m.src), (m, inv, m.dst)):
-        comp = compose(left, right)
-        ident = identity_morphism(bundle)
-        if comp.phi != ident.phi or any(p != q for p, q in zip(comp.base_map, ident.base_map)):
+        if not same_morphism(compose(left, right), identity_morphism(bundle)):
             raise ValueError("inversion failed to verify; the morphism is not invertible")
     return inv
 
 
-def rename_morphism_source(m: Morphism, mapping: Mapping[str, str]) -> Morphism:
-    """Rename base coordinates of the source bundle, rewriting the base map
-    and the fiber family coefficients accordingly."""
+def rename_source_clear_of(m: Morphism, taken: Sequence[str], letter: str) -> Morphism:
+    """Rename the source coordinates of m that also occur in taken.
+
+    Each such name gets "_" + letter appended, then further copies of
+    letter until it is free; the base map and the fiber family
+    coefficients are rewritten accordingly.
+    """
+    used = set(taken) | set(m.src.coords)
+    mapping = {}
+    for name in m.src.coords:
+        if name in taken:
+            cand = f"{name}_{letter}"
+            while cand in used:
+                cand += letter
+            used.add(cand)
+            mapping[name] = cand
+    if not mapping:
+        return m
     src = m.src.rename_coords(mapping)
     values = {old: Poly.variable(new) for old, new in mapping.items()}
     base = tuple(p.substitute(values) if isinstance(p, Poly) else p
@@ -539,7 +561,7 @@ def rename_morphism_source(m: Morphism, mapping: Mapping[str, str]) -> Morphism:
     return Morphism(src, m.dst, base, phi)
 
 
-def transport_source(psi: OpFamily, ell: OpFamily, verify: bool = True) -> OpFamily:
+def transport_source(psi: OpFamily, ell: OpFamily) -> OpFamily:
     """Solve psi o ell' = ell . psi for the structure ell' on psi's source.
 
     psi is a degree-0 family without arity zero whose linear part is
@@ -554,12 +576,12 @@ def transport_source(psi: OpFamily, ell: OpFamily, verify: bool = True) -> OpFam
         defect = rhs.op(n).minus(circ(psi, ellp).op(n))
         if not defect.is_zero():
             ellp = ellp.with_op(op_then(defect, psi1_inv))
-    if verify and circ(psi, ellp) != rhs:
+    if circ(psi, ellp) != rhs:
         raise ValueError("transport_source failed to verify")
     return ellp
 
 
-def transport_target(phi: OpFamily, ell: OpFamily, verify: bool = True) -> OpFamily:
+def transport_target(phi: OpFamily, ell: OpFamily) -> OpFamily:
     """Solve phi o ell = ell' . phi for the structure ell' on phi's target.
 
     At arity n the unknown enters as ell'_n(phi_1 x, ..., phi_1 x), so an
@@ -577,7 +599,7 @@ def transport_target(phi: OpFamily, ell: OpFamily, verify: bool = True) -> OpFam
             ellp = ellp.with_op(MultiOp(0, 1, phi.target, phi.target, dict(defect.coeffs)))
         else:
             ellp = ellp.with_op(op_precompose_linear(defect, phi1_inv))
-    if verify and bullet(ellp, phi) != lhs:
+    if bullet(ellp, phi) != lhs:
         raise ValueError("transport_target failed to verify")
     return ellp
 
@@ -658,12 +680,10 @@ def linearize_fibration(m: Morphism) -> LinearizedFibration:
 
     ops: dict[int, MultiOp] = {
         1: MultiOp.from_function(1, 0, src.fiber, mid_fiber, phi_prime_1)}
+    same_keys = {key: key for key in src.fiber.keys()}
     for k, op in m.phi.ops.items():
-        if k < 2 or op.is_zero():
-            continue
-        coeffs = {tup: {into_e[key]: c for key, c in vec.items()}
-                  for tup, vec in op.coeffs.items()}
-        ops[k] = MultiOp(k, 0, src.fiber, mid_fiber, coeffs)
+        if k >= 2:
+            ops[k] = reindex_op(op, src.fiber, mid_fiber, same_keys, into_e)
     phi_prime = OpFamily(0, src.fiber, mid_fiber, ops)
 
     ell_mid = transport_target(phi_prime, src.total())
@@ -683,21 +703,19 @@ def linearize_fibration(m: Morphism) -> LinearizedFibration:
         rep = check_morphism(cand)
         if not rep.ok:
             raise ValueError("linearization failed to verify the morphism equation")
-    recomposed = compose(linear, iso)
-    if recomposed.phi != m.phi or any(p != q for p, q in zip(recomposed.base_map, m.base_map)):
+    if not same_morphism(compose(linear, iso), m):
         raise ValueError("linearization does not recompose to the original morphism")
     return LinearizedFibration(iso, linear, mid, comp, dict(into_e), dict(into_k))
 
 
 def _solve_columns(cols: list[list[Fraction]], target: list[Fraction]) -> list[Fraction]:
     """Coordinates of target in the span of the given columns."""
-    from .linalg import solve as _solve
     if not cols:
         if any(target):
             raise ValueError("vector not in span")
         return []
     a = [[cols[j][i] for j in range(len(cols))] for i in range(len(target))]
-    sol = _solve(a, list(target))
+    sol = solve(a, list(target))
     if sol is None:
         raise ValueError("vector not in span")
     return sol

@@ -24,6 +24,7 @@ from .algebra import LinftyBundle, check_mc, check_morphism, plain_bundle
 from .geometry import (classical_point, cohomology, find_classical_points,
                        is_fibration, is_weak_equivalence, shifted_tangent,
                        tangent_complex, virtual_dimension)
+from .graded import MultiOp, OpFamily
 from .modelio import (ModelFormatError, algebra_to_json, bundle_to_json, dumps,
                       frac_str, load_contraction, load_model, load_morphism,
                       parse_frac)
@@ -191,7 +192,6 @@ def cmd_check_morphism(args) -> int:
 def _rehome_family(bundle: LinftyBundle, space):
     # model files address the fiber by (degree, index), so a contraction
     # over the same ranks names the same space
-    from .graded import MultiOp, OpFamily
     delta = MultiOp(1, 1, space, space, dict(bundle.delta.coeffs))
     ops = OpFamily(1, space, space,
                    {k: MultiOp(k, 1, space, space, dict(bundle.ops.op(k).coeffs))

@@ -23,8 +23,9 @@ from fractions import Fraction
 from .algebra import (LinftyBundle, Morphism, _affine_parts, _eval_coeff,
                       check_mc, check_morphism, compose, invert_iso,
                       linearize_fibration, map_family_coeffs, map_op_coeffs,
-                      op_matrix, op_then, rename_morphism_source)
-from .graded import GradedSpace, MultiOp, OpFamily, bullet
+                      op_matrix, op_then, reindex_op, rename_source_clear_of,
+                      same_morphism)
+from .graded import BasisBuilder, GradedSpace, MultiOp, OpFamily, bullet
 from .linalg import kernel_basis, rank, right_inverse
 from .poly import Poly
 
@@ -160,10 +161,10 @@ def curvature_residual(bundle: LinftyBundle, point) -> Fraction:
     return worst
 
 
-def classical_point(bundle: LinftyBundle, point, tol: Fraction = Fraction(0)) -> ClassicalPoint:
+def classical_point(bundle: LinftyBundle, point) -> ClassicalPoint:
     coords = tuple(Fraction(v) for v in point)
     resid = curvature_residual(bundle, coords)
-    if resid > tol:
+    if resid > 0:
         raise ValueError(f"curvature does not vanish there (residual {resid})")
     return ClassicalPoint(coords, resid)
 
@@ -427,28 +428,20 @@ def shifted_tangent_data(bundle: LinftyBundle) -> ShiftedTangentData:
     m = len(bundle.coords)
     fib = bundle.fiber
 
-    dims: dict[int, list[str]] = {}
-    dts: dict[int, list[bool]] = {}
-
-    def push(degree: int, label: str, is_dt: bool):
-        dims.setdefault(degree, []).append(label)
-        dts.setdefault(degree, []).append(is_dt)
-        return (degree, len(dims[degree]) - 1)
-
+    basis = BasisBuilder()
     tm_key: dict[int, tuple] = {}
     for j in range(m):
-        tm_key[j] = push(1, f"d{bundle.coords[j]} dt", True)
+        tm_key[j] = basis.push(1, f"d{bundle.coords[j]} dt", True)
     ldt_key: dict[tuple, tuple] = {}
     lpl_key: dict[tuple, tuple] = {}
     for d in fib.degrees():
         for i in range(fib.dims[d]):
-            ldt_key[(d, i)] = push(d + 1, fib.labels[d][i] + " dt", True)
+            ldt_key[(d, i)] = basis.push(d + 1, fib.labels[d][i] + " dt", True)
     for d in fib.degrees():
         for i in range(fib.dims[d]):
-            lpl_key[(d, i)] = push(d, fib.labels[d][i], False)
+            lpl_key[(d, i)] = basis.push(d, fib.labels[d][i], False)
 
-    space = GradedSpace.build({d: len(v) for d, v in dims.items()},
-                              labels=dims, dt=dts)
+    space = basis.build()
     tm_inv = {v: j for j, v in tm_key.items()}
     ldt_inv = {v: k for k, v in ldt_key.items()}
     lpl_inv = {v: k for k, v in lpl_key.items()}
@@ -514,8 +507,7 @@ def _same_target(a: LinftyBundle, b: LinftyBundle) -> bool:
             and a.total() == b.total())
 
 
-def pullback_fibration(fib: Morphism, other: Morphism,
-                       verify: bool = True) -> PullbackResult:
+def pullback_fibration(fib: Morphism, other: Morphism) -> PullbackResult:
     """Strict pullback of a fibration along another morphism.
 
     fib and other share their target.  The base fibered product must be a
@@ -528,92 +520,58 @@ def pullback_fibration(fib: Morphism, other: Morphism,
     """
     if not _same_target(fib.dst, other.dst):
         raise ValueError("the two morphisms must share their target bundle")
-
-    clash = set(fib.src.coords) & set(other.src.coords)
-    if clash:
-        mapping = {}
-        taken = set(fib.src.coords) | set(other.src.coords)
-        for name in other.src.coords:
-            if name in set(fib.src.coords):
-                cand = name + "_b"
-                while cand in taken:
-                    cand += "b"
-                taken.add(cand)
-                mapping[name] = cand
-        other = rename_morphism_source(other, mapping)
+    other = rename_source_clear_of(other, fib.src.coords, "b")
 
     lin = linearize_fibration(fib)
     iso, linear, mid = lin.iso, lin.linear, lin.middle
 
-    # Base graph: solve the affine side for its coordinates.
-    p_aff = _try_affine(fib.base_map, fib.src.coords)
-    f_aff = _try_affine(other.base_map, other.src.coords)
-    if p_aff is not None:
-        a, c = p_aff
-        w = right_inverse(a)
-        if w is None:
-            raise ValueError("affine base map of the fibration is not surjective")
-        kern = kernel_basis(a, cols=len(fib.src.coords))
-        znames = _fresh_names("z", len(kern), set(other.src.coords))
-        prod_coords = tuple(znames) + tuple(other.src.coords)
-        rhs = [q - cc for q, cc in zip(other.base_map, c)]
-        x_polys = []
-        for r in range(len(fib.src.coords)):
-            pexpr = Poly.zero()
-            for s in range(len(rhs)):
-                if w[r][s]:
-                    pexpr = pexpr + w[r][s] * rhs[s]
-            for t, veck in enumerate(kern):
-                if veck[r]:
-                    pexpr = pexpr + veck[r] * Poly.variable(znames[t])
-            x_polys.append(pexpr)
-        pr1_base = tuple(x_polys)
-        pr2_base = tuple(Poly.variable(n) for n in other.src.coords)
-        subst_mid = {name: poly for name, poly in zip(fib.src.coords, x_polys)}
-        subst_other = None
-    elif f_aff is not None:
-        a, c = f_aff
-        w = right_inverse(a)
-        if w is None:
-            raise ValueError("affine base map of the other leg is not surjective")
-        kern = kernel_basis(a, cols=len(other.src.coords))
-        znames = _fresh_names("z", len(kern), set(fib.src.coords))
-        prod_coords = tuple(fib.src.coords) + tuple(znames)
-        rhs = [q - cc for q, cc in zip(fib.base_map, c)]
-        xp_polys = []
-        for r in range(len(other.src.coords)):
-            pexpr = Poly.zero()
-            for s in range(len(rhs)):
-                if w[r][s]:
-                    pexpr = pexpr + w[r][s] * rhs[s]
-            for t, veck in enumerate(kern):
-                if veck[r]:
-                    pexpr = pexpr + veck[r] * Poly.variable(znames[t])
-            xp_polys.append(pexpr)
-        pr1_base = tuple(Poly.variable(n) for n in fib.src.coords)
-        pr2_base = tuple(xp_polys)
-        subst_mid = None
-        subst_other = {name: poly for name, poly in zip(other.src.coords, xp_polys)}
+    # Base graph: solve the affine leg A x + c = (other leg's base map) for
+    # its coordinates x, adding fresh coordinates z along the kernel of A.
+    legs = (fib, other)
+    for side, leg_name in enumerate(("the fibration", "the other leg")):
+        aff = _try_affine(legs[side].base_map, legs[side].src.coords)
+        if aff is not None:
+            break
     else:
         raise ValueError("need an affine base map on one side to form the graph")
+    solved, free = legs[side], legs[1 - side]
+    a, c = aff
+    w = right_inverse(a)
+    if w is None:
+        raise ValueError(f"affine base map of {leg_name} is not surjective")
+    kern = kernel_basis(a, cols=len(solved.src.coords))
+    znames = _fresh_names("z", len(kern), set(free.src.coords))
+    rhs = [q - cc for q, cc in zip(free.base_map, c)]
+    x_polys = []
+    for r in range(len(solved.src.coords)):
+        pexpr = Poly.zero()
+        for t, q in enumerate(rhs):
+            if w[r][t]:
+                pexpr = pexpr + w[r][t] * q
+        for t, veck in enumerate(kern):
+            if veck[r]:
+                pexpr = pexpr + veck[r] * Poly.variable(znames[t])
+        x_polys.append(pexpr)
+    leg_coords = [tuple(leg.src.coords) for leg in legs]
+    bases = [tuple(Poly.variable(n) for n in cs) for cs in leg_coords]
+    substs = [{}, {}]
+    leg_coords[side], bases[side] = tuple(znames), tuple(x_polys)
+    substs[side] = dict(zip(solved.src.coords, x_polys))
+    prod_coords = leg_coords[0] + leg_coords[1]
+    pr1_base, pr2_base = bases
+
+    def substituted(fam: OpFamily, values) -> OpFamily:
+        if not values:
+            return fam
+        return map_family_coeffs(
+            fam, lambda cf: cf.substitute(values) if isinstance(cf, Poly) else cf)
 
     # Fiber: kernel complement of the straightened fibration plus the
     # other source fiber.
     lam_space, into_f, into_lp = lin.complement.direct_sum(other.src.fiber)
-
-    def sub_mid(cf):
-        if subst_mid is None or not isinstance(cf, Poly):
-            return cf
-        return cf.substitute(subst_mid)
-
-    def sub_other(cf):
-        if subst_other is None or not isinstance(cf, Poly):
-            return cf
-        return cf.substitute(subst_other)
-
-    mid_total = map_family_coeffs(mid.total(), sub_mid)
-    other_total = map_family_coeffs(other.src.total(), sub_other)
-    phi_other = map_family_coeffs(other.phi, sub_other)
+    mid_total = substituted(mid.total(), substs[0])
+    other_total = substituted(other.src.total(), substs[1])
+    phi_other = substituted(other.phi, substs[1])
 
     into_e, into_k = lin.embed_target, lin.embed_complement
     lp_inv = {v: k for k, v in into_lp.items()}
@@ -651,17 +609,8 @@ def pullback_fibration(fib: Morphism, other: Morphism,
     pushed = bullet(mid_total, psi)
     lifted_ops: dict[int, MultiOp] = {}
     for k in sorted(set(pushed.ops) | set(other_total.ops)):
-        comp_f = op_then(pushed.op(k), proj_f) if k in pushed.ops else None
-        lift = None
-        if k in other_total.ops:
-            src_op = other_total.op(k)
-            coeffs = {tuple(into_lp[q] for q in tup): {into_lp[r]: c
-                                                       for r, c in vec.items()}
-                      for tup, vec in src_op.coeffs.items()}
-            lift = MultiOp(k, 1, lam_space, lam_space, coeffs)
-        op = comp_f if comp_f is not None else MultiOp.zero(k, 1, lam_space, lam_space)
-        if lift is not None:
-            op = op.plus(lift)
+        op = op_then(pushed.op(k), proj_f).plus(
+            reindex_op(other_total.op(k), lam_space, lam_space, into_lp, into_lp))
         if not op.is_zero():
             lifted_ops[k] = op
     bundle = LinftyBundle(prod_coords, lam_space,
@@ -677,22 +626,18 @@ def pullback_fibration(fib: Morphism, other: Morphism,
     to_mid = Morphism(bundle, mid, pr1_base, psi)
     pr1 = compose(invert_iso(iso), to_mid)
 
-    if verify:
-        rep = check_mc(bundle.as_algebra())
-        if not rep.ok:
-            raise AssertionError("pullback structure fails the defining equation")
-        for mor in (pr1, pr2):
-            if not check_morphism(mor).ok:
-                raise AssertionError("pullback projection is not a morphism")
-        left = compose(fib, pr1)
-        right = compose(other, pr2)
-        if left.phi != right.phi or any(p != q for p, q in
-                                        zip(left.base_map, right.base_map)):
-            raise AssertionError("pullback square does not commute")
-        want = (virtual_dimension(fib.src) + virtual_dimension(other.src)
-                - virtual_dimension(fib.dst))
-        if virtual_dimension(bundle) != want:
-            raise AssertionError("virtual dimension is not additive")
+    rep = check_mc(bundle.as_algebra())
+    if not rep.ok:
+        raise AssertionError("pullback structure fails the defining equation")
+    for mor in (pr1, pr2):
+        if not check_morphism(mor).ok:
+            raise AssertionError("pullback projection is not a morphism")
+    if not same_morphism(compose(fib, pr1), compose(other, pr2)):
+        raise AssertionError("pullback square does not commute")
+    want = (virtual_dimension(fib.src) + virtual_dimension(other.src)
+            - virtual_dimension(fib.dst))
+    if virtual_dimension(bundle) != want:
+        raise AssertionError("virtual dimension is not additive")
     return PullbackResult(bundle, pr1, pr2, other)
 
 
@@ -721,12 +666,12 @@ def _fresh_names(stem: str, count: int, taken: set[str]) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def find_classical_points(bundle: LinftyBundle, box=(-3, 3), grid: int = 7,
-                          tol: float = 1e-9, newton_steps: int = 60
+def find_classical_points(bundle: LinftyBundle, tol: float = 1e-9
                           ) -> tuple[list[ClassicalPoint], list[tuple[float, ...]]]:
     """Grid-seeded Newton search for zeros of the curvature section.
 
-    Intended for up to three base coordinates.  Converged numerical zeros
+    Newton runs at most 60 steps from each point of a 7-point-per-axis grid
+    on [-3, 3]^m.  Intended for up to three base coordinates.  Converged numerical zeros
     are deduplicated; candidates close to small rationals are verified
     exactly and promoted to ClassicalPoint, the rest are reported as
     floats.
@@ -756,14 +701,14 @@ def find_classical_points(bundle: LinftyBundle, box=(-3, 3), grid: int = 7,
             out.append(row)
         return out
 
-    lo, hi = float(box[0]), float(box[1])
+    lo, hi, grid = -3.0, 3.0, 7
     seeds = itertools.product(
         *[[lo + (hi - lo) * i / (grid - 1) for i in range(grid)]] * m)
     found: list[tuple[float, ...]] = []
     for seed in seeds:
         pt = list(seed)
         ok = False
-        for _ in range(newton_steps):
+        for _ in range(60):
             fv = f_at(pt)
             if max((abs(v) for v in fv), default=0.0) < tol:
                 ok = True

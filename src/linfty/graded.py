@@ -124,21 +124,31 @@ class GradedSpace:
 
     def direct_sum(self, other: "GradedSpace") -> tuple["GradedSpace", dict, dict]:
         """Concatenate bases; returns (sum, keymap_self, keymap_other)."""
-        dims: dict[int, int] = {}
-        labels: dict[int, list[str]] = {}
-        dts: dict[int, list[bool]] = {}
+        basis = BasisBuilder()
         m1: dict[BasisKey, BasisKey] = {}
         m2: dict[BasisKey, BasisKey] = {}
         for src, mp in ((self, m1), (other, m2)):
-            for d in src.degrees():
-                for i in range(src.dims[d]):
-                    j = dims.get(d, 0)
-                    dims[d] = j + 1
-                    labels.setdefault(d, []).append(src.labels[d][i])
-                    dts.setdefault(d, []).append(src.dt[d][i])
-                    mp[(d, i)] = (d, j)
-        space = GradedSpace.build(dims, labels, dts)
-        return space, m1, m2
+            for d, i in src.keys():
+                mp[(d, i)] = basis.push(d, src.labels[d][i], src.dt[d][i])
+        return basis.build(), m1, m2
+
+
+class BasisBuilder:
+    """Collects labelled basis vectors one at a time, then builds the space."""
+
+    def __init__(self):
+        self.labels: dict[int, list[str]] = {}
+        self.dt: dict[int, list[bool]] = {}
+
+    def push(self, degree: int, label: str, is_dt: bool) -> BasisKey:
+        """Append a basis vector of the given degree and return its key."""
+        self.labels.setdefault(degree, []).append(label)
+        self.dt.setdefault(degree, []).append(is_dt)
+        return (degree, len(self.labels[degree]) - 1)
+
+    def build(self) -> GradedSpace:
+        return GradedSpace.build({d: len(v) for d, v in self.labels.items()},
+                                 labels=self.labels, dt=self.dt)
 
 
 # ---------------------------------------------------------------------------

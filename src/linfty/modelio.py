@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .algebra import CurvedAlgebra, LinftyBundle, Morphism
+from .algebra import CurvedAlgebra, LinftyBundle, Morphism, algebra_as_bundle
 from .graded import GradedSpace, MultiOp, OpFamily
 from .poly import Poly
 from .transfer import Contraction
@@ -271,8 +271,8 @@ def bundle_from_json(doc) -> tuple[LinftyBundle, dict]:
     return bundle, user_meta
 
 
-def algebra_to_json(alg: CurvedAlgebra, metadata: dict | None = None) -> dict:
-    return bundle_to_json(LinftyBundle((), alg.space, alg.delta, alg.ops), metadata)
+def algebra_to_json(alg: CurvedAlgebra) -> dict:
+    return bundle_to_json(algebra_as_bundle(alg))
 
 
 # ---------------------------------------------------------------------------
@@ -280,18 +280,15 @@ def algebra_to_json(alg: CurvedAlgebra, metadata: dict | None = None) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def morphism_to_json(mor: Morphism, metadata: dict | None = None) -> dict:
-    doc = {"kind": "morphism",
-           "src": bundle_to_json(mor.src),
-           "dst": bundle_to_json(mor.dst),
-           "base_map": [coeff_to_json(p, mor.src.coords) for p in mor.base_map],
-           "phi": sorted(
-               (e for k in mor.phi.arities()
-                for e in _op_entries(mor.phi.op(k), mor.src.coords)),
-               key=lambda e: (e["arity"], e["inputs"], e["output"]))}
-    if metadata:
-        doc["metadata"] = {k: metadata[k] for k in sorted(metadata)}
-    return doc
+def morphism_to_json(mor: Morphism) -> dict:
+    return {"kind": "morphism",
+            "src": bundle_to_json(mor.src),
+            "dst": bundle_to_json(mor.dst),
+            "base_map": [coeff_to_json(p, mor.src.coords) for p in mor.base_map],
+            "phi": sorted(
+                (e for k in mor.phi.arities()
+                 for e in _op_entries(mor.phi.op(k), mor.src.coords)),
+                key=lambda e: (e["arity"], e["inputs"], e["output"]))}
 
 
 def _entries_to_family(entries, src: GradedSpace, dst: GradedSpace, coords,
@@ -346,7 +343,7 @@ def morphism_from_json(doc) -> Morphism:
         raise _fail("document", str(exc)) from exc
 
 
-def contraction_to_json(con: Contraction, metadata: dict | None = None) -> dict:
+def contraction_to_json(con: Contraction) -> dict:
     no_coords: tuple[str, ...] = ()
     doc = {"kind": "contraction",
            "space": space_to_json(con.space),
@@ -357,7 +354,7 @@ def contraction_to_json(con: Contraction, metadata: dict | None = None) -> dict:
                          key=lambda e: (e["inputs"], e["output"])),
            "iota": sorted(_op_entries(con.iota, no_coords),
                           key=lambda e: (e["inputs"], e["output"]))}
-    meta = dict(metadata or {})
+    meta = {}
     sm = space_metadata(con.space)
     if sm:
         meta["space_labels"] = sm

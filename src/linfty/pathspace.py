@@ -23,13 +23,14 @@ from fractions import Fraction
 
 from .algebra import (CurvedAlgebra, LinftyBundle, Morphism, check_mc,
                       check_morphism, compose, plain_bundle, product_bundle,
-                      product_projection, rename_morphism_source)
-from .geometry import (ClassicalPoint, PullbackResult, classical_point,
-                       find_classical_points, is_fibration,
+                      product_projection, reindex_op, rename_source_clear_of,
+                      same_morphism)
+from .geometry import (ClassicalPoint, PullbackResult, _same_target,
+                       classical_point, find_classical_points, is_fibration,
                        is_weak_equivalence, pullback_fibration,
                        shifted_tangent_data, tangent_complex,
                        virtual_dimension)
-from .graded import GradedSpace, MultiOp, OpFamily
+from .graded import BasisBuilder, GradedSpace, MultiOp, OpFamily
 from .poly import DegreeCapError, Poly, degree_cap
 from .transfer import Contraction, TransferResult, transfer
 
@@ -110,29 +111,21 @@ def build_path_model(bundle: LinftyBundle, cap: int | None = None) -> PathModel:
         raise ValueError("fiber already carries dt markers")
     m = len(bundle.coords)
 
-    labels: dict[int, list[str]] = {}
-    dts: dict[int, list[bool]] = {}
-
-    def push(degree: int, label: str, is_dt: bool):
-        labels.setdefault(degree, []).append(label)
-        dts.setdefault(degree, []).append(is_dt)
-        return (degree, len(labels[degree]) - 1)
-
-    base_dt = {j: push(1, f"d{bundle.coords[j]} dt", True) for j in range(m)}
+    basis = BasisBuilder()
+    base_dt = {j: basis.push(1, f"d{bundle.coords[j]} dt", True) for j in range(m)}
     one_form: dict[tuple, tuple] = {}
     plain: dict[tuple, tuple] = {}
     for d in fib.degrees():
         for i in range(fib.dims[d]):
             lab = fib.labels[d][i]
             for s in range(cap):
-                one_form[((d, i), s)] = push(d + 1, f"t^{s} {lab} dt", True)
+                one_form[((d, i), s)] = basis.push(d + 1, f"t^{s} {lab} dt", True)
     for d in fib.degrees():
         for i in range(fib.dims[d]):
             lab = fib.labels[d][i]
             for s in range(cap + 1):
-                plain[((d, i), s)] = push(d, f"t^{s} {lab}", False)
-    space = GradedSpace.build({d: len(v) for d, v in labels.items()},
-                              labels=labels, dt=dts)
+                plain[((d, i), s)] = basis.push(d, f"t^{s} {lab}", False)
+    space = basis.build()
 
     delta_coeffs = {}
     for ((d, i), s), key in plain.items():
@@ -152,27 +145,19 @@ def build_path_model(bundle: LinftyBundle, cap: int | None = None) -> PathModel:
             eta_coeffs[(key,)] = out
     eta = MultiOp(1, -1, space, space, eta_coeffs)
 
-    h_labels: dict[int, list[str]] = {}
-    h_dts: dict[int, list[bool]] = {}
-
-    def hpush(degree: int, label: str, is_dt: bool):
-        h_labels.setdefault(degree, []).append(label)
-        h_dts.setdefault(degree, []).append(is_dt)
-        return (degree, len(h_labels[degree]) - 1)
-
-    h_base_dt = {j: hpush(1, f"d{bundle.coords[j]} dt", True) for j in range(m)}
+    h_basis = BasisBuilder()
+    h_base_dt = {j: h_basis.push(1, f"d{bundle.coords[j]} dt", True) for j in range(m)}
     h_avg: dict[tuple, tuple] = {}
     h_end: dict[tuple, tuple] = {}
     for d in fib.degrees():
         for i in range(fib.dims[d]):
-            h_avg[(d, i)] = hpush(d + 1, f"{fib.labels[d][i]} dt", True)
+            h_avg[(d, i)] = h_basis.push(d + 1, f"{fib.labels[d][i]} dt", True)
     for d in fib.degrees():
         for i in range(fib.dims[d]):
             lab = fib.labels[d][i]
-            h_end[((d, i), 0)] = hpush(d, f"{lab}(0)", False)
-            h_end[((d, i), 1)] = hpush(d, f"{lab}(1)", False)
-    h_space = GradedSpace.build({d: len(v) for d, v in h_labels.items()},
-                                labels=h_labels, dt=h_dts)
+            h_end[((d, i), 0)] = h_basis.push(d, f"{lab}(0)", False)
+            h_end[((d, i), 1)] = h_basis.push(d, f"{lab}(1)", False)
+    h_space = h_basis.build()
 
     iota_coeffs: dict = {}
     for j, hk in h_base_dt.items():
@@ -325,8 +310,7 @@ def _doubled_names(coords) -> tuple[tuple[str, ...], tuple[str, ...]]:
     return tuple(ps), tuple(qs)
 
 
-def derived_path_space(bundle: LinftyBundle, cap: int | None = None,
-                       verify: bool = True) -> DerivedPathSpace:
+def derived_path_space(bundle: LinftyBundle, cap: int | None = None) -> DerivedPathSpace:
     """Transfer the path structure once manifold-wide, with symbolic ends.
 
     The output bundle lives over the doubled base; its operations have
@@ -370,14 +354,13 @@ def derived_path_space(bundle: LinftyBundle, cap: int | None = None,
 
     dps = DerivedPathSpace(pm, inc, ev, product, (j0, j1), result.phi,
                            model, result)
-    if verify:
-        rep = check_mc(pm.as_algebra())
-        if not rep.ok:
-            raise AssertionError("path space structure fails the defining equation")
-        if not check_morphism(ev).ok:
-            raise AssertionError("endpoint evaluation is not a morphism")
-        if not check_morphism(inc).ok:
-            raise AssertionError("constant-path inclusion is not a morphism")
+    rep = check_mc(pm.as_algebra())
+    if not rep.ok:
+        raise AssertionError("path space structure fails the defining equation")
+    if not check_morphism(ev).ok:
+        raise AssertionError("endpoint evaluation is not a morphism")
+    if not check_morphism(inc).ok:
+        raise AssertionError("constant-path inclusion is not a morphism")
     return dps
 
 
@@ -416,10 +399,7 @@ def factorize_diagonal(bundle: LinftyBundle, cap: int | None = None) -> Factoriz
                     OpFamily(0, bundle.fiber, dps.product.fiber,
                              {1: MultiOp(1, 0, bundle.fiber, dps.product.fiber,
                                          diag_coeffs)} if diag_coeffs else {}))
-    comp = compose(dps.evaluation, dps.inclusion)
-    top = max([*comp.phi.ops, *diag.phi.ops], default=0)
-    same_phi = all(comp.phi.op(k) == diag.phi.op(k) for k in range(top + 1))
-    if not same_phi or any(p != q for p, q in zip(comp.base_map, diag.base_map)):
+    if not same_morphism(compose(dps.evaluation, dps.inclusion), diag):
         raise AssertionError("factorization composite is not the diagonal")
     return Factorization(dps, dps.inclusion, dps.evaluation, diag, dps.product)
 
@@ -460,29 +440,13 @@ class FiberedProduct:
 def _product_morphism(f: Morphism, g: Morphism, dst_product: LinftyBundle,
                       j0: dict, j1: dict) -> tuple[Morphism, Morphism]:
     """f x g into an explicitly built product bundle; g may get renamed."""
-    clash = set(f.src.coords) & set(g.src.coords)
-    if clash:
-        taken = set(f.src.coords) | set(g.src.coords)
-        mapping = {}
-        for name in g.src.coords:
-            if name in clash:
-                cand = name + "_r"
-                while cand in taken:
-                    cand += "r"
-                taken.add(cand)
-                mapping[name] = cand
-        g = rename_morphism_source(g, mapping)
+    g = rename_source_clear_of(g, f.src.coords, "r")
     src, m1, m2 = product_bundle(f.src, g.src)
 
     phi_ops: dict[int, MultiOp] = {}
     for fam, mp_in, mp_out in ((f.phi, m1, j0), (g.phi, m2, j1)):
         for k, op in fam.ops.items():
-            if op.is_zero():
-                continue
-            coeffs = {tuple(mp_in[q] for q in tup):
-                      {mp_out[r]: c for r, c in vec.items()}
-                      for tup, vec in op.coeffs.items()}
-            piece = MultiOp(k, 0, src.fiber, dst_product.fiber, coeffs)
+            piece = reindex_op(op, src.fiber, dst_product.fiber, mp_in, mp_out)
             phi_ops[k] = phi_ops[k].plus(piece) if k in phi_ops else piece
     base = tuple(f.base_map) + tuple(g.base_map)
     return Morphism(src, dst_product, base,
@@ -497,8 +461,7 @@ def homotopy_fibered_product(f: Morphism, g: Morphism,
     shared target as an honest bundle; virtual dimension additivity is
     asserted on the result.
     """
-    if not (f.dst.coords == g.dst.coords and f.dst.fiber.dims == g.dst.fiber.dims
-            and f.dst.total() == g.dst.total()):
+    if not _same_target(f.dst, g.dst):
         raise ValueError("the two morphisms must share their target bundle")
     dps = derived_path_space(f.dst, cap)
     j0, j1 = dps.product_maps

@@ -445,15 +445,9 @@ def transfer_trees(con: Contraction, lam: OpFamily) -> TransferResult:
             k = len(ms)
             if lam.ops.get(k) is None:
                 continue
-            w = Fraction(1)
-            run = 1
-            for i, t in enumerate(ms):
-                w *= t.weight()
-                if i > 0 and t == ms[i - 1]:
-                    run += 1
-                else:
-                    run = 1
-                w /= run
+            # Tree.node(ms) weighs -w: its root carries the -1 of
+            # phi = iota - eta (lam . phi), which mu = pi (lam . phi) lacks
+            w = -Tree.node(ms).weight()
             term = op_then(treeterm(lam.op(k), [capped[t] for t in ms]), con.pi)
             acc = acc.plus(term.scaled(w))
         if not acc.is_zero():

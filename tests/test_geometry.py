@@ -381,6 +381,41 @@ def test_pullback_of_a_weak_equivalence_along_a_fibration():
                                [(0, 0)], [(0, 0)]).ok
 
 
+def plain_map(src_coords, dst_coords, base_map):
+    src, dst = plain_bundle(src_coords), plain_bundle(dst_coords)
+    return Morphism(src, dst, tuple(base_map), OpFamily(0, src.fiber, dst.fiber, {}))
+
+
+def test_pullback_solves_the_other_leg_when_only_it_is_affine():
+    u = Poly.variable("u")
+    fib = plain_map(("x", "y"), ("t",), (x + y * y,))
+    other = plain_map(("u",), ("t",), (2 * u + 1,))
+    pb = pullback_fibration(fib, other)
+    assert pb.bundle.coords == ("x", "y")
+    assert pb.to_fibration_source.base_map == (x, y)
+    half = Fraction(1, 2)
+    assert pb.to_other_source.base_map == (half * x + half * y * y - half,)
+    assert check_morphism(pb.to_fibration_source).ok
+    assert check_morphism(pb.to_other_source).ok
+
+
+def test_pullback_renames_a_shared_coordinate_of_the_other_leg():
+    fib = plain_map(("x",), ("t",), (x,))
+    other = plain_map(("x",), ("t",), (x * x,))
+    pb = pullback_fibration(fib, other)
+    assert pb.other.src.coords == ("x_b",)
+    assert pb.bundle.coords == ("x_b",)
+    assert pb.to_fibration_source.base_map == (Poly.variable("x_b") ** 2,)
+
+
+def test_pullback_needs_an_affine_leg():
+    u = Poly.variable("u")
+    fib = plain_map(("x",), ("t",), (x * x,))
+    other = plain_map(("u",), ("t",), (u * u,))
+    with pytest.raises(ValueError, match="need an affine base map on one side to form the graph"):
+        pullback_fibration(fib, other)
+
+
 # -- shifted tangent bundle ------------------------------------------------------------------
 
 def test_shifted_tangent_of_a_plain_manifold():

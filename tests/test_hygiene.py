@@ -1,4 +1,5 @@
-"""Source hygiene: every name a `linfty` module imports is used there."""
+"""Source hygiene: every name a `linfty` module imports is used there, and
+every import sits at module level."""
 
 import ast
 from pathlib import Path
@@ -38,6 +39,16 @@ def referenced_names(tree: ast.Module) -> set[str]:
     return names
 
 
+def imports_in_functions(tree: ast.Module) -> list[int]:
+    """Lines of the imports that sit inside a function body."""
+    out = []
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            out += [node.lineno for node in ast.walk(fn)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))]
+    return sorted(set(out))
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
@@ -53,3 +64,25 @@ def test_the_scan_finds_an_unused_import():
                      "from fractions import Fraction\n")
     used = referenced_names(tree)
     assert [n for n in imported_names(tree) if n not in used] == ["factorial"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_imports_sit_at_module_level(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = imports_in_functions(tree)
+    assert not lines, f"{path.name} imports inside a function body at lines {lines}"
+
+
+def test_the_scan_finds_an_import_in_a_function_body():
+    tree = ast.parse("import math\n"
+                     "def f(x):\n"
+                     "    from fractions import Fraction\n"
+                     "    def g():\n"
+                     "        import os\n"
+                     "    return Fraction(x)\n"
+                     "class C:\n"
+                     "    def m(self):\n"
+                     "        import sys\n"
+                     "if True:\n"
+                     "    import json\n")
+    assert imports_in_functions(tree) == [3, 5, 9]

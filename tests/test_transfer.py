@@ -9,7 +9,7 @@ from oracles import transfer_rebuild
 
 import linfty.graded
 import linfty.transfer
-from linfty.algebra import check_mc, check_morphism
+from linfty.algebra import CurvedAlgebra, check_mc, check_morphism
 from linfty.graded import (GradedSpace, MultiOp, OpFamily, arity_bound, bullet,
                            op_nilpotency_order)
 from linfty.samples import (random_contraction, random_perturbation_instance,
@@ -168,39 +168,68 @@ def test_closed_forms_match_engine():
         assert res.algebra.ops.op(0).evaluate_basis(()) == transferred_mu0(con, lam)
 
 
+def wide_transfer_draws():
+    """30 seeded instances at amplitude/dim 3/4, 4/3 and 5/3.
+
+    Together they reach phi arities {1, 2, 3} and mu arities {0, 1, 2, 3},
+    which the default size (3/4) alone mostly does not.
+    """
+    rng = random.Random(404)
+    for amplitude, max_dim, draws in ((3, 4, 10), (4, 3, 10), (5, 3, 10)):
+        for _ in range(draws):
+            yield random_transfer_instance(rng, amplitude, max_dim)
+
+
+class ArityReach:
+    """Records which arities the transferred phi and mu reached."""
+
+    def __init__(self):
+        self.phi: set[int] = set()
+        self.mu: set[int] = set()
+
+    def add(self, res):
+        self.phi |= set(res.phi.arities())
+        self.mu |= set(res.algebra.ops.arities())
+
+    def check(self):
+        assert self.phi == {1, 2, 3}
+        assert self.mu == {0, 1, 2, 3}
+
+
+def default_then_wide_draws(seed: int, count: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield random_transfer_instance(rng)
+    yield from wide_transfer_draws()
+
+
 def test_transferred_structure_is_mc_and_phi_is_a_morphism():
-    rng = random.Random(101)
-    for _ in range(10):
-        con, lam = random_transfer_instance(rng)
+    reach = ArityReach()
+    for con, lam in default_then_wide_draws(101, 10):
         res = transfer(con, lam)
+        reach.add(res)
         assert check_mc(res.algebra).ok
         ambient = res.contraction
-        from linfty.algebra import CurvedAlgebra
         amb_alg = CurvedAlgebra(ambient.space, ambient.delta, lam)
         assert check_mc(amb_alg).ok
         assert check_morphism(res.inclusion_morphism(amb_alg)).ok
+    reach.check()
 
 
 def test_transfer_matches_the_full_rebuild():
     """Reading mu off (lam . phi)_n = resid_n + lam_1 phi_n changes no value."""
-    rng = random.Random(404)
     curved = 0
-    phi_arities: set[int] = set()
-    mu_arities: set[int] = set()
-    for amplitude, max_dim, draws in ((3, 4, 10), (4, 3, 10), (5, 3, 10)):
-        for _ in range(draws):
-            con, lam = random_transfer_instance(rng, amplitude, max_dim)
-            got = transfer(con, lam)
-            want = transfer_rebuild(con, lam)
-            assert got.phi == want.phi
-            assert got.algebra.ops == want.algebra.ops
-            assert got.algebra.delta == want.algebra.delta
-            curved += not lam.op(0).is_zero()
-            phi_arities |= set(got.phi.arities())
-            mu_arities |= set(got.algebra.ops.arities())
+    reach = ArityReach()
+    for con, lam in wide_transfer_draws():
+        got = transfer(con, lam)
+        want = transfer_rebuild(con, lam)
+        assert got.phi == want.phi
+        assert got.algebra.ops == want.algebra.ops
+        assert got.algebra.delta == want.algebra.delta
+        curved += not lam.op(0).is_zero()
+        reach.add(got)
     assert curved >= 5
-    assert phi_arities == {1, 2, 3}
-    assert mu_arities == {0, 1, 2, 3}
+    reach.check()
 
 
 def test_transfer_tabulates_each_arity_once(monkeypatch):
@@ -253,14 +282,15 @@ def test_tree_describe_sorts_children():
 
 
 def test_trees_match_recursion():
-    rng = random.Random(202)
-    for _ in range(8):
-        con, lam = random_transfer_instance(rng)
+    reach = ArityReach()
+    for con, lam in default_then_wide_draws(202, 8):
         a = transfer(con, lam)
         b = transfer_trees(con, lam)
+        reach.add(a)
         assert a.phi == b.phi
         assert a.algebra.ops == b.algebra.ops
         assert a.algebra.delta == b.algebra.delta
+    reach.check()
 
 
 def test_trees_reproduce_neumann_series_for_unary_input():
@@ -273,13 +303,14 @@ def test_trees_reproduce_neumann_series_for_unary_input():
 # -- extended projection ---------------------------------------------------------------
 
 def test_projection_morphism_is_left_inverse_to_phi():
-    rng = random.Random(303)
-    for _ in range(8):
-        con, lam = random_transfer_instance(rng)
+    reach = ArityReach()
+    for con, lam in default_then_wide_draws(303, 8):
         res = transfer(con, lam)
+        reach.add(res)
         pi_ext = projection_morphism(con, lam)
         comp = bullet(pi_ext, res.phi)
         assert comp == OpFamily.identity(con.h_space)
+    reach.check()
 
 
 def test_monomial_homotopy_side_conditions():
