@@ -410,11 +410,24 @@ def shifted_tangent(bundle: LinftyBundle) -> LinftyBundle:
     operations are determined by three rules on a basis tuple: with no dt
     factor, the original operation; with exactly one shifted fiber factor,
     the original operation on underlying vectors, pushed back into the
-    shifted copy with the sign of carrying the shift symbol to the far
-    right; with exactly one shifted base factor, differentiation of the
-    coefficient polynomials in that base direction.  Two or more dt
+    shifted copy; with exactly one shifted base factor, differentiation of
+    the coefficient polynomials in that base direction.  Two or more dt
     factors annihilate.  The result is validated against the flatness of
     coordinate differentiation by check_mc downstream.
+
+    Sign rule.  Let the dt factor v dt sit at position p of the sorted
+    tuple (x_1, .., x_k), with |v| = d, so its key has degree d + 1, and
+    let S = |x_1| + .. + |x_{p-1}| and A = |x_{p+1}| + .. + |x_k|.  The
+    operation ell is evaluated with v in front and dt on the far right:
+
+        ell(x_1, .., v dt, .., x_k) = (-1)^A ell(x_1, .., v, .., x_k) dt
+                                    = (-1)^(A + d S) ell(v, x_1, .., x_k without v) dt,
+
+    the first step carrying dt (degree 1) past the A inputs after it, the
+    second carrying v (degree d) past the S inputs before it, as graded
+    symmetry of the original operation allows.  A shifted base direction
+    d x_j dt has d = 0, so only (-1)^A remains; it feeds the
+    differentiated operation the inputs other than d x_j dt in order.
     """
     data = shifted_tangent_data(bundle)
     return LinftyBundle(bundle.coords, data.space,
@@ -423,8 +436,6 @@ def shifted_tangent(bundle: LinftyBundle) -> LinftyBundle:
 
 def shifted_tangent_data(bundle: LinftyBundle) -> ShiftedTangentData:
     """shifted_tangent together with the basis-key dictionaries."""
-    if any(any(flags) for flags in bundle.fiber.dt.values()):
-        raise ValueError("fiber already carries dt markers")
     m = len(bundle.coords)
     fib = bundle.fiber
 
@@ -459,9 +470,11 @@ def shifted_tangent_data(bundle: LinftyBundle) -> ShiftedTangentData:
             vec = ell.op(len(tup)).evaluate_basis(inner) if len(tup) in ell.ops else {}
             return {lpl_key[k]: c for k, c in vec.items()}
         p = dt_pos[0]
-        sign = -1 if sum(tup[i][0] for i in range(p + 1, len(tup))) % 2 else 1
-        rest = tuple(lpl_inv[tup[i]] for i in range(len(tup)) if i != p)
         key = tup[p]
+        before = sum(k[0] for k in tup[:p])
+        after = sum(k[0] for k in tup[p + 1:])
+        sign = -1 if (after + (key[0] - 1) * before) % 2 else 1
+        rest = tuple(lpl_inv[tup[i]] for i in range(len(tup)) if i != p)
         if key in ldt_inv:
             k = len(tup)
             if k not in ell.ops:

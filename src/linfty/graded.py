@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from typing import Callable, Iterator, Mapping, Sequence
 
 BasisKey = tuple[int, int]  # (degree, index within degree)
@@ -214,22 +214,33 @@ def unshuffle_sign(degrees: Sequence[int], front: Sequence[int]) -> int:
 
 def canonical_tuples(space: GradedSpace, arity: int,
                      max_total_degree: int | None = None) -> Iterator[tuple[BasisKey, ...]]:
-    """All sorted basis tuples of the given arity with nonvanishing symmetric class."""
-    if arity == 0:
-        yield ()
-        return
+    """All sorted basis tuples of the given arity with nonvanishing symmetric class.
+
+    The tuples are non-decreasing in the key order of space.keys(), with no
+    odd-degree key repeated, and of degree sum at most max_total_degree;
+    they come in lexicographic order, the order of
+    combinations_with_replacement(space.keys(), arity) filtered by those
+    two conditions.  The walk fills slots left to right and never builds a
+    tuple it would discard: keys are sorted by degree, so once the degree
+    of a key times the number of slots left exceeds the remaining degree
+    budget, no later key fits either; an odd key is followed by strictly
+    later keys only, an even key may repeat.  With no cap the budget is
+    arity times the top degree, which every tuple meets.
+    """
     keys = space.keys()
-    for tup in combinations_with_replacement(keys, arity):
-        ok = True
-        for a in range(arity - 1):
-            if tup[a] == tup[a + 1] and tup[a][0] % 2:
-                ok = False
-                break
-        if not ok:
-            continue
-        if max_total_degree is not None and sum(k[0] for k in tup) > max_total_degree:
-            continue
-        yield tup
+    budget = arity * space.max_degree if max_total_degree is None else max_total_degree
+
+    def walk(start: int, slots: int, budget: int, prefix: tuple):
+        if not slots:
+            yield prefix
+            return
+        for j in range(start, len(keys)):
+            key = keys[j]
+            if key[0] * slots > budget:
+                return
+            yield from walk(j + key[0] % 2, slots - 1, budget - key[0], prefix + (key,))
+
+    yield from walk(0, arity, budget, ())
 
 
 # ---------------------------------------------------------------------------
@@ -589,14 +600,6 @@ def circ(lam: OpFamily, mu: OpFamily) -> OpFamily:
         if not op.is_zero():
             ops[n] = op
     return OpFamily(degree, lam.source, lam.target, ops)
-
-
-def commutator(a: OpFamily, b: OpFamily) -> OpFamily:
-    """Graded commutator [a, b] = a o b - (-1)^{|a||b|} b o a."""
-    ab = circ(a, b)
-    ba = circ(b, a)
-    sign = -1 if (a.degree % 2) and (b.degree % 2) else 1
-    return ab.minus(ba.scaled(sign))
 
 
 # ---------------------------------------------------------------------------

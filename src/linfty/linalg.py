@@ -27,12 +27,6 @@ def identity(n: int) -> Matrix:
     return out
 
 
-def transpose(a: Matrix) -> Matrix:
-    if not a:
-        return []
-    return [list(col) for col in zip(*a)]
-
-
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and pivot column indices."""
     m = [row[:] for row in a]

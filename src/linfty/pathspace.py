@@ -21,10 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (CurvedAlgebra, LinftyBundle, Morphism, check_mc,
-                      check_morphism, compose, plain_bundle, product_bundle,
-                      product_projection, reindex_op, rename_source_clear_of,
-                      same_morphism)
+from .algebra import (LinftyBundle, Morphism, check_mc, check_morphism, compose,
+                      plain_bundle, product_bundle, product_projection,
+                      reindex_op, rename_source_clear_of, same_morphism)
 from .geometry import (ClassicalPoint, PullbackResult, _same_target,
                        classical_point, find_classical_points, is_fibration,
                        is_weak_equivalence, pullback_fibration,
@@ -107,8 +106,6 @@ def build_path_model(bundle: LinftyBundle, cap: int | None = None) -> PathModel:
             f"(coefficient degree times amplitude) but the cap is {cap}; "
             f"raise LINFTY_DEGREE_CAP or pass a larger cap")
     fib = bundle.fiber
-    if any(any(flags) for flags in fib.dt.values()):
-        raise ValueError("fiber already carries dt markers")
     m = len(bundle.coords)
 
     basis = BasisBuilder()
@@ -263,18 +260,6 @@ def path_perturbation(model: PathModel, pvals: dict[str, "Poly | Fraction"],
     return OpFamily(1, model.space, model.space, ops)
 
 
-def path_curved_structure(bundle: LinftyBundle, start, end,
-                          cap: int | None = None) -> CurvedAlgebra:
-    """Curved structure on the truncated path sections for one rational path."""
-    pvals = {name: Fraction(v) for name, v in zip(bundle.coords, start)}
-    qvals = {name: Fraction(v) for name, v in zip(bundle.coords, end)}
-    if len(pvals) != len(bundle.coords) or len(qvals) != len(bundle.coords):
-        raise ValueError("endpoint dimension mismatch")
-    model = build_path_model(bundle, cap)
-    lam = path_perturbation(model, pvals, qvals)
-    return CurvedAlgebra(model.space, model.delta, lam)
-
-
 # ---------------------------------------------------------------------------
 # Derived path space
 # ---------------------------------------------------------------------------
@@ -362,13 +347,6 @@ def derived_path_space(bundle: LinftyBundle, cap: int | None = None) -> DerivedP
     if not check_morphism(inc).ok:
         raise AssertionError("constant-path inclusion is not a morphism")
     return dps
-
-
-def path_space_manifold(m: int, cap: int | None = None) -> DerivedPathSpace:
-    """Derived path space of a plain affine space of dimension m."""
-    if m <= 0:
-        raise ValueError("dimension must be positive")
-    return derived_path_space(plain_bundle(ambient_coord_names(m)), cap)
 
 
 # ---------------------------------------------------------------------------

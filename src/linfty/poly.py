@@ -1,30 +1,19 @@
-"""Exact multivariate polynomials over Q, and polynomial path sections.
+"""Exact multivariate polynomials over Q, and the t-degree cap of path models.
 
 Polynomials are kept in a sparse normal form: a tuple of variable names
 plus a dict mapping exponent vectors to nonzero Fractions.  All arithmetic
 is exact; there is no floating point anywhere in this module.
 
-A PathSection models a tuple of polynomials in the parameter t, thought of
-as a section of a (trivial) graded vector bundle pulled back along the
-affine path a(t) = p + t(q - p).  Sections may carry a dt marker, in which
-case the de Rham degree is raised by one.  The five operators below
-(pullback, delta, eta, pi_lin, pi_con) implement the path-space calculus:
-
-    delta   -- (-1)^d d/dt, landing in dt-sections
-    eta     -- (-1)^d (int_0^t - t int_0^1), a homotopy back out of dt
-    pi_lin  -- projection of a plain section onto its linear interpolation
-    pi_con  -- projection of a dt-section onto its average value
-
-so that 1 - (delta eta + eta delta) acts as pi_con on dt-sections and as
-pi_lin on plain sections.
+degree_cap() reads the cap on powers of the path parameter t that the
+truncated path models of linfty.pathspace may use (LINFTY_DEGREE_CAP,
+default 16); exceeding it raises DegreeCapError.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 Rat = Union[int, Fraction, str]
 
@@ -335,119 +324,3 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self})"
-
-
-def poly_t(expr_terms: Mapping[int, Rat]) -> Poly:
-    """Univariate polynomial in t from {power: coefficient}."""
-    return Poly(("t",), {(k,): v for k, v in expr_terms.items()})
-
-
-# ---------------------------------------------------------------------------
-# path sections
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PathSection:
-    """Polynomial section along the affine path a(t) = p + t(q - p).
-
-    components are polynomials in the single variable t; degree is the
-    degree of the underlying graded piece, dt marks a one-form section.
-    """
-
-    start: tuple[Fraction, ...]
-    end: tuple[Fraction, ...]
-    degree: int
-    dt: bool
-    components: tuple[Poly, ...]
-
-    @staticmethod
-    def make(start: Sequence[Rat], end: Sequence[Rat], degree: int,
-             components: Iterable[Poly], dt: bool = False) -> "PathSection":
-        p = tuple(as_fraction(x) for x in start)
-        q = tuple(as_fraction(x) for x in end)
-        comps = tuple(c.with_vars(("t",)) if c.vars != ("t",) else c for c in components)
-        cap = degree_cap()
-        for c in comps:
-            if c.degree_in("t") > cap:
-                raise DegreeCapError(
-                    f"t-degree {c.degree_in('t')} exceeds cap {cap} "
-                    f"(set {_CAP_ENV} to raise it)")
-        return PathSection(p, q, degree, dt, comps)
-
-    def value_at(self, t0: Rat) -> tuple[Fraction, ...]:
-        t = as_fraction(t0)
-        return tuple(c.eval({"t": t}) for c in self.components)
-
-
-def _int_0_to_t(c: Poly) -> Poly:
-    """Antiderivative in t vanishing at t = 0."""
-    terms: dict[tuple, Fraction] = {}
-    for e, coeff in c.with_vars(("t",)).terms.items():
-        terms[(e[0] + 1,)] = coeff / (e[0] + 1)
-    return Poly(("t",), terms)
-
-
-def _int_0_to_1(c: Poly) -> Fraction:
-    return _int_0_to_t(c).eval({"t": 1})
-
-
-def pullback(coeffs: Sequence[Poly], coords: Sequence[str],
-             start: Sequence[Rat], end: Sequence[Rat],
-             degree: int, dt: bool = False) -> PathSection:
-    """Restrict polynomial coefficient functions along a(t) = p + t(q-p)."""
-    p = [as_fraction(x) for x in start]
-    q = [as_fraction(x) for x in end]
-    if len(p) != len(coords) or len(q) != len(coords):
-        raise ValueError("endpoint dimension does not match coordinates")
-    t = Poly.variable("t")
-    subs = {name: Poly.constant(pi) + t * (qi - pi)
-            for name, pi, qi in zip(coords, p, q)}
-    comps = []
-    for c in coeffs:
-        r = c.substitute(subs)
-        extra = [v for v in r.pruned().vars if v != "t"]
-        if extra:
-            raise ValueError(f"coefficients involve unknown variables {extra}")
-        comps.append(r.with_vars(("t",)) if r.vars != ("t",) else r)
-    return PathSection.make(p, q, degree, comps, dt=dt)
-
-
-def path_delta(s: PathSection) -> PathSection:
-    """Covariant t-derivative: (-1)^d d/dt, raising the dt flag."""
-    if s.dt:
-        raise ValueError("delta of a dt-section is zero (and typed out)")
-    sign = -1 if s.degree % 2 else 1
-    comps = [sign * c.diff("t") for c in s.components]
-    return PathSection.make(s.start, s.end, s.degree, comps, dt=True)
-
-
-def path_eta(s: PathSection) -> PathSection:
-    """Homotopy (-1)^k (int_0^t - t int_0^1) from dt-sections back to sections."""
-    if not s.dt:
-        raise ValueError("eta only acts on dt-sections")
-    sign = -1 if s.degree % 2 else 1
-    t = Poly.variable("t")
-    comps = [sign * (_int_0_to_t(c) - t * _int_0_to_1(c)) for c in s.components]
-    return PathSection.make(s.start, s.end, s.degree, comps, dt=False)
-
-
-def pi_lin(s: PathSection) -> PathSection:
-    """Linear interpolation (1-t) s(0) + t s(1) of a plain section."""
-    if s.dt:
-        raise ValueError("pi_lin only acts on plain sections")
-    t = Poly.variable("t")
-    comps = []
-    for c in s.components:
-        v0 = c.eval({"t": 0})
-        v1 = c.eval({"t": 1})
-        comps.append(Poly.constant(v0) + t * (v1 - v0))
-    return PathSection.make(s.start, s.end, s.degree, comps, dt=False)
-
-
-def pi_con(s: PathSection) -> PathSection:
-    """Average value int_0^1 s, as a constant dt-section."""
-    if not s.dt:
-        raise ValueError("pi_con only acts on dt-sections")
-    comps = [Poly.constant(_int_0_to_1(c), ("t",)) for c in s.components]
-    return PathSection.make(s.start, s.end, s.degree, comps, dt=True)

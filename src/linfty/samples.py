@@ -10,9 +10,7 @@ bundles with polynomial coefficients.
 Several generators do search, drawing again until a condition holds:
 random_transfer_instance (up to 40 draws per instance until eta lam_1 is
 nilpotent; at amplitude 3 / dim 4, seed 2024, 40 instances took 209
-draws), random_lambda1 and random_perturbation_instance (the same
-nilpotency), break_algebra (until check_mc notices the damage) and
-random_affine_images (until the linear part has full rank).
+draws) and break_algebra (until check_mc notices the damage).
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ from .algebra import (CurvedAlgebra, LinftyBundle, Morphism, check_mc,
                       product_projection, transport_source)
 from .graded import (GradedSpace, MultiOp, OpFamily, canonical_tuples,
                      op_nilpotency_order)
-from .linalg import kernel_basis, rank
+from .linalg import kernel_basis
 from .poly import Poly
 from .transfer import Contraction
 
@@ -228,49 +226,6 @@ def random_transfer_instance(rng: Rng, amplitude: int = 3, max_dim: int = 4,
     raise RuntimeError("could not sample a transfer-ready instance")
 
 
-def _elementary_invertible(rng: Rng, space: GradedSpace) -> MultiOp | None:
-    """Identity plus a single same-degree off-diagonal entry."""
-    degs = [d for d in space.degrees() if space.dim(d) >= 2]
-    if not degs:
-        return None
-    d = rng.choice(degs)
-    i, j = rng.sample(range(space.dim(d)), 2)
-    coeffs = {((dd, k),): {(dd, k): Fraction(1)}
-              for dd in space.degrees() for k in range(space.dim(dd))}
-    coeffs[((d, j),)][(d, i)] = nonzero_fraction(rng)
-    return MultiOp(1, 0, space, space, coeffs)
-
-
-def random_lambda1(rng: Rng, con: Contraction, attempts: int = 30) -> MultiOp | None:
-    """Arity-1 perturbation with (delta+lam1)^2 = 0 and terminating series.
-
-    Conjugating by a sparse unipotent keeps eta lam_1 low rank, which is
-    what makes the nilpotency rejection loop converge quickly.  Returns
-    None when the contraction resists; callers should resample it.
-    """
-    for _ in range(attempts):
-        h = _elementary_invertible(rng, con.space)
-        if h is None:
-            return None
-        lam1 = conjugate(con.delta, h).minus(con.delta)
-        if lam1.is_zero():
-            continue
-        if op_nilpotency_order(con.eta.compose_linear(lam1)) is not None:
-            return lam1
-    return None
-
-
-def random_perturbation_instance(rng: Rng, amplitude: int = 3, max_dim: int = 4,
-                                 attempts: int = 60) -> tuple[Contraction, MultiOp]:
-    """(contraction, lam_1) pair ready for the perturbation identities."""
-    for _ in range(attempts):
-        con = random_contraction(rng, amplitude, max_dim)
-        lam1 = random_lambda1(rng, con)
-        if lam1 is not None:
-            return con, lam1
-    raise RuntimeError("could not sample a perturbation instance")
-
-
 def random_mc_algebra(rng: Rng, amplitude: int = 3, max_dim: int = 3,
                       curvature: bool = True) -> CurvedAlgebra:
     space = random_graded_space(rng, amplitude, max_dim)
@@ -373,25 +328,3 @@ def random_morphism_onto(rng: Rng, dst: LinftyBundle, tag: str,
                        _without_differential(ellp, prod.delta))
     iso = Morphism(src, prod, tuple(Poly.variable(c) for c in prod.coords), psi)
     return compose(fix_names, iso)
-
-
-# ---------------------------------------------------------------------------
-# submanifold pairs
-# ---------------------------------------------------------------------------
-
-
-def random_affine_images(rng: Rng, m: int, k: int, params: Sequence[str]):
-    """Images of an affine embedding of rank k into m-space."""
-    while True:
-        a = [[Fraction(rng.randint(-2, 2)) for _ in range(k)] for _ in range(m)]
-        if k == 0 or rank([row[:] for row in a]) == k:
-            break
-    consts = [Fraction(rng.randint(-2, 2)) for _ in range(m)]
-    out = []
-    for i in range(m):
-        p = Poly.constant(consts[i], tuple(params))
-        for j, u in enumerate(params):
-            if a[i][j]:
-                p = p + Poly.variable(u, tuple(params)) * a[i][j]
-        out.append(p)
-    return tuple(out)

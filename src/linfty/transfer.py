@@ -244,28 +244,6 @@ def transfer(con: Contraction, lam: OpFamily) -> TransferResult:
     return TransferResult(con, phi, CurvedAlgebra(con.h_space, con.delta_h, mu))
 
 
-# closed arity-1 forms, used as oracles in tests
-
-
-def transferred_phi1(con: Contraction, lam: OpFamily) -> MultiOp:
-    inv1 = neumann_inverse(con.eta.compose_linear(lam.op(1)))
-    return inv1.compose_linear(con.iota)
-
-
-def transferred_mu1(con: Contraction, lam: OpFamily) -> MultiOp:
-    return con.pi.compose_linear(lam.op(1).compose_linear(transferred_phi1(con, lam)))
-
-
-def transferred_mu0(con: Contraction, lam: OpFamily) -> Vector:
-    return linear_apply(con.pi, lam.op(0).evaluate_basis(()))
-
-
-def projection_phi1(con: Contraction, lam: OpFamily) -> MultiOp:
-    """Arity-1 part pi (1 + lam_1 eta)^{-1} of the extended projection."""
-    inv = neumann_inverse(lam.op(1).compose_linear(con.eta))
-    return con.pi.compose_linear(inv)
-
-
 # ---------------------------------------------------------------------------
 # tree-sum transfer
 # ---------------------------------------------------------------------------
@@ -731,74 +709,3 @@ def projection_morphism(con: Contraction, lam: OpFamily) -> OpFamily:
         if not op.is_zero():
             ops[n] = op
     return OpFamily(0, con.space, con.h_space, ops)
-
-
-def sym_homotopy_defect(ab: AdaptedBasis, mono: tuple) -> dict:
-    """(D K + K D + I P - 1)(mono) in the adapted monomial basis; zero iff ok.
-
-    Exposed for the test suite: it pins the side conditions of the monomial
-    homotopy independently of any transfer computation.
-    """
-    zero_fam = OpFamily(1, ab.con.space, ab.con.space, {})
-    state = {mono: Fraction(1)}
-    dk = _apply_coderivation(ab, zero_fam, _apply_k(ab, state), include_delta=True)
-    kd = _apply_k(ab, _apply_coderivation(ab, zero_fam, state, include_delta=True))
-    out: dict = {}
-    for src in (dk, kd):
-        for m, c in src.items():
-            cur = out.get(m, Fraction(0)) + c
-            out[m] = cur
-    if all(l[0] == "h" for l in mono):
-        out[mono] = out.get(mono, Fraction(0)) + 1
-    out[mono] = out.get(mono, Fraction(0)) - 1
-    return {m: c for m, c in out.items() if c}
-
-
-# ---------------------------------------------------------------------------
-# arity-1 perturbation identities
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class PerturbationReport:
-    ok: bool
-    eta_new: MultiOp
-    phi1: MultiOp
-    pi1: MultiOp
-    mu1: MultiOp
-    failures: list
-
-
-def perturbation_check(con: Contraction, lam1: MultiOp) -> PerturbationReport:
-    """Check the matrix identities of a pure arity-1 perturbation.
-
-    With eta' = eta (1 + lam_1 eta)^{-1}: the perturbed projection and
-    inclusion compose to the identity on H, and to 1 - [delta + lam_1, eta']
-    on the ambient space; eta' is again a contraction homotopy for
-    delta + lam_1.
-    """
-    if lam1.arity != 1 or lam1.degree != 1:
-        raise ValueError("expected an arity-1 degree-1 perturbation")
-    inv_le = neumann_inverse(lam1.compose_linear(con.eta), label="lam_1 eta")
-    inv_el = neumann_inverse(con.eta.compose_linear(lam1), label="eta lam_1")
-    eta_new = con.eta.compose_linear(inv_le)
-    phi1 = inv_el.compose_linear(con.iota)
-    pi1 = con.pi.compose_linear(inv_le)
-    dtot = con.delta.plus(lam1)
-    mu1 = con.pi.compose_linear(lam1.compose_linear(phi1))
-
-    failures = []
-    if pi1.compose_linear(phi1) != MultiOp.identity(con.h_space):
-        failures.append("pi' phi' != id on H")
-    lhs = phi1.compose_linear(pi1)
-    comm = dtot.compose_linear(eta_new).plus(eta_new.compose_linear(dtot))
-    if lhs != MultiOp.identity(con.space).minus(comm):
-        failures.append("phi' pi' != 1 - [delta + lam_1, eta']")
-    if not eta_new.compose_linear(eta_new).is_zero():
-        failures.append("eta'^2 != 0")
-    if eta_new.compose_linear(dtot.compose_linear(eta_new)) != eta_new:
-        failures.append("eta' (delta + lam_1) eta' != eta'")
-    dh = con.delta_h.plus(mu1)
-    if not dh.compose_linear(dh).is_zero():
-        failures.append("(delta_H + mu_1)^2 != 0")
-    return PerturbationReport(not failures, eta_new, phi1, pi1, mu1, failures)

@@ -1,28 +1,70 @@
 """Reference implementations the production engines are checked against.
 
 These are the definitions written out literally, with no attention to
-cost: `circ_literal` and `bullet_literal` sum over all n! orderings of the
-inputs with the 1/(k!(n-k)!) and 1/(k! n_1! ... n_k!) weights of the
-graded-symmetric products, `sort_keys_general` sorts basis keys by the
-general pairwise sign count with no shortcut for sorted input,
-`transfer_rebuild` solves the transfer fixed point by rebuilding the whole
-product lam . phi at every arity and once more for mu, and `bareiss_rank`
-computes a rank by fraction-free elimination (Bareiss 1968) on an
-integer-scaled copy, a pipeline independent of the rational row reduction
-in `linfty.linalg`.
+cost: `canonical_tuples_literal` filters every
+`combinations_with_replacement` of the basis, `circ_literal` and
+`bullet_literal` sum over all n! orderings of the inputs with the
+1/(k!(n-k)!) and 1/(k! n_1! ... n_k!) weights of the graded-symmetric
+products, `sort_keys_general` sorts basis keys by the general pairwise
+sign count with no shortcut for sorted input, `transfer_rebuild` solves
+the transfer fixed point by rebuilding the whole product lam . phi at
+every arity and once more for mu, and `bareiss_rank` computes a rank by
+fraction-free elimination (Bareiss 1968) on an integer-scaled copy, a
+pipeline independent of the rational row reduction in `linfty.linalg`.
+
+Next to them sit closed forms the engines must reproduce: the graded
+commutator of circ, the arity-1 transferred maps and the identities of a
+pure arity-1 perturbation, the side conditions of the monomial homotopy
+of `projection_morphism`, and the path-section calculus on explicit
+t-polynomials (pullback along a(t) = p + t(q - p), delta = (-1)^d d/dt,
+eta = (-1)^d (int_0^t - t int_0^1), and the projections pi_lin onto the
+linear interpolation and pi_con onto the average, so that
+1 - (delta eta + eta delta) acts as pi_con on dt-sections and as pi_lin
+on plain sections).  The instance generators that only the tests draw
+from close the file: arity-1 perturbations of a contraction (drawn until
+eta lam_1 is nilpotent) and affine embeddings (drawn until the linear
+part has full rank).
 """
 
 from __future__ import annotations
 
+import random
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 from math import factorial, gcd
-from typing import Iterator
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from linfty.algebra import CurvedAlgebra, op_then
-from linfty.graded import (BasisKey, MultiOp, OpFamily, Vector, arity_bound, bullet,
-                           koszul_sign, vec_add_into)
-from linfty.transfer import Contraction, TransferResult, neumann_inverse
+from linfty.algebra import CurvedAlgebra, LinftyBundle, linear_apply, op_then, plain_bundle
+from linfty.graded import (BasisKey, GradedSpace, MultiOp, OpFamily, Vector, arity_bound,
+                           bullet, circ, koszul_sign, op_nilpotency_order, vec_add_into)
+from linfty.linalg import rank
+from linfty.pathspace import (DerivedPathSpace, ambient_coord_names, build_path_model,
+                              derived_path_space, path_perturbation)
+from linfty.poly import _CAP_ENV, DegreeCapError, Poly, Rat, as_fraction, degree_cap
+from linfty.samples import conjugate, nonzero_fraction, random_contraction
+from linfty.transfer import (AdaptedBasis, Contraction, TransferResult, _apply_coderivation,
+                             _apply_k, neumann_inverse)
+
+
+def canonical_tuples_literal(space: GradedSpace, arity: int,
+                             max_total_degree: int | None = None) -> Iterator[tuple[BasisKey, ...]]:
+    """All sorted basis tuples of the given arity with nonvanishing symmetric class."""
+    if arity == 0:
+        yield ()
+        return
+    keys = space.keys()
+    for tup in combinations_with_replacement(keys, arity):
+        ok = True
+        for a in range(arity - 1):
+            if tup[a] == tup[a + 1] and tup[a][0] % 2:
+                ok = False
+                break
+        if not ok:
+            continue
+        if max_total_degree is not None and sum(k[0] for k in tup) > max_total_degree:
+            continue
+        yield tup
 
 
 def sort_keys_general(keys) -> tuple[tuple[BasisKey, ...], int]:
@@ -130,6 +172,14 @@ def bullet_literal(lam: OpFamily, phi: OpFamily) -> OpFamily:
                      lambda tup: _bullet_value_literal(lam, phi, tup))
 
 
+def commutator(a: OpFamily, b: OpFamily) -> OpFamily:
+    """Graded commutator [a, b] = a o b - (-1)^{|a||b|} b o a."""
+    ab = circ(a, b)
+    ba = circ(b, a)
+    sign = -1 if (a.degree % 2) and (b.degree % 2) else 1
+    return ab.minus(ba.scaled(sign))
+
+
 def transfer_rebuild(con: Contraction, lam: OpFamily) -> TransferResult:
     """The fixed-point transfer with the whole lam . phi rebuilt at each arity."""
     if lam.degree != 1 or lam.source != con.space or lam.target != con.space:
@@ -155,6 +205,94 @@ def transfer_rebuild(con: Contraction, lam: OpFamily) -> TransferResult:
             mu_ops[k] = op
     mu = OpFamily(1, con.h_space, con.h_space, mu_ops)
     return TransferResult(con, phi, CurvedAlgebra(con.h_space, con.delta_h, mu))
+
+
+def transferred_phi1(con: Contraction, lam: OpFamily) -> MultiOp:
+    """Arity-1 inclusion (1 + eta lam_1)^{-1} iota in closed form."""
+    inv1 = neumann_inverse(con.eta.compose_linear(lam.op(1)))
+    return inv1.compose_linear(con.iota)
+
+
+def transferred_mu1(con: Contraction, lam: OpFamily) -> MultiOp:
+    """Transferred differential correction pi lam_1 phi_1."""
+    return con.pi.compose_linear(lam.op(1).compose_linear(transferred_phi1(con, lam)))
+
+
+def transferred_mu0(con: Contraction, lam: OpFamily) -> Vector:
+    """Transferred curvature pi lam_0."""
+    return linear_apply(con.pi, lam.op(0).evaluate_basis(()))
+
+
+def projection_phi1(con: Contraction, lam: OpFamily) -> MultiOp:
+    """Arity-1 part pi (1 + lam_1 eta)^{-1} of the extended projection."""
+    inv = neumann_inverse(lam.op(1).compose_linear(con.eta))
+    return con.pi.compose_linear(inv)
+
+
+def sym_homotopy_defect(ab: AdaptedBasis, mono: tuple) -> dict:
+    """(D K + K D + I P - 1)(mono) in the adapted monomial basis; zero iff ok.
+
+    It pins the side conditions of the monomial homotopy independently of
+    any transfer computation.
+    """
+    zero_fam = OpFamily(1, ab.con.space, ab.con.space, {})
+    state = {mono: Fraction(1)}
+    dk = _apply_coderivation(ab, zero_fam, _apply_k(ab, state), include_delta=True)
+    kd = _apply_k(ab, _apply_coderivation(ab, zero_fam, state, include_delta=True))
+    out: dict = {}
+    for src in (dk, kd):
+        for m, c in src.items():
+            cur = out.get(m, Fraction(0)) + c
+            out[m] = cur
+    if all(l[0] == "h" for l in mono):
+        out[mono] = out.get(mono, Fraction(0)) + 1
+    out[mono] = out.get(mono, Fraction(0)) - 1
+    return {m: c for m, c in out.items() if c}
+
+
+@dataclass
+class PerturbationReport:
+    ok: bool
+    eta_new: MultiOp
+    phi1: MultiOp
+    pi1: MultiOp
+    mu1: MultiOp
+    failures: list
+
+
+def perturbation_check(con: Contraction, lam1: MultiOp) -> PerturbationReport:
+    """Check the matrix identities of a pure arity-1 perturbation.
+
+    With eta' = eta (1 + lam_1 eta)^{-1}: the perturbed projection and
+    inclusion compose to the identity on H, and to 1 - [delta + lam_1, eta']
+    on the ambient space; eta' is again a contraction homotopy for
+    delta + lam_1.
+    """
+    if lam1.arity != 1 or lam1.degree != 1:
+        raise ValueError("expected an arity-1 degree-1 perturbation")
+    inv_le = neumann_inverse(lam1.compose_linear(con.eta), label="lam_1 eta")
+    inv_el = neumann_inverse(con.eta.compose_linear(lam1), label="eta lam_1")
+    eta_new = con.eta.compose_linear(inv_le)
+    phi1 = inv_el.compose_linear(con.iota)
+    pi1 = con.pi.compose_linear(inv_le)
+    dtot = con.delta.plus(lam1)
+    mu1 = con.pi.compose_linear(lam1.compose_linear(phi1))
+
+    failures = []
+    if pi1.compose_linear(phi1) != MultiOp.identity(con.h_space):
+        failures.append("pi' phi' != id on H")
+    lhs = phi1.compose_linear(pi1)
+    comm = dtot.compose_linear(eta_new).plus(eta_new.compose_linear(dtot))
+    if lhs != MultiOp.identity(con.space).minus(comm):
+        failures.append("phi' pi' != 1 - [delta + lam_1, eta']")
+    if not eta_new.compose_linear(eta_new).is_zero():
+        failures.append("eta'^2 != 0")
+    if eta_new.compose_linear(dtot.compose_linear(eta_new)) != eta_new:
+        failures.append("eta' (delta + lam_1) eta' != eta'")
+    dh = con.delta_h.plus(mu1)
+    if not dh.compose_linear(dh).is_zero():
+        failures.append("(delta_H + mu_1)^2 != 0")
+    return PerturbationReport(not failures, eta_new, phi1, pi1, mu1, failures)
 
 
 def bareiss_rank(a) -> int:
@@ -195,3 +333,208 @@ def bareiss_betti(cx) -> dict[int, int]:
         if b:
             betti[k] = b
     return betti
+
+
+# ---------------------------------------------------------------------------
+# path sections along the straight path a(t) = p + t(q - p)
+# ---------------------------------------------------------------------------
+
+
+def poly_t(expr_terms: Mapping[int, Rat]) -> Poly:
+    """Univariate polynomial in t from {power: coefficient}."""
+    return Poly(("t",), {(k,): v for k, v in expr_terms.items()})
+
+
+@dataclass(frozen=True)
+class PathSection:
+    """Polynomial section along the affine path a(t) = p + t(q - p).
+
+    components are polynomials in the single variable t; degree is the
+    degree of the underlying graded piece, dt marks a one-form section.
+    """
+
+    start: tuple[Fraction, ...]
+    end: tuple[Fraction, ...]
+    degree: int
+    dt: bool
+    components: tuple[Poly, ...]
+
+    @staticmethod
+    def make(start: Sequence[Rat], end: Sequence[Rat], degree: int,
+             components: Iterable[Poly], dt: bool = False) -> "PathSection":
+        p = tuple(as_fraction(x) for x in start)
+        q = tuple(as_fraction(x) for x in end)
+        comps = tuple(c.with_vars(("t",)) if c.vars != ("t",) else c for c in components)
+        cap = degree_cap()
+        for c in comps:
+            if c.degree_in("t") > cap:
+                raise DegreeCapError(
+                    f"t-degree {c.degree_in('t')} exceeds cap {cap} "
+                    f"(set {_CAP_ENV} to raise it)")
+        return PathSection(p, q, degree, dt, comps)
+
+    def value_at(self, t0: Rat) -> tuple[Fraction, ...]:
+        t = as_fraction(t0)
+        return tuple(c.eval({"t": t}) for c in self.components)
+
+
+def _int_0_to_t(c: Poly) -> Poly:
+    """Antiderivative in t vanishing at t = 0."""
+    terms: dict[tuple, Fraction] = {}
+    for e, coeff in c.with_vars(("t",)).terms.items():
+        terms[(e[0] + 1,)] = coeff / (e[0] + 1)
+    return Poly(("t",), terms)
+
+
+def _int_0_to_1(c: Poly) -> Fraction:
+    return _int_0_to_t(c).eval({"t": 1})
+
+
+def pullback(coeffs: Sequence[Poly], coords: Sequence[str],
+             start: Sequence[Rat], end: Sequence[Rat],
+             degree: int, dt: bool = False) -> PathSection:
+    """Restrict polynomial coefficient functions along a(t) = p + t(q-p)."""
+    p = [as_fraction(x) for x in start]
+    q = [as_fraction(x) for x in end]
+    if len(p) != len(coords) or len(q) != len(coords):
+        raise ValueError("endpoint dimension does not match coordinates")
+    t = Poly.variable("t")
+    subs = {name: Poly.constant(pi) + t * (qi - pi)
+            for name, pi, qi in zip(coords, p, q)}
+    comps = []
+    for c in coeffs:
+        r = c.substitute(subs)
+        extra = [v for v in r.pruned().vars if v != "t"]
+        if extra:
+            raise ValueError(f"coefficients involve unknown variables {extra}")
+        comps.append(r.with_vars(("t",)) if r.vars != ("t",) else r)
+    return PathSection.make(p, q, degree, comps, dt=dt)
+
+
+def path_delta(s: PathSection) -> PathSection:
+    """Covariant t-derivative: (-1)^d d/dt, raising the dt flag."""
+    if s.dt:
+        raise ValueError("delta of a dt-section is zero (and typed out)")
+    sign = -1 if s.degree % 2 else 1
+    comps = [sign * c.diff("t") for c in s.components]
+    return PathSection.make(s.start, s.end, s.degree, comps, dt=True)
+
+
+def path_eta(s: PathSection) -> PathSection:
+    """Homotopy (-1)^k (int_0^t - t int_0^1) from dt-sections back to sections."""
+    if not s.dt:
+        raise ValueError("eta only acts on dt-sections")
+    sign = -1 if s.degree % 2 else 1
+    t = Poly.variable("t")
+    comps = [sign * (_int_0_to_t(c) - t * _int_0_to_1(c)) for c in s.components]
+    return PathSection.make(s.start, s.end, s.degree, comps, dt=False)
+
+
+def pi_lin(s: PathSection) -> PathSection:
+    """Linear interpolation (1-t) s(0) + t s(1) of a plain section."""
+    if s.dt:
+        raise ValueError("pi_lin only acts on plain sections")
+    t = Poly.variable("t")
+    comps = []
+    for c in s.components:
+        v0 = c.eval({"t": 0})
+        v1 = c.eval({"t": 1})
+        comps.append(Poly.constant(v0) + t * (v1 - v0))
+    return PathSection.make(s.start, s.end, s.degree, comps, dt=False)
+
+
+def pi_con(s: PathSection) -> PathSection:
+    """Average value int_0^1 s, as a constant dt-section."""
+    if not s.dt:
+        raise ValueError("pi_con only acts on dt-sections")
+    comps = [Poly.constant(_int_0_to_1(c), ("t",)) for c in s.components]
+    return PathSection.make(s.start, s.end, s.degree, comps, dt=True)
+
+
+# ---------------------------------------------------------------------------
+# path spaces
+# ---------------------------------------------------------------------------
+
+
+def path_curved_structure(bundle: LinftyBundle, start, end,
+                          cap: int | None = None) -> CurvedAlgebra:
+    """Curved structure on the truncated path sections for one rational path."""
+    pvals = {name: Fraction(v) for name, v in zip(bundle.coords, start)}
+    qvals = {name: Fraction(v) for name, v in zip(bundle.coords, end)}
+    if len(pvals) != len(bundle.coords) or len(qvals) != len(bundle.coords):
+        raise ValueError("endpoint dimension mismatch")
+    model = build_path_model(bundle, cap)
+    lam = path_perturbation(model, pvals, qvals)
+    return CurvedAlgebra(model.space, model.delta, lam)
+
+
+def path_space_manifold(m: int, cap: int | None = None) -> DerivedPathSpace:
+    """Derived path space of a plain affine space of dimension m."""
+    if m <= 0:
+        raise ValueError("dimension must be positive")
+    return derived_path_space(plain_bundle(ambient_coord_names(m)), cap)
+
+
+# ---------------------------------------------------------------------------
+# instance generators
+# ---------------------------------------------------------------------------
+
+
+def _elementary_invertible(rng: random.Random, space: GradedSpace) -> MultiOp | None:
+    """Identity plus a single same-degree off-diagonal entry."""
+    degs = [d for d in space.degrees() if space.dim(d) >= 2]
+    if not degs:
+        return None
+    d = rng.choice(degs)
+    i, j = rng.sample(range(space.dim(d)), 2)
+    coeffs = {((dd, k),): {(dd, k): Fraction(1)}
+              for dd in space.degrees() for k in range(space.dim(dd))}
+    coeffs[((d, j),)][(d, i)] = nonzero_fraction(rng)
+    return MultiOp(1, 0, space, space, coeffs)
+
+
+def random_lambda1(rng: random.Random, con: Contraction, attempts: int = 30) -> MultiOp | None:
+    """Arity-1 perturbation with (delta+lam1)^2 = 0 and terminating series.
+
+    Conjugating by a sparse unipotent keeps eta lam_1 low rank, which is
+    what makes the nilpotency rejection loop converge quickly.  Returns
+    None when the contraction resists; callers should resample it.
+    """
+    for _ in range(attempts):
+        h = _elementary_invertible(rng, con.space)
+        if h is None:
+            return None
+        lam1 = conjugate(con.delta, h).minus(con.delta)
+        if lam1.is_zero():
+            continue
+        if op_nilpotency_order(con.eta.compose_linear(lam1)) is not None:
+            return lam1
+    return None
+
+
+def random_perturbation_instance(rng: random.Random, amplitude: int = 3,
+                                 max_dim: int = 4, attempts: int = 60) -> tuple[Contraction, MultiOp]:
+    """(contraction, lam_1) pair ready for the perturbation identities."""
+    for _ in range(attempts):
+        con = random_contraction(rng, amplitude, max_dim)
+        lam1 = random_lambda1(rng, con)
+        if lam1 is not None:
+            return con, lam1
+    raise RuntimeError("could not sample a perturbation instance")
+
+
+def random_affine_images(rng: random.Random, m: int, k: int, params: Sequence[str]):
+    """Images of an affine embedding of rank k into m-space."""
+    while True:
+        a = [[Fraction(rng.randint(-2, 2)) for _ in range(k)] for _ in range(m)]
+        if k == 0 or rank([row[:] for row in a]) == k:
+            break
+    consts = [Fraction(rng.randint(-2, 2)) for _ in range(m)]
+    out = []
+    for i in range(m):
+        p = Poly.constant(consts[i], tuple(params))
+        for j, u in enumerate(params):
+            if a[i][j]:
+                p = p + Poly.variable(u, tuple(params)) * a[i][j]
+        out.append(p)
+    return tuple(out)

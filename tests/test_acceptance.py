@@ -11,6 +11,10 @@ import time
 from fractions import Fraction
 
 import pytest
+from oracles import (PathSection, path_delta, path_eta, perturbation_check, pi_con, pi_lin,
+                     projection_phi1, pullback, random_affine_images,
+                     random_perturbation_instance, transferred_mu0, transferred_mu1,
+                     transferred_phi1)
 
 from linfty.algebra import (CurvedAlgebra, LinftyBundle, Morphism, check_mc,
                             check_morphism, identity_morphism, plain_bundle)
@@ -24,16 +28,10 @@ from linfty.pathspace import (Submanifold, axis_submanifold,
                               factorize_diagonal, graph_submanifold,
                               homotopy_fibered_product, verify_factorization,
                               zero_locus_model)
-from linfty.poly import (PathSection, Poly, path_delta, path_eta, pi_con,
-                         pi_lin, pullback)
-from linfty.samples import (break_algebra, random_affine_images,
-                            random_bundle, random_mc_algebra,
-                            random_morphism_onto, random_perturbation_instance,
-                            random_transfer_instance)
-from linfty.transfer import (projection_morphism, projection_phi1,
-                             perturbation_check, transfer, transfer_trees,
-                             transferred_mu0, transferred_mu1,
-                             transferred_phi1)
+from linfty.poly import Poly
+from linfty.samples import (break_algebra, random_bundle, random_mc_algebra,
+                            random_morphism_onto, random_transfer_instance)
+from linfty.transfer import projection_morphism, transfer, transfer_trees
 
 x = Poly.variable("x")
 

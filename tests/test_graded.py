@@ -4,10 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import bullet_literal, circ_literal, sort_keys_general
+from oracles import (bullet_literal, canonical_tuples_literal, circ_literal, commutator,
+                     sort_keys_general)
 
 from linfty.graded import (GradedSpace, MultiOp, OpFamily, bullet, bullet_op,
-                           canonical_tuples, circ, commutator, koszul_sign,
+                           canonical_tuples, circ, koszul_sign,
                            op_nilpotency_order, sort_keys_with_sign,
                            unshuffle_sign)
 
@@ -95,6 +96,19 @@ def test_canonical_tuples_respect_odd_collapse():
     assert list(canonical_tuples(odd, 2)) == [((1, 0), (1, 1))]
     even = GradedSpace.build({2: 2})
     assert len(list(canonical_tuples(even, 2))) == 3
+
+
+def test_canonical_tuples_match_the_literal_filter_in_order():
+    """The degree-budget walk yields the filtered combinations, same order."""
+    rng = random.Random(6)
+    for _ in range(400):
+        degrees = rng.sample(range(1, 8), rng.randint(0, 4))
+        space = GradedSpace.build({d: rng.randint(0, 3) for d in degrees})
+        arity = rng.randint(0, 5)
+        for cap in (None, rng.randint(0, 13)):
+            got = list(canonical_tuples(space, arity, max_total_degree=cap))
+            assert got == list(canonical_tuples_literal(space, arity, max_total_degree=cap)), \
+                (dict(space.dims), arity, cap)
 
 
 def test_multiop_requires_homogeneous_entries():

@@ -1,12 +1,18 @@
-"""Source hygiene: every name a `linfty` module imports is used there, and
-every import sits at module level."""
+"""Source hygiene: every name a `linfty` module imports is used there, every
+import sits at module level, and every public name a module defines has a
+user outside the test suite."""
 
 import ast
+import io
+import tokenize
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "linfty"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "linfty"
+NON_TEST_DIRS = ("src", "scripts", "perfbench")
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -86,3 +92,49 @@ def test_the_scan_finds_an_import_in_a_function_body():
                      "if True:\n"
                      "    import json\n")
     assert imports_in_functions(tree) == [3, 5, 9]
+
+
+def public_definitions(tree: ast.Module) -> list[str]:
+    """Public names a module binds at top level by def, class or assignment."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [n for n in names if not n.startswith("_")]
+
+
+def names_without_users(modules: list[str], users: list[str]) -> list[str]:
+    """Public names defined in `modules` that no text in `users` mentions
+    beyond their definitions.  Users are scanned by token, so a file that
+    does not parse still counts."""
+    seen = Counter()
+    for text in users:
+        seen.update(tok.string for tok in tokenize.generate_tokens(io.StringIO(text).readline)
+                    if tok.type == tokenize.NAME)
+    defined = Counter(n for text in modules for n in public_definitions(ast.parse(text)))
+    return sorted(n for n, k in defined.items() if seen[n] <= k)
+
+
+def test_every_public_name_has_a_user_outside_the_tests():
+    modules = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    users = [p.read_text() for d in NON_TEST_DIRS for p in sorted((ROOT / d).rglob("*.py"))]
+    lonely = names_without_users(modules, users)
+    assert not lonely, (f"public names used only by tests (move them to tests/oracles.py "
+                        f"or delete them): {lonely}")
+
+
+def test_the_scan_finds_a_test_only_name():
+    module = ("LIMIT = 3\n"
+              "def engine(x):\n"
+              "    return helper(x) + LIMIT\n"
+              "def helper(x):\n"
+              "    return x\n"
+              "def only_for_tests(x):\n"
+              "    return engine(x)\n"
+              "class Report:\n"
+              "    pass\n")
+    script = "from mod import engine,\n    Report\n"  # a syntax error, still scanned
+    assert names_without_users([module], [module, script]) == ["only_for_tests"]

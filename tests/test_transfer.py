@@ -5,20 +5,18 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
-from oracles import transfer_rebuild
+from oracles import (perturbation_check, projection_phi1, random_perturbation_instance,
+                     sym_homotopy_defect, transfer_rebuild, transferred_mu0,
+                     transferred_mu1, transferred_phi1)
 
 import linfty.graded
 import linfty.transfer
 from linfty.algebra import CurvedAlgebra, check_mc, check_morphism
 from linfty.graded import (GradedSpace, MultiOp, OpFamily, arity_bound, bullet,
                            op_nilpotency_order)
-from linfty.samples import (random_contraction, random_perturbation_instance,
-                            random_transfer_instance)
+from linfty.samples import random_contraction, random_transfer_instance
 from linfty.transfer import (AdaptedBasis, Contraction, Tree, neumann_inverse,
-                             perturbation_check, projection_morphism,
-                             projection_phi1, sym_homotopy_defect, transfer,
-                             transfer_trees, transferred_mu0, transferred_mu1,
-                             transferred_phi1)
+                             projection_morphism, transfer, transfer_trees)
 
 
 def worked_space():
