@@ -703,16 +703,12 @@ def find_classical_points(bundle: LinftyBundle, tol: float = 1e-9
         return [float(c.eval(values)) if isinstance(c, Poly) else float(c)
                 for c in comps]
 
+    jac = [[c.diff(name) if isinstance(c, Poly) else None for name in bundle.coords]
+           for c in comps]
+
     def jac_at(pt):
         values = {n: Fraction(v) for n, v in zip(bundle.coords, pt)}
-        out = []
-        for c in comps:
-            row = []
-            for name in bundle.coords:
-                row.append(float(c.diff(name).eval(values))
-                           if isinstance(c, Poly) else 0.0)
-            out.append(row)
-        return out
+        return [[0.0 if d is None else float(d.eval(values)) for d in row] for row in jac]
 
     lo, hi, grid = -3.0, 3.0, 7
     seeds = itertools.product(

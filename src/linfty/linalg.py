@@ -74,19 +74,27 @@ def kernel_basis(a: Matrix, cols: int | None = None) -> list[list[Fraction]]:
     return basis
 
 
+def solve_columns(a: Matrix, cols: Sequence[Sequence[Fraction]]) -> list[list[Fraction]] | None:
+    """One solution x_j of a x_j = b_j for every column b_j, or None if any
+    is inconsistent.  One elimination of [a | b_1 ... b_k] serves them all."""
+    if not a:
+        return [[] for _ in cols] if all(not x for b in cols for x in b) else None
+    n = len(a[0])
+    aug = [row[:] + [Fraction(b[i]) for b in cols] for i, row in enumerate(a)]
+    red, pivots = rref(aug)
+    if pivots and pivots[-1] >= n:
+        return None
+    out = [[Fraction(0)] * n for _ in cols]
+    for r, pc in enumerate(pivots):
+        for j, x in enumerate(out):
+            x[pc] = red[r][n + j]
+    return out
+
+
 def solve(a: Matrix, b: Sequence[Fraction]) -> list[Fraction] | None:
     """One solution of a x = b, or None if inconsistent."""
-    if not a:
-        return [] if all(not x for x in b) else None
-    aug = [row[:] + [Fraction(b[i])] for i, row in enumerate(a)]
-    red, pivots = rref(aug)
-    n = len(a[0])
-    if n in pivots:
-        return None
-    x = [Fraction(0)] * n
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][n]
-    return x
+    sol = solve_columns(a, [b])
+    return None if sol is None else sol[0]
 
 
 def inverse(a: Matrix) -> Matrix:
@@ -107,14 +115,8 @@ def right_inverse(a: Matrix) -> Matrix | None:
     rows = len(a)
     if rows == 0:
         return []
-    cols = len(a[0])
-    wt = []
-    for i in range(rows):
-        e = [Fraction(1) if j == i else Fraction(0) for j in range(rows)]
-        col = solve(a, e)
-        if col is None:
-            return None
-        wt.append(col)
+    wt = solve_columns(a, identity(rows))
+    if wt is None:
+        return None
     # wt holds W's columns; transpose into rows
-    return [[wt[j][i] for j in range(rows)] for i in range(cols)]
-
+    return [list(row) for row in zip(*wt)]

@@ -49,6 +49,15 @@ def _split_t(c) -> dict[int, "Poly | Fraction"]:
     return {r: Poly(rest, terms) for r, terms in buckets.items()}
 
 
+def _coeff_key(c) -> tuple:
+    """Memo key of a coefficient: equal keys mean the same representation,
+    so a Fraction never meets an equal constant Poly, nor a Poly the same
+    polynomial over other variables."""
+    if isinstance(c, Poly):
+        return (Poly, c.vars, frozenset(c.terms.items()))
+    return (type(c), c)
+
+
 # ---------------------------------------------------------------------------
 # Truncated ambient model
 # ---------------------------------------------------------------------------
@@ -214,21 +223,23 @@ def path_perturbation(model: PathModel, pvals: dict[str, "Poly | Fraction"],
             return None
         return model.plain[(plain_kind[t_key], power)]
 
+    # ambient tuples that differ only in t-powers share shifted-tangent
+    # coefficients, so each is pulled back along a(t) once
+    pulled_back: dict = {}
+
     def value(tup):
-        shift = 0
-        inner = []
-        for key in tup:
-            t_key, s = amb_to_t[key]
-            shift += s
-            inner.append({t_key: Fraction(1)})
         k = len(tup)
         if k not in data.ops.ops:
             return {}
-        vec = data.ops.op(k).evaluate(inner)
+        pairs = [amb_to_t[key] for key in tup]
+        shift = sum(s for _, s in pairs)
+        vec = data.ops.op(k).evaluate_basis(tuple(t_key for t_key, _ in pairs))
         out: dict = {}
         for t_key, c in vec.items():
-            sub = c.substitute(avals) if isinstance(c, Poly) else c
-            for r, cr in _split_t(sub).items():
+            ck = _coeff_key(c)
+            if ck not in pulled_back:
+                pulled_back[ck] = _split_t(c.substitute(avals) if isinstance(c, Poly) else c)
+            for r, cr in pulled_back[ck].items():
                 key = out_key(t_key, shift + r)
                 if key is None:
                     continue

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
+from operator import add
 from typing import Mapping, Sequence, Union
 
 Rat = Union[int, Fraction, str]
@@ -59,6 +60,28 @@ def format_fraction(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _reindexed(terms: Mapping[tuple, Fraction], pos: Sequence[int],
+               n: int) -> dict[tuple, Fraction]:
+    """Terms with exponent slot j moved to slot pos[j] of a length-n vector."""
+    out: dict[tuple, Fraction] = {}
+    for exps, c in terms.items():
+        e = [0] * n
+        for p, k in zip(pos, exps):
+            e[p] = k
+        out[tuple(e)] = c
+    return out
+
+
+def _mul_terms(a: Mapping[tuple, Fraction], b: Mapping[tuple, Fraction]) -> dict[tuple, Fraction]:
+    """Product of two term dicts over the same variables, zeros dropped."""
+    out: dict[tuple, Fraction] = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(map(add, ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
 class Poly:
     """Sparse exact polynomial: named variables, exponent-vector -> Fraction."""
 
@@ -82,6 +105,19 @@ class Poly:
                     del clean[e]
         object.__setattr__(self, "vars", vs)
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _trusted(cls, vars: tuple[str, ...], terms: dict[tuple, Fraction]) -> "Poly":
+        """Wrap terms already in normal form, skipping the checks of __init__.
+
+        Only for results this module builds itself: `vars` is a tuple of
+        distinct names, every exponent is a tuple of len(vars) non-negative
+        ints and every coefficient a nonzero Fraction.
+        """
+        p = object.__new__(cls)
+        object.__setattr__(p, "vars", vars)
+        object.__setattr__(p, "terms", terms)
+        return p
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("Poly is immutable")
@@ -146,21 +182,17 @@ class Poly:
         missing = [v for v in self.vars if v not in vs]
         if missing:
             raise ValueError(f"cannot drop variables {missing}")
-        pos = [vs.index(v) for v in self.vars]
-        terms: dict[tuple, Fraction] = {}
-        for exps, c in self.terms.items():
-            e = [0] * len(vs)
-            for p, k in zip(pos, exps):
-                e[p] = k
-            terms[tuple(e)] = c
-        return Poly(vs, terms)
+        if len(set(vs)) != len(vs):
+            raise ValueError(f"duplicate variable names in {vs}")
+        return Poly._trusted(vs, _reindexed(self.terms, [vs.index(v) for v in self.vars],
+                                            len(vs)))
 
     def pruned(self) -> "Poly":
         """Drop variables that do not occur in any term."""
         used = [i for i in range(len(self.vars))
                 if any(e[i] for e in self.terms)]
         vs = tuple(self.vars[i] for i in used)
-        return Poly(vs, {tuple(e[i] for i in used): c for e, c in self.terms.items()})
+        return Poly._trusted(vs, {tuple(e[i] for i in used): c for e, c in self.terms.items()})
 
     @staticmethod
     def _aligned(a: "Poly", b: "Poly") -> tuple["Poly", "Poly"]:
@@ -175,7 +207,8 @@ class Poly:
         if isinstance(other, Poly):
             return other
         if isinstance(other, (int, Fraction)):
-            return Poly.constant(other, self.vars)
+            c = Fraction(other)
+            return Poly._trusted(self.vars, {(0,) * len(self.vars): c} if c else {})
         return None
 
     def __add__(self, other):
@@ -185,13 +218,17 @@ class Poly:
         a, b = Poly._aligned(self, o)
         terms = dict(a.terms)
         for e, c in b.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
-        return Poly(a.vars, terms)
+            s = terms.get(e, 0) + c
+            if s:
+                terms[e] = s
+            else:
+                del terms[e]
+        return Poly._trusted(a.vars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.vars, {e: -c for e, c in self.terms.items()})
+        return Poly._trusted(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -210,25 +247,21 @@ class Poly:
         if o is None:
             return NotImplemented
         a, b = Poly._aligned(self, o)
-        terms: dict[tuple, Fraction] = {}
-        for ea, ca in a.terms.items():
-            for eb, cb in b.terms.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                terms[e] = terms.get(e, Fraction(0)) + ca * cb
-        return Poly(a.vars, terms)
+        return Poly._trusted(a.vars, _mul_terms(a.terms, b.terms))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = Poly.constant(1, self.vars)
+        out = Poly._trusted(self.vars, {(0,) * len(self.vars): Fraction(1)})
         base = self
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def __eq__(self, other):
@@ -246,41 +279,54 @@ class Poly:
 
     def diff(self, name: str) -> "Poly":
         if name not in self.vars:
-            return Poly.zero(self.vars)
+            return Poly._trusted(self.vars, {})
         i = self.vars.index(name)
-        terms: dict[tuple, Fraction] = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            e2 = list(e)
-            e2[i] -= 1
-            e2 = tuple(e2)
-            terms[e2] = terms.get(e2, Fraction(0)) + c * e[i]
-        return Poly(self.vars, terms)
+        # lowering the i-th exponent is injective on the terms that have one
+        return Poly._trusted(self.vars, {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
+                                         for e, c in self.terms.items() if e[i]})
 
     def substitute(self, values: Mapping[str, "Poly | Rat"]) -> "Poly":
-        """Substitute polynomials (or rationals) for some of the variables."""
-        keep = [v for v in self.vars if v not in values]
-        out_vars: list[str] = list(keep)
-        subs: dict[str, Poly] = {}
+        """Substitute polynomials (or rationals) for some of the variables.
+
+        The result's variables are the kept ones, in order, followed by
+        those of the substituted polynomials in order of first appearance.
+        """
+        out_vars: list[str] = [v for v in self.vars if v not in values]
+        subs: dict[str, Poly | Fraction] = {}
         for name, val in values.items():
-            p = val if isinstance(val, Poly) else Poly.constant(as_fraction(val))
-            subs[name] = p
-            for v in p.vars:
-                if v not in out_vars:
-                    out_vars.append(v)
-        out = Poly.zero(tuple(out_vars))
+            if isinstance(val, Poly):
+                out_vars += [v for v in val.vars if v not in out_vars]
+            subs[name] = val if isinstance(val, Poly) else as_fraction(val)
+        vs = tuple(out_vars)
+        n = len(vs)
+        # each substituted variable's value over vs, and its powers computed so far
+        powers: dict[int, list[dict[tuple, Fraction]]] = {}
+        kept: list[tuple[int, int]] = []
+        for i, v in enumerate(self.vars):
+            if v not in subs:
+                kept.append((i, vs.index(v)))
+                continue
+            val = subs[v]
+            if isinstance(val, Poly):
+                base = _reindexed(val.terms, [vs.index(w) for w in val.vars], n)
+            else:
+                base = {(0,) * n: val} if val else {}
+            powers[i] = [{(0,) * n: Fraction(1)}, base]
+        out: dict[tuple, Fraction] = {}
         for e, c in self.terms.items():
-            term = Poly.constant(c, tuple(out_vars))
-            for v, k in zip(self.vars, e):
-                if k == 0:
-                    continue
-                if v in subs:
-                    term = term * subs[v] ** k
-                else:
-                    term = term * Poly.variable(v, tuple(out_vars)) ** k
-            out = out + term
-        return out
+            mono = [0] * n
+            for i, p in kept:
+                mono[p] = e[i]
+            term = {tuple(mono): c}
+            for i, pw in powers.items():
+                k = e[i]
+                while len(pw) <= k:
+                    pw.append(_mul_terms(pw[-1], pw[1]))
+                if k:
+                    term = _mul_terms(term, pw[k])
+            for m, cm in term.items():
+                out[m] = out.get(m, 0) + cm
+        return Poly._trusted(vs, {m: c for m, c in out.items() if c})
 
     def eval(self, values: Mapping[str, Rat]) -> Fraction:
         out = Fraction(0)

@@ -45,7 +45,7 @@ from .algebra import (CurvedAlgebra, Morphism, algebra_as_bundle, linear_apply,
 from .graded import (GradedSpace, MultiOp, OpFamily, Vector, arity_bound,
                      bullet_op, koszul_sign, op_nilpotency_order, vec_add_into)
 from .linalg import inverse as mat_inverse
-from .linalg import rref, solve
+from .linalg import rref, solve_columns
 
 
 def _image_basis(op: MultiOp, degree: int) -> list[list[Fraction]]:
@@ -157,11 +157,10 @@ class Contraction:
                 if any(any(row) for row in pmat):
                     raise ValueError("projector image escaped the given basis")
                 continue
-            hmat = op_matrix(iota, d)
-            for idx in range(space.dim(d)):
-                sol = solve(hmat, [row[idx] for row in pmat])
-                if sol is None:
-                    raise ValueError("projector image escaped the given basis")
+            sols = solve_columns(op_matrix(iota, d), list(zip(*pmat)))
+            if sols is None:
+                raise ValueError("projector image escaped the given basis")
+            for idx, sol in enumerate(sols):
                 out = {(d, i): c for i, c in enumerate(sol) if c}
                 if out:
                     pi_coeffs[((d, idx),)] = out

@@ -11,6 +11,9 @@ the transfer fixed point by rebuilding the whole product lam . phi at
 every arity and once more for mu, and `bareiss_rank` computes a rank by
 fraction-free elimination (Bareiss 1968) on an integer-scaled copy, a
 pipeline independent of the rational row reduction in `linfty.linalg`.
+`solve_literal` solves one right-hand side per elimination, and
+`substitute_literal` substitutes into a polynomial term by term through
+the public `Poly` operators.
 
 Next to them sit closed forms the engines must reproduce: the graded
 commutator of circ, the arity-1 transferred maps and the identities of a
@@ -38,7 +41,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from linfty.algebra import CurvedAlgebra, LinftyBundle, linear_apply, op_then, plain_bundle
 from linfty.graded import (BasisKey, GradedSpace, MultiOp, OpFamily, Vector, arity_bound,
                            bullet, circ, koszul_sign, op_nilpotency_order, vec_add_into)
-from linfty.linalg import rank
+from linfty.linalg import rank, rref
 from linfty.pathspace import (DerivedPathSpace, ambient_coord_names, build_path_model,
                               derived_path_space, path_perturbation)
 from linfty.poly import _CAP_ENV, DegreeCapError, Poly, Rat, as_fraction, degree_cap
@@ -333,6 +336,48 @@ def bareiss_betti(cx) -> dict[int, int]:
         if b:
             betti[k] = b
     return betti
+
+
+def solve_literal(a, b):
+    """One solution of a x = b, or None if inconsistent: one elimination of
+    [a | b] per right-hand side."""
+    if not a:
+        return [] if all(not x for x in b) else None
+    aug = [row[:] + [Fraction(b[i])] for i, row in enumerate(a)]
+    red, pivots = rref(aug)
+    n = len(a[0])
+    if n in pivots:
+        return None
+    x = [Fraction(0)] * n
+    for r, pc in enumerate(pivots):
+        x[pc] = red[r][n]
+    return x
+
+
+def substitute_literal(p: Poly, values: Mapping[str, "Poly | Rat"]) -> Poly:
+    """p with polynomials (or rationals) substituted for some variables, term
+    by term through the public Poly operators."""
+    keep = [v for v in p.vars if v not in values]
+    out_vars: list[str] = list(keep)
+    subs: dict[str, Poly] = {}
+    for name, val in values.items():
+        q = val if isinstance(val, Poly) else Poly.constant(as_fraction(val))
+        subs[name] = q
+        for v in q.vars:
+            if v not in out_vars:
+                out_vars.append(v)
+    out = Poly.zero(tuple(out_vars))
+    for e, c in p.terms.items():
+        term = Poly.constant(c, tuple(out_vars))
+        for v, k in zip(p.vars, e):
+            if k == 0:
+                continue
+            if v in subs:
+                term = term * subs[v] ** k
+            else:
+                term = term * Poly.variable(v, tuple(out_vars)) ** k
+        out = out + term
+    return out
 
 
 # ---------------------------------------------------------------------------

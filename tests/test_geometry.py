@@ -128,6 +128,15 @@ def test_find_classical_points_on_a_circle_returns_rational_hits_only():
         assert curvature_residual(b, p.coords) == 0
 
 
+def test_find_classical_points_differentiates_each_component_once(monkeypatch):
+    calls = []
+    diff = Poly.diff
+    monkeypatch.setattr(Poly, "diff", lambda self, name: calls.append(name) or diff(self, name))
+    b = section_bundle(("x", "y"), (x ** 2 + y ** 2 - 1, x - y, x * y))
+    find_classical_points(b)
+    assert sorted(calls) == ["x"] * 3 + ["y"] * 3
+
+
 # -- tangent complex -------------------------------------------------------------------
 
 def test_tangent_complex_of_the_squared_function():

@@ -1,6 +1,6 @@
 """Source hygiene: every name a `linfty` module imports is used there, every
-import sits at module level, and every public name a module defines has a
-user outside the test suite."""
+import sits at module level, every public name a module defines has a
+user outside the test suite, and only `poly.py` builds a Poly unchecked."""
 
 import ast
 import io
@@ -138,3 +138,22 @@ def test_the_scan_finds_a_test_only_name():
               "    pass\n")
     script = "from mod import engine,\n    Report\n"  # a syntax error, still scanned
     assert names_without_users([module], [module, script]) == ["only_for_tests"]
+
+
+def files_mentioning(name: str, files: dict[str, str]) -> list[str]:
+    """Names of the files whose text mentions `name` anywhere."""
+    return sorted(f for f, text in files.items() if name in text)
+
+
+def test_trusted_poly_construction_stays_in_poly():
+    # input parsed elsewhere (modelio.coeff_from_json, the CLI) must meet the checks
+    files = {str(p.relative_to(ROOT)): p.read_text() for p in sorted((ROOT / "src").rglob("*.py"))}
+    users = files_mentioning("_trusted", files)
+    assert users == ["src/linfty/poly.py"], f"unchecked Poly construction outside poly.py: {users}"
+
+
+def test_the_scan_finds_a_trusted_construction():
+    files = {"poly.py": "def _trusted(cls, vars, terms): ...\n",
+             "modelio.py": "p = Poly._trusted(coords, terms)\n",
+             "cli.py": "p = Poly(coords, terms)\n"}
+    assert files_mentioning("_trusted", files) == ["modelio.py", "poly.py"]

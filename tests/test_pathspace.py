@@ -14,11 +14,12 @@ from linfty.geometry import (classical_point, find_classical_points,
 from linfty.graded import GradedSpace, MultiOp, OpFamily, bullet
 from linfty.algebra import op_then
 from linfty.poly import DegreeCapError, Poly
-from linfty.pathspace import (Submanifold, axis_submanifold, build_path_model,
-                              derived_intersection, derived_path_space,
+from linfty import pathspace
+from linfty.pathspace import (Submanifold, _coeff_key, _doubled_names, axis_submanifold,
+                              build_path_model, derived_intersection, derived_path_space,
                               factorize_diagonal, graph_submanifold,
-                              homotopy_fibered_product, required_t_degree,
-                              verify_factorization, zero_locus_model)
+                              homotopy_fibered_product, path_perturbation,
+                              required_t_degree, verify_factorization, zero_locus_model)
 from linfty.samples import random_bundle
 
 x = Poly.variable("x")
@@ -378,6 +379,14 @@ def test_path_space_at_amplitude_three():
     assert check_morphism(dps.evaluation).ok
 
 
+def test_path_space_at_amplitude_four():
+    b = random_bundle(random.Random(11), ("x", "y"), amplitude=4)
+    dps = derived_path_space(b)
+    assert dict(dps.bundle.fiber.dims) == {1: 6, 2: 6, 3: 6, 4: 4, 5: 1}
+    assert check_mc(dps.bundle.as_algebra()).ok
+    assert check_morphism(dps.evaluation).ok
+
+
 def test_path_space_of_a_path_space():
     """Path objects iterate: the dt flags of the input fiber are only labels."""
     inner = derived_path_space(circle_bundle()).bundle
@@ -386,6 +395,38 @@ def test_path_space_of_a_path_space():
     assert dict(outer.bundle.fiber.dims) == {1: 12, 2: 6, 3: 1}
     assert len(outer.bundle.coords) == 2 * len(inner.coords) == 8
     assert check_mc(outer.bundle.as_algebra()).ok
+
+
+@pytest.fixture(scope="module")
+def amp2_path_space():
+    return derived_path_space(amp2_bundle()).bundle
+
+
+def test_path_space_of_amp2s_path_space(amp2_path_space):
+    outer = derived_path_space(amp2_path_space)
+    assert dict(outer.bundle.fiber.dims) == {1: 16, 2: 14, 3: 6, 4: 1}
+    assert check_mc(outer.bundle.as_algebra()).ok
+
+
+def test_path_perturbation_pulls_each_coefficient_back_once(amp2_path_space, monkeypatch):
+    model = build_path_model(amp2_path_space)
+    pnames, qnames = _doubled_names(amp2_path_space.coords)
+    pvals = {c: Poly.variable(n) for c, n in zip(amp2_path_space.coords, pnames)}
+    qvals = {c: Poly.variable(n) for c, n in zip(amp2_path_space.coords, qnames)}
+    pulled = []
+    substitute = Poly.substitute
+    monkeypatch.setattr(Poly, "substitute",
+                        lambda self, values: pulled.append(_coeff_key(self))
+                        or substitute(self, values))
+    memoised = path_perturbation(model, pvals, qvals)
+    calls = len(pulled)
+    assert calls and calls == len(set(pulled))
+
+    # a key that never repeats turns the memo off
+    monkeypatch.setattr(pathspace, "_coeff_key", lambda c: object())
+    pulled.clear()
+    assert path_perturbation(model, pvals, qvals) == memoised
+    assert len(pulled) > calls
 
 
 def test_fibered_product_over_a_point_is_the_product():

@@ -1,10 +1,12 @@
 """Polynomial ring and path section calculus."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
-from oracles import PathSection, path_delta, path_eta, pi_con, pi_lin, poly_t, pullback
+from oracles import (PathSection, path_delta, path_eta, pi_con, pi_lin, poly_t, pullback,
+                     substitute_literal)
 
 from linfty.poly import DegreeCapError, Poly, as_fraction, degree_cap, format_fraction
 
@@ -64,6 +66,82 @@ def test_product_evaluates_pointwise(acoef, bcoef):
     b = poly_t(dict(enumerate(bcoef)))
     at = Fraction(1, 3)
     assert (a * b).eval({"t": at}) == a.eval({"t": at}) * b.eval({"t": at})
+
+
+# -- results built without re-validation --------------------------------------
+
+def random_poly(rng, names=("x", "y", "z")):
+    """A polynomial in 1-3 of the given variables, in random order, with 0-4 terms."""
+    vs = rng.sample(names, rng.randint(1, min(3, len(names))))
+    return Poly(vs, {tuple(rng.randint(0, 3) for _ in vs):
+                     Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                     for _ in range(rng.randint(0, 4))})
+
+
+def assert_normal_form(p):
+    """What the public constructor guarantees, checked on a result."""
+    for e, c in p.terms.items():
+        assert type(e) is tuple and len(e) == len(p.vars)
+        assert all(type(k) is int and k >= 0 for k in e)
+        assert type(c) is Fraction and c != 0
+    checked = Poly(p.vars, p.terms)
+    assert checked == p and checked.terms == p.terms
+
+
+def test_operator_results_are_in_normal_form():
+    rng = random.Random(7)
+    for _ in range(150):
+        p, q = random_poly(rng), random_poly(rng)
+        const = Poly.constant(rng.randint(-3, 3), p.vars)
+        wide = list(dict.fromkeys(p.vars + ("x", "y", "z", "w")))
+        rng.shuffle(wide)
+        sub = {v: rng.choice([rng.randint(-2, 2), random_poly(rng), random_poly(rng, ("s", "t"))])
+               for v in rng.sample(p.vars, rng.randint(1, len(p.vars)))}
+        results = [p + q, p - q, q - p, p * q, -p, p + Fraction(1, 2), 3 - p, 2 * p,
+                   p ** rng.randint(0, 3), p.with_vars(wide), p.pruned(), p.substitute(sub),
+                   p.diff("w"), const.diff(p.vars[0]), p * 0, 0 * p, p * Poly.zero(q.vars)]
+        results += [p.diff(v) for v in p.vars]
+        cancelled = [p + (-p), p - p, p * 0, const.diff(p.vars[0]), (p - p).pruned()]
+        for r in results + cancelled:
+            assert_normal_form(r)
+        assert all(not r.terms for r in cancelled)
+
+
+def test_substitute_matches_the_term_by_term_oracle():
+    rng = random.Random(2307)
+    kinds = ("rational", "fresh", "shared", "unused name")
+    for n in range(200):
+        p = random_poly(rng)
+        names = rng.sample(p.vars, rng.randint(1, len(p.vars)))   # partial when short
+        kind = kinds[n % len(kinds)]
+        if kind == "rational":
+            values = {v: rng.choice([rng.randint(-3, 3), Fraction(rng.randint(-3, 3), 2), "2/3"])
+                      for v in names}
+        elif kind == "fresh":
+            values = {v: random_poly(rng, ("s", "t", "u")) for v in names}
+        elif kind == "shared":
+            values = {v: random_poly(rng) for v in names}
+        else:
+            values = {"w": random_poly(rng, ("t", "x")), names[0]: Poly.variable("x") + 1}
+        got, want = p.substitute(values), substitute_literal(p, values)
+        assert got.vars == want.vars and got.terms == want.terms, (p, values)
+
+
+@pytest.mark.parametrize("vars, terms, error", [
+    (("x", "x"), {}, ValueError),                 # duplicate variable
+    (("x", "y"), {(1,): 1}, ValueError),          # exponent vector too short
+    (("x",), {(1, 0): 1}, ValueError),            # exponent vector too long
+    (("x",), {(-1,): 1}, ValueError),             # negative exponent
+    (("x",), {(1,): 0.5}, TypeError),             # float coefficient
+], ids=["duplicate", "short", "long", "negative", "float"])
+def test_public_constructor_keeps_its_checks(vars, terms, error):
+    with pytest.raises(error):
+        Poly(vars, terms)
+
+
+def test_with_vars_rejects_duplicate_variables():
+    with pytest.raises(ValueError):
+        x.with_vars(("x", "x"))
 
 
 # -- pullback along the straight path ----------------------------------------
