@@ -11,12 +11,17 @@ here claims more than the engine checked.
 The LINFTY_DEGREE_CAP environment variable bounds the t-degree of path
 models; --tol only affects the floating-point seed search for classical
 points, every certificate downstream of it is exact.
+
+main(argv) may be called repeatedly in one process: the argument parser
+is built on the first call and reused, and each call parses into a fresh
+namespace, so nothing carries over from one command to the next.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
+import functools
 import sys
 from fractions import Fraction
 
@@ -511,7 +516,15 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process on first use.
+
+    Every call returns the same parser.  It records each subcommand's
+    function by name and main looks the name up in this module at call
+    time, so rebinding a cmd_* name (a tracer, a test double) takes effect
+    even after the parser was built.
+    """
     parser = argparse.ArgumentParser(
         prog="linfty",
         description="Exact computations with curved homotopy structures: "
@@ -520,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name, fn, help_text):
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=fn)
+        p.set_defaults(func_name=fn.__name__)
         p.add_argument("--json", action="store_true",
                        help="emit a JSON report instead of aligned text")
         p.add_argument("--out", help="write output to this file")
@@ -600,11 +613,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ModelFormatError, DegreeCapError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+        return globals()[args.func_name](args)
+    except (ValueError, DegreeCapError) as exc:  # ModelFormatError is a ValueError
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:

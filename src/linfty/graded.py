@@ -285,6 +285,11 @@ def vec_eq(a: Vector, b: Vector) -> bool:
     return True
 
 
+def _same_space(a: GradedSpace, b: GradedSpace) -> bool:
+    """Whether a and b are the same space: the same object, or equal."""
+    return a is b or a == b
+
+
 # ---------------------------------------------------------------------------
 # multilinear operations
 # ---------------------------------------------------------------------------
@@ -297,7 +302,10 @@ class MultiOp:
     coeffs maps a sorted input tuple to a sparse output vector.  Degree
     homogeneity (output degree = input degree sum + degree) is enforced at
     construction; evaluation on arbitrarily ordered inputs resolves the
-    Koszul sign against the canonical order.
+    Koszul sign against the canonical order.  The arity-1 algebra below
+    (identity, scaled, plus, minus, compose_linear) builds its results
+    through _from_clean, which skips those checks: each result is formed
+    from operations that already passed them.
     """
 
     arity: int
@@ -334,6 +342,23 @@ class MultiOp:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _from_clean(cls, arity: int, degree: int, source: GradedSpace,
+                    target: GradedSpace,
+                    coeffs: dict[tuple[BasisKey, ...], Vector]) -> "MultiOp":
+        """Wrap coefficients already in normal form, skipping __post_init__.
+
+        Only for results this module builds itself from checked operations:
+        every input tuple has the given arity, is canonically sorted with a
+        nonzero sign and lies in source; every output vector is nonempty,
+        homogeneous of the right degree, lies in target and holds no zero
+        coefficient.
+        """
+        op = object.__new__(cls)
+        op.arity, op.degree, op.source, op.target, op.coeffs = (
+            arity, degree, source, target, coeffs)
+        return op
+
+    @classmethod
     def zero(cls, arity: int, degree: int, source: GradedSpace,
              target: GradedSpace) -> "MultiOp":
         return cls(arity, degree, source, target, {})
@@ -341,7 +366,7 @@ class MultiOp:
     @classmethod
     def identity(cls, space: GradedSpace) -> "MultiOp":
         coeffs = {(k,): {k: Fraction(1)} for k in space.keys()}
-        return cls(1, 0, space, space, coeffs)
+        return cls._from_clean(1, 0, space, space, coeffs)
 
     @classmethod
     def from_function(cls, arity: int, degree: int, source: GradedSpace,
@@ -372,17 +397,26 @@ class MultiOp:
         return all(vec_eq(self.coeffs.get(t, {}), other.coeffs.get(t, {})) for t in keys)
 
     def scaled(self, c) -> "MultiOp":
-        coeffs = {t: vec_scale(v, c) for t, v in self.coeffs.items()}
-        return MultiOp(self.arity, self.degree, self.source, self.target, coeffs)
+        coeffs = {}
+        for t, v in self.coeffs.items():
+            out = vec_scale(v, c)
+            if out:
+                coeffs[t] = out
+        return MultiOp._from_clean(self.arity, self.degree, self.source, self.target, coeffs)
 
     def plus(self, other: "MultiOp") -> "MultiOp":
         if (self.arity, self.degree) != (other.arity, other.degree):
             raise ValueError("cannot add operations of different arity or degree")
+        if not (_same_space(self.source, other.source)
+                and _same_space(self.target, other.target)):
+            raise ValueError("cannot add operations between different spaces")
         coeffs: dict[tuple[BasisKey, ...], Vector] = {t: dict(v) for t, v in self.coeffs.items()}
         for t, v in other.coeffs.items():
             dst = coeffs.setdefault(t, {})
             vec_merge(dst, v)
-        return MultiOp(self.arity, self.degree, self.source, self.target, coeffs)
+            if not dst:
+                del coeffs[t]
+        return MultiOp._from_clean(self.arity, self.degree, self.source, self.target, coeffs)
 
     def minus(self, other: "MultiOp") -> "MultiOp":
         return self.plus(other.scaled(-1))
@@ -438,16 +472,22 @@ class MultiOp:
         """self o inner for arity-1 operations."""
         if self.arity != 1 or inner.arity != 1:
             raise ValueError("compose_linear expects arity-1 operations")
+        if not _same_space(self.source, inner.target):
+            raise ValueError("compose_linear: inner target is not the outer source")
+        # a single key is its own canonical tuple, with sign 1
+        column = self.coeffs.get
         coeffs: dict[tuple[BasisKey, ...], Vector] = {}
-        for (key,), vec in inner.coeffs.items():
+        for key, vec in inner.coeffs.items():
             out: Vector = {}
             for mid, c in vec.items():
-                res = self.evaluate_basis((mid,))
-                for okey, c2 in res.items():
-                    vec_add_into(out, okey, c * c2)
+                res = column((mid,))
+                if res:
+                    for okey, c2 in res.items():
+                        vec_add_into(out, okey, c * c2)
             if out:
-                coeffs[(key,)] = out
-        return MultiOp(1, self.degree + inner.degree, inner.source, self.target, coeffs)
+                coeffs[key] = out
+        return MultiOp._from_clean(1, self.degree + inner.degree, inner.source,
+                                   self.target, coeffs)
 
 
 def op_nilpotency_order(op: MultiOp, cap: int | None = None) -> int | None:
@@ -486,9 +526,9 @@ class OpFamily:
                 raise ValueError(f"arity slot {k} holds an arity-{op.arity} operation")
             if op.degree != self.degree:
                 raise ValueError("family members must share the internal degree")
-            if op.source is not self.source and op.source != self.source:
+            if not _same_space(op.source, self.source):
                 raise ValueError("family members must share the source space")
-            if op.target is not self.target and op.target != self.target:
+            if not _same_space(op.target, self.target):
                 raise ValueError("family members must share the target space")
             if not op.is_zero():
                 clean[k] = op

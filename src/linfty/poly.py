@@ -272,8 +272,15 @@ class Poly:
         return a.terms == b.terms
 
     def __hash__(self):
+        # equal values hash equal: a constant hashes as its Fraction (so as
+        # the int or Fraction it equals), anything else through its terms
+        # with the variables in sorted order
         p = self.pruned()
-        return hash((p.vars, frozenset(p.terms.items())))
+        if not p.vars:
+            return hash(p.terms.get((), Fraction(0)))
+        order = sorted(range(len(p.vars)), key=p.vars.__getitem__)
+        return hash((tuple(p.vars[i] for i in order),
+                     frozenset((tuple(e[i] for i in order), c) for e, c in p.terms.items())))
 
     # -- calculus ----------------------------------------------------------
 

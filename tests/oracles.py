@@ -11,9 +11,11 @@ the transfer fixed point by rebuilding the whole product lam . phi at
 every arity and once more for mu, and `bareiss_rank` computes a rank by
 fraction-free elimination (Bareiss 1968) on an integer-scaled copy, a
 pipeline independent of the rational row reduction in `linfty.linalg`.
-`solve_literal` solves one right-hand side per elimination, and
+`solve_literal` solves one right-hand side per elimination,
 `substitute_literal` substitutes into a polynomial term by term through
-the public `Poly` operators.
+the public `Poly` operators, and `compose_linear_literal` composes
+arity-1 operations through `evaluate_basis` and the checked `MultiOp`
+constructor.
 
 Next to them sit closed forms the engines must reproduce: the graded
 commutator of circ, the arity-1 transferred maps and the identities of a
@@ -352,6 +354,23 @@ def solve_literal(a, b):
     for r, pc in enumerate(pivots):
         x[pc] = red[r][n]
     return x
+
+
+def compose_linear_literal(outer: MultiOp, inner: MultiOp) -> MultiOp:
+    """outer o inner for arity-1 operations: each middle key evaluated through
+    evaluate_basis, the result through the checked constructor."""
+    if outer.arity != 1 or inner.arity != 1:
+        raise ValueError("compose_linear expects arity-1 operations")
+    coeffs: dict[tuple[BasisKey, ...], Vector] = {}
+    for (key,), vec in inner.coeffs.items():
+        out: Vector = {}
+        for mid, c in vec.items():
+            res = outer.evaluate_basis((mid,))
+            for okey, c2 in res.items():
+                vec_add_into(out, okey, c * c2)
+        if out:
+            coeffs[(key,)] = out
+    return MultiOp(1, outer.degree + inner.degree, inner.source, outer.target, coeffs)
 
 
 def substitute_literal(p: Poly, values: Mapping[str, "Poly | Rat"]) -> Poly:

@@ -1,12 +1,14 @@
 """End-to-end coverage of the command line drivers, run in process."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
+from linfty import cli
 from linfty.algebra import LinftyBundle, Morphism, identity_morphism, plain_bundle
-from linfty.cli import main, parse_poly_expr
+from linfty.cli import build_parser, main, parse_poly_expr
 from linfty.graded import GradedSpace, MultiOp, OpFamily
 from linfty.modelio import (ModelFormatError, bundle_to_json,
                             contraction_to_json, dumps, morphism_to_json)
@@ -340,6 +342,56 @@ def test_report_flags_broken_models(violator_model, capsys):
     code, out, _ = run(capsys, "report", violator_model)
     assert code == 1
     assert "FAIL" in out
+
+
+# -- many commands in one process -----------------------------------------------------------
+
+def run_any(capsys, argv):
+    """(exit code, stdout, stderr) of one command, argparse's own exits included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    cap = capsys.readouterr()
+    return code, cap.out, cap.err
+
+
+def test_main_runs_many_commands_in_one_process(square_model, tmp_path, capsys):
+    model, con = retract_pair(tmp_path)
+    bad = ("transfer", model, con, "--mode", "sideways")
+    commands = [("transfer", model, con, "--mode", "trees"),
+                ("transfer", model, con),
+                ("factorize", square_model, "--tol", "1e-6"),
+                ("factorize", square_model),
+                ("check-axioms", square_model, "--json"),
+                ("check-axioms", square_model),
+                bad,
+                ("report", square_model)]
+    alone = {}
+    for argv in commands:
+        build_parser.cache_clear()   # each reference run starts from a fresh parser
+        alone[argv] = run_any(capsys, argv)
+    assert alone[bad][0] == 2 and "invalid choice" in alone[bad][2]
+    assert json.loads(alone[commands[4]][1])["ok"]
+    assert alone[commands[5]][1].startswith("check-axioms")
+    shuffled = random.Random(4).sample(commands, len(commands))
+    for order in (commands, commands[::-1], shuffled, commands + commands):
+        for argv in order:
+            assert run_any(capsys, argv) == alone[argv], argv
+    # the parser is shared, the namespaces are not
+    assert build_parser() is build_parser()
+    args = build_parser().parse_args(["transfer", model, con])
+    assert args.mode == "recursive" and args.out is None and not args.json
+    assert build_parser().parse_args(["factorize", square_model]).tol == 1e-9
+
+
+def test_main_dispatches_to_the_current_binding(square_model, monkeypatch, capsys):
+    # the parser outlives a rebinding of cmd_* (a tracer installs and removes wrappers)
+    assert run(capsys, "check-axioms", square_model)[0] == 0
+    monkeypatch.setattr(cli, "cmd_check_axioms", lambda args: 7)
+    assert main(["check-axioms", square_model]) == 7
+    monkeypatch.undo()
+    assert run(capsys, "check-axioms", square_model)[0] == 0
 
 
 # -- expression parser --------------------------------------------------------------------

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 from oracles import (bullet_literal, canonical_tuples_literal, circ_literal, commutator,
-                     sort_keys_general)
+                     compose_linear_literal, sort_keys_general)
 
 from linfty.graded import (GradedSpace, MultiOp, OpFamily, bullet, bullet_op,
                            canonical_tuples, circ, koszul_sign,
@@ -148,6 +148,95 @@ def test_identity_and_compose_linear():
     assert ident.compose_linear(op) == op
 
 
+def random_op(rng, source, target, arity, degree, scale=1):
+    coeffs = {}
+    for tup in canonical_tuples(source, arity):
+        deg_out = sum(k[0] for k in tup) + degree
+        outs = {}
+        for key in target.keys():
+            if key[0] == deg_out and rng.random() < 0.5:
+                outs[key] = Fraction(rng.randint(-scale, scale))
+        outs = {k: c for k, c in outs.items() if c}
+        if outs:
+            coeffs[tup] = outs
+    return MultiOp(arity, degree, source, target, coeffs)
+
+
+def assert_clean(r):
+    """What the checked constructor guarantees, checked on a result."""
+    for tup, vec in r.coeffs.items():
+        assert len(tup) == r.arity
+        srt, sign = sort_keys_with_sign(tup)
+        assert srt == tup and sign != 0
+        assert vec and all(c != 0 for c in vec.values())
+    checked = MultiOp(r.arity, r.degree, r.source, r.target, r.coeffs)
+    assert checked == r and checked.coeffs == r.coeffs
+
+
+def entries(op):
+    return {(t, k) for t, vec in op.coeffs.items() for k in vec}
+
+
+def test_arity_one_algebra_results_are_in_normal_form():
+    """identity, scaled, plus, minus and compose_linear skip the constructor's
+    checks; their results pass them, and compose_linear agrees with the
+    evaluate_basis oracle."""
+    rng = random.Random(8)
+    seen = {"cancelled": 0, "composed": 0}
+    for _ in range(100):
+        sp = GradedSpace.build({d: rng.randint(0, 2) for d in (1, 2, 3, 4)})
+        mid = GradedSpace.build({d: rng.randint(1, 2) for d in (1, 2, 3)})
+        arity, degree = rng.randint(0, 3), rng.randint(-1, 1)
+        p = random_op(rng, sp, sp, arity, degree)
+        q = random_op(rng, sp, sp, arity, degree)
+        results = [MultiOp.identity(sp), p.scaled(Fraction(rng.randint(-3, 3), 2)), p.scaled(0),
+                   p.plus(q), p.minus(q), q.minus(p), p.minus(p), p.plus(q.minus(p))]
+        assert results[-1] == q
+        assert p.scaled(0).is_zero() and p.minus(p).is_zero()
+        union = len(entries(p) | entries(q))
+        seen["cancelled"] += min(len(entries(p.plus(q))), len(entries(p.minus(q)))) < union
+        inner = random_op(rng, mid, sp, 1, rng.randint(-1, 1))
+        for outer in (random_op(rng, sp, mid, 1, rng.randint(-1, 1)),
+                      random_op(rng, sp, sp, 1, 0).plus(MultiOp.identity(sp))):
+            want = compose_linear_literal(outer, inner)
+            got = outer.compose_linear(inner)
+            assert (got.degree, got.source, got.target) == (want.degree, want.source, want.target)
+            assert got.coeffs == want.coeffs
+            seen["composed"] += not got.is_zero()
+            results.append(got)
+        for r in results:
+            assert_clean(r)
+    assert min(seen.values()) >= 15, seen
+
+
+def test_arity_one_algebra_rejects_mismatched_spaces():
+    a = GradedSpace.build({1: 2, 2: 1})
+    b = GradedSpace.build({1: 1, 2: 2})
+    on_a = MultiOp(1, 1, a, a, {((1, 0),): {(2, 0): Fraction(1)}})
+    on_b = MultiOp(1, 1, b, b, {((1, 0),): {(2, 1): Fraction(1)}})
+    a_to_b = MultiOp(1, 1, a, b, {((1, 0),): {(2, 1): Fraction(1)}})
+    for bad in (lambda: on_a.plus(on_b), lambda: on_a.minus(a_to_b),
+                lambda: on_a.compose_linear(on_b), lambda: on_a.compose_linear(a_to_b)):
+        with pytest.raises(ValueError):
+            bad()
+    # an equal space built separately is the same space
+    twin = GradedSpace.build({1: 2, 2: 1})
+    assert on_a.plus(MultiOp(1, 1, twin, twin, dict(on_a.coeffs))) == on_a.scaled(2)
+    assert on_b.compose_linear(a_to_b).is_zero()
+
+
+@pytest.mark.parametrize("coeffs, error", [
+    ({((1, 0), (1, 1)): {(2, 0): Fraction(1)}}, ValueError),   # arity 2 in an arity-1 op
+    ({((1, 5),): {(2, 0): Fraction(1)}}, KeyError),            # input key out of range
+    ({((1, 0),): {(2, 3): Fraction(1)}}, KeyError),            # output key out of range
+], ids=["arity", "input-range", "output-range"])
+def test_public_constructor_keeps_its_checks(coeffs, error):
+    """Next to the homogeneity and sorting checks tested above."""
+    sp = GradedSpace.build({1: 2, 2: 1})
+    with pytest.raises(error):
+        MultiOp(1, 1, sp, sp, coeffs)
+
+
 def test_nilpotency_order():
     sp = GradedSpace.build({1: 3})
     step = MultiOp(1, 0, sp, sp, {((1, 1),): {(1, 0): Fraction(1)},
@@ -192,19 +281,7 @@ def test_circ_with_zero_family_is_zero():
 
 
 def random_family(rng, space, degree, max_arity=2, scale=1):
-    ops = {}
-    for n in range(max_arity + 1):
-        coeffs = {}
-        for tup in canonical_tuples(space, n):
-            deg_out = sum(k[0] for k in tup) + degree
-            outs = {}
-            for key in space.keys():
-                if key[0] == deg_out and rng.random() < 0.5:
-                    outs[key] = Fraction(rng.randint(-scale, scale))
-            outs = {k: c for k, c in outs.items() if c}
-            if outs:
-                coeffs[tup] = outs
-        ops[n] = MultiOp(n, degree, space, space, coeffs)
+    ops = {n: random_op(rng, space, space, n, degree, scale) for n in range(max_arity + 1)}
     return OpFamily(degree, space, space, ops)
 
 

@@ -1,6 +1,7 @@
 """Source hygiene: every name a `linfty` module imports is used there, every
 import sits at module level, every public name a module defines has a
-user outside the test suite, and only `poly.py` builds a Poly unchecked."""
+user outside the test suite, only `poly.py` builds a Poly unchecked and
+only `graded.py` builds a MultiOp unchecked."""
 
 import ast
 import io
@@ -157,3 +158,17 @@ def test_the_scan_finds_a_trusted_construction():
              "modelio.py": "p = Poly._trusted(coords, terms)\n",
              "cli.py": "p = Poly(coords, terms)\n"}
     assert files_mentioning("_trusted", files) == ["modelio.py", "poly.py"]
+
+
+def test_unchecked_multiop_construction_stays_in_graded():
+    # operations read from files or built by other modules must meet the checks
+    files = {str(p.relative_to(ROOT)): p.read_text() for p in sorted((ROOT / "src").rglob("*.py"))}
+    users = files_mentioning("_from_clean", files)
+    assert users == ["src/linfty/graded.py"], f"unchecked MultiOp construction outside graded.py: {users}"
+
+
+def test_the_scan_finds_an_unchecked_multiop_construction():
+    files = {"graded.py": "def _from_clean(cls, arity, degree, source, target, coeffs): ...\n",
+             "transfer.py": "pi = MultiOp._from_clean(1, 0, space, h_space, coeffs)\n",
+             "modelio.py": "op = MultiOp(arity, degree, space, space, coeffs)\n"}
+    assert files_mentioning("_from_clean", files) == ["graded.py", "transfer.py"]

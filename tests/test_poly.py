@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -142,6 +143,30 @@ def test_public_constructor_keeps_its_checks(vars, terms, error):
 def test_with_vars_rejects_duplicate_variables():
     with pytest.raises(ValueError):
         x.with_vars(("x", "x"))
+
+
+def test_equal_values_hash_equal():
+    """Across variable orders, and between constants and the numbers they equal."""
+    rng = random.Random(17)
+    equal_pairs = 0
+    for _ in range(150):
+        p = random_poly(rng)
+        views = [p.with_vars(order) for order in permutations(p.vars)]
+        views += [p.with_vars(p.vars + ("w",)), p + 0]
+        for a, b in product(views + [p.pruned()], repeat=2):
+            assert a == b and hash(a) == hash(b), (a.vars, b.vars, a.terms)
+            equal_pairs += 1
+        q = random_poly(rng)
+        if p == q:
+            assert hash(p) == hash(q)
+    for c in (0, 3, -2, Fraction(1, 2), Fraction(-7, 3)):
+        for vars in ((), ("x",), ("y", "x")):
+            k = Poly.constant(c, vars)
+            for number in (c, Fraction(c)) + ((int(c),) if Fraction(c).denominator == 1 else ()):
+                assert k == number and hash(k) == hash(number), (c, vars)
+    assert len({Poly(("x", "y"), {(1, 1): 1}), Poly(("y", "x"), {(1, 1): 1})}) == 1
+    assert len({Poly.constant(3), 3, Fraction(3)}) == 1
+    assert equal_pairs > 1000
 
 
 # -- pullback along the straight path ----------------------------------------
