@@ -11,7 +11,9 @@ isomorphism tests, and the two constructions that produce new bundles
 
 Point searches are the one deliberately numerical corner: a coarse grid
 plus Newton iteration proposes candidate zeros, and only rational points
-that satisfy the equations exactly are promoted.
+that satisfy the equations exactly are promoted.  Newton's floats are the
+exact values at each float iterate, correctly rounded, from integer
+kernels staged once per polynomial.
 """
 
 from __future__ import annotations
@@ -187,7 +189,9 @@ def curvature_derivative(bundle: LinftyBundle, point: ClassicalPoint) -> Matrix:
         if not isinstance(c, Poly):
             continue
         for j, name in enumerate(bundle.coords):
-            jac[key[1]][j] = c.diff(name).eval(values)
+            d = c.diff(name)
+            if d:
+                jac[key[1]][j] = d.eval(values)
     return jac
 
 
@@ -206,7 +210,7 @@ def tangent_complex(bundle: LinftyBundle, point: ClassicalPoint) -> CochainCompl
     jac = curvature_derivative(bundle, point)
     if jac and any(any(row) for row in jac):
         diffs[0] = jac
-    ell1 = bundle.total().op(1)
+    ell1 = bundle.delta.plus(bundle.ops.op(1))
     for d in bundle.fiber.degrees():
         m = op_matrix(ell1, d, values)
         if m and any(any(row) for row in m):
@@ -239,7 +243,9 @@ def _base_jacobian(mor: Morphism, values: dict[str, Fraction]) -> Matrix:
         if not isinstance(p, Poly):
             continue
         for j, name in enumerate(mor.src.coords):
-            jac[i][j] = p.diff(name).eval(values)
+            d = p.diff(name)
+            if d:
+                jac[i][j] = d.eval(values)
     return jac
 
 
@@ -684,10 +690,13 @@ def find_classical_points(bundle: LinftyBundle, tol: float = 1e-9
     """Grid-seeded Newton search for zeros of the curvature section.
 
     Newton runs at most 60 steps from each point of a 7-point-per-axis grid
-    on [-3, 3]^m.  Intended for up to three base coordinates.  Converged numerical zeros
-    are deduplicated; candidates close to small rationals are verified
-    exactly and promoted to ClassicalPoint, the rest are reported as
-    floats.
+    on [-3, 3]^m.  Intended for up to three base coordinates.  Each
+    curvature component and each Jacobian entry is staged once as an
+    integer kernel (Poly.staged), so every step's floats are the exact
+    values at the float iterate, correctly rounded.  Converged numerical
+    zeros are deduplicated; candidates close to small rationals are
+    verified exactly and promoted to ClassicalPoint, the rest are reported
+    as floats.
     """
     m = len(bundle.coords)
     if m == 0:
@@ -695,20 +704,11 @@ def find_classical_points(bundle: LinftyBundle, tol: float = 1e-9
                 else []), []
     if m > 3:
         raise ValueError("point search supports at most three coordinates")
-    section = sorted(bundle.curvature_section().items())
-    comps = [c for _, c in section]
-
-    def f_at(pt):
-        values = {n: Fraction(v) for n, v in zip(bundle.coords, pt)}
-        return [float(c.eval(values)) if isinstance(c, Poly) else float(c)
-                for c in comps]
-
-    jac = [[c.diff(name) if isinstance(c, Poly) else None for name in bundle.coords]
-           for c in comps]
-
-    def jac_at(pt):
-        values = {n: Fraction(v) for n, v in zip(bundle.coords, pt)}
-        return [[0.0 if d is None else float(d.eval(values)) for d in row] for row in jac]
+    comps = [c if isinstance(c, Poly) else Poly.constant(c)
+             for _, c in sorted(bundle.curvature_section().items())]
+    f_kernels = [c.staged(bundle.coords) for c in comps]
+    jac_kernels = [[c.diff(name).staged(bundle.coords) for name in bundle.coords]
+                   for c in comps]
 
     lo, hi, grid = -3.0, 3.0, 7
     seeds = itertools.product(
@@ -718,11 +718,12 @@ def find_classical_points(bundle: LinftyBundle, tol: float = 1e-9
         pt = list(seed)
         ok = False
         for _ in range(60):
-            fv = f_at(pt)
+            at = [v.as_integer_ratio() for v in pt]
+            fv = _floats_at(f_kernels, at)
             if max((abs(v) for v in fv), default=0.0) < tol:
                 ok = True
                 break
-            jm = jac_at(pt)
+            jm = [_floats_at(row, at) for row in jac_kernels]
             step = _least_squares_step(jm, fv, m)
             if step is None:
                 break
@@ -731,7 +732,7 @@ def find_classical_points(bundle: LinftyBundle, tol: float = 1e-9
                 break
         if not ok:
             continue
-        if any(max(abs(a - b) for a, b in zip(pt, q)) < 1e-6 for q in found):
+        if any(all(abs(a - b) < 1e-6 for a, b in zip(pt, q)) for q in found):
             continue
         found.append(tuple(pt))
 
@@ -755,6 +756,11 @@ def find_classical_points(bundle: LinftyBundle, tol: float = 1e-9
         if not promoted:
             loose.append(pt)
     return exact, loose
+
+
+def _floats_at(kernels, at) -> list[float]:
+    """Each staged kernel's exact value at `at`, correctly rounded to a float."""
+    return [num / den for num, den in (kernel(at) for kernel in kernels)]
 
 
 def _least_squares_step(jm, fv, m):

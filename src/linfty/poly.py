@@ -2,7 +2,9 @@
 
 Polynomials are kept in a sparse normal form: a tuple of variable names
 plus a dict mapping exponent vectors to nonzero Fractions.  All arithmetic
-is exact; there is no floating point anywhere in this module.
+is exact; there is no floating point anywhere in this module.  Evaluation
+runs on integers: Poly.staged clears the coefficient denominators once and
+returns a kernel that maps integer ratios to an unreduced integer ratio.
 
 degree_cap() reads the cap on powers of the path parameter t that the
 truncated path models of linfty.pathspace may use (LINFTY_DEGREE_CAP,
@@ -13,10 +15,14 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
+from math import lcm
 from operator import add
-from typing import Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
 Rat = Union[int, Fraction, str]
+# a point as one (numerator, positive denominator) pair per coordinate, to
+# an exact value as an unreduced (numerator, positive denominator) pair
+Kernel = Callable[[Sequence[tuple[int, int]]], tuple[int, int]]
 
 
 class DegreeCapError(RuntimeError):
@@ -335,18 +341,55 @@ class Poly:
                 out[m] = out.get(m, 0) + cm
         return Poly._trusted(vs, {m: c for m, c in out.items() if c})
 
+    def staged(self, coords: Sequence[str]) -> Kernel:
+        """Exact evaluation at points given over `coords`, staged once.
+
+        The kernel takes one (numerator, positive denominator) pair per
+        coordinate, as `as_integer_ratio()` of an int, a Fraction or a
+        binary floating-point number gives it, and returns the value as an
+        unreduced pair (num, den) with den > 0.  Staging scales the
+        coefficients to integers by the lcm of their denominators and
+        records each used variable's slot in `coords` and its top exponent
+        k, so a term c * x^e becomes c * p^e * q^(k - e) over the common
+        denominator lcm * q^k.
+        """
+        used = [(j, top) for j, top in enumerate(map(max, zip(*self.terms))) if top]
+        slots = []
+        for j, top in used:
+            v = self.vars[j]
+            if v not in coords:
+                raise ValueError(f"no value supplied for variable {v!r}")
+            slots.append((coords.index(v), top))
+        scale = lcm(*[c.denominator for c in self.terms.values()])
+        terms = [(c.numerator * (scale // c.denominator), [e[j] for j, _ in used])
+                 for e, c in self.terms.items()]
+
+        def kernel(point):
+            den = scale
+            tables = []
+            for slot, top in slots:
+                p, q = point[slot]
+                ps, qs = [1, p], [1, q]
+                for _ in range(top - 1):
+                    ps.append(ps[-1] * p)
+                    qs.append(qs[-1] * q)
+                # table[e] = p^e * q^(top - e)
+                tables.append([pe * qe for pe, qe in zip(ps, reversed(qs))])
+                den *= qs[top]
+            num = 0
+            for a, exps in terms:
+                for table, e in zip(tables, exps):
+                    a *= table[e]
+                num += a
+            return num, den
+
+        return kernel
+
     def eval(self, values: Mapping[str, Rat]) -> Fraction:
-        out = Fraction(0)
-        for e, c in self.terms.items():
-            val = c
-            for v, k in zip(self.vars, e):
-                if k == 0:
-                    continue
-                if v not in values:
-                    raise ValueError(f"no value supplied for variable {v!r}")
-                val = val * as_fraction(values[v]) ** k
-            out += val
-        return out
+        coords = [v for v in self.vars if v in values]
+        num, den = self.staged(coords)([as_fraction(values[v]).as_integer_ratio()
+                                        for v in coords])
+        return Fraction(num, den)
 
     # -- rendering ---------------------------------------------------------
 

@@ -13,7 +13,8 @@ fraction-free elimination (Bareiss 1968) on an integer-scaled copy, a
 pipeline independent of the rational row reduction in `linfty.linalg`.
 `solve_literal` solves one right-hand side per elimination,
 `substitute_literal` substitutes into a polynomial term by term through
-the public `Poly` operators, and `compose_linear_literal` composes
+the public `Poly` operators, `eval_literal` evaluates one term by term in
+`Fraction` arithmetic, and `compose_linear_literal` composes
 arity-1 operations through `evaluate_basis` and the checked `MultiOp`
 constructor.
 
@@ -396,6 +397,21 @@ def substitute_literal(p: Poly, values: Mapping[str, "Poly | Rat"]) -> Poly:
             else:
                 term = term * Poly.variable(v, tuple(out_vars)) ** k
         out = out + term
+    return out
+
+
+def eval_literal(p: Poly, values: Mapping[str, Rat]) -> Fraction:
+    """p at a rational point, term by term in Fraction arithmetic."""
+    out = Fraction(0)
+    for e, c in p.terms.items():
+        val = c
+        for v, k in zip(p.vars, e):
+            if k == 0:
+                continue
+            if v not in values:
+                raise ValueError(f"no value supplied for variable {v!r}")
+            val = val * as_fraction(values[v]) ** k
+        out += val
     return out
 
 

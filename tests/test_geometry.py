@@ -4,8 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import bareiss_betti
+from oracles import bareiss_betti, eval_literal
 
+from linfty import geometry
 from linfty.algebra import (LinftyBundle, Morphism, check_mc, check_morphism,
                             compose, identity_morphism, linearize_fibration,
                             plain_bundle, product_bundle, product_projection)
@@ -137,6 +138,41 @@ def test_find_classical_points_differentiates_each_component_once(monkeypatch):
     assert sorted(calls) == ["x"] * 3 + ["y"] * 3
 
 
+def test_find_classical_points_stages_each_polynomial_once(monkeypatch):
+    builds, checks, steps = [], [], []
+    staged, residual, step = Poly.staged, geometry.curvature_residual, geometry._least_squares_step
+    monkeypatch.setattr(Poly, "staged", lambda self, coords: builds.append(self)
+                        or staged(self, coords))
+    monkeypatch.setattr(geometry, "curvature_residual", lambda b, pt: checks.append(pt)
+                        or residual(b, pt))
+    monkeypatch.setattr(geometry, "_least_squares_step", lambda *a: steps.append(a)
+                        or step(*a))
+    b = section_bundle(("x", "y"), (x ** 2 + y ** 2 - 2 * x, x - y, x * y))
+    exact, _ = find_classical_points(b)
+    assert exact == [ClassicalPoint((0, 0))]
+    assert len(steps) > 49
+    # one kernel per component and per Jacobian entry, however many Newton
+    # steps ran; the exact promotion evaluates each component once per
+    # candidate it checks
+    assert checks
+    assert len(builds) == 3 + 3 * 2 + 3 * len(checks)
+
+
+
+def test_newton_floats_are_the_exact_values_rounded_once():
+    rng = random.Random(2307)
+    coords = ("x", "y", "z")
+    polys = [Poly(coords, {tuple(rng.randint(0, 3) for _ in coords):
+                           Fraction(rng.randint(-99, 99), rng.randint(1, 99))
+                           for _ in range(rng.randint(1, 6))})
+             for _ in range(40)]
+    kernels = [p.staged(coords) for p in polys]
+    for _ in range(20):
+        pt = [rng.uniform(-3, 3) for _ in coords]
+        values = {n: Fraction(v) for n, v in zip(coords, pt)}
+        got = geometry._floats_at(kernels, [v.as_integer_ratio() for v in pt])
+        assert got == [float(eval_literal(p, values)) for p in polys]
+
 # -- tangent complex -------------------------------------------------------------------
 
 def test_tangent_complex_of_the_squared_function():
@@ -187,8 +223,7 @@ def test_tangent_complex_includes_fiber_differential():
     rng = random.Random(31)
     b = random_bundle(rng, ("x",), amplitude=3, max_dim=2)
     exact, _ = find_classical_points(b)
-    if not exact:
-        pytest.skip("sampled bundle has no rational classical point")
+    assert exact, "the point search lost the rational points of a fixed draw"
     cx = tangent_complex(b, exact[0])
     assert cx.euler_characteristic() == virtual_dimension(b)
 

@@ -1,7 +1,8 @@
 """Source hygiene: every name a `linfty` module imports is used there, every
 import sits at module level, every public name a module defines has a
-user outside the test suite, only `poly.py` builds a Poly unchecked and
-only `graded.py` builds a MultiOp unchecked."""
+user outside the test suite, only `poly.py` builds a Poly unchecked,
+only `graded.py` builds a MultiOp unchecked and `poly.py` has no floating
+point."""
 
 import ast
 import io
@@ -172,3 +173,33 @@ def test_the_scan_finds_an_unchecked_multiop_construction():
              "transfer.py": "pi = MultiOp._from_clean(1, 0, space, h_space, coeffs)\n",
              "modelio.py": "op = MultiOp(arity, degree, space, space, coeffs)\n"}
     assert files_mentioning("_from_clean", files) == ["graded.py", "transfer.py"]
+
+
+def floating_point_lines(tree: ast.Module) -> list[int]:
+    """Lines that name `float`, hold a float literal or divide with `/`."""
+    out = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Name) and node.id == "float"
+                or isinstance(node, ast.Constant) and type(node.value) in (float, complex)
+                or isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)):
+            out.append(node.lineno)
+    return sorted(set(out))
+
+
+def test_poly_has_no_floating_point():
+    tree = ast.parse((SRC / "poly.py").read_text())
+    lines = floating_point_lines(tree)
+    assert not lines, f"poly.py uses floating point at lines {lines}"
+
+
+def test_the_scan_finds_floating_point():
+    tree = ast.parse("from fractions import Fraction\n"
+                     "def f(a: int, b: int) -> int:\n"
+                     "    c = a // b * 2 + len('1.5 / float')\n"
+                     "    c /= 2\n"
+                     "    return a / b\n"
+                     "def g(a) -> 'Fraction':\n"
+                     "    return float(a) + 1e-9\n"
+                     "def h(a):\n"
+                     "    return Fraction(a) * 2j\n")
+    assert floating_point_lines(tree) == [4, 5, 7, 9]

@@ -1,5 +1,6 @@
 """Derived path spaces, diagonal factorization, intersections, zero loci."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -8,11 +9,13 @@ from oracles import (PathSection, bareiss_betti, path_curved_structure, path_eta
                      path_space_manifold, pi_con, pullback)
 
 from linfty.algebra import (LinftyBundle, Morphism, check_mc, check_morphism,
-                            plain_bundle)
-from linfty.geometry import (classical_point, find_classical_points,
-                             tangent_complex, virtual_dimension)
+                            op_matrix, plain_bundle)
+from linfty.cli import main
+from linfty.geometry import (CochainComplex, classical_point, curvature_derivative,
+                             find_classical_points, tangent_complex, virtual_dimension)
 from linfty.graded import GradedSpace, MultiOp, OpFamily, bullet
 from linfty.algebra import op_then
+from linfty.modelio import bundle_to_json, dumps
 from linfty.poly import DegreeCapError, Poly
 from linfty import pathspace
 from linfty.pathspace import (Submanifold, _coeff_key, _doubled_names, axis_submanifold,
@@ -60,6 +63,69 @@ def square_dps():
 @pytest.fixture(scope="module")
 def amp2_dps():
     return derived_path_space(amp2_bundle(), cap=8)
+
+
+# -- point search and tangent complexes on the fixtures ---------------------------
+
+# `report --json` on the circle: the Newton search's floats are the exact
+# values at each float iterate, rounded once, so these strings change only
+# if the search itself changes
+CIRCLE_CANDIDATES = [
+    ["-0.9488002266123646", "-0.31587676391327923"], ["-0.9488002266123646", "0.31587676391327923"],
+    ["-0.8942282756548667", "-0.4476112051987665"], ["-0.8942282756548667", "0.4476112051987665"],
+    ["-0.8329712385007126", "-0.5533162891426471"], ["-0.8329712385007126", "0.5533162891426471"],
+    ["-0.7085295752500547", "-0.7056811184920242"], ["-0.7085295752500547", "0.7056811184920242"],
+    ["-0.7074508164094079", "-0.70676257864745"], ["-0.7074508164094079", "0.70676257864745"],
+    ["-0.7071161745776187", "-0.7070973876722854"], ["-0.7071161745776187", "0.7070973876722854"],
+    ["-0.5536232103789734", "-0.8327672789739518"], ["-0.5536232103789734", "0.8327672789739518"],
+    ["-0.4475845896392877", "-0.8942415977338557"], ["-0.4475845896392877", "0.8942415977338557"],
+    ["-0.3159828618180441", "-0.9487648976628925"], ["-0.3159828618180441", "0.9487648976628925"],
+    ["0.3159828618180441", "-0.9487648976628925"], ["0.3159828618180441", "0.9487648976628925"],
+    ["0.4475845896392877", "-0.8942415977338557"], ["0.4475845896392877", "0.8942415977338557"],
+    ["0.5536232103789734", "-0.8327672789739518"], ["0.5536232103789734", "0.8327672789739518"],
+    ["0.7071161745776187", "-0.7070973876722854"], ["0.7071161745776187", "0.7070973876722854"],
+    ["0.7074508164094079", "-0.70676257864745"], ["0.7074508164094079", "0.70676257864745"],
+    ["0.7085295752500547", "-0.7056811184920242"], ["0.7085295752500547", "0.7056811184920242"],
+    ["0.8329712385007126", "-0.5533162891426471"], ["0.8329712385007126", "0.5533162891426471"],
+    ["0.8942282756548667", "-0.4476112051987665"], ["0.8942282756548667", "0.4476112051987665"],
+    ["0.9488002266123646", "-0.31587676391327923"], ["0.9488002266123646", "0.31587676391327923"],
+]
+
+
+def test_circle_report_keeps_its_points_and_floats(tmp_path, capsys):
+    model = tmp_path / "circle.json"
+    model.write_text(dumps(bundle_to_json(circle_bundle())))
+    assert main(["report", str(model), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["classical_points"] == [{"point": p, "betti": {"0": 1}}
+                                       for p in (["-1", "0"], ["0", "-1"], ["0", "1"], ["1", "0"])]
+    assert doc["non_rational_candidates"] == CIRCLE_CANDIDATES
+
+
+def tangent_complex_through_total(bundle, point):
+    """The tangent complex with its arity-one part read off the whole merged family."""
+    values = dict(zip(bundle.coords, point.coords))
+    dims = {0: len(bundle.coords), **{d: bundle.fiber.dims[d] for d in bundle.fiber.degrees()}}
+    diffs = {}
+    jac = curvature_derivative(bundle, point)
+    if any(any(row) for row in jac):
+        diffs[0] = jac
+    ell1 = bundle.total().op(1)
+    for d in bundle.fiber.degrees():
+        m = op_matrix(ell1, d, values)
+        if any(any(row) for row in m):
+            diffs[d] = m
+    return CochainComplex(dims, diffs)
+
+
+def test_tangent_complex_matches_the_merged_family(square_dps):
+    bundles = [square_bundle(), circle_bundle(), amp2_bundle(), square_dps.bundle]
+    assert square_dps.bundle.delta.coeffs and square_dps.bundle.ops.op(1).coeffs
+    for b in bundles:
+        exact, _ = find_classical_points(b)
+        assert exact
+        for cp in exact:
+            assert tangent_complex(b, cp) == tangent_complex_through_total(b, cp)
 
 
 # -- curved structure along a fixed path ---------------------------------------

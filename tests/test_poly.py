@@ -1,13 +1,14 @@
 """Polynomial ring and path section calculus."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
 from hypothesis import given, strategies as st
-from oracles import (PathSection, path_delta, path_eta, pi_con, pi_lin, poly_t, pullback,
-                     substitute_literal)
+from oracles import (PathSection, eval_literal, path_delta, path_eta, pi_con, pi_lin, poly_t,
+                     pullback, substitute_literal)
 
 from linfty.poly import DegreeCapError, Poly, as_fraction, degree_cap, format_fraction
 
@@ -67,6 +68,50 @@ def test_product_evaluates_pointwise(acoef, bcoef):
     b = poly_t(dict(enumerate(bcoef)))
     at = Fraction(1, 3)
     assert (a * b).eval({"t": at}) == a.eval({"t": at}) * b.eval({"t": at})
+
+
+def random_float(rng):
+    """A float from the edges of the double range as well as from [-3, 3]."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        return rng.choice([0.0, -0.0])
+    if kind == 1:
+        return rng.choice([5e-324, -5e-324])
+    if kind == 2:
+        return rng.choice([1, -1]) * rng.uniform(0.5, 2) * 1e-300
+    if kind == 3:
+        return rng.choice([1e6, -1e6])
+    return rng.uniform(-3, 3)
+
+
+def test_eval_and_the_staged_kernel_match_the_literal_loop():
+    rng = random.Random(2307)
+    negative_zeros = 0
+    for _ in range(600):
+        vs = rng.sample(("x", "y", "z"), rng.randint(0, 3))
+        p = Poly(vs, {tuple(rng.randint(0, 3) for _ in vs):
+                      Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+                      for _ in range(rng.randint(0, 6))})
+        rat = {v: Fraction(rng.randint(-20, 20), rng.randint(1, 12)) for v in vs}
+        assert p.eval(rat) == eval_literal(p, rat)
+        # staged over a shuffled superset of the variables, at float points:
+        # the quotient is the exact value rounded once, signed zeros included
+        coords = vs + ["w"]
+        rng.shuffle(coords)
+        at = {v: random_float(rng) for v in coords}
+        num, den = p.staged(coords)([at[v].as_integer_ratio() for v in coords])
+        got = num / den
+        want = float(eval_literal(p, {v: Fraction(f) for v, f in at.items()}))
+        assert den > 0 and got.hex() == want.hex()
+        negative_zeros += got == 0 and math.copysign(1, got) < 0
+    assert negative_zeros
+
+
+def test_staging_requires_every_used_variable():
+    p = x ** 2 + Poly.constant(1, ("x", "y"))
+    assert p.staged(("x",))([(3, 2)]) == (13, 4)
+    with pytest.raises(ValueError):
+        p.staged(("y",))
 
 
 # -- results built without re-validation --------------------------------------
