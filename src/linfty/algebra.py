@@ -62,20 +62,19 @@ def _eval_coeff(c, values: Mapping[str, Fraction] | None = None) -> Fraction:
     return c.constant_value()
 
 
-def op_matrix(op: MultiOp, degree: int,
-              point: Mapping[str, Fraction] | None = None) -> list[list[Fraction]]:
+def op_matrix(op: MultiOp, degree: int) -> list[list[Fraction]]:
     """Degree-`degree` block of an arity-1 operation as a rational matrix.
 
     Columns index the source basis in `degree`, rows the target basis in
-    `degree + op.degree`.  Polynomial coefficients are evaluated at `point`
-    (coordinate values) when it is given and must be constant otherwise.
+    `degree + op.degree`.  Coefficients must be constant; the tangent
+    constructions in `geometry` evaluate polynomial blocks at points.
     """
     rows = op.target.dim(degree + op.degree)
     cols = op.source.dim(degree)
     m = [[Fraction(0)] * cols for _ in range(rows)]
     for i in range(cols):
         for (_, j), c in op.evaluate_basis(((degree, i),)).items():
-            m[j][i] = _eval_coeff(c, point)
+            m[j][i] = _eval_coeff(c)
     return m
 
 

@@ -26,9 +26,9 @@ import sys
 from fractions import Fraction
 
 from .algebra import LinftyBundle, check_mc, check_morphism, plain_bundle
-from .geometry import (classical_point, cohomology, find_classical_points,
-                       is_fibration, is_weak_equivalence, shifted_tangent,
-                       tangent_complex, virtual_dimension)
+from .geometry import (StagedTangent, classical_point, cohomology,
+                       find_classical_points, is_fibration, is_weak_equivalence,
+                       shifted_tangent, tangent_complex, virtual_dimension)
 from .graded import MultiOp, OpFamily
 from .modelio import (ModelFormatError, algebra_to_json, bundle_to_json, dumps,
                       frac_str, load_contraction, load_model, load_morphism,
@@ -490,8 +490,9 @@ def cmd_report(args) -> int:
         pts_doc = []
         note = ("certified on the supplied candidate loci only; global "
                 "statements need a complete point list")
+        staged = StagedTangent(bundle)
         for cp in exact:
-            betti = cohomology(tangent_complex(bundle, cp))
+            betti = cohomology(staged.tangent_complex(cp))
             pts_doc.append({"point": _json_point(cp),
                             "betti": {str(k): n for k, n in sorted(betti.items())}})
             lines.append((f"tangent at {_fmt_point(cp)}",

@@ -20,24 +20,19 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .algebra import (LinftyBundle, Morphism, _affine_parts, _eval_coeff,
                       check_mc, check_morphism, compose, invert_iso,
                       linearize_fibration, map_family_coeffs, map_op_coeffs,
-                      op_matrix, op_then, reindex_op, rename_source_clear_of,
+                      op_then, reindex_op, rename_source_clear_of,
                       same_morphism)
 from .graded import BasisBuilder, GradedSpace, MultiOp, OpFamily, bullet
 from .linalg import kernel_basis, rank, right_inverse
 from .poly import Poly
 
 Matrix = list[list[Fraction]]
-
-
-def _point_values(coords, point) -> dict[str, Fraction]:
-    if len(point) != len(coords):
-        raise ValueError(f"expected {len(coords)} coordinates, got {len(point)}")
-    return {name: Fraction(v) for name, v in zip(coords, point)}
 
 
 # ---------------------------------------------------------------------------
@@ -148,74 +143,171 @@ def mapping_cone(maps: dict[int, Matrix], a: CochainComplex,
 
 @dataclass(frozen=True)
 class ClassicalPoint:
-    """A rational base point where the curvature section vanishes."""
+    """A rational base point where the curvature section vanishes.
+
+    classical_point, find_classical_points and StagedTangent.classical_point
+    build one only after checking the curvature exactly, and everything
+    that takes a ClassicalPoint (tangent complexes and maps) relies on that
+    check instead of repeating it.
+    """
 
     coords: tuple[Fraction, ...]
     residual: Fraction = Fraction(0)
 
 
-def curvature_residual(bundle: LinftyBundle, point) -> Fraction:
-    """Largest absolute curvature coefficient at the point."""
-    values = _point_values(bundle.coords, point)
-    worst = Fraction(0)
-    for _, c in bundle.curvature_section().items():
-        worst = max(worst, abs(_eval_coeff(c, values)))
-    return worst
+def _fractions(point) -> tuple[Fraction, ...]:
+    return tuple(v if isinstance(v, Fraction) else Fraction(v) for v in point)
 
 
-def classical_point(bundle: LinftyBundle, point) -> ClassicalPoint:
-    coords = tuple(Fraction(v) for v in point)
-    resid = curvature_residual(bundle, coords)
-    if resid > 0:
-        raise ValueError(f"curvature does not vanish there (residual {resid})")
-    return ClassicalPoint(coords, resid)
+def _ratios(coords, point) -> list[tuple[int, int]]:
+    """A point as the (numerator, denominator) pairs a staged kernel takes."""
+    if len(point) != len(coords):
+        raise ValueError(f"expected {len(coords)} coordinates, got {len(point)}")
+    return [v.as_integer_ratio() for v in _fractions(point)]
 
 
-def curvature_derivative(bundle: LinftyBundle, point: ClassicalPoint) -> Matrix:
-    """Jacobian of the curvature section at a classical point.
+class _StagedMatrix:
+    """A matrix of coefficients over base coordinates, staged for many points.
 
-    Rows run over the degree-one fiber basis, columns over base
-    coordinates.
+    Rationals and constant polynomials are read once into a template; every
+    other polynomial entry is staged once (Poly.staged).  `at` returns the
+    exact rational matrix at a point given by `_ratios`.
     """
-    if curvature_residual(bundle, point.coords) != 0:
-        raise ValueError("curvature derivative requires an exact classical point")
-    values = _point_values(bundle.coords, point.coords)
-    n = bundle.fiber.dim(1)
-    m = len(bundle.coords)
-    jac = [[Fraction(0)] * m for _ in range(n)]
+
+    def __init__(self, rows: int, cols: int, entries, coords):
+        self.template = [[Fraction(0)] * cols for _ in range(rows)]
+        self.kernels = []
+        for r, c, x in entries:
+            if isinstance(x, Poly) and not x.is_constant():
+                self.kernels.append((r, c, x.staged(coords)))
+            else:
+                self.template[r][c] = _eval_coeff(x)
+
+    @staticmethod
+    def block(op: MultiOp, degree: int, coords) -> "_StagedMatrix":
+        """The degree-`degree` block of an arity-1 operation, laid out as
+        op_matrix lays it out."""
+        cols = op.source.dim(degree)
+        entries = [(j, i, c) for i in range(cols)
+                   for (_, j), c in op.evaluate_basis(((degree, i),)).items()]
+        return _StagedMatrix(op.target.dim(degree + op.degree), cols, entries, coords)
+
+    @staticmethod
+    def jacobian(rows: int, polys, coords) -> "_StagedMatrix":
+        """Row r holds the partial derivatives of p for each (r, p) in polys;
+        each derivative is taken once, and a constant row stays zero."""
+        entries = [(r, j, dp) for r, p in polys if isinstance(p, Poly)
+                   for j, name in enumerate(coords) for dp in (p.diff(name),) if dp]
+        return _StagedMatrix(rows, len(coords), entries, coords)
+
+    def at(self, point) -> Matrix:
+        m = [row[:] for row in self.template]
+        for r, c, kernel in self.kernels:
+            m[r][c] = Fraction(*kernel(point))
+        return m
+
+
+def _curvature_rows(bundle: LinftyBundle) -> list[tuple[int, object]]:
+    """The curvature section as (row in the degree-one fiber basis, coefficient)."""
+    rows = []
     for key, c in bundle.curvature_section().items():
         if key[0] != 1:
             raise AssertionError("curvature outside degree one")
-        if not isinstance(c, Poly):
-            continue
-        for j, name in enumerate(bundle.coords):
-            d = c.diff(name)
-            if d:
-                jac[key[1]][j] = d.eval(values)
-    return jac
+        rows.append((key[1], c))
+    return rows
+
+
+def _curvature_column(bundle: LinftyBundle) -> _StagedMatrix:
+    return _StagedMatrix(bundle.fiber.dim(1), 1,
+                         [(r, 0, c) for r, c in _curvature_rows(bundle)], bundle.coords)
+
+
+def _residual(curvature: _StagedMatrix, at) -> Fraction:
+    return max((abs(row[0]) for row in curvature.at(at)), default=Fraction(0))
+
+
+def _certified(curvature: _StagedMatrix, coords, point) -> ClassicalPoint:
+    pt = _fractions(point)
+    resid = _residual(curvature, _ratios(coords, pt))
+    if resid > 0:
+        raise ValueError(f"curvature does not vanish there (residual {resid})")
+    return ClassicalPoint(pt, resid)
+
+
+def curvature_residual(bundle: LinftyBundle, point) -> Fraction:
+    """Largest absolute curvature coefficient at the point."""
+    return _residual(_curvature_column(bundle), _ratios(bundle.coords, point))
+
+
+def classical_point(bundle: LinftyBundle, point) -> ClassicalPoint:
+    return _certified(_curvature_column(bundle), bundle.coords, point)
+
+
+class StagedTangent:
+    """A bundle's tangent data, staged once for evaluation at many points.
+
+    The curvature, its Jacobian (each derivative taken once) and each
+    degree block of delta + ops_1 are staged when first needed, so a
+    caller left with no point to check stages nothing.  A point then costs
+    one exact evaluation of those kernels.  The module-level
+    tangent_complex stages for one point; a loop over points builds one
+    StagedTangent and calls its methods, as a compiled pattern serves
+    repeated matches.
+    """
+
+    def __init__(self, bundle: LinftyBundle):
+        self.bundle = bundle
+        self._points: dict[tuple[Fraction, ...], ClassicalPoint] = {}
+
+    @cached_property
+    def _curvature(self) -> _StagedMatrix:
+        return _curvature_column(self.bundle)
+
+    @cached_property
+    def _diffs(self) -> dict[int, _StagedMatrix]:
+        # degree zero maps in by the curvature Jacobian, degree d >= 1 by
+        # the specialized arity-one operation
+        b = self.bundle
+        diffs = {0: _StagedMatrix.jacobian(b.fiber.dim(1), _curvature_rows(b), b.coords)}
+        ell1 = b.delta.plus(b.ops.op(1))
+        for d in b.fiber.degrees():
+            diffs[d] = _StagedMatrix.block(ell1, d, b.coords)
+        return diffs
+
+    def classical_point(self, point) -> ClassicalPoint:
+        """The point, once its curvature is checked to vanish exactly.
+
+        Each point is checked once per StagedTangent; asking again returns
+        the certified point.
+        """
+        key = _fractions(point)
+        got = self._points.get(key)
+        if got is None:
+            got = self._points[key] = _certified(self._curvature, self.bundle.coords, key)
+        return got
+
+    def tangent_complex(self, point: ClassicalPoint) -> CochainComplex:
+        """Tangent complex at a classical point.
+
+        Degree zero holds the base tangent space with the curvature
+        Jacobian (rows over the degree-one fiber basis, columns over base
+        coordinates) as first differential; higher degrees carry the
+        specialized arity-one operation.  Construction fails if the result
+        is not a complex.
+        """
+        at = _ratios(self.bundle.coords, point.coords)
+        diffs: dict[int, Matrix] = {}
+        for d, staged in self._diffs.items():
+            m = staged.at(at)
+            if any(any(row) for row in m):
+                diffs[d] = m
+        dims = {0: len(self.bundle.coords), **self.bundle.fiber.dims}
+        return CochainComplex(dims, diffs)
 
 
 def tangent_complex(bundle: LinftyBundle, point: ClassicalPoint) -> CochainComplex:
-    """Tangent complex at a classical point.
-
-    Degree zero holds the base tangent space with the curvature Jacobian
-    as first differential; higher degrees carry the specialized arity-one
-    operation.  Construction fails if the result is not a complex.
-    """
-    values = _point_values(bundle.coords, point.coords)
-    dims = {0: len(bundle.coords)}
-    for d in bundle.fiber.degrees():
-        dims[d] = bundle.fiber.dims[d]
-    diffs: dict[int, Matrix] = {}
-    jac = curvature_derivative(bundle, point)
-    if jac and any(any(row) for row in jac):
-        diffs[0] = jac
-    ell1 = bundle.delta.plus(bundle.ops.op(1))
-    for d in bundle.fiber.degrees():
-        m = op_matrix(ell1, d, values)
-        if m and any(any(row) for row in m):
-            diffs[d] = m
-    return CochainComplex(dims, diffs)
+    """Tangent complex at one classical point (see StagedTangent.tangent_complex)."""
+    return StagedTangent(bundle).tangent_complex(point)
 
 
 def cohomology(cx: CochainComplex) -> dict[int, int]:
@@ -235,38 +327,6 @@ def virtual_dimension(bundle: LinftyBundle) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _base_jacobian(mor: Morphism, values: dict[str, Fraction]) -> Matrix:
-    rows = len(mor.dst.coords)
-    cols = len(mor.src.coords)
-    jac = [[Fraction(0)] * cols for _ in range(rows)]
-    for i, p in enumerate(mor.base_map):
-        if not isinstance(p, Poly):
-            continue
-        for j, name in enumerate(mor.src.coords):
-            d = p.diff(name)
-            if d:
-                jac[i][j] = d.eval(values)
-    return jac
-
-
-def tangent_map(mor: Morphism, point: ClassicalPoint
-                ) -> tuple[CochainComplex, CochainComplex, dict[int, Matrix]]:
-    """Chain map between tangent complexes induced at a classical point.
-
-    The point lives on the source; its image under the base map must be
-    classical for the target.  Degree zero is the base Jacobian, higher
-    degrees the specialized linear part of the fiber family.
-    """
-    src_cx = tangent_complex(mor.src, point)
-    values = _point_values(mor.src.coords, point.coords)
-    image = tuple(_eval_coeff(p, values) for p in mor.base_map)
-    dst_cx = tangent_complex(mor.dst, classical_point(mor.dst, image))
-    maps: dict[int, Matrix] = {0: _base_jacobian(mor, values)}
-    for d in mor.src.fiber.degrees():
-        maps[d] = op_matrix(mor.phi.op(1), d, values)
-    return src_cx, dst_cx, maps
-
-
 @dataclass
 class EtaleReport:
     ok: bool
@@ -274,12 +334,71 @@ class EtaleReport:
     point: ClassicalPoint
 
 
+class StagedTangentMap:
+    """A morphism's tangent data, staged once for evaluation at many points.
+
+    Holds a StagedTangent for each side and stages, when first needed, the
+    base map, its Jacobian (each derivative taken once) and each degree
+    block of phi_1.  Certified points of the target are remembered by its
+    StagedTangent, so a target point is checked once however many source
+    points map to it.
+    """
+
+    def __init__(self, mor: Morphism):
+        self.morphism = mor
+        self.src = StagedTangent(mor.src)
+        self.dst = StagedTangent(mor.dst)
+
+    @cached_property
+    def _base(self) -> _StagedMatrix:
+        mor = self.morphism
+        return _StagedMatrix(len(mor.base_map), 1,
+                             [(i, 0, p) for i, p in enumerate(mor.base_map)], mor.src.coords)
+
+    @cached_property
+    def _maps(self) -> dict[int, _StagedMatrix]:
+        # degree zero is the base Jacobian, degree d >= 1 the linear part
+        mor = self.morphism
+        coords = mor.src.coords
+        maps = {0: _StagedMatrix.jacobian(len(mor.dst.coords), enumerate(mor.base_map), coords)}
+        for d in mor.src.fiber.degrees():
+            maps[d] = _StagedMatrix.block(mor.phi.op(1), d, coords)
+        return maps
+
+    def image(self, point) -> tuple[Fraction, ...]:
+        """The base map at a source point."""
+        at = _ratios(self.morphism.src.coords, point)
+        return tuple(row[0] for row in self._base.at(at))
+
+    def tangent_map(self, point: ClassicalPoint
+                    ) -> tuple[CochainComplex, CochainComplex, dict[int, Matrix]]:
+        """Chain map between tangent complexes induced at a classical point.
+
+        The point lives on the source; its image under the base map must be
+        classical for the target.  Degree zero is the base Jacobian, higher
+        degrees the specialized linear part of the fiber family.
+        """
+        src_cx = self.src.tangent_complex(point)
+        dst_cx = self.dst.tangent_complex(self.dst.classical_point(self.image(point.coords)))
+        at = _ratios(self.morphism.src.coords, point.coords)
+        return src_cx, dst_cx, {d: m.at(at) for d, m in self._maps.items()}
+
+    def is_etale_at(self, point: ClassicalPoint) -> EtaleReport:
+        """Quasi-isomorphism of tangent complexes, certified by an acyclic cone."""
+        src_cx, dst_cx, maps = self.tangent_map(point)
+        betti = mapping_cone(maps, src_cx, dst_cx).cohomology()
+        return EtaleReport(not betti, betti, point)
+
+
+def tangent_map(mor: Morphism, point: ClassicalPoint
+                ) -> tuple[CochainComplex, CochainComplex, dict[int, Matrix]]:
+    """Tangent map at one classical point (see StagedTangentMap.tangent_map)."""
+    return StagedTangentMap(mor).tangent_map(point)
+
+
 def is_etale_at(mor: Morphism, point: ClassicalPoint) -> EtaleReport:
-    """Quasi-isomorphism of tangent complexes, certified by an acyclic cone."""
-    src_cx, dst_cx, maps = tangent_map(mor, point)
-    cone = mapping_cone(maps, src_cx, dst_cx)
-    betti = cone.cohomology()
-    return EtaleReport(not betti, betti, point)
+    """Etale test at one classical point (see StagedTangentMap.is_etale_at)."""
+    return StagedTangentMap(mor).is_etale_at(point)
 
 
 @dataclass
@@ -298,27 +417,23 @@ def is_weak_equivalence(mor: Morphism, src_points, dst_points) -> WeakEquivRepor
     src_points and dst_points enumerate the known classical points of the
     two sides.  The base map must send the first list bijectively onto the
     second, and the tangent map must be a quasi-isomorphism at every
-    source point.
+    source point.  The morphism is staged once; source coordinates are
+    certified on the source and every target point once on the target.
     """
-    src_pts = [p if isinstance(p, ClassicalPoint) else classical_point(mor.src, p)
+    staged = StagedTangentMap(mor)
+    src_pts = [p if isinstance(p, ClassicalPoint) else staged.src.classical_point(p)
                for p in src_points]
-    dst_set = {tuple(Fraction(v) for v in
-                     (p.coords if isinstance(p, ClassicalPoint) else p))
+    dst_set = {_fractions(p.coords if isinstance(p, ClassicalPoint) else p)
                for p in dst_points}
     for q in dst_set:
-        classical_point(mor.dst, q)
+        staged.dst.classical_point(q)
 
-    pairs = []
-    images = []
-    for p in src_pts:
-        values = _point_values(mor.src.coords, p.coords)
-        image = tuple(_eval_coeff(poly, values) for poly in mor.base_map)
-        pairs.append((p, image))
-        images.append(image)
+    pairs = [(p, staged.image(p.coords)) for p in src_pts]
+    images = [image for _, image in pairs]
     bijection_ok = (len(set(images)) == len(images) == len(dst_set)
                     and set(images) == dst_set)
 
-    etale = [is_etale_at(mor, p) for p in src_pts]
+    etale = [staged.is_etale_at(p) for p in src_pts]
     ok = bijection_ok and all(r.ok for r in etale)
     return WeakEquivReport(ok, bijection_ok, pairs, etale)
 
@@ -361,9 +476,9 @@ def is_fibration(mor: Morphism, samples=()) -> FibrationReport:
             note = ("submersion checked exactly (affine base map); linear "
                     "ranks checked at deterministic probe points only")
     elif sample_pts:
-        submersion_ok = all(
-            rank(_base_jacobian(mor, _point_values(mor.src.coords, pt))) == target_rows
-            for pt in sample_pts)
+        jac = _StagedMatrix.jacobian(target_rows, enumerate(mor.base_map), mor.src.coords)
+        submersion_ok = all(rank(jac.at(_ratios(mor.src.coords, pt))) == target_rows
+                            for pt in sample_pts)
     else:
         submersion_ok = False
         note = ("no point was checked: the base map is not affine and no "
@@ -375,10 +490,8 @@ def is_fibration(mor: Morphism, samples=()) -> FibrationReport:
     probes = _probe_points(mor.src.coords, sample_pts)
     degrees = sorted(set(mor.src.fiber.degrees()) | set(mor.dst.fiber.degrees()))
     for d in degrees:
-        seen = set()
-        for pt in probes:
-            values = _point_values(mor.src.coords, pt)
-            seen.add(rank(op_matrix(phi1, d, values)))
+        block = _StagedMatrix.block(phi1, d, mor.src.coords)
+        seen = {rank(block.at(_ratios(mor.src.coords, pt))) for pt in probes}
         if len(seen) > 1:
             raise ValueError(f"linear part has non-constant rank in degree {d}")
         r = seen.pop() if seen else 0

@@ -24,11 +24,10 @@ from fractions import Fraction
 from .algebra import (LinftyBundle, Morphism, check_mc, check_morphism, compose,
                       plain_bundle, product_bundle, product_projection,
                       reindex_op, rename_source_clear_of, same_morphism)
-from .geometry import (ClassicalPoint, PullbackResult, _same_target,
-                       classical_point, find_classical_points, is_fibration,
-                       is_weak_equivalence, pullback_fibration,
-                       shifted_tangent_data, tangent_complex,
-                       virtual_dimension)
+from .geometry import (ClassicalPoint, PullbackResult, StagedTangent,
+                       _same_target, classical_point, find_classical_points,
+                       is_fibration, is_weak_equivalence, pullback_fibration,
+                       shifted_tangent_data, virtual_dimension)
 from .graded import BasisBuilder, GradedSpace, MultiOp, OpFamily
 from .poly import DegreeCapError, Poly, degree_cap
 from .transfer import Contraction, TransferResult, transfer
@@ -70,7 +69,10 @@ class PathModel:
     Ambient keys come in three kinds: constant shifted base directions,
     one-form fiber sections t^s e dt with s < cap, and plain fiber
     sections t^s e with s <= cap.  The contraction retracts onto constant
-    one-forms plus linear plain sections in the end-value basis.
+    one-forms plus linear plain sections in the end-value basis; its
+    projection is the closed form in `build_path_model` (end values of
+    plain sections, averages 1/(s+1) of one-forms), checked by
+    Contraction.validate like every other contraction.
     """
 
     bundle: LinftyBundle
@@ -104,7 +106,20 @@ def required_t_degree(bundle: LinftyBundle) -> int:
 
 
 def build_path_model(bundle: LinftyBundle, cap: int | None = None) -> PathModel:
-    """Ambient truncated complex with its contraction, no operations yet."""
+    """Ambient truncated complex with its contraction, no operations yet.
+
+    The projection is written down, not solved for.  The projector
+    1 - [delta, eta] is the end-value interpolation on plain sections and
+    the average on one-forms, so in the end-value basis
+
+        t^0 e    -> e(0) + e(1)         t^s e dt -> (1/(s+1)) e dt
+        t^s e    -> e(1)  (s >= 1)      dx_j dt  -> dx_j dt
+
+    (t^0 e has both end values 1, t^s e with s >= 1 only e(1), and the
+    average of t^s is 1/(s+1)).  Contraction.from_maps still checks the
+    projector and all five contraction identities, so a wrong entry here
+    is an error, not a wrong path space.
+    """
     cap = cap or degree_cap()
     if cap < 2:
         raise DegreeCapError(f"path models need a t-degree cap of at least 2, got {cap}")
@@ -178,7 +193,17 @@ def build_path_model(bundle: LinftyBundle, cap: int | None = None) -> PathModel:
             iota_coeffs[(hk,)] = {plain[(fk, 1)]: Fraction(1)}
     iota = MultiOp(1, 0, h_space, space, iota_coeffs)
 
-    con = Contraction.from_basis(space, delta, eta, h_space, iota)
+    pi_coeffs: dict = {}
+    for j, hk in h_base_dt.items():
+        pi_coeffs[(base_dt[j],)] = {hk: Fraction(1)}
+    for (fk, s), key in one_form.items():
+        pi_coeffs[(key,)] = {h_avg[fk]: Fraction(1, s + 1)}
+    for (fk, s), key in plain.items():
+        pi_coeffs[(key,)] = ({h_end[(fk, 0)]: Fraction(1), h_end[(fk, 1)]: Fraction(1)}
+                             if s == 0 else {h_end[(fk, 1)]: Fraction(1)})
+    pi = MultiOp(1, 0, space, h_space, pi_coeffs)
+
+    con = Contraction.from_maps(space, delta, eta, h_space, iota, pi)
     return PathModel(bundle, cap, space, delta, eta, con, base_dt,
                      plain, one_form, h_base_dt, h_avg, h_end)
 
@@ -569,17 +594,17 @@ def derived_intersection(x: Submanifold, y: Submanifold,
     if virtual_dimension(bundle) != vdim:
         raise AssertionError("virtual dimension disagrees with dim X + dim Y - dim M")
 
+    staged = StagedTangent(bundle)
     pts: list[ClassicalPoint] = []
     if points is not None:
-        pts = [p if isinstance(p, ClassicalPoint) else classical_point(bundle, p)
+        pts = [p if isinstance(p, ClassicalPoint) else staged.classical_point(p)
                for p in points]
     elif len(bundle.coords) <= 3:
         pts = find_classical_points(bundle)[0]
 
     reports = []
     for p in pts:
-        cx = tangent_complex(bundle, p)
-        betti = cx.cohomology()
+        betti = staged.tangent_complex(p).cohomology()
         values = {n: v for n, v in zip(bundle.coords, p.coords)}
         amb = tuple(poly.eval(values) for poly in fp.to_left.base_map)
         amb_img = tuple(poly.eval({n: v for n, v in

@@ -144,10 +144,23 @@ class Contraction:
                                            h_space, iota)
 
     @staticmethod
+    def from_maps(space: GradedSpace, delta: MultiOp, eta: MultiOp,
+                  h_space: GradedSpace, iota: MultiOp, pi: MultiOp) -> "Contraction":
+        """Build the retract from a known inclusion and projection.
+
+        Nothing is solved: the projector is checked and built from
+        (delta, eta) as for the other constructors, and `validate` then
+        proves the supplied pair right, iota pi = 1 - [delta, eta] included.
+        """
+        return Contraction._assembled(space, delta, eta,
+                                      _checked_projector(space, delta, eta),
+                                      h_space, iota, pi)
+
+    @staticmethod
     def _from_projector(space: GradedSpace, delta: MultiOp, eta: MultiOp,
                         proj: MultiOp, h_space: GradedSpace,
                         iota: MultiOp) -> "Contraction":
-        """Solve pi from iota pi = proj degree by degree, then validate."""
+        """Solve pi from iota pi = proj degree by degree, then assemble."""
         if iota.arity != 1 or iota.degree != 0:
             raise ValueError("inclusion must be arity 1, degree 0")
         pi_coeffs = {}
@@ -165,6 +178,18 @@ class Contraction:
                 if out:
                     pi_coeffs[((d, idx),)] = out
         pi = MultiOp(1, 0, space, h_space, pi_coeffs)
+        return Contraction._assembled(space, delta, eta, proj, h_space, iota, pi)
+
+    @staticmethod
+    def _assembled(space: GradedSpace, delta: MultiOp, eta: MultiOp,
+                   proj: MultiOp, h_space: GradedSpace, iota: MultiOp,
+                   pi: MultiOp) -> "Contraction":
+        """The one place a contraction is put together: the induced
+        differential is pi delta iota, and all five identities are checked."""
+        if iota.arity != 1 or iota.degree != 0:
+            raise ValueError("inclusion must be arity 1, degree 0")
+        if pi.arity != 1 or pi.degree != 0:
+            raise ValueError("projection must be arity 1, degree 0")
         delta_h = pi.compose_linear(delta.compose_linear(iota))
         con = Contraction(space, delta, eta, h_space, iota, pi, delta_h, proj)
         con.validate()

@@ -11,8 +11,8 @@ from linfty.algebra import (LinftyBundle, Morphism, check_mc, check_morphism,
                             compose, identity_morphism, linearize_fibration,
                             plain_bundle, product_bundle, product_projection)
 from linfty.geometry import (ClassicalPoint, CochainComplex, classical_point,
-                             curvature_derivative, curvature_residual,
-                             find_classical_points, is_etale_at, is_fibration,
+                             curvature_residual, find_classical_points,
+                             is_etale_at, is_fibration,
                              is_weak_equivalence, mapping_cone,
                              pullback_fibration, shifted_tangent,
                              tangent_complex, tangent_map, virtual_dimension)
@@ -213,10 +213,12 @@ def test_rank_oracle_agrees_on_tangent_complexes_and_cones():
 
 
 def test_curvature_derivative_rows():
+    # the Jacobian is the degree-zero differential: rows over the degree-one
+    # fiber basis, columns over base coordinates, dropped when it vanishes
     b = square_bundle()
-    assert curvature_derivative(b, classical_point(b, (0,))) == [[0]]
+    assert 0 not in tangent_complex(b, classical_point(b, (0,))).diffs
     c = section_bundle(("x", "y"), (x ** 2 + y - 1,))
-    assert curvature_derivative(c, classical_point(c, (0, 1))) == [[0, 1]]
+    assert tangent_complex(c, classical_point(c, (0, 1))).diffs[0] == [[0, 1]]
 
 
 def test_tangent_complex_includes_fiber_differential():
@@ -272,6 +274,18 @@ def test_weak_equivalence_rejects_non_etale_map():
     rep = is_weak_equivalence(m, [(0,)], [(0,)])
     assert rep.bijection_ok and not rep.ok
     assert not rep.etale[0].ok
+
+
+def test_weak_equivalence_certifies_every_point_it_is_given():
+    b = square_bundle()
+    m = identity_morphism(b)
+    for src, dst in (([(1,)], [(0,)]), ([(0,)], [(0,), (1,)])):
+        with pytest.raises(ValueError, match="curvature does not vanish"):
+            is_weak_equivalence(m, src, dst)
+    # a source point whose image is not classical downstairs
+    shift = Morphism(b, b, (x + 1,), OpFamily.identity(b.fiber))
+    with pytest.raises(ValueError, match=r"curvature does not vanish there \(residual 1\)"):
+        is_weak_equivalence(shift, [classical_point(b, (0,))], [])
 
 
 def test_two_out_of_three_on_a_concrete_triple():

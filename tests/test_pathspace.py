@@ -1,29 +1,33 @@
 """Derived path spaces, diagonal factorization, intersections, zero loci."""
 
+import dataclasses
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from oracles import (PathSection, bareiss_betti, path_curved_structure, path_eta,
-                     path_space_manifold, pi_con, pullback)
+                     path_space_manifold, pi_con, pi_lin, pullback)
 
 from linfty.algebra import (LinftyBundle, Morphism, check_mc, check_morphism,
                             op_matrix, plain_bundle)
 from linfty.cli import main
-from linfty.geometry import (CochainComplex, classical_point, curvature_derivative,
-                             find_classical_points, tangent_complex, virtual_dimension)
+from linfty.geometry import (CochainComplex, classical_point, find_classical_points,
+                             is_weak_equivalence, tangent_complex, virtual_dimension)
 from linfty.graded import GradedSpace, MultiOp, OpFamily, bullet
 from linfty.algebra import op_then
 from linfty.modelio import bundle_to_json, dumps
 from linfty.poly import DegreeCapError, Poly
-from linfty import pathspace
+from linfty import geometry, linalg, pathspace, transfer
+from linfty.linalg import solve_columns
 from linfty.pathspace import (Submanifold, _coeff_key, _doubled_names, axis_submanifold,
                               build_path_model, derived_intersection, derived_path_space,
                               factorize_diagonal, graph_submanifold,
                               homotopy_fibered_product, path_perturbation,
                               required_t_degree, verify_factorization, zero_locus_model)
 from linfty.samples import random_bundle
+from linfty.transfer import Contraction
 
 x = Poly.variable("x")
 
@@ -107,12 +111,16 @@ def tangent_complex_through_total(bundle, point):
     values = dict(zip(bundle.coords, point.coords))
     dims = {0: len(bundle.coords), **{d: bundle.fiber.dims[d] for d in bundle.fiber.degrees()}}
     diffs = {}
-    jac = curvature_derivative(bundle, point)
+    jac = [[Fraction(0)] * len(bundle.coords) for _ in range(bundle.fiber.dim(1))]
+    for (_, r), c in bundle.curvature_section().items():
+        if isinstance(c, Poly):
+            for j, name in enumerate(bundle.coords):
+                jac[r][j] = c.diff(name).eval(values)
     if any(any(row) for row in jac):
         diffs[0] = jac
-    ell1 = bundle.total().op(1)
+    ell1 = bundle.at_point(point.coords).total().op(1)
     for d in bundle.fiber.degrees():
-        m = op_matrix(ell1, d, values)
+        m = op_matrix(ell1, d)
         if any(any(row) for row in m):
             diffs[d] = m
     return CochainComplex(dims, diffs)
@@ -178,6 +186,110 @@ def test_path_model_rejects_insufficient_cap():
     with pytest.raises(DegreeCapError, match="raise LINFTY_DEGREE_CAP"):
         build_path_model(amp2_bundle(), cap=4)
     build_path_model(amp2_bundle(), cap=6)
+
+
+def zero_ops_bundle(dims):
+    """A bundle over one coordinate with no operations, fiber ranks `dims`."""
+    fiber = GradedSpace.build(dims)
+    return LinftyBundle(("x",), fiber, MultiOp.zero(1, 1, fiber, fiber),
+                        OpFamily(1, fiber, fiber, {}))
+
+
+PATH_MODEL_BUNDLES = {"square": square_bundle, "amp2": amp2_bundle,
+                      "plain": lambda: plain_bundle(("x", "y")),
+                      "fiber-1-4": lambda: zero_ops_bundle({1: 1, 2: 2, 3: 1, 4: 1})}
+
+
+@pytest.mark.parametrize("name", sorted(PATH_MODEL_BUNDLES))
+def test_closed_form_projection_is_the_solved_one(name):
+    bundle = PATH_MODEL_BUNDLES[name]()
+    caps = [cap for cap in range(2, 7) if cap >= required_t_degree(bundle)]
+    assert caps
+    for cap in caps:
+        model = build_path_model(bundle, cap)
+        con = model.contraction
+        # pi solved from iota pi = projector, one elimination per degree
+        for d in model.space.degrees():
+            solved = solve_columns(op_matrix(con.iota, d),
+                                   list(zip(*op_matrix(con.projector, d))))
+            assert [list(row) for row in zip(*solved)] == op_matrix(con.pi, d)
+        # and read off the t-calculus oracles on every basis section
+        start, end = (0,) * len(bundle.coords), (1,) * len(bundle.coords)
+        for j, key in model.base_dt.items():
+            assert con.pi.evaluate_basis((key,)) == {model.h_base_dt[j]: 1}
+        for (fk, s), key in model.one_form.items():
+            form = pi_con(PathSection.make(start, end, fk[0], [Poly(("t",), {(s,): 1})],
+                                           dt=True))
+            assert con.pi.evaluate_basis((key,)) == {model.h_avg[fk]: form.value_at(0)[0]}
+        for (fk, s), key in model.plain.items():
+            line = pi_lin(PathSection.make(start, end, fk[0], [Poly(("t",), {(s,): 1})]))
+            want = {model.h_end[(fk, e)]: line.value_at(e)[0] for e in (0, 1)}
+            assert con.pi.evaluate_basis((key,)) == {k: c for k, c in want.items() if c}
+
+
+def test_path_model_solves_nothing(monkeypatch):
+    calls = []
+    for mod, name in ((linalg, "rref"), (transfer, "rref"), (transfer, "solve_columns")):
+        fn = getattr(mod, name)
+        monkeypatch.setattr(mod, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+    for make in PATH_MODEL_BUNDLES.values():
+        build_path_model(make(), 6)
+    assert calls == []
+    # the counter does see the solve that the closed form replaced
+    model = build_path_model(square_bundle(), 2)
+    Contraction.from_basis(model.space, model.delta, model.eta,
+                           model.contraction.h_space, model.contraction.iota)
+    assert "solve_columns" in calls
+
+
+def test_the_supplied_projection_is_checked_against_each_identity():
+    """Each contraction identity rejects a wrong map on a path model.
+
+    pi iota = id, pi eta = 0 and iota pi = 1 - [delta, eta] each fail for a
+    wrong pi; eta iota = 0 does not involve pi, so a wrong iota trips it.
+    The other four identities and delta^2 = 0 imply (pi delta iota)^2 = 0,
+    so the last check is reached only by a record whose induced
+    differential was altered after construction."""
+    model = build_path_model(zero_ops_bundle({1: 1, 2: 1}), 2)
+    con = model.contraction
+    args = (model.space, model.delta, model.eta, con.h_space)
+    e, f = (1, 0), (2, 0)
+    assert Contraction.from_maps(*args, con.iota, con.pi).pi == con.pi
+
+    def plus(op, coeffs):
+        return op.plus(MultiOp(1, 0, op.source, op.target, coeffs))
+
+    with pytest.raises(ValueError, match="pi iota != id"):
+        Contraction.from_maps(*args, con.iota, con.pi.scaled(2))
+    # t e dt - (1/2) e dt has average zero but a nonzero homotopy image
+    off_average = {(model.h_avg[e],): {model.one_form[(e, 1)]: Fraction(1),
+                                       model.one_form[(e, 0)]: Fraction(-1, 2)}}
+    with pytest.raises(ValueError, match="eta iota != 0"):
+        Contraction.from_maps(*args, plus(con.iota, off_average), con.pi)
+    # t^2 e lies in the image of eta, and iota never reaches it
+    with pytest.raises(ValueError, match="pi eta != 0"):
+        Contraction.from_maps(*args, con.iota,
+                              plus(con.pi, {(model.plain[(e, 2)],): {model.h_end[(e, 0)]: 1}}))
+    # t e dt lies in the image of delta eta, which iota and eta both miss
+    with pytest.raises(ValueError, match=re.escape("iota pi != 1 - [delta, eta]")):
+        Contraction.from_maps(*args, con.iota,
+                              plus(con.pi, {(model.one_form[(e, 1)],): {model.h_avg[e]: 1}}))
+    # e(1) -> f(1) -> f dt squares to a nonzero map
+    bad = MultiOp(1, 1, con.h_space, con.h_space,
+                  {(model.h_end[(e, 1)],): {model.h_end[(f, 1)]: 1},
+                   (model.h_end[(f, 1)],): {model.h_avg[f]: 1}})
+    with pytest.raises(ValueError, match="induced differential does not square to zero"):
+        dataclasses.replace(con, delta_h=bad).validate()
+
+
+@pytest.mark.parametrize("make", [square_bundle, circle_bundle, amp2_bundle],
+                         ids=["square", "circle", "amp2"])
+def test_path_space_does_not_depend_on_the_cap(make):
+    bundle = make()
+    need = max(2, required_t_degree(bundle))
+    docs = {cap: dumps(bundle_to_json(derived_path_space(bundle, cap).bundle))
+            for cap in (need, need + 1, 16)}
+    assert docs[need] == docs[need + 1] == docs[16]
 
 
 # -- symbolic derived path space ---------------------------------------------------
@@ -493,6 +605,37 @@ def test_path_perturbation_pulls_each_coefficient_back_once(amp2_path_space, mon
     pulled.clear()
     assert path_perturbation(model, pvals, qvals) == memoised
     assert len(pulled) > calls
+
+
+def test_weak_equivalence_stages_once_and_certifies_each_point_once(monkeypatch):
+    bundle = plain_bundle(("x", "y", "z"))
+    fz = factorize_diagonal(bundle)
+    pts = find_classical_points(bundle)[0]
+    assert len(pts) == 343
+    staged, diffs, residuals = [], [], []
+    stage, diff, residual = Poly.staged, Poly.diff, geometry._residual
+    monkeypatch.setattr(Poly, "staged", lambda self, coords: staged.append(self)
+                        or stage(self, coords))
+    monkeypatch.setattr(Poly, "diff", lambda self, name: diffs.append(name) or diff(self, name))
+    monkeypatch.setattr(geometry, "_residual", lambda curvature, at: residuals.append(
+        (id(curvature), tuple(at))) or residual(curvature, at))
+
+    def run(points):
+        staged.clear(), diffs.clear(), residuals.clear()
+        rep = is_weak_equivalence(fz.weak_equivalence, points,
+                                  [tuple(p.coords) * 2 for p in points])
+        assert rep.ok and len(rep.etale) == len(points)
+        return len(staged), len(diffs), list(residuals)
+
+    one, every = run(pts[:1]), run(pts)
+    # curvature, Jacobian, base map and phi_1 entries: staged and
+    # differentiated once for the morphism, however many points follow
+    assert every[0] > 0 and every[1] > 0
+    assert one[:2] == every[:2]
+    # the source points come certified from the search; each target point
+    # is certified once, although it is also the image of a source point
+    assert len(every[2]) == len(set(every[2])) == len(pts)
+    assert len({c for c, _ in every[2]}) == 1
 
 
 def test_fibered_product_over_a_point_is_the_product():
