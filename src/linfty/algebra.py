@@ -30,9 +30,9 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .graded import (GradedSpace, MultiOp, OpFamily, Vector, arity_bound,
-                     bullet, bullet_op, circ)
+                     bullet, bullet_op, circ, sort_keys_with_sign)
 from .linalg import inverse as mat_inverse
-from .linalg import kernel_basis, right_inverse, solve
+from .linalg import kernel_basis, right_inverse, solve_columns
 from .poly import Poly, as_fraction
 
 Rat = Fraction | int
@@ -96,12 +96,39 @@ def reindex_op(op: MultiOp, source: GradedSpace, target: GradedSpace,
     """op carried onto new spaces through basis-key maps.
 
     Each input key goes through inputs and each output key through
-    outputs; inputs must keep input tuples canonically sorted, as the
-    embeddings of a direct sum do.
+    outputs.  inputs must be injective and degree preserving; each image
+    tuple is re-sorted into canonical order under its Koszul sign.  A map
+    that keeps the order, as the embeddings of a direct sum do, sees sign 1
+    throughout; a relabelling of basis keys (see linearize_fibration) may
+    reorder a tuple past odd keys and flip the sign of its entry.  The
+    result goes through the checked MultiOp constructor either way.
     """
-    coeffs = {tuple(inputs[k] for k in tup): {outputs[r]: c for r, c in vec.items()}
-              for tup, vec in op.coeffs.items()}
+    coeffs = {}
+    for tup, vec in op.coeffs.items():
+        srt, sign = sort_keys_with_sign(tuple(inputs[k] for k in tup))
+        coeffs[srt] = {outputs[r]: c if sign == 1 else -c for r, c in vec.items()}
     return MultiOp(op.arity, op.degree, source, target, coeffs)
+
+
+def _relabelling(op: MultiOp) -> dict | None:
+    """The key map of an arity-1 op that is a constant coordinate projection.
+
+    op qualifies when every source key goes to at most one target key,
+    with coefficient exactly 1, and every target key is hit exactly once
+    (the zero op onto a zero space included).  Returns source key ->
+    target key over the mapped source keys, or None.
+    """
+    sigma = {}
+    for (key,), vec in op.coeffs.items():
+        if len(vec) != 1:
+            return None
+        (out, c), = vec.items()
+        if c != 1:
+            return None
+        sigma[key] = out
+    if len(set(sigma.values())) != len(sigma) or len(sigma) != op.target.total_dim:
+        return None
+    return sigma
 
 
 def linear_apply(op: MultiOp, vec: Vector) -> Vector:
@@ -500,9 +527,24 @@ def invert_iso(m: Morphism) -> Morphism:
     """Invert a bundle isomorphism with affine base and constant linear part.
 
     The inverse fiber family is solved arity by arity from
-    (phi^pulled . psi) = identity; both composites are verified before
-    returning.
+    (phi^pulled . psi) = identity.  When the base map is the identity on
+    the same coordinates and phi is a bijective relabelling of basis keys
+    (arity 1 only, each key to one key with coefficient 1), the inverse is
+    the reverse relabelling and nothing is solved.  Either way both
+    composites are verified before returning.
     """
+    sigma = (_relabelling(m.phi.op(1))
+             if set(m.phi.ops) <= {1} and _identity_base(m) else None)
+    if sigma is not None and len(sigma) == m.src.fiber.total_dim:
+        back = {t: s for s, t in sigma.items()}
+        same = {key: key for key in m.dst.fiber.keys()}
+        psi1 = reindex_op(MultiOp.identity(m.dst.fiber), m.dst.fiber, m.src.fiber,
+                          same, back)
+        inv = Morphism(m.dst, m.src, tuple(Poly.variable(c) for c in m.src.coords),
+                       OpFamily(0, m.dst.fiber, m.src.fiber, {1: psi1}))
+        _check_inverse(inv, m)
+        return inv
+
     rows, consts = _affine_parts(m.base_map, m.src.coords)
     if len(rows) != len(m.src.coords):
         raise ValueError("base map must preserve the number of coordinates")
@@ -526,11 +568,20 @@ def invert_iso(m: Morphism) -> Morphism:
             continue
         psi = psi.with_op(op_then(resid, psi1).scaled(-1))
     inv = Morphism(m.dst, m.src, tuple(inv_base), psi)
+    _check_inverse(inv, m)
+    return inv
 
+
+def _identity_base(m: Morphism) -> bool:
+    """Whether m's base map is the identity on the same coordinates."""
+    return m.src.coords == m.dst.coords and all(
+        p.variable_name() == c for p, c in zip(m.base_map, m.src.coords))
+
+
+def _check_inverse(inv: Morphism, m: Morphism) -> None:
     for left, right, bundle in ((inv, m, m.src), (m, inv, m.dst)):
         if not same_morphism(compose(left, right), identity_morphism(bundle)):
             raise ValueError("inversion failed to verify; the morphism is not invertible")
-    return inv
 
 
 def rename_source_clear_of(m: Morphism, taken: Sequence[str], letter: str) -> Morphism:
@@ -632,63 +683,67 @@ def linearize_fibration(m: Morphism) -> LinearizedFibration:
     pulled-back target fiber plus its complement, transports the structure
     through the resulting isomorphism, and returns the pieces with
     compose(linear, iso) equal to m.
+
+    When m.phi is a constant coordinate projection (arity 1 only, each
+    source key to at most one target key with coefficient 1, each target
+    key hit once; an empty phi counts), the straightening iso is a graded
+    bijection sigma of basis keys: a mapped key goes to its target's copy,
+    an unmapped one to the next complement key in source order (the unit
+    vectors on the free columns that kernel_basis picks in general).  The
+    middle structure is then sigma applied to every operation, re-sorted
+    under Koszul signs by reindex_op, and nothing is solved.  On either
+    path the iso and the projection are checked to be morphisms and to
+    recompose to m.
     """
     src, dst = m.src, m.dst
     phi1 = m.phi.op(1)
-    pmats: dict[int, list[list[Fraction]]] = {}
-    wmats: dict[int, list[list[Fraction]]] = {}
-    kmats: dict[int, list[list[Fraction]]] = {}
-    comp_dims: dict[int, int] = {}
-    for d in sorted(set(src.fiber.degrees()) | set(dst.fiber.degrees())):
-        mat = op_matrix(phi1, d)
-        pmats[d] = mat
-        if dst.fiber.dims.get(d, 0):
-            w = right_inverse(mat)
-            if w is None:
-                raise ValueError(f"linear part is not surjective in degree {d}")
-            wmats[d] = w
-        kern = kernel_basis(mat, cols=src.fiber.dims.get(d, 0))
-        kmats[d] = [list(v) for v in kern]
-        comp_dims[d] = len(kern)
+    sigma = _relabelling(phi1) if set(m.phi.ops) <= {1} else None
+    if sigma is None:
+        comp_dims, kcoords = _kernel_complement(phi1, src.fiber, dst.fiber)
+    else:
+        comp_dims = {}
+        slot = {}                       # unmapped source key -> complement key
+        for d, i in src.fiber.keys():
+            if (d, i) not in sigma:
+                slot[(d, i)] = (d, comp_dims.get(d, 0))
+                comp_dims[d] = comp_dims.get(d, 0) + 1
 
     comp = GradedSpace.build(
         {d: n for d, n in comp_dims.items() if n},
         labels={d: [f"k{d}_{i}" for i in range(n)] for d, n in comp_dims.items() if n})
     mid_fiber, into_e, into_k = dst.fiber.direct_sum(comp)
-
-    def phi_prime_1(tup):
-        (d, i), = tup
-        out: dict = {}
-        vec = phi1.evaluate_basis(((d, i),))
-        for key, c in vec.items():
-            out[into_e[key]] = out.get(into_e[key], 0) + c
-        if comp_dims.get(d, 0):
-            n = src.fiber.dims[d]
-            resid = [Fraction(0)] * n
-            resid[i] = Fraction(1)
-            if d in wmats:
-                img = [sum(row[r] * resid[r] for r in range(n)) for row in pmats[d]]
-                back = [sum(wmats[d][r][s] * img[s] for s in range(len(img)))
-                        for r in range(n)]
-                resid = [a - b for a, b in zip(resid, back)]
-            coords = _solve_columns(kmats[d], resid)
-            for j, c in enumerate(coords):
-                if c:
-                    out[into_k[(d, j)]] = out.get(into_k[(d, j)], 0) + c
-        return {k: v for k, v in out.items() if v}
-
-    ops: dict[int, MultiOp] = {
-        1: MultiOp.from_function(1, 0, src.fiber, mid_fiber, phi_prime_1)}
     same_keys = {key: key for key in src.fiber.keys()}
-    for k, op in m.phi.ops.items():
-        if k >= 2:
-            ops[k] = reindex_op(op, src.fiber, mid_fiber, same_keys, into_e)
-    phi_prime = OpFamily(0, src.fiber, mid_fiber, ops)
 
-    ell_mid = transport_target(phi_prime, src.total())
+    if sigma is None:
+        def phi_prime_1(tup):
+            (d, i), = tup
+            out: dict = {}
+            for key, c in phi1.evaluate_basis(((d, i),)).items():
+                out[into_e[key]] = c
+            if d in kcoords:
+                for j, c in enumerate(kcoords[d][i]):
+                    if c:
+                        out[into_k[(d, j)]] = c
+            return out
+
+        ops: dict[int, MultiOp] = {
+            1: MultiOp.from_function(1, 0, src.fiber, mid_fiber, phi_prime_1)}
+        for k, op in m.phi.ops.items():
+            if k >= 2:
+                ops[k] = reindex_op(op, src.fiber, mid_fiber, same_keys, into_e)
+        phi_prime = OpFamily(0, src.fiber, mid_fiber, ops)
+        ell_mid = transport_target(phi_prime, src.total()).ops
+    else:
+        full = {key: into_e[sigma[key]] if key in sigma else into_k[slot[key]]
+                for key in src.fiber.keys()}
+        phi_prime = OpFamily(0, src.fiber, mid_fiber, {1: reindex_op(
+            MultiOp.identity(src.fiber), src.fiber, mid_fiber, same_keys, full)})
+        ell_mid = {n: reindex_op(op, mid_fiber, mid_fiber, full, full)
+                   for n, op in sorted(src.total().ops.items())}
+
     mid = LinftyBundle(src.coords, mid_fiber,
                        MultiOp.zero(1, 1, mid_fiber, mid_fiber),
-                       OpFamily(1, mid_fiber, mid_fiber, dict(ell_mid.ops)))
+                       OpFamily(1, mid_fiber, mid_fiber, ell_mid))
     ident_base = tuple(Poly.variable(x) for x in src.coords)
     iso = Morphism(src, mid, ident_base, phi_prime)
 
@@ -707,14 +762,36 @@ def linearize_fibration(m: Morphism) -> LinearizedFibration:
     return LinearizedFibration(iso, linear, mid, comp, dict(into_e), dict(into_k))
 
 
-def _solve_columns(cols: list[list[Fraction]], target: list[Fraction]) -> list[Fraction]:
-    """Coordinates of target in the span of the given columns."""
-    if not cols:
-        if any(target):
+def _kernel_complement(phi1: MultiOp, source: GradedSpace, target: GradedSpace):
+    """Complement of the kernel of a constant surjective phi1, degree by degree.
+
+    Returns the complement dimensions and, per degree with a nonzero
+    complement, the kernel-basis coordinates of every source unit vector
+    after its W phi1 part is removed (W a right inverse of phi1): one
+    elimination per degree solves for all of them.
+    """
+    comp_dims: dict[int, int] = {}
+    kcoords: dict[int, list[list[Fraction]]] = {}
+    for d in sorted(set(source.degrees()) | set(target.degrees())):
+        mat = op_matrix(phi1, d)
+        n = source.dim(d)
+        w = None
+        if target.dim(d):
+            w = right_inverse(mat)
+            if w is None:
+                raise ValueError(f"linear part is not surjective in degree {d}")
+        kern = kernel_basis(mat, cols=n)
+        comp_dims[d] = len(kern)
+        if not kern:
+            continue
+        resid = [[Fraction(int(r == i)) for r in range(n)] for i in range(n)]
+        if w is not None:
+            for i in range(n):
+                img = [row[i] for row in mat]
+                for r in range(n):
+                    resid[i][r] -= sum(w[r][s] * img[s] for s in range(len(img)))
+        sols = solve_columns([[v[r] for v in kern] for r in range(n)], resid)
+        if sols is None:
             raise ValueError("vector not in span")
-        return []
-    a = [[cols[j][i] for j in range(len(cols))] for i in range(len(target))]
-    sol = solve(a, list(target))
-    if sol is None:
-        raise ValueError("vector not in span")
-    return sol
+        kcoords[d] = sols
+    return comp_dims, kcoords

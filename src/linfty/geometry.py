@@ -19,9 +19,11 @@ kernels staged once per polynomial.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from operator import add
 
 from .algebra import (LinftyBundle, Morphism, _affine_parts, _eval_coeff,
                       check_mc, check_morphism, compose, invert_iso,
@@ -64,12 +66,16 @@ class CochainComplex:
                                  f"{self.dims.get(k + 1, 0)}x{self.dims.get(k, 0)}")
         for k in self.diffs:
             if k + 1 in self.diffs:
-                nxt, cur = self.diffs[k + 1], self.diffs[k]
-                for i in range(len(nxt)):
-                    for j in range(len(cur[0])):
-                        s = sum(nxt[i][r] * cur[r][j] for r in range(len(cur)))
-                        if s:
-                            raise ValueError(f"d.d != 0 between degrees {k} and {k + 2}")
+                # each row of nxt . cur, summed exactly over nonzero factors only
+                cur = [[(j, c) for j, c in enumerate(row) if c] for row in self.diffs[k]]
+                for row in self.diffs[k + 1]:
+                    acc: dict[int, Fraction] = {}
+                    for r, a in enumerate(row):
+                        if a:
+                            for j, c in cur[r]:
+                                acc[j] = acc.get(j, 0) + a * c
+                    if any(acc.values()):
+                        raise ValueError(f"d.d != 0 between degrees {k} and {k + 2}")
 
     def degrees(self) -> list[int]:
         return sorted(self.dims)
@@ -798,6 +804,27 @@ def _fresh_names(stem: str, count: int, taken: set[str]) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
+def _drop_near_repeats(points: list[tuple[float, ...]]) -> list[tuple[float, ...]]:
+    """The points in order, less each one within 1e-6 in every coordinate
+    of an earlier kept point.
+
+    Kept points are filed by cells twice that wide, so a point within 1e-6
+    of q lies in q's cell or a neighbouring one (rounding in v / 2e-6 cannot
+    carry it two cells away), and only those 3^m cells are searched.
+    """
+    kept: list[tuple[float, ...]] = []
+    cells: dict[tuple[int, ...], list[tuple[float, ...]]] = {}
+    around = list(itertools.product((-1, 0, 1), repeat=len(points[0]))) if points else []
+    for pt in points:
+        cell = tuple(math.floor(v / 2e-6) for v in pt)
+        if any(all(abs(a - b) < 1e-6 for a, b in zip(pt, q))
+               for off in around for q in cells.get(tuple(map(add, cell, off)), ())):
+            continue
+        kept.append(pt)
+        cells.setdefault(cell, []).append(pt)
+    return kept
+
+
 def find_classical_points(bundle: LinftyBundle, tol: float = 1e-9
                           ) -> tuple[list[ClassicalPoint], list[tuple[float, ...]]]:
     """Grid-seeded Newton search for zeros of the curvature section.
@@ -826,7 +853,7 @@ def find_classical_points(bundle: LinftyBundle, tol: float = 1e-9
     lo, hi, grid = -3.0, 3.0, 7
     seeds = itertools.product(
         *[[lo + (hi - lo) * i / (grid - 1) for i in range(grid)]] * m)
-    found: list[tuple[float, ...]] = []
+    converged: list[tuple[float, ...]] = []
     for seed in seeds:
         pt = list(seed)
         ok = False
@@ -843,11 +870,9 @@ def find_classical_points(bundle: LinftyBundle, tol: float = 1e-9
             pt = [a - b for a, b in zip(pt, step)]
             if max(abs(v) for v in pt) > 1e6:
                 break
-        if not ok:
-            continue
-        if any(all(abs(a - b) < 1e-6 for a, b in zip(pt, q)) for q in found):
-            continue
-        found.append(tuple(pt))
+        if ok:
+            converged.append(tuple(pt))
+    found = _drop_near_repeats(converged)
 
     exact: list[ClassicalPoint] = []
     seen: set[tuple[Fraction, ...]] = set()

@@ -680,7 +680,8 @@ def _bullet_value_partitions(lam: OpFamily, phi: OpFamily, tup) -> Vector:
         vecs = []
         dead = False
         for b in blocks:
-            v = phi.op(len(b)).evaluate_basis(tuple(tup[i] for i in b))
+            phi_b = phi.ops.get(len(b))
+            v = phi_b.evaluate_basis(tuple(tup[i] for i in b)) if phi_b is not None else None
             if not v:
                 dead = True
                 break

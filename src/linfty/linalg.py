@@ -91,12 +91,6 @@ def solve_columns(a: Matrix, cols: Sequence[Sequence[Fraction]]) -> list[list[Fr
     return out
 
 
-def solve(a: Matrix, b: Sequence[Fraction]) -> list[Fraction] | None:
-    """One solution of a x = b, or None if inconsistent."""
-    sol = solve_columns(a, [b])
-    return None if sol is None else sol[0]
-
-
 def inverse(a: Matrix) -> Matrix:
     n = len(a)
     if any(len(row) != n for row in a):

@@ -68,13 +68,24 @@ def format_fraction(x: Fraction) -> str:
 
 def _reindexed(terms: Mapping[tuple, Fraction], pos: Sequence[int],
                n: int) -> dict[tuple, Fraction]:
-    """Terms with exponent slot j moved to slot pos[j] of a length-n vector."""
+    """Terms with exponent slot j added into slot pos[j] of a length-n vector.
+
+    When pos sends two slots to one, monomials can collide: their
+    coefficients add and those that cancel are dropped.
+    """
+    if len(pos) == n and list(pos) == list(range(n)):
+        return dict(terms)
     out: dict[tuple, Fraction] = {}
     for exps, c in terms.items():
         e = [0] * n
         for p, k in zip(pos, exps):
-            e[p] = k
-        out[tuple(e)] = c
+            e[p] += k
+        m = tuple(e)
+        if m in out:
+            c += out[m]
+        out[m] = c
+    if len(out) < len(terms):
+        out = {m: c for m, c in out.items() if c}
     return out
 
 
@@ -298,30 +309,62 @@ class Poly:
         return Poly._trusted(self.vars, {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
                                          for e, c in self.terms.items() if e[i]})
 
+    def variable_name(self) -> str | None:
+        """The name v when this polynomial is the single variable v with
+        coefficient 1, otherwise None."""
+        if len(self.terms) != 1:
+            return None
+        (e, c), = self.terms.items()
+        if c != 1 or sum(e) != 1:
+            return None
+        return self.vars[e.index(1)]
+
     def substitute(self, values: Mapping[str, "Poly | Rat"]) -> "Poly":
         """Substitute polynomials (or rationals) for some of the variables.
 
         The result's variables are the kept ones, in order, followed by
         those of the substituted polynomials in order of first appearance.
+        When each variable of this polynomial that gets a value gets a
+        single variable with coefficient 1 (an identity, a rename or a
+        swap, also onto a kept variable), the substitution is a
+        relabelling: each exponent moves to its new slot and coefficients
+        add where monomials collide, with no products taken.
         """
         out_vars: list[str] = [v for v in self.vars if v not in values]
+        slot = {v: i for i, v in enumerate(out_vars)}
         subs: dict[str, Poly | Fraction] = {}
         for name, val in values.items():
             if isinstance(val, Poly):
-                out_vars += [v for v in val.vars if v not in out_vars]
-            subs[name] = val if isinstance(val, Poly) else as_fraction(val)
+                for v in val.vars:
+                    if v not in slot:
+                        slot[v] = len(out_vars)
+                        out_vars.append(v)
+            else:
+                val = as_fraction(val)
+            subs[name] = val
         vs = tuple(out_vars)
         n = len(vs)
+        pos = []
+        for v in self.vars:
+            val = subs.get(v)
+            if val is None:
+                pos.append(slot[v])
+            elif isinstance(val, Poly) and (name := val.variable_name()) is not None:
+                pos.append(slot[name])
+            else:
+                break
+        else:
+            return Poly._trusted(vs, _reindexed(self.terms, pos, n))
         # each substituted variable's value over vs, and its powers computed so far
         powers: dict[int, list[dict[tuple, Fraction]]] = {}
         kept: list[tuple[int, int]] = []
         for i, v in enumerate(self.vars):
             if v not in subs:
-                kept.append((i, vs.index(v)))
+                kept.append((i, slot[v]))
                 continue
             val = subs[v]
             if isinstance(val, Poly):
-                base = _reindexed(val.terms, [vs.index(w) for w in val.vars], n)
+                base = _reindexed(val.terms, [slot[w] for w in val.vars], n)
             else:
                 base = {(0,) * n: val} if val else {}
             powers[i] = [{(0,) * n: Fraction(1)}, base]

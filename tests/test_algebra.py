@@ -5,14 +5,16 @@ from fractions import Fraction
 
 import pytest
 
+from linfty import algebra as algebra_module
 from linfty.algebra import (CurvedAlgebra, LinftyBundle, Morphism,
                             algebra_as_bundle, check_mc, check_morphism,
                             compose, identity_morphism, invert_iso,
                             invert_linear_op, linearize_fibration,
                             op_matrix, plain_bundle, product_bundle,
-                            product_projection, transport_source,
-                            transport_target)
+                            product_projection, same_morphism,
+                            transport_source, transport_target)
 from linfty.graded import GradedSpace, MultiOp, OpFamily, bullet, circ
+from linfty.pathspace import derived_path_space, required_t_degree
 from linfty.poly import Poly
 from linfty.samples import (random_bundle, random_formal_iso,
                             random_mc_algebra, random_morphism_onto)
@@ -355,3 +357,158 @@ def test_linearize_projection_fibration():
     # the complement carries the kernel ranks
     for d in prod.fiber.degrees():
         assert lf.complement.dim(d) == prod.fiber.dim(d) - a.fiber.dim(d)
+
+
+# -- straightening by relabelling ----------------------------------------------------
+
+def circle_bundle():
+    y = Poly.variable("y")
+    fiber = GradedSpace.build({1: 1})
+    lam0 = MultiOp(0, 1, fiber, fiber, {(): {(1, 0): x ** 2 + y ** 2 - 1}})
+    return LinftyBundle(("x", "y"), fiber, MultiOp.zero(1, 1, fiber, fiber),
+                        OpFamily(1, fiber, fiber, {0: lam0}))
+
+
+def amp2_bundle():
+    x1, x2 = Poly.variable("x1"), Poly.variable("x2")
+    fiber = GradedSpace.build({1: 2, 2: 1}, labels={1: ["a", "b"], 2: ["c"]})
+    lam0 = MultiOp(0, 1, fiber, fiber,
+                   {(): {(1, 0): x1 ** 2, (1, 1): -(x1 ** 2) * x2}})
+    lam1 = MultiOp(1, 1, fiber, fiber, {((1, 0),): {(2, 0): x2},
+                                        ((1, 1),): {(2, 0): Poly.constant(1)}})
+    return LinftyBundle(("x1", "x2"), fiber, MultiOp.zero(1, 1, fiber, fiber),
+                        OpFamily(1, fiber, fiber, {0: lam0, 1: lam1}))
+
+
+def seeded_projection():
+    """Projection of a seeded product onto its second factor, so that the
+    dropped keys come first in every degree."""
+    rng = random.Random(11)
+    a = random_bundle(rng, ("x",), amplitude=2, max_dim=2, coeff_degree=1)
+    b = random_bundle(rng, ("y",), amplitude=2, max_dim=2, coeff_degree=1)
+    prod, _, _ = product_bundle(a, b)
+    return product_projection(prod, b, first=False)
+
+
+def path_evaluation(bundle):
+    return derived_path_space(bundle, max(2, required_t_degree(bundle))).evaluation
+
+
+PROJECTIONS = {
+    "square": lambda: path_evaluation(square_bundle()),
+    "circle": lambda: path_evaluation(circle_bundle()),
+    "amp2": lambda: path_evaluation(amp2_bundle()),
+    "plain": lambda: path_evaluation(plain_bundle(("u", "v"))),
+    "seeded": seeded_projection,
+}
+
+
+def refuse(name):
+    def call(*args, **kwargs):
+        raise AssertionError(f"{name} ran on the relabelling path")
+    return call
+
+
+@pytest.mark.parametrize("name", sorted(PROJECTIONS))
+def test_coordinate_projection_is_straightened_by_relabelling(name, monkeypatch):
+    m = PROJECTIONS[name]()
+    for fn in ("transport_target", "kernel_basis", "right_inverse", "solve_columns",
+               "mat_inverse", "invert_linear_op", "bullet_op"):
+        monkeypatch.setattr(algebra_module, fn, refuse(fn))
+    lin = linearize_fibration(m)
+    inv = invert_iso(lin.iso)
+    monkeypatch.undo()
+    assert lin.middle.total() == transport_target(lin.iso.phi, m.src.total())
+    assert inv.phi.op(1) == invert_linear_op(lin.iso.phi.op(1))
+    assert set(inv.phi.ops) <= {1}
+    assert same_morphism(compose(lin.linear, lin.iso), m)
+    # the general path, made to run here, picks the same complement basis
+    monkeypatch.setattr(algebra_module, "_relabelling", lambda op: None)
+    general = linearize_fibration(m)
+    assert general.complement == lin.complement
+    assert general.iso.phi == lin.iso.phi
+    assert general.middle.total() == lin.middle.total()
+    assert invert_iso(general.iso).phi == inv.phi
+
+
+def test_relabelling_reorders_odd_keys_under_their_sign():
+    # amp2's path space has binary operations; in its evaluation the kept
+    # end values move ahead of the dropped keys, so some tuple is re-sorted
+    m = PROJECTIONS["amp2"]()
+    lin = linearize_fibration(m)
+    sigma = {k: next(iter(vec)) for (k,), vec in lin.iso.phi.op(1).coeffs.items()}
+    flips = 0
+    for n, op in m.src.total().ops.items():
+        for tup in op.coeffs:
+            image = [sigma[k] for k in tup]
+            odd = [k for k in image if k[0] % 2]
+            flips += sum(a > b for i, a in enumerate(odd) for b in odd[i + 1:]) % 2
+    assert flips > 0
+
+
+def through_source_iso(m, psi):
+    """m precomposed with the iso psi onto m's source, whose own source
+    carries the structure transported back through psi."""
+    fiber = m.src.fiber
+    ell = transport_source(psi, m.src.total())
+    src = LinftyBundle(m.src.coords, fiber, MultiOp.zero(1, 1, fiber, fiber),
+                       OpFamily(1, fiber, fiber, dict(ell.ops)))
+    g = Morphism(src, m.src, tuple(Poly.variable(c) for c in m.src.coords), psi)
+    assert check_morphism(g).ok
+    return compose(m, g)
+
+
+def near_projection(kind):
+    m = seeded_projection()
+    fiber = m.src.fiber
+    ident = MultiOp.identity(fiber)
+    kept = {k for (k,) in m.phi.op(1).coeffs}
+    if kind == "coefficient 2":
+        return through_source_iso(m, OpFamily(0, fiber, fiber, {1: ident.scaled(2)}))
+    if kind == "target hit twice":
+        # a dropped key d also picks up a kept key k of its degree
+        d, k = next((d, k) for d in fiber.keys() if d not in kept
+                    for k in sorted(kept) if k[0] == d[0])
+        shear = MultiOp(1, 0, fiber, fiber, {(d,): {k: Fraction(1)}})
+        return through_source_iso(m, OpFamily(0, fiber, fiber, {1: ident.plus(shear)}))
+    # an arity-2 component landing on a kept key
+    a, b, k = next((a, b, k) for a in fiber.keys() for b in fiber.keys()
+                   for k in sorted(kept) if a < b and a[0] + b[0] == k[0])
+    psi2 = MultiOp(2, 0, fiber, fiber, {(a, b): {k: Fraction(1)}})
+    return through_source_iso(m, OpFamily(0, fiber, fiber, {1: ident, 2: psi2}))
+
+
+@pytest.mark.parametrize("kind", ["coefficient 2", "target hit twice", "arity 2"])
+def test_near_projection_takes_the_general_path(kind, monkeypatch):
+    m = near_projection(kind)
+    calls = []
+    real = algebra_module.transport_target
+    monkeypatch.setattr(algebra_module, "transport_target",
+                        lambda *a: calls.append(1) or real(*a))
+    lin = linearize_fibration(m)
+    assert calls == [1]
+    assert check_morphism(lin.iso).ok and check_morphism(lin.linear).ok
+    assert same_morphism(compose(lin.linear, lin.iso), m)
+
+
+@pytest.mark.parametrize("name", ["square", "circle", "amp2", "seeded"])
+def test_a_corrupted_relabelling_is_caught(name, monkeypatch):
+    m = PROJECTIONS[name]()
+    real = algebra_module.reindex_op
+    flipped = []
+
+    def corrupt(op, source, target, inputs, outputs):
+        out = real(op, source, target, inputs, outputs)
+        # flip one sign of the first nonzero middle operation
+        if op.degree == 1 and out.coeffs and not flipped:
+            tup, vec = next(iter(out.coeffs.items()))
+            key, c = next(iter(vec.items()))
+            flipped.append(tup)
+            return MultiOp(out.arity, out.degree, out.source, out.target,
+                           {**out.coeffs, tup: {**vec, key: -c}})
+        return out
+
+    monkeypatch.setattr(algebra_module, "reindex_op", corrupt)
+    with pytest.raises(ValueError, match="failed to verify the morphism equation"):
+        linearize_fibration(m)
+    assert flipped

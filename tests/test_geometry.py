@@ -17,6 +17,7 @@ from linfty.geometry import (ClassicalPoint, CochainComplex, classical_point,
                              pullback_fibration, shifted_tangent,
                              tangent_complex, tangent_map, virtual_dimension)
 from linfty.graded import GradedSpace, MultiOp, OpFamily
+from linfty.linalg import kernel_basis
 from linfty.poly import Poly
 from linfty.samples import random_bundle
 
@@ -54,6 +55,32 @@ def test_cochain_complex_with_identity_differential():
 def test_cochain_complex_rejects_nonzero_composite():
     with pytest.raises(ValueError):
         CochainComplex({0: 1, 1: 1, 2: 1}, {0: [[1]], 1: [[1]]})
+
+
+def test_cochain_complex_proves_d_squared_zero_exactly():
+    """Composites that vanish by cancellation pass, one changed entry fails."""
+    rng = random.Random(5)
+    seen = {"passed": 0, "rejected": 0}
+    for _ in range(60):
+        n0, n1, n2 = rng.randint(1, 4), rng.randint(2, 5), rng.randint(1, 4)
+        d0 = [[Fraction(rng.choice([0, 0, rng.randint(-3, 3)]), rng.randint(1, 3))
+               for _ in range(n0)] for _ in range(n1)]
+        left = kernel_basis([list(col) for col in zip(*d0)], cols=n1)
+        if not left:
+            continue
+        d1 = [[sum((c * v[r] for c, v in zip(coeffs, left)), Fraction(0)) for r in range(n1)]
+              for coeffs in ([rng.randint(-2, 2) for _ in left] for _ in range(n2))]
+        if rng.random() < 0.5:
+            d1[rng.randrange(n2)][rng.randrange(n1)] += 1
+        nonzero = any(sum(d1[i][r] * d0[r][j] for r in range(n1))
+                      for i in range(n2) for j in range(n0))
+        if nonzero:
+            with pytest.raises(ValueError, match="d.d != 0 between degrees 0 and 2"):
+                CochainComplex({0: n0, 1: n1, 2: n2}, {0: d0, 1: d1})
+        else:
+            CochainComplex({0: n0, 1: n1, 2: n2}, {0: d0, 1: d1})
+        seen["rejected" if nonzero else "passed"] += 1
+    assert min(seen.values()) >= 10, seen
 
 
 def test_cochain_complex_rejects_bad_shapes():
@@ -127,6 +154,38 @@ def test_find_classical_points_on_a_circle_returns_rational_hits_only():
     exact, _ = find_classical_points(b)
     for p in exact:
         assert curvature_residual(b, p.coords) == 0
+
+
+def test_near_repeats_are_dropped_as_by_the_pairwise_rule():
+    def pairwise(points):
+        kept = []
+        for pt in points:
+            if not any(all(abs(a - b) < 1e-6 for a, b in zip(pt, q)) for q in kept):
+                kept.append(pt)
+        return kept
+
+    rng = random.Random(2307)
+    offsets = (0.0, 0.4e-6, 0.99e-6, 1e-6, 1.01e-6, 1.9e-6, 2e-6, 3.1e-6)
+    seen = {"dropped": 0, "near but kept": 0}
+    for m in (1, 2, 3):
+        for _ in range(60):
+            points = []
+            for _ in range(rng.randint(1, 6)):
+                # cluster centres on cell edges, inside the box and far out
+                centre = [rng.choice([rng.randint(-5, 5) * 2e-6, rng.uniform(-3, 3),
+                                      rng.choice([-1, 1]) * (1e6 - rng.random())])
+                          for _ in range(m)]
+                for _ in range(rng.randint(1, 4)):
+                    points.append(tuple(c + rng.choice((-1, 1)) * rng.choice(offsets)
+                                        for c in centre))
+            rng.shuffle(points)
+            want = pairwise(points)
+            assert geometry._drop_near_repeats(points) == want
+            seen["dropped"] += len(points) - len(want)
+            seen["near but kept"] += sum(
+                all(abs(a - b) < 4e-6 for a, b in zip(p, q))
+                for i, p in enumerate(want) for q in want[i + 1:])
+    assert min(seen.values()) >= 20, seen
 
 
 def test_find_classical_points_differentiates_each_component_once(monkeypatch):

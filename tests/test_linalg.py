@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from oracles import solve_literal
 
-from linfty.linalg import identity, rank, right_inverse, solve, solve_columns
+from linfty.linalg import identity, rank, right_inverse, solve_columns
 
 
 def rational(rng):
@@ -47,7 +47,6 @@ def test_solve_columns_matches_one_elimination_per_column():
             assert got is None
         else:
             assert got == expected
-        assert solve(a, bs[0]) == expected[0]
         seen["rank deficient"] += rank(a) < min(rows, cols)
         seen["empty"] += not rows or not cols
     assert min(seen.values()) >= 10, seen

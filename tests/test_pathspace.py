@@ -11,7 +11,7 @@ from oracles import (PathSection, bareiss_betti, path_curved_structure, path_eta
                      path_space_manifold, pi_con, pi_lin, pullback)
 
 from linfty.algebra import (LinftyBundle, Morphism, check_mc, check_morphism,
-                            op_matrix, plain_bundle)
+                            identity_morphism, op_matrix, plain_bundle)
 from linfty.cli import main
 from linfty.geometry import (CochainComplex, classical_point, find_classical_points,
                              is_weak_equivalence, tangent_complex, virtual_dimension)
@@ -19,7 +19,7 @@ from linfty.graded import GradedSpace, MultiOp, OpFamily, bullet
 from linfty.algebra import op_then
 from linfty.modelio import bundle_to_json, dumps
 from linfty.poly import DegreeCapError, Poly
-from linfty import geometry, linalg, pathspace, transfer
+from linfty import algebra, geometry, linalg, pathspace, transfer
 from linfty.linalg import solve_columns
 from linfty.pathspace import (Submanifold, _coeff_key, _doubled_names, axis_submanifold,
                               build_path_model, derived_intersection, derived_path_space,
@@ -646,6 +646,24 @@ def test_fibered_product_over_a_point_is_the_product():
     assert virtual_dimension(fp.bundle) == 2 * virtual_dimension(b)
     assert check_mc(fp.bundle.as_algebra()).ok
     assert check_morphism(fp.to_left).ok and check_morphism(fp.to_right).ok
+
+
+@pytest.mark.parametrize("make", [square_bundle, circle_bundle, amp2_bundle,
+                                  lambda: plain_bundle(("u", "v"))],
+                         ids=["square", "circle", "amp2", "plain"])
+def test_fibered_products_straighten_by_relabelling(make, monkeypatch):
+    """The path-space evaluation is a coordinate projection, so neither its
+    straightening nor the inverse of the straightening iso solves anything:
+    the names below are the solvers as algebra binds them."""
+    b = make()
+    f = identity_morphism(b)
+    for mod, name in ((algebra, "transport_target"), (algebra, "kernel_basis"),
+                      (algebra, "mat_inverse"), (linalg, "inverse")):
+        def refuse(*args, name=name):
+            raise AssertionError(f"{name} ran inside a fibered product")
+        monkeypatch.setattr(mod, name, refuse)
+    fp = homotopy_fibered_product(f, f, cap=max(2, required_t_degree(b)))
+    assert virtual_dimension(fp.bundle) == virtual_dimension(b)
 
 
 def test_fibered_product_dimension_formula():

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 from oracles import (PathSection, eval_literal, path_delta, path_eta, pi_con, pi_lin, poly_t,
                      pullback, substitute_literal)
 
+from linfty import poly as poly_module
 from linfty.poly import DegreeCapError, Poly, as_fraction, degree_cap, format_fraction
 
 x = Poly.variable("x")
@@ -171,6 +172,35 @@ def test_substitute_matches_the_term_by_term_oracle():
             values = {"w": random_poly(rng, ("t", "x")), names[0]: Poly.variable("x") + 1}
         got, want = p.substitute(values), substitute_literal(p, values)
         assert got.vars == want.vars and got.terms == want.terms, (p, values)
+
+
+@pytest.mark.parametrize("values, want_vars", [
+    ({"x": x, "y": y}, ("z", "x", "y")),             # identity
+    ({"x": Poly.variable("s")}, ("y", "z", "s")),    # rename
+    ({"x": y, "y": x}, ("z", "y", "x")),             # swap
+    ({"x": y}, ("y", "z")),                          # rename onto a kept variable
+], ids=["identity", "rename", "swap", "onto kept"])
+def test_substitute_relabels_without_multiplying(values, want_vars, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a relabelling multiplied term dicts")
+
+    rng = random.Random(1023)
+    polys = [random_poly(rng).with_vars(("x", "y", "z")) for _ in range(60)]
+    xy, x_minus_y = x * y, x - y
+    monkeypatch.setattr(poly_module, "_mul_terms", refuse)
+    results = [p.substitute(values) for p in polys]
+    product, cancelled = xy.substitute({"x": y}), x_minus_y.substitute({"x": y})
+    monkeypatch.undo()
+    for p, got in zip(polys, results):
+        assert got.vars == want_vars
+        assert_normal_form(got)
+        want = substitute_literal(p, values)
+        assert got.vars == want.vars and got.terms == want.terms, (p, values)
+        pt = {v: Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for v in ("x", "y", "z", "s")}
+        moved = {name: val.eval(pt) for name, val in values.items()}
+        assert got.eval(pt) == p.eval({**pt, **moved})
+    assert product.vars == ("y",) and product == y ** 2
+    assert cancelled.terms == {}
 
 
 @pytest.mark.parametrize("vars, terms, error", [
