@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .graded import (GradedSpace, MultiOp, OpFamily, Vector, arity_bound,
-                     bullet, bullet_op, circ, sort_keys_with_sign)
+                     bullet, bullet_op, circ)
 from .linalg import inverse as mat_inverse
 from .linalg import kernel_basis, right_inverse, solve_columns
 from .poly import Poly, as_fraction
@@ -96,39 +96,13 @@ def reindex_op(op: MultiOp, source: GradedSpace, target: GradedSpace,
     """op carried onto new spaces through basis-key maps.
 
     Each input key goes through inputs and each output key through
-    outputs.  inputs must be injective and degree preserving; each image
-    tuple is re-sorted into canonical order under its Koszul sign.  A map
-    that keeps the order, as the embeddings of a direct sum do, sees sign 1
-    throughout; a relabelling of basis keys (see linearize_fibration) may
-    reorder a tuple past odd keys and flip the sign of its entry.  The
-    result goes through the checked MultiOp constructor either way.
+    outputs.  inputs must be injective, degree preserving and keep the
+    order of keys within every tuple, as the embeddings of a direct sum
+    do; the checked MultiOp constructor rejects a tuple it would reorder.
     """
-    coeffs = {}
-    for tup, vec in op.coeffs.items():
-        srt, sign = sort_keys_with_sign(tuple(inputs[k] for k in tup))
-        coeffs[srt] = {outputs[r]: c if sign == 1 else -c for r, c in vec.items()}
+    coeffs = {tuple(inputs[k] for k in tup): {outputs[r]: c for r, c in vec.items()}
+              for tup, vec in op.coeffs.items()}
     return MultiOp(op.arity, op.degree, source, target, coeffs)
-
-
-def _relabelling(op: MultiOp) -> dict | None:
-    """The key map of an arity-1 op that is a constant coordinate projection.
-
-    op qualifies when every source key goes to at most one target key,
-    with coefficient exactly 1, and every target key is hit exactly once
-    (the zero op onto a zero space included).  Returns source key ->
-    target key over the mapped source keys, or None.
-    """
-    sigma = {}
-    for (key,), vec in op.coeffs.items():
-        if len(vec) != 1:
-            return None
-        (out, c), = vec.items()
-        if c != 1:
-            return None
-        sigma[key] = out
-    if len(set(sigma.values())) != len(sigma) or len(sigma) != op.target.total_dim:
-        return None
-    return sigma
 
 
 def linear_apply(op: MultiOp, vec: Vector) -> Vector:
@@ -409,7 +383,10 @@ class Morphism:
 
 
 def pullback_family(fam: OpFamily, values: Mapping[str, Poly]) -> OpFamily:
-    """Substitute base coordinates in every coefficient of a family."""
+    """Substitute base coordinates in every coefficient of a family; with
+    no values, the family itself."""
+    if not values:
+        return fam
     return map_family_coeffs(fam, lambda c: _substitute_coeff(c, values))
 
 
@@ -527,28 +504,13 @@ def invert_iso(m: Morphism) -> Morphism:
     """Invert a bundle isomorphism with affine base and constant linear part.
 
     The inverse fiber family is solved arity by arity from
-    (phi^pulled . psi) = identity.  When the base map is the identity on
-    the same coordinates and phi is a bijective relabelling of basis keys
-    (arity 1 only, each key to one key with coefficient 1), the inverse is
-    the reverse relabelling and nothing is solved.  Either way both
-    composites are verified before returning.
+    (phi^pulled . psi) = identity, and both composites are verified
+    before returning.
     """
-    sigma = (_relabelling(m.phi.op(1))
-             if set(m.phi.ops) <= {1} and _identity_base(m) else None)
-    if sigma is not None and len(sigma) == m.src.fiber.total_dim:
-        back = {t: s for s, t in sigma.items()}
-        same = {key: key for key in m.dst.fiber.keys()}
-        psi1 = reindex_op(MultiOp.identity(m.dst.fiber), m.dst.fiber, m.src.fiber,
-                          same, back)
-        inv = Morphism(m.dst, m.src, tuple(Poly.variable(c) for c in m.src.coords),
-                       OpFamily(0, m.dst.fiber, m.src.fiber, {1: psi1}))
-        _check_inverse(inv, m)
-        return inv
-
     rows, consts = _affine_parts(m.base_map, m.src.coords)
     if len(rows) != len(m.src.coords):
         raise ValueError("base map must preserve the number of coordinates")
-    ainv = mat_inverse([[Fraction(x) for x in row] for row in rows])
+    ainv = mat_inverse(rows)
     inv_base = []
     for j in range(len(ainv)):
         p = Poly.zero()
@@ -568,20 +530,10 @@ def invert_iso(m: Morphism) -> Morphism:
             continue
         psi = psi.with_op(op_then(resid, psi1).scaled(-1))
     inv = Morphism(m.dst, m.src, tuple(inv_base), psi)
-    _check_inverse(inv, m)
-    return inv
-
-
-def _identity_base(m: Morphism) -> bool:
-    """Whether m's base map is the identity on the same coordinates."""
-    return m.src.coords == m.dst.coords and all(
-        p.variable_name() == c for p, c in zip(m.base_map, m.src.coords))
-
-
-def _check_inverse(inv: Morphism, m: Morphism) -> None:
     for left, right, bundle in ((inv, m, m.src), (m, inv, m.dst)):
         if not same_morphism(compose(left, right), identity_morphism(bundle)):
             raise ValueError("inversion failed to verify; the morphism is not invertible")
+    return inv
 
 
 def rename_source_clear_of(m: Morphism, taken: Sequence[str], letter: str) -> Morphism:
@@ -604,11 +556,8 @@ def rename_source_clear_of(m: Morphism, taken: Sequence[str], letter: str) -> Mo
         return m
     src = m.src.rename_coords(mapping)
     values = {old: Poly.variable(new) for old, new in mapping.items()}
-    base = tuple(p.substitute(values) if isinstance(p, Poly) else p
-                 for p in m.base_map)
-    phi = map_family_coeffs(m.phi, lambda c:
-                            c.substitute(values) if isinstance(c, Poly) else c)
-    return Morphism(src, m.dst, base, phi)
+    base = tuple(p.substitute(values) for p in m.base_map)
+    return Morphism(src, m.dst, base, pullback_family(m.phi, values))
 
 
 def transport_source(psi: OpFamily, ell: OpFamily) -> OpFamily:
@@ -658,21 +607,14 @@ def transport_target(phi: OpFamily, ell: OpFamily) -> OpFamily:
 class LinearizedFibration:
     """Fibration rewritten as an isomorphism followed by a strict projection.
 
-    middle lives on the source base with fiber target (+) complement; the
-    embed_* maps send target and complement basis keys into the middle
-    fiber, split_complement inverts the second embedding.
+    middle lives on the source base with fiber target (+) complement, the
+    target first in each degree; linear is the coordinate projection of
+    middle onto the target, so the complement is what it drops.
     """
 
     iso: Morphism
     linear: Morphism
     middle: LinftyBundle
-    complement: GradedSpace
-    embed_target: dict
-    embed_complement: dict
-
-    @property
-    def split_complement(self) -> dict:
-        return {v: k for k, v in self.embed_complement.items()}
 
 
 def linearize_fibration(m: Morphism) -> LinearizedFibration:
@@ -682,64 +624,36 @@ def linearize_fibration(m: Morphism) -> LinearizedFibration:
     degree.  Chooses a splitting of the source fiber into a copy of the
     pulled-back target fiber plus its complement, transports the structure
     through the resulting isomorphism, and returns the pieces with
-    compose(linear, iso) equal to m.
-
-    When m.phi is a constant coordinate projection (arity 1 only, each
-    source key to at most one target key with coefficient 1, each target
-    key hit once; an empty phi counts), the straightening iso is a graded
-    bijection sigma of basis keys: a mapped key goes to its target's copy,
-    an unmapped one to the next complement key in source order (the unit
-    vectors on the free columns that kernel_basis picks in general).  The
-    middle structure is then sigma applied to every operation, re-sorted
-    under Koszul signs by reindex_op, and nothing is solved.  On either
-    path the iso and the projection are checked to be morphisms and to
-    recompose to m.
+    compose(linear, iso) equal to m.  The iso and the projection are
+    checked to be morphisms and to recompose to m.
     """
     src, dst = m.src, m.dst
     phi1 = m.phi.op(1)
-    sigma = _relabelling(phi1) if set(m.phi.ops) <= {1} else None
-    if sigma is None:
-        comp_dims, kcoords = _kernel_complement(phi1, src.fiber, dst.fiber)
-    else:
-        comp_dims = {}
-        slot = {}                       # unmapped source key -> complement key
-        for d, i in src.fiber.keys():
-            if (d, i) not in sigma:
-                slot[(d, i)] = (d, comp_dims.get(d, 0))
-                comp_dims[d] = comp_dims.get(d, 0) + 1
-
+    comp_dims, kcoords = _kernel_complement(phi1, src.fiber, dst.fiber)
     comp = GradedSpace.build(
         {d: n for d, n in comp_dims.items() if n},
         labels={d: [f"k{d}_{i}" for i in range(n)] for d, n in comp_dims.items() if n})
     mid_fiber, into_e, into_k = dst.fiber.direct_sum(comp)
     same_keys = {key: key for key in src.fiber.keys()}
 
-    if sigma is None:
-        def phi_prime_1(tup):
-            (d, i), = tup
-            out: dict = {}
-            for key, c in phi1.evaluate_basis(((d, i),)).items():
-                out[into_e[key]] = c
-            if d in kcoords:
-                for j, c in enumerate(kcoords[d][i]):
-                    if c:
-                        out[into_k[(d, j)]] = c
-            return out
+    def phi_prime_1(tup):
+        (d, i), = tup
+        out: dict = {}
+        for key, c in phi1.evaluate_basis(((d, i),)).items():
+            out[into_e[key]] = c
+        if d in kcoords:
+            for j, c in enumerate(kcoords[d][i]):
+                if c:
+                    out[into_k[(d, j)]] = c
+        return out
 
-        ops: dict[int, MultiOp] = {
-            1: MultiOp.from_function(1, 0, src.fiber, mid_fiber, phi_prime_1)}
-        for k, op in m.phi.ops.items():
-            if k >= 2:
-                ops[k] = reindex_op(op, src.fiber, mid_fiber, same_keys, into_e)
-        phi_prime = OpFamily(0, src.fiber, mid_fiber, ops)
-        ell_mid = transport_target(phi_prime, src.total()).ops
-    else:
-        full = {key: into_e[sigma[key]] if key in sigma else into_k[slot[key]]
-                for key in src.fiber.keys()}
-        phi_prime = OpFamily(0, src.fiber, mid_fiber, {1: reindex_op(
-            MultiOp.identity(src.fiber), src.fiber, mid_fiber, same_keys, full)})
-        ell_mid = {n: reindex_op(op, mid_fiber, mid_fiber, full, full)
-                   for n, op in sorted(src.total().ops.items())}
+    ops: dict[int, MultiOp] = {
+        1: MultiOp.from_function(1, 0, src.fiber, mid_fiber, phi_prime_1)}
+    for k, op in m.phi.ops.items():
+        if k >= 2:
+            ops[k] = reindex_op(op, src.fiber, mid_fiber, same_keys, into_e)
+    phi_prime = OpFamily(0, src.fiber, mid_fiber, ops)
+    ell_mid = transport_target(phi_prime, src.total()).ops
 
     mid = LinftyBundle(src.coords, mid_fiber,
                        MultiOp.zero(1, 1, mid_fiber, mid_fiber),
@@ -759,7 +673,7 @@ def linearize_fibration(m: Morphism) -> LinearizedFibration:
             raise ValueError("linearization failed to verify the morphism equation")
     if not same_morphism(compose(linear, iso), m):
         raise ValueError("linearization does not recompose to the original morphism")
-    return LinearizedFibration(iso, linear, mid, comp, dict(into_e), dict(into_k))
+    return LinearizedFibration(iso, linear, mid)
 
 
 def _kernel_complement(phi1: MultiOp, source: GradedSpace, target: GradedSpace):

@@ -27,8 +27,8 @@ from operator import add
 
 from .algebra import (LinftyBundle, Morphism, _affine_parts, _eval_coeff,
                       check_mc, check_morphism, compose, invert_iso,
-                      linearize_fibration, map_family_coeffs, map_op_coeffs,
-                      op_then, reindex_op, rename_source_clear_of,
+                      linearize_fibration, map_op_coeffs, op_then,
+                      pullback_family, reindex_op, rename_source_clear_of,
                       same_morphism)
 from .graded import BasisBuilder, GradedSpace, MultiOp, OpFamily, bullet
 from .linalg import kernel_basis, rank, right_inverse
@@ -396,17 +396,6 @@ class StagedTangentMap:
         return EtaleReport(not betti, betti, point)
 
 
-def tangent_map(mor: Morphism, point: ClassicalPoint
-                ) -> tuple[CochainComplex, CochainComplex, dict[int, Matrix]]:
-    """Tangent map at one classical point (see StagedTangentMap.tangent_map)."""
-    return StagedTangentMap(mor).tangent_map(point)
-
-
-def is_etale_at(mor: Morphism, point: ClassicalPoint) -> EtaleReport:
-    """Etale test at one classical point (see StagedTangentMap.is_etale_at)."""
-    return StagedTangentMap(mor).is_etale_at(point)
-
-
 @dataclass
 class WeakEquivReport:
     ok: bool
@@ -423,8 +412,11 @@ def is_weak_equivalence(mor: Morphism, src_points, dst_points) -> WeakEquivRepor
     src_points and dst_points enumerate the known classical points of the
     two sides.  The base map must send the first list bijectively onto the
     second, and the tangent map must be a quasi-isomorphism at every
-    source point.  The morphism is staged once; source coordinates are
-    certified on the source and every target point once on the target.
+    source point.  With no source point nothing is checked, and the report
+    is not ok and says so: an empty point list certifies nothing, even when
+    the target's list is empty too.  The morphism is staged once; source
+    coordinates are certified on the source and every target point once on
+    the target.
     """
     staged = StagedTangentMap(mor)
     src_pts = [p if isinstance(p, ClassicalPoint) else staged.src.classical_point(p)
@@ -440,8 +432,12 @@ def is_weak_equivalence(mor: Morphism, src_points, dst_points) -> WeakEquivRepor
                     and set(images) == dst_set)
 
     etale = [staged.is_etale_at(p) for p in src_pts]
-    ok = bijection_ok and all(r.ok for r in etale)
-    return WeakEquivReport(ok, bijection_ok, pairs, etale)
+    if not src_pts:
+        return WeakEquivReport(False, bijection_ok, pairs, etale,
+                               "no point was checked: the source has no supplied "
+                               "or found classical point, so nothing is certified")
+    return WeakEquivReport(bijection_ok and all(r.ok for r in etale),
+                           bijection_ok, pairs, etale)
 
 
 @dataclass
@@ -645,27 +641,61 @@ def _same_target(a: LinftyBundle, b: LinftyBundle) -> bool:
             and a.total() == b.total())
 
 
+def _coordinate_projection(m: Morphism) -> dict | None:
+    """The key map of m when its fiber family is a constant coordinate
+    projection, else None.
+
+    m qualifies when phi has arity 1 only, every source key goes to at most
+    one target key with coefficient exactly 1, and every target key is hit
+    exactly once (an empty phi onto a zero fiber included).  Returns source
+    key -> target key over the mapped source keys.
+    """
+    if not set(m.phi.ops) <= {1}:
+        return None
+    sigma = {}
+    for (key,), vec in m.phi.op(1).coeffs.items():
+        if len(vec) != 1:
+            return None
+        (out, c), = vec.items()
+        if c != 1:
+            return None
+        sigma[key] = out
+    if len(set(sigma.values())) != len(sigma) or len(sigma) != m.dst.fiber.total_dim:
+        return None
+    return sigma
+
+
 def pullback_fibration(fib: Morphism, other: Morphism) -> PullbackResult:
     """Strict pullback of a fibration along another morphism.
 
     fib and other share their target.  The base fibered product must be a
-    graph, so one of the two base maps has to be affine; the fibration is
-    first straightened by linearize_fibration, then the pullback carries
-    the complement-of-kernel summand together with the other source's
-    fiber.  The construction is verified on the spot: flatness of the
-    structure, both projections being morphisms, commutativity of the
-    square, and additivity of virtual dimensions.
+    graph, so one of the two base maps has to be affine.  A fibration whose
+    fiber family is a constant coordinate projection, as the path-space
+    evaluation is, is pulled back in place: the pullback fiber is the
+    source keys the projection drops, in source order, plus the other
+    source's fiber, and the projection to fib's source sends each key to
+    the source key it came from.  Any other fibration is first straightened
+    by linearize_fibration into an isomorphism followed by a coordinate
+    projection; that projection is pulled back the same way and the
+    inverse isomorphism composed after it.  The construction is verified
+    on the spot: fib being a morphism (which the straightening checks
+    itself), flatness of the structure, both projections being morphisms,
+    commutativity of the square, and additivity of virtual dimensions.
     """
     if not _same_target(fib.dst, other.dst):
         raise ValueError("the two morphisms must share their target bundle")
     other = rename_source_clear_of(other, fib.src.coords, "b")
 
-    lin = linearize_fibration(fib)
-    iso, linear, mid = lin.iso, lin.linear, lin.middle
+    proj, sigma, lin = fib, _coordinate_projection(fib), None
+    if sigma is None:
+        lin = linearize_fibration(fib)
+        proj, sigma = lin.linear, _coordinate_projection(lin.linear)
+    elif not check_morphism(fib).ok:
+        raise ValueError("the fibration fails the morphism equation")
 
     # Base graph: solve the affine leg A x + c = (other leg's base map) for
     # its coordinates x, adding fresh coordinates z along the kernel of A.
-    legs = (fib, other)
+    legs = (proj, other)
     for side, leg_name in enumerate(("the fibration", "the other leg")):
         aff = _try_affine(legs[side].base_map, legs[side].src.coords)
         if aff is not None:
@@ -698,53 +728,42 @@ def pullback_fibration(fib: Morphism, other: Morphism) -> PullbackResult:
     prod_coords = leg_coords[0] + leg_coords[1]
     pr1_base, pr2_base = bases
 
-    def substituted(fam: OpFamily, values) -> OpFamily:
-        if not values:
-            return fam
-        return map_family_coeffs(
-            fam, lambda cf: cf.substitute(values) if isinstance(cf, Poly) else cf)
-
-    # Fiber: kernel complement of the straightened fibration plus the
-    # other source fiber.
-    lam_space, into_f, into_lp = lin.complement.direct_sum(other.src.fiber)
-    mid_total = substituted(mid.total(), substs[0])
-    other_total = substituted(other.src.total(), substs[1])
-    phi_other = substituted(other.phi, substs[1])
-
-    into_e, into_k = lin.embed_target, lin.embed_complement
+    # Fiber: the source keys the projection drops, numbered in source order
+    # within each degree, plus the other source's fiber.
+    comp = BasisBuilder()
+    dropped = {(d, i): comp.push(d, f"k{d}_{len(comp.labels.get(d, ()))}", False)
+               for d, i in proj.src.fiber.keys() if (d, i) not in sigma}
+    lam_space, into_f, into_lp = comp.build().direct_sum(other.src.fiber)
+    drop = {key: into_f[k] for key, k in dropped.items()}
+    lift = {v: k for k, v in drop.items()}
+    back = {t: s for s, t in sigma.items()}
     lp_inv = {v: k for k, v in into_lp.items()}
-    f_inv = {v: k for k, v in into_f.items()}
+    src_total = pullback_family(proj.src.total(), substs[0])
+    other_total = pullback_family(other.src.total(), substs[1])
+    phi_other = pullback_family(other.phi, substs[1])
 
     def psi_value(k):
         def value(tup):
-            if k == 1:
-                key = tup[0]
-                if key in f_inv:
-                    return {into_k[f_inv[key]]: Fraction(1)}
-                vec = phi_other.op(1).evaluate_basis((lp_inv[key],))
-                return {into_e[q]: c for q, c in vec.items()}
-            if any(key in f_inv for key in tup):
+            if k == 1 and tup[0] in lift:
+                return {lift[tup[0]]: Fraction(1)}
+            if k not in phi_other.ops or any(key in lift for key in tup):
                 return {}
-            inner = tuple(lp_inv[key] for key in tup)
-            if k not in phi_other.ops:
-                return {}
-            vec = phi_other.op(k).evaluate_basis(inner)
-            return {into_e[q]: c for q, c in vec.items()}
+            vec = phi_other.op(k).evaluate_basis(tuple(lp_inv[key] for key in tup))
+            return {back[q]: c for q, c in vec.items()}
         return value
 
     psi_ops: dict[int, MultiOp] = {}
     for k in sorted(set(phi_other.ops) | {1}):
-        op = MultiOp.from_function(k, 0, lam_space, mid.fiber, psi_value(k))
+        op = MultiOp.from_function(k, 0, lam_space, proj.src.fiber, psi_value(k))
         if not op.is_zero():
             psi_ops[k] = op
-    psi = OpFamily(0, lam_space, mid.fiber, psi_ops)
+    psi = OpFamily(0, lam_space, proj.src.fiber, psi_ops)
 
     proj_f = MultiOp.from_function(
-        1, 0, mid.fiber, lam_space,
-        lambda tup: {into_f[lin.split_complement[tup[0]]]: Fraction(1)}
-        if tup[0] in lin.split_complement else {})
+        1, 0, proj.src.fiber, lam_space,
+        lambda tup: {drop[tup[0]]: Fraction(1)} if tup[0] in drop else {})
 
-    pushed = bullet(mid_total, psi)
+    pushed = bullet(src_total, psi)
     lifted_ops: dict[int, MultiOp] = {}
     for k in sorted(set(pushed.ops) | set(other_total.ops)):
         op = op_then(pushed.op(k), proj_f).plus(
@@ -761,8 +780,9 @@ def pullback_fibration(fib: Morphism, other: Morphism) -> PullbackResult:
                            1, 0, lam_space, other.src.fiber,
                            lambda tup: {lp_inv[tup[0]]: Fraction(1)}
                            if tup[0] in lp_inv else {})}))
-    to_mid = Morphism(bundle, mid, pr1_base, psi)
-    pr1 = compose(invert_iso(iso), to_mid)
+    pr1 = Morphism(bundle, proj.src, pr1_base, psi)
+    if lin is not None:
+        pr1 = compose(invert_iso(lin.iso), pr1)
 
     rep = check_mc(bundle.as_algebra())
     if not rep.ok:
@@ -781,10 +801,9 @@ def pullback_fibration(fib: Morphism, other: Morphism) -> PullbackResult:
 
 def _try_affine(polys, coords):
     try:
-        rows, consts = _affine_parts(polys, coords)
+        return _affine_parts(polys, coords)
     except ValueError:
         return None
-    return [[Fraction(x) for x in row] for row in rows], [Fraction(c) for c in consts]
 
 
 def _fresh_names(stem: str, count: int, taken: set[str]) -> list[str]:

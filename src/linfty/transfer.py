@@ -108,30 +108,6 @@ class Contraction:
     projector: MultiOp       # 1 - [delta, eta], equal to iota pi
 
     @staticmethod
-    def build(space: GradedSpace, delta: MultiOp, eta: MultiOp) -> "Contraction":
-        """Derive the retract from (delta, eta) alone.
-
-        Requires delta^2 = 0, eta^2 = 0 and eta delta eta = eta; everything
-        else (the projector, H, the side conditions) follows.  H gets the
-        reduced echelon basis of the projector's image, labelled h{d}_{i}.
-        """
-        proj = _checked_projector(space, delta, eta)
-        columns: dict[int, list[list[Fraction]]] = {}
-        for d in space.degrees():
-            basis = _image_basis(proj, d)
-            if basis:
-                columns[d] = basis
-        h_space = GradedSpace.build(
-            {d: len(basis) for d, basis in columns.items()},
-            labels={d: tuple(f"h{d}_{i}" for i in range(len(basis)))
-                    for d, basis in columns.items()})
-        iota = MultiOp(1, 0, h_space, space,
-                       {((d, i),): {(d, j): c for j, c in enumerate(vec) if c}
-                        for d, basis in columns.items()
-                        for i, vec in enumerate(basis)})
-        return Contraction._from_projector(space, delta, eta, proj, h_space, iota)
-
-    @staticmethod
     def from_basis(space: GradedSpace, delta: MultiOp, eta: MultiOp,
                    h_space: GradedSpace, iota: MultiOp) -> "Contraction":
         """Build the retract with a caller-chosen basis.

@@ -26,10 +26,12 @@ t-polynomials (pullback along a(t) = p + t(q - p), delta = (-1)^d d/dt,
 eta = (-1)^d (int_0^t - t int_0^1), and the projections pi_lin onto the
 linear interpolation and pi_con onto the average, so that
 1 - (delta eta + eta delta) acts as pi_con on dt-sections and as pi_lin
-on plain sections).  The instance generators that only the tests draw
-from close the file: arity-1 perturbations of a contraction (drawn until
-eta lam_1 is nilpotent) and affine embeddings (drawn until the linear
-part has full rank).
+on plain sections).  `build_contraction` derives a contraction from
+(delta, eta) alone, with the reduced echelon basis of the projector's
+image as H.  The instance generators that only the tests draw from close
+the file: arity-1 perturbations of a contraction (drawn until eta lam_1
+is nilpotent) and affine embeddings (drawn until the linear part has full
+rank).
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from linfty.pathspace import (DerivedPathSpace, ambient_coord_names, build_path_
 from linfty.poly import _CAP_ENV, DegreeCapError, Poly, Rat, as_fraction, degree_cap
 from linfty.samples import conjugate, nonzero_fraction, random_contraction
 from linfty.transfer import (AdaptedBasis, Contraction, TransferResult, _apply_coderivation,
-                             _apply_k, neumann_inverse)
+                             _apply_k, _checked_projector, _image_basis, neumann_inverse)
 
 
 def canonical_tuples_literal(space: GradedSpace, arity: int,
@@ -184,6 +186,26 @@ def commutator(a: OpFamily, b: OpFamily) -> OpFamily:
     ba = circ(b, a)
     sign = -1 if (a.degree % 2) and (b.degree % 2) else 1
     return ab.minus(ba.scaled(sign))
+
+
+def build_contraction(space: GradedSpace, delta: MultiOp, eta: MultiOp) -> Contraction:
+    """The retract derived from (delta, eta) alone.
+
+    Requires delta^2 = 0, eta^2 = 0 and eta delta eta = eta; everything
+    else (the projector, H, the side conditions) follows.  H gets the
+    reduced echelon basis of the projector's image, labelled h{d}_{i}.
+    """
+    proj = _checked_projector(space, delta, eta)
+    columns = {d: basis for d in space.degrees() if (basis := _image_basis(proj, d))}
+    h_space = GradedSpace.build(
+        {d: len(basis) for d, basis in columns.items()},
+        labels={d: tuple(f"h{d}_{i}" for i in range(len(basis)))
+                for d, basis in columns.items()})
+    iota = MultiOp(1, 0, h_space, space,
+                   {((d, i),): {(d, j): c for j, c in enumerate(vec) if c}
+                    for d, basis in columns.items()
+                    for i, vec in enumerate(basis)})
+    return Contraction.from_basis(space, delta, eta, h_space, iota)
 
 
 def transfer_rebuild(con: Contraction, lam: OpFamily) -> TransferResult:

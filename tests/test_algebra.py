@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from linfty import algebra as algebra_module
+from linfty import geometry
 from linfty.algebra import (CurvedAlgebra, LinftyBundle, Morphism,
                             algebra_as_bundle, check_mc, check_morphism,
                             compose, identity_morphism, invert_iso,
@@ -14,6 +15,7 @@ from linfty.algebra import (CurvedAlgebra, LinftyBundle, Morphism,
                             product_projection, same_morphism,
                             transport_source, transport_target)
 from linfty.graded import GradedSpace, MultiOp, OpFamily, bullet, circ
+from linfty.geometry import pullback_fibration, virtual_dimension
 from linfty.pathspace import derived_path_space, required_t_degree
 from linfty.poly import Poly
 from linfty.samples import (random_bundle, random_formal_iso,
@@ -354,12 +356,14 @@ def test_linearize_projection_fibration():
     assert set(lf.linear.phi.ops) <= {1}
     comp = compose(lf.linear, lf.iso)
     assert comp.phi == m.phi and comp.base_map == m.base_map
-    # the complement carries the kernel ranks
+    # the projection keeps a copy of a's fiber and drops the kernel
+    kept = {k for (k,) in lf.linear.phi.op(1).coeffs}
     for d in prod.fiber.degrees():
-        assert lf.complement.dim(d) == prod.fiber.dim(d) - a.fiber.dim(d)
+        assert lf.middle.fiber.dim(d) == prod.fiber.dim(d)
+        assert sum(k[0] == d for k in kept) == a.fiber.dim(d)
 
 
-# -- straightening by relabelling ----------------------------------------------------
+# -- coordinate projections pulled back in place -------------------------------------
 
 def circle_bundle():
     y = Poly.variable("y")
@@ -405,35 +409,37 @@ PROJECTIONS = {
 
 def refuse(name):
     def call(*args, **kwargs):
-        raise AssertionError(f"{name} ran on the relabelling path")
+        raise AssertionError(f"{name} ran on the in-place path")
     return call
 
 
 @pytest.mark.parametrize("name", sorted(PROJECTIONS))
 def test_coordinate_projection_is_straightened_by_relabelling(name, monkeypatch):
+    """A coordinate projection needs no straightening: its pullback sends
+    each key to the source key it relabels, and neither linearize_fibration
+    nor invert_iso runs (as geometry binds them).  The bundle and both
+    projections equal those of the straightened route, which pulls back
+    the projection of linearize_fibration and composes the inverse iso."""
     m = PROJECTIONS[name]()
-    for fn in ("transport_target", "kernel_basis", "right_inverse", "solve_columns",
-               "mat_inverse", "invert_linear_op", "bullet_op"):
-        monkeypatch.setattr(algebra_module, fn, refuse(fn))
-    lin = linearize_fibration(m)
-    inv = invert_iso(lin.iso)
+    other = identity_morphism(m.dst)
+    for fn in ("linearize_fibration", "invert_iso"):
+        monkeypatch.setattr(geometry, fn, refuse(fn))
+    res = pullback_fibration(m, other)
     monkeypatch.undo()
-    assert lin.middle.total() == transport_target(lin.iso.phi, m.src.total())
-    assert inv.phi.op(1) == invert_linear_op(lin.iso.phi.op(1))
-    assert set(inv.phi.ops) <= {1}
-    assert same_morphism(compose(lin.linear, lin.iso), m)
-    # the general path, made to run here, picks the same complement basis
-    monkeypatch.setattr(algebra_module, "_relabelling", lambda op: None)
-    general = linearize_fibration(m)
-    assert general.complement == lin.complement
-    assert general.iso.phi == lin.iso.phi
-    assert general.middle.total() == lin.middle.total()
-    assert invert_iso(general.iso).phi == inv.phi
+    assert virtual_dimension(res.bundle) == virtual_dimension(m.src)
+    lin = linearize_fibration(m)
+    straight = pullback_fibration(lin.linear, other)
+    assert res.bundle == straight.bundle
+    assert same_morphism(res.to_fibration_source,
+                         compose(invert_iso(lin.iso), straight.to_fibration_source))
+    assert same_morphism(res.to_other_source, straight.to_other_source)
 
 
 def test_relabelling_reorders_odd_keys_under_their_sign():
-    # amp2's path space has binary operations; in its evaluation the kept
-    # end values move ahead of the dropped keys, so some tuple is re-sorted
+    # amp2's path space has binary operations; relabelled by the
+    # straightening iso, the kept end values move ahead of the dropped
+    # keys and some tuple is re-sorted past an odd key, so the comparison
+    # of the two routes above meets a Koszul sign on amp2
     m = PROJECTIONS["amp2"]()
     lin = linearize_fibration(m)
     sigma = {k: next(iter(vec)) for (k,), vec in lin.iso.phi.op(1).coeffs.items()}
@@ -491,16 +497,34 @@ def test_near_projection_takes_the_general_path(kind, monkeypatch):
     assert same_morphism(compose(lin.linear, lin.iso), m)
 
 
+@pytest.mark.parametrize("kind", ["coefficient 2", "target hit twice", "arity 2"])
+def test_near_projection_is_straightened_inside_the_pullback(kind, monkeypatch):
+    m = near_projection(kind)
+    calls = []
+    real = geometry.linearize_fibration
+    monkeypatch.setattr(geometry, "linearize_fibration",
+                        lambda f: calls.append(1) or real(f))
+    res = pullback_fibration(m, identity_morphism(m.dst))
+    assert calls == [1]
+    assert check_mc(res.bundle.as_algebra()).ok
+    assert check_morphism(res.to_fibration_source).ok
+    assert check_morphism(res.to_other_source).ok
+    assert same_morphism(compose(m, res.to_fibration_source),
+                         compose(res.other, res.to_other_source))
+    assert virtual_dimension(res.bundle) == virtual_dimension(m.src)
+
+
 @pytest.mark.parametrize("name", ["square", "circle", "amp2", "seeded"])
 def test_a_corrupted_relabelling_is_caught(name, monkeypatch):
+    """One flipped coefficient in the structure the in-place pullback
+    builds is caught by the pullback's own checks."""
     m = PROJECTIONS[name]()
-    real = algebra_module.reindex_op
+    real = geometry.op_then
     flipped = []
 
-    def corrupt(op, source, target, inputs, outputs):
-        out = real(op, source, target, inputs, outputs)
-        # flip one sign of the first nonzero middle operation
-        if op.degree == 1 and out.coeffs and not flipped:
+    def corrupt(op, linear):
+        out = real(op, linear)
+        if out.coeffs and not flipped:
             tup, vec = next(iter(out.coeffs.items()))
             key, c = next(iter(vec.items()))
             flipped.append(tup)
@@ -508,7 +532,25 @@ def test_a_corrupted_relabelling_is_caught(name, monkeypatch):
                            {**out.coeffs, tup: {**vec, key: -c}})
         return out
 
-    monkeypatch.setattr(algebra_module, "reindex_op", corrupt)
-    with pytest.raises(ValueError, match="failed to verify the morphism equation"):
-        linearize_fibration(m)
+    monkeypatch.setattr(geometry, "op_then", corrupt)
+    with pytest.raises(AssertionError, match="pullback"):
+        pullback_fibration(m, identity_morphism(m.dst))
     assert flipped
+
+
+@pytest.mark.parametrize("name", ["square", "amp2", "seeded"])
+def test_a_projection_that_is_not_a_morphism_is_refused(name):
+    # flip one coefficient of the source structure that lands on a kept key
+    m = PROJECTIONS[name]()
+    kept = {k for (k,) in m.phi.op(1).coeffs}
+    fiber, ell = m.src.fiber, m.src.total()
+    n, tup, key = next((n, tup, key) for n, op in sorted(ell.ops.items())
+                       for tup, vec in op.coeffs.items() for key in vec if key in kept)
+    op = ell.op(n)
+    bad = MultiOp(n, 1, fiber, fiber,
+                  {**op.coeffs, tup: {**op.coeffs[tup], key: -op.coeffs[tup][key]}})
+    src = LinftyBundle(m.src.coords, fiber, MultiOp.zero(1, 1, fiber, fiber),
+                       ell.with_op(bad))
+    broken = Morphism(src, m.dst, m.base_map, m.phi)
+    with pytest.raises(ValueError, match="fails the morphism equation"):
+        pullback_fibration(broken, identity_morphism(m.dst))

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from oracles import build_contraction
 
 from linfty import cli
 from linfty.algebra import LinftyBundle, Morphism, identity_morphism, plain_bundle
@@ -13,7 +14,6 @@ from linfty.graded import GradedSpace, MultiOp, OpFamily
 from linfty.modelio import (ModelFormatError, bundle_to_json,
                             contraction_to_json, dumps, morphism_to_json)
 from linfty.poly import Poly
-from linfty.transfer import Contraction
 
 x = Poly.variable("x")
 u = Poly.variable("u")
@@ -117,7 +117,7 @@ def retract_pair(tmp_path):
                            labels={1: ["e", "a"], 2: ["f"], 3: ["g"]})
     delta = MultiOp(1, 1, sp, sp, {((1, 1),): {(2, 0): Fraction(1)}})
     eta = MultiOp(1, -1, sp, sp, {((2, 0),): {(1, 1): Fraction(1)}})
-    con = Contraction.build(sp, delta, eta)
+    con = build_contraction(sp, delta, eta)
     lam1 = MultiOp(1, 1, sp, sp, {((1, 0),): {(2, 0): Fraction(1)}})
     model = LinftyBundle((), sp, delta, OpFamily(1, sp, sp, {1: lam1}))
     return (write_doc(tmp_path, "ambient.json", bundle_to_json(model)),
@@ -318,10 +318,23 @@ def test_zero_locus_of_the_squared_coordinate(capsys):
 
 
 def test_zero_locus_without_real_points(capsys):
+    # two complex points and no rational one: with no point checked, no
+    # weak equivalence is claimed
     code, out, _ = run(capsys, "zero-locus", "--coords", "x",
                        "--sections", "x**2 + 1")
-    assert code == 0
-    assert "none" in out
+    assert code == 1
+    assert "none" in out and "no point was checked" in out
+    assert "weak equivalence" not in out
+
+
+def test_zero_locus_beyond_the_point_search_checks_nothing(capsys):
+    # a 3-dimensional locus in 4 coordinates, where the search does not run
+    code, out, _ = run(capsys, "zero-locus", "--coords", "a,b,c,d",
+                       "--sections", "a-1", "--json")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["ok"] is False and doc["points"] == []
+    assert doc["note"].startswith("no point was checked")
 
 
 def test_zero_locus_rejects_unknown_coordinate(capsys):

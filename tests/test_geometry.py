@@ -10,12 +10,12 @@ from linfty import geometry
 from linfty.algebra import (LinftyBundle, Morphism, check_mc, check_morphism,
                             compose, identity_morphism, linearize_fibration,
                             plain_bundle, product_bundle, product_projection)
-from linfty.geometry import (ClassicalPoint, CochainComplex, classical_point,
-                             curvature_residual, find_classical_points,
-                             is_etale_at, is_fibration,
+from linfty.geometry import (ClassicalPoint, CochainComplex, StagedTangentMap,
+                             classical_point, curvature_residual,
+                             find_classical_points, is_fibration,
                              is_weak_equivalence, mapping_cone,
                              pullback_fibration, shifted_tangent,
-                             tangent_complex, tangent_map, virtual_dimension)
+                             tangent_complex, virtual_dimension)
 from linfty.graded import GradedSpace, MultiOp, OpFamily
 from linfty.linalg import kernel_basis
 from linfty.poly import Poly
@@ -263,7 +263,8 @@ def test_rank_oracle_agrees_on_tangent_complexes_and_cones():
         b = section_bundle(coords, sections)
         complexes.append(tangent_complex(b, classical_point(b, point)))
     b = square_bundle()
-    src_cx, dst_cx, maps = tangent_map(identity_morphism(b), classical_point(b, (0,)))
+    src_cx, dst_cx, maps = StagedTangentMap(identity_morphism(b)).tangent_map(
+        classical_point(b, (0,)))
     complexes.append(mapping_cone(maps, src_cx, dst_cx))
     cx = CochainComplex({0: 2, 1: 1}, {0: [[1, 2]]})
     complexes.append(mapping_cone({0: [[1, 0], [0, 1]], 1: [[1]]}, cx, cx))
@@ -304,7 +305,7 @@ def test_virtual_dimension_formulas():
 
 def test_identity_is_etale():
     b = square_bundle()
-    rep = is_etale_at(identity_morphism(b), classical_point(b, (0,)))
+    rep = StagedTangentMap(identity_morphism(b)).is_etale_at(classical_point(b, (0,)))
     assert rep.ok and rep.cone_betti == {}
 
 
@@ -586,6 +587,6 @@ def test_shifted_tangent_is_flat_at_higher_amplitude(amplitude):
 def test_tangent_map_shapes():
     b = square_bundle()
     m = identity_morphism(b)
-    src_cx, dst_cx, maps = tangent_map(m, classical_point(b, (0,)))
+    src_cx, dst_cx, maps = StagedTangentMap(m).tangent_map(classical_point(b, (0,)))
     assert src_cx.dims == dst_cx.dims == {0: 1, 1: 1}
     assert maps[0] == [[1]]

@@ -111,13 +111,25 @@ def public_definitions(tree: ast.Module) -> list[str]:
 def names_without_users(modules: list[str], users: list[str]) -> list[str]:
     """Public names defined in `modules` that no text in `users` mentions
     beyond their definitions.  Users are scanned by token, so a file that
-    does not parse still counts."""
+    does not parse still counts.  A name right after `.`, `def` or `class`
+    is an attribute access or a header, not a use of a module-level name,
+    so a method of the same name does not keep a function alive."""
     seen = Counter()
     for text in users:
-        seen.update(tok.string for tok in tokenize.generate_tokens(io.StringIO(text).readline)
-                    if tok.type == tokenize.NAME)
-    defined = Counter(n for text in modules for n in public_definitions(ast.parse(text)))
-    return sorted(n for n, k in defined.items() if seen[n] <= k)
+        prev = None
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type == tokenize.NAME and prev not in (".", "def", "class"):
+                seen[tok.string] += 1
+            if tok.type not in (tokenize.NL, tokenize.NEWLINE, tokenize.COMMENT):
+                prev = tok.string
+    assigned = Counter()
+    for text in modules:
+        for node in ast.parse(text).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                assigned.update(t.id for t in targets if isinstance(t, ast.Name))
+    defined = {n for text in modules for n in public_definitions(ast.parse(text))}
+    return sorted(n for n in defined if seen[n] <= assigned[n])
 
 
 def test_every_public_name_has_a_user_outside_the_tests():
@@ -140,6 +152,24 @@ def test_the_scan_finds_a_test_only_name():
               "    pass\n")
     script = "from mod import engine,\n    Report\n"  # a syntax error, still scanned
     assert names_without_users([module], [module, script]) == ["only_for_tests"]
+
+
+def test_the_scan_does_not_count_attributes_or_headers():
+    # `staged` appears only as a method name and an attribute, `Shadow`
+    # only in another module's class header: neither function has a user
+    module = ("def staged(x):\n"
+              "    return Runner(x).staged()\n"
+              "def Shadow():\n"
+              "    return 1\n"
+              "class Runner:\n"
+              "    def staged(self):\n"
+              "        return self.x\n")
+    script = ("from mod import Runner\n"
+              "r = Runner(2)\n"
+              "r.staged()\n"
+              "class Shadow:\n"
+              "    pass\n")
+    assert names_without_users([module], [module, script]) == ["Shadow", "staged"]
 
 
 def files_mentioning(name: str, files: dict[str, str]) -> list[str]:

@@ -652,12 +652,14 @@ def test_fibered_product_over_a_point_is_the_product():
                                   lambda: plain_bundle(("u", "v"))],
                          ids=["square", "circle", "amp2", "plain"])
 def test_fibered_products_straighten_by_relabelling(make, monkeypatch):
-    """The path-space evaluation is a coordinate projection, so neither its
-    straightening nor the inverse of the straightening iso solves anything:
-    the names below are the solvers as algebra binds them."""
+    """The path-space evaluation is a coordinate projection, so it is pulled
+    back in place: it is neither straightened nor inverted, and nothing is
+    solved.  The names below are the straightening and its inverse as
+    geometry binds them, and the solvers as algebra binds them."""
     b = make()
     f = identity_morphism(b)
-    for mod, name in ((algebra, "transport_target"), (algebra, "kernel_basis"),
+    for mod, name in ((geometry, "linearize_fibration"), (geometry, "invert_iso"),
+                      (algebra, "transport_target"), (algebra, "kernel_basis"),
                       (algebra, "mat_inverse"), (linalg, "inverse")):
         def refuse(*args, name=name):
             raise AssertionError(f"{name} ran inside a fibered product")
@@ -739,6 +741,8 @@ def test_zero_locus_of_a_regular_section_is_a_point():
 
 
 def test_zero_locus_of_a_nowhere_zero_section_is_empty():
+    # an empty point list certifies nothing, so it is not a weak equivalence
     zl = zero_locus_model(("x",), (x * x + 1,), cap=4)
-    assert zl.weak_equiv.ok
+    assert not zl.weak_equiv.ok and zl.weak_equiv.etale == []
+    assert zl.weak_equiv.note.startswith("no point was checked")
     assert zl.points == []
