@@ -27,7 +27,7 @@ def main():
     print("source model: base", bundle.coords, "fiber ranks",
           dict(bundle.fiber.dims), "vdim", virtual_dimension(bundle))
 
-    fz = factorize_diagonal(bundle, cap=6)
+    fz = factorize_diagonal(bundle)
     ps = fz.path_space.bundle
     print("path space:   base", ps.coords, "fiber ranks", dict(ps.fiber.dims),
           "amplitude", ps.amplitude, "vdim", virtual_dimension(ps))

@@ -8,9 +8,8 @@ malformed files or arguments.  Commands that certify properties at sample
 points repeat the scope note of the underlying report verbatim; nothing
 here claims more than the engine checked.
 
-The LINFTY_DEGREE_CAP environment variable bounds the t-degree of path
-models; --tol only affects the floating-point seed search for classical
-points, every certificate downstream of it is exact.
+--tol only affects the floating-point seed search for classical points;
+every certificate downstream of it is exact.
 
 main(argv) may be called repeatedly in one process: the argument parser
 is built on the first call and reused, and each call parses into a fresh
@@ -33,12 +32,12 @@ from .graded import MultiOp, OpFamily
 from .modelio import (ModelFormatError, algebra_to_json, bundle_to_json, dumps,
                       frac_str, load_contraction, load_model, load_morphism,
                       parse_frac)
-from .pathspace import (ambient_coord_names, axis_submanifold,
+from .pathspace import (DegreeCapError, ambient_coord_names, axis_submanifold,
                         derived_intersection, derived_path_space,
                         factorize_diagonal, graph_submanifold,
                         homotopy_fibered_product, verify_factorization,
                         zero_locus_model)
-from .poly import DegreeCapError, Poly
+from .poly import Poly
 from .transfer import transfer, transfer_trees
 
 
@@ -123,6 +122,14 @@ def _json_point(pt) -> list[str]:
 def _fmt_point(pt) -> str:
     coords = pt.coords if hasattr(pt, "coords") else pt
     return "(" + ", ".join(frac_str(v) for v in coords) + ")"
+
+
+def _weq_verdict(weq, failed: str) -> str:
+    """Text verdict of a weak-equivalence report; with no point checked
+    there is no verdict, only "not checked"."""
+    if not weq.pairs:
+        return "not checked"
+    return "weak equivalence" if weq.ok else failed
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +380,7 @@ def cmd_factorize(args) -> int:
     lines = [("factorize", args.model or f"affine space of dim {args.manifold}"),
              ("composite", "equals the diagonal"),
              ("classical points", "; ".join(_fmt_point(p) for p, _ in weq.pairs) or "none"),
-             ("inclusion leg", "weak equivalence" if weq.ok else "FAILS weak equivalence"),
+             ("inclusion leg", _weq_verdict(weq, "FAILS weak equivalence")),
              ("note", weq.note),
              ("evaluation leg", "fibration" if fib.ok else "NOT a fibration"),
              ("note ", fib.note)]
@@ -463,7 +470,7 @@ def cmd_zero_locus(args) -> int:
     lines = [("zero-locus", "; ".join(str(s) for s in sections)),
              ("coordinates", ", ".join(coords)),
              ("classical points", "; ".join(_fmt_point(p) for p in cmp.points) or "none"),
-             ("graph comparison", "weak equivalence" if weq.ok else "FAILS"),
+             ("graph comparison", _weq_verdict(weq, "FAILS")),
              ("note", weq.note)]
     _emit_report(args, doc, lines)
     return 0 if weq.ok else 1

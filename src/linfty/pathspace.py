@@ -29,10 +29,16 @@ from .geometry import (ClassicalPoint, PullbackResult, StagedTangent,
                        is_fibration, is_weak_equivalence, pullback_fibration,
                        shifted_tangent_data, virtual_dimension)
 from .graded import BasisBuilder, GradedSpace, MultiOp, OpFamily
-from .poly import DegreeCapError, Poly, degree_cap
+from .poly import Poly
 from .transfer import Contraction, TransferResult, transfer
 
 _T = "t"
+# the largest t-degree a path model is built at
+_MAX_T_DEGREE = 16
+
+
+class DegreeCapError(RuntimeError):
+    """Raised when a path model would need a t-degree above the cap of 16."""
 
 
 def _split_t(c) -> dict[int, "Poly | Fraction"]:
@@ -66,13 +72,15 @@ def _coeff_key(c) -> tuple:
 class PathModel:
     """Truncated t-polynomial model of sections along a straight path.
 
-    Ambient keys come in three kinds: constant shifted base directions,
-    one-form fiber sections t^s e dt with s < cap, and plain fiber
-    sections t^s e with s <= cap.  The contraction retracts onto constant
-    one-forms plus linear plain sections in the end-value basis; its
-    projection is the closed form in `build_path_model` (end values of
-    plain sections, averages 1/(s+1) of one-forms), checked by
-    Contraction.validate like every other contraction.
+    The truncation degree `cap` is derived from the bundle, never chosen:
+    max(2, required_t_degree(bundle)), at most 16.  Ambient keys come in
+    three kinds: constant shifted base directions, one-form fiber sections
+    t^s e dt with s < cap, and plain fiber sections t^s e with s <= cap.
+    The contraction retracts onto constant one-forms plus linear plain
+    sections in the end-value basis; its projection is the closed form in
+    `build_path_model` (end values of plain sections, averages 1/(s+1) of
+    one-forms), checked by Contraction.validate like every other
+    contraction.
     """
 
     bundle: LinftyBundle
@@ -105,8 +113,13 @@ def required_t_degree(bundle: LinftyBundle) -> int:
     return d * max(bundle.amplitude, 1)
 
 
-def build_path_model(bundle: LinftyBundle, cap: int | None = None) -> PathModel:
+def build_path_model(bundle: LinftyBundle) -> PathModel:
     """Ambient truncated complex with its contraction, no operations yet.
+
+    The model is truncated at t-degree max(2, required_t_degree(bundle)),
+    which the transfer never exceeds, so any larger truncation gives the
+    same path space.  A bundle that needs more than 16 is refused with
+    DegreeCapError.
 
     The projection is written down, not solved for.  The projector
     1 - [delta, eta] is the end-value interpolation on plain sections and
@@ -120,15 +133,13 @@ def build_path_model(bundle: LinftyBundle, cap: int | None = None) -> PathModel:
     projector and all five contraction identities, so a wrong entry here
     is an error, not a wrong path space.
     """
-    cap = cap or degree_cap()
-    if cap < 2:
-        raise DegreeCapError(f"path models need a t-degree cap of at least 2, got {cap}")
     need = required_t_degree(bundle)
-    if need > cap:
+    if need > _MAX_T_DEGREE:
         raise DegreeCapError(
             f"path model needs t-degree {need} "
-            f"(coefficient degree times amplitude) but the cap is {cap}; "
-            f"raise LINFTY_DEGREE_CAP or pass a larger cap")
+            f"(coefficient degree times amplitude), above the t-degree cap "
+            f"of {_MAX_T_DEGREE}")
+    cap = max(2, need)
     fib = bundle.fiber
     m = len(bundle.coords)
 
@@ -223,11 +234,15 @@ def path_perturbation(model: PathModel, pvals: dict[str, "Poly | Fraction"],
     data = shifted_tangent_data(bundle)
     t = Poly.variable(_T)
     avals = {}
-    for name in bundle.coords:
+    prime = {}
+    for j, name in enumerate(bundle.coords):
         p, q = pvals[name], qvals[name]
         pp = p if isinstance(p, Poly) else Poly.constant(p)
         qq = q if isinstance(q, Poly) else Poly.constant(q)
-        avals[name] = pp + t * (qq - pp)
+        dcoef = qq - pp
+        avals[name] = pp + t * dcoef
+        if dcoef:
+            prime[model.base_dt[j]] = dcoef
 
     dt_kind = {v: k for k, v in data.fiber_dt.items()}
     plain_kind = {v: k for k, v in data.fiber_plain.items()}
@@ -280,14 +295,6 @@ def path_perturbation(model: PathModel, pvals: dict[str, "Poly | Fraction"],
         if not op.is_zero():
             ops[k] = op
 
-    prime = {}
-    for j, name in enumerate(bundle.coords):
-        p, q = pvals[name], qvals[name]
-        pp = p if isinstance(p, Poly) else Poly.constant(p)
-        qq = q if isinstance(q, Poly) else Poly.constant(q)
-        dcoef = qq - pp
-        if dcoef:
-            prime[model.base_dt[j]] = dcoef
     if prime:
         extra = MultiOp(0, 1, model.space, model.space, {(): prime})
         ops[0] = ops[0].plus(extra) if 0 in ops else extra
@@ -331,7 +338,7 @@ def _doubled_names(coords) -> tuple[tuple[str, ...], tuple[str, ...]]:
     return tuple(ps), tuple(qs)
 
 
-def derived_path_space(bundle: LinftyBundle, cap: int | None = None) -> DerivedPathSpace:
+def derived_path_space(bundle: LinftyBundle) -> DerivedPathSpace:
     """Transfer the path structure once manifold-wide, with symbolic ends.
 
     The output bundle lives over the doubled base; its operations have
@@ -339,7 +346,7 @@ def derived_path_space(bundle: LinftyBundle, cap: int | None = None) -> DerivedP
     inclusion and the endpoint evaluation come along as morphisms, and the
     defining equation of the result is re-checked on the spot.
     """
-    model = build_path_model(bundle, cap)
+    model = build_path_model(bundle)
     pnames, qnames = _doubled_names(bundle.coords)
     pvals = {c: Poly.variable(n) for c, n in zip(bundle.coords, pnames)}
     qvals = {c: Poly.variable(n) for c, n in zip(bundle.coords, qnames)}
@@ -399,9 +406,9 @@ class Factorization:
     product: LinftyBundle
 
 
-def factorize_diagonal(bundle: LinftyBundle, cap: int | None = None) -> Factorization:
+def factorize_diagonal(bundle: LinftyBundle) -> Factorization:
     """Factor the diagonal through the path space and verify the composite."""
-    dps = derived_path_space(bundle, cap)
+    dps = derived_path_space(bundle)
     j0, j1 = dps.product_maps
     diag_coeffs = {}
     for d in bundle.fiber.degrees():
@@ -467,8 +474,7 @@ def _product_morphism(f: Morphism, g: Morphism, dst_product: LinftyBundle,
                     OpFamily(0, src.fiber, dst_product.fiber, phi_ops)), g
 
 
-def homotopy_fibered_product(f: Morphism, g: Morphism,
-                             cap: int | None = None) -> FiberedProduct:
+def homotopy_fibered_product(f: Morphism, g: Morphism) -> FiberedProduct:
     """Pull the path-space evaluation back along f x g.
 
     Realizes the homotopy fibered product of the two morphisms into their
@@ -477,7 +483,7 @@ def homotopy_fibered_product(f: Morphism, g: Morphism,
     """
     if not _same_target(f.dst, g.dst):
         raise ValueError("the two morphisms must share their target bundle")
-    dps = derived_path_space(f.dst, cap)
+    dps = derived_path_space(f.dst)
     j0, j1 = dps.product_maps
     fg, g_used = _product_morphism(f, g, dps.product, j0, j1)
     if not check_morphism(fg).ok:
@@ -574,7 +580,7 @@ def ambient_coord_names(m: int) -> tuple[str, ...]:
 
 
 def derived_intersection(x: Submanifold, y: Submanifold,
-                         points=None, cap: int | None = None) -> DerivedIntersection:
+                         points=None) -> DerivedIntersection:
     """Intersection of two parameterized submanifolds through the path space.
 
     Each classical point of the resulting quasi-smooth model is reported
@@ -587,7 +593,7 @@ def derived_intersection(x: Submanifold, y: Submanifold,
     ambient = plain_bundle(ambient_coord_names(m))
     inc_x = _inclusion_morphism(x, ambient)
     inc_y = _inclusion_morphism(y, ambient)
-    fp = homotopy_fibered_product(inc_x, inc_y, cap)
+    fp = homotopy_fibered_product(inc_x, inc_y)
     bundle = fp.bundle
 
     vdim = x.dim + y.dim - m
@@ -630,8 +636,7 @@ class ZeroLocusComparison:
     points: list[ClassicalPoint]
 
 
-def zero_locus_model(coords, section, points=None,
-                     cap: int | None = None) -> ZeroLocusComparison:
+def zero_locus_model(coords, section, points=None) -> ZeroLocusComparison:
     """Compare a section's quasi-smooth model with its derived zero locus.
 
     The zero locus is computed as the derived intersection of the zero
@@ -666,7 +671,7 @@ def zero_locus_model(coords, section, points=None,
     x = Submanifold(uparams, zero_image, name="zero-section")
     y = Submanifold(vparams, graph_image, name="section-graph")
 
-    inter = derived_intersection(x, y, points=[], cap=cap)
+    inter = derived_intersection(x, y, points=[])
     target = inter.bundle
 
     base = tuple(Poly.variable(c) for c in coords) * 2

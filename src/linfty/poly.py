@@ -1,19 +1,14 @@
-"""Exact multivariate polynomials over Q, and the t-degree cap of path models.
+"""Exact multivariate polynomials over Q.
 
 Polynomials are kept in a sparse normal form: a tuple of variable names
 plus a dict mapping exponent vectors to nonzero Fractions.  All arithmetic
 is exact; there is no floating point anywhere in this module.  Evaluation
 runs on integers: Poly.staged clears the coefficient denominators once and
 returns a kernel that maps integer ratios to an unreduced integer ratio.
-
-degree_cap() reads the cap on powers of the path parameter t that the
-truncated path models of linfty.pathspace may use (LINFTY_DEGREE_CAP,
-default 16); exceeding it raises DegreeCapError.
 """
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from math import lcm
 from operator import add
@@ -23,28 +18,6 @@ Rat = Union[int, Fraction, str]
 # a point as one (numerator, positive denominator) pair per coordinate, to
 # an exact value as an unreduced (numerator, positive denominator) pair
 Kernel = Callable[[Sequence[tuple[int, int]]], tuple[int, int]]
-
-
-class DegreeCapError(RuntimeError):
-    """Raised when a polynomial operation overflows the configured t-degree cap."""
-
-
-DEFAULT_DEGREE_CAP = 16
-_CAP_ENV = "LINFTY_DEGREE_CAP"
-
-
-def degree_cap() -> int:
-    """Current t-degree cap: LINFTY_DEGREE_CAP env var, else 16."""
-    raw = os.environ.get(_CAP_ENV)
-    if raw is None:
-        return DEFAULT_DEGREE_CAP
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise DegreeCapError(f"{_CAP_ENV} must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise DegreeCapError(f"{_CAP_ENV} must be positive, got {cap}")
-    return cap
 
 
 def as_fraction(x: Rat) -> Fraction:

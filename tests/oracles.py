@@ -49,7 +49,7 @@ from linfty.graded import (BasisKey, GradedSpace, MultiOp, OpFamily, Vector, ari
 from linfty.linalg import rank, rref
 from linfty.pathspace import (DerivedPathSpace, ambient_coord_names, build_path_model,
                               derived_path_space, path_perturbation)
-from linfty.poly import _CAP_ENV, DegreeCapError, Poly, Rat, as_fraction, degree_cap
+from linfty.poly import Poly, Rat, as_fraction
 from linfty.samples import conjugate, nonzero_fraction, random_contraction
 from linfty.transfer import (AdaptedBasis, Contraction, TransferResult, _apply_coderivation,
                              _apply_k, _checked_projector, _image_basis, neumann_inverse)
@@ -438,6 +438,47 @@ def eval_literal(p: Poly, values: Mapping[str, Rat]) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
+# fixture bundles shared by the test modules
+# ---------------------------------------------------------------------------
+
+
+def square_bundle() -> LinftyBundle:
+    """The double point: rank-1 fiber over one coordinate, section x^2."""
+    x = Poly.variable("x")
+    fiber = GradedSpace.build({1: 1}, labels={1: ["e"]})
+    lam0 = MultiOp(0, 1, fiber, fiber, {(): {(1, 0): x ** 2}})
+    return LinftyBundle(("x",), fiber, MultiOp.zero(1, 1, fiber, fiber),
+                        OpFamily(1, fiber, fiber, {0: lam0}))
+
+
+def section_bundle(coords, sections) -> LinftyBundle:
+    """Quasi-smooth model: curvature given by a tuple of base functions."""
+    fiber = GradedSpace.build({1: len(sections)})
+    lam0 = MultiOp(0, 1, fiber, fiber,
+                   {(): {(1, i): s for i, s in enumerate(sections)}})
+    return LinftyBundle(tuple(coords), fiber, MultiOp.zero(1, 1, fiber, fiber),
+                        OpFamily(1, fiber, fiber, {0: lam0}))
+
+
+def circle_bundle() -> LinftyBundle:
+    """The unit circle: rank-1 fiber over (x, y), section x^2 + y^2 - 1."""
+    x, y = Poly.variable("x"), Poly.variable("y")
+    return section_bundle(("x", "y"), (x ** 2 + y ** 2 - 1,))
+
+
+def amp2_bundle() -> LinftyBundle:
+    """Two-step fiber with x-dependent unary operation compatible with MC."""
+    x1, x2 = Poly.variable("x1"), Poly.variable("x2")
+    fiber = GradedSpace.build({1: 2, 2: 1}, labels={1: ["a", "b"], 2: ["c"]})
+    lam0 = MultiOp(0, 1, fiber, fiber,
+                   {(): {(1, 0): x1 ** 2, (1, 1): -(x1 ** 2) * x2}})
+    lam1 = MultiOp(1, 1, fiber, fiber, {((1, 0),): {(2, 0): x2},
+                                        ((1, 1),): {(2, 0): Poly.constant(1)}})
+    return LinftyBundle(("x1", "x2"), fiber, MultiOp.zero(1, 1, fiber, fiber),
+                        OpFamily(1, fiber, fiber, {0: lam0, 1: lam1}))
+
+
+# ---------------------------------------------------------------------------
 # path sections along the straight path a(t) = p + t(q - p)
 # ---------------------------------------------------------------------------
 
@@ -467,12 +508,6 @@ class PathSection:
         p = tuple(as_fraction(x) for x in start)
         q = tuple(as_fraction(x) for x in end)
         comps = tuple(c.with_vars(("t",)) if c.vars != ("t",) else c for c in components)
-        cap = degree_cap()
-        for c in comps:
-            if c.degree_in("t") > cap:
-                raise DegreeCapError(
-                    f"t-degree {c.degree_in('t')} exceeds cap {cap} "
-                    f"(set {_CAP_ENV} to raise it)")
         return PathSection(p, q, degree, dt, comps)
 
     def value_at(self, t0: Rat) -> tuple[Fraction, ...]:
@@ -558,23 +593,22 @@ def pi_con(s: PathSection) -> PathSection:
 # ---------------------------------------------------------------------------
 
 
-def path_curved_structure(bundle: LinftyBundle, start, end,
-                          cap: int | None = None) -> CurvedAlgebra:
+def path_curved_structure(bundle: LinftyBundle, start, end) -> CurvedAlgebra:
     """Curved structure on the truncated path sections for one rational path."""
     pvals = {name: Fraction(v) for name, v in zip(bundle.coords, start)}
     qvals = {name: Fraction(v) for name, v in zip(bundle.coords, end)}
     if len(pvals) != len(bundle.coords) or len(qvals) != len(bundle.coords):
         raise ValueError("endpoint dimension mismatch")
-    model = build_path_model(bundle, cap)
+    model = build_path_model(bundle)
     lam = path_perturbation(model, pvals, qvals)
     return CurvedAlgebra(model.space, model.delta, lam)
 
 
-def path_space_manifold(m: int, cap: int | None = None) -> DerivedPathSpace:
+def path_space_manifold(m: int) -> DerivedPathSpace:
     """Derived path space of a plain affine space of dimension m."""
     if m <= 0:
         raise ValueError("dimension must be positive")
-    return derived_path_space(plain_bundle(ambient_coord_names(m)), cap)
+    return derived_path_space(plain_bundle(ambient_coord_names(m)))
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,13 @@ import time
 from fractions import Fraction
 
 import pytest
-from oracles import (PathSection, path_delta, path_eta, perturbation_check, pi_con, pi_lin,
-                     projection_phi1, pullback, random_affine_images,
-                     random_perturbation_instance, transferred_mu0, transferred_mu1,
-                     transferred_phi1)
+from oracles import (PathSection, amp2_bundle, circle_bundle, path_delta, path_eta,
+                     perturbation_check, pi_con, pi_lin, projection_phi1, pullback,
+                     random_affine_images, random_perturbation_instance, square_bundle,
+                     transferred_mu0, transferred_mu1, transferred_phi1)
 
-from linfty.algebra import (CurvedAlgebra, LinftyBundle, Morphism, check_mc,
-                            check_morphism, identity_morphism, plain_bundle)
+from linfty.algebra import (CurvedAlgebra, Morphism, check_mc, check_morphism,
+                            identity_morphism, plain_bundle)
 from linfty.geometry import is_weak_equivalence, shifted_tangent, virtual_dimension
 from linfty.graded import GradedSpace, MultiOp, OpFamily, bullet
 from linfty.modelio import (algebra_to_json, bundle_from_json, bundle_to_json,
@@ -34,32 +34,6 @@ from linfty.samples import (break_algebra, random_bundle, random_mc_algebra,
 from linfty.transfer import projection_morphism, transfer, transfer_trees
 
 x = Poly.variable("x")
-
-
-def square_bundle():
-    fiber = GradedSpace.build({1: 1}, labels={1: ["e"]})
-    lam0 = MultiOp(0, 1, fiber, fiber, {(): {(1, 0): x ** 2}})
-    return LinftyBundle(("x",), fiber, MultiOp.zero(1, 1, fiber, fiber),
-                        OpFamily(1, fiber, fiber, {0: lam0}))
-
-
-def circle_bundle():
-    y = Poly.variable("y")
-    fiber = GradedSpace.build({1: 1})
-    lam0 = MultiOp(0, 1, fiber, fiber, {(): {(1, 0): x ** 2 + y ** 2 - 1}})
-    return LinftyBundle(("x", "y"), fiber, MultiOp.zero(1, 1, fiber, fiber),
-                        OpFamily(1, fiber, fiber, {0: lam0}))
-
-
-def amp2_bundle():
-    x1, x2 = Poly.variable("x1"), Poly.variable("x2")
-    fiber = GradedSpace.build({1: 2, 2: 1}, labels={1: ["a", "b"], 2: ["c"]})
-    lam0 = MultiOp(0, 1, fiber, fiber,
-                   {(): {(1, 0): x1 ** 2, (1, 1): -(x1 ** 2) * x2}})
-    lam1 = MultiOp(1, 1, fiber, fiber, {((1, 0),): {(2, 0): x2},
-                                        ((1, 1),): {(2, 0): Poly.constant(1)}})
-    return LinftyBundle(("x1", "x2"), fiber, MultiOp.zero(1, 1, fiber, fiber),
-                        OpFamily(1, fiber, fiber, {0: lam0, 1: lam1}))
 
 
 # shared between guarantees 2 and 3: the tree-sum engine must agree on the
@@ -215,15 +189,15 @@ def test_c06_factorization_instances():
     t0 = time.monotonic()
     half = Fraction(1, 2)
     cases = [
-        (plain_bundle(("x",)), [(0,), (2,)], 4),
-        (plain_bundle(("x", "y")), [(0, 0), (1, -1)], 4),
-        (plain_bundle(("x", "y", "z")), [(0, 0, 0), (1, 2, 3)], 4),
-        (square_bundle(), [(0,)], 6),
-        (circle_bundle(), [(1, 0), (0, 1), (-1, 0), (Fraction(3, 5), Fraction(4, 5))], 6),
-        (amp2_bundle(), [(0, 0), (0, half)], 8),
+        (plain_bundle(("x",)), [(0,), (2,)]),
+        (plain_bundle(("x", "y")), [(0, 0), (1, -1)]),
+        (plain_bundle(("x", "y", "z")), [(0, 0, 0), (1, 2, 3)]),
+        (square_bundle(), [(0,)]),
+        (circle_bundle(), [(1, 0), (0, 1), (-1, 0), (Fraction(3, 5), Fraction(4, 5))]),
+        (amp2_bundle(), [(0, 0), (0, half)]),
     ]
-    for bundle, pts, cap in cases:
-        fz = factorize_diagonal(bundle, cap=cap)   # raises unless composite == diagonal
+    for bundle, pts in cases:
+        fz = factorize_diagonal(bundle)   # raises unless composite == diagonal
         rep = verify_factorization(fz, pts)
         assert rep.weak_equiv.ok, (bundle.coords, rep.weak_equiv)
         assert rep.fibration.ok, (bundle.coords, rep.fibration)
@@ -233,7 +207,7 @@ def test_c06_factorization_instances():
 
 def test_c07_path_space_formulas():
     # quasi-smooth model: every transferred coefficient in closed form
-    dps = derived_path_space(square_bundle(), cap=6)
+    dps = derived_path_space(square_bundle())
     pm, m = dps.bundle, dps.model
     p, q = (Poly.variable(c).with_vars(pm.coords) for c in pm.coords)
 
@@ -261,7 +235,7 @@ def test_c07_path_space_formulas():
         assert lam0_pull.value_at(1)[0] == b ** 2
 
     # amplitude-2 model: unary and binary closed forms
-    dps2 = derived_path_space(amp2_bundle(), cap=8)
+    dps2 = derived_path_space(amp2_bundle())
     pm2, m2 = dps2.bundle, dps2.model
     p1, p2, q1, q2 = (Poly.variable(c).with_vars(pm2.coords) for c in pm2.coords)
     half, third = Fraction(1, 2), Fraction(1, 3)
@@ -296,8 +270,7 @@ def test_c07_path_space_formulas():
 
 
 def test_c08_derived_intersections():
-    inter = derived_intersection(axis_submanifold(0, 2), axis_submanifold(1, 2),
-                                 cap=4)
+    inter = derived_intersection(axis_submanifold(0, 2), axis_submanifold(1, 2))
     assert len(inter.points) == 1
     pt = inter.points[0]
     assert (pt.h0, pt.h1) == (0, 0) and pt.transversal
@@ -310,8 +283,7 @@ def test_c08_derived_intersections():
     assert weq.ok
 
     u = Poly.variable("u")
-    inter = derived_intersection(axis_submanifold(0, 2), graph_submanifold(u * u),
-                                 cap=4)
+    inter = derived_intersection(axis_submanifold(0, 2), graph_submanifold(u * u))
     assert len(inter.points) == 1
     pt = inter.points[0]
     assert (pt.h0, pt.h1) == (1, 1) and not pt.transversal
@@ -335,7 +307,7 @@ def test_c08_derived_intersections():
         first = Submanifold(xs, _through_origin(
             random_affine_images(rng, m, kx, xs), xs))
         inter = derived_intersection(first, second,
-                                     points=[(zero,) * (kx + ky)], cap=4)
+                                     points=[(zero,) * (kx + ky)])
         assert inter.virtual_dim == kx + ky - m
         p = inter.points[0]
         assert p.h0 - p.h1 == kx + ky - m
@@ -357,7 +329,7 @@ def test_c09_fibered_product_dimensions():
         dst = random_bundle(rng, coords, amplitude=2, max_dim=2, coeff_degree=1)
         f = random_morphism_onto(rng, dst, "a")
         g = random_morphism_onto(rng, dst, "b")
-        fp = homotopy_fibered_product(f, g, cap=6)
+        fp = homotopy_fibered_product(f, g)
         assert check_mc(fp.bundle.as_algebra()).ok
         assert virtual_dimension(fp.bundle) == (
             virtual_dimension(f.src) + virtual_dimension(g.src)
@@ -366,10 +338,9 @@ def test_c09_fibered_product_dimensions():
 
 def test_c10_round_trip_fixtures():
     con, lam, res = transfer_instances()[0]
-    dps = derived_path_space(square_bundle(), cap=6)
+    dps = derived_path_space(square_bundle())
     inter = derived_intersection(axis_submanifold(0, 2),
-                                 graph_submanifold(Poly.variable("u") ** 2),
-                                 cap=4)
+                                 graph_submanifold(Poly.variable("u") ** 2))
     bundles = [square_bundle(), circle_bundle(), amp2_bundle(),
                dps.bundle, shifted_tangent(square_bundle()), inter.bundle]
     for b in bundles:

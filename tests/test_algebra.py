@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from oracles import amp2_bundle, circle_bundle, square_bundle
 
 from linfty import algebra as algebra_module
 from linfty import geometry
@@ -16,7 +17,7 @@ from linfty.algebra import (CurvedAlgebra, LinftyBundle, Morphism,
                             transport_source, transport_target)
 from linfty.graded import GradedSpace, MultiOp, OpFamily, bullet, circ
 from linfty.geometry import pullback_fibration, virtual_dimension
-from linfty.pathspace import derived_path_space, required_t_degree
+from linfty.pathspace import derived_path_space
 from linfty.poly import Poly
 from linfty.samples import (random_bundle, random_formal_iso,
                             random_mc_algebra, random_morphism_onto)
@@ -95,13 +96,6 @@ def test_random_algebras_pass_check_mc():
 
 
 # -- bundles ---------------------------------------------------------------------
-
-def square_bundle():
-    fiber = GradedSpace.build({1: 1}, labels={1: ["e"]})
-    lam0 = MultiOp(0, 1, fiber, fiber, {(): {(1, 0): x ** 2}})
-    return LinftyBundle(("x",), fiber, MultiOp.zero(1, 1, fiber, fiber),
-                        OpFamily(1, fiber, fiber, {0: lam0}))
-
 
 def test_bundle_accessors():
     b = square_bundle()
@@ -365,25 +359,6 @@ def test_linearize_projection_fibration():
 
 # -- coordinate projections pulled back in place -------------------------------------
 
-def circle_bundle():
-    y = Poly.variable("y")
-    fiber = GradedSpace.build({1: 1})
-    lam0 = MultiOp(0, 1, fiber, fiber, {(): {(1, 0): x ** 2 + y ** 2 - 1}})
-    return LinftyBundle(("x", "y"), fiber, MultiOp.zero(1, 1, fiber, fiber),
-                        OpFamily(1, fiber, fiber, {0: lam0}))
-
-
-def amp2_bundle():
-    x1, x2 = Poly.variable("x1"), Poly.variable("x2")
-    fiber = GradedSpace.build({1: 2, 2: 1}, labels={1: ["a", "b"], 2: ["c"]})
-    lam0 = MultiOp(0, 1, fiber, fiber,
-                   {(): {(1, 0): x1 ** 2, (1, 1): -(x1 ** 2) * x2}})
-    lam1 = MultiOp(1, 1, fiber, fiber, {((1, 0),): {(2, 0): x2},
-                                        ((1, 1),): {(2, 0): Poly.constant(1)}})
-    return LinftyBundle(("x1", "x2"), fiber, MultiOp.zero(1, 1, fiber, fiber),
-                        OpFamily(1, fiber, fiber, {0: lam0, 1: lam1}))
-
-
 def seeded_projection():
     """Projection of a seeded product onto its second factor, so that the
     dropped keys come first in every degree."""
@@ -395,7 +370,7 @@ def seeded_projection():
 
 
 def path_evaluation(bundle):
-    return derived_path_space(bundle, max(2, required_t_degree(bundle))).evaluation
+    return derived_path_space(bundle).evaluation
 
 
 PROJECTIONS = {

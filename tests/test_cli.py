@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import build_contraction
+from oracles import build_contraction, section_bundle, square_bundle
 
 from linfty import cli
 from linfty.algebra import LinftyBundle, Morphism, identity_morphism, plain_bundle
@@ -29,13 +29,6 @@ def write_doc(tmp_path, name, doc):
     p = tmp_path / name
     p.write_text(dumps(doc))
     return str(p)
-
-
-def square_bundle():
-    fiber = GradedSpace.build({1: 1}, labels={1: ["e"]})
-    lam0 = MultiOp(0, 1, fiber, fiber, {(): {(1, 0): x ** 2}})
-    return LinftyBundle(("x",), fiber, MultiOp.zero(1, 1, fiber, fiber),
-                        OpFamily(1, fiber, fiber, {0: lam0}))
 
 
 @pytest.fixture
@@ -247,9 +240,11 @@ def test_path_space_of_affine_plane(tmp_path, capsys):
     assert run(capsys, "check-axioms", out_path)[0] == 0
 
 
-def test_path_space_respects_degree_cap(square_model, capsys, monkeypatch):
-    monkeypatch.setenv("LINFTY_DEGREE_CAP", "1")
-    code, _, err = run(capsys, "path-space", square_model)
+def test_path_space_refuses_a_bundle_needing_t_degree_17(tmp_path, capsys):
+    # curvature x^17 on a rank-1 fiber needs t-degree 17, above the cap of 16
+    model = write_doc(tmp_path, "steep.json",
+                      bundle_to_json(section_bundle(("x",), (x ** 17,))))
+    code, _, err = run(capsys, "path-space", model)
     assert code == 2
     assert "t-degree cap" in err
 
@@ -335,6 +330,24 @@ def test_zero_locus_beyond_the_point_search_checks_nothing(capsys):
     doc = json.loads(out)
     assert doc["ok"] is False and doc["points"] == []
     assert doc["note"].startswith("no point was checked")
+
+
+def test_zero_locus_text_says_an_unchecked_comparison_is_not_checked(capsys):
+    code, out, _ = run(capsys, "zero-locus", "--coords", "a,b,c,d",
+                       "--sections", "a-1")
+    assert code == 1
+    assert "graph comparison  not checked\n" in out
+    assert "FAILS" not in out
+
+
+def test_factorize_text_says_an_unchecked_leg_is_not_checked(tmp_path, capsys):
+    # x^2 + 1 has no real point, so the inclusion leg is checked nowhere
+    model = write_doc(tmp_path, "no-points.json",
+                      bundle_to_json(section_bundle(("x",), (x ** 2 + 1,))))
+    code, out, _ = run(capsys, "factorize", model)
+    assert code == 1
+    assert "inclusion leg" in out and "not checked" in out
+    assert "FAILS" not in out
 
 
 def test_zero_locus_rejects_unknown_coordinate(capsys):

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import bareiss_betti, eval_literal
+from oracles import bareiss_betti, eval_literal, section_bundle
 
 from linfty import geometry
 from linfty.algebra import (LinftyBundle, Morphism, check_mc, check_morphism,
@@ -23,15 +23,6 @@ from linfty.samples import random_bundle
 
 x = Poly.variable("x")
 y = Poly.variable("y")
-
-
-def section_bundle(coords, sections, ranks=None):
-    """Quasi-smooth model: curvature given by a tuple of base functions."""
-    fiber = GradedSpace.build({1: len(sections)})
-    lam0 = MultiOp(0, 1, fiber, fiber,
-                   {(): {(1, i): s for i, s in enumerate(sections)}})
-    return LinftyBundle(tuple(coords), fiber, MultiOp.zero(1, 1, fiber, fiber),
-                        OpFamily(1, fiber, fiber, {0: lam0}))
 
 
 def square_bundle():

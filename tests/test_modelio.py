@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from oracles import build_contraction
+from oracles import build_contraction, square_bundle
 
 from linfty.algebra import (LinftyBundle, Morphism, check_mc, identity_morphism,
                             plain_bundle)
@@ -19,13 +19,6 @@ from linfty.poly import Poly
 
 x = Poly.variable("x")
 y = Poly.variable("y")
-
-
-def square_bundle():
-    fiber = GradedSpace.build({1: 1}, labels={1: ["e"]})
-    lam0 = MultiOp(0, 1, fiber, fiber, {(): {(1, 0): x ** 2}})
-    return LinftyBundle(("x",), fiber, MultiOp.zero(1, 1, fiber, fiber),
-                        OpFamily(1, fiber, fiber, {0: lam0}))
 
 
 def round_trip_bundle(b, metadata=None):
@@ -89,7 +82,7 @@ def test_round_trip_constant_structure():
 
 
 def test_round_trip_path_space_model():
-    dps = derived_path_space(square_bundle(), cap=6)
+    dps = derived_path_space(square_bundle())
     back, _ = round_trip_bundle(dps.bundle)
     assert back.ops == dps.bundle.ops
     assert back.delta == dps.bundle.delta

@@ -7,8 +7,9 @@ import re
 from fractions import Fraction
 
 import pytest
-from oracles import (PathSection, bareiss_betti, path_curved_structure, path_eta,
-                     path_space_manifold, pi_con, pi_lin, pullback)
+from oracles import (PathSection, amp2_bundle, bareiss_betti, circle_bundle,
+                     path_curved_structure, path_eta, path_space_manifold, pi_con,
+                     pi_lin, pullback, section_bundle, square_bundle)
 
 from linfty.algebra import (LinftyBundle, Morphism, check_mc, check_morphism,
                             identity_morphism, op_matrix, plain_bundle)
@@ -18,11 +19,12 @@ from linfty.geometry import (CochainComplex, classical_point, find_classical_poi
 from linfty.graded import GradedSpace, MultiOp, OpFamily, bullet
 from linfty.algebra import op_then
 from linfty.modelio import bundle_to_json, dumps
-from linfty.poly import DegreeCapError, Poly
+from linfty.poly import Poly
 from linfty import algebra, geometry, linalg, pathspace, transfer
 from linfty.linalg import solve_columns
-from linfty.pathspace import (Submanifold, _coeff_key, _doubled_names, axis_submanifold,
-                              build_path_model, derived_intersection, derived_path_space,
+from linfty.pathspace import (DegreeCapError, Submanifold, _coeff_key, _doubled_names,
+                              axis_submanifold, build_path_model, derived_intersection,
+                              derived_path_space,
                               factorize_diagonal, graph_submanifold,
                               homotopy_fibered_product, path_perturbation,
                               required_t_degree, verify_factorization, zero_locus_model)
@@ -32,41 +34,14 @@ from linfty.transfer import Contraction
 x = Poly.variable("x")
 
 
-def square_bundle():
-    fiber = GradedSpace.build({1: 1}, labels={1: ["e"]})
-    lam0 = MultiOp(0, 1, fiber, fiber, {(): {(1, 0): x ** 2}})
-    return LinftyBundle(("x",), fiber, MultiOp.zero(1, 1, fiber, fiber),
-                        OpFamily(1, fiber, fiber, {0: lam0}))
-
-
-def amp2_bundle():
-    """Two-step fiber with x-dependent unary operation compatible with MC."""
-    x1, x2 = Poly.variable("x1"), Poly.variable("x2")
-    fiber = GradedSpace.build({1: 2, 2: 1}, labels={1: ["a", "b"], 2: ["c"]})
-    lam0 = MultiOp(0, 1, fiber, fiber,
-                   {(): {(1, 0): x1 ** 2, (1, 1): -(x1 ** 2) * x2}})
-    lam1 = MultiOp(1, 1, fiber, fiber, {((1, 0),): {(2, 0): x2},
-                                        ((1, 1),): {(2, 0): Poly.constant(1)}})
-    return LinftyBundle(("x1", "x2"), fiber, MultiOp.zero(1, 1, fiber, fiber),
-                        OpFamily(1, fiber, fiber, {0: lam0, 1: lam1}))
-
-
-def circle_bundle():
-    y = Poly.variable("y")
-    fiber = GradedSpace.build({1: 1})
-    lam0 = MultiOp(0, 1, fiber, fiber, {(): {(1, 0): x ** 2 + y ** 2 - 1}})
-    return LinftyBundle(("x", "y"), fiber, MultiOp.zero(1, 1, fiber, fiber),
-                        OpFamily(1, fiber, fiber, {0: lam0}))
-
-
 @pytest.fixture(scope="module")
 def square_dps():
-    return derived_path_space(square_bundle(), cap=6)
+    return derived_path_space(square_bundle())
 
 
 @pytest.fixture(scope="module")
 def amp2_dps():
-    return derived_path_space(amp2_bundle(), cap=8)
+    return derived_path_space(amp2_bundle())
 
 
 # -- point search and tangent complexes on the fixtures ---------------------------
@@ -140,9 +115,9 @@ def test_tangent_complex_matches_the_merged_family(square_dps):
 
 def test_path_structure_with_rational_endpoints():
     b = square_bundle()
-    alg = path_curved_structure(b, (Fraction(1, 2),), (Fraction(1, 3),), cap=6)
+    alg = path_curved_structure(b, (Fraction(1, 2),), (Fraction(1, 3),))
     assert check_mc(alg).ok
-    model = build_path_model(b, cap=6)
+    model = build_path_model(b)
     lam0 = alg.ops.op(0).coeffs[()]
     # displacement rides on the tangent dt generator
     assert lam0[model.base_dt[0]] == Fraction(-1, 6)
@@ -154,8 +129,8 @@ def test_path_structure_with_rational_endpoints():
 
 def test_path_structure_unit_interval():
     b = square_bundle()
-    alg = path_curved_structure(b, (0,), (1,), cap=6)
-    model = build_path_model(b, cap=6)
+    alg = path_curved_structure(b, (0,), (1,))
+    model = build_path_model(b)
     lam0 = alg.ops.op(0).coeffs[()]
     assert lam0[model.base_dt[0]] == 1
     assert lam0[model.plain[((1, 0), 2)]] == 1
@@ -165,8 +140,8 @@ def test_path_structure_unit_interval():
 
 def test_path_structure_of_a_plain_manifold_is_displacement_only():
     b = plain_bundle(("x", "y"))
-    alg = path_curved_structure(b, (0, 0), (2, 5), cap=4)
-    model = build_path_model(b, cap=4)
+    alg = path_curved_structure(b, (0, 0), (2, 5))
+    model = build_path_model(b)
     assert alg.ops.op(0).coeffs[()] == {model.base_dt[0]: Fraction(2),
                                         model.base_dt[1]: Fraction(5)}
     assert check_mc(alg).ok
@@ -181,11 +156,12 @@ def test_required_t_degree_is_coefficient_degree_times_amplitude():
 
 
 def test_path_model_rejects_insufficient_cap():
-    with pytest.raises(DegreeCapError):
-        build_path_model(square_bundle(), cap=1)
-    with pytest.raises(DegreeCapError, match="raise LINFTY_DEGREE_CAP"):
-        build_path_model(amp2_bundle(), cap=4)
-    build_path_model(amp2_bundle(), cap=6)
+    assert build_path_model(square_bundle()).cap == 2
+    assert build_path_model(amp2_bundle()).cap == 6
+    assert build_path_model(plain_bundle(("x",))).cap == 2
+    assert build_path_model(section_bundle(("x",), (x ** 16,))).cap == 16
+    with pytest.raises(DegreeCapError, match="needs t-degree 17 .* t-degree cap of 16"):
+        build_path_model(section_bundle(("x",), (x ** 17,)))
 
 
 def zero_ops_bundle(dims):
@@ -201,12 +177,15 @@ PATH_MODEL_BUNDLES = {"square": square_bundle, "amp2": amp2_bundle,
 
 
 @pytest.mark.parametrize("name", sorted(PATH_MODEL_BUNDLES))
-def test_closed_form_projection_is_the_solved_one(name):
+def test_closed_form_projection_is_the_solved_one(name, monkeypatch):
     bundle = PATH_MODEL_BUNDLES[name]()
-    caps = [cap for cap in range(2, 7) if cap >= required_t_degree(bundle)]
+    caps = range(max(2, required_t_degree(bundle)), 7)
     assert caps
     for cap in caps:
-        model = build_path_model(bundle, cap)
+        # every sufficient truncation, not only the derived one
+        monkeypatch.setattr(pathspace, "required_t_degree", lambda b, cap=cap: cap)
+        model = build_path_model(bundle)
+        assert model.cap == cap
         con = model.contraction
         # pi solved from iota pi = projector, one elimination per degree
         for d in model.space.degrees():
@@ -233,10 +212,10 @@ def test_path_model_solves_nothing(monkeypatch):
         fn = getattr(mod, name)
         monkeypatch.setattr(mod, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
     for make in PATH_MODEL_BUNDLES.values():
-        build_path_model(make(), 6)
+        build_path_model(make())
     assert calls == []
     # the counter does see the solve that the closed form replaced
-    model = build_path_model(square_bundle(), 2)
+    model = build_path_model(square_bundle())
     Contraction.from_basis(model.space, model.delta, model.eta,
                            model.contraction.h_space, model.contraction.iota)
     assert "solve_columns" in calls
@@ -250,7 +229,7 @@ def test_the_supplied_projection_is_checked_against_each_identity():
     The other four identities and delta^2 = 0 imply (pi delta iota)^2 = 0,
     so the last check is reached only by a record whose induced
     differential was altered after construction."""
-    model = build_path_model(zero_ops_bundle({1: 1, 2: 1}), 2)
+    model = build_path_model(zero_ops_bundle({1: 1, 2: 1}))
     con = model.contraction
     args = (model.space, model.delta, model.eta, con.h_space)
     e, f = (1, 0), (2, 0)
@@ -284,12 +263,30 @@ def test_the_supplied_projection_is_checked_against_each_identity():
 
 @pytest.mark.parametrize("make", [square_bundle, circle_bundle, amp2_bundle],
                          ids=["square", "circle", "amp2"])
-def test_path_space_does_not_depend_on_the_cap(make):
+def test_path_space_does_not_depend_on_the_cap(make, monkeypatch):
     bundle = make()
     need = max(2, required_t_degree(bundle))
-    docs = {cap: dumps(bundle_to_json(derived_path_space(bundle, cap).bundle))
-            for cap in (need, need + 1, 16)}
+    docs = {}
+    for cap in (need, need + 1, 16):
+        monkeypatch.setattr(pathspace, "required_t_degree", lambda b, cap=cap: cap)
+        dps = derived_path_space(bundle)
+        assert dps.model.cap == cap
+        docs[cap] = dumps(bundle_to_json(dps.bundle))
     assert docs[need] == docs[need + 1] == docs[16]
+
+
+def test_the_derived_t_degree_suffices(monkeypatch):
+    """The path space at max(2, required_t_degree) is the one at the ceiling."""
+    rng = random.Random(2026)
+    bundles = [derived_path_space(square_bundle()).bundle]   # the iterated square
+    while len(bundles) < 21:
+        b = random_bundle(rng, ("x", "y")[:rng.randint(1, 2)], amplitude=rng.randint(1, 3),
+                          coeff_degree=rng.randint(1, 3))
+        if required_t_degree(b) <= 16:
+            bundles.append(b)
+    derived = [dumps(bundle_to_json(derived_path_space(b).bundle)) for b in bundles]
+    monkeypatch.setattr(pathspace, "required_t_degree", lambda b: 16)
+    assert [dumps(bundle_to_json(derived_path_space(b).bundle)) for b in bundles] == derived
 
 
 # -- symbolic derived path space ---------------------------------------------------
@@ -468,7 +465,7 @@ def test_plain_family_cannot_see_the_homotopy_corrections(make):
     # gives the same answer, because eta-corrections vanish at both ends
     from linfty.pathspace import path_perturbation
     bundle = make()
-    dps = derived_path_space(bundle, cap=8)
+    dps = derived_path_space(bundle)
     con = dps.transfer_result.contraction
     model = dps.model
     pvals = {c: Poly.variable(f"{c}_0") for c in bundle.coords}
@@ -509,20 +506,20 @@ def test_phi_is_strict_on_quasi_smooth_models(square_dps):
 # -- factorization of the diagonal ----------------------------------------------------
 
 def test_factorization_of_the_squared_function():
-    fz = factorize_diagonal(square_bundle(), cap=6)
+    fz = factorize_diagonal(square_bundle())
     rep = verify_factorization(fz, [(Fraction(0),)])
     assert rep.ok
     assert rep.weak_equiv.ok and rep.fibration.ok
 
 
 def test_factorization_of_the_plane():
-    fz = factorize_diagonal(plain_bundle(("x", "y")), cap=4)
+    fz = factorize_diagonal(plain_bundle(("x", "y")))
     rep = verify_factorization(fz, [(0, 0), (1, 2)])
     assert rep.ok
 
 
 def test_factorization_legs_compose_to_the_diagonal():
-    fz = factorize_diagonal(square_bundle(), cap=6)
+    fz = factorize_diagonal(square_bundle())
     from linfty.algebra import compose
     comp = compose(fz.fibration, fz.weak_equivalence)
     assert comp.base_map == fz.diagonal.base_map
@@ -532,7 +529,7 @@ def test_factorization_legs_compose_to_the_diagonal():
 # -- path spaces of plain manifolds -----------------------------------------------------
 
 def test_path_space_of_the_line():
-    dps = path_space_manifold(1, cap=4)
+    dps = path_space_manifold(1)
     assert virtual_dimension(dps.bundle) == 1
     pt = classical_point(dps.bundle, (2, 2))
     cx = tangent_complex(dps.bundle, pt)
@@ -542,7 +539,7 @@ def test_path_space_of_the_line():
 
 
 def test_path_space_curvature_vanishes_only_on_the_diagonal():
-    dps = path_space_manifold(1, cap=4)
+    dps = path_space_manifold(1)
     with pytest.raises(ValueError):
         classical_point(dps.bundle, (0, 1))
 
@@ -642,7 +639,7 @@ def test_fibered_product_over_a_point_is_the_product():
     b = square_bundle()
     pt = plain_bundle(())
     f = Morphism(b, pt, (), OpFamily(0, b.fiber, pt.fiber, {}))
-    fp = homotopy_fibered_product(f, f, cap=6)
+    fp = homotopy_fibered_product(f, f)
     assert virtual_dimension(fp.bundle) == 2 * virtual_dimension(b)
     assert check_mc(fp.bundle.as_algebra()).ok
     assert check_morphism(fp.to_left).ok and check_morphism(fp.to_right).ok
@@ -664,7 +661,7 @@ def test_fibered_products_straighten_by_relabelling(make, monkeypatch):
         def refuse(*args, name=name):
             raise AssertionError(f"{name} ran inside a fibered product")
         monkeypatch.setattr(mod, name, refuse)
-    fp = homotopy_fibered_product(f, f, cap=max(2, required_t_degree(b)))
+    fp = homotopy_fibered_product(f, f)
     assert virtual_dimension(fp.bundle) == virtual_dimension(b)
 
 
@@ -672,14 +669,13 @@ def test_fibered_product_dimension_formula():
     r2 = plain_bundle(("u1", "u2"))
     r1 = plain_bundle(("z",))
     f = Morphism(r2, r1, (Poly.variable("u1"),), OpFamily(0, r2.fiber, r1.fiber, {}))
-    fp = homotopy_fibered_product(f, f, cap=4)
+    fp = homotopy_fibered_product(f, f)
     assert virtual_dimension(fp.bundle) == 2 + 2 - 1
     assert check_mc(fp.bundle.as_algebra()).ok
 
 
 def test_transversal_axes_meet_in_a_smooth_point():
-    inter = derived_intersection(axis_submanifold(0, 2), axis_submanifold(1, 2),
-                                 cap=4)
+    inter = derived_intersection(axis_submanifold(0, 2), axis_submanifold(1, 2))
     assert inter.virtual_dim == 0
     assert len(inter.points) == 1
     pt = inter.points[0]
@@ -689,8 +685,7 @@ def test_transversal_axes_meet_in_a_smooth_point():
 
 def test_axis_meets_parabola_non_transversally():
     u = Poly.variable("u")
-    inter = derived_intersection(axis_submanifold(0, 2), graph_submanifold(u * u),
-                                 cap=4)
+    inter = derived_intersection(axis_submanifold(0, 2), graph_submanifold(u * u))
     assert inter.virtual_dim == 0
     assert len(inter.points) == 1
     pt = inter.points[0]
@@ -702,7 +697,7 @@ def test_axis_meets_parabola_non_transversally():
 def test_disjoint_points_have_empty_locus_and_negative_dimension():
     p0 = Submanifold((), (Poly.constant(0),), name="pt0")
     p1 = Submanifold((), (Poly.constant(1),), name="pt1")
-    inter = derived_intersection(p0, p1, cap=4)
+    inter = derived_intersection(p0, p1)
     assert inter.virtual_dim == -1
     assert inter.points == []
     exact, loose = find_classical_points(inter.bundle)
@@ -712,7 +707,7 @@ def test_disjoint_points_have_empty_locus_and_negative_dimension():
 def test_self_intersection_of_the_plane_is_smooth():
     a = Submanifold(("u0", "u1"), (Poly.variable("u0"), Poly.variable("u1")))
     b = Submanifold(("v0", "v1"), (Poly.variable("v0"), Poly.variable("v1")))
-    inter = derived_intersection(a, b, points=[(1, 2, 1, 2)], cap=4)
+    inter = derived_intersection(a, b, points=[(1, 2, 1, 2)])
     assert inter.virtual_dim == 2
     pt = inter.points[0]
     assert pt.transversal and pt.h0 == 2 and pt.h1 == 0
@@ -720,8 +715,7 @@ def test_self_intersection_of_the_plane_is_smooth():
 
 def test_intersection_euler_characteristic_is_the_virtual_dimension():
     u = Poly.variable("u")
-    inter = derived_intersection(axis_submanifold(0, 2), graph_submanifold(u * u),
-                                 cap=4)
+    inter = derived_intersection(axis_submanifold(0, 2), graph_submanifold(u * u))
     for pt in inter.points:
         assert pt.h0 - pt.h1 == inter.virtual_dim
 
@@ -729,20 +723,20 @@ def test_intersection_euler_characteristic_is_the_virtual_dimension():
 # -- zero locus comparison -------------------------------------------------------------
 
 def test_zero_locus_of_the_squared_section():
-    zl = zero_locus_model(("x",), (x * x,), cap=4)
+    zl = zero_locus_model(("x",), (x * x,))
     assert zl.weak_equiv.ok
     assert [tuple(p.coords) for p in zl.points] == [(0,)]
 
 
 def test_zero_locus_of_a_regular_section_is_a_point():
-    zl = zero_locus_model(("x",), (x,), cap=4)
+    zl = zero_locus_model(("x",), (x,))
     assert zl.weak_equiv.ok
     assert [tuple(p.coords) for p in zl.points] == [(0,)]
 
 
 def test_zero_locus_of_a_nowhere_zero_section_is_empty():
     # an empty point list certifies nothing, so it is not a weak equivalence
-    zl = zero_locus_model(("x",), (x * x + 1,), cap=4)
+    zl = zero_locus_model(("x",), (x * x + 1,))
     assert not zl.weak_equiv.ok and zl.weak_equiv.etale == []
     assert zl.weak_equiv.note.startswith("no point was checked")
     assert zl.points == []

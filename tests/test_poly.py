@@ -11,7 +11,7 @@ from oracles import (PathSection, eval_literal, path_delta, path_eta, pi_con, pi
                      pullback, substitute_literal)
 
 from linfty import poly as poly_module
-from linfty.poly import DegreeCapError, Poly, as_fraction, degree_cap, format_fraction
+from linfty.poly import Poly, as_fraction, format_fraction
 
 x = Poly.variable("x")
 y = Poly.variable("y")
@@ -401,22 +401,3 @@ def test_delta_eta_delta_drops_the_harmonic_part(s):
     assert got.components == tuple(a - b for a, b in
                                    zip(d.components, avg.components))
 
-
-# -- degree cap ----------------------------------------------------------------
-
-def test_cap_default_allows_degree_sixteen():
-    assert degree_cap() == 16
-    sec(1, [poly_t({16: 1})])
-
-
-def test_cap_rejects_overflow():
-    with pytest.raises(DegreeCapError):
-        sec(1, [poly_t({17: 1})])
-
-
-def test_cap_env_override(monkeypatch):
-    monkeypatch.setenv("LINFTY_DEGREE_CAP", "4")
-    assert degree_cap() == 4
-    with pytest.raises(DegreeCapError):
-        sec(1, [poly_t({5: 1})])
-    sec(1, [poly_t({4: 1})])
