@@ -13,7 +13,6 @@ from fractions import Fraction
 from linfty.algebra import LinftyBundle, check_mc
 from linfty.geometry import virtual_dimension
 from linfty.graded import GradedSpace, MultiOp, OpFamily
-from linfty.modelio import frac_str
 from linfty.pathspace import factorize_diagonal, verify_factorization
 from linfty.poly import Poly
 

@@ -33,7 +33,7 @@ from .graded import (GradedSpace, MultiOp, OpFamily, Vector, arity_bound,
                      bullet, bullet_op, circ)
 from .linalg import inverse as mat_inverse
 from .linalg import kernel_basis, right_inverse, solve_columns
-from .poly import Poly, as_fraction
+from .poly import Poly, as_rational, format_fraction
 
 Rat = Fraction | int
 
@@ -45,16 +45,16 @@ def _coeff_vars(c) -> set[str]:
 
 
 def _substitute_coeff(c, values: Mapping[str, Poly]):
-    if isinstance(c, Poly):
+    if isinstance(c, Poly) and values:
         return c.substitute(values)
     return c
 
 
-def _eval_coeff(c, values: Mapping[str, Fraction] | None = None) -> Fraction:
+def _eval_coeff(c, values: Mapping[str, Rat] | None = None) -> Rat:
     """A coefficient as a rational: evaluated at the point `values` when one
     is given, otherwise it must be constant."""
     if not isinstance(c, Poly):
-        return as_fraction(c)
+        return as_rational(c)
     if values is not None:
         return c.eval(values)
     if not c.is_constant():
@@ -62,7 +62,7 @@ def _eval_coeff(c, values: Mapping[str, Fraction] | None = None) -> Fraction:
     return c.constant_value()
 
 
-def op_matrix(op: MultiOp, degree: int) -> list[list[Fraction]]:
+def op_matrix(op: MultiOp, degree: int) -> list[list[Rat]]:
     """Degree-`degree` block of an arity-1 operation as a rational matrix.
 
     Columns index the source basis in `degree`, rows the target basis in
@@ -71,7 +71,7 @@ def op_matrix(op: MultiOp, degree: int) -> list[list[Fraction]]:
     """
     rows = op.target.dim(degree + op.degree)
     cols = op.source.dim(degree)
-    m = [[Fraction(0)] * cols for _ in range(rows)]
+    m = [[0] * cols for _ in range(rows)]
     for i in range(cols):
         for (_, j), c in op.evaluate_basis(((degree, i),)).items():
             m[j][i] = _eval_coeff(c)
@@ -163,6 +163,13 @@ class CurvedAlgebra:
         return max(self.ops.max_arity, 1)
 
 
+def _format_vector(vec: Vector) -> str:
+    """A witness vector as {key: coefficient}, a rational written num/den
+    and a polynomial as it prints."""
+    return "{" + ", ".join(f"{k}: {c if isinstance(c, Poly) else format_fraction(c)}"
+                           for k, c in vec.items()) + "}"
+
+
 @dataclass
 class MCReport:
     ok: bool
@@ -174,9 +181,9 @@ class MCReport:
             return "structure equations hold"
         lines = []
         for tup, vec in self.delta_squared_failures:
-            lines.append(f"delta^2 != 0 on {tup}: {vec}")
+            lines.append(f"delta^2 != 0 on {tup}: {_format_vector(vec)}")
         for arity, tup, vec in self.structure_failures:
-            lines.append(f"arity-{arity} defect on {tup}: {vec}")
+            lines.append(f"arity-{arity} defect on {tup}: {_format_vector(vec)}")
         return "\n".join(lines)
 
 
@@ -257,7 +264,7 @@ class LinftyBundle:
         """Specialize all coefficients at a rational base point."""
         if len(point) != self.base_dim:
             raise ValueError(f"expected {self.base_dim} coordinates, got {len(point)}")
-        values = {name: as_fraction(v) for name, v in zip(self.coords, point)}
+        values = {name: as_rational(v) for name, v in zip(self.coords, point)}
         fn = lambda c: _eval_coeff(c, values)
         return CurvedAlgebra(self.fiber, map_op_coeffs(self.delta, fn),
                              map_family_coeffs(self.ops, fn))
@@ -269,7 +276,7 @@ class LinftyBundle:
 
     def rename_coords(self, mapping: Mapping[str, str]) -> "LinftyBundle":
         new = tuple(mapping.get(c, c) for c in self.coords)
-        values = {c: Poly.variable(mapping[c]) for c in self.coords if c in mapping}
+        values = {c: Poly.variable(mapping[c]) for c in self.coords if mapping.get(c, c) != c}
         return self.map_coeffs(lambda c: _substitute_coeff(c, values), coords=new)
 
 
@@ -318,7 +325,7 @@ def product_projection(prod: LinftyBundle, factor: LinftyBundle,
             return {}
         j = i - offset.get(d, 0)
         if 0 <= j < factor.fiber.dims[d]:
-            return {(d, j): Fraction(1)}
+            return {(d, j): 1}
         return {}
 
     op = MultiOp.from_function(1, 0, prod.fiber, factor.fiber, value)
@@ -379,7 +386,10 @@ class Morphism:
         return self.phi.op(1)
 
     def base_values(self) -> Mapping[str, Poly]:
-        return {name: p for name, p in zip(self.dst.coords, self.base_map)}
+        """The base map as a substitution, less the coordinates it fixes:
+        an empty substitution along an identity base map."""
+        return {name: p for name, p in zip(self.dst.coords, self.base_map)
+                if p.variable_name() != name}
 
 
 def pullback_family(fam: OpFamily, values: Mapping[str, Poly]) -> OpFamily:
@@ -398,7 +408,7 @@ class MorphismReport:
     def describe(self) -> str:
         if self.ok:
             return "morphism equation holds"
-        return "\n".join(f"arity-{n} defect on {tup}: {vec}"
+        return "\n".join(f"arity-{n} defect on {tup}: {_format_vector(vec)}"
                          for n, tup, vec in self.failures)
 
 
@@ -434,7 +444,7 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
     if f.dst.coords != g.src.coords or f.dst.fiber != g.src.fiber:
         raise ValueError("morphisms are not composable")
     fvals = f.base_values()
-    base = tuple(p.substitute(fvals) for p in g.base_map)
+    base = tuple(p.substitute(fvals) for p in g.base_map) if fvals else g.base_map
     phi = bullet(pullback_family(g.phi, fvals), f.phi)
     return Morphism(f.src, g.dst, base, phi)
 
@@ -455,8 +465,8 @@ def _affine_parts(polys: Sequence[Poly], coords: Sequence[str]):
         if not set(pruned.vars) <= set(coords):
             raise ValueError("base map uses unknown coordinates")
         aligned = pruned.with_vars(tuple(coords))
-        row = [Fraction(0)] * len(coords)
-        const = Fraction(0)
+        row = [0] * len(coords)
+        const = 0
         for expo, c in aligned.terms.items():
             if sum(expo) == 0:
                 const = c
@@ -685,7 +695,7 @@ def _kernel_complement(phi1: MultiOp, source: GradedSpace, target: GradedSpace):
     elimination per degree solves for all of them.
     """
     comp_dims: dict[int, int] = {}
-    kcoords: dict[int, list[list[Fraction]]] = {}
+    kcoords: dict[int, list[list[Rat]]] = {}
     for d in sorted(set(source.degrees()) | set(target.degrees())):
         mat = op_matrix(phi1, d)
         n = source.dim(d)
@@ -698,7 +708,7 @@ def _kernel_complement(phi1: MultiOp, source: GradedSpace, target: GradedSpace):
         comp_dims[d] = len(kern)
         if not kern:
             continue
-        resid = [[Fraction(int(r == i)) for r in range(n)] for i in range(n)]
+        resid = [[int(r == i) for r in range(n)] for i in range(n)]
         if w is not None:
             for i in range(n):
                 img = [row[i] for row in mat]

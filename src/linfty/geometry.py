@@ -32,9 +32,9 @@ from .algebra import (LinftyBundle, Morphism, _affine_parts, _eval_coeff,
                       same_morphism)
 from .graded import BasisBuilder, GradedSpace, MultiOp, OpFamily, bullet
 from .linalg import kernel_basis, rank, right_inverse
-from .poly import Poly
+from .poly import Poly, _exact
 
-Matrix = list[list[Fraction]]
+Matrix = list[list[int | Fraction]]
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +122,7 @@ def mapping_cone(maps: dict[int, Matrix], a: CochainComplex,
         rows, cols = dims[k + 1], dims[k]
         ra, rb = a.dims.get(k + 2, 0), b.dims.get(k + 1, 0)
         ca, cb = a.dims.get(k + 1, 0), b.dims.get(k, 0)
-        m = [[Fraction(0)] * cols for _ in range(rows)]
+        m = [[0] * cols for _ in range(rows)]
         da = a.diffs.get(k + 1)
         if da:
             for i in range(ra):
@@ -158,7 +158,7 @@ class ClassicalPoint:
     """
 
     coords: tuple[Fraction, ...]
-    residual: Fraction = Fraction(0)
+    residual: int | Fraction = 0
 
 
 def _fractions(point) -> tuple[Fraction, ...]:
@@ -181,7 +181,7 @@ class _StagedMatrix:
     """
 
     def __init__(self, rows: int, cols: int, entries, coords):
-        self.template = [[Fraction(0)] * cols for _ in range(rows)]
+        self.template = [[0] * cols for _ in range(rows)]
         self.kernels = []
         for r, c, x in entries:
             if isinstance(x, Poly) and not x.is_constant():
@@ -209,7 +209,7 @@ class _StagedMatrix:
     def at(self, point) -> Matrix:
         m = [row[:] for row in self.template]
         for r, c, kernel in self.kernels:
-            m[r][c] = Fraction(*kernel(point))
+            m[r][c] = _exact(Fraction(*kernel(point)))
         return m
 
 
@@ -228,8 +228,8 @@ def _curvature_column(bundle: LinftyBundle) -> _StagedMatrix:
                          [(r, 0, c) for r, c in _curvature_rows(bundle)], bundle.coords)
 
 
-def _residual(curvature: _StagedMatrix, at) -> Fraction:
-    return max((abs(row[0]) for row in curvature.at(at)), default=Fraction(0))
+def _residual(curvature: _StagedMatrix, at) -> int | Fraction:
+    return max((abs(row[0]) for row in curvature.at(at)), default=0)
 
 
 def _certified(curvature: _StagedMatrix, coords, point) -> ClassicalPoint:
@@ -601,7 +601,7 @@ def shifted_tangent_data(bundle: LinftyBundle) -> ShiftedTangentData:
             if k not in ell.ops:
                 return {}
             vec = ell.op(k).evaluate(
-                [{ldt_inv[key]: Fraction(1)}] + [{r: Fraction(1)} for r in rest])
+                [{ldt_inv[key]: 1}] + [{r: 1} for r in rest])
             return {ldt_key[q]: (c if sign > 0 else -c) for q, c in vec.items()}
         j = tm_inv[key]
         k = len(tup) - 1
@@ -610,7 +610,7 @@ def shifted_tangent_data(bundle: LinftyBundle) -> ShiftedTangentData:
         name = bundle.coords[j]
         diffed = map_op_coeffs(
             ell.op(k),
-            lambda c: c.diff(name) if isinstance(c, Poly) else Fraction(0))
+            lambda c: c.diff(name) if isinstance(c, Poly) else 0)
         vec = diffed.evaluate_basis(rest)
         return {ldt_key[q]: (c if sign > 0 else -c) for q, c in vec.items()}
 
@@ -745,7 +745,7 @@ def pullback_fibration(fib: Morphism, other: Morphism) -> PullbackResult:
     def psi_value(k):
         def value(tup):
             if k == 1 and tup[0] in lift:
-                return {lift[tup[0]]: Fraction(1)}
+                return {lift[tup[0]]: 1}
             if k not in phi_other.ops or any(key in lift for key in tup):
                 return {}
             vec = phi_other.op(k).evaluate_basis(tuple(lp_inv[key] for key in tup))
@@ -761,7 +761,7 @@ def pullback_fibration(fib: Morphism, other: Morphism) -> PullbackResult:
 
     proj_f = MultiOp.from_function(
         1, 0, proj.src.fiber, lam_space,
-        lambda tup: {drop[tup[0]]: Fraction(1)} if tup[0] in drop else {})
+        lambda tup: {drop[tup[0]]: 1} if tup[0] in drop else {})
 
     pushed = bullet(src_total, psi)
     lifted_ops: dict[int, MultiOp] = {}
@@ -778,7 +778,7 @@ def pullback_fibration(fib: Morphism, other: Morphism) -> PullbackResult:
                    OpFamily(0, lam_space, other.src.fiber, {
                        1: MultiOp.from_function(
                            1, 0, lam_space, other.src.fiber,
-                           lambda tup: {lp_inv[tup[0]]: Fraction(1)}
+                           lambda tup: {lp_inv[tup[0]]: 1}
                            if tup[0] in lp_inv else {})}))
     pr1 = Morphism(bundle, proj.src, pr1_base, psi)
     if lin is not None:

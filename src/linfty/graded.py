@@ -3,8 +3,12 @@
 The objects here are finite-dimensional positively graded vector spaces
 with a distinguished basis, and graded-symmetric multilinear operations
 between them, stored as sparse coefficient tensors on canonically sorted
-basis tuples.  Scalars are fractions.Fraction or linfty.poly.Poly; the code
-only relies on +, *, unary -, and truthiness, so both work uniformly.
+basis tuples.  Scalars are exact rationals in the normal form of
+linfty.poly (an int when integral, otherwise a Fraction with denominator
+greater than 1) or linfty.poly.Poly; the code only relies on +, *, unary -,
+and truthiness, so both work uniformly.  Every stored scalar is demoted to
+that normal form, and every product of scalars goes through poly._times,
+so a Koszul sign or a unit coefficient costs no multiplication.
 
 Sign conventions: transposing two adjacent inputs of odd degree costs -1,
 all other transpositions are free (the usual Koszul rule).  An operation of
@@ -33,9 +37,10 @@ the test suite as a reference the engines are checked against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Iterator, Mapping, Sequence
+
+from .poly import _exact, _times
 
 BasisKey = tuple[int, int]  # (degree, index within degree)
 Vector = dict  # BasisKey -> scalar
@@ -253,9 +258,9 @@ def vec_add_into(dst: Vector, key: BasisKey, coeff) -> None:
         return
     cur = dst.get(key)
     if cur is None:
-        dst[key] = coeff
+        dst[key] = _exact(coeff)
         return
-    new = cur + coeff
+    new = _exact(cur + coeff)
     if new:
         dst[key] = new
     else:
@@ -264,13 +269,13 @@ def vec_add_into(dst: Vector, key: BasisKey, coeff) -> None:
 
 def vec_merge(dst: Vector, src: Vector, scale=1) -> None:
     for k, c in src.items():
-        vec_add_into(dst, k, scale * c if scale != 1 else c)
+        vec_add_into(dst, k, _times(scale, c))
 
 
 def vec_scale(v: Vector, scale) -> Vector:
     out: Vector = {}
     for k, c in v.items():
-        sc = scale * c
+        sc = _times(scale, c)
         if sc:
             out[k] = sc
     return out
@@ -334,7 +339,7 @@ class MultiOp:
                     raise ValueError(
                         f"inhomogeneous entry {tup} -> {okey}: expected output degree {total}")
                 if c:
-                    out[okey] = c
+                    out[okey] = _exact(c)
             if out:
                 clean[tup] = out
         self.coeffs = clean
@@ -365,7 +370,7 @@ class MultiOp:
 
     @classmethod
     def identity(cls, space: GradedSpace) -> "MultiOp":
-        coeffs = {(k,): {k: Fraction(1)} for k in space.keys()}
+        coeffs = {(k,): {k: 1} for k in space.keys()}
         return cls._from_clean(1, 0, space, space, coeffs)
 
     @classmethod
@@ -448,12 +453,12 @@ class MultiOp:
         if idx == len(vectors):
             res = self.evaluate_basis(keys)
             for okey, c in res.items():
-                vec_add_into(out, okey, coeff * c)
+                vec_add_into(out, okey, _times(coeff, c))
             return
         for key, c in vectors[idx].items():
             if not c:
                 continue
-            self._expand(vectors, idx + 1, keys + (key,), coeff * c, out)
+            self._expand(vectors, idx + 1, keys + (key,), _times(coeff, c), out)
 
     def evaluate_mixed(self, first: Vector, rest: Sequence[BasisKey]) -> Vector:
         """Evaluate with a vector in slot one and basis keys in the others."""
@@ -463,7 +468,7 @@ class MultiOp:
                 continue
             res = self.evaluate_basis((key,) + tuple(rest))
             for okey, c2 in res.items():
-                vec_add_into(out, okey, c * c2)
+                vec_add_into(out, okey, _times(c, c2))
         return out
 
     # -- linear (arity-1) helpers ---------------------------------------------
@@ -483,7 +488,7 @@ class MultiOp:
                 res = column((mid,))
                 if res:
                     for okey, c2 in res.items():
-                        vec_add_into(out, okey, c * c2)
+                        vec_add_into(out, okey, _times(c, c2))
             if out:
                 coeffs[key] = out
         return MultiOp._from_clean(1, self.degree + inner.degree, inner.source,
@@ -616,7 +621,7 @@ def _circ_value_unshuffle(lam: OpFamily, mu: OpFamily, tup) -> Vector:
             rest = tuple(tup[i] for i in range(n) if i not in front)
             res = lam_op.evaluate_mixed(inner, rest)
             for okey, c in res.items():
-                vec_add_into(out, okey, sign * c)
+                vec_add_into(out, okey, c if sign > 0 else -c)
     return out
 
 
@@ -690,7 +695,7 @@ def _bullet_value_partitions(lam: OpFamily, phi: OpFamily, tup) -> Vector:
             continue
         res = lam_k.evaluate(vecs)
         for okey, c in res.items():
-            vec_add_into(out, okey, sign * c)
+            vec_add_into(out, okey, c if sign > 0 else -c)
     return out
 
 

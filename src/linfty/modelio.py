@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from .algebra import CurvedAlgebra, LinftyBundle, Morphism, algebra_as_bundle
 from .graded import GradedSpace, MultiOp, OpFamily
-from .poly import Poly
+from .poly import Poly, _exact
 from .transfer import Contraction
 
 
@@ -47,16 +47,21 @@ def _fail(where: str, msg: str) -> "ModelFormatError":
 # ---------------------------------------------------------------------------
 
 
-def frac_str(q: Fraction) -> str:
-    q = Fraction(q)
+def frac_str(q: int | Fraction) -> str:
+    if type(q) is not int:
+        q = Fraction(q)
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-def parse_frac(s, where: str = "coefficient") -> Fraction:
+def parse_frac(s, where: str = "coefficient") -> int | Fraction:
     if isinstance(s, bool) or not isinstance(s, (str, int)):
         raise _fail(where, f"expected a rational string, got {s!r}")
     try:
-        return Fraction(s)
+        # an integer string is read by int(), which agrees with Fraction's parser
+        # wherever both accept it at a twentieth of the cost
+        if isinstance(s, int) or s.lstrip("+-").isdigit():
+            return int(s)
+        return _exact(Fraction(s))
     except (ValueError, ZeroDivisionError) as exc:
         raise _fail(where, f"bad rational {s!r}") from exc
 
@@ -71,7 +76,7 @@ def coeff_to_json(c, coords: tuple[str, ...]):
             raise ValueError(f"coefficient uses unknown coordinates {sorted(extra)}")
         p = c.with_vars(coords)
         return [[list(e), frac_str(q)] for e, q in sorted(p.terms.items())]
-    return frac_str(Fraction(c))
+    return frac_str(c)
 
 
 def coeff_from_json(obj, coords: tuple[str, ...], where: str):

@@ -164,14 +164,14 @@ def build_path_model(bundle: LinftyBundle) -> PathModel:
         if s == 0:
             continue
         sign = -1 if d % 2 else 1
-        delta_coeffs[(key,)] = {one_form[((d, i), s - 1)]: Fraction(sign * s)}
+        delta_coeffs[(key,)] = {one_form[((d, i), s - 1)]: sign * s}
     delta = MultiOp(1, 1, space, space, delta_coeffs)
 
     eta_coeffs = {}
     for ((d, i), s), key in one_form.items():
         sign = Fraction(-1 if d % 2 else 1, s + 1)
         out = {plain[((d, i), s + 1)]: sign}
-        out[plain[((d, i), 1)]] = out.get(plain[((d, i), 1)], Fraction(0)) - sign
+        out[plain[((d, i), 1)]] = out.get(plain[((d, i), 1)], 0) - sign
         out = {k: c for k, c in out.items() if c}
         if out:
             eta_coeffs[(key,)] = out
@@ -193,25 +193,25 @@ def build_path_model(bundle: LinftyBundle) -> PathModel:
 
     iota_coeffs: dict = {}
     for j, hk in h_base_dt.items():
-        iota_coeffs[(hk,)] = {base_dt[j]: Fraction(1)}
+        iota_coeffs[(hk,)] = {base_dt[j]: 1}
     for fk, hk in h_avg.items():
-        iota_coeffs[(hk,)] = {one_form[(fk, 0)]: Fraction(1)}
+        iota_coeffs[(hk,)] = {one_form[(fk, 0)]: 1}
     for (fk, end), hk in h_end.items():
         if end == 0:
-            iota_coeffs[(hk,)] = {plain[(fk, 0)]: Fraction(1),
-                                  plain[(fk, 1)]: Fraction(-1)}
+            iota_coeffs[(hk,)] = {plain[(fk, 0)]: 1,
+                                  plain[(fk, 1)]: -1}
         else:
-            iota_coeffs[(hk,)] = {plain[(fk, 1)]: Fraction(1)}
+            iota_coeffs[(hk,)] = {plain[(fk, 1)]: 1}
     iota = MultiOp(1, 0, h_space, space, iota_coeffs)
 
     pi_coeffs: dict = {}
     for j, hk in h_base_dt.items():
-        pi_coeffs[(base_dt[j],)] = {hk: Fraction(1)}
+        pi_coeffs[(base_dt[j],)] = {hk: 1}
     for (fk, s), key in one_form.items():
         pi_coeffs[(key,)] = {h_avg[fk]: Fraction(1, s + 1)}
     for (fk, s), key in plain.items():
-        pi_coeffs[(key,)] = ({h_end[(fk, 0)]: Fraction(1), h_end[(fk, 1)]: Fraction(1)}
-                             if s == 0 else {h_end[(fk, 1)]: Fraction(1)})
+        pi_coeffs[(key,)] = ({h_end[(fk, 0)]: 1, h_end[(fk, 1)]: 1}
+                             if s == 0 else {h_end[(fk, 1)]: 1})
     pi = MultiOp(1, 0, space, h_space, pi_coeffs)
 
     con = Contraction.from_maps(space, delta, eta, h_space, iota, pi)
@@ -363,7 +363,7 @@ def derived_path_space(bundle: LinftyBundle) -> DerivedPathSpace:
 
     ev_coeffs = {}
     for (fk, end), hk in model.h_end.items():
-        ev_coeffs[(hk,)] = {(j0 if end == 0 else j1)[fk]: Fraction(1)}
+        ev_coeffs[(hk,)] = {(j0 if end == 0 else j1)[fk]: 1}
     ev = Morphism(pm, product, tuple(Poly.variable(c) for c in coords),
                   OpFamily(0, h, product.fiber,
                            {1: MultiOp(1, 0, h, product.fiber, ev_coeffs)}))
@@ -372,8 +372,8 @@ def derived_path_space(bundle: LinftyBundle) -> DerivedPathSpace:
     for d in bundle.fiber.degrees():
         for i in range(bundle.fiber.dims[d]):
             fk = (d, i)
-            inc_coeffs[(fk,)] = {model.h_end[(fk, 0)]: Fraction(1),
-                                 model.h_end[(fk, 1)]: Fraction(1)}
+            inc_coeffs[(fk,)] = {model.h_end[(fk, 0)]: 1,
+                                 model.h_end[(fk, 1)]: 1}
     inc = Morphism(bundle, pm,
                    tuple(Poly.variable(c) for c in bundle.coords) * 2,
                    OpFamily(0, bundle.fiber, h,
@@ -414,7 +414,7 @@ def factorize_diagonal(bundle: LinftyBundle) -> Factorization:
     for d in bundle.fiber.degrees():
         for i in range(bundle.fiber.dims[d]):
             fk = (d, i)
-            diag_coeffs[(fk,)] = {j0[fk]: Fraction(1), j1[fk]: Fraction(1)}
+            diag_coeffs[(fk,)] = {j0[fk]: 1, j1[fk]: 1}
     diag = Morphism(bundle, dps.product,
                     tuple(Poly.variable(c) for c in bundle.coords) * 2,
                     OpFamily(0, bundle.fiber, dps.product.fiber,
@@ -678,7 +678,7 @@ def zero_locus_model(coords, section, points=None) -> ZeroLocusComparison:
     # fiber directions of the total space sit after the base directions
     phi_coeffs = {}
     for i in range(k):
-        phi_coeffs[((1, i),)] = {(1, m + i): Fraction(1)}
+        phi_coeffs[((1, i),)] = {(1, m + i): 1}
     comparison = Morphism(model, target, base,
                           OpFamily(0, fiber, target.fiber,
                                    {1: MultiOp(1, 0, fiber, target.fiber,

@@ -1,8 +1,12 @@
 """Exact multivariate polynomials over Q.
 
 Polynomials are kept in a sparse normal form: a tuple of variable names
-plus a dict mapping exponent vectors to nonzero Fractions.  All arithmetic
-is exact; there is no floating point anywhere in this module.  Evaluation
+plus a dict mapping exponent vectors to nonzero exact rationals.  Every
+stored rational, here and in the modules built on this one, is in one
+normal form: an int when integral, otherwise a Fraction with denominator
+greater than 1 (_exact).  Products go through _times, which does no
+arithmetic when a factor is the int 1 or -1.  All arithmetic is exact;
+there is no floating point anywhere in this module.  Evaluation
 runs on integers: Poly.staged clears the coefficient denominators once and
 returns a kernel that maps integer ratios to an unreduced integer ratio.
 """
@@ -20,18 +24,37 @@ Rat = Union[int, Fraction, str]
 Kernel = Callable[[Sequence[tuple[int, int]]], tuple[int, int]]
 
 
-def as_fraction(x: Rat) -> Fraction:
-    """Coerce ints, Fractions and 'num/den' strings to Fraction."""
-    if isinstance(x, Fraction):
-        return x
+def _exact(x):
+    """x in normal form: an integral Fraction becomes its int; anything
+    else (an int, a Fraction with denominator > 1, a Poly) is x itself."""
+    if type(x) is Fraction and x.denominator == 1:
+        return x.numerator
+    return x
+
+
+def _times(a, b):
+    """a * b in normal form.  A factor that is the int 1 or -1 costs no
+    multiplication; it is recognised as an int first, so no Fraction or
+    Poly is ever compared with 1 (Poly.__eq__ prunes and aligns both sides)."""
+    if type(a) is int and a in (1, -1):
+        return b if a == 1 else -b
+    if type(b) is int and b in (1, -1):
+        return a if b == 1 else -a
+    return _exact(a * b)
+
+
+def as_rational(x: Rat) -> int | Fraction:
+    """Coerce ints, Fractions and 'num/den' strings to the normal form."""
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
+    if isinstance(x, Fraction):
+        return _exact(x)
     if isinstance(x, str):
-        return Fraction(x)
+        return _exact(Fraction(x))
     raise TypeError(f"cannot interpret {x!r} as a rational number")
 
 
-def format_fraction(x: Fraction) -> str:
+def format_fraction(x: int | Fraction) -> str:
     """Render a Fraction as 'num' or 'num/den' (canonical, reduced)."""
     x = Fraction(x)
     if x.denominator == 1:
@@ -39,8 +62,8 @@ def format_fraction(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _reindexed(terms: Mapping[tuple, Fraction], pos: Sequence[int],
-               n: int) -> dict[tuple, Fraction]:
+def _reindexed(terms: Mapping[tuple, int | Fraction], pos: Sequence[int],
+               n: int) -> dict[tuple, int | Fraction]:
     """Terms with exponent slot j added into slot pos[j] of a length-n vector.
 
     When pos sends two slots to one, monomials can collide: their
@@ -48,32 +71,34 @@ def _reindexed(terms: Mapping[tuple, Fraction], pos: Sequence[int],
     """
     if len(pos) == n and list(pos) == list(range(n)):
         return dict(terms)
-    out: dict[tuple, Fraction] = {}
+    out: dict[tuple, int | Fraction] = {}
     for exps, c in terms.items():
         e = [0] * n
         for p, k in zip(pos, exps):
             e[p] += k
         m = tuple(e)
         if m in out:
-            c += out[m]
+            c = _exact(c + out[m])
         out[m] = c
     if len(out) < len(terms):
         out = {m: c for m, c in out.items() if c}
     return out
 
 
-def _mul_terms(a: Mapping[tuple, Fraction], b: Mapping[tuple, Fraction]) -> dict[tuple, Fraction]:
+def _mul_terms(a: Mapping[tuple, int | Fraction],
+               b: Mapping[tuple, int | Fraction]) -> dict[tuple, int | Fraction]:
     """Product of two term dicts over the same variables, zeros dropped."""
-    out: dict[tuple, Fraction] = {}
+    out: dict[tuple, int | Fraction] = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
             e = tuple(map(add, ea, eb))
-            out[e] = out.get(e, 0) + ca * cb
-    return {e: c for e, c in out.items() if c}
+            c = _times(ca, cb)
+            out[e] = out[e] + c if e in out else c
+    return {e: _exact(c) for e, c in out.items() if c}
 
 
 class Poly:
-    """Sparse exact polynomial: named variables, exponent-vector -> Fraction."""
+    """Sparse exact polynomial: named variables, exponent-vector -> rational."""
 
     __slots__ = ("vars", "terms")
 
@@ -81,28 +106,31 @@ class Poly:
         vs = tuple(vars)
         if len(set(vs)) != len(vs):
             raise ValueError(f"duplicate variable names in {vs}")
-        clean: dict[tuple, Fraction] = {}
+        clean: dict[tuple, int | Fraction] = {}
         for exps, coeff in terms.items():
             e = tuple(int(k) for k in exps)
             if len(e) != len(vs):
                 raise ValueError(f"exponent vector {e} does not match variables {vs}")
             if any(k < 0 for k in e):
                 raise ValueError(f"negative exponent in {e}")
-            c = as_fraction(coeff)
+            c = coeff if type(coeff) is int else as_rational(coeff)
             if c:
-                clean[e] = clean.get(e, Fraction(0)) + c
-                if not clean[e]:
+                s = _exact(clean[e] + c) if e in clean else c
+                if s:
+                    clean[e] = s
+                else:
                     del clean[e]
         object.__setattr__(self, "vars", vs)
         object.__setattr__(self, "terms", clean)
 
     @classmethod
-    def _trusted(cls, vars: tuple[str, ...], terms: dict[tuple, Fraction]) -> "Poly":
+    def _trusted(cls, vars: tuple[str, ...], terms: dict[tuple, int | Fraction]) -> "Poly":
         """Wrap terms already in normal form, skipping the checks of __init__.
 
         Only for results this module builds itself: `vars` is a tuple of
         distinct names, every exponent is a tuple of len(vars) non-negative
-        ints and every coefficient a nonzero Fraction.
+        ints and every coefficient is nonzero and in normal form: an int,
+        or a Fraction with denominator > 1.
         """
         p = object.__new__(cls)
         object.__setattr__(p, "vars", vars)
@@ -146,9 +174,9 @@ class Poly:
     def is_constant(self) -> bool:
         return all(not any(e) for e in self.terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> int | Fraction:
         if not self.terms:
-            return Fraction(0)
+            return 0
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
         return next(iter(self.terms.values()))
@@ -197,7 +225,7 @@ class Poly:
         if isinstance(other, Poly):
             return other
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
+            c = other if type(other) is int else as_rational(other)
             return Poly._trusted(self.vars, {(0,) * len(self.vars): c} if c else {})
         return None
 
@@ -208,7 +236,7 @@ class Poly:
         a, b = Poly._aligned(self, o)
         terms = dict(a.terms)
         for e, c in b.terms.items():
-            s = terms.get(e, 0) + c
+            s = _exact(terms[e] + c) if e in terms else c
             if s:
                 terms[e] = s
             else:
@@ -244,7 +272,7 @@ class Poly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = Poly._trusted(self.vars, {(0,) * len(self.vars): Fraction(1)})
+        out = Poly._trusted(self.vars, {(0,) * len(self.vars): 1})
         base = self
         while n:
             if n & 1:
@@ -262,12 +290,12 @@ class Poly:
         return a.terms == b.terms
 
     def __hash__(self):
-        # equal values hash equal: a constant hashes as its Fraction (so as
+        # equal values hash equal: a constant hashes as its value (so as
         # the int or Fraction it equals), anything else through its terms
         # with the variables in sorted order
         p = self.pruned()
         if not p.vars:
-            return hash(p.terms.get((), Fraction(0)))
+            return hash(p.terms.get((), 0))
         order = sorted(range(len(p.vars)), key=p.vars.__getitem__)
         return hash((tuple(p.vars[i] for i in order),
                      frozenset((tuple(e[i] for i in order), c) for e, c in p.terms.items())))
@@ -279,7 +307,7 @@ class Poly:
             return Poly._trusted(self.vars, {})
         i = self.vars.index(name)
         # lowering the i-th exponent is injective on the terms that have one
-        return Poly._trusted(self.vars, {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
+        return Poly._trusted(self.vars, {e[:i] + (e[i] - 1,) + e[i + 1:]: _times(c, e[i])
                                          for e, c in self.terms.items() if e[i]})
 
     def variable_name(self) -> str | None:
@@ -305,7 +333,7 @@ class Poly:
         """
         out_vars: list[str] = [v for v in self.vars if v not in values]
         slot = {v: i for i, v in enumerate(out_vars)}
-        subs: dict[str, Poly | Fraction] = {}
+        subs: dict[str, Poly | int | Fraction] = {}
         for name, val in values.items():
             if isinstance(val, Poly):
                 for v in val.vars:
@@ -313,7 +341,7 @@ class Poly:
                         slot[v] = len(out_vars)
                         out_vars.append(v)
             else:
-                val = as_fraction(val)
+                val = as_rational(val)
             subs[name] = val
         vs = tuple(out_vars)
         n = len(vs)
@@ -329,7 +357,7 @@ class Poly:
         else:
             return Poly._trusted(vs, _reindexed(self.terms, pos, n))
         # each substituted variable's value over vs, and its powers computed so far
-        powers: dict[int, list[dict[tuple, Fraction]]] = {}
+        powers: dict[int, list[dict[tuple, int | Fraction]]] = {}
         kept: list[tuple[int, int]] = []
         for i, v in enumerate(self.vars):
             if v not in subs:
@@ -340,8 +368,8 @@ class Poly:
                 base = _reindexed(val.terms, [slot[w] for w in val.vars], n)
             else:
                 base = {(0,) * n: val} if val else {}
-            powers[i] = [{(0,) * n: Fraction(1)}, base]
-        out: dict[tuple, Fraction] = {}
+            powers[i] = [{(0,) * n: 1}, base]
+        out: dict[tuple, int | Fraction] = {}
         for e, c in self.terms.items():
             mono = [0] * n
             for i, p in kept:
@@ -354,8 +382,8 @@ class Poly:
                 if k:
                     term = _mul_terms(term, pw[k])
             for m, cm in term.items():
-                out[m] = out.get(m, 0) + cm
-        return Poly._trusted(vs, {m: c for m, c in out.items() if c})
+                out[m] = out[m] + cm if m in out else cm
+        return Poly._trusted(vs, {m: _exact(c) for m, c in out.items() if c})
 
     def staged(self, coords: Sequence[str]) -> Kernel:
         """Exact evaluation at points given over `coords`, staged once.
@@ -401,11 +429,11 @@ class Poly:
 
         return kernel
 
-    def eval(self, values: Mapping[str, Rat]) -> Fraction:
+    def eval(self, values: Mapping[str, Rat]) -> int | Fraction:
         coords = [v for v in self.vars if v in values]
-        num, den = self.staged(coords)([as_fraction(values[v]).as_integer_ratio()
+        num, den = self.staged(coords)([as_rational(values[v]).as_integer_ratio()
                                         for v in coords])
-        return Fraction(num, den)
+        return _exact(Fraction(num, den))
 
     # -- rendering ---------------------------------------------------------
 

@@ -46,6 +46,7 @@ from .graded import (GradedSpace, MultiOp, OpFamily, Vector, arity_bound,
                      bullet_op, koszul_sign, op_nilpotency_order, vec_add_into)
 from .linalg import inverse as mat_inverse
 from .linalg import rref, solve_columns
+from .poly import _exact, _times
 
 
 def _image_basis(op: MultiOp, degree: int) -> list[list[Fraction]]:
@@ -273,19 +274,19 @@ class Tree:
             return 1
         return sum(c.n_leaves() for c in self.children)
 
-    def weight(self) -> Fraction:
+    def weight(self) -> int | Fraction:
         """Symmetry-weighted coefficient in the fixed-point expansion."""
         if self.children is None:
-            return Fraction(1)
-        w = Fraction(-1)
+            return 1
+        w = -1
         run = 1
         for i, c in enumerate(self.children):
-            w *= c.weight()
+            w = _times(w, c.weight())
             if i > 0 and c == self.children[i - 1]:
                 run += 1
+                w = _exact(Fraction(w, run))
             else:
                 run = 1
-            w /= run
         return w
 
     def describe(self) -> str:
@@ -332,7 +333,7 @@ def treeterm(op_k: MultiOp, parts: Sequence[MultiOp]) -> MultiOp:
             if dead:
                 continue
             for okey, c in op_k.evaluate(vecs).items():
-                vec_add_into(out, okey, sign * c)
+                vec_add_into(out, okey, c if sign > 0 else -c)
         return out
 
     return MultiOp.from_function(n, op_k.degree, source, op_k.target, value)
@@ -498,7 +499,7 @@ class AdaptedBasis:
                 raise ValueError("adapted basis does not span; contraction data is inconsistent")
             if nd == 0:
                 continue
-            m = [[Fraction(cols[c][1].get((d, r), 0)) for c in range(nd)] for r in range(nd)]
+            m = [[cols[c][1].get((d, r), 0) for c in range(nd)] for r in range(nd)]
             minv = mat_inverse(m)
             for i in range(nd):
                 combo = {cols[r][0]: minv[r][i] for r in range(nd) if minv[r][i]}
@@ -509,8 +510,7 @@ class AdaptedBasis:
             out: dict = {}
             for key, c in img.items():
                 for let2, c2 in ab.key_to_letters[key].items():
-                    cur = out.get(let2, Fraction(0))
-                    cur += c * c2
+                    cur = _exact(out.get(let2, 0) + _times(c, c2))
                     if cur:
                         out[let2] = cur
                     elif let2 in out:
@@ -548,7 +548,7 @@ class AdaptedBasis:
 
     def keys_to_state(self, keys: Sequence) -> dict:
         """Expand an ambient basis tuple into adapted monomials."""
-        state = {(): Fraction(1)}
+        state = {(): 1}
         for key in keys:
             nxt: dict = {}
             for mono, c in state.items():
@@ -557,8 +557,10 @@ class AdaptedBasis:
                     if sign == 0:
                         continue
                     cur = nxt.get(srt)
-                    add = c * c2 * sign
-                    nxt[srt] = add if cur is None else cur + add
+                    add = _times(c, c2)
+                    if sign < 0:
+                        add = -add
+                    nxt[srt] = add if cur is None else _exact(cur + add)
             state = {m: c for m, c in nxt.items() if c}
         return state
 
@@ -580,18 +582,18 @@ def _sym_k(ab: AdaptedBasis, mono: tuple) -> tuple[tuple, Fraction] | None:
             return None
         # s == 1 is forced: b is odd, so it cannot repeat
         new_block = [("a", j0)] * (m + 1)
-        coeff = Fraction(1, m + 1)
+        coeff = Fraction(1, m + 1) if m else 1
     else:
         if m > 0 or s == 0:
             return None
         new_block = [("a", j0)] + [("b", j0)] * (s - 1)
-        coeff = Fraction(1)
+        coeff = 1
     sign = -1 if sum(ab.degree(l) for l in h_part) % 2 else 1
     letters = tuple(h_part) + tuple(new_block) + tuple(rest)
     srt, s2 = ab.sort_letters(letters)
     if s2 == 0:
         return None
-    return srt, coeff * sign * s2
+    return srt, coeff if sign * s2 > 0 else -coeff
 
 
 def _apply_k(ab: AdaptedBasis, state: dict) -> dict:
@@ -602,8 +604,8 @@ def _apply_k(ab: AdaptedBasis, state: dict) -> dict:
             continue
         srt, k = res
         cur = out.get(srt)
-        add = c * k
-        out[srt] = add if cur is None else cur + add
+        add = _times(c, k)
+        out[srt] = add if cur is None else _exact(cur + add)
     return {m: c for m, c in out.items() if c}
 
 
@@ -617,8 +619,8 @@ def _apply_coderivation(ab: AdaptedBasis, lam: OpFamily, state: dict,
         if sign == 0 or not coeff:
             return
         cur = out.get(srt)
-        add = coeff * sign
-        out[srt] = add if cur is None else cur + add
+        add = coeff if sign > 0 else -coeff
+        out[srt] = add if cur is None else _exact(cur + add)
 
     max_k = lam.max_arity
     for mono, c in state.items():
@@ -629,7 +631,8 @@ def _apply_coderivation(ab: AdaptedBasis, lam: OpFamily, state: dict,
                 # degree-1 map applied in place: sign from passing the prefix
                 sign = -1 if sum(degs[:pos]) % 2 else 1
                 for let2, c2 in ab.delta_letters[mono[pos]].items():
-                    emit(mono[:pos] + (let2,) + mono[pos + 1:], c * c2 * sign)
+                    cc = _times(c, c2)
+                    emit(mono[:pos] + (let2,) + mono[pos + 1:], cc if sign > 0 else -cc)
         for k in range(0, min(n, max_k) + 1):
             op = lam.ops.get(k)
             if op is None:
@@ -644,8 +647,11 @@ def _apply_coderivation(ab: AdaptedBasis, lam: OpFamily, state: dict,
                     continue
                 rest = tuple(mono[i] for i in range(n) if i not in subset)
                 for key, cv in val.items():
+                    ccv = _times(c, cv)
+                    if sign < 0:
+                        ccv = -ccv
                     for let2, c2 in ab.key_to_letters[key].items():
-                        emit((let2,) + rest, c * cv * c2 * sign)
+                        emit((let2,) + rest, _times(ccv, c2))
     return {m: c for m, c in out.items() if c}
 
 
@@ -668,7 +674,7 @@ def projection_morphism(con: Contraction, lam: OpFamily) -> OpFamily:
     def row(mono):
         got = rows.get(mono)
         if got is None:
-            got = _apply_coderivation(ab, lam, _apply_k(ab, {mono: Fraction(1)}),
+            got = _apply_coderivation(ab, lam, _apply_k(ab, {mono: 1}),
                                       include_delta=False)
             rows[mono] = got
         return got
@@ -686,9 +692,9 @@ def projection_morphism(con: Contraction, lam: OpFamily) -> OpFamily:
             reach.append(mono)
             todo.extend(row(mono))
         n = len(reach)
-        aug = [[Fraction(0)] * (n + 1) for _ in range(n)]
+        aug = [[0] * (n + 1) for _ in range(n)]
         for j, mono in enumerate(reach):
-            aug[j][j] = Fraction(1)
+            aug[j][j] = 1
             for m2, c in row(mono).items():
                 aug[index[m2]][j] += c
         for mono, c in state0.items():

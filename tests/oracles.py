@@ -49,7 +49,7 @@ from linfty.graded import (BasisKey, GradedSpace, MultiOp, OpFamily, Vector, ari
 from linfty.linalg import rank, rref
 from linfty.pathspace import (DerivedPathSpace, ambient_coord_names, build_path_model,
                               derived_path_space, path_perturbation)
-from linfty.poly import Poly, Rat, as_fraction
+from linfty.poly import Poly, Rat, as_rational
 from linfty.samples import conjugate, nonzero_fraction, random_contraction
 from linfty.transfer import (AdaptedBasis, Contraction, TransferResult, _apply_coderivation,
                              _apply_k, _checked_projector, _image_basis, neumann_inverse)
@@ -403,7 +403,7 @@ def substitute_literal(p: Poly, values: Mapping[str, "Poly | Rat"]) -> Poly:
     out_vars: list[str] = list(keep)
     subs: dict[str, Poly] = {}
     for name, val in values.items():
-        q = val if isinstance(val, Poly) else Poly.constant(as_fraction(val))
+        q = val if isinstance(val, Poly) else Poly.constant(as_rational(val))
         subs[name] = q
         for v in q.vars:
             if v not in out_vars:
@@ -432,7 +432,7 @@ def eval_literal(p: Poly, values: Mapping[str, Rat]) -> Fraction:
                 continue
             if v not in values:
                 raise ValueError(f"no value supplied for variable {v!r}")
-            val = val * as_fraction(values[v]) ** k
+            val = val * as_rational(values[v]) ** k
         out += val
     return out
 
@@ -505,13 +505,13 @@ class PathSection:
     @staticmethod
     def make(start: Sequence[Rat], end: Sequence[Rat], degree: int,
              components: Iterable[Poly], dt: bool = False) -> "PathSection":
-        p = tuple(as_fraction(x) for x in start)
-        q = tuple(as_fraction(x) for x in end)
+        p = tuple(as_rational(x) for x in start)
+        q = tuple(as_rational(x) for x in end)
         comps = tuple(c.with_vars(("t",)) if c.vars != ("t",) else c for c in components)
         return PathSection(p, q, degree, dt, comps)
 
     def value_at(self, t0: Rat) -> tuple[Fraction, ...]:
-        t = as_fraction(t0)
+        t = as_rational(t0)
         return tuple(c.eval({"t": t}) for c in self.components)
 
 
@@ -519,7 +519,7 @@ def _int_0_to_t(c: Poly) -> Poly:
     """Antiderivative in t vanishing at t = 0."""
     terms: dict[tuple, Fraction] = {}
     for e, coeff in c.with_vars(("t",)).terms.items():
-        terms[(e[0] + 1,)] = coeff / (e[0] + 1)
+        terms[(e[0] + 1,)] = Fraction(coeff, e[0] + 1)
     return Poly(("t",), terms)
 
 
@@ -531,8 +531,8 @@ def pullback(coeffs: Sequence[Poly], coords: Sequence[str],
              start: Sequence[Rat], end: Sequence[Rat],
              degree: int, dt: bool = False) -> PathSection:
     """Restrict polynomial coefficient functions along a(t) = p + t(q-p)."""
-    p = [as_fraction(x) for x in start]
-    q = [as_fraction(x) for x in end]
+    p = [as_rational(x) for x in start]
+    q = [as_rational(x) for x in end]
     if len(p) != len(coords) or len(q) != len(coords):
         raise ValueError("endpoint dimension does not match coordinates")
     t = Poly.variable("t")

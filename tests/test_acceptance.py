@@ -10,7 +10,6 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
 from oracles import (PathSection, amp2_bundle, circle_bundle, path_delta, path_eta,
                      perturbation_check, pi_con, pi_lin, projection_phi1, pullback,
                      random_affine_images, random_perturbation_instance, square_bundle,

@@ -19,7 +19,7 @@ from linfty.graded import GradedSpace, MultiOp, OpFamily, bullet, circ
 from linfty.geometry import pullback_fibration, virtual_dimension
 from linfty.pathspace import derived_path_space
 from linfty.poly import Poly
-from linfty.samples import (random_bundle, random_formal_iso,
+from linfty.samples import (break_algebra, random_bundle, random_formal_iso,
                             random_mc_algebra, random_morphism_onto)
 
 x = Poly.variable("x")
@@ -66,6 +66,27 @@ def test_check_mc_rejects_bad_differential():
     assert not rep.ok and rep.delta_squared_failures
     tup, vec = rep.delta_squared_failures[0]
     assert tup == ((1, 0),) and vec == {(3, 0): Fraction(1)}
+
+
+def test_witnesses_write_coefficients_as_num_over_den():
+    sp = chain_space()
+    delta = MultiOp(1, 1, sp, sp, {((1, 0),): {(2, 0): Fraction(2)},
+                                   ((2, 0),): {(3, 0): Fraction(3, 4)}})
+    assert check_mc(algebra(sp, delta=delta)).describe() == (
+        "delta^2 != 0 on ((1, 0),): {(3, 0): 3/2}\n"
+        "arity-1 defect on ((1, 0),): {(3, 0): 3/2}")
+    curved = algebra_as_bundle(algebra(sp, ops={0: MultiOp(0, 1, sp, sp, {(): {(1, 0): 1}})}))
+    half = MultiOp(1, 0, sp, sp, {((d, 0),): {(d, 0): Fraction(1, 2)} for d in (1, 2, 3)})
+    rep = check_morphism(Morphism(curved, curved, (), OpFamily(0, sp, sp, {1: half})))
+    assert rep.describe() == "arity-0 defect on (): {(1, 0): -1/2}"
+    rng = random.Random(1407)
+    damaged = [break_algebra(rng, random_mc_algebra(rng, amplitude=4, max_dim=3))
+               for _ in range(6)]
+    damaged = [alg for alg in damaged if alg is not None]
+    assert damaged
+    for alg in damaged:
+        text = check_mc(alg).describe()
+        assert "defect" in text and "Fraction(" not in text
 
 
 def test_check_mc_rejects_unannihilated_curvature():

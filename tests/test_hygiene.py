@@ -1,8 +1,8 @@
-"""Source hygiene: every name a `linfty` module imports is used there, every
-import sits at module level, every public name a module defines has a
-user outside the test suite, only `poly.py` builds a Poly unchecked,
-only `graded.py` builds a MultiOp unchecked and `poly.py` has no floating
-point."""
+"""Source hygiene: every name a module of `linfty`, the tests or the
+scripts imports is used there, every import in `linfty` sits at module
+level, every public name a module defines has a user outside the test
+suite, only `poly.py` builds a Poly unchecked, only `graded.py` builds a
+MultiOp unchecked and the exact modules have no floating point."""
 
 import ast
 import io
@@ -15,6 +15,9 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "linfty"
 NON_TEST_DIRS = ("src", "scripts", "perfbench")
+# modules whose arithmetic is exact; geometry (the numeric point search),
+# cli (its option parsing) and samples (its sampling knobs) are not among them
+EXACT_MODULES = ("poly", "graded", "linalg", "algebra", "transfer", "pathspace", "modelio")
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -57,7 +60,13 @@ def imports_in_functions(tree: ast.Module) -> list[int]:
     return sorted(set(out))
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+# the benchmark's own code in perfbench/ is left to the benchmark
+IMPORT_SCANNED = [*sorted(SRC.glob("*.py")), *sorted((ROOT / "tests").glob("*.py")),
+                  *sorted((ROOT / "scripts").glob("*.py"))]
+
+
+@pytest.mark.parametrize("path", IMPORT_SCANNED,
+                         ids=lambda p: p.name if p.parent == SRC else str(p.relative_to(ROOT)))
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = referenced_names(tree)
@@ -216,10 +225,11 @@ def floating_point_lines(tree: ast.Module) -> list[int]:
     return sorted(set(out))
 
 
-def test_poly_has_no_floating_point():
-    tree = ast.parse((SRC / "poly.py").read_text())
+@pytest.mark.parametrize("name", EXACT_MODULES)
+def test_exact_modules_have_no_floating_point(name):
+    tree = ast.parse((SRC / f"{name}.py").read_text())
     lines = floating_point_lines(tree)
-    assert not lines, f"poly.py uses floating point at lines {lines}"
+    assert not lines, f"{name}.py uses floating point at lines {lines}"
 
 
 def test_the_scan_finds_floating_point():

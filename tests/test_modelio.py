@@ -40,11 +40,18 @@ def test_fraction_strings():
     assert parse_frac(3) == Fraction(3)
 
 
+def test_parse_frac_returns_the_normal_form():
+    for text, want in (("-4", -4), ("+3", 3), (" 12 ", 12), ("6/3", 2), ("1_000", 1000),
+                       ("1e3", 1000), (7, 7), ("7/2", Fraction(7, 2)), ("-0.25", Fraction(-1, 4))):
+        got = parse_frac(text)
+        assert got == want and type(got) is type(want), text
+    assert frac_str(7) == "7" and frac_str(-2) == "-2"
+
+
 def test_parse_frac_rejects_garbage():
-    with pytest.raises(ModelFormatError):
-        parse_frac("3.5x")
-    with pytest.raises(ModelFormatError):
-        parse_frac("1/0")
+    for text in ("3.5x", "1/0", "+-3", "-", "\u00b2", ""):
+        with pytest.raises(ModelFormatError):
+            parse_frac(text)
 
 
 # -- bundles --------------------------------------------------------------------

@@ -11,7 +11,7 @@ from oracles import (PathSection, eval_literal, path_delta, path_eta, pi_con, pi
                      pullback, substitute_literal)
 
 from linfty import poly as poly_module
-from linfty.poly import Poly, as_fraction, format_fraction
+from linfty.poly import Poly, as_rational, format_fraction
 
 x = Poly.variable("x")
 y = Poly.variable("y")
@@ -56,8 +56,11 @@ def test_with_vars_and_pruned_round_trip():
 
 
 def test_fraction_helpers():
-    assert as_fraction("3/4") == Fraction(3, 4)
-    assert as_fraction(2) == Fraction(2)
+    assert as_rational("3/4") == Fraction(3, 4)
+    # integral values come back as int, whatever form they were given in
+    for given in (2, Fraction(4, 2), "6/3"):
+        got = as_rational(given)
+        assert type(got) is int and got == 2
     assert format_fraction(Fraction(3, 4)) == "3/4"
     assert format_fraction(Fraction(5)) == "5"
 
@@ -130,7 +133,8 @@ def assert_normal_form(p):
     for e, c in p.terms.items():
         assert type(e) is tuple and len(e) == len(p.vars)
         assert all(type(k) is int and k >= 0 for k in e)
-        assert type(c) is Fraction and c != 0
+        assert c != 0 and (type(c) is int
+                           or type(c) is Fraction and c.denominator > 1)
     checked = Poly(p.vars, p.terms)
     assert checked == p and checked.terms == p.terms
 
