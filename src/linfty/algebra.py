@@ -176,7 +176,7 @@ class MCReport:
     delta_squared_failures: list
     structure_failures: list
 
-    def describe(self, space: GradedSpace | None = None) -> str:
+    def describe(self) -> str:
         if self.ok:
             return "structure equations hold"
         lines = []
@@ -381,9 +381,6 @@ class Morphism:
                     extra = _coeff_vars(c) - set(self.src.coords)
                     if extra:
                         raise ValueError(f"coefficient uses unknown coordinates {sorted(extra)}")
-
-    def phi1(self) -> MultiOp:
-        return self.phi.op(1)
 
     def base_values(self) -> Mapping[str, Poly]:
         """The base map as a substitution, less the coordinates it fixes:

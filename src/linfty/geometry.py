@@ -158,7 +158,6 @@ class ClassicalPoint:
     """
 
     coords: tuple[Fraction, ...]
-    residual: int | Fraction = 0
 
 
 def _fractions(point) -> tuple[Fraction, ...]:
@@ -237,7 +236,7 @@ def _certified(curvature: _StagedMatrix, coords, point) -> ClassicalPoint:
     resid = _residual(curvature, _ratios(coords, pt))
     if resid > 0:
         raise ValueError(f"curvature does not vanish there (residual {resid})")
-    return ClassicalPoint(pt, resid)
+    return ClassicalPoint(pt)
 
 
 def curvature_residual(bundle: LinftyBundle, point) -> Fraction:

@@ -267,9 +267,9 @@ def vec_add_into(dst: Vector, key: BasisKey, coeff) -> None:
         del dst[key]
 
 
-def vec_merge(dst: Vector, src: Vector, scale=1) -> None:
+def vec_merge(dst: Vector, src: Vector) -> None:
     for k, c in src.items():
-        vec_add_into(dst, k, _times(scale, c))
+        vec_add_into(dst, k, c)
 
 
 def vec_scale(v: Vector, scale) -> Vector:
@@ -495,11 +495,11 @@ class MultiOp:
                                    self.target, coeffs)
 
 
-def op_nilpotency_order(op: MultiOp, cap: int | None = None) -> int | None:
+def op_nilpotency_order(op: MultiOp) -> int | None:
     """Least r with op^r = 0 for a degree-0 arity-1 operation, or None."""
     if op.arity != 1 or op.degree != 0:
         raise ValueError("nilpotency check expects a degree-0 endomorphism")
-    bound = cap if cap is not None else op.source.total_dim + 1
+    bound = op.source.total_dim + 1
     power = op
     r = 1
     while r <= bound:

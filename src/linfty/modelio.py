@@ -9,18 +9,25 @@ graded bundle over named affine coordinates:
               "coeff": ...}, ...],
      "metadata": {...}}
 
-Entries carrying "part": "delta" assemble the constant differential; the
-rest are the structure operations, curvature included (arity 0, empty
-inputs).  A coefficient is either a "num/den" string for a constant or a
-sorted list of [exponents, "num/den"] pairs with exponents read against
-the base coordinates.  Fiber basis labels and dt markers, when they
-deviate from the defaults, ride along in metadata.
+A coefficient is either a "num/den" string for a constant or a sorted list
+of [exponents, "num/den"] pairs with exponents read against the base
+coordinates.  Fiber basis labels and dt markers, when they deviate from the
+defaults, ride along in metadata.  Morphism and contraction documents are
+tagged with a "kind" field and store their maps in the same operation
+entries.  Each kind admits its own (part, arity) pairs:
 
-The writer emits one canonical form: entries sorted, fractions reduced,
-two-space indent, trailing newline.  Serialization after deserialization
-therefore reproduces a canonical file byte for byte.  Morphism and
-contraction documents reuse the same entry encoding and are tagged with a
-"kind" field.
+- bundle "ops": an entry with "part": "delta" has arity 1 and assembles
+  the constant differential; an entry without a part is a structure
+  operation of arity >= 0, the curvature being arity 0 with empty inputs;
+- morphism "phi": no part, arity >= 1;
+- contraction "delta", "eta" and "iota": no part, arity 1.
+
+One reader and one writer serve every kind.  The reader names an entry's
+position (as in "ops[3].coeff[0]") only in the error it raises.  The
+writer emits one canonical form: entries sorted by (arity, inputs,
+output), a bundle's delta entries first, fractions reduced, two-space
+indent, trailing newline.  Serialization after deserialization therefore
+reproduces a canonical file byte for byte.
 """
 
 from __future__ import annotations
@@ -40,6 +47,11 @@ class ModelFormatError(ValueError):
 
 def _fail(where: str, msg: str) -> "ModelFormatError":
     return ModelFormatError(f"{where}: {msg}")
+
+
+def _within(where: str, exc: ModelFormatError) -> ModelFormatError:
+    """exc, raised against a path relative to where, placed at where."""
+    return ModelFormatError(f"{where}{exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -86,14 +98,16 @@ def coeff_from_json(obj, coords: tuple[str, ...], where: str):
         raise _fail(where, f"expected rational string or term list, got {obj!r}")
     terms = {}
     for n, item in enumerate(obj):
-        if (not isinstance(item, list) or len(item) != 2
-                or not isinstance(item[0], list)):
-            raise _fail(f"{where}[{n}]", f"expected [exponents, rational], got {item!r}")
-        exps, q = item
-        if len(exps) != len(coords):
-            raise _fail(f"{where}[{n}]",
-                        f"{len(exps)} exponents for {len(coords)} coordinates")
-        terms[tuple(int(e) for e in exps)] = parse_frac(q, f"{where}[{n}]")
+        try:
+            if (not isinstance(item, list) or len(item) != 2
+                    or not isinstance(item[0], list)):
+                raise _fail("", f"expected [exponents, rational], got {item!r}")
+            exps, q = item
+            if len(exps) != len(coords):
+                raise _fail("", f"{len(exps)} exponents for {len(coords)} coordinates")
+            terms[tuple(int(e) for e in exps)] = parse_frac(q, "")
+        except ModelFormatError as exc:
+            raise _within(f"{where}[{n}]", exc) from None
     return Poly(coords, terms)
 
 
@@ -146,32 +160,34 @@ def space_from_json(obj, meta: dict | None = None, where: str = "bundle") -> Gra
 # operation entry lists
 # ---------------------------------------------------------------------------
 
+# the (part, arity) pairs of each document kind: part -> (least, greatest
+# arity), None for an untagged entry or for no greatest arity
+_BUNDLE_PARTS = {"delta": (1, 1), None: (0, None)}
+_PHI_PARTS = {None: (1, None)}
+_CONTRACTION_PARTS = {None: (1, 1)}
 
-def _op_entries(op: MultiOp, coords, part: str | None = None) -> list[dict]:
+
+def _entries_to_json(ops, coords, part: str | None = None) -> list[dict]:
+    """The entries of ops sorted by (arity, inputs, output), each tagged
+    with part when one is given."""
     entries = []
-    for tup, vec in op.coeffs.items():
-        for okey, c in vec.items():
-            e = {"arity": op.arity,
-                 "inputs": [list(k) for k in tup],
-                 "output": list(okey),
-                 "coeff": coeff_to_json(c, coords)}
-            if part:
-                e["part"] = part
-            entries.append(e)
-    return entries
-
-
-def ops_to_entries(delta: MultiOp, fam: OpFamily, coords) -> list[dict]:
-    entries = _op_entries(delta, coords, part="delta")
-    for k in fam.arities():
-        entries.extend(_op_entries(fam.op(k), coords))
-    entries.sort(key=lambda e: ("part" not in e, e["arity"], e["inputs"], e["output"]))
+    for op in sorted(ops, key=lambda op: op.arity):
+        for tup in sorted(op.coeffs):
+            vec = op.coeffs[tup]
+            for okey in sorted(vec):
+                e = {"arity": op.arity,
+                     "inputs": [list(k) for k in tup],
+                     "output": list(okey),
+                     "coeff": coeff_to_json(vec[okey], coords)}
+                if part:
+                    e["part"] = part
+                entries.append(e)
     return entries
 
 
 def _read_key(obj, space: GradedSpace, where: str) -> tuple[int, int]:
     if (not isinstance(obj, list) or len(obj) != 2
-            or not all(isinstance(v, int) for v in obj)):
+            or not isinstance(obj[0], int) or not isinstance(obj[1], int)):
         raise _fail(where, f"expected a [degree, index] pair, got {obj!r}")
     key = (obj[0], obj[1])
     if not space.contains(key):
@@ -179,48 +195,43 @@ def _read_key(obj, space: GradedSpace, where: str) -> tuple[int, int]:
     return key
 
 
-def entries_to_ops(entries, space: GradedSpace, coords,
-                   where: str = "ops") -> tuple[dict[int, dict], dict[int, dict]]:
-    """Split raw entries into delta and family coefficient tables by arity."""
+def _entries_from_json(entries, src: GradedSpace, dst: GradedSpace, coords,
+                       degree: int, parts: dict[str | None, tuple[int, int | None]],
+                       where: str) -> dict[str | None, OpFamily]:
+    """Read an entry list into one family of the given degree from src to
+    dst for each part the document kind admits."""
     if not isinstance(entries, list):
         raise _fail(where, "expected a list of operation entries")
-    delta_tab: dict[int, dict] = {}
-    fam_tab: dict[int, dict] = {}
+    tables: dict[str | None, dict] = {part: {} for part in parts}
     for n, e in enumerate(entries):
-        ctx = f"{where}[{n}]"
-        if not isinstance(e, dict):
-            raise _fail(ctx, "expected an object")
-        part = e.get("part")
-        if part not in (None, "delta"):
-            raise _fail(ctx, f"unknown part {part!r}")
-        arity = e.get("arity")
-        inputs = e.get("inputs")
-        if not isinstance(arity, int) or arity < 0:
-            raise _fail(ctx, "arity must be a nonnegative integer")
-        if not isinstance(inputs, list) or len(inputs) != arity:
-            raise _fail(ctx, f"inputs must list exactly {arity} keys")
-        if part == "delta" and arity != 1:
-            raise _fail(ctx, "differential entries must have arity 1")
-        tup = tuple(_read_key(k, space, f"{ctx}.inputs") for k in inputs)
-        okey = _read_key(e.get("output"), space, f"{ctx}.output")
-        c = coeff_from_json(e.get("coeff"), coords, f"{ctx}.coeff")
-        table = delta_tab if part == "delta" else fam_tab
-        vec = table.setdefault(arity, {}).setdefault(tup, {})
-        if okey in vec:
-            raise _fail(ctx, f"duplicate entry for {tup} -> {okey}")
-        vec[okey] = c
-    for arity, coeffs in [*delta_tab.items(), *fam_tab.items()]:
-        for tup in coeffs:
-            srt = tuple(sorted(tup))
-            if srt != tup:
-                raise _fail(where, f"inputs {list(tup)} are not sorted")
-    return delta_tab, fam_tab
-
-
-def _build_op(arity: int, degree: int, space: GradedSpace, coeffs: dict,
-              where: str) -> MultiOp:
+        try:
+            if not isinstance(e, dict):
+                raise _fail("", "expected an object")
+            part = e.get("part")
+            if part not in parts:
+                raise _fail("", f"unknown part {part!r}")
+            lo, hi = parts[part]
+            arity = e.get("arity")
+            if not isinstance(arity, int) or arity < lo or hi is not None and arity > hi:
+                raise _fail("", f"arity must be {lo}" if lo == hi
+                            else f"arity must be an integer >= {lo}")
+            inputs = e.get("inputs")
+            if not isinstance(inputs, list) or len(inputs) != arity:
+                raise _fail("", f"inputs must list exactly {arity} keys")
+            tup = tuple(_read_key(k, src, ".inputs") for k in inputs)
+            okey = _read_key(e.get("output"), dst, ".output")
+            c = coeff_from_json(e.get("coeff"), coords, ".coeff")
+            vec = tables[part].setdefault(arity, {}).setdefault(tup, {})
+            if okey in vec:
+                raise _fail("", f"duplicate entry for {tup} -> {okey}")
+            vec[okey] = c
+        except ModelFormatError as exc:
+            raise _within(f"{where}[{n}]", exc) from None
     try:
-        return MultiOp(arity, degree, space, space, coeffs)
+        return {part: OpFamily(degree, src, dst,
+                               {k: MultiOp(k, degree, src, dst, coeffs)
+                                for k, coeffs in table.items()})
+                for part, table in tables.items()}
     except ValueError as exc:
         raise _fail(where, str(exc)) from exc
 
@@ -235,7 +246,8 @@ def bundle_to_json(bundle: LinftyBundle, metadata: dict | None = None) -> dict:
     meta.update(space_metadata(bundle.fiber))
     doc = {"base": {"dim": len(bundle.coords), "coords": list(bundle.coords)},
            "bundle": space_to_json(bundle.fiber),
-           "ops": ops_to_entries(bundle.delta, bundle.ops, bundle.coords)}
+           "ops": (_entries_to_json([bundle.delta], bundle.coords, "delta")
+                   + _entries_to_json(bundle.ops.ops.values(), bundle.coords))}
     if meta:
         doc["metadata"] = {k: meta[k] for k in sorted(meta)}
     return doc
@@ -261,15 +273,9 @@ def bundle_from_json(doc) -> tuple[LinftyBundle, dict]:
         raise _fail("metadata", "expected an object")
     space = space_from_json(doc["bundle"], meta, "bundle")
     coords = tuple(coords)
-    delta_tab, fam_tab = entries_to_ops(doc["ops"], space, coords)
-    if set(delta_tab) - {1}:
-        raise _fail("ops", "differential entries must have arity 1")
-    delta = _build_op(1, 1, space, delta_tab.get(1, {}), "ops")
-    fam = OpFamily(1, space, space,
-                   {k: _build_op(k, 1, space, tab, "ops")
-                    for k, tab in fam_tab.items()})
+    fams = _entries_from_json(doc["ops"], space, space, coords, 1, _BUNDLE_PARTS, "ops")
     try:
-        bundle = LinftyBundle(coords, space, delta, fam)
+        bundle = LinftyBundle(coords, space, fams["delta"].op(1), fams[None])
     except ValueError as exc:
         raise _fail("document", str(exc)) from exc
     user_meta = {k: v for k, v in meta.items() if k not in ("labels", "dt")}
@@ -290,41 +296,7 @@ def morphism_to_json(mor: Morphism) -> dict:
             "src": bundle_to_json(mor.src),
             "dst": bundle_to_json(mor.dst),
             "base_map": [coeff_to_json(p, mor.src.coords) for p in mor.base_map],
-            "phi": sorted(
-                (e for k in mor.phi.arities()
-                 for e in _op_entries(mor.phi.op(k), mor.src.coords)),
-                key=lambda e: (e["arity"], e["inputs"], e["output"]))}
-
-
-def _entries_to_family(entries, src: GradedSpace, dst: GradedSpace, coords,
-                       degree: int, where: str) -> OpFamily:
-    tables: dict[int, dict] = {}
-    if not isinstance(entries, list):
-        raise _fail(where, "expected a list of entries")
-    for n, e in enumerate(entries):
-        ctx = f"{where}[{n}]"
-        if not isinstance(e, dict):
-            raise _fail(ctx, "expected an object")
-        arity = e.get("arity")
-        if not isinstance(arity, int) or arity < 1:
-            raise _fail(ctx, "arity must be a positive integer")
-        inputs = e.get("inputs")
-        if not isinstance(inputs, list) or len(inputs) != arity:
-            raise _fail(ctx, f"inputs must list exactly {arity} keys")
-        tup = tuple(_read_key(k, src, f"{ctx}.inputs") for k in inputs)
-        okey = _read_key(e.get("output"), dst, f"{ctx}.output")
-        c = coeff_from_json(e.get("coeff"), coords, f"{ctx}.coeff")
-        vec = tables.setdefault(arity, {}).setdefault(tup, {})
-        if okey in vec:
-            raise _fail(ctx, f"duplicate entry for {tup} -> {okey}")
-        vec[okey] = c
-    ops = {}
-    for arity, coeffs in tables.items():
-        try:
-            ops[arity] = MultiOp(arity, degree, src, dst, coeffs)
-        except ValueError as exc:
-            raise _fail(where, str(exc)) from exc
-    return OpFamily(degree, src, dst, ops)
+            "phi": _entries_to_json(mor.phi.ops.values(), mor.src.coords)}
 
 
 def morphism_from_json(doc) -> Morphism:
@@ -339,9 +311,8 @@ def morphism_from_json(doc) -> Morphism:
         raise _fail("base_map", "expected a list of coefficients")
     base_map = tuple(coeff_from_json(p, src.coords, f"base_map[{i}]")
                      for i, p in enumerate(doc["base_map"]))
-    base_map = tuple(p if isinstance(p, Poly) else Poly.constant(p)
-                     for p in base_map)
-    phi = _entries_to_family(doc["phi"], src.fiber, dst.fiber, src.coords, 0, "phi")
+    phi = _entries_from_json(doc["phi"], src.fiber, dst.fiber, src.coords, 0,
+                             _PHI_PARTS, "phi")[None]
     try:
         return Morphism(src, dst, base_map, phi)
     except ValueError as exc:
@@ -349,16 +320,12 @@ def morphism_from_json(doc) -> Morphism:
 
 
 def contraction_to_json(con: Contraction) -> dict:
-    no_coords: tuple[str, ...] = ()
     doc = {"kind": "contraction",
            "space": space_to_json(con.space),
            "h": space_to_json(con.h_space),
-           "delta": sorted(_op_entries(con.delta, no_coords),
-                           key=lambda e: (e["inputs"], e["output"])),
-           "eta": sorted(_op_entries(con.eta, no_coords),
-                         key=lambda e: (e["inputs"], e["output"])),
-           "iota": sorted(_op_entries(con.iota, no_coords),
-                          key=lambda e: (e["inputs"], e["output"]))}
+           "delta": _entries_to_json([con.delta], ()),
+           "eta": _entries_to_json([con.eta], ()),
+           "iota": _entries_to_json([con.iota], ())}
     meta = {}
     sm = space_metadata(con.space)
     if sm:
@@ -380,10 +347,9 @@ def contraction_from_json(doc) -> Contraction:
     meta = doc.get("metadata") or {}
     space = space_from_json(doc["space"], meta.get("space_labels"), "space")
     h = space_from_json(doc["h"], meta.get("h_labels"), "h")
-    no_coords: tuple[str, ...] = ()
-    delta = _entries_to_family(doc["delta"], space, space, no_coords, 1, "delta").op(1)
-    eta = _entries_to_family(doc["eta"], space, space, no_coords, -1, "eta").op(1)
-    iota = _entries_to_family(doc["iota"], h, space, no_coords, 0, "iota").op(1)
+    delta, eta, iota = (
+        _entries_from_json(doc[fld], src, space, (), degree, _CONTRACTION_PARTS, fld)[None].op(1)
+        for fld, src, degree in (("delta", space, 1), ("eta", space, -1), ("iota", h, 0)))
     try:
         return Contraction.from_basis(space, delta, eta, h, iota)
     except ValueError as exc:

@@ -24,10 +24,9 @@ from fractions import Fraction
 from .algebra import (LinftyBundle, Morphism, check_mc, check_morphism, compose,
                       plain_bundle, product_bundle, product_projection,
                       reindex_op, rename_source_clear_of, same_morphism)
-from .geometry import (ClassicalPoint, PullbackResult, StagedTangent,
-                       _same_target, classical_point, find_classical_points,
-                       is_fibration, is_weak_equivalence, pullback_fibration,
-                       shifted_tangent_data, virtual_dimension)
+from .geometry import (ClassicalPoint, StagedTangent, _same_target, classical_point,
+                       find_classical_points, is_fibration, is_weak_equivalence,
+                       pullback_fibration, shifted_tangent_data, virtual_dimension)
 from .graded import BasisBuilder, GradedSpace, MultiOp, OpFamily
 from .poly import Poly
 from .transfer import Contraction, TransferResult, transfer
@@ -453,7 +452,6 @@ class FiberedProduct:
     to_left: Morphism
     to_right: Morphism
     path_space: DerivedPathSpace
-    pullback: PullbackResult
     left: Morphism
     right: Morphism
 
@@ -505,7 +503,7 @@ def homotopy_fibered_product(f: Morphism, g: Morphism) -> FiberedProduct:
             - virtual_dimension(f.dst))
     if virtual_dimension(res.bundle) != want:
         raise AssertionError("virtual dimension is not additive")
-    return FiberedProduct(res.bundle, to_left, to_right, dps, res, f, g_used)
+    return FiberedProduct(res.bundle, to_left, to_right, dps, f, g_used)
 
 
 # ---------------------------------------------------------------------------
@@ -530,16 +528,16 @@ class Submanifold:
         return len(self.image)
 
 
-def axis_submanifold(axis: int, m: int, param: str = "u") -> Submanifold:
-    image = tuple(Poly.variable(param) if j == axis else Poly.zero((param,))
+def axis_submanifold(axis: int, m: int) -> Submanifold:
+    image = tuple(Poly.variable("u") if j == axis else Poly.zero(("u",))
                   for j in range(m))
-    return Submanifold((param,), image, name=f"axis-{axis}")
+    return Submanifold(("u",), image, name=f"axis-{axis}")
 
 
-def graph_submanifold(fn: Poly, param: str = "u") -> Submanifold:
+def graph_submanifold(fn: Poly) -> Submanifold:
     """Graph of a one-variable polynomial inside the plane: u -> (u, fn(u))."""
-    p = fn.substitute({v: Poly.variable(param) for v in fn.vars if v != param})
-    return Submanifold((param,), (Poly.variable(param), p), name="graph")
+    p = fn.substitute({v: Poly.variable("u") for v in fn.vars if v != "u"})
+    return Submanifold(("u",), (Poly.variable("u"), p), name="graph")
 
 
 def _inclusion_morphism(sub: Submanifold, ambient: LinftyBundle) -> Morphism:

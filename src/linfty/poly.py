@@ -147,9 +147,8 @@ class Poly:
         return cls(vars, {})
 
     @classmethod
-    def constant(cls, c: Rat, vars: Sequence[str] = ()) -> "Poly":
-        vs = tuple(vars)
-        return cls(vs, {tuple(0 for _ in vs): c})
+    def constant(cls, c: Rat) -> "Poly":
+        return cls((), {(): c})
 
     @classmethod
     def variable(cls, name: str, vars: Sequence[str] | None = None) -> "Poly":

@@ -196,7 +196,6 @@ class TransferResult:
     contraction: Contraction
     phi: OpFamily            # H -> ambient, degree 0
     algebra: CurvedAlgebra   # transferred structure on H
-    trees: dict | None = None
 
     def inclusion_morphism(self, ambient: CurvedAlgebra) -> Morphism:
         return Morphism(algebra_as_bundle(self.algebra), algebra_as_bundle(ambient),
@@ -433,9 +432,7 @@ def transfer_trees(con: Contraction, lam: OpFamily) -> TransferResult:
             mu_ops[n] = acc
     mu = OpFamily(1, con.h_space, con.h_space, mu_ops)
 
-    trees = {n: [(t, t.weight()) for t in ts] for n, ts in alive.items() if ts}
-    return TransferResult(con, phi, CurvedAlgebra(con.h_space, con.delta_h, mu),
-                          trees=trees)
+    return TransferResult(con, phi, CurvedAlgebra(con.h_space, con.delta_h, mu))
 
 
 # ---------------------------------------------------------------------------

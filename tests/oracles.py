@@ -410,7 +410,7 @@ def substitute_literal(p: Poly, values: Mapping[str, "Poly | Rat"]) -> Poly:
                 out_vars.append(v)
     out = Poly.zero(tuple(out_vars))
     for e, c in p.terms.items():
-        term = Poly.constant(c, tuple(out_vars))
+        term = Poly.monomial(out_vars, (0,) * len(out_vars), c)
         for v, k in zip(p.vars, e):
             if k == 0:
                 continue
@@ -584,7 +584,7 @@ def pi_con(s: PathSection) -> PathSection:
     """Average value int_0^1 s, as a constant dt-section."""
     if not s.dt:
         raise ValueError("pi_con only acts on dt-sections")
-    comps = [Poly.constant(_int_0_to_1(c), ("t",)) for c in s.components]
+    comps = [Poly.monomial(("t",), (0,), _int_0_to_1(c)) for c in s.components]
     return PathSection.make(s.start, s.end, s.degree, comps, dt=True)
 
 
@@ -668,7 +668,7 @@ def random_affine_images(rng: random.Random, m: int, k: int, params: Sequence[st
     consts = [Fraction(rng.randint(-2, 2)) for _ in range(m)]
     out = []
     for i in range(m):
-        p = Poly.constant(consts[i], tuple(params))
+        p = Poly.monomial(params, (0,) * len(params), consts[i])
         for j, u in enumerate(params):
             if a[i][j]:
                 p = p + Poly.variable(u, tuple(params)) * a[i][j]

@@ -318,7 +318,7 @@ def test_c08_derived_intersections():
 
 def _through_origin(images, params):
     zeros = {u: Fraction(0) for u in params}
-    return tuple(p - Poly.constant(p.eval(zeros), tuple(params)) for p in images)
+    return tuple(p - Poly.monomial(params, (0,) * len(params), p.eval(zeros)) for p in images)
 
 
 def test_c09_fibered_product_dimensions():

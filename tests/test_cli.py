@@ -147,6 +147,20 @@ def test_transfer_rejects_mismatched_ranks(tmp_path, capsys):
     assert "ranks" in err
 
 
+def test_transfer_refuses_a_contraction_entry_of_arity_two(tmp_path, capsys):
+    # an arity-2 term of delta is no part of a linear map: loading it
+    # would transfer along another contraction than the file's
+    model, con = retract_pair(tmp_path)
+    doc = json.loads(open(con).read())
+    n = len(doc["delta"])
+    doc["delta"].append({"arity": 2, "inputs": [[1, 0], [1, 1]], "output": [3, 0],
+                         "coeff": "1"})
+    bad = write_doc(tmp_path, "arity2.json", doc)
+    code, out, err = run(capsys, "transfer", model, bad, "--json")
+    assert code == 2 and out == ""
+    assert "input error" in err and f"delta[{n}]: arity must be 1" in err
+
+
 # -- pointwise reports ----------------------------------------------------------------
 
 def test_tangent_complex_at_the_double_root(square_model, capsys):

@@ -242,7 +242,7 @@ def test_nilpotency_order():
     step = MultiOp(1, 0, sp, sp, {((1, 1),): {(1, 0): Fraction(1)},
                                   ((1, 2),): {(1, 1): Fraction(1)}})
     assert op_nilpotency_order(step) == 3
-    assert op_nilpotency_order(MultiOp.identity(sp), cap=8) is None
+    assert op_nilpotency_order(MultiOp.identity(sp)) is None
 
 
 # -- circ ------------------------------------------------------------------------

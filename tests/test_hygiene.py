@@ -1,8 +1,9 @@
 """Source hygiene: every name a module of `linfty`, the tests or the
 scripts imports is used there, every import in `linfty` sits at module
 level, every public name a module defines has a user outside the test
-suite, only `poly.py` builds a Poly unchecked, only `graded.py` builds a
-MultiOp unchecked and the exact modules have no floating point."""
+suite, every parameter with a default is passed by some caller outside
+the test suite, only `poly.py` builds a Poly unchecked, only `graded.py`
+builds a MultiOp unchecked and the exact modules have no floating point."""
 
 import ast
 import io
@@ -179,6 +180,102 @@ def test_the_scan_does_not_count_attributes_or_headers():
               "class Shadow:\n"
               "    pass\n")
     assert names_without_users([module], [module, script]) == ["Shadow", "staged"]
+
+
+def defaulted_parameters(tree: ast.Module) -> list[tuple[str, str, int | None]]:
+    """(callee name, parameter, positional index at a call) of every
+    parameter with a default on a function or method the module defines.
+    A method's index skips self or cls, and a class's __init__ is called
+    by the class name; a keyword-only parameter has no index."""
+    out = []
+
+    def visit(body, cls):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, node.name)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                bound = cls is not None and not any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod"
+                    for d in node.decorator_list)
+                name = cls if cls is not None and node.name == "__init__" else node.name
+                first = len(positional) - len(args.defaults)
+                out.extend((name, arg.arg, i - bound)
+                           for i, arg in enumerate(positional[first:], first))
+                out.extend((name, arg.arg, None)
+                           for arg, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None)
+                visit(node.body, None)
+
+    visit(tree.body, None)
+    return out
+
+
+def parameters_no_call_passes(modules: list[ast.Module], users: list[ast.Module]) -> list[str]:
+    """`name(parameter)` for each parameter with a default in `modules` that
+    no call in `users` passes, by keyword or by position.  Calls are
+    matched by the callee's name alone; one that spreads *args or
+    **kwargs is taken to pass everything."""
+    keywords, most_positional = set(), Counter()
+    for tree in users:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if (any(isinstance(a, ast.Starred) for a in node.args)
+                    or any(k.arg is None for k in node.keywords)):
+                keywords.add((name, "*"))
+            keywords.update((name, k.arg) for k in node.keywords)
+            most_positional[name] = max(most_positional[name], len(node.args))
+    return sorted({f"{name}({param})" for tree in modules
+                   for name, param, index in defaulted_parameters(tree)
+                   if (name, param) not in keywords and (name, "*") not in keywords
+                   and (index is None or most_positional[name] <= index)})
+
+
+def test_every_defaulted_parameter_is_passed_outside_the_tests():
+    # samples.py is exempt: its generator sizes are set by the tests and by
+    # perfbench/make_pool.py.  make_pool.py does not parse, so it is skipped
+    # below; outside samples.py it passes only `labels` and
+    # `max_total_degree`, which src/ passes too
+    modules = [ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))
+               if p.name != "samples.py"]
+    users = [ast.parse(p.read_text()) for d in ("src", "scripts")
+             for p in sorted((ROOT / d).rglob("*.py"))]
+    unparsed = []
+    for p in sorted((ROOT / "perfbench").glob("*.py")):
+        try:
+            users.append(ast.parse(p.read_text()))
+        except SyntaxError:
+            unparsed.append(p.name)
+    assert unparsed == ["make_pool.py"], f"perfbench files that do not parse: {unparsed}"
+    unused = parameters_no_call_passes(modules, users)
+    assert not unused, f"options no caller outside the tests sets (drop them): {unused}"
+
+
+def test_the_scan_finds_an_option_no_call_passes():
+    module = ast.parse("def solve(a, tol=0, *, steps=3, trace=False):\n"
+                       "    return a\n"
+                       "def scale(v, by=2, shift=0):\n"
+                       "    return v\n"
+                       "def spread(v, w=1):\n"
+                       "    return v\n"
+                       "class Report:\n"
+                       "    def __init__(self, ok, note=''):\n"
+                       "        self.ok = ok\n"
+                       "    def describe(self, space=None, width=80):\n"
+                       "        return ''\n"
+                       "    @staticmethod\n"
+                       "    def merge(a, b=None):\n"
+                       "        return a\n")
+    caller = ast.parse("solve(1, steps=4)\n"
+                       "scale(1, 2)\n"
+                       "spread(*args)\n"
+                       "Report(True).describe(None)\n"
+                       "Report.merge(1, 2)\n")
+    assert parameters_no_call_passes([module], [module, caller]) == [
+        "Report(note)", "describe(width)", "scale(shift)", "solve(tol)", "solve(trace)"]
 
 
 def files_mentioning(name: str, files: dict[str, str]) -> list[str]:

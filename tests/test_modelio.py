@@ -1,5 +1,6 @@
 """Canonical JSON serialization of models, morphisms, and contractions."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -224,3 +225,30 @@ def test_contraction_document_is_revalidated_on_load():
         entry["coeff"] = "2"
     with pytest.raises(ModelFormatError):
         contraction_from_json(doc)
+
+
+@pytest.mark.parametrize("field, inputs, output", [
+    ("delta", [[1, 0], [1, 1]], [3, 0]),
+    ("eta", [[1, 0], [1, 1]], [1, 0]),
+    ("iota", [[1, 0], [1, 0]], [2, 0]),
+    ("delta", [], [1, 0]),
+], ids=["delta-arity-2", "eta-arity-2", "iota-arity-2", "delta-arity-0"])
+def test_contraction_entry_of_arity_other_than_one_is_refused(field, inputs, output):
+    # each entry is homogeneous, so only the arity rule can refuse it
+    doc = contraction_to_json(worked_contraction())
+    n = len(doc[field])
+    doc[field].append({"arity": len(inputs), "inputs": inputs, "output": output, "coeff": "1"})
+    with pytest.raises(ModelFormatError, match=re.escape(f"{field}[{n}]: arity must be 1")):
+        contraction_from_json(doc)
+
+
+def test_entry_with_a_part_is_refused_outside_a_bundle():
+    for part in ("delta", "extra"):
+        doc = morphism_to_json(identity_morphism(square_bundle()))
+        doc["phi"][0]["part"] = part
+        with pytest.raises(ModelFormatError, match=re.escape(f"phi[0]: unknown part {part!r}")):
+            morphism_from_json(doc)
+        doc = contraction_to_json(worked_contraction())
+        doc["iota"][0]["part"] = part
+        with pytest.raises(ModelFormatError, match=re.escape(f"iota[0]: unknown part {part!r}")):
+            contraction_from_json(doc)
