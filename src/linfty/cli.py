@@ -32,9 +32,8 @@ from .graded import MultiOp, OpFamily
 from .modelio import (ModelFormatError, algebra_to_json, bundle_to_json, dumps,
                       frac_str, load_contraction, load_model, load_morphism,
                       parse_frac)
-from .pathspace import (DegreeCapError, ambient_coord_names, axis_submanifold,
-                        derived_intersection, derived_path_space,
-                        factorize_diagonal, graph_submanifold,
+from .pathspace import (ambient_coord_names, axis_submanifold, derived_intersection,
+                        derived_path_space, factorize_diagonal, graph_submanifold,
                         homotopy_fibered_product, verify_factorization,
                         zero_locus_model)
 from .poly import Poly
@@ -492,7 +491,10 @@ def cmd_report(args) -> int:
              ("structure equations", "hold" if rep.ok else "FAIL")]
     if not rep.ok:
         lines.append(("witness", rep.describe()))
-    elif len(bundle.coords) <= 3:
+    elif len(bundle.coords) > 3:
+        doc["note"] = "no point checked: the point search takes at most three coordinates"
+        lines.append(("note", doc["note"]))
+    else:
         exact, leftovers = find_classical_points(bundle, tol=args.tol)
         pts_doc = []
         note = ("certified on the supplied candidate loci only; global "
@@ -622,7 +624,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return globals()[args.func_name](args)
-    except (ValueError, DegreeCapError) as exc:  # ModelFormatError is a ValueError
+    except ValueError as exc:  # ModelFormatError is a ValueError
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:

@@ -105,7 +105,11 @@ def coeff_from_json(obj, coords: tuple[str, ...], where: str):
             exps, q = item
             if len(exps) != len(coords):
                 raise _fail("", f"{len(exps)} exponents for {len(coords)} coordinates")
-            terms[tuple(int(e) for e in exps)] = parse_frac(q, "")
+            if any(type(e) is not int or e < 0 for e in exps):
+                raise _fail("", f"exponents must be integers >= 0, got {exps!r}")
+            if tuple(exps) in terms:
+                raise _fail("", f"exponents {exps!r} repeat those of an earlier term")
+            terms[tuple(exps)] = parse_frac(q, "")
         except ModelFormatError as exc:
             raise _within(f"{where}[{n}]", exc) from None
     return Poly(coords, terms)

@@ -32,12 +32,6 @@ from .poly import Poly
 from .transfer import Contraction, TransferResult, transfer
 
 _T = "t"
-# the largest t-degree a path model is built at
-_MAX_T_DEGREE = 16
-
-
-class DegreeCapError(RuntimeError):
-    """Raised when a path model would need a t-degree above the cap of 16."""
 
 
 def _split_t(c) -> dict[int, "Poly | Fraction"]:
@@ -53,15 +47,6 @@ def _split_t(c) -> dict[int, "Poly | Fraction"]:
     return {r: Poly(rest, terms) for r, terms in buckets.items()}
 
 
-def _coeff_key(c) -> tuple:
-    """Memo key of a coefficient: equal keys mean the same representation,
-    so a Fraction never meets an equal constant Poly, nor a Poly the same
-    polynomial over other variables."""
-    if isinstance(c, Poly):
-        return (Poly, c.vars, frozenset(c.terms.items()))
-    return (type(c), c)
-
-
 # ---------------------------------------------------------------------------
 # Truncated ambient model
 # ---------------------------------------------------------------------------
@@ -72,9 +57,9 @@ class PathModel:
     """Truncated t-polynomial model of sections along a straight path.
 
     The truncation degree `cap` is derived from the bundle, never chosen:
-    max(2, required_t_degree(bundle)), at most 16.  Ambient keys come in
-    three kinds: constant shifted base directions, one-form fiber sections
-    t^s e dt with s < cap, and plain fiber sections t^s e with s <= cap.
+    max(2, required_t_degree(bundle)).  Ambient keys come in three kinds:
+    constant shifted base directions, one-form fiber sections t^s e dt
+    with s < cap, and plain fiber sections t^s e with s <= cap.
     The contraction retracts onto constant one-forms plus linear plain
     sections in the end-value basis; its projection is the closed form in
     `build_path_model` (end values of plain sections, averages 1/(s+1) of
@@ -117,8 +102,7 @@ def build_path_model(bundle: LinftyBundle) -> PathModel:
 
     The model is truncated at t-degree max(2, required_t_degree(bundle)),
     which the transfer never exceeds, so any larger truncation gives the
-    same path space.  A bundle that needs more than 16 is refused with
-    DegreeCapError.
+    same path space.
 
     The projection is written down, not solved for.  The projector
     1 - [delta, eta] is the end-value interpolation on plain sections and
@@ -132,13 +116,7 @@ def build_path_model(bundle: LinftyBundle) -> PathModel:
     projector and all five contraction identities, so a wrong entry here
     is an error, not a wrong path space.
     """
-    need = required_t_degree(bundle)
-    if need > _MAX_T_DEGREE:
-        raise DegreeCapError(
-            f"path model needs t-degree {need} "
-            f"(coefficient degree times amplitude), above the t-degree cap "
-            f"of {_MAX_T_DEGREE}")
-    cap = max(2, need)
+    cap = max(2, required_t_degree(bundle))
     fib = bundle.fiber
     m = len(bundle.coords)
 
@@ -223,11 +201,14 @@ def path_perturbation(model: PathModel, pvals: dict[str, "Poly | Fraction"],
     """Pull the shifted tangent operations back along a(t) = p + t(q-p).
 
     The straight-line displacement enters as extra curvature in the
-    shifted base directions; every other contribution is coefficient
-    substitution x -> a(t) with the resulting t-powers distributed onto
-    the truncated basis.  Terms beyond the cap are projected away; the
-    structure equation holds exactly on the truncated model because
-    applying an operation never lowers t-degree.
+    shifted base directions.  Every other contribution comes from one
+    nonzero entry of the shifted tangent operations: its coefficient is
+    pulled back once, by substitution x -> a(t), and pushed forward onto
+    the truncated basis for every choice of t-powers of its inputs, each
+    output power being the sum of the input powers plus the power of t
+    in the pulled-back coefficient.  Terms beyond the cap are projected
+    away; the structure equation holds exactly on the truncated model
+    because applying an operation never lowers t-degree.
     """
     bundle = model.bundle
     data = shifted_tangent_data(bundle)
@@ -243,63 +224,44 @@ def path_perturbation(model: PathModel, pvals: dict[str, "Poly | Fraction"],
         if dcoef:
             prime[model.base_dt[j]] = dcoef
 
-    dt_kind = {v: k for k, v in data.fiber_dt.items()}
-    plain_kind = {v: k for k, v in data.fiber_plain.items()}
-    amb_to_t: dict[tuple, tuple] = {}
-    for j, v in data.base_dt.items():
-        amb_to_t[model.base_dt[j]] = (v, 0)
-    for (fk, s), key in model.one_form.items():
-        amb_to_t[key] = (data.fiber_dt[fk], s)
-    for (fk, s), key in model.plain.items():
-        amb_to_t[key] = (data.fiber_plain[fk], s)
+    # shifted tangent key -> its ambient keys by t-power; this keeps key
+    # order, so a sorted entry gives sorted ambient tuples
+    powers = {v: [model.base_dt[j]] for j, v in data.base_dt.items()}
+    for fk, v in data.fiber_dt.items():
+        powers[v] = [model.one_form[(fk, s)] for s in range(model.cap)]
+    for fk, v in data.fiber_plain.items():
+        powers[v] = [model.plain[(fk, s)] for s in range(model.cap + 1)]
 
-    def out_key(t_key: tuple, power: int):
-        if t_key in dt_kind:
-            if power >= model.cap:
-                return None
-            return model.one_form[(dt_kind[t_key], power)]
-        if power > model.cap:
-            return None
-        return model.plain[(plain_kind[t_key], power)]
+    def spread(tup):
+        """(ambient tuple, power sum, last power) for each choice of input
+        powers with sum at most the cap; along a run of one repeated (even)
+        key the powers never decrease, so each ambient tuple comes once."""
+        choices = [((), 0, 0)]
+        for i, key in enumerate(tup):
+            keys = powers[key]
+            repeat = i > 0 and tup[i - 1] == key
+            choices = [(amb + (keys[s],), shift + s, s)
+                       for amb, shift, last in choices
+                       for s in range(last if repeat else 0,
+                                      min(len(keys), model.cap + 1 - shift))]
+        return choices
 
-    # ambient tuples that differ only in t-powers share shifted-tangent
-    # coefficients, so each is pulled back along a(t) once
-    pulled_back: dict = {}
-
-    def value(tup):
-        k = len(tup)
-        if k not in data.ops.ops:
-            return {}
-        pairs = [amb_to_t[key] for key in tup]
-        shift = sum(s for _, s in pairs)
-        vec = data.ops.op(k).evaluate_basis(tuple(t_key for t_key, _ in pairs))
-        out: dict = {}
-        for t_key, c in vec.items():
-            ck = _coeff_key(c)
-            if ck not in pulled_back:
-                pulled_back[ck] = _split_t(c.substitute(avals) if isinstance(c, Poly) else c)
-            for r, cr in pulled_back[ck].items():
-                key = out_key(t_key, shift + r)
-                if key is None:
-                    continue
-                cur = out.get(key)
-                out[key] = cr if cur is None else cur + cr
-        return {k2: v for k2, v in out.items() if v}
-
-    arities = sorted(kk for kk, op in data.ops.ops.items() if not op.is_zero())
-    top = max(arities) if arities else 0
-    ops: dict[int, MultiOp] = {}
-    for k in range(top + 1):
-        op = MultiOp.from_function(k, 1, model.space, model.space, value)
-        if not op.is_zero():
-            ops[k] = op
-
-    if prime:
-        extra = MultiOp(0, 1, model.space, model.space, {(): prime})
-        ops[0] = ops[0].plus(extra) if 0 in ops else extra
-        if ops[0].is_zero():
-            del ops[0]
-    return OpFamily(1, model.space, model.space, ops)
+    # no shifted tangent operation reaches a shifted base direction, so the
+    # displacement shares no entry with them
+    tables: dict[int, dict] = {0: {(): prime}}
+    for k, op in data.ops.ops.items():
+        table = tables.setdefault(k, {})
+        for tup, vec in op.coeffs.items():
+            pulled = [(powers[t_key],
+                       _split_t(c.substitute(avals) if isinstance(c, Poly) else c))
+                      for t_key, c in vec.items()]
+            for amb, shift, _ in spread(tup):
+                table.setdefault(amb, {}).update(
+                    (targets[shift + r], cr) for targets, split in pulled
+                    for r, cr in split.items() if shift + r < len(targets))
+    return OpFamily(1, model.space, model.space,
+                    {k: MultiOp(k, 1, model.space, model.space, table)
+                     for k, table in tables.items()})
 
 
 # ---------------------------------------------------------------------------

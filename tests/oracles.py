@@ -26,7 +26,10 @@ t-polynomials (pullback along a(t) = p + t(q - p), delta = (-1)^d d/dt,
 eta = (-1)^d (int_0^t - t int_0^1), and the projections pi_lin onto the
 linear interpolation and pi_con onto the average, so that
 1 - (delta eta + eta delta) acts as pi_con on dt-sections and as pi_lin
-on plain sections).  `build_contraction` derives a contraction from
+on plain sections).  `path_perturbation_tabulated` builds the path
+model's perturbation by evaluating the shifted tangent operations on
+every canonical tuple of the ambient space, pulling each coefficient
+back anew.  `build_contraction` derives a contraction from
 (delta, eta) alone, with the reduced echelon basis of the projector's
 image as H.  The instance generators that only the tests draw from close
 the file: arity-1 perturbations of a contraction (drawn until eta lam_1
@@ -44,11 +47,12 @@ from math import factorial, gcd
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from linfty.algebra import CurvedAlgebra, LinftyBundle, linear_apply, op_then, plain_bundle
+from linfty.geometry import shifted_tangent_data
 from linfty.graded import (BasisKey, GradedSpace, MultiOp, OpFamily, Vector, arity_bound,
                            bullet, circ, koszul_sign, op_nilpotency_order, vec_add_into)
 from linfty.linalg import rank, rref
-from linfty.pathspace import (DerivedPathSpace, ambient_coord_names, build_path_model,
-                              derived_path_space, path_perturbation)
+from linfty.pathspace import (DerivedPathSpace, PathModel, _split_t, ambient_coord_names,
+                              build_path_model, derived_path_space, path_perturbation)
 from linfty.poly import Poly, Rat, as_rational
 from linfty.samples import conjugate, nonzero_fraction, random_contraction
 from linfty.transfer import (AdaptedBasis, Contraction, TransferResult, _apply_coderivation,
@@ -602,6 +606,62 @@ def path_curved_structure(bundle: LinftyBundle, start, end) -> CurvedAlgebra:
     model = build_path_model(bundle)
     lam = path_perturbation(model, pvals, qvals)
     return CurvedAlgebra(model.space, model.delta, lam)
+
+
+def path_perturbation_tabulated(model: PathModel, pvals, qvals) -> OpFamily:
+    """path_perturbation by tabulation over the ambient space.
+
+    Every canonical tuple of the truncated model is mapped back to the
+    shifted tangent tuple it stands for, with the sum of its t-powers; the
+    shifted tangent operation is evaluated there and each output
+    coefficient is pulled back along a(t) = p + t(q - p) afresh, its
+    t-powers shifted by that sum and dropped beyond the cap.
+    """
+    bundle = model.bundle
+    data = shifted_tangent_data(bundle)
+    t = Poly.variable("t")
+    avals, prime = {}, {}
+    for j, name in enumerate(bundle.coords):
+        p, q = Poly.constant(0) + pvals[name], Poly.constant(0) + qvals[name]
+        avals[name] = p + t * (q - p)
+        if q - p:
+            prime[model.base_dt[j]] = q - p
+
+    dt_kind = {v: k for k, v in data.fiber_dt.items()}
+    plain_kind = {v: k for k, v in data.fiber_plain.items()}
+    amb_to_t = {model.base_dt[j]: (v, 0) for j, v in data.base_dt.items()}
+    for (fk, s), key in model.one_form.items():
+        amb_to_t[key] = (data.fiber_dt[fk], s)
+    for (fk, s), key in model.plain.items():
+        amb_to_t[key] = (data.fiber_plain[fk], s)
+
+    def out_key(t_key, power):
+        if t_key in dt_kind:
+            return model.one_form[(dt_kind[t_key], power)] if power < model.cap else None
+        return model.plain[(plain_kind[t_key], power)] if power <= model.cap else None
+
+    def value(tup):
+        if len(tup) not in data.ops.ops:
+            return {}
+        pairs = [amb_to_t[key] for key in tup]
+        shift = sum(s for _, s in pairs)
+        vec = data.ops.op(len(tup)).evaluate_basis(tuple(t_key for t_key, _ in pairs))
+        out: dict = {}
+        for t_key, c in vec.items():
+            pulled = c.substitute(avals) if isinstance(c, Poly) else c
+            for r, cr in _split_t(pulled).items():
+                key = out_key(t_key, shift + r)
+                if key is not None:
+                    vec_add_into(out, key, cr)
+        return out
+
+    top = max(data.ops.ops, default=0)
+    ops = {k: MultiOp.from_function(k, 1, model.space, model.space, value)
+           for k in range(top + 1)}
+    if prime:
+        ops[0] = ops[0].plus(MultiOp(0, 1, model.space, model.space, {(): prime}))
+    return OpFamily(1, model.space, model.space,
+                    {k: op for k, op in ops.items() if not op.is_zero()})
 
 
 def path_space_manifold(m: int) -> DerivedPathSpace:

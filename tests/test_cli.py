@@ -1,8 +1,11 @@
 """End-to-end coverage of the command line drivers, run in process."""
 
+import hashlib
 import json
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from oracles import build_contraction, section_bundle, square_bundle
@@ -161,6 +164,14 @@ def test_transfer_refuses_a_contraction_entry_of_arity_two(tmp_path, capsys):
     assert "input error" in err and f"delta[{n}]: arity must be 1" in err
 
 
+def test_check_axioms_refuses_an_exponent_that_is_a_list(tmp_path, capsys):
+    doc = bundle_to_json(square_bundle())
+    doc["ops"][0]["coeff"] = [[[[1]], "1"]]
+    code, out, err = run(capsys, "check-axioms", write_doc(tmp_path, "bad.json", doc))
+    assert code == 2 and out == ""
+    assert "input error: ops[0].coeff[0]: exponents must be integers" in err
+
+
 # -- pointwise reports ----------------------------------------------------------------
 
 def test_tangent_complex_at_the_double_root(square_model, capsys):
@@ -254,13 +265,14 @@ def test_path_space_of_affine_plane(tmp_path, capsys):
     assert run(capsys, "check-axioms", out_path)[0] == 0
 
 
-def test_path_space_refuses_a_bundle_needing_t_degree_17(tmp_path, capsys):
-    # curvature x^17 on a rank-1 fiber needs t-degree 17, above the cap of 16
+def test_path_space_builds_a_bundle_needing_t_degree_17(tmp_path, capsys):
+    # curvature x^17 on a rank-1 fiber needs a path model of t-degree 17
     model = write_doc(tmp_path, "steep.json",
                       bundle_to_json(section_bundle(("x",), (x ** 17,))))
-    code, _, err = run(capsys, "path-space", model)
-    assert code == 2
-    assert "t-degree cap" in err
+    out_path = str(tmp_path / "paths.json")
+    code, out, _ = run(capsys, "path-space", model, "--out", out_path)
+    assert code == 0 and "re-validated" in out
+    assert run(capsys, "check-axioms", out_path)[0] == 0
 
 
 def test_factorize_affine_line(capsys):
@@ -384,6 +396,17 @@ def test_report_flags_broken_models(violator_model, capsys):
     assert "FAIL" in out
 
 
+def test_report_says_when_it_checks_no_point(tmp_path, capsys):
+    a, b, c, d = (Poly.variable(n) for n in "abcd")
+    model = write_doc(tmp_path, "four.json",
+                      bundle_to_json(section_bundle(tuple("abcd"), (a * b - c, d))))
+    code, out, _ = run(capsys, "report", model)
+    assert code == 0 and "tangent at" not in out
+    assert re.search(r"note +no point checked: the point search takes at most three", out)
+    code, out, _ = run(capsys, "report", model, "--json")
+    assert code == 0 and json.loads(out)["note"].startswith("no point checked")
+
+
 # -- many commands in one process -----------------------------------------------------------
 
 def run_any(capsys, argv):
@@ -432,6 +455,25 @@ def test_main_dispatches_to_the_current_binding(square_model, monkeypatch, capsy
     assert main(["check-axioms", square_model]) == 7
     monkeypatch.undo()
     assert run(capsys, "check-axioms", square_model)[0] == 0
+
+
+# -- recorded path-model outputs ---------------------------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+POLYBASE_POOL = json.loads((ROOT / "perfbench" / "pool" / "manifest.json").read_text())[
+    "workloads"]["polybase"]
+
+
+@pytest.mark.parametrize("job", [j for j in POLYBASE_POOL
+                                 if j["id"].startswith(("ps-", "fz-"))],
+                         ids=lambda j: j["id"])
+def test_pool_path_model_job_gives_its_recorded_digest(job, monkeypatch, capsys):
+    # the pool's path-space and factorize jobs, their paths relative to the root
+    monkeypatch.chdir(ROOT)
+    code, out, _ = run(capsys, *job["argv"])
+    assert code == job["expect"]["exit"] == 0
+    canon = json.dumps(json.loads(out), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canon.encode()).hexdigest() == job["expect"]["digest"]
 
 
 # -- expression parser --------------------------------------------------------------------

@@ -146,6 +146,20 @@ def test_unknown_coordinate_in_coefficient():
         bundle_from_json(doc)
 
 
+@pytest.mark.parametrize("coeff, n, message", [
+    ([[[2.7], "1"]], 0, "exponents must be integers >= 0, got [2.7]"),
+    ([[[True], "1"]], 0, "exponents must be integers >= 0, got [True]"),
+    ([[[[1]], "1"]], 0, "exponents must be integers >= 0, got [[1]]"),
+    ([[[-1], "1"]], 0, "exponents must be integers >= 0, got [-1]"),
+    ([[[2], "1"], [[2], "5"]], 1, "exponents [2] repeat those of an earlier term")],
+    ids=["float", "bool", "list", "negative", "repeated"])
+def test_ill_typed_or_repeated_exponents_are_refused(coeff, n, message):
+    doc = base_doc()
+    doc["ops"][0]["coeff"] = coeff
+    with pytest.raises(ModelFormatError, match=re.escape(f"ops[0].coeff[{n}]: {message}")):
+        bundle_from_json(doc)
+
+
 def test_key_out_of_range_is_reported():
     doc = base_doc()
     doc["ops"][0]["output"] = [1, 5]

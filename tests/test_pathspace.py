@@ -4,25 +4,28 @@ import dataclasses
 import json
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from oracles import (PathSection, amp2_bundle, bareiss_betti, circle_bundle,
-                     path_curved_structure, path_eta, path_space_manifold, pi_con,
-                     pi_lin, pullback, section_bundle, square_bundle)
+                     path_curved_structure, path_eta, path_perturbation_tabulated,
+                     path_space_manifold, pi_con, pi_lin, pullback, section_bundle,
+                     square_bundle)
 
 from linfty.algebra import (LinftyBundle, Morphism, check_mc, check_morphism,
                             identity_morphism, op_matrix, plain_bundle)
 from linfty.cli import main
 from linfty.geometry import (CochainComplex, classical_point, find_classical_points,
-                             is_weak_equivalence, tangent_complex, virtual_dimension)
+                             is_weak_equivalence, shifted_tangent_data, tangent_complex,
+                             virtual_dimension)
 from linfty.graded import GradedSpace, MultiOp, OpFamily, bullet
 from linfty.algebra import op_then
 from linfty.modelio import bundle_to_json, dumps
 from linfty.poly import Poly
 from linfty import algebra, geometry, linalg, pathspace, transfer
 from linfty.linalg import solve_columns
-from linfty.pathspace import (DegreeCapError, Submanifold, _coeff_key, _doubled_names,
+from linfty.pathspace import (Submanifold, _doubled_names,
                               axis_submanifold, build_path_model, derived_intersection,
                               derived_path_space,
                               factorize_diagonal, graph_submanifold,
@@ -155,13 +158,12 @@ def test_required_t_degree_is_coefficient_degree_times_amplitude():
     assert required_t_degree(plain_bundle(("x",))) == 0
 
 
-def test_path_model_rejects_insufficient_cap():
+def test_path_model_cap_is_the_required_t_degree_with_no_ceiling():
     assert build_path_model(square_bundle()).cap == 2
     assert build_path_model(amp2_bundle()).cap == 6
     assert build_path_model(plain_bundle(("x",))).cap == 2
     assert build_path_model(section_bundle(("x",), (x ** 16,))).cap == 16
-    with pytest.raises(DegreeCapError, match="needs t-degree 17 .* t-degree cap of 16"):
-        build_path_model(section_bundle(("x",), (x ** 17,)))
+    assert build_path_model(section_bundle(("x",), (x ** 17,))).cap == 17
 
 
 def zero_ops_bundle(dims):
@@ -276,7 +278,7 @@ def test_path_space_does_not_depend_on_the_cap(make, monkeypatch):
 
 
 def test_the_derived_t_degree_suffices(monkeypatch):
-    """The path space at max(2, required_t_degree) is the one at the ceiling."""
+    """The path space at max(2, required_t_degree) is the one at t-degree 16."""
     rng = random.Random(2026)
     bundles = [derived_path_space(square_bundle()).bundle]   # the iterated square
     while len(bundles) < 21:
@@ -583,25 +585,63 @@ def test_path_space_of_amp2s_path_space(amp2_path_space):
     assert check_mc(outer.bundle.as_algebra()).ok
 
 
+def symbolic_ends(bundle):
+    """Endpoint values p, q as the doubled coordinates derived_path_space uses."""
+    pnames, qnames = _doubled_names(bundle.coords)
+    return ({c: Poly.variable(n) for c, n in zip(bundle.coords, pnames)},
+            {c: Poly.variable(n) for c, n in zip(bundle.coords, qnames)})
+
+
 def test_path_perturbation_pulls_each_coefficient_back_once(amp2_path_space, monkeypatch):
     model = build_path_model(amp2_path_space)
-    pnames, qnames = _doubled_names(amp2_path_space.coords)
-    pvals = {c: Poly.variable(n) for c, n in zip(amp2_path_space.coords, pnames)}
-    qvals = {c: Poly.variable(n) for c, n in zip(amp2_path_space.coords, qnames)}
+    pvals, qvals = symbolic_ends(amp2_path_space)
+    entries = [c for op in shifted_tangent_data(amp2_path_space).ops.ops.values()
+               for vec in op.coeffs.values() for c in vec.values() if isinstance(c, Poly)]
     pulled = []
     substitute = Poly.substitute
     monkeypatch.setattr(Poly, "substitute",
-                        lambda self, values: pulled.append(_coeff_key(self))
-                        or substitute(self, values))
-    memoised = path_perturbation(model, pvals, qvals)
-    calls = len(pulled)
-    assert calls and calls == len(set(pulled))
+                        lambda self, values: pulled.append(self) or substitute(self, values))
+    path_perturbation(model, pvals, qvals)
+    assert entries and Counter(pulled) == Counter(entries)
 
-    # a key that never repeats turns the memo off
-    monkeypatch.setattr(pathspace, "_coeff_key", lambda c: object())
-    pulled.clear()
-    assert path_perturbation(model, pvals, qvals) == memoised
-    assert len(pulled) > calls
+
+PERTURBATION_BUNDLES = {
+    "square": square_bundle, "circle": circle_bundle, "amp2": amp2_bundle,
+    "x^17": lambda: section_bundle(("x",), (x ** 17,)),
+    "x^24": lambda: section_bundle(("x",), (x ** 24,)),
+    **{f"random-{s}-amp{a}": (lambda s=s, a=a: random_bundle(random.Random(s), ("x", "y"),
+                                                            amplitude=a))
+       for s in range(9) for a in (2, 3)}}
+
+
+@pytest.mark.parametrize("name", list(PERTURBATION_BUNDLES))
+def test_path_perturbation_is_the_tabulation(name):
+    bundle = PERTURBATION_BUNDLES[name]()
+    model = build_path_model(bundle)
+    for pvals, qvals in (symbolic_ends(bundle),
+                         ({c: Fraction(j - 1) for j, c in enumerate(bundle.coords)},
+                          {c: Fraction(2, j + 1) for j, c in enumerate(bundle.coords)})):
+        assert (path_perturbation(model, pvals, qvals)
+                == path_perturbation_tabulated(model, pvals, qvals))
+
+
+def test_path_perturbation_of_amp2s_path_space_is_the_tabulation(amp2_path_space):
+    model = build_path_model(amp2_path_space)
+    pvals, qvals = symbolic_ends(amp2_path_space)
+    assert (path_perturbation(model, pvals, qvals)
+            == path_perturbation_tabulated(model, pvals, qvals))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: section_bundle(("x",), (x ** 24,)),
+    *(lambda s=s: random_bundle(random.Random(s), ("x", "y"), amplitude=3)
+      for s in (6, 12, 30))], ids=["x^24", "seed-6", "seed-12", "seed-30"])
+def test_path_spaces_beyond_t_degree_16_build(make):
+    bundle = make()
+    assert required_t_degree(bundle) > 16
+    dps = derived_path_space(bundle)   # re-checks its structure and both morphisms
+    assert dps.model.cap == required_t_degree(bundle)
+    assert virtual_dimension(dps.bundle) == virtual_dimension(bundle)
 
 
 def test_weak_equivalence_stages_once_and_certifies_each_point_once(monkeypatch):
