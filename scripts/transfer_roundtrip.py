@@ -2,7 +2,9 @@
 
 Samples a contraction and a compatible perturbation, runs the fixed-point
 transfer and the tree-sum transfer, and checks the outputs agree exactly;
-then serializes the transferred structure and reads it back unchanged.
+checks that the extended projection is a morphism onto the transferred
+structure and a left inverse of the inclusion; then serializes the
+transferred structure and reads it back unchanged.
 
 Run:  python3 scripts/transfer_roundtrip.py [seed]
 """
@@ -11,7 +13,8 @@ import json
 import random
 import sys
 
-from linfty.algebra import check_mc
+from linfty.algebra import (CurvedAlgebra, Morphism, algebra_as_bundle, check_mc,
+                            check_morphism)
 from linfty.graded import OpFamily, bullet
 from linfty.modelio import algebra_to_json, bundle_from_json, dumps
 from linfty.samples import random_transfer_instance
@@ -38,6 +41,9 @@ def main(argv):
     proj = projection_morphism(con, lam)
     assert bullet(proj, res.phi) == OpFamily.identity(con.h_space)
     print("extended projection composes with the inclusion to the identity")
+    ambient = algebra_as_bundle(CurvedAlgebra(con.space, con.delta, lam))
+    assert check_morphism(Morphism(ambient, algebra_as_bundle(res.algebra), (), proj)).ok
+    print("extended projection is a morphism onto the transferred structure")
 
     text = dumps(algebra_to_json(res.algebra))
     back, _ = bundle_from_json(json.loads(text))

@@ -8,9 +8,6 @@ malformed files or arguments.  Commands that certify properties at sample
 points repeat the scope note of the underlying report verbatim; nothing
 here claims more than the engine checked.
 
---tol only affects the floating-point seed search for classical points;
-every certificate downstream of it is exact.
-
 main(argv) may be called repeatedly in one process: the argument parser
 is built on the first call and reused, and each call parses into a fresh
 namespace, so nothing carries over from one command to the next.
@@ -348,13 +345,13 @@ def cmd_path_space(args) -> int:
     return 0
 
 
-def _candidate_points(bundle: LinftyBundle, supplied, tol):
+def _candidate_points(bundle: LinftyBundle, supplied):
     if supplied:
         return [classical_point(bundle, p) for p in supplied]
     if len(bundle.coords) > 3:
         raise ModelFormatError(
             "point search supports at most three coordinates; pass --points")
-    exact, leftovers = find_classical_points(bundle, tol=tol)
+    exact, leftovers = find_classical_points(bundle)
     if leftovers:
         raise ModelFormatError(
             f"numeric search found non-rational candidate zeros {leftovers}; "
@@ -365,7 +362,7 @@ def _candidate_points(bundle: LinftyBundle, supplied, tol):
 def cmd_factorize(args) -> int:
     bundle = _input_bundle(args)
     fz = factorize_diagonal(bundle)
-    pts = _candidate_points(bundle, parse_points(args.points, "--points"), args.tol)
+    pts = _candidate_points(bundle, parse_points(args.points, "--points"))
     rep = verify_factorization(fz, pts)
     weq, fib = rep.weak_equiv, rep.fibration
     doc = {"command": "factorize", "ok": rep.ok,
@@ -495,7 +492,7 @@ def cmd_report(args) -> int:
         doc["note"] = "no point checked: the point search takes at most three coordinates"
         lines.append(("note", doc["note"]))
     else:
-        exact, leftovers = find_classical_points(bundle, tol=args.tol)
+        exact, leftovers = find_classical_points(bundle)
         pts_doc = []
         note = ("certified on the supplied candidate loci only; global "
                 "statements need a complete point list")
@@ -591,8 +588,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model", nargs="?")
     p.add_argument("--manifold", type=int)
     p.add_argument("--points", help="classical points for the certificates")
-    p.add_argument("--tol", type=float, default=1e-9,
-                   help="numeric tolerance for the classical point search")
 
     p = add("fib-product", cmd_fib_product,
             "homotopy fibered product of two morphisms to a common target")
@@ -614,8 +609,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("report", cmd_report, "summary report for a model")
     p.add_argument("model")
-    p.add_argument("--tol", type=float, default=1e-9,
-                   help="numeric tolerance for the classical point search")
 
     return parser
 

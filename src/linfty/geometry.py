@@ -843,7 +843,15 @@ def _drop_near_repeats(points: list[tuple[float, ...]]) -> list[tuple[float, ...
     return kept
 
 
-def find_classical_points(bundle: LinftyBundle, tol: float = 1e-9
+# Newton has converged once every curvature component is below _POINT_TOL
+# in absolute value.  Multiple roots stall Newton around _POINT_TOL^(1/k),
+# so a candidate snaps to a small rational within the generous _SNAP_RADIUS;
+# promotion is gated on the exact residual anyway.
+_POINT_TOL = 1e-9
+_SNAP_RADIUS = max(1e-6, _POINT_TOL ** 0.5 * 4)
+
+
+def find_classical_points(bundle: LinftyBundle
                           ) -> tuple[list[ClassicalPoint], list[tuple[float, ...]]]:
     """Grid-seeded Newton search for zeros of the curvature section.
 
@@ -878,7 +886,7 @@ def find_classical_points(bundle: LinftyBundle, tol: float = 1e-9
         for _ in range(60):
             at = [v.as_integer_ratio() for v in pt]
             fv = _floats_at(f_kernels, at)
-            if max((abs(v) for v in fv), default=0.0) < tol:
+            if max((abs(v) for v in fv), default=0.0) < _POINT_TOL:
                 ok = True
                 break
             jm = [_floats_at(row, at) for row in jac_kernels]
@@ -895,14 +903,11 @@ def find_classical_points(bundle: LinftyBundle, tol: float = 1e-9
     exact: list[ClassicalPoint] = []
     seen: set[tuple[Fraction, ...]] = set()
     loose: list[tuple[float, ...]] = []
-    # multiple roots stall Newton around tol^(1/k); allow a generous snap
-    # radius since promotion is gated on the exact residual anyway
-    snap = max(1e-6, float(tol) ** 0.5 * 4)
     for pt in sorted(found):
         promoted = False
         for cap in (1, 2, 8, 64, 1000):
             cand = tuple(Fraction(v).limit_denominator(cap) for v in pt)
-            if (max(abs(float(c) - v) for c, v in zip(cand, pt)) <= snap
+            if (max(abs(float(c) - v) for c, v in zip(cand, pt)) <= _SNAP_RADIUS
                     and curvature_residual(bundle, cand) == 0):
                 if cand not in seen:
                     seen.add(cand)

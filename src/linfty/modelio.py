@@ -148,7 +148,7 @@ def space_from_json(obj, meta: dict | None = None, where: str = "bundle") -> Gra
             d = int(k)
         except ValueError as exc:
             raise _fail(where, f"degree key {k!r} is not an integer") from exc
-        if not isinstance(v, int) or v < 0:
+        if type(v) is not int or v < 0:
             raise _fail(where, f"rank for degree {k} must be a nonnegative integer")
         dims[d] = v
     meta = meta or {}
@@ -191,7 +191,7 @@ def _entries_to_json(ops, coords, part: str | None = None) -> list[dict]:
 
 def _read_key(obj, space: GradedSpace, where: str) -> tuple[int, int]:
     if (not isinstance(obj, list) or len(obj) != 2
-            or not isinstance(obj[0], int) or not isinstance(obj[1], int)):
+            or type(obj[0]) is not int or type(obj[1]) is not int):
         raise _fail(where, f"expected a [degree, index] pair, got {obj!r}")
     key = (obj[0], obj[1])
     if not space.contains(key):
@@ -216,7 +216,7 @@ def _entries_from_json(entries, src: GradedSpace, dst: GradedSpace, coords,
                 raise _fail("", f"unknown part {part!r}")
             lo, hi = parts[part]
             arity = e.get("arity")
-            if not isinstance(arity, int) or arity < lo or hi is not None and arity > hi:
+            if type(arity) is not int or arity < lo or hi is not None and arity > hi:
                 raise _fail("", f"arity must be {lo}" if lo == hi
                             else f"arity must be an integer >= {lo}")
             inputs = e.get("inputs")
@@ -270,7 +270,7 @@ def bundle_from_json(doc) -> tuple[LinftyBundle, dict]:
     if (not isinstance(coords, list)
             or not all(isinstance(c, str) for c in coords)):
         raise _fail("base.coords", "expected a list of names")
-    if base.get("dim") != len(coords):
+    if type(base.get("dim")) is not int or base["dim"] != len(coords):
         raise _fail("base.dim", f"dim {base.get('dim')} but {len(coords)} coords")
     meta = doc.get("metadata") or {}
     if not isinstance(meta, dict):

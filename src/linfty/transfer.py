@@ -26,25 +26,28 @@ trees with symmetry-factor weights; agreement with the fixed-point route
 is a strong end-to-end check and the test suite asserts it.
 
 `projection_morphism` extends pi to a full morphism from the ambient
-structure to the transferred one.  It works on the symmetric coalgebra in
-an adapted basis (H plus matched pairs a_j, b_j = delta a_j with
-eta b_j = a_j), extends eta to a monomial homotopy K with K^2 = 0, and
-corestricts P (1 + Delta K)^{-1} where Delta is the coderivation of the
-curved operations.  The composite with phi is the identity on H.
+structure to the transferred one.  The adapted basis is a graded space of
+its own: H's keys, then matched pairs a_j, b_j = delta a_j with
+eta b_j = a_j, with change-of-basis maps to and from the ambient space.
+The curved operations are conjugated into it, eta extends to a monomial
+homotopy K with K^2 = 0 on its canonical tuples (the symmetric
+coalgebra, with graded's Koszul signs), and P (1 + Delta K)^{-1} is
+corestricted, where Delta is the coderivation of the operations.  The
+composite with phi is the identity on H.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
-from .algebra import (CurvedAlgebra, Morphism, algebra_as_bundle, linear_apply,
-                      op_matrix, op_then)
-from .graded import (GradedSpace, MultiOp, OpFamily, Vector, arity_bound,
-                     bullet_op, koszul_sign, op_nilpotency_order, vec_add_into)
-from .linalg import inverse as mat_inverse
+from .algebra import (CurvedAlgebra, Morphism, algebra_as_bundle, invert_linear_op,
+                      linear_apply, op_matrix, op_precompose_linear, op_then)
+from .graded import (BasisBuilder, BasisKey, GradedSpace, MultiOp, OpFamily, Vector,
+                     arity_bound, bullet_op, koszul_sign, op_nilpotency_order,
+                     sort_keys_with_sign, unshuffle_sign, vec_add_into)
 from .linalg import rref, solve_columns
 from .poly import _exact, _times
 
@@ -126,12 +129,15 @@ class Contraction:
         """Build the retract from a known inclusion and projection.
 
         Nothing is solved: the projector is checked and built from
-        (delta, eta) as for the other constructors, and `validate` then
-        proves the supplied pair right, iota pi = 1 - [delta, eta] included.
+        (delta, eta) as for the other constructor, `validate` proves the
+        supplied pair right, and, pi being given rather than solved,
+        iota pi = 1 - [delta, eta] is checked here.
         """
-        return Contraction._assembled(space, delta, eta,
-                                      _checked_projector(space, delta, eta),
-                                      h_space, iota, pi)
+        proj = _checked_projector(space, delta, eta)
+        con = Contraction._assembled(space, delta, eta, proj, h_space, iota, pi)
+        if iota.compose_linear(pi) != proj:
+            raise ValueError("iota pi != 1 - [delta, eta]")
+        return con
 
     @staticmethod
     def _from_projector(space: GradedSpace, delta: MultiOp, eta: MultiOp,
@@ -162,7 +168,7 @@ class Contraction:
                    proj: MultiOp, h_space: GradedSpace, iota: MultiOp,
                    pi: MultiOp) -> "Contraction":
         """The one place a contraction is put together: the induced
-        differential is pi delta iota, and all five identities are checked."""
+        differential is pi delta iota, and `validate` checks it."""
         if iota.arity != 1 or iota.degree != 0:
             raise ValueError("inclusion must be arity 1, degree 0")
         if pi.arity != 1 or pi.degree != 0:
@@ -173,6 +179,11 @@ class Contraction:
         return con
 
     def validate(self) -> None:
+        """pi iota = 1, eta iota = 0, pi eta = 0 and delta_h^2 = 0.
+
+        iota pi = 1 - [delta, eta] holds by construction when pi is solved
+        from it, so only `from_maps` checks it.
+        """
         ident_h = MultiOp.identity(self.h_space)
         if self.pi.compose_linear(self.iota) != ident_h:
             raise ValueError("pi iota != id")
@@ -180,8 +191,6 @@ class Contraction:
             raise ValueError("eta iota != 0")
         if not self.pi.compose_linear(self.eta).is_zero():
             raise ValueError("pi eta != 0")
-        if self.iota.compose_linear(self.pi) != self.projector:
-            raise ValueError("iota pi != 1 - [delta, eta]")
         if not self.delta_h.compose_linear(self.delta_h).is_zero():
             raise ValueError("induced differential does not square to zero")
 
@@ -439,157 +448,85 @@ def transfer_trees(con: Contraction, lam: OpFamily) -> TransferResult:
 # extended projection via the symmetric coalgebra
 # ---------------------------------------------------------------------------
 
-# letters of the adapted basis: ("h", deg, i) | ("a", j) | ("b", j)
-Letter = tuple
-
-
 @dataclass
 class AdaptedBasis:
-    """Ambient basis reshaped into H plus matched (a_j, b_j = delta a_j) pairs.
+    """Ambient space rewritten in a basis of H plus matched pairs (a_j, b_j).
 
-    In this basis eta kills H and every a_j, sends b_j to a_j, and delta
-    restricts to H; that is what makes the monomial homotopy explicit.
+    space is a graded space whose first keys in each degree are H's, at the
+    same (d, i) as in the retract; each pair a_j, b_j = delta a_j follows,
+    with eta b_j = a_j and eta killing H and every a_j.  from_adapted sends
+    each adapted key to its ambient vector, to_adapted is its inverse and
+    delta is the differential conjugated into this basis, where it
+    preserves H.  That is what makes the monomial homotopy explicit.
     """
 
-    con: Contraction
-    pair_degrees: list[int] = field(default_factory=list)       # degree of a_j
-    letter_to_vec: dict = field(default_factory=dict)           # Letter -> ambient Vector
-    key_to_letters: dict = field(default_factory=dict)          # ambient key -> {Letter: Fraction}
-    delta_letters: dict = field(default_factory=dict)           # Letter -> {Letter: Fraction}
+    space: GradedSpace
+    from_adapted: MultiOp
+    to_adapted: MultiOp
+    delta: MultiOp
+    pairs: list[tuple[BasisKey, BasisKey]]     # (a_j, b_j) keys by j
+    pair_of: dict[BasisKey, int]                # a_j, b_j -> j
 
     @staticmethod
     def build(con: Contraction) -> "AdaptedBasis":
-        ab = AdaptedBasis(con)
+        basis = BasisBuilder()
+        columns: dict[BasisKey, Vector] = {}
+        for d, i in con.h_space.keys():
+            key = basis.push(d, con.h_space.labels[d][i], False)
+            columns[key] = con.iota.evaluate_basis((key,))
         eta_delta = con.eta.compose_linear(con.delta)
-        a_vectors: dict[int, list[list[Fraction]]] = {}
+        pairs: list[tuple[BasisKey, BasisKey]] = []
         for d in con.space.degrees():
-            basis = _image_basis(eta_delta, d)
-            if basis:
-                a_vectors[d] = basis
-
-        j = 0
-        pairs_by_adeg: dict[int, list[int]] = {}
-        for d in sorted(a_vectors):
-            for vec in a_vectors[d]:
-                ab.pair_degrees.append(d)
-                avec = {(d, r): c for r, c in enumerate(vec) if c}
-                bvec = linear_apply(con.delta, avec)
-                ab.letter_to_vec[("a", j)] = avec
-                ab.letter_to_vec[("b", j)] = bvec
-                pairs_by_adeg.setdefault(d, []).append(j)
-                j += 1
-        for d in con.h_space.degrees():
-            for i in range(con.h_space.dim(d)):
-                ab.letter_to_vec[("h", d, i)] = con.iota.evaluate_basis(((d, i),))
-
-        # invert the change of basis degree by degree
-        for d in con.space.degrees():
-            cols: list[tuple[Letter, Vector]] = []
-            for i in range(con.h_space.dim(d)):
-                cols.append((("h", d, i), ab.letter_to_vec[("h", d, i)]))
-            for jj in pairs_by_adeg.get(d, []):
-                cols.append((("a", jj), ab.letter_to_vec[("a", jj)]))
-            for jj in pairs_by_adeg.get(d - 1, []):
-                cols.append((("b", jj), ab.letter_to_vec[("b", jj)]))
-            nd = con.space.dim(d)
-            if len(cols) != nd:
-                raise ValueError("adapted basis does not span; contraction data is inconsistent")
-            if nd == 0:
-                continue
-            m = [[cols[c][1].get((d, r), 0) for c in range(nd)] for r in range(nd)]
-            minv = mat_inverse(m)
-            for i in range(nd):
-                combo = {cols[r][0]: minv[r][i] for r in range(nd) if minv[r][i]}
-                ab.key_to_letters[(d, i)] = combo
-
-        for letter in ab.letter_to_vec:
-            img = linear_apply(con.delta, ab.letter_to_vec[letter])
-            out: dict = {}
-            for key, c in img.items():
-                for let2, c2 in ab.key_to_letters[key].items():
-                    cur = _exact(out.get(let2, 0) + _times(c, c2))
-                    if cur:
-                        out[let2] = cur
-                    elif let2 in out:
-                        del out[let2]
-            if letter[0] == "h" and any(l[0] != "h" for l in out):
-                raise ValueError("differential does not preserve H in the adapted basis")
-            ab.delta_letters[letter] = out
-        return ab
-
-    def degree(self, letter: Letter) -> int:
-        if letter[0] == "h":
-            return letter[1]
-        if letter[0] == "a":
-            return self.pair_degrees[letter[1]]
-        return self.pair_degrees[letter[1]] + 1
-
-    def rank(self, letter: Letter):
-        if letter[0] == "h":
-            return (0, letter[1], letter[2])
-        return (1, letter[1], 0 if letter[0] == "a" else 1)
-
-    def sort_letters(self, letters: Sequence[Letter]) -> tuple[tuple[Letter, ...], int]:
-        order = sorted(range(len(letters)), key=lambda i: (self.rank(letters[i]), i))
-        sign = 1
-        for x in range(len(letters)):
-            lx = letters[order[x]]
-            dx = self.degree(lx)
-            for y in range(x + 1, len(letters)):
-                ly = letters[order[y]]
-                if lx == ly and dx % 2:
-                    return tuple(letters[i] for i in order), 0
-                if order[x] > order[y] and dx % 2 and self.degree(ly) % 2:
-                    sign = -sign
-        return tuple(letters[i] for i in order), sign
-
-    def keys_to_state(self, keys: Sequence) -> dict:
-        """Expand an ambient basis tuple into adapted monomials."""
-        state = {(): 1}
-        for key in keys:
-            nxt: dict = {}
-            for mono, c in state.items():
-                for letter, c2 in self.key_to_letters[key].items():
-                    srt, sign = self.sort_letters(mono + (letter,))
-                    if sign == 0:
-                        continue
-                    cur = nxt.get(srt)
-                    add = _times(c, c2)
-                    if sign < 0:
-                        add = -add
-                    nxt[srt] = add if cur is None else _exact(cur + add)
-            state = {m: c for m, c in nxt.items() if c}
-        return state
+            for vec in _image_basis(eta_delta, d):
+                a = basis.push(d, f"a{len(pairs)}", False)
+                b = basis.push(d + 1, f"b{len(pairs)}", False)
+                columns[a] = {(d, r): c for r, c in enumerate(vec) if c}
+                columns[b] = linear_apply(con.delta, columns[a])
+                pairs.append((a, b))
+        space = basis.build()
+        from_adapted = MultiOp(1, 0, space, con.space,
+                               {(k,): v for k, v in columns.items() if v})
+        try:
+            to_adapted = invert_linear_op(from_adapted)
+        except ValueError:
+            raise ValueError("adapted basis does not span; contraction data is inconsistent")
+        delta = to_adapted.compose_linear(con.delta.compose_linear(from_adapted))
+        pair_of = {k: j for j, pair in enumerate(pairs) for k in pair}
+        if any(o in pair_of for (k,), v in delta.coeffs.items() if k not in pair_of
+               for o in v):
+            raise ValueError("differential does not preserve H in the adapted basis")
+        return AdaptedBasis(space, from_adapted, to_adapted, delta, pairs, pair_of)
 
 
-def _sym_k(ab: AdaptedBasis, mono: tuple) -> tuple[tuple, Fraction] | None:
-    """Monomial homotopy: act on the lowest pair index present."""
-    pair_js = sorted({l[1] for l in mono if l[0] != "h"})
-    if not pair_js:
+def _sym_k(ab: AdaptedBasis, mono: tuple) -> tuple[tuple, int | Fraction] | None:
+    """Monomial homotopy: act on the block of the lowest pair index j present.
+
+    The block a^m b^s is pulled to the front, replaced by a^{m+1}/(m+1)
+    (even a, s = 1) or by a b^{s-1} (odd a, m = 0), and the result sorted
+    back; every other block is sent to zero.
+    """
+    js = [ab.pair_of[k] for k in mono if k in ab.pair_of]
+    if not js:
         return None
-    j0 = pair_js[0]
-    h_part = [l for l in mono if l[0] == "h"]
-    block = [l for l in mono if l[0] != "h" and l[1] == j0]
-    rest = [l for l in mono if l[0] != "h" and l[1] != j0]
-    m = sum(1 for l in block if l[0] == "a")
-    s = len(block) - m
-    d = ab.pair_degrees[j0]
-    if d % 2 == 0:
+    a, b = ab.pairs[min(js)]
+    front = [p for p, k in enumerate(mono) if k == a or k == b]
+    m = mono.count(a)
+    s = len(front) - m
+    if a[0] % 2 == 0:
         if s == 0:
             return None
         # s == 1 is forced: b is odd, so it cannot repeat
-        new_block = [("a", j0)] * (m + 1)
+        block = (a,) * (m + 1)
         coeff = Fraction(1, m + 1) if m else 1
     else:
         if m > 0 or s == 0:
             return None
-        new_block = [("a", j0)] + [("b", j0)] * (s - 1)
+        block = (a,) + (b,) * (s - 1)
         coeff = 1
-    sign = -1 if sum(ab.degree(l) for l in h_part) % 2 else 1
-    letters = tuple(h_part) + tuple(new_block) + tuple(rest)
-    srt, s2 = ab.sort_letters(letters)
-    if s2 == 0:
-        return None
+    sign = unshuffle_sign([k[0] for k in mono], front)
+    # the new block repeats no odd key and the rest holds no key of pair j,
+    # so the sort never collapses
+    srt, s2 = sort_keys_with_sign(block + tuple(k for k in mono if k != a and k != b))
     return srt, coeff if sign * s2 > 0 else -coeff
 
 
@@ -597,90 +534,67 @@ def _apply_k(ab: AdaptedBasis, state: dict) -> dict:
     out: dict = {}
     for mono, c in state.items():
         res = _sym_k(ab, mono)
-        if res is None:
-            continue
-        srt, k = res
-        cur = out.get(srt)
-        add = _times(c, k)
-        out[srt] = add if cur is None else _exact(cur + add)
-    return {m: c for m, c in out.items() if c}
+        if res is not None:
+            vec_add_into(out, res[0], _times(c, res[1]))
+    return out
 
 
-def _apply_coderivation(ab: AdaptedBasis, lam: OpFamily, state: dict,
-                        include_delta: bool) -> dict:
-    """Coderivation of the operations (optionally plus the differential)."""
+def _apply_coderivation(fam: Mapping[int, MultiOp], state: dict) -> dict:
+    """Coderivation of the operations fam (arity -> op) on adapted monomials.
+
+    An arity-k op eats each k-subset of a monomial, unshuffled to the front,
+    and its output takes their place at the front.
+    """
     out: dict = {}
-
-    def emit(letters, coeff):
-        srt, sign = ab.sort_letters(letters)
-        if sign == 0 or not coeff:
-            return
-        cur = out.get(srt)
-        add = coeff if sign > 0 else -coeff
-        out[srt] = add if cur is None else _exact(cur + add)
-
-    max_k = lam.max_arity
     for mono, c in state.items():
         n = len(mono)
-        degs = [ab.degree(l) for l in mono]
-        if include_delta:
-            for pos in range(n):
-                # degree-1 map applied in place: sign from passing the prefix
-                sign = -1 if sum(degs[:pos]) % 2 else 1
-                for let2, c2 in ab.delta_letters[mono[pos]].items():
-                    cc = _times(c, c2)
-                    emit(mono[:pos] + (let2,) + mono[pos + 1:], cc if sign > 0 else -cc)
-        for k in range(0, min(n, max_k) + 1):
-            op = lam.ops.get(k)
-            if op is None:
-                continue
-            for subset in combinations(range(n), k):
-                sign = koszul_sign(degs, subset + tuple(i for i in range(n) if i not in subset))
-                if sign == 0:
-                    continue
-                vecs = [ab.letter_to_vec[mono[i]] for i in subset]
-                val = op.evaluate(vecs)
+        degs = [k[0] for k in mono]
+        for k, op in fam.items():
+            for front in combinations(range(n), k):
+                val = op.evaluate_basis(tuple(mono[i] for i in front))
                 if not val:
                     continue
-                rest = tuple(mono[i] for i in range(n) if i not in subset)
+                sign = unshuffle_sign(degs, front)
+                rest = tuple(mono[i] for i in range(n) if i not in front)
                 for key, cv in val.items():
-                    ccv = _times(c, cv)
-                    if sign < 0:
-                        ccv = -ccv
-                    for let2, c2 in ab.key_to_letters[key].items():
-                        emit((let2,) + rest, _times(ccv, c2))
-    return {m: c for m, c in out.items() if c}
+                    srt, s2 = sort_keys_with_sign((key,) + rest)
+                    if s2:
+                        cc = _times(c, cv)
+                        vec_add_into(out, srt, cc if sign * s2 > 0 else -cc)
+    return out
 
 
 def projection_morphism(con: Contraction, lam: OpFamily) -> OpFamily:
     """Extend pi to a morphism onto the transferred structure.
 
     Corestriction of P (1 + Delta K)^{-1} on the symmetric coalgebra in the
-    adapted basis.  Delta K preserves total degree and every letter has
-    positive degree, so each monomial only ever meets finitely many others;
-    the inverse is an exact linear solve on that reachable set, which stays
-    defined even when the geometric series for it diverges.  A singular
-    1 + Delta K means no extended projection exists and is a RuntimeError.
+    adapted basis, with lam conjugated into that basis.  Delta K preserves
+    total degree and every key has positive degree, so each monomial only
+    ever meets finitely many others; the inverse is an exact linear solve on
+    that reachable set, which stays defined even when the geometric series
+    for it diverges.  A singular 1 + Delta K means no extended projection
+    exists and is a RuntimeError.  Each arity is solved on adapted tuples
+    and carried back to the ambient basis through to_adapted.
     """
     if lam.degree != 1 or lam.source != con.space or lam.target != con.space:
         raise ValueError("operations must be a degree-1 endofamily of the ambient space")
     ab = AdaptedBasis.build(con)
+    fam = {k: op_then(op_precompose_linear(op, ab.from_adapted), ab.to_adapted)
+           for k, op in lam.ops.items()}
     top = arity_bound(0, con.h_space, con.space)
     rows: dict[tuple, dict] = {}
 
     def row(mono):
         got = rows.get(mono)
         if got is None:
-            got = _apply_coderivation(ab, lam, _apply_k(ab, {mono: 1}),
-                                      include_delta=False)
+            got = _apply_coderivation(fam, _apply_k(ab, {mono: 1}))
             rows[mono] = got
         return got
 
     def value(tup):
-        state0 = ab.keys_to_state(tup)
         reach: list[tuple] = []
         index: dict[tuple, int] = {}
-        todo = list(state0)
+        todo = [tup]
         while todo:
             mono = todo.pop()
             if mono in index:
@@ -694,21 +608,17 @@ def projection_morphism(con: Contraction, lam: OpFamily) -> OpFamily:
             aug[j][j] = 1
             for m2, c in row(mono).items():
                 aug[index[m2]][j] += c
-        for mono, c in state0.items():
-            aug[index[mono]][n] = c
+        aug[index[tup]][n] = 1
         red, pivots = rref(aug)
         if pivots != list(range(n)):
             raise RuntimeError("no extended projection: 1 + Delta K is "
                                "singular on the reachable monomials")
-        out: Vector = {}
-        for r, mono in enumerate(reach):
-            if red[r][n] and len(mono) == 1 and mono[0][0] == "h":
-                vec_add_into(out, (mono[0][1], mono[0][2]), red[r][n])
-        return out
+        return {mono[0]: red[r][n] for r, mono in enumerate(reach)
+                if red[r][n] and len(mono) == 1 and mono[0][1] < con.h_space.dim(mono[0][0])}
 
     ops = {}
     for n in range(1, top + 1):
-        op = MultiOp.from_function(n, 0, con.space, con.h_space, value)
-        if not op.is_zero():
-            ops[n] = op
+        pi_n = MultiOp.from_function(n, 0, ab.space, con.h_space, value)
+        if not pi_n.is_zero():
+            ops[n] = op_precompose_linear(pi_n, ab.to_adapted)
     return OpFamily(0, con.space, con.h_space, ops)

@@ -267,19 +267,15 @@ def sym_homotopy_defect(ab: AdaptedBasis, mono: tuple) -> dict:
     It pins the side conditions of the monomial homotopy independently of
     any transfer computation.
     """
-    zero_fam = OpFamily(1, ab.con.space, ab.con.space, {})
-    state = {mono: Fraction(1)}
-    dk = _apply_coderivation(ab, zero_fam, _apply_k(ab, state), include_delta=True)
-    kd = _apply_k(ab, _apply_coderivation(ab, zero_fam, state, include_delta=True))
-    out: dict = {}
-    for src in (dk, kd):
-        for m, c in src.items():
-            cur = out.get(m, Fraction(0)) + c
-            out[m] = cur
-    if all(l[0] == "h" for l in mono):
-        out[mono] = out.get(mono, Fraction(0)) + 1
-    out[mono] = out.get(mono, Fraction(0)) - 1
-    return {m: c for m, c in out.items() if c}
+    delta = {1: ab.delta}
+    state = {mono: 1}
+    out = _apply_coderivation(delta, _apply_k(ab, state))
+    for m, c in _apply_k(ab, _apply_coderivation(delta, state)).items():
+        vec_add_into(out, m, c)
+    if all(k not in ab.pair_of for k in mono):
+        vec_add_into(out, mono, 1)
+    vec_add_into(out, mono, -1)
+    return out
 
 
 @dataclass

@@ -172,6 +172,14 @@ def test_check_axioms_refuses_an_exponent_that_is_a_list(tmp_path, capsys):
     assert "input error: ops[0].coeff[0]: exponents must be integers" in err
 
 
+def test_check_axioms_refuses_a_boolean_for_an_integer(tmp_path, capsys):
+    doc = bundle_to_json(square_bundle())
+    doc["ops"][0]["output"] = [True, False]
+    code, out, err = run(capsys, "check-axioms", write_doc(tmp_path, "bad.json", doc))
+    assert code == 2 and out == ""
+    assert "input error: ops[0].output: expected a [degree, index] pair" in err
+
+
 # -- pointwise reports ----------------------------------------------------------------
 
 def test_tangent_complex_at_the_double_root(square_model, capsys):
@@ -424,7 +432,7 @@ def test_main_runs_many_commands_in_one_process(square_model, tmp_path, capsys):
     bad = ("transfer", model, con, "--mode", "sideways")
     commands = [("transfer", model, con, "--mode", "trees"),
                 ("transfer", model, con),
-                ("factorize", square_model, "--tol", "1e-6"),
+                ("factorize", square_model, "--json"),
                 ("factorize", square_model),
                 ("check-axioms", square_model, "--json"),
                 ("check-axioms", square_model),
@@ -445,7 +453,7 @@ def test_main_runs_many_commands_in_one_process(square_model, tmp_path, capsys):
     assert build_parser() is build_parser()
     args = build_parser().parse_args(["transfer", model, con])
     assert args.mode == "recursive" and args.out is None and not args.json
-    assert build_parser().parse_args(["factorize", square_model]).tol == 1e-9
+    assert not build_parser().parse_args(["factorize", square_model]).json
 
 
 def test_main_dispatches_to_the_current_binding(square_model, monkeypatch, capsys):

@@ -160,6 +160,26 @@ def test_ill_typed_or_repeated_exponents_are_refused(coeff, n, message):
         bundle_from_json(doc)
 
 
+# bool is an int subclass and True == 1, False == 0, so each of these
+# loaded as a valid document until integers were read with type(x) is int
+@pytest.mark.parametrize("path, value, message", [
+    (("ops", 0, "output"), [True, False],
+     "ops[0].output: expected a [degree, index] pair, got [True, False]"),
+    (("ops", 0, "arity"), False, "ops[0]: arity must be an integer >= 0"),
+    (("bundle", "1"), True, "bundle: rank for degree 1 must be a nonnegative integer"),
+    (("base", "dim"), True, "base.dim: dim True but 1 coords")],
+    ids=["output-key", "arity", "rank", "base-dim"])
+def test_a_boolean_is_refused_where_an_integer_is_expected(path, value, message):
+    doc = base_doc()
+    *head, last = path
+    node = doc
+    for part in head:
+        node = node[part]
+    node[last] = value
+    with pytest.raises(ModelFormatError, match=re.escape(message)):
+        bundle_from_json(doc)
+
+
 def test_key_out_of_range_is_reported():
     doc = base_doc()
     doc["ops"][0]["output"] = [1, 5]

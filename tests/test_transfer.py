@@ -2,7 +2,6 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
 import pytest
 from oracles import (build_contraction, perturbation_check, projection_phi1,
@@ -12,9 +11,10 @@ from oracles import (build_contraction, perturbation_check, projection_phi1,
 
 import linfty.graded
 import linfty.transfer
-from linfty.algebra import CurvedAlgebra, check_mc, check_morphism
+from linfty.algebra import (CurvedAlgebra, Morphism, algebra_as_bundle, check_mc,
+                            check_morphism)
 from linfty.graded import (GradedSpace, MultiOp, OpFamily, arity_bound, bullet,
-                           op_nilpotency_order)
+                           canonical_tuples, op_nilpotency_order)
 from linfty.samples import random_contraction, random_transfer_instance
 from linfty.transfer import (AdaptedBasis, Contraction, Tree, neumann_inverse,
                              projection_morphism, transfer, transfer_trees)
@@ -309,6 +309,9 @@ def test_projection_morphism_is_left_inverse_to_phi():
         pi_ext = projection_morphism(con, lam)
         comp = bullet(pi_ext, res.phi)
         assert comp == OpFamily.identity(con.h_space)
+        ambient = algebra_as_bundle(CurvedAlgebra(con.space, con.delta, lam))
+        assert check_morphism(Morphism(ambient, algebra_as_bundle(res.algebra),
+                                       (), pi_ext)).ok
     reach.check()
 
 
@@ -319,10 +322,7 @@ def test_monomial_homotopy_side_conditions():
     for _ in range(6):
         ab = AdaptedBasis.build(random_contraction(rng, 3, 3))
         for n in range(4):
-            for letters in combinations_with_replacement(list(ab.letter_to_vec), n):
-                mono, sign = ab.sort_letters(letters)
-                if sign == 0:
-                    continue
+            for mono in canonical_tuples(ab.space, n):
                 assert sym_homotopy_defect(ab, mono) == {}, mono
                 checked += 1
     assert checked > 100
@@ -333,6 +333,28 @@ def test_projection_arity_one_closed_form():
     con, lam = random_transfer_instance(rng)
     pi_ext = projection_morphism(con, lam)
     assert pi_ext.op(1) == projection_phi1(con, lam)
+
+
+@pytest.mark.xfail(strict=True, raises=RuntimeError,
+                   reason="1 + Delta K is singular on this draw although an "
+                          "extended projection exists")
+def test_projection_of_a_nilpotent_unary_perturbation_is_the_strict_map():
+    """Flat draw with arities 1-3 whose eta lam_1 squares to zero, cut to
+    its arity-1 part.  pi (1 + lam_1 eta)^{-1}, with no higher arities, is
+    an extended projection there; projection_morphism should return it but
+    finds 1 + Delta K singular."""
+    con, lam = random_transfer_instance(random.Random(406), 5, 3)
+    assert lam.op(0).is_zero() and lam.arities() == [1, 2, 3]
+    assert op_nilpotency_order(con.eta.compose_linear(lam.op(1))) == 2
+    assert check_mc(transfer(con, lam).algebra).ok
+    lam1 = OpFamily(1, con.space, con.space, {1: lam.op(1)})
+    res = transfer(con, lam1)
+    strict = OpFamily(0, con.space, con.h_space, {1: projection_phi1(con, lam1)})
+    assert bullet(strict, res.phi) == OpFamily.identity(con.h_space)
+    ambient = algebra_as_bundle(CurvedAlgebra(con.space, con.delta, lam1))
+    assert check_morphism(Morphism(ambient, algebra_as_bundle(res.algebra),
+                                   (), strict)).ok
+    assert projection_morphism(con, lam1) == strict
 
 
 # -- perturbation identities --------------------------------------------------------------
