@@ -164,10 +164,17 @@ class CurvedAlgebra:
 
 
 def _format_vector(vec: Vector) -> str:
-    """A witness vector as {key: coefficient}, a rational written num/den
-    and a polynomial as it prints."""
+    """A witness vector as {key: coefficient} in key order, a rational
+    written num/den and a polynomial as it prints."""
     return "{" + ", ".join(f"{k}: {c if isinstance(c, Poly) else format_fraction(c)}"
-                           for k, c in vec.items()) + "}"
+                           for k, c in sorted(vec.items())) + "}"
+
+
+def _failures(fam: OpFamily) -> list:
+    """The nonzero entries of fam as (arity, tuple, vector), sorted by
+    (arity, tuple), so a witness does not depend on how fam was summed."""
+    return sorted(((n, tup, vec) for n, op in fam.ops.items()
+                   for tup, vec in op.coeffs.items()), key=lambda f: f[:2])
 
 
 @dataclass
@@ -194,13 +201,9 @@ def check_mc(alg: "CurvedAlgebra") -> MCReport:
     family ell = delta + lam, which is what gets computed.
     """
     d2 = alg.delta.compose_linear(alg.delta)
-    dfails = [((key,), vec) for (key,), vec in d2.coeffs.items()]
+    dfails = sorted(d2.coeffs.items(), key=lambda f: f[0])
     ell = alg.total()
-    sq = circ(ell, ell)
-    sfails = []
-    for n in sq.arities():
-        for tup, vec in sq.op(n).coeffs.items():
-            sfails.append((n, tup, vec))
+    sfails = _failures(circ(ell, ell))
     return MCReport(not dfails and not sfails, dfails, sfails)
 
 
@@ -418,11 +421,7 @@ def check_morphism(m: Morphism) -> MorphismReport:
     values = m.base_values()
     lhs = circ(m.phi, m.src.total())
     rhs = bullet(pullback_family(m.dst.total(), values), m.phi)
-    diff = lhs.minus(rhs)
-    failures = []
-    for n in diff.arities():
-        for tup, vec in diff.op(n).coeffs.items():
-            failures.append((n, tup, vec))
+    failures = _failures(lhs.minus(rhs))
     return MorphismReport(not failures, failures)
 
 

@@ -28,16 +28,21 @@ Two composition products are provided:
   bullet_op(lam, phi, n) is its arity-n part alone, for recursions that
   fix phi one arity at a time; bullet is the loop over it.
 
-Each product has one engine at every arity: circ enumerates the 2^n
-unshuffles of its inputs and bullet the set partitions, with the Koszul
-sign of each.  The literal n!-permutation sums that define them live in
-the test suite as a reference the engines are checked against.
+Each product has one engine at every arity.  circ is pushed forward from
+the nonzero entries of its factors: an entry of mu meets each entry of lam
+that holds one of its outputs in a single sorted tuple, with a Koszul sign
+and a multiplicity, so no tuple that no pair of entries reaches is ever
+visited.  bullet enumerates the set partitions of each canonical tuple,
+with the Koszul sign of each.  The literal n!-permutation sums that define
+both, and circ as a sum over the 2^n unshuffles of each canonical tuple,
+live in the test suite as references the engines are checked against.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import combinations
+from math import comb
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .poly import _exact, _times
@@ -602,27 +607,35 @@ def arity_bound(fam_degree: int, target: GradedSpace, source: GradedSpace) -> in
 # ---------------------------------------------------------------------------
 
 
-def _circ_value_unshuffle(lam: OpFamily, mu: OpFamily, tup) -> Vector:
-    n = len(tup)
-    degs = [k[0] for k in tup]
-    out: Vector = {}
-    for k in range(n + 1):
-        mu_k = mu.ops.get(k)
-        lam_op = lam.ops.get(n + 1 - k)
-        if mu_k is None or lam_op is None:
-            continue
-        for front in combinations(range(n), k):
-            sign = unshuffle_sign(degs, front)
-            if sign == 0:
-                continue
-            inner = mu_k.evaluate_basis(tuple(tup[i] for i in front))
-            if not inner:
-                continue
-            rest = tuple(tup[i] for i in range(n) if i not in front)
-            res = lam_op.evaluate_mixed(inner, rest)
-            for okey, c in res.items():
-                vec_add_into(out, okey, c if sign > 0 else -c)
-    return out
+def _parity_split(keys: tuple[BasisKey, ...]) -> tuple[tuple[BasisKey, ...], dict | None]:
+    """The odd keys of a sorted tuple, in order, and its even keys with
+    their multiplicities (None when it has none)."""
+    odd = tuple(k for k in keys if k[0] % 2)
+    even: dict[BasisKey, int] = {}
+    for k in keys:
+        if k[0] % 2 == 0:
+            even[k] = even.get(k, 0) + 1
+    return odd, even or None
+
+
+def _insertion_slots(op: MultiOp) -> dict[BasisKey, list]:
+    """Each entry S -> w of op, once per distinct key o of S, indexed by o.
+
+    An item is (R, sigma, w, *_parity_split(R)): R is S with one o removed
+    and sigma = -1 exactly when o is odd and an odd number of odd keys
+    precede it in S, the Koszul sign of sorting (o,) + R into S.
+    """
+    slots: dict[BasisKey, list] = {}
+    for tup, vec in op.coeffs.items():
+        odd_before = 0
+        for j, o in enumerate(tup):
+            if j and o == tup[j - 1]:
+                continue  # a repeated (even) key: the same R again
+            sigma = -1 if o[0] % 2 and odd_before % 2 else 1
+            odd_before += o[0] % 2
+            rest = tup[:j] + tup[j + 1:]
+            slots.setdefault(o, []).append((rest, sigma, vec, *_parity_split(rest)))
+    return slots
 
 
 def circ(lam: OpFamily, mu: OpFamily) -> OpFamily:
@@ -630,6 +643,27 @@ def circ(lam: OpFamily, mu: OpFamily) -> OpFamily:
 
     mu must be an endo-family; the result has degree lam.degree + mu.degree
     and the same source/target as lam.
+
+    On a sorted tuple T the product is the sum, over the splittings of the
+    positions of T into a front F and a rest, of the Koszul sign of moving
+    F to the front times lam(mu(T_F), T_rest).  It is pushed forward from
+    the nonzero entries of the factors: an entry A -> v of mu_k and an
+    entry S -> w of lam_m whose S holds a key o of v meet in
+    T = sorted(A + R), R being S with one o removed, at arity k + m - 1.
+    Their term there is eps * sigma * mult * v[o] * w, where
+
+    * sigma is the sign of sorting (o,) + R into S: -1 exactly when o is
+      odd and an odd number of odd keys precede it in S;
+    * eps is the sign of unshuffling T into (A, R): T is sorted and its
+      odd keys are distinct, so an odd r of R passes an odd a of A exactly
+      when r < a, and eps = (-1)^#{(r, a) odd : r < a};
+    * mult counts the fronts F with T_F = A, all with the same eps since
+      they differ only in which copies of an even key they take: the
+      product of C(a_x + r_x, a_x) over the even keys x lying a_x times
+      in A and r_x times in R.
+
+    An odd key in both A and R makes T vanish, and nothing else reaches
+    T: every front of T that mu does not kill is some entry A.
     """
     if mu.source != mu.target:
         raise ValueError("circ expects an endomorphism family on the right")
@@ -638,12 +672,44 @@ def circ(lam: OpFamily, mu: OpFamily) -> OpFamily:
     degree = lam.degree + mu.degree
     n_max = min(arity_bound(degree, lam.target, lam.source),
                 lam.max_arity + mu.max_arity - 1 if (lam.ops and mu.ops) else -1)
-    fn = lambda tup: _circ_value_unshuffle(lam, mu, tup)
+    slots = {m: _insertion_slots(op) for m, op in lam.ops.items() if m}
+    sums: dict[int, dict[tuple[BasisKey, ...], Vector]] = {}
+    for k, mu_k in mu.ops.items():
+        for m, by_key in slots.items():
+            n = k + m - 1
+            if n > n_max:
+                continue
+            acc = sums.setdefault(n, {})
+            for front, vec in mu_k.coeffs.items():
+                a_odd, a_even = _parity_split(front)
+                for o, c in vec.items():
+                    # weight enters as sigma and leaves as eps * sigma * mult
+                    for rest, weight, w, r_odd, r_even in by_key.get(o, ()):
+                        if a_odd and r_odd:
+                            for a in a_odd:
+                                i = bisect_left(r_odd, a)
+                                if i < len(r_odd) and r_odd[i] == a:
+                                    weight = 0
+                                    break
+                                if i % 2:
+                                    weight = -weight
+                            if not weight:
+                                continue
+                        if a_even and r_even:
+                            for x, ax in a_even.items():
+                                rx = r_even.get(x)
+                                if rx:
+                                    weight *= comb(ax + rx, ax)
+                        scale = _times(weight, c)
+                        tup = tuple(sorted(front + rest)) if front else rest
+                        dst = acc.setdefault(tup, {})
+                        for okey, x in w.items():
+                            vec_add_into(dst, okey, _times(scale, x))
     ops = {}
-    for n in range(n_max + 1):
-        op = MultiOp.from_function(n, degree, lam.source, lam.target, fn)
-        if not op.is_zero():
-            ops[n] = op
+    for n in sorted(sums):
+        coeffs = {tup: sums[n][tup] for tup in sorted(sums[n]) if sums[n][tup]}
+        if coeffs:
+            ops[n] = MultiOp(n, degree, lam.source, lam.target, coeffs)
     return OpFamily(degree, lam.source, lam.target, ops)
 
 

@@ -5,12 +5,14 @@ cost: `canonical_tuples_literal` filters every
 `combinations_with_replacement` of the basis, `circ_literal` and
 `bullet_literal` sum over all n! orderings of the inputs with the
 1/(k!(n-k)!) and 1/(k! n_1! ... n_k!) weights of the graded-symmetric
-products, `sort_keys_general` sorts basis keys by the general pairwise
-sign count with no shortcut for sorted input, `transfer_rebuild` solves
-the transfer fixed point by rebuilding the whole product lam . phi at
-every arity and once more for mu, and `bareiss_rank` computes a rank by
-fraction-free elimination (Bareiss 1968) on an integer-scaled copy, a
-pipeline independent of the rational row reduction in `linfty.linalg`.
+products, `circ_unshuffle` tabulates circ on every canonical tuple by
+the sum over its 2^n unshuffles, `sort_keys_general` sorts basis keys
+by the general pairwise sign count with no shortcut for sorted input,
+`transfer_rebuild` solves the transfer fixed point by rebuilding the
+whole product lam . phi at every arity and once more for mu, and
+`bareiss_rank` computes a rank by fraction-free elimination (Bareiss
+1968) on an integer-scaled copy, a pipeline independent of the rational
+row reduction in `linfty.linalg`.
 `solve_literal` solves one right-hand side per elimination,
 `substitute_literal` substitutes into a polynomial term by term through
 the public `Poly` operators, `eval_literal` evaluates one term by term in
@@ -42,14 +44,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 from math import factorial, gcd
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from linfty.algebra import CurvedAlgebra, LinftyBundle, linear_apply, op_then, plain_bundle
 from linfty.geometry import shifted_tangent_data
 from linfty.graded import (BasisKey, GradedSpace, MultiOp, OpFamily, Vector, arity_bound,
-                           bullet, circ, koszul_sign, op_nilpotency_order, vec_add_into)
+                           bullet, circ, koszul_sign, op_nilpotency_order, unshuffle_sign,
+                           vec_add_into)
 from linfty.linalg import rank, rref
 from linfty.pathspace import (DerivedPathSpace, PathModel, _split_t, ambient_coord_names,
                               build_path_model, derived_path_space, path_perturbation)
@@ -118,6 +121,29 @@ def _circ_value_literal(lam: OpFamily, mu: OpFamily, tup) -> Vector:
     return out
 
 
+def _circ_value_unshuffle(lam: OpFamily, mu: OpFamily, tup) -> Vector:
+    n = len(tup)
+    degs = [k[0] for k in tup]
+    out: Vector = {}
+    for k in range(n + 1):
+        mu_k = mu.ops.get(k)
+        lam_op = lam.ops.get(n + 1 - k)
+        if mu_k is None or lam_op is None:
+            continue
+        for front in combinations(range(n), k):
+            sign = unshuffle_sign(degs, front)
+            if sign == 0:
+                continue
+            inner = mu_k.evaluate_basis(tuple(tup[i] for i in front))
+            if not inner:
+                continue
+            rest = tuple(tup[i] for i in range(n) if i not in front)
+            res = lam_op.evaluate_mixed(inner, rest)
+            for okey, c in res.items():
+                vec_add_into(out, okey, c if sign > 0 else -c)
+    return out
+
+
 def _compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
     """Ordered tuples of k positive integers summing to n."""
     if k == 0:
@@ -175,6 +201,20 @@ def circ_literal(lam: OpFamily, mu: OpFamily) -> OpFamily:
     top = lam.max_arity + mu.max_arity - 1 if lam.ops and mu.ops else -1
     return _tabulate(range(top + 1), lam.degree + mu.degree, lam.source, lam.target,
                      lambda tup: _circ_value_literal(lam, mu, tup))
+
+
+def circ_unshuffle(lam: OpFamily, mu: OpFamily) -> OpFamily:
+    """lam o mu tabulated on every canonical tuple by the unshuffle sum."""
+    degree = lam.degree + mu.degree
+    n_max = min(arity_bound(degree, lam.target, lam.source),
+                lam.max_arity + mu.max_arity - 1 if (lam.ops and mu.ops) else -1)
+    fn = lambda tup: _circ_value_unshuffle(lam, mu, tup)
+    ops = {}
+    for n in range(n_max + 1):
+        op = MultiOp.from_function(n, degree, lam.source, lam.target, fn)
+        if not op.is_zero():
+            ops[n] = op
+    return OpFamily(degree, lam.source, lam.target, ops)
 
 
 def bullet_literal(lam: OpFamily, phi: OpFamily) -> OpFamily:

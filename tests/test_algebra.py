@@ -89,6 +89,24 @@ def test_witnesses_write_coefficients_as_num_over_den():
         assert "defect" in text and "Fraction(" not in text
 
 
+def test_witnesses_list_keys_and_failures_in_order():
+    # stored out of key order, lam_1(f) = g2 + g0 - g1 is the defect on e
+    sp = GradedSpace.build({1: 1, 2: 1, 3: 3})
+    lam1 = MultiOp(1, 1, sp, sp, {((1, 0),): {(2, 0): 1},
+                                  ((2, 0),): {(3, 2): 1, (3, 0): 1, (3, 1): -1}})
+    assert check_mc(algebra(sp, ops={1: lam1})).describe() == (
+        "arity-1 defect on ((1, 0),): {(3, 0): 1, (3, 1): -1, (3, 2): 1}")
+    # the identity from (f -> g) to (e -> f): phi o ell holds the later tuple,
+    # ell' . phi the earlier one
+    chain = chain_space()
+    src, dst = (algebra_as_bundle(algebra(chain, ops={1: MultiOp(1, 1, chain, chain, ops)}))
+                for ops in ({((2, 0),): {(3, 0): 1}}, {((1, 0),): {(2, 0): 1}}))
+    rep = check_morphism(Morphism(src, dst, (), OpFamily.identity(chain)))
+    assert [tup for _, tup, _ in rep.failures] == [((1, 0),), ((2, 0),)]
+    assert rep.describe() == ("arity-1 defect on ((1, 0),): {(2, 0): -1}\n"
+                              "arity-1 defect on ((2, 0),): {(3, 0): 1}")
+
+
 def test_check_mc_rejects_unannihilated_curvature():
     sp = chain_space()
     lam0 = MultiOp(0, 1, sp, sp, {(): {(1, 0): Fraction(1)}})

@@ -468,11 +468,15 @@ def test_main_dispatches_to_the_current_binding(square_model, monkeypatch, capsy
 # -- recorded path-model outputs ---------------------------------------------------
 
 ROOT = Path(__file__).resolve().parent.parent
-POLYBASE_POOL = json.loads((ROOT / "perfbench" / "pool" / "manifest.json").read_text())[
-    "workloads"]["polybase"]
+POOL = json.loads((ROOT / "perfbench" / "pool" / "manifest.json").read_text())["workloads"]
 
 
-@pytest.mark.parametrize("job", [j for j in POLYBASE_POOL
+def digest(out):
+    canon = json.dumps(json.loads(out), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canon.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("job", [j for j in POOL["polybase"]
                                  if j["id"].startswith(("ps-", "fz-"))],
                          ids=lambda j: j["id"])
 def test_pool_path_model_job_gives_its_recorded_digest(job, monkeypatch, capsys):
@@ -480,8 +484,22 @@ def test_pool_path_model_job_gives_its_recorded_digest(job, monkeypatch, capsys)
     monkeypatch.chdir(ROOT)
     code, out, _ = run(capsys, *job["argv"])
     assert code == job["expect"]["exit"] == 0
-    canon = json.dumps(json.loads(out), sort_keys=True, separators=(",", ":"))
-    assert hashlib.sha256(canon.encode()).hexdigest() == job["expect"]["digest"]
+    assert digest(out) == job["expect"]["digest"]
+
+
+@pytest.mark.parametrize("job", POOL["certify"], ids=lambda j: j["id"])
+def test_pool_certify_job_gives_its_recorded_answer(job, monkeypatch, capsys):
+    # check-axioms and check-morphism on the pool's models, a third of them damaged
+    monkeypatch.chdir(ROOT)
+    code, out, _ = run(capsys, *job["argv"])
+    expect = job["expect"]
+    assert code == expect["exit"]
+    if expect["check"] == "digest":
+        assert digest(out) == expect["digest"]
+    else:
+        assert expect["check"] == "witness"
+        doc = json.loads(out)
+        assert doc["ok"] is False and doc["witness"]
 
 
 # -- expression parser --------------------------------------------------------------------

@@ -4,13 +4,18 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import (bullet_literal, canonical_tuples_literal, circ_literal, commutator,
-                     compose_linear_literal, sort_keys_general)
+from oracles import (amp2_bundle, bullet_literal, canonical_tuples_literal, circ_literal,
+                     circ_unshuffle, commutator, compose_linear_literal, sort_keys_general,
+                     square_bundle)
 
+import linfty.graded
 from linfty.graded import (GradedSpace, MultiOp, OpFamily, bullet, bullet_op,
                            canonical_tuples, circ, koszul_sign,
                            op_nilpotency_order, sort_keys_with_sign,
                            unshuffle_sign)
+from linfty.poly import Poly
+from linfty.samples import (break_algebra, random_bundle, random_mc_algebra,
+                            random_morphism_onto)
 
 
 # -- signs --------------------------------------------------------------------
@@ -285,20 +290,100 @@ def random_family(rng, space, degree, max_arity=2, scale=1):
     return OpFamily(degree, space, space, ops)
 
 
+def _insertion_kinds(lam, mu):
+    """The kinds of term lam o mu meets, read off the entries of both factors.
+
+    A term pairs an entry A -> v of mu_k with an entry S of lam holding a
+    key o of v, R being S with that o removed, and no odd key in both A
+    and R.  Its kinds: "curvature" when k = 0, "multiplicity" when an even
+    key lies in both A and R, "eps" when an odd key of R precedes an odd key
+    of A, "sigma" when o is odd with an odd number of odd keys before it in
+    S, and "poly" when v[o] is a polynomial.
+    """
+    kinds = set()
+    for k, mu_k in mu.ops.items():
+        for op in lam.ops.values():
+            for front, vec in mu_k.coeffs.items():
+                for tup in op.coeffs:
+                    for o in set(vec) & set(tup):
+                        rest = list(tup)
+                        rest.remove(o)
+                        if any(r[0] % 2 and r in front for r in rest):
+                            continue
+                        if k == 0:
+                            kinds.add("curvature")
+                        if any(a[0] % 2 == 0 and a in rest for a in front):
+                            kinds.add("multiplicity")
+                        if any(r < a for r in rest if r[0] % 2 for a in front if a[0] % 2):
+                            kinds.add("eps")
+                        if o[0] % 2 and sum(r[0] % 2 for r in rest if r < o) % 2:
+                            kinds.add("sigma")
+                        if isinstance(vec[o], Poly):
+                            kinds.add("poly")
+    return kinds
+
+
+def assert_same_in_order(got, want):
+    """Equal families whose arities and input tuples come in the same order."""
+    assert got == want
+    assert list(got.ops) == list(want.ops)
+    for n, op in got.ops.items():
+        assert list(op.coeffs) == list(want.ops[n].coeffs)
+
+
 def test_circ_literal_matches_unshuffle():
-    """Production circ equals the permutation-sum definition at arities 0-5."""
+    """Production circ equals the permutation-sum and unshuffle definitions.
+
+    The draws reach arities 0-5 and every kind of term the push forward
+    weighs differently: repeated even keys, odd keys on both sides, an odd
+    insertion slot behind an odd key, a curvature, a family whose target is
+    not its source, and polynomial coefficients.
+    """
     rng = random.Random(11)
-    reached = set()
+    pairs = []
     for dims, max_arity, draws in (({1: 2, 2: 2, 3: 1, 4: 1}, 2, 6),
                                    ({1: 5, 2: 1, 4: 1, 7: 1}, 3, 3)):
         sp = GradedSpace.build(dims)
-        for _ in range(draws):
-            a = random_family(rng, sp, 1, max_arity)
-            b = random_family(rng, sp, 1, max_arity)
-            got = circ(a, b)
-            assert got == circ_literal(a, b)
-            reached |= set(got.arities())
+        pairs += [(random_family(rng, sp, 1, max_arity), random_family(rng, sp, 1, max_arity))
+                  for _ in range(draws)]
+    sp, wide = GradedSpace.build({1: 2, 2: 2, 3: 1, 4: 1}), GradedSpace.build({1: 1, 2: 2, 3: 2})
+    for _ in range(3):
+        phi = OpFamily(0, sp, wide, {n: random_op(rng, sp, wide, n, 0) for n in (1, 2)})
+        pairs.append((phi, random_family(rng, sp, 1)))
+    bundles = [random_bundle(rng, ("x", "y"), amplitude=3) for _ in range(3)]
+    pairs += [(b.total(), b.total()) for b in bundles]
+    maps = [random_morphism_onto(rng, b, "s") for b in bundles]
+    pairs += [(m.phi, m.src.total()) for m in maps]
+    reached, kinds, retargeted = set(), set(), 0
+    for lam, mu in pairs:
+        got = circ(lam, mu)
+        assert_same_in_order(got, circ_unshuffle(lam, mu))
+        assert_same_in_order(got, circ_literal(lam, mu))
+        reached |= set(got.arities())
+        kinds |= _insertion_kinds(lam, mu)
+        retargeted += lam.target != lam.source and not got.is_zero()
     assert reached == {0, 1, 2, 3, 4, 5}
+    assert kinds == {"curvature", "multiplicity", "eps", "sigma", "poly"}
+    assert retargeted >= 3
+
+
+def test_circ_tabulates_no_canonical_tuple(monkeypatch):
+    """circ is pushed forward from entries: it walks no canonical tuple."""
+    rng = random.Random(23)
+    damaged = None
+    while damaged is None:
+        damaged = break_algebra(rng, random_mc_algebra(rng, amplitude=5, max_dim=3))
+    cases = [b.total() for b in (square_bundle(), amp2_bundle())] + [damaged.total()]
+    want = [circ_unshuffle(ell, ell) for ell in cases]
+    assert not want[-1].is_zero()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("circ walked the canonical tuples")
+
+    monkeypatch.setattr(linfty.graded, "canonical_tuples", forbidden)
+    monkeypatch.setattr(linfty.graded.MultiOp, "from_function", classmethod(forbidden))
+    for ell, ref in zip(cases, want):
+        assert_same_in_order(circ(ell, ell), ref)
 
 
 def test_commutator_jacobi_identity():
