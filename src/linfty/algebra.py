@@ -50,15 +50,12 @@ def _substitute_coeff(c, values: Mapping[str, Poly]):
     return c
 
 
-def _eval_coeff(c, values: Mapping[str, Rat] | None = None) -> Rat:
-    """A coefficient as a rational: evaluated at the point `values` when one
-    is given, otherwise it must be constant."""
+def _eval_coeff(c) -> Rat:
+    """A constant coefficient as a rational."""
     if not isinstance(c, Poly):
         return as_rational(c)
-    if values is not None:
-        return c.eval(values)
     if not c.is_constant():
-        raise ValueError(f"coefficient {c} is not constant and no point was given")
+        raise ValueError(f"coefficient {c} is not constant")
     return c.constant_value()
 
 
@@ -155,9 +152,6 @@ class CurvedAlgebra:
     def total(self) -> OpFamily:
         """All operations with the differential merged into arity one."""
         return self.delta_family().plus(self.ops)
-
-    def curvature(self) -> Vector:
-        return self.ops.op(0).evaluate_basis(())
 
     def max_arity(self) -> int:
         return max(self.ops.max_arity, 1)
@@ -263,15 +257,6 @@ class LinftyBundle:
     def curvature_section(self) -> Vector:
         return self.ops.op(0).evaluate_basis(())
 
-    def at_point(self, point: Sequence[Rat]) -> CurvedAlgebra:
-        """Specialize all coefficients at a rational base point."""
-        if len(point) != self.base_dim:
-            raise ValueError(f"expected {self.base_dim} coordinates, got {len(point)}")
-        values = {name: as_rational(v) for name, v in zip(self.coords, point)}
-        fn = lambda c: _eval_coeff(c, values)
-        return CurvedAlgebra(self.fiber, map_op_coeffs(self.delta, fn),
-                             map_family_coeffs(self.ops, fn))
-
     def map_coeffs(self, fn, coords: tuple[str, ...] | None = None) -> "LinftyBundle":
         return LinftyBundle(self.coords if coords is None else coords, self.fiber,
                             map_op_coeffs(self.delta, fn),
@@ -316,25 +301,13 @@ def product_projection(prod: LinftyBundle, factor: LinftyBundle,
     n = len(factor.coords)
     if first:
         base = tuple(Poly.variable(c) for c in prod.coords[:n])
-        offset = {d: 0 for d in factor.fiber.degrees()}
+        shift = dict.fromkeys(factor.fiber.dims, 0)
     else:
         base = tuple(Poly.variable(c) for c in prod.coords[len(prod.coords) - n:])
-        offset = {d: prod.fiber.dims.get(d, 0) - factor.fiber.dims[d]
-                  for d in factor.fiber.degrees()}
-
-    def value(tup):
-        (d, i), = tup
-        if d not in factor.fiber.dims:
-            return {}
-        j = i - offset.get(d, 0)
-        if 0 <= j < factor.fiber.dims[d]:
-            return {(d, j): 1}
-        return {}
-
-    op = MultiOp.from_function(1, 0, prod.fiber, factor.fiber, value)
-    return Morphism(prod, factor, base,
-                    OpFamily(0, prod.fiber, factor.fiber,
-                             {1: op} if not op.is_zero() else {}))
+        shift = {d: prod.fiber.dims[d] - k for d, k in factor.fiber.dims.items()}
+    op = MultiOp(1, 0, prod.fiber, factor.fiber,
+                 {((d, i + shift[d]),): {(d, i): 1} for d, i in factor.fiber.keys()})
+    return Morphism(prod, factor, base, OpFamily(0, prod.fiber, factor.fiber, {1: op}))
 
 
 def plain_bundle(coords: Sequence[str]) -> LinftyBundle:
@@ -430,11 +403,6 @@ def same_morphism(a: Morphism, b: Morphism) -> bool:
     return a.phi == b.phi and all(p == q for p, q in zip(a.base_map, b.base_map))
 
 
-def identity_morphism(bundle: LinftyBundle) -> Morphism:
-    base = tuple(Poly.variable(c) for c in bundle.coords)
-    return Morphism(bundle, bundle, base, OpFamily.identity(bundle.fiber))
-
-
 def compose(g: Morphism, f: Morphism) -> Morphism:
     """g after f."""
     if f.dst.coords != g.src.coords or f.dst.fiber != g.src.fiber:
@@ -446,31 +414,8 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
 
 
 # ---------------------------------------------------------------------------
-# inversion of isomorphisms
+# inverses of formal families, and structure transport
 # ---------------------------------------------------------------------------
-
-
-def _affine_parts(polys: Sequence[Poly], coords: Sequence[str]):
-    """Split affine polynomials into (matrix, constant); error if nonlinear."""
-    rows = []
-    consts = []
-    for p in polys:
-        if p.total_degree() > 1:
-            raise ValueError("base map is not affine")
-        pruned = p.pruned()
-        if not set(pruned.vars) <= set(coords):
-            raise ValueError("base map uses unknown coordinates")
-        aligned = pruned.with_vars(tuple(coords))
-        row = [0] * len(coords)
-        const = 0
-        for expo, c in aligned.terms.items():
-            if sum(expo) == 0:
-                const = c
-            else:
-                row[list(expo).index(1)] = c
-        rows.append(row)
-        consts.append(const)
-    return rows, consts
 
 
 def op_precompose_linear(op: MultiOp, lin: MultiOp) -> MultiOp:
@@ -506,40 +451,23 @@ def invert_linear_op(op: MultiOp) -> MultiOp:
     return MultiOp(1, 0, dst, src, coeffs)
 
 
-def invert_iso(m: Morphism) -> Morphism:
-    """Invert a bundle isomorphism with affine base and constant linear part.
+def invert_family(phi: OpFamily) -> OpFamily:
+    """The bullet inverse psi of a degree-0 family phi with no arity-0 part
+    and an invertible linear part with constant coefficients.
 
-    The inverse fiber family is solved arity by arity from
-    (phi^pulled . psi) = identity, and both composites are verified
-    before returning.
+    psi_1 inverts phi_1; at arity n >= 2, psi_n enters (phi . psi)_n only
+    as phi_1 psi_n, so psi_n = -psi_1 (phi . psi_{<n})_n makes phi . psi
+    the identity by construction.  psi . phi = id is verified.
     """
-    rows, consts = _affine_parts(m.base_map, m.src.coords)
-    if len(rows) != len(m.src.coords):
-        raise ValueError("base map must preserve the number of coordinates")
-    ainv = mat_inverse(rows)
-    inv_base = []
-    for j in range(len(ainv)):
-        p = Poly.zero()
-        for k, name in enumerate(m.dst.coords):
-            if ainv[j][k]:
-                p = p + ainv[j][k] * (Poly.variable(name) - consts[k])
-        inv_base.append(p)
-    inv_values = {name: p for name, p in zip(m.src.coords, inv_base)}
-
-    phi_pulled = pullback_family(m.phi, inv_values)
-    psi1 = invert_linear_op(phi_pulled.op(1))
-    psi = OpFamily(0, m.dst.fiber, m.src.fiber, {1: psi1})
-    top = arity_bound(0, m.src.fiber, m.dst.fiber)
-    for n in range(2, top + 1):
-        resid = bullet_op(phi_pulled, psi, n)
-        if resid.is_zero():
-            continue
-        psi = psi.with_op(op_then(resid, psi1).scaled(-1))
-    inv = Morphism(m.dst, m.src, tuple(inv_base), psi)
-    for left, right, bundle in ((inv, m, m.src), (m, inv, m.dst)):
-        if not same_morphism(compose(left, right), identity_morphism(bundle)):
-            raise ValueError("inversion failed to verify; the morphism is not invertible")
-    return inv
+    psi1 = invert_linear_op(phi.op(1))
+    psi = OpFamily(0, phi.target, phi.source, {1: psi1})
+    for n in range(2, arity_bound(0, phi.source, phi.target) + 1):
+        resid = bullet_op(phi, psi, n)
+        if not resid.is_zero():
+            psi = psi.with_op(op_then(resid, psi1).scaled(-1))
+    if bullet(psi, phi) != OpFamily.identity(phi.source):
+        raise ValueError("inversion failed to verify; the family is not invertible")
+    return psi
 
 
 def rename_source_clear_of(m: Morphism, taken: Sequence[str], letter: str) -> Morphism:
@@ -567,45 +495,15 @@ def rename_source_clear_of(m: Morphism, taken: Sequence[str], letter: str) -> Mo
 
 
 def transport_source(psi: OpFamily, ell: OpFamily) -> OpFamily:
-    """Solve psi o ell' = ell . psi for the structure ell' on psi's source.
+    """The structure ell' on psi's source with psi o ell' = ell . psi.
 
     psi is a degree-0 family without arity zero whose linear part is
-    invertible with constant coefficients.  The unknown appears only
-    through psi_1(ell'_n) at arity n, so the system is triangular.
+    invertible with constant coefficients, and ell' is ell conjugated by
+    it: ell' = (psi^{-1} o ell) . psi, with psi^{-1} = invert_family(psi).
     """
-    psi1_inv = invert_linear_op(psi.op(1))
-    ellp = OpFamily(1, psi.source, psi.source, {})
-    top = arity_bound(1, psi.source, psi.source)
-    rhs = bullet(ell, psi)
-    for n in range(top + 1):
-        defect = rhs.op(n).minus(circ(psi, ellp).op(n))
-        if not defect.is_zero():
-            ellp = ellp.with_op(op_then(defect, psi1_inv))
-    if circ(psi, ellp) != rhs:
+    ellp = bullet(circ(invert_family(psi), ell), psi)
+    if circ(psi, ellp) != bullet(ell, psi):
         raise ValueError("transport_source failed to verify")
-    return ellp
-
-
-def transport_target(phi: OpFamily, ell: OpFamily) -> OpFamily:
-    """Solve phi o ell = ell' . phi for the structure ell' on phi's target.
-
-    At arity n the unknown enters as ell'_n(phi_1 x, ..., phi_1 x), so an
-    invertible constant linear part again makes the system triangular.
-    """
-    phi1_inv = invert_linear_op(phi.op(1))
-    ellp = OpFamily(1, phi.target, phi.target, {})
-    top = arity_bound(1, phi.target, phi.target)
-    lhs = circ(phi, ell)
-    for n in range(top + 1):
-        defect = lhs.op(n).minus(bullet_op(ellp, phi, n))
-        if defect.is_zero():
-            continue
-        if n == 0:
-            ellp = ellp.with_op(MultiOp(0, 1, phi.target, phi.target, dict(defect.coeffs)))
-        else:
-            ellp = ellp.with_op(op_precompose_linear(defect, phi1_inv))
-    if bullet(ellp, phi) != lhs:
-        raise ValueError("transport_target failed to verify")
     return ellp
 
 
@@ -613,14 +511,15 @@ def transport_target(phi: OpFamily, ell: OpFamily) -> OpFamily:
 class LinearizedFibration:
     """Fibration rewritten as an isomorphism followed by a strict projection.
 
-    middle lives on the source base with fiber target (+) complement, the
-    target first in each degree; linear is the coordinate projection of
-    middle onto the target, so the complement is what it drops.
+    iso maps the fibration's source, over the identity of its base, onto a
+    bundle whose fiber is target (+) complement, the target first in each
+    degree; linear is the coordinate projection of iso.dst onto the target,
+    so the complement is what it drops, and inverse is iso's inverse.
     """
 
     iso: Morphism
     linear: Morphism
-    middle: LinftyBundle
+    inverse: Morphism
 
 
 def linearize_fibration(m: Morphism) -> LinearizedFibration:
@@ -641,25 +540,15 @@ def linearize_fibration(m: Morphism) -> LinearizedFibration:
         labels={d: [f"k{d}_{i}" for i in range(n)] for d, n in comp_dims.items() if n})
     mid_fiber, into_e, into_k = dst.fiber.direct_sum(comp)
     same_keys = {key: key for key in src.fiber.keys()}
-
-    def phi_prime_1(tup):
-        (d, i), = tup
-        out: dict = {}
-        for key, c in phi1.evaluate_basis(((d, i),)).items():
-            out[into_e[key]] = c
-        if d in kcoords:
-            for j, c in enumerate(kcoords[d][i]):
-                if c:
-                    out[into_k[(d, j)]] = c
-        return out
-
-    ops: dict[int, MultiOp] = {
-        1: MultiOp.from_function(1, 0, src.fiber, mid_fiber, phi_prime_1)}
-    for k, op in m.phi.ops.items():
-        if k >= 2:
-            ops[k] = reindex_op(op, src.fiber, mid_fiber, same_keys, into_e)
-    phi_prime = OpFamily(0, src.fiber, mid_fiber, ops)
-    ell_mid = transport_target(phi_prime, src.total()).ops
+    to_kernel = MultiOp(1, 0, src.fiber, mid_fiber,
+                        {((d, i),): {into_k[(d, j)]: c for j, c in enumerate(row)}
+                         for d, rows in kcoords.items() for i, row in enumerate(rows)})
+    phi_prime = OpFamily(0, src.fiber, mid_fiber, {
+        k: reindex_op(op, src.fiber, mid_fiber, same_keys, into_e)
+        for k, op in m.phi.ops.items()}).plus(
+            OpFamily(0, src.fiber, mid_fiber, {1: to_kernel}))
+    psi = invert_family(phi_prime)
+    ell_mid = bullet(circ(phi_prime, src.total()), psi).ops
 
     mid = LinftyBundle(src.coords, mid_fiber,
                        MultiOp.zero(1, 1, mid_fiber, mid_fiber),
@@ -667,10 +556,7 @@ def linearize_fibration(m: Morphism) -> LinearizedFibration:
     ident_base = tuple(Poly.variable(x) for x in src.coords)
     iso = Morphism(src, mid, ident_base, phi_prime)
 
-    back_e = {v: k for k, v in into_e.items()}
-    proj = MultiOp.from_function(
-        1, 0, mid_fiber, dst.fiber,
-        lambda tup: {back_e[tup[0]]: 1} if tup[0] in back_e else {})
+    proj = MultiOp(1, 0, mid_fiber, dst.fiber, {(e,): {k: 1} for k, e in into_e.items()})
     linear = Morphism(mid, dst, m.base_map, OpFamily(0, mid_fiber, dst.fiber, {1: proj}))
 
     for cand in (iso, linear):
@@ -679,7 +565,7 @@ def linearize_fibration(m: Morphism) -> LinearizedFibration:
             raise ValueError("linearization failed to verify the morphism equation")
     if not same_morphism(compose(linear, iso), m):
         raise ValueError("linearization does not recompose to the original morphism")
-    return LinearizedFibration(iso, linear, mid)
+    return LinearizedFibration(iso, linear, Morphism(mid, src, ident_base, psi))
 
 
 def _kernel_complement(phi1: MultiOp, source: GradedSpace, target: GradedSpace):

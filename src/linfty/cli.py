@@ -22,7 +22,7 @@ import sys
 from fractions import Fraction
 
 from .algebra import LinftyBundle, check_mc, check_morphism, plain_bundle
-from .geometry import (StagedTangent, classical_point, cohomology,
+from .geometry import (MAX_SEARCH_COORDS, StagedTangent, classical_point, cohomology,
                        find_classical_points, is_fibration, is_weak_equivalence,
                        shifted_tangent, tangent_complex, virtual_dimension)
 from .graded import MultiOp, OpFamily
@@ -247,7 +247,7 @@ def cmd_tangent_complex(args) -> int:
     cp = classical_point(bundle, pt)
     cx = tangent_complex(bundle, cp)
     betti = cohomology(cx)
-    euler = sum((-1) ** k * n for k, n in betti.items())
+    euler = cx.euler_characteristic()
     vdim = virtual_dimension(bundle)
     doc = {"command": "tangent-complex", "model": args.model,
            "point": _json_point(cp),
@@ -348,7 +348,7 @@ def cmd_path_space(args) -> int:
 def _candidate_points(bundle: LinftyBundle, supplied):
     if supplied:
         return [classical_point(bundle, p) for p in supplied]
-    if len(bundle.coords) > 3:
+    if len(bundle.coords) > MAX_SEARCH_COORDS:
         raise ModelFormatError(
             "point search supports at most three coordinates; pass --points")
     exact, leftovers = find_classical_points(bundle)
@@ -488,7 +488,7 @@ def cmd_report(args) -> int:
              ("structure equations", "hold" if rep.ok else "FAIL")]
     if not rep.ok:
         lines.append(("witness", rep.describe()))
-    elif len(bundle.coords) > 3:
+    elif len(bundle.coords) > MAX_SEARCH_COORDS:
         doc["note"] = "no point checked: the point search takes at most three coordinates"
         lines.append(("note", doc["note"]))
     else:

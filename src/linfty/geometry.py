@@ -25,11 +25,10 @@ from functools import cached_property
 from fractions import Fraction
 from operator import add
 
-from .algebra import (LinftyBundle, Morphism, _affine_parts, _eval_coeff,
-                      check_mc, check_morphism, compose, invert_iso,
-                      linearize_fibration, map_op_coeffs, op_then,
-                      pullback_family, reindex_op, rename_source_clear_of,
-                      same_morphism)
+from .algebra import (LinftyBundle, Morphism, _eval_coeff, check_mc,
+                      check_morphism, compose, linearize_fibration,
+                      map_op_coeffs, op_then, pullback_family, reindex_op,
+                      rename_source_clear_of, same_morphism)
 from .graded import BasisBuilder, GradedSpace, MultiOp, OpFamily, bullet
 from .linalg import kernel_basis, rank, right_inverse
 from .poly import Poly, _exact
@@ -100,9 +99,6 @@ class CochainComplex:
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * n for k, n in self.dims.items())
-
-    def is_acyclic(self) -> bool:
-        return not self.cohomology()
 
 
 def mapping_cone(maps: dict[int, Matrix], a: CochainComplex,
@@ -734,33 +730,21 @@ def pullback_fibration(fib: Morphism, other: Morphism) -> PullbackResult:
                for d, i in proj.src.fiber.keys() if (d, i) not in sigma}
     lam_space, into_f, into_lp = comp.build().direct_sum(other.src.fiber)
     drop = {key: into_f[k] for key, k in dropped.items()}
-    lift = {v: k for k, v in drop.items()}
     back = {t: s for s, t in sigma.items()}
-    lp_inv = {v: k for k, v in into_lp.items()}
     src_total = pullback_family(proj.src.total(), substs[0])
     other_total = pullback_family(other.src.total(), substs[1])
     phi_other = pullback_family(other.phi, substs[1])
 
-    def psi_value(k):
-        def value(tup):
-            if k == 1 and tup[0] in lift:
-                return {lift[tup[0]]: 1}
-            if k not in phi_other.ops or any(key in lift for key in tup):
-                return {}
-            vec = phi_other.op(k).evaluate_basis(tuple(lp_inv[key] for key in tup))
-            return {back[q]: c for q, c in vec.items()}
-        return value
-
-    psi_ops: dict[int, MultiOp] = {}
-    for k in sorted(set(phi_other.ops) | {1}):
-        op = MultiOp.from_function(k, 0, lam_space, proj.src.fiber, psi_value(k))
-        if not op.is_zero():
-            psi_ops[k] = op
-    psi = OpFamily(0, lam_space, proj.src.fiber, psi_ops)
-
-    proj_f = MultiOp.from_function(
-        1, 0, proj.src.fiber, lam_space,
-        lambda tup: {drop[tup[0]]: 1} if tup[0] in drop else {})
+    # pr1 lifts each dropped key and sends the other source's keys through
+    # the other leg's fiber family; proj_f is the coordinate projection
+    lifts = MultiOp(1, 0, lam_space, proj.src.fiber,
+                    {(lam,): {key: 1} for key, lam in drop.items()})
+    psi = OpFamily(0, lam_space, proj.src.fiber, {
+        k: reindex_op(op, lam_space, proj.src.fiber, into_lp, back)
+        for k, op in phi_other.ops.items()}).plus(
+            OpFamily(0, lam_space, proj.src.fiber, {1: lifts}))
+    proj_f = MultiOp(1, 0, proj.src.fiber, lam_space,
+                     {(key,): {lam: 1} for key, lam in drop.items()})
 
     pushed = bullet(src_total, psi)
     lifted_ops: dict[int, MultiOp] = {}
@@ -775,13 +759,11 @@ def pullback_fibration(fib: Morphism, other: Morphism) -> PullbackResult:
 
     pr2 = Morphism(bundle, other.src, pr2_base,
                    OpFamily(0, lam_space, other.src.fiber, {
-                       1: MultiOp.from_function(
-                           1, 0, lam_space, other.src.fiber,
-                           lambda tup: {lp_inv[tup[0]]: 1}
-                           if tup[0] in lp_inv else {})}))
+                       1: MultiOp(1, 0, lam_space, other.src.fiber,
+                                  {(lam,): {key: 1} for key, lam in into_lp.items()})}))
     pr1 = Morphism(bundle, proj.src, pr1_base, psi)
     if lin is not None:
-        pr1 = compose(invert_iso(lin.iso), pr1)
+        pr1 = compose(lin.inverse, pr1)
 
     rep = check_mc(bundle.as_algebra())
     if not rep.ok:
@@ -799,10 +781,24 @@ def pullback_fibration(fib: Morphism, other: Morphism) -> PullbackResult:
 
 
 def _try_affine(polys, coords):
-    try:
-        return _affine_parts(polys, coords)
-    except ValueError:
-        return None
+    """Affine polynomials split into (matrix, constants), or None when one
+    of them is not affine in coords."""
+    rows = []
+    consts = []
+    for p in polys:
+        pruned = p.pruned()
+        if p.total_degree() > 1 or not set(pruned.vars) <= set(coords):
+            return None
+        row = [0] * len(coords)
+        const = 0
+        for expo, c in pruned.with_vars(tuple(coords)).terms.items():
+            if sum(expo) == 0:
+                const = c
+            else:
+                row[list(expo).index(1)] = c
+        rows.append(row)
+        consts.append(const)
+    return rows, consts
 
 
 def _fresh_names(stem: str, count: int, taken: set[str]) -> list[str]:
@@ -849,6 +845,8 @@ def _drop_near_repeats(points: list[tuple[float, ...]]) -> list[tuple[float, ...
 # promotion is gated on the exact residual anyway.
 _POINT_TOL = 1e-9
 _SNAP_RADIUS = max(1e-6, _POINT_TOL ** 0.5 * 4)
+# the most base coordinates the point search takes
+MAX_SEARCH_COORDS = 3
 
 
 def find_classical_points(bundle: LinftyBundle
@@ -856,7 +854,7 @@ def find_classical_points(bundle: LinftyBundle
     """Grid-seeded Newton search for zeros of the curvature section.
 
     Newton runs at most 60 steps from each point of a 7-point-per-axis grid
-    on [-3, 3]^m.  Intended for up to three base coordinates.  Each
+    on [-3, 3]^m, for at most MAX_SEARCH_COORDS base coordinates.  Each
     curvature component and each Jacobian entry is staged once as an
     integer kernel (Poly.staged), so every step's floats are the exact
     values at the float iterate, correctly rounded.  Converged numerical
@@ -868,7 +866,7 @@ def find_classical_points(bundle: LinftyBundle
     if m == 0:
         return ([ClassicalPoint(())] if curvature_residual(bundle, ()) == 0
                 else []), []
-    if m > 3:
+    if m > MAX_SEARCH_COORDS:
         raise ValueError("point search supports at most three coordinates")
     comps = [c if isinstance(c, Poly) else Poly.constant(c)
              for _, c in sorted(bundle.curvature_section().items())]

@@ -24,9 +24,10 @@ from fractions import Fraction
 from .algebra import (LinftyBundle, Morphism, check_mc, check_morphism, compose,
                       plain_bundle, product_bundle, product_projection,
                       reindex_op, rename_source_clear_of, same_morphism)
-from .geometry import (ClassicalPoint, StagedTangent, _same_target, classical_point,
-                       find_classical_points, is_fibration, is_weak_equivalence,
-                       pullback_fibration, shifted_tangent_data, virtual_dimension)
+from .geometry import (MAX_SEARCH_COORDS, ClassicalPoint, StagedTangent, _same_target,
+                       classical_point, find_classical_points, is_fibration,
+                       is_weak_equivalence, pullback_fibration, shifted_tangent_data,
+                       virtual_dimension)
 from .graded import BasisBuilder, GradedSpace, MultiOp, OpFamily
 from .poly import Poly
 from .transfer import Contraction, TransferResult, transfer
@@ -338,8 +339,7 @@ def derived_path_space(bundle: LinftyBundle) -> DerivedPathSpace:
     inc = Morphism(bundle, pm,
                    tuple(Poly.variable(c) for c in bundle.coords) * 2,
                    OpFamily(0, bundle.fiber, h,
-                            {1: MultiOp(1, 0, bundle.fiber, h, inc_coeffs)}
-                            if inc_coeffs else {}))
+                            {1: MultiOp(1, 0, bundle.fiber, h, inc_coeffs)}))
 
     dps = DerivedPathSpace(pm, inc, ev, product, (j0, j1), result.phi,
                            model, result)
@@ -380,7 +380,7 @@ def factorize_diagonal(bundle: LinftyBundle) -> Factorization:
                     tuple(Poly.variable(c) for c in bundle.coords) * 2,
                     OpFamily(0, bundle.fiber, dps.product.fiber,
                              {1: MultiOp(1, 0, bundle.fiber, dps.product.fiber,
-                                         diag_coeffs)} if diag_coeffs else {}))
+                                         diag_coeffs)}))
     if not same_morphism(compose(dps.evaluation, dps.inclusion), diag):
         raise AssertionError("factorization composite is not the diagonal")
     return Factorization(dps, dps.inclusion, dps.evaluation, diag, dps.product)
@@ -565,7 +565,7 @@ def derived_intersection(x: Submanifold, y: Submanifold,
     if points is not None:
         pts = [p if isinstance(p, ClassicalPoint) else staged.classical_point(p)
                for p in points]
-    elif len(bundle.coords) <= 3:
+    elif len(bundle.coords) <= MAX_SEARCH_COORDS:
         pts = find_classical_points(bundle)[0]
 
     reports = []
@@ -642,14 +642,14 @@ def zero_locus_model(coords, section, points=None) -> ZeroLocusComparison:
     comparison = Morphism(model, target, base,
                           OpFamily(0, fiber, target.fiber,
                                    {1: MultiOp(1, 0, fiber, target.fiber,
-                                               phi_coeffs)} if k else {}))
+                                               phi_coeffs)}))
     if not check_morphism(comparison).ok:
         raise AssertionError("zero-locus comparison is not a morphism")
 
     if points is not None:
         pts = [p if isinstance(p, ClassicalPoint) else classical_point(model, p)
                for p in points]
-    elif m <= 3:
+    elif m <= MAX_SEARCH_COORDS:
         pts = find_classical_points(model)[0]
     else:
         pts = []

@@ -43,8 +43,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Mapping, Sequence
 
-from .algebra import (CurvedAlgebra, Morphism, algebra_as_bundle, invert_linear_op,
-                      linear_apply, op_matrix, op_precompose_linear, op_then)
+from .algebra import (CurvedAlgebra, invert_linear_op, linear_apply, op_matrix,
+                      op_precompose_linear, op_then)
 from .graded import (BasisBuilder, BasisKey, GradedSpace, MultiOp, OpFamily, Vector,
                      arity_bound, bullet_op, koszul_sign, op_nilpotency_order,
                      sort_keys_with_sign, unshuffle_sign, vec_add_into)
@@ -116,34 +116,11 @@ class Contraction:
                    h_space: GradedSpace, iota: MultiOp) -> "Contraction":
         """Build the retract with a caller-chosen basis.
 
-        iota's columns must span the image of 1 - [delta, eta] exactly; the
-        projection is solved from that basis and everything is validated.
-        """
-        return Contraction._from_projector(space, delta, eta,
-                                           _checked_projector(space, delta, eta),
-                                           h_space, iota)
-
-    @staticmethod
-    def from_maps(space: GradedSpace, delta: MultiOp, eta: MultiOp,
-                  h_space: GradedSpace, iota: MultiOp, pi: MultiOp) -> "Contraction":
-        """Build the retract from a known inclusion and projection.
-
-        Nothing is solved: the projector is checked and built from
-        (delta, eta) as for the other constructor, `validate` proves the
-        supplied pair right, and, pi being given rather than solved,
-        iota pi = 1 - [delta, eta] is checked here.
+        iota's columns must span the image of 1 - [delta, eta] exactly; pi
+        is solved from iota pi = 1 - [delta, eta] degree by degree and
+        everything is validated.
         """
         proj = _checked_projector(space, delta, eta)
-        con = Contraction._assembled(space, delta, eta, proj, h_space, iota, pi)
-        if iota.compose_linear(pi) != proj:
-            raise ValueError("iota pi != 1 - [delta, eta]")
-        return con
-
-    @staticmethod
-    def _from_projector(space: GradedSpace, delta: MultiOp, eta: MultiOp,
-                        proj: MultiOp, h_space: GradedSpace,
-                        iota: MultiOp) -> "Contraction":
-        """Solve pi from iota pi = proj degree by degree, then assemble."""
         if iota.arity != 1 or iota.degree != 0:
             raise ValueError("inclusion must be arity 1, degree 0")
         pi_coeffs = {}
@@ -162,6 +139,22 @@ class Contraction:
                     pi_coeffs[((d, idx),)] = out
         pi = MultiOp(1, 0, space, h_space, pi_coeffs)
         return Contraction._assembled(space, delta, eta, proj, h_space, iota, pi)
+
+    @staticmethod
+    def from_maps(space: GradedSpace, delta: MultiOp, eta: MultiOp,
+                  h_space: GradedSpace, iota: MultiOp, pi: MultiOp) -> "Contraction":
+        """Build the retract from a known inclusion and projection.
+
+        Nothing is solved: the projector is checked and built from
+        (delta, eta) as for the other constructor, `validate` proves the
+        supplied pair right, and, pi being given rather than solved,
+        iota pi = 1 - [delta, eta] is checked here.
+        """
+        proj = _checked_projector(space, delta, eta)
+        con = Contraction._assembled(space, delta, eta, proj, h_space, iota, pi)
+        if iota.compose_linear(pi) != proj:
+            raise ValueError("iota pi != 1 - [delta, eta]")
+        return con
 
     @staticmethod
     def _assembled(space: GradedSpace, delta: MultiOp, eta: MultiOp,
@@ -205,10 +198,6 @@ class TransferResult:
     contraction: Contraction
     phi: OpFamily            # H -> ambient, degree 0
     algebra: CurvedAlgebra   # transferred structure on H
-
-    def inclusion_morphism(self, ambient: CurvedAlgebra) -> Morphism:
-        return Morphism(algebra_as_bundle(self.algebra), algebra_as_bundle(ambient),
-                        (), self.phi)
 
 
 def _curvature_on_h(con: Contraction, lam: OpFamily) -> MultiOp:

@@ -36,7 +36,9 @@ back anew.  `build_contraction` derives a contraction from
 image as H.  The instance generators that only the tests draw from close
 the file: arity-1 perturbations of a contraction (drawn until eta lam_1
 is nilpotent) and affine embeddings (drawn until the linear part has full
-rank).
+rank).  Three small constructions that only the tests take sit with the
+fixture bundles: the identity morphism, a bundle specialized at a point,
+and the inclusion morphism of a transfer.
 """
 
 from __future__ import annotations
@@ -48,7 +50,9 @@ from itertools import combinations, combinations_with_replacement, permutations
 from math import factorial, gcd
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from linfty.algebra import CurvedAlgebra, LinftyBundle, linear_apply, op_then, plain_bundle
+from linfty.algebra import (CurvedAlgebra, LinftyBundle, Morphism, algebra_as_bundle,
+                            linear_apply, map_family_coeffs, map_op_coeffs, op_then,
+                            plain_bundle)
 from linfty.geometry import shifted_tangent_data
 from linfty.graded import (BasisKey, GradedSpace, MultiOp, OpFamily, Vector, arity_bound,
                            bullet, circ, koszul_sign, op_nilpotency_order, unshuffle_sign,
@@ -516,6 +520,29 @@ def amp2_bundle() -> LinftyBundle:
                                         ((1, 1),): {(2, 0): Poly.constant(1)}})
     return LinftyBundle(("x1", "x2"), fiber, MultiOp.zero(1, 1, fiber, fiber),
                         OpFamily(1, fiber, fiber, {0: lam0, 1: lam1}))
+
+
+def identity_morphism(bundle: LinftyBundle) -> Morphism:
+    base = tuple(Poly.variable(c) for c in bundle.coords)
+    return Morphism(bundle, bundle, base, OpFamily.identity(bundle.fiber))
+
+
+def at_point(bundle: LinftyBundle, point: Sequence[Rat]) -> CurvedAlgebra:
+    """The bundle with every coefficient evaluated at a rational base point."""
+    if len(point) != bundle.base_dim:
+        raise ValueError(f"expected {bundle.base_dim} coordinates, got {len(point)}")
+    values = {name: as_rational(v) for name, v in zip(bundle.coords, point)}
+
+    def fn(c):
+        return c.eval(values) if isinstance(c, Poly) else as_rational(c)
+
+    return CurvedAlgebra(bundle.fiber, map_op_coeffs(bundle.delta, fn),
+                         map_family_coeffs(bundle.ops, fn))
+
+
+def inclusion_morphism(res: TransferResult, ambient: CurvedAlgebra) -> Morphism:
+    """The transfer's phi as a morphism from the transferred structure."""
+    return Morphism(algebra_as_bundle(res.algebra), algebra_as_bundle(ambient), (), res.phi)
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,13 @@ import random
 import time
 from fractions import Fraction
 
-from oracles import (PathSection, amp2_bundle, circle_bundle, path_delta, path_eta,
-                     perturbation_check, pi_con, pi_lin, projection_phi1, pullback,
-                     random_affine_images, random_perturbation_instance, square_bundle,
-                     transferred_mu0, transferred_mu1, transferred_phi1)
+from oracles import (PathSection, amp2_bundle, circle_bundle, identity_morphism,
+                     inclusion_morphism, path_delta, path_eta, perturbation_check, pi_con,
+                     pi_lin, projection_phi1, pullback, random_affine_images,
+                     random_perturbation_instance, square_bundle, transferred_mu0,
+                     transferred_mu1, transferred_phi1)
 
-from linfty.algebra import (CurvedAlgebra, Morphism, check_mc, check_morphism,
-                            identity_morphism, plain_bundle)
+from linfty.algebra import CurvedAlgebra, Morphism, check_mc, check_morphism, plain_bundle
 from linfty.geometry import is_weak_equivalence, shifted_tangent, virtual_dimension
 from linfty.graded import GradedSpace, MultiOp, OpFamily, bullet
 from linfty.modelio import (algebra_to_json, bundle_from_json, bundle_to_json,
@@ -106,7 +106,7 @@ def test_c02_transfer_theorem_suite():
     for con, lam, res in transfer_instances():
         assert check_mc(res.algebra).ok
         ambient = CurvedAlgebra(con.space, con.delta, lam)
-        assert check_morphism(res.inclusion_morphism(ambient)).ok
+        assert check_morphism(inclusion_morphism(res, ambient)).ok
 
         proj = projection_morphism(con, lam)
         assert bullet(proj, res.phi) == OpFamily.identity(con.h_space)

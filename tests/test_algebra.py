@@ -4,23 +4,23 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import amp2_bundle, circle_bundle, square_bundle
+from oracles import amp2_bundle, at_point, circle_bundle, identity_morphism, square_bundle
 
 from linfty import algebra as algebra_module
 from linfty import geometry
 from linfty.algebra import (CurvedAlgebra, LinftyBundle, Morphism,
                             algebra_as_bundle, check_mc, check_morphism,
-                            compose, identity_morphism, invert_iso,
-                            invert_linear_op, linearize_fibration,
-                            op_matrix, plain_bundle, product_bundle,
-                            product_projection, same_morphism,
-                            transport_source, transport_target)
+                            compose, invert_family, invert_linear_op,
+                            linearize_fibration, op_matrix, plain_bundle,
+                            product_bundle, product_projection, same_morphism,
+                            transport_source)
 from linfty.graded import GradedSpace, MultiOp, OpFamily, bullet, circ
 from linfty.geometry import pullback_fibration, virtual_dimension
 from linfty.pathspace import derived_path_space
 from linfty.poly import Poly
 from linfty.samples import (break_algebra, random_bundle, random_formal_iso,
-                            random_mc_algebra, random_morphism_onto)
+                            random_invertible, random_mc_algebra,
+                            random_morphism_onto)
 
 x = Poly.variable("x")
 
@@ -159,10 +159,10 @@ def test_bundle_rejects_nonpositive_fiber():
 
 
 def test_at_point_specializes_coefficients():
-    alg = square_bundle().at_point((3,))
+    alg = at_point(square_bundle(), (3,))
     assert alg.ops.op(0).coeffs[()] == {(1, 0): Fraction(9)}
     with pytest.raises(ValueError):
-        square_bundle().at_point((1, 2))
+        at_point(square_bundle(), (1, 2))
     # the same rule on one degree block of an arity-1 operation: a constant
     # Poly is its constant, any other Poly needs a point first
     fiber = square_bundle().fiber
@@ -180,7 +180,7 @@ def test_structure_equation_survives_specialization():
         b = random_bundle(rng, ("x", "y"))
         assert check_mc(b.as_algebra()).ok
         pt = (Fraction(rng.randint(-2, 2)), Fraction(rng.randint(-2, 2)))
-        assert check_mc(b.at_point(pt)).ok
+        assert check_mc(at_point(b, pt)).ok
 
 
 def test_rename_coords_round_trip():
@@ -273,12 +273,11 @@ def test_composite_of_morphisms_is_a_morphism():
     assert check_morphism(compose(g, f)).ok
 
 
-# -- isomorphism inversion ---------------------------------------------------------
+# -- inversion of formal families ----------------------------------------------------
 
 def test_invert_identity():
-    b = square_bundle()
-    inv = invert_iso(identity_morphism(b))
-    assert inv.phi == OpFamily.identity(b.fiber)
+    ident = OpFamily.identity(square_bundle().fiber)
+    assert invert_family(ident) == ident
 
 
 def test_invert_scaling():
@@ -292,54 +291,80 @@ def test_invert_scaling():
     m = Morphism(b, dst, (Poly.variable("x"),),
                  OpFamily(0, fiber, fiber, {1: phi1}))
     assert check_morphism(m).ok
-    inv = invert_iso(m)
-    assert inv.phi.op(1) == MultiOp.identity(fiber).scaled(Fraction(1, 2))
-    assert check_morphism(inv).ok
+    psi = invert_family(m.phi)
+    assert psi.op(1) == MultiOp.identity(fiber).scaled(Fraction(1, 2))
+    assert check_morphism(Morphism(dst, b, (Poly.variable("x"),), psi)).ok
 
 
-def test_invert_affine_base_map():
-    b = square_bundle()
-    dst = b.map_coeffs(lambda c: c.substitute({"x": 2 * Poly.variable("x")
-                                               - Poly.constant(1)})
-                       if isinstance(c, Poly) else c)
-    m = Morphism(dst, b, (2 * Poly.variable("x") - Poly.constant(1),),
-                 OpFamily.identity(b.fiber))
-    assert check_morphism(m).ok
-    inv = invert_iso(m)
-    assert inv.base_map[0] == Fraction(1, 2) * Poly.variable("x") + Fraction(1, 2)
-    assert check_morphism(inv).ok
-
-
-def test_invert_iso_flips_quadratic_correction_sign():
+def test_invert_family_flips_quadratic_correction_sign():
     rng = random.Random(3)
-    sp = GradedSpace.build({1: 2, 2: 1})
     alg = random_mc_algebra(rng, amplitude=2, max_dim=2)
     sp = alg.space
     src = algebra_as_bundle(alg)
-    psi = random_formal_iso(rng, sp, max_arity=2)
-    # keep the linear part the identity so psi_2 inverts by a plain sign flip
-    psi = OpFamily(0, sp, sp, {1: MultiOp.identity(sp), 2: psi.op(2)})
-    moved = transport_target(psi, src.total())
-    dst_ops = {k: op for k, op in moved.ops.items() if not op.is_zero()}
+    phi = random_formal_iso(rng, sp, max_arity=2)
+    # keep the linear part the identity so phi_2 inverts by a plain sign flip
+    phi = OpFamily(0, sp, sp, {1: MultiOp.identity(sp), 2: phi.op(2)})
+    psi = invert_family(phi)
+    assert psi.op(2) == phi.op(2).scaled(-1)
+    moved = transport_source(psi, src.total())
     dst = LinftyBundle((), sp, MultiOp.zero(1, 1, sp, sp),
-                       OpFamily(1, sp, sp, dst_ops))
-    m = Morphism(src, dst, (), psi)
-    assert check_morphism(m).ok
-    inv = invert_iso(m)
-    assert inv.phi.op(2) == psi.op(2).scaled(-1)
-    comp = compose(inv, m)
-    assert comp.phi == OpFamily.identity(sp)
+                       OpFamily(1, sp, sp, dict(moved.ops)))
+    m = Morphism(src, dst, (), phi)
+    inv = Morphism(dst, src, (), psi)
+    assert check_morphism(m).ok and check_morphism(inv).ok
+    assert compose(inv, m).phi == OpFamily.identity(sp)
+    assert compose(m, inv).phi == OpFamily.identity(sp)
 
 
 def test_invert_rejects_singular_linear_part():
     b = square_bundle()
     zero_phi = OpFamily(0, b.fiber, b.fiber,
                         {1: MultiOp.zero(1, 0, b.fiber, b.fiber)})
-    m = Morphism(b, b, (Poly.variable("x"),), zero_phi)
-    with pytest.raises(ValueError):
-        invert_iso(m)
+    with pytest.raises(ValueError, match="singular"):
+        invert_family(zero_phi)
     with pytest.raises(ValueError):
         invert_linear_op(zero_phi.op(1))
+
+
+def seeded_isos():
+    """(structure, iso onto its space) at amplitude 2-5: the structure is a
+    flat curved algebra, the iso a random invertible linear part followed
+    by sparse terms up to arity 3, with constant coefficients and with
+    polynomial ones in x, y above arity 1."""
+    rng = random.Random(29)
+    for amplitude in (2, 3, 4, 5):
+        for poly_vars in ((), ("x", "y")):
+            alg = random_mc_algebra(rng, amplitude=amplitude, max_dim=2)
+            sp = alg.space
+            lin = OpFamily(0, sp, sp, {1: random_invertible(rng, sp)})
+            terms = random_formal_iso(rng, sp, max_arity=3, poly_vars=poly_vars,
+                                      coeff_degree=1)
+            yield alg.total(), bullet(terms, lin)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_invert_family_is_two_sided(n):
+    _, phi = list(seeded_isos())[n]
+    psi = invert_family(phi)
+    ident = OpFamily.identity(phi.source)
+    assert bullet(phi, psi) == ident and bullet(psi, phi) == ident
+    assert invert_family(psi) == phi
+
+
+def test_invert_family_draws_have_polynomial_higher_terms():
+    draws = list(seeded_isos())
+    assert {phi.source.max_degree for _, phi in draws} == {2, 3, 4, 5}
+    assert any(isinstance(c, Poly) for _, phi in draws for n, op in phi.ops.items()
+               if n >= 2 for vec in op.coeffs.values() for c in vec.values())
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_transport_is_conjugation_and_round_trips(n):
+    ell, psi = list(seeded_isos())[n]
+    moved = transport_source(psi, ell)
+    assert circ(psi, moved) == bullet(ell, psi)
+    assert circ(moved, moved).is_zero()
+    assert transport_source(invert_family(psi), moved) == ell
 
 
 # -- structure transport -------------------------------------------------------------
@@ -349,8 +374,7 @@ def test_transport_round_trip():
     alg = random_mc_algebra(rng, amplitude=3, max_dim=3)
     psi = random_formal_iso(rng, alg.space, max_arity=3)
     moved = transport_source(psi, alg.total())
-    back = transport_target(psi, moved)
-    assert back == alg.total()
+    assert transport_source(invert_family(psi), moved) == alg.total()
 
 
 def test_transport_worked_example():
@@ -369,7 +393,7 @@ def test_transport_worked_example():
     assert circ(psi, moved) == bullet(ell, psi)
     assert check_mc(CurvedAlgebra(sp, MultiOp.zero(1, 1, sp, sp),
                                   OpFamily(1, sp, sp, dict(moved.ops)))).ok
-    assert transport_target(psi, moved) == ell
+    assert transport_source(invert_family(psi), moved) == ell
 
 
 # -- fibration splitting ---------------------------------------------------------------
@@ -382,7 +406,7 @@ def test_linearize_projection_fibration():
     m = product_projection(prod, a, first=True)
     assert check_morphism(m).ok
     lf = linearize_fibration(m)
-    assert check_mc(lf.middle.as_algebra()).ok
+    assert check_mc(lf.iso.dst.as_algebra()).ok
     assert check_morphism(lf.iso).ok
     assert check_morphism(lf.linear).ok
     # strictness: the linear leg is arity-1 only with constant coefficients
@@ -392,7 +416,7 @@ def test_linearize_projection_fibration():
     # the projection keeps a copy of a's fiber and drops the kernel
     kept = {k for (k,) in lf.linear.phi.op(1).coeffs}
     for d in prod.fiber.degrees():
-        assert lf.middle.fiber.dim(d) == prod.fiber.dim(d)
+        assert lf.iso.dst.fiber.dim(d) == prod.fiber.dim(d)
         assert sum(k[0] == d for k in kept) == a.fiber.dim(d)
 
 
@@ -431,13 +455,13 @@ def refuse(name):
 def test_coordinate_projection_is_straightened_by_relabelling(name, monkeypatch):
     """A coordinate projection needs no straightening: its pullback sends
     each key to the source key it relabels, and neither linearize_fibration
-    nor invert_iso runs (as geometry binds them).  The bundle and both
+    (as geometry binds it) nor invert_family runs.  The bundle and both
     projections equal those of the straightened route, which pulls back
     the projection of linearize_fibration and composes the inverse iso."""
     m = PROJECTIONS[name]()
     other = identity_morphism(m.dst)
-    for fn in ("linearize_fibration", "invert_iso"):
-        monkeypatch.setattr(geometry, fn, refuse(fn))
+    monkeypatch.setattr(geometry, "linearize_fibration", refuse("linearize_fibration"))
+    monkeypatch.setattr(algebra_module, "invert_family", refuse("invert_family"))
     res = pullback_fibration(m, other)
     monkeypatch.undo()
     assert virtual_dimension(res.bundle) == virtual_dimension(m.src)
@@ -445,7 +469,7 @@ def test_coordinate_projection_is_straightened_by_relabelling(name, monkeypatch)
     straight = pullback_fibration(lin.linear, other)
     assert res.bundle == straight.bundle
     assert same_morphism(res.to_fibration_source,
-                         compose(invert_iso(lin.iso), straight.to_fibration_source))
+                         compose(lin.inverse, straight.to_fibration_source))
     assert same_morphism(res.to_other_source, straight.to_other_source)
 
 
@@ -502,24 +526,32 @@ def near_projection(kind):
 def test_near_projection_takes_the_general_path(kind, monkeypatch):
     m = near_projection(kind)
     calls = []
-    real = algebra_module.transport_target
-    monkeypatch.setattr(algebra_module, "transport_target",
-                        lambda *a: calls.append(1) or real(*a))
+    real = algebra_module.invert_family
+    monkeypatch.setattr(algebra_module, "invert_family",
+                        lambda phi: calls.append(1) or real(phi))
     lin = linearize_fibration(m)
     assert calls == [1]
     assert check_morphism(lin.iso).ok and check_morphism(lin.linear).ok
+    assert check_morphism(lin.inverse).ok
     assert same_morphism(compose(lin.linear, lin.iso), m)
+    assert same_morphism(compose(lin.inverse, lin.iso), identity_morphism(m.src))
+    assert same_morphism(compose(lin.iso, lin.inverse), identity_morphism(lin.iso.dst))
 
 
 @pytest.mark.parametrize("kind", ["coefficient 2", "target hit twice", "arity 2"])
 def test_near_projection_is_straightened_inside_the_pullback(kind, monkeypatch):
+    """The straightening runs once and solves the inverse of its iso once;
+    the pullback composes that inverse rather than solving it again."""
     m = near_projection(kind)
     calls = []
     real = geometry.linearize_fibration
     monkeypatch.setattr(geometry, "linearize_fibration",
-                        lambda f: calls.append(1) or real(f))
+                        lambda f: calls.append("straighten") or real(f))
+    real_inverse = algebra_module.invert_family
+    monkeypatch.setattr(algebra_module, "invert_family",
+                        lambda phi: calls.append("invert") or real_inverse(phi))
     res = pullback_fibration(m, identity_morphism(m.dst))
-    assert calls == [1]
+    assert calls == ["straighten", "invert"]
     assert check_mc(res.bundle.as_algebra()).ok
     assert check_morphism(res.to_fibration_source).ok
     assert check_morphism(res.to_other_source).ok

@@ -8,10 +8,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from oracles import build_contraction, section_bundle, square_bundle
+from oracles import build_contraction, identity_morphism, section_bundle, square_bundle
 
 from linfty import cli
-from linfty.algebra import LinftyBundle, Morphism, identity_morphism, plain_bundle
+from linfty.algebra import LinftyBundle, Morphism, plain_bundle
 from linfty.cli import build_parser, main, parse_poly_expr
 from linfty.graded import GradedSpace, MultiOp, OpFamily
 from linfty.modelio import (ModelFormatError, bundle_to_json,

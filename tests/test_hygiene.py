@@ -1,12 +1,14 @@
 """Source hygiene: every name a module of `linfty`, the tests or the
 scripts imports is used there, every import in `linfty` sits at module
-level, every public name a module defines has a user outside the test
-suite, every parameter with a default is passed by some caller outside
-the test suite, only `poly.py` builds a Poly unchecked, only `graded.py`
-builds a MultiOp unchecked and the exact modules have no floating point."""
+level, every public name a module defines and every public method of its
+classes has a user outside the test suite, every parameter with a default
+is passed by some caller outside the test suite, only `poly.py` builds a
+Poly unchecked, only `graded.py` builds a MultiOp unchecked and the exact
+modules have no floating point."""
 
 import ast
 import io
+import re
 import tokenize
 from collections import Counter
 from pathlib import Path
@@ -182,6 +184,81 @@ def test_the_scan_does_not_count_attributes_or_headers():
     assert names_without_users([module], [module, script]) == ["Shadow", "staged"]
 
 
+def non_test_trees() -> tuple[list[ast.Module], list[str]]:
+    """The parsed files of src/, scripts/ and perfbench/, and the names of
+    the perfbench files that do not parse."""
+    trees = [ast.parse(p.read_text()) for d in ("src", "scripts")
+             for p in sorted((ROOT / d).rglob("*.py"))]
+    unparsed = []
+    for p in sorted((ROOT / "perfbench").glob("*.py")):
+        try:
+            trees.append(ast.parse(p.read_text()))
+        except SyntaxError:
+            unparsed.append(p.name)
+    return trees, unparsed
+
+
+def public_methods(tree: ast.Module) -> list[str]:
+    """Public methods and properties of the classes a module defines;
+    dunders and other private names are left out."""
+    return [item.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+            for item in node.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not item.name.startswith("_")]
+
+
+DOTTED_PATH = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+")
+
+
+def methods_without_readers(modules: list[ast.Module], users: list[ast.Module]) -> list[str]:
+    """Public methods of `modules` that no file of `users` reads as an
+    attribute: `x.name` in code, or a part after the first of a string
+    that is one dotted path, as perfbench/layers.py names what it hooks.
+    Storing to an attribute of that name is not a read."""
+    read = set()
+    for tree in users:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and DOTTED_PATH.fullmatch(node.value)):
+                read.update(node.value.split(".")[1:])
+    return sorted({name for tree in modules for name in public_methods(tree)} - read)
+
+
+def test_every_public_method_is_read_outside_the_tests():
+    modules = [ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))]
+    users, _ = non_test_trees()
+    unread = methods_without_readers(modules, users)
+    assert not unread, (f"public methods read only by tests (make them functions in "
+                        f"tests/oracles.py or delete them): {unread}")
+
+
+def test_the_scan_finds_a_method_no_one_reads():
+    module = ast.parse("class Report:\n"
+                       "    def describe(self):\n"
+                       "        return self.summary()\n"
+                       "    def summary(self):\n"
+                       "        return ''\n"
+                       "    @property\n"
+                       "    def size(self):\n"
+                       "        return 0\n"
+                       "    def hooked(self):\n"
+                       "        return 1\n"
+                       "    def unread(self):\n"
+                       "        return 2\n"
+                       "    def __eq__(self, other):\n"
+                       "        return True\n"
+                       "    def _cached(self):\n"
+                       "        return 3\n")
+    caller = ast.parse("r = Report()\n"
+                       "r.describe()\n"
+                       "r.size = 4\n"
+                       "HOOKED = {'mod.Report.hooked'}\n"
+                       "print('call r.unread() for details')\n")
+    assert methods_without_readers([module], [module, caller]) == ["size", "unread"]
+
+
 def defaulted_parameters(tree: ast.Module) -> list[tuple[str, str, int | None]]:
     """(callee name, parameter, positional index at a call) of every
     parameter with a default on a function or method the module defines.
@@ -241,14 +318,7 @@ def test_every_defaulted_parameter_is_passed_outside_the_tests():
     # `max_total_degree`, which src/ passes too
     modules = [ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))
                if p.name != "samples.py"]
-    users = [ast.parse(p.read_text()) for d in ("src", "scripts")
-             for p in sorted((ROOT / d).rglob("*.py"))]
-    unparsed = []
-    for p in sorted((ROOT / "perfbench").glob("*.py")):
-        try:
-            users.append(ast.parse(p.read_text()))
-        except SyntaxError:
-            unparsed.append(p.name)
+    users, unparsed = non_test_trees()
     assert unparsed == ["make_pool.py"], f"perfbench files that do not parse: {unparsed}"
     unused = parameters_no_call_passes(modules, users)
     assert not unused, f"options no caller outside the tests sets (drop them): {unused}"

@@ -4,10 +4,9 @@ import re
 from fractions import Fraction
 
 import pytest
-from oracles import build_contraction, square_bundle
+from oracles import build_contraction, identity_morphism, square_bundle
 
-from linfty.algebra import (LinftyBundle, Morphism, check_mc, identity_morphism,
-                            plain_bundle)
+from linfty.algebra import LinftyBundle, Morphism, check_mc, plain_bundle
 from linfty.geometry import shifted_tangent
 from linfty.graded import GradedSpace, MultiOp, OpFamily
 from linfty.modelio import (ModelFormatError, algebra_to_json, bundle_from_json,

@@ -13,9 +13,8 @@ from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
 import pytest
-from oracles import amp2_bundle, circle_bundle, square_bundle
+from oracles import amp2_bundle, circle_bundle, identity_morphism, square_bundle
 
-from linfty.algebra import identity_morphism
 from linfty.graded import GradedSpace, MultiOp
 from linfty.modelio import bundle_from_json, bundle_to_json, dumps
 from linfty.pathspace import derived_path_space, homotopy_fibered_product

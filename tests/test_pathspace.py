@@ -8,13 +8,13 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from oracles import (PathSection, amp2_bundle, bareiss_betti, circle_bundle,
-                     path_curved_structure, path_eta, path_perturbation_tabulated,
-                     path_space_manifold, pi_con, pi_lin, pullback, section_bundle,
-                     square_bundle)
+from oracles import (PathSection, amp2_bundle, at_point, bareiss_betti, circle_bundle,
+                     identity_morphism, path_curved_structure, path_eta,
+                     path_perturbation_tabulated, path_space_manifold, pi_con, pi_lin,
+                     pullback, section_bundle, square_bundle)
 
 from linfty.algebra import (LinftyBundle, Morphism, check_mc, check_morphism,
-                            identity_morphism, op_matrix, plain_bundle)
+                            op_matrix, plain_bundle)
 from linfty.cli import main
 from linfty.geometry import (CochainComplex, classical_point, find_classical_points,
                              is_weak_equivalence, shifted_tangent_data, tangent_complex,
@@ -96,7 +96,7 @@ def tangent_complex_through_total(bundle, point):
                 jac[r][j] = c.diff(name).eval(values)
     if any(any(row) for row in jac):
         diffs[0] = jac
-    ell1 = bundle.at_point(point.coords).total().op(1)
+    ell1 = at_point(bundle, point.coords).total().op(1)
     for d in bundle.fiber.degrees():
         m = op_matrix(ell1, d)
         if any(any(row) for row in m):
@@ -351,7 +351,7 @@ def test_square_unary_composite_from_first_principles(square_dps):
 
 def test_constant_path_reduces_to_the_doubled_curvature(square_dps):
     m = square_dps.model
-    at = square_dps.bundle.at_point((Fraction(1, 2), Fraction(1, 2)))
+    at = at_point(square_dps.bundle, (Fraction(1, 2), Fraction(1, 2)))
     cur = at.ops.op(0).coeffs[()]
     assert cur == {m.h_end[((1, 0), 0)]: Fraction(1, 4),
                    m.h_end[((1, 0), 1)]: Fraction(1, 4)}
@@ -691,13 +691,14 @@ def test_fibered_product_over_a_point_is_the_product():
 def test_fibered_products_straighten_by_relabelling(make, monkeypatch):
     """The path-space evaluation is a coordinate projection, so it is pulled
     back in place: it is neither straightened nor inverted, and nothing is
-    solved.  The names below are the straightening and its inverse as
-    geometry binds them, and the solvers as algebra binds them."""
+    solved.  The names below are the straightening as geometry binds it,
+    and the inverse of a formal family and the solvers as algebra binds
+    them."""
     b = make()
     f = identity_morphism(b)
-    for mod, name in ((geometry, "linearize_fibration"), (geometry, "invert_iso"),
-                      (algebra, "transport_target"), (algebra, "kernel_basis"),
-                      (algebra, "mat_inverse"), (linalg, "inverse")):
+    for mod, name in ((geometry, "linearize_fibration"), (algebra, "invert_family"),
+                      (algebra, "kernel_basis"), (algebra, "mat_inverse"),
+                      (linalg, "inverse")):
         def refuse(*args, name=name):
             raise AssertionError(f"{name} ran inside a fibered product")
         monkeypatch.setattr(mod, name, refuse)

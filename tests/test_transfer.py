@@ -4,8 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import (build_contraction, perturbation_check, projection_phi1,
-                     random_perturbation_instance, sym_homotopy_defect,
+from oracles import (build_contraction, inclusion_morphism, perturbation_check,
+                     projection_phi1, random_perturbation_instance, sym_homotopy_defect,
                      transfer_rebuild, transferred_mu0, transferred_mu1,
                      transferred_phi1)
 
@@ -211,7 +211,7 @@ def test_transferred_structure_is_mc_and_phi_is_a_morphism():
         ambient = res.contraction
         amb_alg = CurvedAlgebra(ambient.space, ambient.delta, lam)
         assert check_mc(amb_alg).ok
-        assert check_morphism(res.inclusion_morphism(amb_alg)).ok
+        assert check_morphism(inclusion_morphism(res, amb_alg)).ok
     reach.check()
 
 
