@@ -20,16 +20,18 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from operator import add
 
 from .algebra import (LinftyBundle, Morphism, _eval_coeff, check_mc,
-                      check_morphism, compose, linearize_fibration,
-                      map_op_coeffs, op_then, pullback_family, reindex_op,
-                      rename_source_clear_of, same_morphism)
-from .graded import BasisBuilder, GradedSpace, MultiOp, OpFamily, bullet
+                      check_morphism, compose, linearize_fibration, op_then,
+                      pullback_family, reindex_op, rename_source_clear_of,
+                      same_morphism)
+from .graded import (BasisBuilder, GradedSpace, MultiOp, OpFamily, _insertion_slots,
+                     bullet)
 from .linalg import kernel_basis, rank, right_inverse
 from .poly import Poly, _exact
 
@@ -218,30 +220,8 @@ def _curvature_rows(bundle: LinftyBundle) -> list[tuple[int, object]]:
     return rows
 
 
-def _curvature_column(bundle: LinftyBundle) -> _StagedMatrix:
-    return _StagedMatrix(bundle.fiber.dim(1), 1,
-                         [(r, 0, c) for r, c in _curvature_rows(bundle)], bundle.coords)
-
-
 def _residual(curvature: _StagedMatrix, at) -> int | Fraction:
     return max((abs(row[0]) for row in curvature.at(at)), default=0)
-
-
-def _certified(curvature: _StagedMatrix, coords, point) -> ClassicalPoint:
-    pt = _fractions(point)
-    resid = _residual(curvature, _ratios(coords, pt))
-    if resid > 0:
-        raise ValueError(f"curvature does not vanish there (residual {resid})")
-    return ClassicalPoint(pt)
-
-
-def curvature_residual(bundle: LinftyBundle, point) -> Fraction:
-    """Largest absolute curvature coefficient at the point."""
-    return _residual(_curvature_column(bundle), _ratios(bundle.coords, point))
-
-
-def classical_point(bundle: LinftyBundle, point) -> ClassicalPoint:
-    return _certified(_curvature_column(bundle), bundle.coords, point)
 
 
 class StagedTangent:
@@ -251,9 +231,9 @@ class StagedTangent:
     degree block of delta + ops_1 are staged when first needed, so a
     caller left with no point to check stages nothing.  A point then costs
     one exact evaluation of those kernels.  The module-level
-    tangent_complex stages for one point; a loop over points builds one
-    StagedTangent and calls its methods, as a compiled pattern serves
-    repeated matches.
+    classical_point and tangent_complex stage for one point; a loop over
+    points builds one StagedTangent and calls its methods, as a compiled
+    pattern serves repeated matches.
     """
 
     def __init__(self, bundle: LinftyBundle):
@@ -262,7 +242,9 @@ class StagedTangent:
 
     @cached_property
     def _curvature(self) -> _StagedMatrix:
-        return _curvature_column(self.bundle)
+        b = self.bundle
+        return _StagedMatrix(b.fiber.dim(1), 1, [(r, 0, c) for r, c in _curvature_rows(b)],
+                             b.coords)
 
     @cached_property
     def _diffs(self) -> dict[int, _StagedMatrix]:
@@ -284,7 +266,10 @@ class StagedTangent:
         key = _fractions(point)
         got = self._points.get(key)
         if got is None:
-            got = self._points[key] = _certified(self._curvature, self.bundle.coords, key)
+            resid = _residual(self._curvature, _ratios(self.bundle.coords, key))
+            if resid > 0:
+                raise ValueError(f"curvature does not vanish there (residual {resid})")
+            got = self._points[key] = ClassicalPoint(key)
         return got
 
     def tangent_complex(self, point: ClassicalPoint) -> CochainComplex:
@@ -304,6 +289,11 @@ class StagedTangent:
                 diffs[d] = m
         dims = {0: len(self.bundle.coords), **self.bundle.fiber.dims}
         return CochainComplex(dims, diffs)
+
+
+def classical_point(bundle: LinftyBundle, point) -> ClassicalPoint:
+    """One point checked (see StagedTangent.classical_point)."""
+    return StagedTangent(bundle).classical_point(point)
 
 
 def tangent_complex(bundle: LinftyBundle, point: ClassicalPoint) -> CochainComplex:
@@ -531,6 +521,14 @@ def shifted_tangent(bundle: LinftyBundle) -> LinftyBundle:
     factors annihilate.  The result is validated against the flatness of
     coordinate differentiation by check_mc downstream.
 
+    The operations are written from the nonzero entries I -> w of
+    ell = delta + ops, each reaching its tuples once: I -> w on the plain
+    copies; for each key v of I with rest R (graded._insertion_slots),
+    R with v dt in its sorted place -> w dt; and for each coordinate x_j,
+    (d x_j dt,) + I -> d_j w dt at one arity up, the shifted base keys
+    being the first of the space.  Each carries the sign below, and each
+    polynomial coefficient is differentiated once per coordinate.
+
     Sign rule.  Let the dt factor v dt sit at position p of the sorted
     tuple (x_1, .., x_k), with |v| = d, so its key has degree d + 1, and
     let S = |x_1| + .. + |x_{p-1}| and A = |x_{p+1}| + .. + |x_k|.  The
@@ -552,68 +550,39 @@ def shifted_tangent(bundle: LinftyBundle) -> LinftyBundle:
 
 def shifted_tangent_data(bundle: LinftyBundle) -> ShiftedTangentData:
     """shifted_tangent together with the basis-key dictionaries."""
-    m = len(bundle.coords)
     fib = bundle.fiber
-
     basis = BasisBuilder()
-    tm_key: dict[int, tuple] = {}
-    for j in range(m):
-        tm_key[j] = basis.push(1, f"d{bundle.coords[j]} dt", True)
-    ldt_key: dict[tuple, tuple] = {}
-    lpl_key: dict[tuple, tuple] = {}
-    for d in fib.degrees():
-        for i in range(fib.dims[d]):
-            ldt_key[(d, i)] = basis.push(d + 1, fib.labels[d][i] + " dt", True)
-    for d in fib.degrees():
-        for i in range(fib.dims[d]):
-            lpl_key[(d, i)] = basis.push(d, fib.labels[d][i], False)
-
+    tm_key = {j: basis.push(1, f"d{name} dt", True) for j, name in enumerate(bundle.coords)}
+    ldt_key = {(d, i): basis.push(d + 1, fib.labels[d][i] + " dt", True)
+               for d, i in fib.keys()}
+    lpl_key = {(d, i): basis.push(d, fib.labels[d][i], False) for d, i in fib.keys()}
     space = basis.build()
-    tm_inv = {v: j for j, v in tm_key.items()}
-    ldt_inv = {v: k for k, v in ldt_key.items()}
-    lpl_inv = {v: k for k, v in lpl_key.items()}
 
-    ell = bundle.total()
-    arities = sorted(k for k, op in ell.ops.items() if not op.is_zero())
-    top = (max(arities) + 1) if arities else 0
-
-    def value(tup):
-        dt_pos = [p for p, key in enumerate(tup) if space.is_dt(key)]
-        if len(dt_pos) > 1:
-            return {}
-        if not dt_pos:
-            inner = tuple(lpl_inv[key] for key in tup)
-            vec = ell.op(len(tup)).evaluate_basis(inner) if len(tup) in ell.ops else {}
-            return {lpl_key[k]: c for k, c in vec.items()}
-        p = dt_pos[0]
-        key = tup[p]
-        before = sum(k[0] for k in tup[:p])
-        after = sum(k[0] for k in tup[p + 1:])
-        sign = -1 if (after + (key[0] - 1) * before) % 2 else 1
-        rest = tuple(lpl_inv[tup[i]] for i in range(len(tup)) if i != p)
-        if key in ldt_inv:
-            k = len(tup)
-            if k not in ell.ops:
-                return {}
-            vec = ell.op(k).evaluate(
-                [{ldt_inv[key]: 1}] + [{r: 1} for r in rest])
-            return {ldt_key[q]: (c if sign > 0 else -c) for q, c in vec.items()}
-        j = tm_inv[key]
-        k = len(tup) - 1
-        if k not in ell.ops:
-            return {}
-        name = bundle.coords[j]
-        diffed = map_op_coeffs(
-            ell.op(k),
-            lambda c: c.diff(name) if isinstance(c, Poly) else 0)
-        vec = diffed.evaluate_basis(rest)
-        return {ldt_key[q]: (c if sign > 0 else -c) for q, c in vec.items()}
-
-    ops: dict[int, MultiOp] = {}
-    for k in range(top + 1):
-        op = MultiOp.from_function(k, 1, space, space, value)
-        if not op.is_zero():
-            ops[k] = op
+    entries: dict[int, dict[tuple, dict]] = {}
+    for k, op in bundle.total().ops.items():
+        same, longer = entries.setdefault(k, {}), entries.setdefault(k + 1, {})
+        for tup, w in op.coeffs.items():
+            lifted = tuple(lpl_key[x] for x in tup)
+            same[lifted] = {lpl_key[q]: c for q, c in w.items()}
+            odd = sum(x[0] for x in tup) % 2
+            for j, name in enumerate(bundle.coords):
+                vec = {ldt_key[q]: -dc if odd else dc for q, c in w.items()
+                       if isinstance(c, Poly) for dc in (c.diff(name),) if dc}
+                if vec:
+                    longer[(tm_key[j],) + lifted] = vec
+        # sigma moves v to the front of its entry; the sign rule adds (-1)^(A + |v| S)
+        for v, items in _insertion_slots(op).items():
+            for rest, sigma, w, *_ in items:
+                lifted = tuple(lpl_key[x] for x in rest)
+                p = bisect(lifted, ldt_key[v])
+                before = sum(x[0] for x in rest[:p])
+                after = sum(x[0] for x in rest[p:])
+                if (after + v[0] * before) % 2:
+                    sigma = -sigma
+                same[lifted[:p] + (ldt_key[v],) + lifted[p:]] = {
+                    ldt_key[q]: c if sigma > 0 else -c for q, c in w.items()}
+    ops = {n: MultiOp(n, 1, space, space, {t: got[t] for t in sorted(got)})
+           for n, got in sorted(entries.items())}
     return ShiftedTangentData(space, OpFamily(1, space, space, ops),
                               tm_key, ldt_key, lpl_key)
 
@@ -859,13 +828,13 @@ def find_classical_points(bundle: LinftyBundle
     integer kernel (Poly.staged), so every step's floats are the exact
     values at the float iterate, correctly rounded.  Converged numerical
     zeros are deduplicated; candidates close to small rationals are
-    verified exactly and promoted to ClassicalPoint, the rest are reported
-    as floats.
+    verified exactly with the same curvature kernels (every numerator
+    zero at the candidate's ratios) and promoted to ClassicalPoint, the
+    rest are reported as floats.
     """
     m = len(bundle.coords)
     if m == 0:
-        return ([ClassicalPoint(())] if curvature_residual(bundle, ()) == 0
-                else []), []
+        return ([] if bundle.curvature_section() else [ClassicalPoint(())]), []
     if m > MAX_SEARCH_COORDS:
         raise ValueError("point search supports at most three coordinates")
     comps = [c if isinstance(c, Poly) else Poly.constant(c)
@@ -902,17 +871,17 @@ def find_classical_points(bundle: LinftyBundle
     seen: set[tuple[Fraction, ...]] = set()
     loose: list[tuple[float, ...]] = []
     for pt in sorted(found):
-        promoted = False
         for cap in (1, 2, 8, 64, 1000):
             cand = tuple(Fraction(v).limit_denominator(cap) for v in pt)
-            if (max(abs(float(c) - v) for c, v in zip(cand, pt)) <= _SNAP_RADIUS
-                    and curvature_residual(bundle, cand) == 0):
+            if max(abs(float(c) - v) for c, v in zip(cand, pt)) > _SNAP_RADIUS:
+                continue
+            at = [c.as_integer_ratio() for c in cand]
+            if not any(kernel(at)[0] for kernel in f_kernels):
                 if cand not in seen:
                     seen.add(cand)
                     exact.append(ClassicalPoint(cand))
-                promoted = True
                 break
-        if not promoted:
+        else:
             loose.append(pt)
     return exact, loose
 

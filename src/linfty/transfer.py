@@ -109,7 +109,6 @@ class Contraction:
     iota: MultiOp
     pi: MultiOp
     delta_h: MultiOp
-    projector: MultiOp       # 1 - [delta, eta], equal to iota pi
 
     @staticmethod
     def from_basis(space: GradedSpace, delta: MultiOp, eta: MultiOp,
@@ -138,7 +137,7 @@ class Contraction:
                 if out:
                     pi_coeffs[((d, idx),)] = out
         pi = MultiOp(1, 0, space, h_space, pi_coeffs)
-        return Contraction._assembled(space, delta, eta, proj, h_space, iota, pi)
+        return Contraction._assembled(space, delta, eta, h_space, iota, pi)
 
     @staticmethod
     def from_maps(space: GradedSpace, delta: MultiOp, eta: MultiOp,
@@ -151,15 +150,14 @@ class Contraction:
         iota pi = 1 - [delta, eta] is checked here.
         """
         proj = _checked_projector(space, delta, eta)
-        con = Contraction._assembled(space, delta, eta, proj, h_space, iota, pi)
+        con = Contraction._assembled(space, delta, eta, h_space, iota, pi)
         if iota.compose_linear(pi) != proj:
             raise ValueError("iota pi != 1 - [delta, eta]")
         return con
 
     @staticmethod
     def _assembled(space: GradedSpace, delta: MultiOp, eta: MultiOp,
-                   proj: MultiOp, h_space: GradedSpace, iota: MultiOp,
-                   pi: MultiOp) -> "Contraction":
+                   h_space: GradedSpace, iota: MultiOp, pi: MultiOp) -> "Contraction":
         """The one place a contraction is put together: the induced
         differential is pi delta iota, and `validate` checks it."""
         if iota.arity != 1 or iota.degree != 0:
@@ -167,7 +165,7 @@ class Contraction:
         if pi.arity != 1 or pi.degree != 0:
             raise ValueError("projection must be arity 1, degree 0")
         delta_h = pi.compose_linear(delta.compose_linear(iota))
-        con = Contraction(space, delta, eta, h_space, iota, pi, delta_h, proj)
+        con = Contraction(space, delta, eta, h_space, iota, pi, delta_h)
         con.validate()
         return con
 

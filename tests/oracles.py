@@ -28,7 +28,10 @@ t-polynomials (pullback along a(t) = p + t(q - p), delta = (-1)^d d/dt,
 eta = (-1)^d (int_0^t - t int_0^1), and the projections pi_lin onto the
 linear interpolation and pi_con onto the average, so that
 1 - (delta eta + eta delta) acts as pi_con on dt-sections and as pi_lin
-on plain sections).  `path_perturbation_tabulated` builds the path
+on plain sections).  `shifted_tangent_tabulated` builds the shifted
+tangent operations by evaluating ell on every canonical tuple of the
+shifted space, differentiating the whole operation for each tuple that
+holds a base direction.  `path_perturbation_tabulated` builds the path
 model's perturbation by evaluating the shifted tangent operations on
 every canonical tuple of the ambient space, pulling each coefficient
 back anew.  `build_contraction` derives a contraction from
@@ -53,10 +56,10 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from linfty.algebra import (CurvedAlgebra, LinftyBundle, Morphism, algebra_as_bundle,
                             linear_apply, map_family_coeffs, map_op_coeffs, op_then,
                             plain_bundle)
-from linfty.geometry import shifted_tangent_data
-from linfty.graded import (BasisKey, GradedSpace, MultiOp, OpFamily, Vector, arity_bound,
-                           bullet, circ, koszul_sign, op_nilpotency_order, unshuffle_sign,
-                           vec_add_into)
+from linfty.geometry import ShiftedTangentData, shifted_tangent_data
+from linfty.graded import (BasisBuilder, BasisKey, GradedSpace, MultiOp, OpFamily, Vector,
+                           arity_bound, bullet, circ, koszul_sign, op_nilpotency_order,
+                           unshuffle_sign, vec_add_into)
 from linfty.linalg import rank, rref
 from linfty.pathspace import (DerivedPathSpace, PathModel, _split_t, ambient_coord_names,
                               build_path_model, derived_path_space, path_perturbation)
@@ -669,6 +672,81 @@ def path_curved_structure(bundle: LinftyBundle, start, end) -> CurvedAlgebra:
     model = build_path_model(bundle)
     lam = path_perturbation(model, pvals, qvals)
     return CurvedAlgebra(model.space, model.delta, lam)
+
+
+def shifted_tangent_tabulated(bundle: LinftyBundle) -> ShiftedTangentData:
+    """shifted_tangent_data by tabulation over every canonical tuple.
+
+    Each tuple of the shifted space is mapped back to the original keys:
+    with no dt key ell is evaluated there, with one shifted fiber key ell
+    is evaluated with its underlying vector in front, and with one shifted
+    base key the whole operation is differentiated afresh and evaluated on
+    the rest; the sign rule of shifted_tangent applies to both dt cases.
+    """
+    m = len(bundle.coords)
+    fib = bundle.fiber
+
+    basis = BasisBuilder()
+    tm_key: dict[int, tuple] = {}
+    for j in range(m):
+        tm_key[j] = basis.push(1, f"d{bundle.coords[j]} dt", True)
+    ldt_key: dict[tuple, tuple] = {}
+    lpl_key: dict[tuple, tuple] = {}
+    for d in fib.degrees():
+        for i in range(fib.dims[d]):
+            ldt_key[(d, i)] = basis.push(d + 1, fib.labels[d][i] + " dt", True)
+    for d in fib.degrees():
+        for i in range(fib.dims[d]):
+            lpl_key[(d, i)] = basis.push(d, fib.labels[d][i], False)
+
+    space = basis.build()
+    tm_inv = {v: j for j, v in tm_key.items()}
+    ldt_inv = {v: k for k, v in ldt_key.items()}
+    lpl_inv = {v: k for k, v in lpl_key.items()}
+
+    ell = bundle.total()
+    arities = sorted(k for k, op in ell.ops.items() if not op.is_zero())
+    top = (max(arities) + 1) if arities else 0
+
+    def value(tup):
+        dt_pos = [p for p, key in enumerate(tup) if space.is_dt(key)]
+        if len(dt_pos) > 1:
+            return {}
+        if not dt_pos:
+            inner = tuple(lpl_inv[key] for key in tup)
+            vec = ell.op(len(tup)).evaluate_basis(inner) if len(tup) in ell.ops else {}
+            return {lpl_key[k]: c for k, c in vec.items()}
+        p = dt_pos[0]
+        key = tup[p]
+        before = sum(k[0] for k in tup[:p])
+        after = sum(k[0] for k in tup[p + 1:])
+        sign = -1 if (after + (key[0] - 1) * before) % 2 else 1
+        rest = tuple(lpl_inv[tup[i]] for i in range(len(tup)) if i != p)
+        if key in ldt_inv:
+            k = len(tup)
+            if k not in ell.ops:
+                return {}
+            vec = ell.op(k).evaluate(
+                [{ldt_inv[key]: 1}] + [{r: 1} for r in rest])
+            return {ldt_key[q]: (c if sign > 0 else -c) for q, c in vec.items()}
+        j = tm_inv[key]
+        k = len(tup) - 1
+        if k not in ell.ops:
+            return {}
+        name = bundle.coords[j]
+        diffed = map_op_coeffs(
+            ell.op(k),
+            lambda c: c.diff(name) if isinstance(c, Poly) else 0)
+        vec = diffed.evaluate_basis(rest)
+        return {ldt_key[q]: (c if sign > 0 else -c) for q, c in vec.items()}
+
+    ops: dict[int, MultiOp] = {}
+    for k in range(top + 1):
+        op = MultiOp.from_function(k, 1, space, space, value)
+        if not op.is_zero():
+            ops[k] = op
+    return ShiftedTangentData(space, OpFamily(1, space, space, ops),
+                              tm_key, ldt_key, lpl_key)
 
 
 def path_perturbation_tabulated(model: PathModel, pvals, qvals) -> OpFamily:

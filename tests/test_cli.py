@@ -487,6 +487,20 @@ def test_pool_path_model_job_gives_its_recorded_digest(job, monkeypatch, capsys)
     assert digest(out) == job["expect"]["digest"]
 
 
+@pytest.mark.parametrize("name, sha", [
+    ("square", "979772fc346bad312558f3069263dbf327ac884aa2e01a71327587b43cb94e13"),
+    ("circle", "b19e4deecf37569e40a96ed267d80664bc29645ec88686b925cbab9638c80329"),
+    ("amp2", "050feb25d95d0e227ecf34aae2794cb13ff8dda6c6ced04269acd9dd55ef04d3"),
+])
+def test_shifted_tangent_prints_its_recorded_bytes(name, sha, monkeypatch, capsys):
+    # the SHA-256 of the printed model as it was when the operations were
+    # tabulated over every canonical tuple
+    monkeypatch.chdir(ROOT)
+    code, out, _ = run(capsys, "shifted-tangent", f"perfbench/pool/polybase/{name}.json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha
+
+
 @pytest.mark.parametrize("job", POOL["certify"], ids=lambda j: j["id"])
 def test_pool_certify_job_gives_its_recorded_answer(job, monkeypatch, capsys):
     # check-axioms and check-morphism on the pool's models, a third of them damaged

@@ -1,20 +1,22 @@
 """Classical loci, tangent complexes, etale maps, fibrations, shifted tangents."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from oracles import bareiss_betti, eval_literal, identity_morphism, section_bundle
+from oracles import (amp2_bundle, bareiss_betti, circle_bundle, eval_literal,
+                     identity_morphism, section_bundle, shifted_tangent_tabulated)
 
+import linfty.graded
 from linfty import geometry
 from linfty.algebra import (LinftyBundle, Morphism, check_mc, check_morphism,
                             compose, linearize_fibration,
                             plain_bundle, product_bundle, product_projection)
 from linfty.geometry import (ClassicalPoint, CochainComplex, StagedTangentMap,
-                             classical_point, curvature_residual,
-                             find_classical_points, is_fibration,
+                             classical_point, find_classical_points, is_fibration,
                              is_weak_equivalence, mapping_cone,
-                             pullback_fibration, shifted_tangent,
+                             pullback_fibration, shifted_tangent, shifted_tangent_data,
                              tangent_complex, virtual_dimension)
 from linfty.graded import GradedSpace, MultiOp, OpFamily
 from linfty.linalg import kernel_basis
@@ -119,7 +121,8 @@ def test_mapping_cone_of_identity_is_acyclic():
 def test_classical_point_accepts_zeros_of_the_curvature():
     b = square_bundle()
     assert classical_point(b, (0,)).coords == (Fraction(0),)
-    assert curvature_residual(b, (2,)) == Fraction(4)
+    with pytest.raises(ValueError, match="residual 4"):
+        classical_point(b, (2,))
 
 
 def test_classical_point_rejects_other_points():
@@ -144,7 +147,7 @@ def test_find_classical_points_on_a_circle_returns_rational_hits_only():
     b = section_bundle(("x", "y"), (x ** 2 + y ** 2 - 1,))
     exact, _ = find_classical_points(b)
     for p in exact:
-        assert curvature_residual(b, p.coords) == 0
+        assert classical_point(b, p.coords) == p
 
 
 def test_near_repeats_are_dropped_as_by_the_pairwise_rule():
@@ -189,12 +192,10 @@ def test_find_classical_points_differentiates_each_component_once(monkeypatch):
 
 
 def test_find_classical_points_stages_each_polynomial_once(monkeypatch):
-    builds, checks, steps = [], [], []
-    staged, residual, step = Poly.staged, geometry.curvature_residual, geometry._least_squares_step
+    builds, steps = [], []
+    staged, step = Poly.staged, geometry._least_squares_step
     monkeypatch.setattr(Poly, "staged", lambda self, coords: builds.append(self)
                         or staged(self, coords))
-    monkeypatch.setattr(geometry, "curvature_residual", lambda b, pt: checks.append(pt)
-                        or residual(b, pt))
     monkeypatch.setattr(geometry, "_least_squares_step", lambda *a: steps.append(a)
                         or step(*a))
     b = section_bundle(("x", "y"), (x ** 2 + y ** 2 - 2 * x, x - y, x * y))
@@ -202,10 +203,8 @@ def test_find_classical_points_stages_each_polynomial_once(monkeypatch):
     assert exact == [ClassicalPoint((0, 0))]
     assert len(steps) > 49
     # one kernel per component and per Jacobian entry, however many Newton
-    # steps ran; the exact promotion evaluates each component once per
-    # candidate it checks
-    assert checks
-    assert len(builds) == 3 + 3 * 2 + 3 * len(checks)
+    # steps ran and however many candidates the exact promotion checks
+    assert len(builds) == 3 + 3 * 2
 
 
 
@@ -573,6 +572,91 @@ def test_shifted_tangent_is_flat_at_higher_amplitude(amplitude):
            if not check_mc(shifted_tangent(random_bundle(
                random.Random(s), ("x", "y"), amplitude=amplitude)).as_algebra()).ok]
     assert bad == []
+
+
+def shifted_tangent_draws():
+    """Four fixture bundles and 116 seeded draws.  Amplitude 5 is the least
+    at which an entry of ell repeats an even key: two degree-2 inputs
+    already land in degree 5."""
+    yield from (square_bundle(), circle_bundle(), amp2_bundle(), plain_bundle(("x", "y")))
+    for coords, amplitudes, seeds in ((("x", "y"), (2, 3), 40), (("x",), (4,), 10),
+                                      (("x", "y", "z"), (3, 4), 8), (("x", "y"), (5,), 10)):
+        for a in amplitudes:
+            for s in range(seeds):
+                yield random_bundle(random.Random(s), coords, amplitude=a)
+
+
+def shifted_tangent_terms(bundle, data):
+    """The kinds of term among data's entries that the construction writes
+    differently, each traced back to its entry of ell."""
+    ell = bundle.total()
+    base = set(data.base_dt.values())
+    dt = {v: k for k, v in data.fiber_dt.items()}
+    plain = {v: k for k, v in data.fiber_plain.items()}
+    if any(isinstance(c, Poly) for op in ell.ops.values()
+           for w in op.coeffs.values() for c in w.values()):
+        yield "Poly coefficient"
+    for n, op in data.ops.ops.items():
+        for tup, vec in op.coeffs.items():
+            if tup and tup[0] in base:
+                if n == 1:
+                    yield "curvature derivative"
+                if sum(k[0] for k in tup[1:]) % 2:
+                    yield "base dt after odd |S|"
+            for key in (k for k in tup if k in dt):
+                v, rest = dt[key], [plain[k] for k in tup if k != key]
+                w = ell.op(n).coeffs[tuple(sorted(rest + [v]))]
+                if vec == {data.fiber_dt[q]: -c for q, c in w.items()}:
+                    yield "fiber dt with its sign flipped"
+                if v in rest:
+                    yield "even key repeated in S"
+
+
+def test_shifted_tangent_is_the_tabulation():
+    """The operations written from ell's entries equal the tabulation over
+    every canonical tuple, tuples and output keys in the same order."""
+    def listed(data):
+        return [(n, [(tup, [(q, type(c), c) for q, c in vec.items()])
+                     for tup, vec in op.coeffs.items()])
+                for n, op in data.ops.ops.items()]
+
+    bundles = list(shifted_tangent_draws())
+    assert len(bundles) == 120
+    seen = Counter()
+    for b in bundles:
+        got, want = shifted_tangent_data(b), shifted_tangent_tabulated(b)
+        assert (got.space, got.base_dt, got.fiber_dt, got.fiber_plain) == (
+            want.space, want.base_dt, want.fiber_dt, want.fiber_plain)
+        assert listed(got) == listed(want)
+        seen.update(shifted_tangent_terms(b, got))
+    assert len(seen) == 5 and min(seen.values()) >= 5, seen
+
+
+def test_shifted_tangent_tabulates_no_canonical_tuple(monkeypatch):
+    bundles = [square_bundle(), amp2_bundle(),
+               random_bundle(random.Random(6), ("x", "y"), amplitude=5)]
+    want = [shifted_tangent_tabulated(b).ops for b in bundles]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the shifted tangent walked the canonical tuples")
+
+    monkeypatch.setattr(linfty.graded, "canonical_tuples", forbidden)
+    monkeypatch.setattr(linfty.graded.MultiOp, "from_function", classmethod(forbidden))
+    for b, ops in zip(bundles, want):
+        assert shifted_tangent_data(b).ops == ops
+
+
+def test_shifted_tangent_differentiates_each_coefficient_once_per_coordinate(monkeypatch):
+    calls = []
+    diff = Poly.diff
+    monkeypatch.setattr(Poly, "diff", lambda self, name: calls.append(name) or diff(self, name))
+    for b in (square_bundle(), amp2_bundle(),
+              random_bundle(random.Random(3), ("x", "y", "z"), amplitude=4)):
+        polys = sum(isinstance(c, Poly) for op in b.total().ops.values()
+                    for w in op.coeffs.values() for c in w.values())
+        calls.clear()
+        shifted_tangent_data(b)
+        assert polys and Counter(calls) == {name: polys for name in b.coords}
 
 
 def test_tangent_map_shapes():

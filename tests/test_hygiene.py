@@ -3,8 +3,9 @@ scripts imports is used there, every import in `linfty` sits at module
 level, every public name a module defines and every public method of its
 classes has a user outside the test suite, every parameter with a default
 is passed by some caller outside the test suite, only `poly.py` builds a
-Poly unchecked, only `graded.py` builds a MultiOp unchecked and the exact
-modules have no floating point."""
+Poly unchecked, only `graded.py` builds a MultiOp unchecked, only the
+listed functions tabulate a closure with `MultiOp.from_function` and the
+exact modules have no floating point."""
 
 import ast
 import io
@@ -379,6 +380,58 @@ def test_the_scan_finds_an_unchecked_multiop_construction():
              "transfer.py": "pi = MultiOp._from_clean(1, 0, space, h_space, coeffs)\n",
              "modelio.py": "op = MultiOp(arity, degree, space, space, coeffs)\n"}
     assert files_mentioning("_from_clean", files) == ["graded.py", "transfer.py"]
+
+
+# the functions that tabulate a closure over canonical tuples; every other
+# operation is written from entries
+FROM_FUNCTION_CALLERS = ["algebra.op_precompose_linear", "graded.bullet_op",
+                         "transfer.projection_morphism", "transfer.treeterm"]
+
+
+def from_function_callers(trees: dict[str, ast.Module]) -> list[str]:
+    """`module.function` for each function of the named modules whose body
+    calls a `from_function` attribute; a method is `module.Class.method`
+    and a nested function carries its enclosing names too."""
+    out = set()
+
+    def visit(node, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, path + [child.name])
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "from_function"):
+                out.add(".".join(path))
+            visit(child, path)
+
+    for name, tree in trees.items():
+        visit(tree, [name])
+    return sorted(out)
+
+
+def test_only_the_listed_functions_tabulate_closures():
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    callers = from_function_callers(trees)
+    assert callers == FROM_FUNCTION_CALLERS, (
+        f"MultiOp.from_function called from {callers}: write the operation from "
+        f"entries, or update FROM_FUNCTION_CALLERS when a caller is gone")
+
+
+def test_the_scan_finds_a_tabulating_function():
+    tree = ast.parse("def build(space):\n"
+                     "    def value(tup):\n"
+                     "        return {}\n"
+                     "    return MultiOp.from_function(1, 0, space, space, value)\n"
+                     "def named(op):\n"
+                     "    return op.from_function\n"
+                     "class Family:\n"
+                     "    def tabulate(self):\n"
+                     "        def inner():\n"
+                     "            return self.from_function(2)\n"
+                     "        return inner\n"
+                     "def written(op):\n"
+                     "    return MultiOp(1, 0, op.source, op.target, {})\n")
+    assert from_function_callers({"mod": tree}) == ["mod.Family.tabulate.inner", "mod.build"]
 
 
 def floating_point_lines(tree: ast.Module) -> list[int]:

@@ -189,10 +189,12 @@ def test_closed_form_projection_is_the_solved_one(name, monkeypatch):
         model = build_path_model(bundle)
         assert model.cap == cap
         con = model.contraction
-        # pi solved from iota pi = projector, one elimination per degree
+        # pi solved from iota pi = 1 - [delta, eta], one elimination per degree
+        ed = con.eta.compose_linear(con.delta).plus(con.delta.compose_linear(con.eta))
+        projector = MultiOp.identity(con.space).minus(ed)
         for d in model.space.degrees():
             solved = solve_columns(op_matrix(con.iota, d),
-                                   list(zip(*op_matrix(con.projector, d))))
+                                   list(zip(*op_matrix(projector, d))))
             assert [list(row) for row in zip(*solved)] == op_matrix(con.pi, d)
         # and read off the t-calculus oracles on every basis section
         start, end = (0,) * len(bundle.coords), (1,) * len(bundle.coords)

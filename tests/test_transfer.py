@@ -95,7 +95,8 @@ def test_from_basis_rejects_a_short_basis():
 
 def test_projector_identity():
     con = worked_contraction()
-    assert con.iota.compose_linear(con.pi) == con.projector
+    ed = con.eta.compose_linear(con.delta).plus(con.delta.compose_linear(con.eta))
+    assert con.iota.compose_linear(con.pi) == MultiOp.identity(con.space).minus(ed)
     con.validate()
 
 
