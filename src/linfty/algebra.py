@@ -106,7 +106,7 @@ def linear_apply(op: MultiOp, vec: Vector) -> Vector:
     """Apply an arity-1 operation to a sparse vector."""
     if op.arity != 1:
         raise ValueError("linear_apply expects an arity-1 operation")
-    return op.evaluate_mixed(vec, ())
+    return op.evaluate([vec])
 
 
 def op_then(op: MultiOp, linear: MultiOp) -> MultiOp:
@@ -115,7 +115,7 @@ def op_then(op: MultiOp, linear: MultiOp) -> MultiOp:
         raise ValueError("op_then expects an arity-1 outer operation")
     coeffs = {}
     for tup, vec in op.coeffs.items():
-        out = linear.evaluate_mixed(vec, ())
+        out = linear.evaluate([vec])
         if out:
             coeffs[tup] = out
     return MultiOp(op.arity, op.degree + linear.degree, op.source, linear.target, coeffs)

@@ -150,8 +150,8 @@ def _emit_report(args, doc: dict, lines: list[tuple[str, object]]) -> None:
     _write(args, "".join(f"{k:<{width}}  {v}\n" for k, v in lines))
 
 
-def _emit_model(args, doc: dict, summary: str) -> None:
-    _write(args, dumps(doc))
+def _emit_model(args, text: str, summary: str) -> None:
+    _write(args, text)
     if getattr(args, "out", None):
         print(summary)
 
@@ -222,7 +222,7 @@ def cmd_transfer(args) -> int:
         raise ModelFormatError(
             "model differential disagrees with the contraction differential")
 
-    docs = {}
+    texts = {}
     for mode in (["recursive", "trees"] if args.mode == "both" else [args.mode]):
         res = (transfer if mode == "recursive" else transfer_trees)(con, lam)
         rep = check_mc(res.algebra)
@@ -230,14 +230,14 @@ def cmd_transfer(args) -> int:
             print(f"transferred structure fails its defining equation ({mode}):\n"
                   f"{rep.describe()}", file=sys.stderr)
             return 1
-        docs[mode] = algebra_to_json(res.algebra)
+        texts[mode] = dumps(algebra_to_json(res.algebra))
 
-    if args.mode == "both" and dumps(docs["recursive"]) != dumps(docs["trees"]):
+    if args.mode == "both" and texts["recursive"] != texts["trees"]:
         print("witness: recursive and tree-sum transfers disagree after "
               "canonicalization", file=sys.stderr)
         return 1
-    doc = docs[args.mode if args.mode != "both" else "recursive"]
-    _emit_model(args, doc, f"transfer ok (mode {args.mode}), output re-validated")
+    text = texts[args.mode if args.mode != "both" else "recursive"]
+    _emit_model(args, text, f"transfer ok (mode {args.mode}), output re-validated")
     return 0
 
 
@@ -318,7 +318,7 @@ def cmd_shifted_tangent(args) -> int:
         print(f"shifted tangent fails its defining equation:\n{rep.describe()}",
               file=sys.stderr)
         return 1
-    _emit_model(args, bundle_to_json(st), "shifted tangent ok, output re-validated")
+    _emit_model(args, dumps(bundle_to_json(st)), "shifted tangent ok, output re-validated")
     return 0
 
 
@@ -340,7 +340,7 @@ def _affine_bundle(m: int) -> LinftyBundle:
 def cmd_path_space(args) -> int:
     bundle = _input_bundle(args)
     dps = derived_path_space(bundle)
-    _emit_model(args, bundle_to_json(dps.bundle),
+    _emit_model(args, dumps(bundle_to_json(dps.bundle)),
                 "path space ok: structure and endpoint morphisms re-validated")
     return 0
 
@@ -395,8 +395,8 @@ def cmd_fib_product(args) -> int:
         print(f"witness: virtual dimension {vdim} != additive formula {expected}",
               file=sys.stderr)
         return 1
-    _emit_model(args, bundle_to_json(
-        fp.bundle, metadata={"virtual_dimension": vdim}),
+    _emit_model(args, dumps(bundle_to_json(
+        fp.bundle, metadata={"virtual_dimension": vdim})),
         f"fibered product ok, virtual dimension {vdim}")
     return 0
 

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import product
 from math import comb
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -311,8 +312,11 @@ class MultiOp:
 
     coeffs maps a sorted input tuple to a sparse output vector.  Degree
     homogeneity (output degree = input degree sum + degree) is enforced at
-    construction; evaluation on arbitrarily ordered inputs resolves the
-    Koszul sign against the canonical order.  The arity-1 algebra below
+    construction.  evaluate_basis and evaluate sort each input key tuple
+    with sort_keys_with_sign: the entry of the sorted tuple is read with
+    the Koszul sign of the sort, and a tuple that repeats an odd key is
+    zero.  A caller that holds a canonical tuple reads coeffs directly, as
+    no sort can change it.  The arity-1 algebra below
     (identity, scaled, plus, minus, compose_linear) builds its results
     through _from_clean, which skips those checks: each result is formed
     from operations that already passed them.
@@ -447,33 +451,27 @@ class MultiOp:
         return {k: -c for k, c in vec.items()}
 
     def evaluate(self, vectors: Sequence[Vector]) -> Vector:
-        """Multilinear evaluation on sparse vectors (assumed degree-homogeneous)."""
+        """Multilinear evaluation on sparse vectors (assumed degree-homogeneous).
+
+        Each key tuple of the product of the inputs is sorted once and
+        looked up; the coefficients are multiplied only on a hit.
+        """
         if len(vectors) != self.arity:
             raise ValueError("wrong number of arguments")
         out: Vector = {}
-        self._expand(vectors, 0, (), 1, out)
-        return out
-
-    def _expand(self, vectors, idx, keys, coeff, out):
-        if idx == len(vectors):
-            res = self.evaluate_basis(keys)
-            for okey, c in res.items():
+        column = self.coeffs.get
+        for keys in product(*vectors):
+            srt, sign = sort_keys_with_sign(keys)
+            if not sign:
+                continue
+            vec = column(srt)
+            if not vec:
+                continue
+            coeff = sign
+            for v, k in zip(vectors, keys):
+                coeff = _times(coeff, v[k])
+            for okey, c in vec.items():
                 vec_add_into(out, okey, _times(coeff, c))
-            return
-        for key, c in vectors[idx].items():
-            if not c:
-                continue
-            self._expand(vectors, idx + 1, keys + (key,), _times(coeff, c), out)
-
-    def evaluate_mixed(self, first: Vector, rest: Sequence[BasisKey]) -> Vector:
-        """Evaluate with a vector in slot one and basis keys in the others."""
-        out: Vector = {}
-        for key, c in first.items():
-            if not c:
-                continue
-            res = self.evaluate_basis((key,) + tuple(rest))
-            for okey, c2 in res.items():
-                vec_add_into(out, okey, _times(c, c2))
         return out
 
     # -- linear (arity-1) helpers ---------------------------------------------
@@ -752,7 +750,8 @@ def _bullet_value_partitions(lam: OpFamily, phi: OpFamily, tup) -> Vector:
         dead = False
         for b in blocks:
             phi_b = phi.ops.get(len(b))
-            v = phi_b.evaluate_basis(tuple(tup[i] for i in b)) if phi_b is not None else None
+            # a block's positions ascend, so its keys form a canonical tuple
+            v = phi_b.coeffs.get(tuple(tup[i] for i in b)) if phi_b is not None else None
             if not v:
                 dead = True
                 break

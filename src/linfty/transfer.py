@@ -23,7 +23,9 @@ and mu is read off these values with no second pass over the product.
 
 `transfer_trees` recomputes phi and mu as an explicit sum over rooted
 trees with symmetry-factor weights; agreement with the fixed-point route
-is a strong end-to-end check and the test suite asserts it.
+is a strong end-to-end check and the test suite asserts it.  Each tree's
+term (its root operation fed with its capped subtrees) is tabulated once
+and capped twice: by eta for phi, by pi for mu.
 
 `projection_morphism` extends pi to a full morphism from the ambient
 structure to the transferred one.  The adapted basis is a graded space of
@@ -320,7 +322,9 @@ def treeterm(op_k: MultiOp, parts: Sequence[MultiOp]) -> MultiOp:
             vecs = []
             dead = False
             for part, block in zip(parts, blocks):
-                v = part.evaluate_basis(tuple(tup[i] for i in block))
+                # combinations keep positions in order, so the keys of a
+                # block of the canonical tup are canonical themselves
+                v = part.coeffs.get(tuple(tup[i] for i in block))
                 if not v:
                     dead = True
                     break
@@ -357,7 +361,9 @@ def transfer_trees(con: Contraction, lam: OpFamily) -> TransferResult:
 
     Trees are discovered by leaf count; a candidate whose eta-capped value
     vanishes is dropped, which prunes every extension of it that would
-    vanish for the same reason only at the root.
+    vanish for the same reason only at the root.  Each candidate's term is
+    tabulated once, during discovery, and kept uncapped: capped by eta it
+    is the tree's contribution to phi, capped by pi its contribution to mu.
     """
     if lam.degree != 1 or lam.source != con.space or lam.target != con.space:
         raise ValueError("operations must be a degree-1 endofamily of the ambient space")
@@ -367,6 +373,7 @@ def transfer_trees(con: Contraction, lam: OpFamily) -> TransferResult:
     arities = [k for k in lam.arities() if k >= 1]
 
     capped: dict[Tree, MultiOp] = {Tree.leaf(): con.iota}
+    uncapped: dict[Tree, MultiOp] = {}
     alive: dict[int, list[Tree]] = {1: [] if con.iota.is_zero() else [Tree.leaf()]}
 
     def capped_eval(t: Tree) -> MultiOp:
@@ -374,7 +381,8 @@ def transfer_trees(con: Contraction, lam: OpFamily) -> TransferResult:
         if got is not None:
             return got
         parts = [capped_eval(c) for c in t.children]
-        val = op_then(treeterm(lam.op(len(t.children)), parts), con.eta)
+        uncapped[t] = treeterm(lam.op(len(t.children)), parts)
+        val = op_then(uncapped[t], con.eta)
         capped[t] = val
         return val
 
@@ -416,14 +424,16 @@ def transfer_trees(con: Contraction, lam: OpFamily) -> TransferResult:
         pool = [t for m in range(1, n + 1) for t in alive.get(m, [])]
         counts = [t.n_leaves() for t in pool]
         for ms in _tree_multisets(pool, n, counts):
-            k = len(ms)
-            if lam.ops.get(k) is None:
+            if len(ms) not in arity_set:
                 continue
-            # Tree.node(ms) weighs -w: its root carries the -1 of
+            # discovery visited this multiset: its last pass at n leaves
+            # ran over the same final pool with the same arity filter, and
+            # top >= top_mu, so the uncapped term is already there
+            t = Tree.node(ms)
+            # t weighs -w: its root carries the -1 of
             # phi = iota - eta (lam . phi), which mu = pi (lam . phi) lacks
-            w = -Tree.node(ms).weight()
-            term = op_then(treeterm(lam.op(k), [capped[t] for t in ms]), con.pi)
-            acc = acc.plus(term.scaled(w))
+            w = -t.weight()
+            acc = acc.plus(op_then(uncapped[t], con.pi).scaled(w))
         if not acc.is_zero():
             mu_ops[n] = acc
     mu = OpFamily(1, con.h_space, con.h_space, mu_ops)

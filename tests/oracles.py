@@ -63,7 +63,7 @@ from linfty.graded import (BasisBuilder, BasisKey, GradedSpace, MultiOp, OpFamil
 from linfty.linalg import rank, rref
 from linfty.pathspace import (DerivedPathSpace, PathModel, _split_t, ambient_coord_names,
                               build_path_model, derived_path_space, path_perturbation)
-from linfty.poly import Poly, Rat, as_rational
+from linfty.poly import Poly, Rat, _times, as_rational
 from linfty.samples import conjugate, nonzero_fraction, random_contraction
 from linfty.transfer import (AdaptedBasis, Contraction, TransferResult, _apply_coderivation,
                              _apply_k, _checked_projector, _image_basis, neumann_inverse)
@@ -106,6 +106,31 @@ def sort_keys_general(keys) -> tuple[tuple[BasisKey, ...], int]:
     return tuple(keys[i] for i in order), sign
 
 
+def evaluate_expanded(op: MultiOp, vectors: Sequence[Vector]) -> Vector:
+    """op on sparse vectors, expanded recursively slot by slot through
+    `evaluate_basis`, each prefix product carried down the recursion."""
+    if len(vectors) != op.arity:
+        raise ValueError("wrong number of arguments")
+    out: Vector = {}
+
+    def expand(idx, keys, coeff):
+        if idx == len(vectors):
+            for okey, c in op.evaluate_basis(keys).items():
+                vec_add_into(out, okey, _times(coeff, c))
+            return
+        for key, c in vectors[idx].items():
+            if c:
+                expand(idx + 1, keys + (key,), _times(coeff, c))
+
+    expand(0, (), 1)
+    return out
+
+
+def evaluate_with_keys(op: MultiOp, first: Vector, rest: Sequence[BasisKey]) -> Vector:
+    """op with the vector first in slot one and the basis keys rest after it."""
+    return op.evaluate([first] + [{k: 1} for k in rest])
+
+
 def _circ_value_literal(lam: OpFamily, mu: OpFamily, tup) -> Vector:
     n = len(tup)
     degs = [k[0] for k in tup]
@@ -122,7 +147,7 @@ def _circ_value_literal(lam: OpFamily, mu: OpFamily, tup) -> Vector:
             if not inner:
                 continue
             weight = Fraction(sign, factorial(k) * factorial(n - k))
-            res = lam_op.evaluate_mixed(inner, ptup[k:])
+            res = evaluate_with_keys(lam_op, inner, ptup[k:])
             for okey, c in res.items():
                 vec_add_into(out, okey, weight * c)
     return out
@@ -145,7 +170,7 @@ def _circ_value_unshuffle(lam: OpFamily, mu: OpFamily, tup) -> Vector:
             if not inner:
                 continue
             rest = tuple(tup[i] for i in range(n) if i not in front)
-            res = lam_op.evaluate_mixed(inner, rest)
+            res = evaluate_with_keys(lam_op, inner, rest)
             for okey, c in res.items():
                 vec_add_into(out, okey, c if sign > 0 else -c)
     return out

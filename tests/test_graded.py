@@ -2,11 +2,12 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from oracles import (amp2_bundle, bullet_literal, canonical_tuples_literal, circ_literal,
-                     circ_unshuffle, commutator, compose_linear_literal, sort_keys_general,
-                     square_bundle)
+                     circ_unshuffle, commutator, compose_linear_literal, evaluate_expanded,
+                     sort_keys_general, square_bundle)
 
 import linfty.graded
 from linfty.graded import (GradedSpace, MultiOp, OpFamily, bullet, bullet_op,
@@ -15,7 +16,8 @@ from linfty.graded import (GradedSpace, MultiOp, OpFamily, bullet, bullet_op,
                            unshuffle_sign)
 from linfty.poly import Poly
 from linfty.samples import (break_algebra, random_bundle, random_mc_algebra,
-                            random_morphism_onto)
+                            random_morphism_onto, random_transfer_instance)
+from linfty.transfer import transfer, transfer_trees
 
 
 # -- signs --------------------------------------------------------------------
@@ -143,6 +145,77 @@ def test_evaluate_on_vectors_is_multilinear():
     w = {(1, 0): Fraction(1), (1, 1): Fraction(-1)}
     # bilinear with odd-odd antisymmetry: 2*(-1) - 3*1 = -5
     assert op.evaluate([v, w]) == {(2, 0): Fraction(-5)}
+
+
+def test_evaluate_matches_the_recursive_expansion():
+    """The product walk equals the slot-by-slot expansion, in value and in
+    the order of the output keys, on constant and polynomial coefficients."""
+    rng = random.Random(61)
+    src = GradedSpace.build({1: 3, 2: 2})
+    tgt = GradedSpace.build({d: 2 for d in range(1, 8)})
+    x = Poly.variable("x")
+    reached = set()
+    for arity in range(4):
+        for draw in range(6):
+            for poly in (False, True):
+                op = random_op(rng, src, tgt, arity, 1, scale=3)
+                grow = (lambda c: c * (x + c)) if poly else (lambda c: c)
+                op = MultiOp(arity, 1, src, tgt, {t: {k: grow(c) for k, c in v.items()}
+                                                  for t, v in op.coeffs.items()})
+                vecs = []
+                for _ in range(arity):
+                    d = rng.choice((1, 2))
+                    vecs.append({k: grow(Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 2)))
+                                 for k in src.keys() if k[0] == d and rng.random() < 0.7})
+                got = op.evaluate(vecs)
+                want = evaluate_expanded(op, vecs)
+                assert got == want and list(got) == list(want)
+                reached.add(f"arity {arity}")
+                reached |= {"poly"} if poly and got else set()
+                reached |= {"empty vector"} if any(not v for v in vecs) else set()
+                for keys in product(*vecs):
+                    srt, sign = sort_keys_general(keys)
+                    if sign == 0:
+                        reached.add("odd repeat")
+                    elif sign < 0 and srt in op.coeffs:
+                        reached.add("sign -1")
+    assert reached == {"arity 0", "arity 1", "arity 2", "arity 3", "poly",
+                       "empty vector", "odd repeat", "sign -1"}
+
+
+def test_bullet_op_and_treeterm_read_parts_from_their_entries(monkeypatch):
+    """Both look each part up on a canonical sub-tuple; evaluate_basis is
+    left to the curvature, on the empty tuple."""
+    rng = random.Random(43)
+    sp = GradedSpace.build({1: 2, 2: 2, 3: 1})
+    products = []
+    for _ in range(4):
+        lam = random_family(rng, sp, 1)
+        phi = random_degree0_family(rng, sp)
+        products.append((lam, phi, bullet_literal(lam, phi)))
+    trng = random.Random(47)
+    draws = [random_transfer_instance(trng, 4, 3) for _ in range(6)]
+    recursive = [transfer(con, lam) for con, lam in draws]
+    real = MultiOp.evaluate_basis
+    curvature = []
+
+    def only_curvature(self, keys):
+        if keys:
+            raise AssertionError(f"evaluate_basis on {keys}")
+        curvature.append(self)
+        return real(self, keys)
+
+    monkeypatch.setattr(MultiOp, "evaluate_basis", only_curvature)
+    for lam, phi, want in products:
+        for n in range(lam.max_arity * phi.max_arity + 1):
+            assert bullet_op(lam, phi, n) == want.op(n)
+    assert curvature
+    top = 0
+    for (con, lam), want in zip(draws, recursive):
+        got = transfer_trees(con, lam)
+        assert got.phi == want.phi and got.algebra.ops == want.algebra.ops
+        top = max(top, got.algebra.ops.max_arity)
+    assert top >= 3
 
 
 def test_identity_and_compose_linear():

@@ -293,6 +293,34 @@ def test_trees_match_recursion():
     reach.check()
 
 
+def test_tree_engine_tabulates_each_tree_once(monkeypatch):
+    """One treeterm call per distinct non-leaf tree: mu reads back the
+    uncapped terms that tree discovery tabulated."""
+    calls = []
+    trees = set()
+    real_term, real_node = linfty.transfer.treeterm, Tree.node
+
+    def counting(op_k, parts):
+        calls.append(op_k.arity)
+        return real_term(op_k, parts)
+
+    def recording(children):
+        t = real_node(children)
+        trees.add(t)
+        return t
+
+    monkeypatch.setattr(linfty.transfer, "treeterm", counting)
+    monkeypatch.setattr(Tree, "node", staticmethod(recording))
+    total = 0
+    for con, lam in default_then_wide_draws(202, 8):
+        calls.clear()
+        trees.clear()
+        transfer_trees(con, lam)
+        assert len(calls) == len(trees)
+        total += len(calls)
+    assert total >= 40
+
+
 def test_trees_reproduce_neumann_series_for_unary_input():
     con = worked_contraction()
     lam = unary(con, {(1, 0): {(2, 0): Fraction(2)}})
