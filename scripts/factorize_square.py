@@ -30,7 +30,7 @@ def main():
     ps = fz.path_space.bundle
     print("path space:   base", ps.coords, "fiber ranks", dict(ps.fiber.dims),
           "amplitude", ps.amplitude, "vdim", virtual_dimension(ps))
-    assert check_mc(ps.as_algebra()).ok
+    assert check_mc(ps).ok
 
     rep = verify_factorization(fz, [(Fraction(0),)])
     print("inclusion leg:", "weak equivalence" if rep.weak_equiv.ok else "FAILS")

@@ -13,10 +13,9 @@ import json
 import random
 import sys
 
-from linfty.algebra import (CurvedAlgebra, Morphism, algebra_as_bundle, check_mc,
-                            check_morphism)
+from linfty.algebra import LinftyBundle, Morphism, check_mc, check_morphism
 from linfty.graded import OpFamily, bullet
-from linfty.modelio import algebra_to_json, bundle_from_json, dumps
+from linfty.modelio import bundle_from_json, bundle_to_json, dumps
 from linfty.samples import random_transfer_instance
 from linfty.transfer import projection_morphism, transfer, transfer_trees
 
@@ -31,23 +30,24 @@ def main(argv):
 
     res = transfer(con, lam)
     via_trees = transfer_trees(con, lam)
-    assert res.phi == via_trees.phi and res.algebra.ops == via_trees.algebra.ops
+    assert res.phi == via_trees.phi and res.mu == via_trees.mu
     print("fixed-point and tree-sum engines agree exactly")
 
-    rep = check_mc(res.algebra)
+    h = LinftyBundle((), con.h_space, con.delta_h, res.mu)
+    rep = check_mc(h)
     print("transferred structure equations:", "hold" if rep.ok else "FAIL")
-    print("transferred arities:", res.algebra.ops.arities())
+    print("transferred arities:", res.mu.arities())
 
     proj = projection_morphism(con, lam)
     assert bullet(proj, res.phi) == OpFamily.identity(con.h_space)
     print("extended projection composes with the inclusion to the identity")
-    ambient = algebra_as_bundle(CurvedAlgebra(con.space, con.delta, lam))
-    assert check_morphism(Morphism(ambient, algebra_as_bundle(res.algebra), (), proj)).ok
+    ambient = LinftyBundle((), con.space, con.delta, lam)
+    assert check_morphism(Morphism(ambient, h, (), proj)).ok
     print("extended projection is a morphism onto the transferred structure")
 
-    text = dumps(algebra_to_json(res.algebra))
+    text = dumps(bundle_to_json(h))
     back, _ = bundle_from_json(json.loads(text))
-    assert dumps(algebra_to_json(back.as_algebra())) == text
+    assert dumps(bundle_to_json(back)) == text
     print("JSON round trip: byte-identical,", len(text), "bytes")
     return 0
 

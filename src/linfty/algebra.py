@@ -1,9 +1,11 @@
-"""Curved homotopy Lie structures and bundles of them over polynomial bases.
+"""Curved homotopy Lie structures: bundles of them over polynomial bases.
 
-A structure here is a positively graded space together with degree +1
-graded-symmetric operations: a distinguished square-zero differential in
-arity one, and a family of operations in all arities including arity zero
-(the curvature, sitting in degree one).  The defining condition is
+A structure here is a trivial bundle over named affine coordinates whose
+fiber is a positively graded space, together with degree +1
+graded-symmetric operations with polynomial coefficients: a distinguished
+square-zero differential in arity one, and a family of operations in all
+arities including arity zero (the curvature, sitting in degree one).  The
+defining condition is
 
     [delta, lam] + lam o lam = 0,
 
@@ -11,9 +13,9 @@ equivalently, with ell = delta + lam merged at arity one, ell o ell = 0
 once delta squares to zero.  check_mc verifies exactly that, returning
 witnesses on failure rather than a bare boolean.
 
-Bundles carry the same data with polynomial coefficients over named base
-coordinates; evaluating the coefficients at a rational point specializes a
-bundle to an honest structure on the fiber.  Morphisms of bundles pair a
+LinftyBundle is the one type for this.  A structure on a single graded
+space is a bundle with no coordinates, and evaluating the coefficients at
+a rational point specializes a bundle to one.  Morphisms of bundles pair a
 polynomial base map with a degree-0 family of fiber operations; the
 defining equation
 
@@ -42,6 +44,17 @@ def _coeff_vars(c) -> set[str]:
     if isinstance(c, Poly):
         return set(c.pruned().vars)
     return set()
+
+
+def _check_coeff_vars(ops, coords: tuple[str, ...]) -> None:
+    """Reject a coefficient of ops that uses a name outside coords."""
+    known = set(coords)
+    for op in ops:
+        for vec in op.coeffs.values():
+            for c in vec.values():
+                extra = _coeff_vars(c) - known
+                if extra:
+                    raise ValueError(f"coefficient uses unknown coordinates {sorted(extra)}")
 
 
 def _substitute_coeff(c, values: Mapping[str, Poly]):
@@ -122,39 +135,8 @@ def op_then(op: MultiOp, linear: MultiOp) -> MultiOp:
 
 
 # ---------------------------------------------------------------------------
-# curved structures on a fixed graded space
+# structure equations
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class CurvedAlgebra:
-    """Graded space + square-zero differential + curved degree-1 operations."""
-
-    space: GradedSpace
-    delta: MultiOp
-    ops: OpFamily
-
-    def __post_init__(self):
-        if self.delta.arity != 1 or self.delta.degree != 1:
-            raise ValueError("differential must be arity 1, degree 1")
-        if self.delta.source != self.space or self.delta.target != self.space:
-            raise ValueError("differential must be an endomorphism of the space")
-        if self.ops.degree != 1:
-            raise ValueError("structure operations must have degree 1")
-        if self.ops.source != self.space or self.ops.target != self.space:
-            raise ValueError("operations must live on the space")
-        if self.space.dims and self.space.min_degree < 1:
-            raise ValueError("the graded space must sit in positive degrees")
-
-    def delta_family(self) -> OpFamily:
-        return OpFamily(1, self.space, self.space, {1: self.delta})
-
-    def total(self) -> OpFamily:
-        """All operations with the differential merged into arity one."""
-        return self.delta_family().plus(self.ops)
-
-    def max_arity(self) -> int:
-        return max(self.ops.max_arity, 1)
 
 
 def _format_vector(vec: Vector) -> str:
@@ -188,15 +170,15 @@ class MCReport:
         return "\n".join(lines)
 
 
-def check_mc(alg: "CurvedAlgebra") -> MCReport:
+def check_mc(bundle: "LinftyBundle") -> MCReport:
     """Verify delta^2 = 0 and [delta, lam] + lam o lam = 0 with witnesses.
 
     Both conditions together are equivalent to ell o ell = 0 for the merged
     family ell = delta + lam, which is what gets computed.
     """
-    d2 = alg.delta.compose_linear(alg.delta)
+    d2 = bundle.delta.compose_linear(bundle.delta)
     dfails = sorted(d2.coeffs.items(), key=lambda f: f[0])
-    ell = alg.total()
+    ell = bundle.total()
     sfails = _failures(circ(ell, ell))
     return MCReport(not dfails and not sfails, dfails, sfails)
 
@@ -228,14 +210,10 @@ class LinftyBundle:
             raise ValueError("differential must be arity 1, degree 1")
         if self.ops.degree != 1:
             raise ValueError("operations must have degree 1")
-        for op in [self.delta, *self.ops.ops.values()]:
-            if op.source != self.fiber or op.target != self.fiber:
-                raise ValueError("operations must be endomorphisms of the fiber")
-            for vec in op.coeffs.values():
-                for c in vec.values():
-                    extra = _coeff_vars(c) - set(self.coords)
-                    if extra:
-                        raise ValueError(f"coefficient uses unknown coordinates {sorted(extra)}")
+        ops = [self.delta, *self.ops.ops.values()]
+        if any(op.source != self.fiber or op.target != self.fiber for op in ops):
+            raise ValueError("operations must be endomorphisms of the fiber")
+        _check_coeff_vars(ops, self.coords)
         if self.fiber.dims and self.fiber.min_degree < 1:
             raise ValueError("the fiber must sit in positive degrees")
 
@@ -248,11 +226,9 @@ class LinftyBundle:
         """Top fiber degree; 1 means a quasi-smooth model."""
         return self.fiber.max_degree
 
-    def as_algebra(self) -> CurvedAlgebra:
-        return CurvedAlgebra(self.fiber, self.delta, self.ops)
-
     def total(self) -> OpFamily:
-        return self.as_algebra().total()
+        """All operations with the differential merged into arity one."""
+        return OpFamily(1, self.fiber, self.fiber, {1: self.delta}).plus(self.ops)
 
     def curvature_section(self) -> Vector:
         return self.ops.op(0).evaluate_basis(())
@@ -266,10 +242,6 @@ class LinftyBundle:
         new = tuple(mapping.get(c, c) for c in self.coords)
         values = {c: Poly.variable(mapping[c]) for c in self.coords if mapping.get(c, c) != c}
         return self.map_coeffs(lambda c: _substitute_coeff(c, values), coords=new)
-
-
-def algebra_as_bundle(alg: CurvedAlgebra) -> LinftyBundle:
-    return LinftyBundle((), alg.space, alg.delta, alg.ops)
 
 
 def product_bundle(a: LinftyBundle, b: LinftyBundle) -> tuple["LinftyBundle", dict, dict]:
@@ -351,12 +323,7 @@ class Morphism:
             raise ValueError("fiber family cannot have an arity-0 part")
         if self.phi.source != self.src.fiber or self.phi.target != self.dst.fiber:
             raise ValueError("fiber family must map source fiber to target fiber")
-        for op in self.phi.ops.values():
-            for vec in op.coeffs.values():
-                for c in vec.values():
-                    extra = _coeff_vars(c) - set(self.src.coords)
-                    if extra:
-                        raise ValueError(f"coefficient uses unknown coordinates {sorted(extra)}")
+        _check_coeff_vars(self.phi.ops.values(), self.src.coords)
 
     def base_values(self) -> Mapping[str, Poly]:
         """The base map as a substitution, less the coordinates it fixes:

@@ -22,13 +22,12 @@ import sys
 from fractions import Fraction
 
 from .algebra import LinftyBundle, check_mc, check_morphism, plain_bundle
-from .geometry import (MAX_SEARCH_COORDS, StagedTangent, classical_point, cohomology,
+from .geometry import (MAX_SEARCH_COORDS, StagedTangent, classical_point,
                        find_classical_points, is_fibration, is_weak_equivalence,
                        shifted_tangent, tangent_complex, virtual_dimension)
 from .graded import MultiOp, OpFamily
-from .modelio import (ModelFormatError, algebra_to_json, bundle_to_json, dumps,
-                      frac_str, load_contraction, load_model, load_morphism,
-                      parse_frac)
+from .modelio import (ModelFormatError, bundle_to_json, dumps, frac_str,
+                      load_contraction, load_model, load_morphism, parse_frac)
 from .pathspace import (ambient_coord_names, axis_submanifold, derived_intersection,
                         derived_path_space, factorize_diagonal, graph_submanifold,
                         homotopy_fibered_product, verify_factorization,
@@ -171,7 +170,7 @@ def _space_lines(bundle: LinftyBundle) -> list[tuple[str, object]]:
 
 def cmd_check_axioms(args) -> int:
     bundle, _ = load_model(args.model)
-    rep = check_mc(bundle.as_algebra())
+    rep = check_mc(bundle)
     doc = {"command": "check-axioms", "model": args.model, "ok": rep.ok,
            "witness": None if rep.ok else rep.describe()}
     lines = [("check-axioms", args.model), *_space_lines(bundle),
@@ -225,12 +224,13 @@ def cmd_transfer(args) -> int:
     texts = {}
     for mode in (["recursive", "trees"] if args.mode == "both" else [args.mode]):
         res = (transfer if mode == "recursive" else transfer_trees)(con, lam)
-        rep = check_mc(res.algebra)
+        transferred = LinftyBundle((), con.h_space, con.delta_h, res.mu)
+        rep = check_mc(transferred)
         if not rep.ok:
             print(f"transferred structure fails its defining equation ({mode}):\n"
                   f"{rep.describe()}", file=sys.stderr)
             return 1
-        texts[mode] = dumps(algebra_to_json(res.algebra))
+        texts[mode] = dumps(bundle_to_json(transferred))
 
     if args.mode == "both" and texts["recursive"] != texts["trees"]:
         print("witness: recursive and tree-sum transfers disagree after "
@@ -246,7 +246,7 @@ def cmd_tangent_complex(args) -> int:
     pt = parse_point(args.point, "--point")
     cp = classical_point(bundle, pt)
     cx = tangent_complex(bundle, cp)
-    betti = cohomology(cx)
+    betti = cx.cohomology()
     euler = cx.euler_characteristic()
     vdim = virtual_dimension(bundle)
     doc = {"command": "tangent-complex", "model": args.model,
@@ -313,7 +313,7 @@ def cmd_fibration(args) -> int:
 def cmd_shifted_tangent(args) -> int:
     bundle, _ = load_model(args.model)
     st = shifted_tangent(bundle)
-    rep = check_mc(st.as_algebra())
+    rep = check_mc(st)
     if not rep.ok:
         print(f"shifted tangent fails its defining equation:\n{rep.describe()}",
               file=sys.stderr)
@@ -474,7 +474,7 @@ def cmd_zero_locus(args) -> int:
 
 def cmd_report(args) -> int:
     bundle, meta = load_model(args.model)
-    rep = check_mc(bundle.as_algebra())
+    rep = check_mc(bundle)
     doc = {"command": "report", "model": args.model,
            "base": {"dim": len(bundle.coords), "coords": list(bundle.coords)},
            "fiber_ranks": {str(d): bundle.fiber.dims[d] for d in bundle.fiber.degrees()},
@@ -498,7 +498,7 @@ def cmd_report(args) -> int:
                 "statements need a complete point list")
         staged = StagedTangent(bundle)
         for cp in exact:
-            betti = cohomology(staged.tangent_complex(cp))
+            betti = staged.tangent_complex(cp).cohomology()
             pts_doc.append({"point": _json_point(cp),
                             "betti": {str(k): n for k, n in sorted(betti.items())}})
             lines.append((f"tangent at {_fmt_point(cp)}",

@@ -301,10 +301,6 @@ def tangent_complex(bundle: LinftyBundle, point: ClassicalPoint) -> CochainCompl
     return StagedTangent(bundle).tangent_complex(point)
 
 
-def cohomology(cx: CochainComplex) -> dict[int, int]:
-    return cx.cohomology()
-
-
 def virtual_dimension(bundle: LinftyBundle) -> int:
     """Base dimension minus the alternating sum of fiber ranks."""
     total = len(bundle.coords)
@@ -734,7 +730,7 @@ def pullback_fibration(fib: Morphism, other: Morphism) -> PullbackResult:
     if lin is not None:
         pr1 = compose(lin.inverse, pr1)
 
-    rep = check_mc(bundle.as_algebra())
+    rep = check_mc(bundle)
     if not rep.ok:
         raise AssertionError("pullback structure fails the defining equation")
     for mor in (pr1, pr2):

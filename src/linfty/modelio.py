@@ -35,7 +35,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .algebra import CurvedAlgebra, LinftyBundle, Morphism, algebra_as_bundle
+from .algebra import LinftyBundle, Morphism
 from .graded import GradedSpace, MultiOp, OpFamily
 from .poly import Poly, _exact
 from .transfer import Contraction
@@ -284,10 +284,6 @@ def bundle_from_json(doc) -> tuple[LinftyBundle, dict]:
         raise _fail("document", str(exc)) from exc
     user_meta = {k: v for k, v in meta.items() if k not in ("labels", "dt")}
     return bundle, user_meta
-
-
-def algebra_to_json(alg: CurvedAlgebra) -> dict:
-    return bundle_to_json(algebra_as_bundle(alg))
 
 
 # ---------------------------------------------------------------------------

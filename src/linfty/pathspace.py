@@ -71,8 +71,6 @@ class PathModel:
     bundle: LinftyBundle
     cap: int
     space: GradedSpace
-    delta: MultiOp
-    eta: MultiOp
     contraction: Contraction
     base_dt: dict[int, tuple]
     plain: dict[tuple, tuple]          # (fiber key, power) -> ambient key
@@ -193,7 +191,7 @@ def build_path_model(bundle: LinftyBundle) -> PathModel:
     pi = MultiOp(1, 0, space, h_space, pi_coeffs)
 
     con = Contraction.from_maps(space, delta, eta, h_space, iota, pi)
-    return PathModel(bundle, cap, space, delta, eta, con, base_dt,
+    return PathModel(bundle, cap, space, con, base_dt,
                      plain, one_form, h_base_dt, h_avg, h_end)
 
 
@@ -279,7 +277,6 @@ class DerivedPathSpace:
     evaluation: Morphism           # endpoint evaluation, a fibration
     product: LinftyBundle          # source x source with renamed coords
     product_maps: tuple[dict, dict]
-    phi: OpFamily                  # transfer inclusion H -> ambient
     model: PathModel
     transfer_result: TransferResult
 
@@ -317,7 +314,7 @@ def derived_path_space(bundle: LinftyBundle) -> DerivedPathSpace:
 
     coords = pnames + qnames
     h = model.contraction.h_space
-    pm = LinftyBundle(coords, h, result.algebra.delta, result.algebra.ops)
+    pm = LinftyBundle(coords, h, model.contraction.delta_h, result.mu)
 
     left = bundle.rename_coords(dict(zip(bundle.coords, pnames)))
     right = bundle.rename_coords(dict(zip(bundle.coords, qnames)))
@@ -341,9 +338,8 @@ def derived_path_space(bundle: LinftyBundle) -> DerivedPathSpace:
                    OpFamily(0, bundle.fiber, h,
                             {1: MultiOp(1, 0, bundle.fiber, h, inc_coeffs)}))
 
-    dps = DerivedPathSpace(pm, inc, ev, product, (j0, j1), result.phi,
-                           model, result)
-    rep = check_mc(pm.as_algebra())
+    dps = DerivedPathSpace(pm, inc, ev, product, (j0, j1), model, result)
+    rep = check_mc(pm)
     if not rep.ok:
         raise AssertionError("path space structure fails the defining equation")
     if not check_morphism(ev).ok:
@@ -364,7 +360,6 @@ class Factorization:
     weak_equivalence: Morphism     # source -> path space
     fibration: Morphism            # path space -> product
     diagonal: Morphism             # source -> product
-    product: LinftyBundle
 
 
 def factorize_diagonal(bundle: LinftyBundle) -> Factorization:
@@ -383,7 +378,7 @@ def factorize_diagonal(bundle: LinftyBundle) -> Factorization:
                                          diag_coeffs)}))
     if not same_morphism(compose(dps.evaluation, dps.inclusion), diag):
         raise AssertionError("factorization composite is not the diagonal")
-    return Factorization(dps, dps.inclusion, dps.evaluation, diag, dps.product)
+    return Factorization(dps, dps.inclusion, dps.evaluation, diag)
 
 
 @dataclass
@@ -414,7 +409,6 @@ class FiberedProduct:
     to_left: Morphism
     to_right: Morphism
     path_space: DerivedPathSpace
-    left: Morphism
     right: Morphism
 
 
@@ -465,7 +459,7 @@ def homotopy_fibered_product(f: Morphism, g: Morphism) -> FiberedProduct:
             - virtual_dimension(f.dst))
     if virtual_dimension(res.bundle) != want:
         raise AssertionError("virtual dimension is not additive")
-    return FiberedProduct(res.bundle, to_left, to_right, dps, f, g_used)
+    return FiberedProduct(res.bundle, to_left, to_right, dps, g_used)
 
 
 # ---------------------------------------------------------------------------

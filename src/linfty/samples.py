@@ -5,7 +5,9 @@ a staircase differential with its obvious homotopy is dressed by
 invertible changes of basis, curvature is drawn from the kernel of the
 twisted differential, and the rest of the structure comes from
 transporting along an invertible formal family.  The same pattern yields
-bundles with polynomial coefficients.
+bundles with polynomial coefficients.  Every structure is a LinftyBundle;
+random_mc_algebra and break_algebra draw and damage structures on a
+single graded space, that is bundles with no coordinates.
 
 Several generators do search, drawing again until a condition holds:
 random_transfer_instance (up to 40 draws per instance until eta lam_1 is
@@ -19,9 +21,8 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import (CurvedAlgebra, LinftyBundle, Morphism, check_mc,
-                      compose, invert_linear_op, op_matrix, product_bundle,
-                      product_projection, transport_source)
+from .algebra import (LinftyBundle, Morphism, check_mc, compose, invert_linear_op,
+                      op_matrix, product_bundle, product_projection, transport_source)
 from .graded import (GradedSpace, MultiOp, OpFamily, canonical_tuples,
                      op_nilpotency_order)
 from .linalg import kernel_basis
@@ -227,16 +228,18 @@ def random_transfer_instance(rng: Rng, amplitude: int = 3, max_dim: int = 4,
 
 
 def random_mc_algebra(rng: Rng, amplitude: int = 3, max_dim: int = 3,
-                      curvature: bool = True) -> CurvedAlgebra:
+                      curvature: bool = True) -> LinftyBundle:
+    """Random structure on one graded space (a bundle with no coordinates)
+    passing check_mc."""
     space = random_graded_space(rng, amplitude, max_dim)
     delta0, _, _ = staircase(rng, space)
     delta = conjugate(delta0, random_invertible(rng, space))
     lam = random_perturbation(rng, space, delta, curvature=curvature)
-    return CurvedAlgebra(space, delta, lam)
+    return LinftyBundle((), space, delta, lam)
 
 
-def break_algebra(rng: Rng, alg: CurvedAlgebra,
-                  attempts: int = 40) -> CurvedAlgebra | None:
+def break_algebra(rng: Rng, alg: LinftyBundle,
+                  attempts: int = 40) -> LinftyBundle | None:
     """Copy of alg with one coefficient damaged so check_mc fails.
 
     Returns None when no single-coefficient tweak is detectable, which is
@@ -246,20 +249,20 @@ def break_algebra(rng: Rng, alg: CurvedAlgebra,
     for _ in range(attempts):
         arity = rng.choice([0, 1, 2])
         op = alg.ops.op(arity)
-        tups = list(canonical_tuples(alg.space, arity,
-                                     max_total_degree=alg.space.max_degree - 1))
-        tups = [t for t in tups if (sum(k[0] for k in t) + 1) in alg.space.dims]
+        tups = list(canonical_tuples(alg.fiber, arity,
+                                     max_total_degree=alg.fiber.max_degree - 1))
+        tups = [t for t in tups if (sum(k[0] for k in t) + 1) in alg.fiber.dims]
         if not tups:
             continue
         tup = rng.choice(tups)
-        outs = [k for k in alg.space.keys()
+        outs = [k for k in alg.fiber.keys()
                 if k[0] == sum(t[0] for t in tup) + 1]
         key = rng.choice(outs)
         coeffs = {t: dict(v) for t, v in op.coeffs.items()}
         vec = coeffs.setdefault(tup, {})
         vec[key] = vec.get(key, Fraction(0)) + nonzero_fraction(rng)
-        bad_op = MultiOp(arity, 1, alg.space, alg.space, coeffs)
-        bad = CurvedAlgebra(alg.space, alg.delta, alg.ops.with_op(bad_op))
+        bad_op = MultiOp(arity, 1, alg.fiber, alg.fiber, coeffs)
+        bad = LinftyBundle(alg.coords, alg.fiber, alg.delta, alg.ops.with_op(bad_op))
         if not check_mc(bad).ok:
             return bad
     return None

@@ -13,7 +13,10 @@ solves the fixed point
 
 arity by arity (the arity-1 obstruction (1 + eta lam_1) is inverted as a
 Neumann series, so eta lam_1 must be nilpotent) and produces transferred
-operations mu = pi (lam . phi) on H, curvature included.  Step n tabulates
+operations mu = pi (lam . phi) on H, curvature included.  With the
+induced differential con.delta_h they are the transferred structure; the
+caller that knows its base coordinates builds the bundle
+LinftyBundle(coords, con.h_space, con.delta_h, mu).  Step n tabulates
 only resid_n = (lam . phi_{<n})_n; since phi_n enters arity n of the
 product only through the single-block partition,
 
@@ -45,8 +48,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Mapping, Sequence
 
-from .algebra import (CurvedAlgebra, invert_linear_op, linear_apply, op_matrix,
-                      op_precompose_linear, op_then)
+from .algebra import (invert_linear_op, linear_apply, op_matrix, op_precompose_linear,
+                      op_then)
 from .graded import (BasisBuilder, BasisKey, GradedSpace, MultiOp, OpFamily, Vector,
                      arity_bound, bullet_op, koszul_sign, op_nilpotency_order,
                      sort_keys_with_sign, unshuffle_sign, vec_add_into)
@@ -196,8 +199,8 @@ class Contraction:
 @dataclass
 class TransferResult:
     contraction: Contraction
-    phi: OpFamily            # H -> ambient, degree 0
-    algebra: CurvedAlgebra   # transferred structure on H
+    phi: OpFamily   # H -> ambient, degree 0
+    mu: OpFamily    # transferred operations on H; the differential is con.delta_h
 
 
 def _curvature_on_h(con: Contraction, lam: OpFamily) -> MultiOp:
@@ -239,7 +242,7 @@ def transfer(con: Contraction, lam: OpFamily) -> TransferResult:
     mu_ops = {n: op_then(op, con.pi) for n, op in lam_phi.items()}
     mu_ops[0] = _curvature_on_h(con, lam)
     mu = OpFamily(1, con.h_space, con.h_space, mu_ops)
-    return TransferResult(con, phi, CurvedAlgebra(con.h_space, con.delta_h, mu))
+    return TransferResult(con, phi, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +441,7 @@ def transfer_trees(con: Contraction, lam: OpFamily) -> TransferResult:
             mu_ops[n] = acc
     mu = OpFamily(1, con.h_space, con.h_space, mu_ops)
 
-    return TransferResult(con, phi, CurvedAlgebra(con.h_space, con.delta_h, mu))
+    return TransferResult(con, phi, mu)
 
 
 # ---------------------------------------------------------------------------

@@ -53,9 +53,8 @@ from itertools import combinations, combinations_with_replacement, permutations
 from math import factorial, gcd
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from linfty.algebra import (CurvedAlgebra, LinftyBundle, Morphism, algebra_as_bundle,
-                            linear_apply, map_family_coeffs, map_op_coeffs, op_then,
-                            plain_bundle)
+from linfty.algebra import (LinftyBundle, Morphism, linear_apply, map_family_coeffs,
+                            map_op_coeffs, op_then, plain_bundle)
 from linfty.geometry import ShiftedTangentData, shifted_tangent_data
 from linfty.graded import (BasisBuilder, BasisKey, GradedSpace, MultiOp, OpFamily, Vector,
                            arity_bound, bullet, circ, koszul_sign, op_nilpotency_order,
@@ -308,7 +307,7 @@ def transfer_rebuild(con: Contraction, lam: OpFamily) -> TransferResult:
         if not op.is_zero():
             mu_ops[k] = op
     mu = OpFamily(1, con.h_space, con.h_space, mu_ops)
-    return TransferResult(con, phi, CurvedAlgebra(con.h_space, con.delta_h, mu))
+    return TransferResult(con, phi, mu)
 
 
 def transferred_phi1(con: Contraction, lam: OpFamily) -> MultiOp:
@@ -555,7 +554,7 @@ def identity_morphism(bundle: LinftyBundle) -> Morphism:
     return Morphism(bundle, bundle, base, OpFamily.identity(bundle.fiber))
 
 
-def at_point(bundle: LinftyBundle, point: Sequence[Rat]) -> CurvedAlgebra:
+def at_point(bundle: LinftyBundle, point: Sequence[Rat]) -> LinftyBundle:
     """The bundle with every coefficient evaluated at a rational base point."""
     if len(point) != bundle.base_dim:
         raise ValueError(f"expected {bundle.base_dim} coordinates, got {len(point)}")
@@ -564,13 +563,20 @@ def at_point(bundle: LinftyBundle, point: Sequence[Rat]) -> CurvedAlgebra:
     def fn(c):
         return c.eval(values) if isinstance(c, Poly) else as_rational(c)
 
-    return CurvedAlgebra(bundle.fiber, map_op_coeffs(bundle.delta, fn),
-                         map_family_coeffs(bundle.ops, fn))
+    return LinftyBundle((), bundle.fiber, map_op_coeffs(bundle.delta, fn),
+                        map_family_coeffs(bundle.ops, fn))
 
 
-def inclusion_morphism(res: TransferResult, ambient: CurvedAlgebra) -> Morphism:
+def transferred_bundle(res: TransferResult) -> LinftyBundle:
+    """The transferred structure on H: the operations mu with the induced
+    differential, over no coordinates."""
+    con = res.contraction
+    return LinftyBundle((), con.h_space, con.delta_h, res.mu)
+
+
+def inclusion_morphism(res: TransferResult, ambient: LinftyBundle) -> Morphism:
     """The transfer's phi as a morphism from the transferred structure."""
-    return Morphism(algebra_as_bundle(res.algebra), algebra_as_bundle(ambient), (), res.phi)
+    return Morphism(transferred_bundle(res), ambient, (), res.phi)
 
 
 # ---------------------------------------------------------------------------
@@ -688,7 +694,7 @@ def pi_con(s: PathSection) -> PathSection:
 # ---------------------------------------------------------------------------
 
 
-def path_curved_structure(bundle: LinftyBundle, start, end) -> CurvedAlgebra:
+def path_curved_structure(bundle: LinftyBundle, start, end) -> LinftyBundle:
     """Curved structure on the truncated path sections for one rational path."""
     pvals = {name: Fraction(v) for name, v in zip(bundle.coords, start)}
     qvals = {name: Fraction(v) for name, v in zip(bundle.coords, end)}
@@ -696,7 +702,7 @@ def path_curved_structure(bundle: LinftyBundle, start, end) -> CurvedAlgebra:
         raise ValueError("endpoint dimension mismatch")
     model = build_path_model(bundle)
     lam = path_perturbation(model, pvals, qvals)
-    return CurvedAlgebra(model.space, model.delta, lam)
+    return LinftyBundle((), model.space, model.contraction.delta, lam)
 
 
 def shifted_tangent_tabulated(bundle: LinftyBundle) -> ShiftedTangentData:

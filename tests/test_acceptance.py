@@ -13,13 +13,13 @@ from fractions import Fraction
 from oracles import (PathSection, amp2_bundle, circle_bundle, identity_morphism,
                      inclusion_morphism, path_delta, path_eta, perturbation_check, pi_con,
                      pi_lin, projection_phi1, pullback, random_affine_images,
-                     random_perturbation_instance, square_bundle, transferred_mu0,
-                     transferred_mu1, transferred_phi1)
+                     random_perturbation_instance, square_bundle, transferred_bundle,
+                     transferred_mu0, transferred_mu1, transferred_phi1)
 
-from linfty.algebra import CurvedAlgebra, Morphism, check_mc, check_morphism, plain_bundle
+from linfty.algebra import LinftyBundle, Morphism, check_mc, check_morphism, plain_bundle
 from linfty.geometry import is_weak_equivalence, shifted_tangent, virtual_dimension
 from linfty.graded import GradedSpace, MultiOp, OpFamily, bullet
-from linfty.modelio import (algebra_to_json, bundle_from_json, bundle_to_json,
+from linfty.modelio import (bundle_from_json, bundle_to_json,
                             contraction_from_json, contraction_to_json, dumps,
                             morphism_from_json, morphism_to_json)
 from linfty.pathspace import (Submanifold, axis_submanifold,
@@ -66,23 +66,23 @@ def test_c01_mc_closure_suite():
     sp = GradedSpace.build({1: 1, 2: 1, 3: 1})
     step = {((1, 0),): {(2, 0): Fraction(1)}, ((2, 0),): {(3, 0): Fraction(1)}}
 
-    bad_delta = CurvedAlgebra(sp, MultiOp(1, 1, sp, sp, step),
-                              OpFamily(1, sp, sp, {}))
+    bad_delta = LinftyBundle((), sp, MultiOp(1, 1, sp, sp, step),
+                             OpFamily(1, sp, sp, {}))
     rep = check_mc(bad_delta)
     assert not rep.ok
     assert rep.delta_squared_failures[0][0] == ((1, 0),)
     assert rep.delta_squared_failures[0][1] == {(3, 0): Fraction(1)}
 
-    bad_lam1 = CurvedAlgebra(sp, MultiOp.zero(1, 1, sp, sp),
-                             OpFamily(1, sp, sp, {1: MultiOp(1, 1, sp, sp, step)}))
+    bad_lam1 = LinftyBundle((), sp, MultiOp.zero(1, 1, sp, sp),
+                            OpFamily(1, sp, sp, {1: MultiOp(1, 1, sp, sp, step)}))
     rep = check_mc(bad_lam1)
     assert not rep.ok
     assert rep.structure_failures[0][:2] == (1, ((1, 0),))
     assert rep.structure_failures[0][2] == {(3, 0): Fraction(1)}
 
     sp2 = GradedSpace.build({1: 1, 2: 1})
-    loose_curvature = CurvedAlgebra(
-        sp2, MultiOp.zero(1, 1, sp2, sp2),
+    loose_curvature = LinftyBundle(
+        (), sp2, MultiOp.zero(1, 1, sp2, sp2),
         OpFamily(1, sp2, sp2,
                  {0: MultiOp(0, 1, sp2, sp2, {(): {(1, 0): Fraction(1)}}),
                   1: MultiOp(1, 1, sp2, sp2, {((1, 0),): {(2, 0): Fraction(1)}})}))
@@ -104,16 +104,16 @@ def test_c01_mc_closure_suite():
 def test_c02_transfer_theorem_suite():
     t0 = time.monotonic()
     for con, lam, res in transfer_instances():
-        assert check_mc(res.algebra).ok
-        ambient = CurvedAlgebra(con.space, con.delta, lam)
+        assert check_mc(transferred_bundle(res)).ok
+        ambient = LinftyBundle((), con.space, con.delta, lam)
         assert check_morphism(inclusion_morphism(res, ambient)).ok
 
         proj = projection_morphism(con, lam)
         assert bullet(proj, res.phi) == OpFamily.identity(con.h_space)
 
         assert res.phi.op(1) == transferred_phi1(con, lam)
-        assert res.algebra.ops.op(1) == transferred_mu1(con, lam)
-        mu0 = res.algebra.ops.op(0)
+        assert res.mu.op(1) == transferred_mu1(con, lam)
+        mu0 = res.mu.op(0)
         got0 = mu0.evaluate_basis(()) if not mu0.is_zero() else {}
         assert got0 == transferred_mu0(con, lam)
         assert proj.op(1) == projection_phi1(con, lam)
@@ -124,8 +124,7 @@ def test_c03_trees_match_recursion():
     for con, lam, res in transfer_instances():
         via_trees = transfer_trees(con, lam)
         assert via_trees.phi == res.phi
-        assert via_trees.algebra.ops == res.algebra.ops
-        assert via_trees.algebra.delta == res.algebra.delta
+        assert via_trees.mu == res.mu
 
 
 def test_c04_perturbation_identities():
@@ -329,7 +328,7 @@ def test_c09_fibered_product_dimensions():
         f = random_morphism_onto(rng, dst, "a")
         g = random_morphism_onto(rng, dst, "b")
         fp = homotopy_fibered_product(f, g)
-        assert check_mc(fp.bundle.as_algebra()).ok
+        assert check_mc(fp.bundle).ok
         assert virtual_dimension(fp.bundle) == (
             virtual_dimension(f.src) + virtual_dimension(g.src)
             - virtual_dimension(dst))
@@ -347,13 +346,13 @@ def test_c10_round_trip_fixtures():
         text = dumps(doc)
         back, meta = bundle_from_json(doc)
         assert dumps(bundle_to_json(back, meta or None)) == text
-        assert check_mc(back.as_algebra()).ok
+        assert check_mc(back).ok
 
-    doc = algebra_to_json(res.algebra)
+    doc = bundle_to_json(transferred_bundle(res))
     text = dumps(doc)
     back, _ = bundle_from_json(doc)
-    assert dumps(algebra_to_json(back.as_algebra())) == text
-    assert check_mc(back.as_algebra()).ok
+    assert dumps(bundle_to_json(back)) == text
+    assert check_mc(back).ok
 
     for mor in [identity_morphism(square_bundle()), dps.inclusion]:
         doc = morphism_to_json(mor)

@@ -8,8 +8,7 @@ from oracles import amp2_bundle, at_point, circle_bundle, identity_morphism, squ
 
 from linfty import algebra as algebra_module
 from linfty import geometry
-from linfty.algebra import (CurvedAlgebra, LinftyBundle, Morphism,
-                            algebra_as_bundle, check_mc, check_morphism,
+from linfty.algebra import (LinftyBundle, Morphism, check_mc, check_morphism,
                             compose, invert_family, invert_linear_op,
                             linearize_fibration, op_matrix, plain_bundle,
                             product_bundle, product_projection, same_morphism,
@@ -30,10 +29,10 @@ def chain_space():
 
 
 def algebra(space, delta=None, ops=None):
-    return CurvedAlgebra(space,
-                         delta if delta is not None
-                         else MultiOp.zero(1, 1, space, space),
-                         OpFamily(1, space, space, ops or {}))
+    return LinftyBundle((), space,
+                        delta if delta is not None
+                        else MultiOp.zero(1, 1, space, space),
+                        OpFamily(1, space, space, ops or {}))
 
 
 # -- structure equation ---------------------------------------------------------
@@ -75,7 +74,7 @@ def test_witnesses_write_coefficients_as_num_over_den():
     assert check_mc(algebra(sp, delta=delta)).describe() == (
         "delta^2 != 0 on ((1, 0),): {(3, 0): 3/2}\n"
         "arity-1 defect on ((1, 0),): {(3, 0): 3/2}")
-    curved = algebra_as_bundle(algebra(sp, ops={0: MultiOp(0, 1, sp, sp, {(): {(1, 0): 1}})}))
+    curved = algebra(sp, ops={0: MultiOp(0, 1, sp, sp, {(): {(1, 0): 1}})})
     half = MultiOp(1, 0, sp, sp, {((d, 0),): {(d, 0): Fraction(1, 2)} for d in (1, 2, 3)})
     rep = check_morphism(Morphism(curved, curved, (), OpFamily(0, sp, sp, {1: half})))
     assert rep.describe() == "arity-0 defect on (): {(1, 0): -1/2}"
@@ -99,7 +98,7 @@ def test_witnesses_list_keys_and_failures_in_order():
     # the identity from (f -> g) to (e -> f): phi o ell holds the later tuple,
     # ell' . phi the earlier one
     chain = chain_space()
-    src, dst = (algebra_as_bundle(algebra(chain, ops={1: MultiOp(1, 1, chain, chain, ops)}))
+    src, dst = (algebra(chain, ops={1: MultiOp(1, 1, chain, chain, ops)})
                 for ops in ({((2, 0),): {(3, 0): 1}}, {((1, 0),): {(2, 0): 1}}))
     rep = check_morphism(Morphism(src, dst, (), OpFamily.identity(chain)))
     assert [tup for _, tup, _ in rep.failures] == [((1, 0),), ((2, 0),)]
@@ -140,7 +139,7 @@ def test_bundle_accessors():
     b = square_bundle()
     assert b.base_dim == 1 and b.amplitude == 1
     assert b.curvature_section() == {(1, 0): x ** 2}
-    assert check_mc(b.as_algebra()).ok
+    assert check_mc(b).ok
 
 
 def test_bundle_rejects_unknown_coordinates():
@@ -178,7 +177,7 @@ def test_structure_equation_survives_specialization():
     rng = random.Random(13)
     for _ in range(5):
         b = random_bundle(rng, ("x", "y"))
-        assert check_mc(b.as_algebra()).ok
+        assert check_mc(b).ok
         pt = (Fraction(rng.randint(-2, 2)), Fraction(rng.randint(-2, 2)))
         assert check_mc(at_point(b, pt)).ok
 
@@ -198,7 +197,7 @@ def test_product_bundle_passes_check():
     b = random_bundle(rng, ("y",))
     prod, _, _ = product_bundle(a, b)
     assert prod.coords == ("x", "y")
-    assert check_mc(prod.as_algebra()).ok
+    assert check_mc(prod).ok
 
 
 # -- morphisms --------------------------------------------------------------------
@@ -227,8 +226,8 @@ def test_subalgebra_inclusion_is_a_morphism():
     small = GradedSpace.build({1: 1, 2: 1})
     lam1_big = MultiOp(1, 1, big, big, {((1, 0),): {(2, 0): Fraction(1)}})
     lam1_small = MultiOp(1, 1, small, small, {((1, 0),): {(2, 0): Fraction(1)}})
-    amb = algebra_as_bundle(algebra(big, ops={1: lam1_big}))
-    sub = algebra_as_bundle(algebra(small, ops={1: lam1_small}))
+    amb = algebra(big, ops={1: lam1_big})
+    sub = algebra(small, ops={1: lam1_small})
     inc = MultiOp(1, 0, small, big, {((1, 0),): {(1, 0): Fraction(1)},
                                      ((2, 0),): {(2, 0): Fraction(1)}})
     m = Morphism(sub, amb, (), OpFamily(0, small, big, {1: inc}))
@@ -298,9 +297,8 @@ def test_invert_scaling():
 
 def test_invert_family_flips_quadratic_correction_sign():
     rng = random.Random(3)
-    alg = random_mc_algebra(rng, amplitude=2, max_dim=2)
-    sp = alg.space
-    src = algebra_as_bundle(alg)
+    src = random_mc_algebra(rng, amplitude=2, max_dim=2)
+    sp = src.fiber
     phi = random_formal_iso(rng, sp, max_arity=2)
     # keep the linear part the identity so phi_2 inverts by a plain sign flip
     phi = OpFamily(0, sp, sp, {1: MultiOp.identity(sp), 2: phi.op(2)})
@@ -335,7 +333,7 @@ def seeded_isos():
     for amplitude in (2, 3, 4, 5):
         for poly_vars in ((), ("x", "y")):
             alg = random_mc_algebra(rng, amplitude=amplitude, max_dim=2)
-            sp = alg.space
+            sp = alg.fiber
             lin = OpFamily(0, sp, sp, {1: random_invertible(rng, sp)})
             terms = random_formal_iso(rng, sp, max_arity=3, poly_vars=poly_vars,
                                       coeff_degree=1)
@@ -372,7 +370,7 @@ def test_transport_is_conjugation_and_round_trips(n):
 def test_transport_round_trip():
     rng = random.Random(23)
     alg = random_mc_algebra(rng, amplitude=3, max_dim=3)
-    psi = random_formal_iso(rng, alg.space, max_arity=3)
+    psi = random_formal_iso(rng, alg.fiber, max_arity=3)
     moved = transport_source(psi, alg.total())
     assert transport_source(invert_family(psi), moved) == alg.total()
 
@@ -383,7 +381,7 @@ def test_transport_worked_example():
                            labels={1: ["e", "a"], 2: ["f"], 3: ["g"]})
     delta = MultiOp(1, 1, sp, sp, {((1, 1),): {(2, 0): Fraction(1)}})
     lam1 = MultiOp(1, 1, sp, sp, {((1, 0),): {(2, 0): Fraction(1)}})
-    alg = CurvedAlgebra(sp, delta, OpFamily(1, sp, sp, {1: lam1}))
+    alg = LinftyBundle((), sp, delta, OpFamily(1, sp, sp, {1: lam1}))
     assert check_mc(alg).ok
     ell = alg.total()
     psi2 = MultiOp(2, 0, sp, sp, {((1, 0), (1, 1)): {(2, 0): Fraction(3)},
@@ -391,8 +389,8 @@ def test_transport_worked_example():
     psi = OpFamily(0, sp, sp, {1: MultiOp.identity(sp), 2: psi2})
     moved = transport_source(psi, ell)
     assert circ(psi, moved) == bullet(ell, psi)
-    assert check_mc(CurvedAlgebra(sp, MultiOp.zero(1, 1, sp, sp),
-                                  OpFamily(1, sp, sp, dict(moved.ops)))).ok
+    assert check_mc(LinftyBundle((), sp, MultiOp.zero(1, 1, sp, sp),
+                                 OpFamily(1, sp, sp, dict(moved.ops)))).ok
     assert transport_source(invert_family(psi), moved) == ell
 
 
@@ -406,7 +404,7 @@ def test_linearize_projection_fibration():
     m = product_projection(prod, a, first=True)
     assert check_morphism(m).ok
     lf = linearize_fibration(m)
-    assert check_mc(lf.iso.dst.as_algebra()).ok
+    assert check_mc(lf.iso.dst).ok
     assert check_morphism(lf.iso).ok
     assert check_morphism(lf.linear).ok
     # strictness: the linear leg is arity-1 only with constant coefficients
@@ -552,7 +550,7 @@ def test_near_projection_is_straightened_inside_the_pullback(kind, monkeypatch):
                         lambda phi: calls.append("invert") or real_inverse(phi))
     res = pullback_fibration(m, identity_morphism(m.dst))
     assert calls == ["straighten", "invert"]
-    assert check_mc(res.bundle.as_algebra()).ok
+    assert check_mc(res.bundle).ok
     assert check_morphism(res.to_fibration_source).ok
     assert check_morphism(res.to_other_source).ok
     assert same_morphism(compose(m, res.to_fibration_source),

@@ -14,8 +14,8 @@ from linfty import cli
 from linfty.algebra import LinftyBundle, Morphism, plain_bundle
 from linfty.cli import build_parser, main, parse_poly_expr
 from linfty.graded import GradedSpace, MultiOp, OpFamily
-from linfty.modelio import (ModelFormatError, bundle_to_json,
-                            contraction_to_json, dumps, morphism_to_json)
+from linfty.modelio import (ModelFormatError, bundle_to_json, contraction_to_json, dumps,
+                            load_model, morphism_to_json)
 from linfty.poly import Poly
 
 x = Poly.variable("x")
@@ -131,6 +131,25 @@ def test_transfer_both_modes_and_revalidate(tmp_path, capsys):
     assert code == 0
     doc = json.loads(open(out_path).read())
     assert doc["bundle"] == {"1": 1, "3": 1}
+
+
+def test_transfer_writes_the_induced_differential(tmp_path, capsys):
+    # along eta = 0, H is the whole space with delta_h = delta, phi = iota
+    # and mu = lam: the written model is the input's, differential included
+    model_path, _ = retract_pair(tmp_path)
+    model, _ = load_model(model_path)
+    sp = model.fiber
+    con = build_contraction(sp, model.delta, MultiOp.zero(1, -1, sp, sp))
+    con_path = write_doc(tmp_path, "whole.json", contraction_to_json(con))
+    out_path = str(tmp_path / "same.json")
+    code, _, _ = run(capsys, "transfer", model_path, con_path,
+                     "--mode", "both", "--out", out_path)
+    assert code == 0
+    back, _ = load_model(out_path)
+    assert not back.delta.is_zero()
+    assert back.delta.coeffs == model.delta.coeffs
+    assert back.ops.ops.keys() == model.ops.ops.keys()
+    assert all(back.ops.op(k).coeffs == model.ops.op(k).coeffs for k in model.ops.ops)
 
 
 def test_transfer_rejects_base_coordinates(square_model, tmp_path, capsys):
@@ -465,7 +484,7 @@ def test_main_dispatches_to_the_current_binding(square_model, monkeypatch, capsy
     assert run(capsys, "check-axioms", square_model)[0] == 0
 
 
-# -- recorded path-model outputs ---------------------------------------------------
+# -- recorded pool answers ---------------------------------------------------------
 
 ROOT = Path(__file__).resolve().parent.parent
 POOL = json.loads((ROOT / "perfbench" / "pool" / "manifest.json").read_text())["workloads"]
@@ -476,15 +495,48 @@ def digest(out):
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("job", [j for j in POOL["polybase"]
-                                 if j["id"].startswith(("ps-", "fz-"))],
-                         ids=lambda j: j["id"])
-def test_pool_path_model_job_gives_its_recorded_digest(job, monkeypatch, capsys):
-    # the pool's path-space and factorize jobs, their paths relative to the root
+def run_pool_job(job, monkeypatch, capsys):
+    """Run one pool job in process, its paths relative to the root, and judge
+    its answer by its recorded check: the digest of its JSON output, a
+    witness for a damaged input, or the additive virtual dimension."""
     monkeypatch.chdir(ROOT)
     code, out, _ = run(capsys, *job["argv"])
-    assert code == job["expect"]["exit"] == 0
-    assert digest(out) == job["expect"]["digest"]
+    expect = job["expect"]
+    assert code == expect["exit"]
+    doc = json.loads(out)
+    if expect["check"] == "digest":
+        assert digest(out) == expect["digest"]
+    elif expect["check"] == "witness":
+        assert doc["ok"] is False and doc["witness"]
+    else:
+        assert expect["check"] == "vdim"
+        assert (doc.get("metadata") or {}).get("virtual_dimension") == expect["vdim"]
+
+
+def is_path_model_job(job):
+    return job["id"].startswith(("ps-", "fz-"))
+
+
+@pytest.mark.parametrize("job", [j for j in POOL["polybase"] if is_path_model_job(j)],
+                         ids=lambda j: j["id"])
+def test_pool_path_model_job_gives_its_recorded_digest(job, monkeypatch, capsys):
+    # the pool's path-space and factorize jobs
+    run_pool_job(job, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("job", POOL["certify"], ids=lambda j: j["id"])
+def test_pool_certify_job_gives_its_recorded_answer(job, monkeypatch, capsys):
+    # check-axioms and check-morphism on the pool's models, a third of them damaged
+    run_pool_job(job, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("job", POOL["transfer"] + [j for j in POOL["polybase"]
+                                                    if not is_path_model_job(j)],
+                         ids=lambda j: j["id"])
+def test_pool_job_gives_its_recorded_answer(job, monkeypatch, capsys):
+    # every other pool job: both transfer engines, fibered products,
+    # intersections, zero loci, tangent complexes and reports
+    run_pool_job(job, monkeypatch, capsys)
 
 
 @pytest.mark.parametrize("name, sha", [
@@ -499,21 +551,6 @@ def test_shifted_tangent_prints_its_recorded_bytes(name, sha, monkeypatch, capsy
     code, out, _ = run(capsys, "shifted-tangent", f"perfbench/pool/polybase/{name}.json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == sha
-
-
-@pytest.mark.parametrize("job", POOL["certify"], ids=lambda j: j["id"])
-def test_pool_certify_job_gives_its_recorded_answer(job, monkeypatch, capsys):
-    # check-axioms and check-morphism on the pool's models, a third of them damaged
-    monkeypatch.chdir(ROOT)
-    code, out, _ = run(capsys, *job["argv"])
-    expect = job["expect"]
-    assert code == expect["exit"]
-    if expect["check"] == "digest":
-        assert digest(out) == expect["digest"]
-    else:
-        assert expect["check"] == "witness"
-        doc = json.loads(out)
-        assert doc["ok"] is False and doc["witness"]
 
 
 # -- expression parser --------------------------------------------------------------------

@@ -433,7 +433,7 @@ def test_pullback_of_a_fibration_along_a_non_affine_map():
     f = Morphism(src, p.dst, (w * w,), OpFamily(0, fib_w, p.dst.fiber, {1: psi1}))
     assert check_morphism(f).ok
     pb = pullback_fibration(p, f)
-    assert check_mc(pb.bundle.as_algebra()).ok
+    assert check_mc(pb.bundle).ok
     want = virtual_dimension(p.src) + virtual_dimension(src) - virtual_dimension(p.dst)
     assert virtual_dimension(pb.bundle) == want
 
@@ -458,7 +458,7 @@ def test_pullback_of_plane_submersions():
     g = Morphism(r2b, r1, (Poly.variable("v1"),), OpFamily(0, r2b.fiber, r1.fiber, {}))
     pb = pullback_fibration(f, g)
     assert virtual_dimension(pb.bundle) == 3
-    assert check_mc(pb.bundle.as_algebra()).ok
+    assert check_mc(pb.bundle).ok
     assert check_morphism(pb.to_fibration_source).ok
     assert check_morphism(pb.to_other_source).ok
     # the two legs agree after mapping down to the shared target
@@ -531,13 +531,13 @@ def test_shifted_tangent_of_a_plain_manifold():
     assert st.fiber.dims == {1: 2}
     assert all(st.fiber.is_dt(k) for k in st.fiber.keys())
     assert st.ops.is_zero() or all(st.ops.op(k).is_zero() for k in st.ops.arities())
-    assert check_mc(st.as_algebra()).ok
+    assert check_mc(st).ok
 
 
 def test_shifted_tangent_of_the_squared_function():
     st = shifted_tangent(square_bundle())
     assert st.fiber.dims == {1: 2, 2: 1}
-    assert check_mc(st.as_algebra()).ok
+    assert check_mc(st).ok
     # tangent direction dx dt maps to 2x e dt under the derived bracket
     assert st.ops.op(1).coeffs == {((1, 0),): {(2, 0): 2 * x}}
     # original curvature rides along on the undifferentiated copy
@@ -550,15 +550,15 @@ def test_shifted_tangent_of_an_amplitude_two_model():
     lam2 = MultiOp(2, 1, fiber, fiber, {((1, 0), (1, 0)): {(2, 0): y}})
     amp2 = LinftyBundle(("x", "y"), fiber, MultiOp.zero(1, 1, fiber, fiber),
                         OpFamily(1, fiber, fiber, {1: lam1, 2: lam2}))
-    assert check_mc(amp2.as_algebra()).ok
-    assert check_mc(shifted_tangent(amp2).as_algebra()).ok
+    assert check_mc(amp2).ok
+    assert check_mc(shifted_tangent(amp2)).ok
 
 
 def test_shifted_tangent_doubles_the_virtual_dimension_count():
     rng = random.Random(77)
     b = random_bundle(rng, ("x", "y"))
     st = shifted_tangent(b)
-    assert check_mc(st.as_algebra()).ok
+    assert check_mc(st).ok
     assert virtual_dimension(st) == 0
 
 
@@ -570,7 +570,7 @@ def test_shifted_tangent_is_flat_at_higher_amplitude(amplitude):
     and 34 at amplitude 3 fail without that sign)."""
     bad = [s for s in range(40)
            if not check_mc(shifted_tangent(random_bundle(
-               random.Random(s), ("x", "y"), amplitude=amplitude)).as_algebra()).ok]
+               random.Random(s), ("x", "y"), amplitude=amplitude))).ok]
     assert bad == []
 
 

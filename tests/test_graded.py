@@ -213,8 +213,8 @@ def test_bullet_op_and_treeterm_read_parts_from_their_entries(monkeypatch):
     top = 0
     for (con, lam), want in zip(draws, recursive):
         got = transfer_trees(con, lam)
-        assert got.phi == want.phi and got.algebra.ops == want.algebra.ops
-        top = max(top, got.algebra.ops.max_arity)
+        assert got.phi == want.phi and got.mu == want.mu
+        top = max(top, got.mu.max_arity)
     assert top >= 3
 
 

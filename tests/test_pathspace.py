@@ -220,7 +220,7 @@ def test_path_model_solves_nothing(monkeypatch):
     assert calls == []
     # the counter does see the solve that the closed form replaced
     model = build_path_model(square_bundle())
-    Contraction.from_basis(model.space, model.delta, model.eta,
+    Contraction.from_basis(model.space, model.contraction.delta, model.contraction.eta,
                            model.contraction.h_space, model.contraction.iota)
     assert "solve_columns" in calls
 
@@ -235,7 +235,7 @@ def test_the_supplied_projection_is_checked_against_each_identity():
     differential was altered after construction."""
     model = build_path_model(zero_ops_bundle({1: 1, 2: 1}))
     con = model.contraction
-    args = (model.space, model.delta, model.eta, con.h_space)
+    args = (model.space, model.contraction.delta, model.contraction.eta, con.h_space)
     e, f = (1, 0), (2, 0)
     assert Contraction.from_maps(*args, con.iota, con.pi).pi == con.pi
 
@@ -300,7 +300,7 @@ def test_square_path_space_shape(square_dps):
     assert pm.coords == ("x_0", "x_1")
     assert pm.fiber.dims == {1: 3, 2: 1}
     assert pm.amplitude == 2
-    assert check_mc(pm.as_algebra()).ok
+    assert check_mc(pm).ok
 
 
 def test_square_transferred_curvature(square_dps):
@@ -369,7 +369,7 @@ def test_inclusion_and_evaluation_are_morphisms(square_dps):
 def test_amp2_shape_and_truncation(amp2_dps):
     pm = amp2_dps.bundle
     src = amp2_bundle()
-    assert check_mc(pm.as_algebra()).ok
+    assert check_mc(pm).ok
     # transferred amplitude grows by exactly one dt shift
     assert pm.amplitude == src.amplitude + 1
     for k in pm.ops.arities():
@@ -554,7 +554,7 @@ def test_path_space_at_amplitude_three():
     """Needs the Koszul sign of the shifted tangent beyond amplitude 2."""
     b = random_bundle(random.Random(17), ("x", "y"), amplitude=3)
     dps = derived_path_space(b)   # re-checks its defining equation
-    assert check_mc(dps.bundle.as_algebra()).ok
+    assert check_mc(dps.bundle).ok
     assert check_morphism(dps.evaluation).ok
 
 
@@ -562,7 +562,7 @@ def test_path_space_at_amplitude_four():
     b = random_bundle(random.Random(11), ("x", "y"), amplitude=4)
     dps = derived_path_space(b)
     assert dict(dps.bundle.fiber.dims) == {1: 6, 2: 6, 3: 6, 4: 4, 5: 1}
-    assert check_mc(dps.bundle.as_algebra()).ok
+    assert check_mc(dps.bundle).ok
     assert check_morphism(dps.evaluation).ok
 
 
@@ -573,7 +573,7 @@ def test_path_space_of_a_path_space():
     outer = derived_path_space(inner)
     assert dict(outer.bundle.fiber.dims) == {1: 12, 2: 6, 3: 1}
     assert len(outer.bundle.coords) == 2 * len(inner.coords) == 8
-    assert check_mc(outer.bundle.as_algebra()).ok
+    assert check_mc(outer.bundle).ok
 
 
 @pytest.fixture(scope="module")
@@ -584,7 +584,7 @@ def amp2_path_space():
 def test_path_space_of_amp2s_path_space(amp2_path_space):
     outer = derived_path_space(amp2_path_space)
     assert dict(outer.bundle.fiber.dims) == {1: 16, 2: 14, 3: 6, 4: 1}
-    assert check_mc(outer.bundle.as_algebra()).ok
+    assert check_mc(outer.bundle).ok
 
 
 def symbolic_ends(bundle):
@@ -683,7 +683,7 @@ def test_fibered_product_over_a_point_is_the_product():
     f = Morphism(b, pt, (), OpFamily(0, b.fiber, pt.fiber, {}))
     fp = homotopy_fibered_product(f, f)
     assert virtual_dimension(fp.bundle) == 2 * virtual_dimension(b)
-    assert check_mc(fp.bundle.as_algebra()).ok
+    assert check_mc(fp.bundle).ok
     assert check_morphism(fp.to_left).ok and check_morphism(fp.to_right).ok
 
 
@@ -714,7 +714,7 @@ def test_fibered_product_dimension_formula():
     f = Morphism(r2, r1, (Poly.variable("u1"),), OpFamily(0, r2.fiber, r1.fiber, {}))
     fp = homotopy_fibered_product(f, f)
     assert virtual_dimension(fp.bundle) == 2 + 2 - 1
-    assert check_mc(fp.bundle.as_algebra()).ok
+    assert check_mc(fp.bundle).ok
 
 
 def test_transversal_axes_meet_in_a_smooth_point():

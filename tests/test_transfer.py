@@ -6,13 +6,12 @@ from fractions import Fraction
 import pytest
 from oracles import (build_contraction, inclusion_morphism, perturbation_check,
                      projection_phi1, random_perturbation_instance, sym_homotopy_defect,
-                     transfer_rebuild, transferred_mu0, transferred_mu1,
-                     transferred_phi1)
+                     transfer_rebuild, transferred_bundle, transferred_mu0,
+                     transferred_mu1, transferred_phi1)
 
 import linfty.graded
 import linfty.transfer
-from linfty.algebra import (CurvedAlgebra, Morphism, algebra_as_bundle, check_mc,
-                            check_morphism)
+from linfty.algebra import LinftyBundle, Morphism, check_mc, check_morphism
 from linfty.graded import (GradedSpace, MultiOp, OpFamily, arity_bound, bullet,
                            canonical_tuples, op_nilpotency_order)
 from linfty.samples import random_contraction, random_transfer_instance
@@ -123,8 +122,8 @@ def test_worked_unary_transfer():
     # phi_1(e) = e - a, transferred operation vanishes on e
     assert res.phi.op(1).evaluate_basis(((1, 0),)) == {(1, 0): Fraction(1),
                                                        (1, 1): Fraction(-1)}
-    assert res.algebra.ops.op(1).is_zero()
-    assert check_mc(res.algebra).ok
+    assert res.mu.op(1).is_zero()
+    assert check_mc(transferred_bundle(res)).ok
 
 
 def test_transfer_with_curvature_only():
@@ -135,7 +134,7 @@ def test_transfer_with_curvature_only():
     res = transfer(con, lam)
     assert res.phi.op(1) == con.iota
     assert all(res.phi.op(k).is_zero() for k in res.phi.arities() if k != 1)
-    assert res.algebra.ops.op(0).evaluate_basis(()) == {(1, 0): Fraction(3)}
+    assert res.mu.op(0).evaluate_basis(()) == {(1, 0): Fraction(3)}
     assert transferred_mu0(con, lam) == {(1, 0): Fraction(3)}
 
 
@@ -148,7 +147,7 @@ def test_transfer_with_zero_homotopy_keeps_iota():
     res = transfer(con, lam)
     assert res.phi.op(1) == con.iota
     # nothing is contracted away, so the structure comes back unchanged
-    assert res.algebra.ops.op(1).evaluate_basis(((1, 0),)) == {(2, 0): Fraction(1)}
+    assert res.mu.op(1).evaluate_basis(((1, 0),)) == {(2, 0): Fraction(1)}
 
 
 def test_transfer_rejects_wrong_family():
@@ -164,8 +163,8 @@ def test_closed_forms_match_engine():
         con, lam = random_transfer_instance(rng)
         res = transfer(con, lam)
         assert res.phi.op(1) == transferred_phi1(con, lam)
-        assert res.algebra.ops.op(1) == transferred_mu1(con, lam)
-        assert res.algebra.ops.op(0).evaluate_basis(()) == transferred_mu0(con, lam)
+        assert res.mu.op(1) == transferred_mu1(con, lam)
+        assert res.mu.op(0).evaluate_basis(()) == transferred_mu0(con, lam)
 
 
 def wide_transfer_draws():
@@ -189,7 +188,7 @@ class ArityReach:
 
     def add(self, res):
         self.phi |= set(res.phi.arities())
-        self.mu |= set(res.algebra.ops.arities())
+        self.mu |= set(res.mu.arities())
 
     def check(self):
         assert self.phi == {1, 2, 3}
@@ -208,11 +207,10 @@ def test_transferred_structure_is_mc_and_phi_is_a_morphism():
     for con, lam in default_then_wide_draws(101, 10):
         res = transfer(con, lam)
         reach.add(res)
-        assert check_mc(res.algebra).ok
-        ambient = res.contraction
-        amb_alg = CurvedAlgebra(ambient.space, ambient.delta, lam)
-        assert check_mc(amb_alg).ok
-        assert check_morphism(inclusion_morphism(res, amb_alg)).ok
+        assert check_mc(transferred_bundle(res)).ok
+        ambient = LinftyBundle((), con.space, con.delta, lam)
+        assert check_mc(ambient).ok
+        assert check_morphism(inclusion_morphism(res, ambient)).ok
     reach.check()
 
 
@@ -224,8 +222,7 @@ def test_transfer_matches_the_full_rebuild():
         got = transfer(con, lam)
         want = transfer_rebuild(con, lam)
         assert got.phi == want.phi
-        assert got.algebra.ops == want.algebra.ops
-        assert got.algebra.delta == want.algebra.delta
+        assert got.mu == want.mu
         curved += not lam.op(0).is_zero()
         reach.add(got)
     assert curved >= 5
@@ -288,8 +285,7 @@ def test_trees_match_recursion():
         b = transfer_trees(con, lam)
         reach.add(a)
         assert a.phi == b.phi
-        assert a.algebra.ops == b.algebra.ops
-        assert a.algebra.delta == b.algebra.delta
+        assert a.mu == b.mu
     reach.check()
 
 
@@ -338,9 +334,8 @@ def test_projection_morphism_is_left_inverse_to_phi():
         pi_ext = projection_morphism(con, lam)
         comp = bullet(pi_ext, res.phi)
         assert comp == OpFamily.identity(con.h_space)
-        ambient = algebra_as_bundle(CurvedAlgebra(con.space, con.delta, lam))
-        assert check_morphism(Morphism(ambient, algebra_as_bundle(res.algebra),
-                                       (), pi_ext)).ok
+        ambient = LinftyBundle((), con.space, con.delta, lam)
+        assert check_morphism(Morphism(ambient, transferred_bundle(res), (), pi_ext)).ok
     reach.check()
 
 
@@ -375,14 +370,13 @@ def test_projection_of_a_nilpotent_unary_perturbation_is_the_strict_map():
     con, lam = random_transfer_instance(random.Random(406), 5, 3)
     assert lam.op(0).is_zero() and lam.arities() == [1, 2, 3]
     assert op_nilpotency_order(con.eta.compose_linear(lam.op(1))) == 2
-    assert check_mc(transfer(con, lam).algebra).ok
+    assert check_mc(transferred_bundle(transfer(con, lam))).ok
     lam1 = OpFamily(1, con.space, con.space, {1: lam.op(1)})
     res = transfer(con, lam1)
     strict = OpFamily(0, con.space, con.h_space, {1: projection_phi1(con, lam1)})
     assert bullet(strict, res.phi) == OpFamily.identity(con.h_space)
-    ambient = algebra_as_bundle(CurvedAlgebra(con.space, con.delta, lam1))
-    assert check_morphism(Morphism(ambient, algebra_as_bundle(res.algebra),
-                                   (), strict)).ok
+    ambient = LinftyBundle((), con.space, con.delta, lam1)
+    assert check_morphism(Morphism(ambient, transferred_bundle(res), (), strict)).ok
     assert projection_morphism(con, lam1) == strict
 
 
