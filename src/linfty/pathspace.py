@@ -408,8 +408,6 @@ class FiberedProduct:
     bundle: LinftyBundle
     to_left: Morphism
     to_right: Morphism
-    path_space: DerivedPathSpace
-    right: Morphism
 
 
 def _product_morphism(f: Morphism, g: Morphism, dst_product: LinftyBundle,
@@ -459,7 +457,7 @@ def homotopy_fibered_product(f: Morphism, g: Morphism) -> FiberedProduct:
             - virtual_dimension(f.dst))
     if virtual_dimension(res.bundle) != want:
         raise AssertionError("virtual dimension is not additive")
-    return FiberedProduct(res.bundle, to_left, to_right, dps, g_used)
+    return FiberedProduct(res.bundle, to_left, to_right)
 
 
 # ---------------------------------------------------------------------------
@@ -519,12 +517,7 @@ class IntersectionPoint:
 
 @dataclass
 class DerivedIntersection:
-    x: Submanifold
-    y: Submanifold
-    ambient_coords: tuple[str, ...]
     bundle: LinftyBundle
-    to_x: Morphism
-    to_y: Morphism
     points: list[IntersectionPoint]
     virtual_dim: int
 
@@ -572,8 +565,7 @@ def derived_intersection(x: Submanifold, y: Submanifold,
         reports.append(IntersectionPoint(p, amb_img, betti.get(0, 0),
                                          betti.get(1, 0),
                                          betti.get(1, 0) == 0))
-    return DerivedIntersection(x, y, ambient.coords, bundle,
-                               fp.to_left, fp.to_right, reports, vdim)
+    return DerivedIntersection(bundle, reports, vdim)
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +577,6 @@ def derived_intersection(x: Submanifold, y: Submanifold,
 class ZeroLocusComparison:
     model: LinftyBundle            # quasi-smooth (base, E, section)
     intersection: DerivedIntersection
-    comparison: Morphism
     weak_equiv: object
     points: list[ClassicalPoint]
 
@@ -649,4 +640,4 @@ def zero_locus_model(coords, section, points=None) -> ZeroLocusComparison:
         pts = []
     lifted = [tuple(p.coords) * 2 for p in pts]
     weq = is_weak_equivalence(comparison, pts, lifted)
-    return ZeroLocusComparison(model, inter, comparison, weq, pts)
+    return ZeroLocusComparison(model, inter, weq, pts)

@@ -25,10 +25,16 @@ product only through the single-block partition,
 and mu is read off these values with no second pass over the product.
 
 `transfer_trees` recomputes phi and mu as an explicit sum over rooted
-trees with symmetry-factor weights; agreement with the fixed-point route
-is a strong end-to-end check and the test suite asserts it.  Each tree's
-term (its root operation fed with its capped subtrees) is tabulated once
-and capped twice: by eta for phi, by pi for mu.
+trees whose nodes are the operations of arity >= 2, each weighted
+(-1)^(number of nodes); agreement with the fixed-point route is a strong
+end-to-end check and the test suite asserts it.  It shares the
+hypothesis and the inverse (1 + eta lam_1)^{-1} of `transfer`, which
+resums the chains of lam_1 a tree expansion would otherwise carry: a
+leaf is that inverse applied to iota, and a tree's term (its root
+operation fed with its capped subtrees) is tabulated once and capped
+twice, by the inverse after eta for phi and by pi for mu.  Equal
+subtrees are fed once per unordered choice of their inputs, so no
+symmetry factor remains.
 
 `projection_morphism` extends pi to a full morphism from the ambient
 structure to the transferred one.  The adapted basis is a graded space of
@@ -54,7 +60,7 @@ from .graded import (BasisBuilder, BasisKey, GradedSpace, MultiOp, OpFamily, Vec
                      arity_bound, bullet_op, koszul_sign, op_nilpotency_order,
                      sort_keys_with_sign, unshuffle_sign, vec_add_into)
 from .linalg import rref, solve_columns
-from .poly import _exact, _times
+from .poly import _times
 
 
 def _image_basis(op: MultiOp, degree: int) -> list[list[Fraction]]:
@@ -252,7 +258,11 @@ def transfer(con: Contraction, lam: OpFamily) -> TransferResult:
 
 @dataclass(frozen=True)
 class Tree:
-    """Rooted tree with unordered children; None children marks a leaf."""
+    """Rooted tree with unordered children; None children marks a leaf.
+
+    A node stands for an operation lam_k with k >= 2; lam_1 is resummed
+    into the leaves and the caps by (1 + eta lam_1)^{-1}.
+    """
 
     children: tuple["Tree", ...] | None = None
 
@@ -269,92 +279,88 @@ class Tree:
     def node(children: Sequence["Tree"]) -> "Tree":
         return Tree(tuple(sorted(children, key=Tree.sort_key)))
 
-    def n_leaves(self) -> int:
-        if self.children is None:
-            return 1
-        return sum(c.n_leaves() for c in self.children)
-
-    def weight(self) -> int | Fraction:
-        """Symmetry-weighted coefficient in the fixed-point expansion."""
+    def weight(self) -> int:
+        """(-1)^(number of nodes): the tree's sign in phi."""
         if self.children is None:
             return 1
         w = -1
-        run = 1
-        for i, c in enumerate(self.children):
-            w = _times(w, c.weight())
-            if i > 0 and c == self.children[i - 1]:
-                run += 1
-                w = _exact(Fraction(w, run))
-            else:
-                run = 1
+        for c in self.children:
+            w *= c.weight()
         return w
 
-    def describe(self) -> str:
-        if self.children is None:
-            return "*"
-        return "(" + " ".join(c.describe() for c in self.children) + ")"
 
+def _block_choices(parts: Sequence[MultiOp], positions: Sequence[int],
+                   floor: int) -> Iterator[list[tuple[int, ...]]]:
+    """Blocks of positions for the parts, in order.
 
-def _block_assignments(sizes: Sequence[int], positions: Sequence[int]) -> Iterator[list[tuple[int, ...]]]:
-    """Ordered decompositions of positions into blocks of the given sizes."""
-    if not sizes:
+    A part identical to the one before it takes a block whose first
+    position lies above that one's, so each unordered choice of blocks
+    for a run of identical parts comes once.
+    """
+    if not parts:
         yield []
         return
-    head, rest = sizes[0], sizes[1:]
-    for block in combinations(positions, head):
+    head, rest = parts[0], parts[1:]
+    for block in combinations([p for p in positions if p > floor], head.arity):
         remaining = [p for p in positions if p not in block]
-        for tail in _block_assignments(rest, remaining):
+        nxt = block[0] if rest and rest[0] is head else -1
+        for tail in _block_choices(rest, remaining, nxt):
             yield [block] + tail
 
 
 def treeterm(op_k: MultiOp, parts: Sequence[MultiOp]) -> MultiOp:
-    """op_k fed with the parts on an unshuffled split of the inputs, no weights."""
+    """op_k fed with the parts on an unshuffled split of the inputs, no weights.
+
+    The parts have degree 0 and arity >= 1.  A run of identical, adjacent
+    parts is fed each unordered choice of blocks once: by graded symmetry
+    swapping two of its blocks changes neither the Koszul sign nor the
+    value, so the ordered sum is this one times the factorials of the
+    run lengths.  Parts that are equal but not identical count as
+    distinct.
+    """
     if op_k.arity != len(parts):
         raise ValueError("arity of the node must match the number of subtrees")
     n = sum(p.arity for p in parts)
-    source = parts[0].source if parts else op_k.source
 
     def value(tup):
         degs = [k[0] for k in tup]
         out: Vector = {}
-        for blocks in _block_assignments([p.arity for p in parts], range(n)):
+        for blocks in _block_choices(parts, range(n), -1):
             flat = [i for b in blocks for i in b]
             sign = koszul_sign(degs, flat)
             if sign == 0:
                 continue
             vecs = []
-            dead = False
             for part, block in zip(parts, blocks):
                 # combinations keep positions in order, so the keys of a
                 # block of the canonical tup are canonical themselves
                 v = part.coeffs.get(tuple(tup[i] for i in block))
                 if not v:
-                    dead = True
                     break
                 vecs.append(v)
-            if dead:
-                continue
-            for okey, c in op_k.evaluate(vecs).items():
-                vec_add_into(out, okey, c if sign > 0 else -c)
+            else:
+                for okey, c in op_k.evaluate(vecs).items():
+                    vec_add_into(out, okey, c if sign > 0 else -c)
         return out
 
-    return MultiOp.from_function(n, op_k.degree, source, op_k.target, value)
+    return MultiOp.from_function(n, op_k.degree, parts[0].source, op_k.target, value)
 
 
-def _tree_multisets(pool: Sequence[Tree], total: int,
-                    counts: Sequence[int]) -> Iterator[tuple[Tree, ...]]:
-    """Multisets from pool (with repetition) whose leaf counts sum to total."""
+def _tree_multisets(pool: Sequence[tuple[Tree, int]],
+                    total: int) -> Iterator[tuple[Tree, ...]]:
+    """Multisets of pool trees (with repetition), given with their leaf
+    counts, whose leaf counts sum to total."""
 
     def rec(idx: int, remaining: int) -> Iterator[tuple[Tree, ...]]:
         if remaining == 0:
             yield ()
             return
         for i in range(idx, len(pool)):
-            c = counts[i]
+            t, c = pool[i]
             if c > remaining:
                 continue
             for tail in rec(i, remaining - c):
-                yield (pool[i],) + tail
+                yield (t,) + tail
 
     yield from rec(0, total)
 
@@ -362,85 +368,50 @@ def _tree_multisets(pool: Sequence[Tree], total: int,
 def transfer_trees(con: Contraction, lam: OpFamily) -> TransferResult:
     """Transfer via the explicit tree expansion; agrees with `transfer`.
 
-    Trees are discovered by leaf count; a candidate whose eta-capped value
-    vanishes is dropped, which prunes every extension of it that would
-    vanish for the same reason only at the root.  Each candidate's term is
-    tabulated once, during discovery, and kept uncapped: capped by eta it
-    is the tree's contribution to phi, capped by pi its contribution to mu.
+    Every node has arity >= 2: lam_1 is resummed by the inverse
+    inv1 = (1 + eta lam_1)^{-1} that `transfer` uses, so a leaf is
+    inv1 iota and a tree's capped value is inv1 eta of its term (its root
+    operation fed with its children's capped values).  phi_n sums
+    w(T) times the capped values of the n-leaf trees T, and
+    mu_n = -sum w(T) pi(term of T) + pi lam_1 phi_n.  Each child of an
+    n-leaf tree has fewer leaves, so one pass in increasing n finds every
+    tree, tabulating its term once.  A tree whose capped value vanishes
+    is never made a child: every tree above it would vanish with it.
     """
     if lam.degree != 1 or lam.source != con.space or lam.target != con.space:
         raise ValueError("operations must be a degree-1 endofamily of the ambient space")
-    top_phi = arity_bound(0, con.space, con.h_space)
-    top_mu = arity_bound(1, con.h_space, con.h_space)
-    top = max(top_phi, top_mu)
-    arities = [k for k in lam.arities() if k >= 1]
+    lam1 = lam.op(1)
+    inv1 = neumann_inverse(con.eta.compose_linear(lam1), label="eta lam_1")
+    arities = {k for k in lam.arities() if k >= 2}
 
-    capped: dict[Tree, MultiOp] = {Tree.leaf(): con.iota}
-    uncapped: dict[Tree, MultiOp] = {}
-    alive: dict[int, list[Tree]] = {1: [] if con.iota.is_zero() else [Tree.leaf()]}
-
-    def capped_eval(t: Tree) -> MultiOp:
-        got = capped.get(t)
-        if got is not None:
-            return got
-        parts = [capped_eval(c) for c in t.children]
-        uncapped[t] = treeterm(lam.op(len(t.children)), parts)
-        val = op_then(uncapped[t], con.eta)
-        capped[t] = val
-        return val
-
-    arity_set = set(arities)
-    for n in range(1, top + 1):
-        alive.setdefault(n, [])
-        guard = 0
-        while True:
-            pool = [t for m in range(1, n + 1) for t in alive.get(m, [])]
-            counts = [t.n_leaves() for t in pool]
-            added = False
-            for ms in _tree_multisets(pool, n, counts):
-                if len(ms) not in arity_set:
-                    continue
-                t = Tree.node(ms)
-                if t in capped:
-                    continue
-                if not capped_eval(t).is_zero():
-                    alive[n].append(t)
-                    added = True
-            if not added:
-                break
-            guard += 1
-            if guard > con.space.total_dim + 2:
-                raise RuntimeError("tree discovery did not stabilize; eta lam_1 is not nilpotent")
-
-    phi_ops: dict[int, MultiOp] = {}
-    for n in range(1, top_phi + 1):
-        acc = MultiOp.zero(n, 0, con.h_space, con.space)
-        for t in alive.get(n, []):
-            acc = acc.plus(capped[t].scaled(t.weight()))
-        if not acc.is_zero():
-            phi_ops[n] = acc
-    phi = OpFamily(0, con.h_space, con.space, phi_ops)
-
-    mu_ops: dict[int, MultiOp] = {0: _curvature_on_h(con, lam)}
-    for n in range(1, top_mu + 1):
-        acc = MultiOp.zero(n, 1, con.h_space, con.h_space)
-        pool = [t for m in range(1, n + 1) for t in alive.get(m, [])]
-        counts = [t.n_leaves() for t in pool]
-        for ms in _tree_multisets(pool, n, counts):
-            if len(ms) not in arity_set:
+    leaf = Tree.leaf()
+    capped = {leaf: inv1.compose_linear(con.iota)}
+    pool = [] if capped[leaf].is_zero() else [(leaf, 1)]
+    phi_ops = {1: capped[leaf]}
+    mu_ops = {0: _curvature_on_h(con, lam)}
+    for n in range(1, arity_bound(0, con.space, con.h_space) + 1):
+        phi_n = phi_ops.get(n, MultiOp.zero(n, 0, con.h_space, con.space))
+        lam_phi = MultiOp.zero(n, 1, con.h_space, con.space)
+        grown = []
+        for kids in _tree_multisets(pool, n):
+            if len(kids) not in arities:
                 continue
-            # discovery visited this multiset: its last pass at n leaves
-            # ran over the same final pool with the same arity filter, and
-            # top >= top_mu, so the uncapped term is already there
-            t = Tree.node(ms)
-            # t weighs -w: its root carries the -1 of
-            # phi = iota - eta (lam . phi), which mu = pi (lam . phi) lacks
-            w = -t.weight()
-            acc = acc.plus(op_then(uncapped[t], con.pi).scaled(w))
-        if not acc.is_zero():
-            mu_ops[n] = acc
+            t = Tree.node(kids)
+            term = treeterm(lam.op(len(kids)), [capped[c] for c in t.children])
+            w = t.weight()
+            # lam . phi lacks the -1 that phi = iota - eta (lam . phi) puts
+            # at the root
+            lam_phi = lam_phi.plus(term.scaled(-w))
+            val = op_then(op_then(term, con.eta), inv1)
+            if not val.is_zero():
+                capped[t] = val
+                grown.append((t, n))
+                phi_n = phi_n.plus(val.scaled(w))
+        pool += grown
+        phi_ops[n] = phi_n
+        mu_ops[n] = op_then(lam_phi.plus(op_then(phi_n, lam1)), con.pi)
+    phi = OpFamily(0, con.h_space, con.space, phi_ops)
     mu = OpFamily(1, con.h_space, con.h_space, mu_ops)
-
     return TransferResult(con, phi, mu)
 
 

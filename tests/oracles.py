@@ -9,7 +9,9 @@ products, `circ_unshuffle` tabulates circ on every canonical tuple by
 the sum over its 2^n unshuffles, `sort_keys_general` sorts basis keys
 by the general pairwise sign count with no shortcut for sorted input,
 `transfer_rebuild` solves the transfer fixed point by rebuilding the
-whole product lam . phi at every arity and once more for mu, and
+whole product lam . phi at every arity and once more for mu,
+`treeterm_ordered` feeds an operation its parts on every ordered split
+of the inputs into blocks, with no regard for equal parts, and
 `bareiss_rank` computes a rank by fraction-free elimination (Bareiss
 1968) on an integer-scaled copy, a pipeline independent of the rational
 row reduction in `linfty.linalg`.
@@ -253,6 +255,40 @@ def bullet_literal(lam: OpFamily, phi: OpFamily) -> OpFamily:
     top = lam.max_arity * phi.max_arity if lam.ops and phi.ops else 0
     return _tabulate(range(top + 1), lam.degree, phi.source, lam.target,
                      lambda tup: _bullet_value_literal(lam, phi, tup))
+
+
+def ordered_block_assignments(sizes: Sequence[int],
+                              positions: Sequence[int]) -> Iterator[list[tuple[int, ...]]]:
+    """Ordered decompositions of positions into blocks of the given sizes."""
+    if not sizes:
+        yield []
+        return
+    head, rest = sizes[0], sizes[1:]
+    for block in combinations(positions, head):
+        remaining = [p for p in positions if p not in block]
+        for tail in ordered_block_assignments(rest, remaining):
+            yield [block] + tail
+
+
+def treeterm_ordered(op_k: MultiOp, parts: Sequence[MultiOp]) -> MultiOp:
+    """op_k fed with the parts on every ordered split of the inputs: a run
+    of m equal parts meets each choice of its blocks m! times."""
+    n = sum(p.arity for p in parts)
+
+    def value(tup):
+        degs = [k[0] for k in tup]
+        out: Vector = {}
+        for blocks in ordered_block_assignments([p.arity for p in parts], range(n)):
+            sign = koszul_sign(degs, [i for b in blocks for i in b])
+            vecs = [part.evaluate_basis(tuple(tup[i] for i in block))
+                    for part, block in zip(parts, blocks)]
+            if sign == 0 or not all(vecs):
+                continue
+            for okey, c in op_k.evaluate(vecs).items():
+                vec_add_into(out, okey, sign * c)
+        return out
+
+    return MultiOp.from_function(n, op_k.degree, parts[0].source, op_k.target, value)
 
 
 def commutator(a: OpFamily, b: OpFamily) -> OpFamily:

@@ -152,6 +152,29 @@ def test_transfer_writes_the_induced_differential(tmp_path, capsys):
     assert all(back.ops.op(k).coeffs == model.ops.op(k).coeffs for k in model.ops.ops)
 
 
+@pytest.mark.parametrize("h_rank", [1, 0])
+def test_transfer_modes_refuse_a_non_nilpotent_eta_lam1(h_rank, tmp_path, capsys):
+    # delta a = b, eta b = a and lam_1 a = b, so eta lam_1 a = a; with
+    # h_rank 1 a cycle h (lam_1 h = b) spans H, with h_rank 0 H is zero
+    sp = GradedSpace.build({1: 1 + h_rank, 2: 1})
+    a, b = (1, 0), (2, 0)
+    delta = MultiOp(1, 1, sp, sp, {(a,): {b: Fraction(1)}})
+    eta = MultiOp(1, -1, sp, sp, {(b,): {a: Fraction(1)}})
+    lam1 = MultiOp(1, 1, sp, sp, {((1, i),): {b: Fraction(1)} for i in range(1 + h_rank)})
+    con = build_contraction(sp, delta, eta)
+    assert con.h_space.total_dim == h_rank
+    model = write_doc(tmp_path, "model.json",
+                      bundle_to_json(LinftyBundle((), sp, delta, OpFamily(1, sp, sp, {1: lam1}))))
+    con_path = write_doc(tmp_path, "con.json", contraction_to_json(con))
+    errs = set()
+    for mode in ("recursive", "trees", "both"):
+        code, out, err = run(capsys, "transfer", model, con_path, "--mode", mode)
+        assert code == 2 and out == ""
+        errs.add(err)
+    assert errs == {"input error: eta lam_1 is not nilpotent; "
+                    "the expansion does not terminate\n"}
+
+
 def test_transfer_rejects_base_coordinates(square_model, tmp_path, capsys):
     _, con = retract_pair(tmp_path)
     code, _, err = run(capsys, "transfer", square_model, con)

@@ -2,12 +2,14 @@
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import groupby, product
+from math import factorial, prod
 
 import pytest
 from oracles import (amp2_bundle, bullet_literal, canonical_tuples_literal, circ_literal,
                      circ_unshuffle, commutator, compose_linear_literal, evaluate_expanded,
-                     sort_keys_general, square_bundle)
+                     ordered_block_assignments, sort_keys_general, square_bundle,
+                     treeterm_ordered)
 
 import linfty.graded
 from linfty.graded import (GradedSpace, MultiOp, OpFamily, bullet, bullet_op,
@@ -17,7 +19,7 @@ from linfty.graded import (GradedSpace, MultiOp, OpFamily, bullet, bullet_op,
 from linfty.poly import Poly
 from linfty.samples import (break_algebra, random_bundle, random_mc_algebra,
                             random_morphism_onto, random_transfer_instance)
-from linfty.transfer import transfer, transfer_trees
+from linfty.transfer import transfer, transfer_trees, treeterm
 
 
 # -- signs --------------------------------------------------------------------
@@ -216,6 +218,44 @@ def test_bullet_op_and_treeterm_read_parts_from_their_entries(monkeypatch):
         assert got.phi == want.phi and got.mu == want.mu
         top = max(top, got.mu.max_arity)
     assert top >= 3
+
+
+def test_treeterm_feeds_a_run_of_identical_parts_once_per_choice():
+    """treeterm times the factorials of its runs of identical parts is the
+    ordered block sum; equal parts that are distinct objects form no run."""
+    rng = random.Random(61)
+    src = GradedSpace.build({1: 3, 2: 1})
+    tgt = GradedSpace.build({1: 2, 2: 2, 3: 1, 4: 1, 5: 1})
+    shapes = [(0, 0), (0, 1), (0, 0, 0), (0, 0, 2), (2, 0, 0), (1, 1, 1), (2, 2)]
+    reached = set()
+    for _ in range(4):
+        pool = [random_op(rng, src, tgt, arity, 0) for arity in (1, 1, 2)]
+        for shape in shapes:
+            parts = [pool[i] for i in shape]
+            op_k = random_op(rng, tgt, tgt, len(parts), 1)
+            got = treeterm(op_k, parts)
+            runs = [len(list(g)) for _, g in groupby(shape)]
+            want = treeterm_ordered(op_k, parts)
+            assert got.scaled(prod(factorial(r) for r in runs)) == want
+            if not got.is_zero():
+                reached |= {f"run of {r}" for r in runs if r > 1}
+            n = sum(p.arity for p in parts)
+            for tup in canonical_tuples(src, n):
+                degs = [k[0] for k in tup]
+                for blocks in ordered_block_assignments([p.arity for p in parts], range(n)):
+                    vecs = [p.coeffs.get(tuple(tup[i] for i in b)) for p, b in zip(parts, blocks)]
+                    if (koszul_sign(degs, [i for b in blocks for i in b]) < 0
+                            and all(vecs) and op_k.evaluate(vecs)):
+                        reached.add("sign -1")
+        twin = MultiOp(1, 0, src, tgt, dict(pool[0].coeffs))
+        assert twin == pool[0] and twin is not pool[0]
+        op_k = random_op(rng, tgt, tgt, 2, 1)
+        got = treeterm(op_k, [pool[0], twin])
+        assert got == treeterm_ordered(op_k, [pool[0], twin])
+        assert got == treeterm(op_k, [pool[0], pool[0]]).scaled(2)
+        if not got.is_zero():
+            reached.add("equal, not identical")
+    assert reached == {"run of 2", "run of 3", "sign -1", "equal, not identical"}
 
 
 def test_identity_and_compose_linear():

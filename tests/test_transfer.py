@@ -262,20 +262,21 @@ def test_tree_weights():
     leaf = Tree.leaf()
     assert leaf.weight() == 1
     corolla2 = Tree.node([leaf, leaf])
-    assert corolla2.weight() == Fraction(-1, 2)
+    assert corolla2.weight() == -1
     chain = Tree.node([Tree.node([leaf, leaf]), leaf])
-    # inner corolla contributes -1/2, outer node -1, distinct children
-    assert chain.weight() == Fraction(1, 2)
+    # (-1)^(number of nodes); equal children add no symmetry factor
+    assert chain.weight() == 1
     double = Tree.node([Tree.node([leaf, leaf]), Tree.node([leaf, leaf])])
-    # two equal children add a 1/2! symmetry factor
-    assert double.weight() == Fraction(-1, 8)
+    assert double.weight() == -1
+    assert all(type(t.weight()) is int for t in (leaf, corolla2, chain, double))
 
 
 def test_tree_describe_sorts_children():
     leaf = Tree.leaf()
-    a = Tree.node([Tree.node([leaf, leaf]), leaf])
-    b = Tree.node([leaf, Tree.node([leaf, leaf])])
-    assert a == b and a.describe() == b.describe()
+    inner = Tree.node([leaf, leaf])
+    a = Tree.node([inner, leaf])
+    b = Tree.node([leaf, inner])
+    assert a == b and a.children == b.children == (leaf, inner)
 
 
 def test_trees_match_recursion():
@@ -290,8 +291,8 @@ def test_trees_match_recursion():
 
 
 def test_tree_engine_tabulates_each_tree_once(monkeypatch):
-    """One treeterm call per distinct non-leaf tree: mu reads back the
-    uncapped terms that tree discovery tabulated."""
+    """One treeterm call per distinct tree: its term is capped for phi and
+    read for mu from the one tabulation."""
     calls = []
     trees = set()
     real_term, real_node = linfty.transfer.treeterm, Tree.node
@@ -307,14 +308,20 @@ def test_tree_engine_tabulates_each_tree_once(monkeypatch):
 
     monkeypatch.setattr(linfty.transfer, "treeterm", counting)
     monkeypatch.setattr(Tree, "node", staticmethod(recording))
-    total = 0
+    reached = set()
     for con, lam in default_then_wide_draws(202, 8):
         calls.clear()
         trees.clear()
         transfer_trees(con, lam)
         assert len(calls) == len(trees)
-        total += len(calls)
-    assert total >= 40
+        for t in trees:
+            for i, c in enumerate(t.children):
+                if c.children is not None:
+                    reached.add("non-leaf child")
+                if i and c == t.children[i - 1]:
+                    reached.add("equal children" if c.children is None
+                                else "equal non-leaf children")
+    assert reached == {"non-leaf child", "equal children", "equal non-leaf children"}
 
 
 def test_trees_reproduce_neumann_series_for_unary_input():
