@@ -115,13 +115,6 @@ def reindex_op(op: MultiOp, source: GradedSpace, target: GradedSpace,
     return MultiOp(op.arity, op.degree, source, target, coeffs)
 
 
-def linear_apply(op: MultiOp, vec: Vector) -> Vector:
-    """Apply an arity-1 operation to a sparse vector."""
-    if op.arity != 1:
-        raise ValueError("linear_apply expects an arity-1 operation")
-    return op.evaluate([vec])
-
-
 def op_then(op: MultiOp, linear: MultiOp) -> MultiOp:
     """Post-compose any operation with an arity-1 operation."""
     if linear.arity != 1:
@@ -383,17 +376,6 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
 # ---------------------------------------------------------------------------
 # inverses of formal families, and structure transport
 # ---------------------------------------------------------------------------
-
-
-def op_precompose_linear(op: MultiOp, lin: MultiOp) -> MultiOp:
-    """op with the degree-0 map lin applied to every input slot."""
-    if lin.arity != 1 or lin.degree != 0:
-        raise ValueError("op_precompose_linear expects a degree-0 arity-1 inner map")
-
-    def value(tup):
-        return op.evaluate([lin.evaluate_basis((k,)) for k in tup])
-
-    return MultiOp.from_function(op.arity, op.degree, lin.source, op.target, value)
 
 
 def invert_linear_op(op: MultiOp) -> MultiOp:

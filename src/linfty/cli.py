@@ -80,6 +80,7 @@ def parse_poly_expr(src: str, coords) -> Poly:
             if isinstance(node.op, ast.Pow):
                 if not (isinstance(node.right, ast.Constant)
                         and isinstance(node.right.value, int)
+                        and not isinstance(node.right.value, bool)
                         and node.right.value >= 0):
                     raise ModelFormatError(
                         f"{src!r}: exponents must be nonnegative integer literals")

@@ -32,17 +32,22 @@ Each product has one engine at every arity.  circ is pushed forward from
 the nonzero entries of its factors: an entry of mu meets each entry of lam
 that holds one of its outputs in a single sorted tuple, with a Koszul sign
 and a multiplicity, so no tuple that no pair of entries reaches is ever
-visited.  bullet enumerates the set partitions of each canonical tuple,
-with the Koszul sign of each.  The literal n!-permutation sums that define
-both, and circ as a sum over the 2^n unshuffles of each canonical tuple,
-live in the test suite as references the engines are checked against.
+visited.  bullet sums, over the multisets of phi's arities, one block
+feeder: lam_k fed with degree-0 parts on blocks of a canonical tuple, with
+the Koszul sign of each choice of blocks and a run of identical parts fed
+each unordered choice once.  The feeder lists its choices once per
+operation and parts; treeterm, the term of a tree in the tree formula for
+homotopy transfer, is the same feeder tabulated.  The literal
+n!-permutation sums that define both products, and circ as a sum over the
+2^n unshuffles of each canonical tuple, live in the test suite as
+references the engines are checked against.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import combinations, product
 from math import comb
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -716,52 +721,101 @@ def circ(lam: OpFamily, mu: OpFamily) -> OpFamily:
 # ---------------------------------------------------------------------------
 
 
-def set_partitions(items: Sequence[int]) -> Iterator[list[list[int]]]:
-    """All partitions of items into unordered nonempty blocks."""
-    items = list(items)
-    if not items:
+def multisets(pool: Sequence[tuple[object, int]], total: int) -> Iterator[tuple[object, ...]]:
+    """Multisets of pool items (with repetition), given with their sizes,
+    whose sizes sum to total: each multiset once, its items in pool order."""
+
+    def rec(idx: int, remaining: int) -> Iterator[tuple[object, ...]]:
+        if remaining == 0:
+            yield ()
+            return
+        for i in range(idx, len(pool)):
+            item, size = pool[i]
+            if size > remaining:
+                continue
+            for tail in rec(i, remaining - size):
+                yield (item,) + tail
+
+    yield from rec(0, total)
+
+
+def _block_choices(parts: Sequence[MultiOp], positions: Sequence[int],
+                   floor: int) -> Iterator[list[tuple[int, ...]]]:
+    """Blocks of positions for the parts, in order.
+
+    A part identical to the one before it takes a block whose first
+    position lies above that one's, so each unordered choice of blocks
+    for a run of identical parts comes once.
+    """
+    if not parts:
         yield []
         return
-    first, rest = items[0], items[1:]
-    for part in set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1:]
-        yield [[first]] + part
+    head, rest = parts[0], parts[1:]
+    for block in combinations([p for p in positions if p > floor], head.arity):
+        remaining = [p for p in positions if p not in block]
+        nxt = block[0] if rest and rest[0] is head else -1
+        for tail in _block_choices(rest, remaining, nxt):
+            yield [block] + tail
 
 
-def _bullet_value_partitions(lam: OpFamily, phi: OpFamily, tup) -> Vector:
-    n = len(tup)
-    degs = [k[0] for k in tup]
-    out: Vector = {}
-    if n == 0:
-        lam0 = lam.ops.get(0)
-        return dict(lam0.evaluate_basis(())) if lam0 else {}
-    for part in set_partitions(range(n)):
-        k = len(part)
-        lam_k = lam.ops.get(k)
-        if lam_k is None:
-            continue
-        blocks = sorted([sorted(b) for b in part], key=lambda b: b[0])
-        flat = [i for b in blocks for i in b]
-        sign = koszul_sign(degs, flat)
-        if sign == 0:
-            continue
-        vecs = []
-        dead = False
-        for b in blocks:
-            phi_b = phi.ops.get(len(b))
-            # a block's positions ascend, so its keys form a canonical tuple
-            v = phi_b.coeffs.get(tuple(tup[i] for i in b)) if phi_b is not None else None
-            if not v:
-                dead = True
-                break
-            vecs.append(v)
-        if dead:
-            continue
-        res = lam_k.evaluate(vecs)
-        for okey, c in res.items():
-            vec_add_into(out, okey, c if sign > 0 else -c)
-    return out
+def _feeder(op_k: MultiOp, parts: Sequence[MultiOp]) -> Callable[[Vector, tuple], None]:
+    """op_k fed with the degree-0 parts on blocks of a canonical tuple.
+
+    Returns into(out, tup), which adds to out the sum, over the choices of
+    blocks of tup's positions for the parts, of the Koszul sign of
+    bringing the blocks together in part order times op_k on the parts'
+    values there.  The choices depend on the arities alone, so they are
+    listed once, on the first call: a tabulation may meet no tuple at all.
+    A run of identical, adjacent parts is fed each unordered choice of
+    blocks once: by graded symmetry swapping two of its blocks changes
+    neither the sign nor the value.
+    """
+    n = sum(p.arity for p in parts)
+    lookups = [p.coeffs.get for p in parts]
+    choices: list = []
+    evaluate = op_k.evaluate
+
+    def into(out: Vector, tup: tuple[BasisKey, ...]) -> None:
+        if not choices:  # there is always at least one choice
+            choices.extend((tuple(zip(lookups, blocks)), [i for b in blocks for i in b])
+                           for blocks in _block_choices(parts, range(n), -1))
+        degs = [k[0] for k in tup]
+        for reads, flat in choices:
+            vecs = []
+            for read, block in reads:
+                # blocks keep positions in order, so the keys of a block of
+                # the canonical tup are canonical themselves
+                v = read(tuple(tup[i] for i in block))
+                if not v:
+                    break
+                vecs.append(v)
+            else:
+                sign = koszul_sign(degs, flat)
+                for okey, c in evaluate(vecs).items():
+                    vec_add_into(out, okey, c if sign > 0 else -c)
+
+    return into
+
+
+def treeterm(op_k: MultiOp, parts: Sequence[MultiOp]) -> MultiOp:
+    """op_k fed with the parts on an unshuffled split of the inputs, no weights.
+
+    The parts have degree 0 and arity >= 1.  A run of identical, adjacent
+    parts is fed each unordered choice of blocks once, so the ordered sum
+    is this one times the factorials of the run lengths.  Parts that are
+    equal but not identical count as distinct.
+    """
+    if op_k.arity != len(parts):
+        raise ValueError("arity of the node must match the number of subtrees")
+    into = _feeder(op_k, parts)
+
+    def value(tup):
+        out: Vector = {}
+        into(out, tup)
+        return out
+
+    return MultiOp.from_function(sum(p.arity for p in parts), op_k.degree,
+                                 parts[0].source, op_k.target, value)
 
 
 def _bullet_reach(lam: OpFamily, phi: OpFamily) -> int:
@@ -783,13 +837,28 @@ def _bullet_reach(lam: OpFamily, phi: OpFamily) -> int:
 def bullet_op(lam: OpFamily, phi: OpFamily, n: int) -> MultiOp:
     """The arity-n part of bullet(lam, phi), tabulated on its own.
 
-    Recursions that fix one arity of phi at a time call this at each step
-    instead of rebuilding every arity of the product.
+    A set partition of the n inputs into k blocks feeds lam_k with one
+    part of phi per block.  Its block sizes are a multiset of phi's
+    arities, and it is one block choice of the feeder for lam_k and that
+    multiset, whose identical parts form the runs fed once; the parts
+    have degree 0, so ordering the blocks by part instead of by first
+    position leaves the sign and the value alone.  Recursions that fix
+    one arity of phi at a time call this at each step instead of
+    rebuilding every arity of the product.
     """
     if n > _bullet_reach(lam, phi):
         return MultiOp.zero(n, lam.degree, phi.source, lam.target)
-    return MultiOp.from_function(n, lam.degree, phi.source, lam.target,
-                                 lambda tup: _bullet_value_partitions(lam, phi, tup))
+    pool = [(phi.ops[a], a) for a in phi.arities()]
+    feeders = [_feeder(lam.ops[len(parts)], parts)
+               for parts in multisets(pool, n) if len(parts) in lam.ops]
+
+    def value(tup):
+        out: Vector = {}
+        for into in feeders:
+            into(out, tup)
+        return out
+
+    return MultiOp.from_function(n, lam.degree, phi.source, lam.target, value)
 
 
 def bullet(lam: OpFamily, phi: OpFamily) -> OpFamily:

@@ -31,10 +31,12 @@ end-to-end check and the test suite asserts it.  It shares the
 hypothesis and the inverse (1 + eta lam_1)^{-1} of `transfer`, which
 resums the chains of lam_1 a tree expansion would otherwise carry: a
 leaf is that inverse applied to iota, and a tree's term (its root
-operation fed with its capped subtrees) is tabulated once and capped
-twice, by the inverse after eta for phi and by pi for mu.  Equal
-subtrees are fed once per unordered choice of their inputs, so no
-symmetry factor remains.
+operation fed with its capped subtrees, `graded.treeterm`) is tabulated
+once and capped twice, by the inverse after eta for phi and by pi for
+mu.  The trees with n leaves are grown from the multisets of smaller
+trees whose leaf counts sum to n (`graded.multisets`, the walk bullet
+makes over phi's arities).  Equal subtrees are fed once per unordered
+choice of their inputs, so no symmetry factor remains.
 
 `projection_morphism` extends pi to a full morphism from the ambient
 structure to the transferred one.  The adapted basis is a graded space of
@@ -43,7 +45,9 @@ eta b_j = a_j, with change-of-basis maps to and from the ambient space.
 The curved operations are conjugated into it, eta extends to a monomial
 homotopy K with K^2 = 0 on its canonical tuples (the symmetric
 coalgebra, with graded's Koszul signs), and P (1 + Delta K)^{-1} is
-corestricted, where Delta is the coderivation of the operations.  The
+corestricted, where Delta is the coderivation of the operations.  A
+change of basis acts on every input slot of an operation through
+`bullet_op` with a family whose only operation is that linear map.  The
 composite with phi is the identity on H.
 """
 
@@ -52,13 +56,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .algebra import (invert_linear_op, linear_apply, op_matrix, op_precompose_linear,
-                      op_then)
+from .algebra import invert_linear_op, op_matrix, op_then
 from .graded import (BasisBuilder, BasisKey, GradedSpace, MultiOp, OpFamily, Vector,
-                     arity_bound, bullet_op, koszul_sign, op_nilpotency_order,
-                     sort_keys_with_sign, unshuffle_sign, vec_add_into)
+                     arity_bound, bullet_op, multisets, op_nilpotency_order,
+                     sort_keys_with_sign, treeterm, unshuffle_sign, vec_add_into)
 from .linalg import rref, solve_columns
 from .poly import _times
 
@@ -289,82 +292,6 @@ class Tree:
         return w
 
 
-def _block_choices(parts: Sequence[MultiOp], positions: Sequence[int],
-                   floor: int) -> Iterator[list[tuple[int, ...]]]:
-    """Blocks of positions for the parts, in order.
-
-    A part identical to the one before it takes a block whose first
-    position lies above that one's, so each unordered choice of blocks
-    for a run of identical parts comes once.
-    """
-    if not parts:
-        yield []
-        return
-    head, rest = parts[0], parts[1:]
-    for block in combinations([p for p in positions if p > floor], head.arity):
-        remaining = [p for p in positions if p not in block]
-        nxt = block[0] if rest and rest[0] is head else -1
-        for tail in _block_choices(rest, remaining, nxt):
-            yield [block] + tail
-
-
-def treeterm(op_k: MultiOp, parts: Sequence[MultiOp]) -> MultiOp:
-    """op_k fed with the parts on an unshuffled split of the inputs, no weights.
-
-    The parts have degree 0 and arity >= 1.  A run of identical, adjacent
-    parts is fed each unordered choice of blocks once: by graded symmetry
-    swapping two of its blocks changes neither the Koszul sign nor the
-    value, so the ordered sum is this one times the factorials of the
-    run lengths.  Parts that are equal but not identical count as
-    distinct.
-    """
-    if op_k.arity != len(parts):
-        raise ValueError("arity of the node must match the number of subtrees")
-    n = sum(p.arity for p in parts)
-
-    def value(tup):
-        degs = [k[0] for k in tup]
-        out: Vector = {}
-        for blocks in _block_choices(parts, range(n), -1):
-            flat = [i for b in blocks for i in b]
-            sign = koszul_sign(degs, flat)
-            if sign == 0:
-                continue
-            vecs = []
-            for part, block in zip(parts, blocks):
-                # combinations keep positions in order, so the keys of a
-                # block of the canonical tup are canonical themselves
-                v = part.coeffs.get(tuple(tup[i] for i in block))
-                if not v:
-                    break
-                vecs.append(v)
-            else:
-                for okey, c in op_k.evaluate(vecs).items():
-                    vec_add_into(out, okey, c if sign > 0 else -c)
-        return out
-
-    return MultiOp.from_function(n, op_k.degree, parts[0].source, op_k.target, value)
-
-
-def _tree_multisets(pool: Sequence[tuple[Tree, int]],
-                    total: int) -> Iterator[tuple[Tree, ...]]:
-    """Multisets of pool trees (with repetition), given with their leaf
-    counts, whose leaf counts sum to total."""
-
-    def rec(idx: int, remaining: int) -> Iterator[tuple[Tree, ...]]:
-        if remaining == 0:
-            yield ()
-            return
-        for i in range(idx, len(pool)):
-            t, c = pool[i]
-            if c > remaining:
-                continue
-            for tail in rec(i, remaining - c):
-                yield (t,) + tail
-
-    yield from rec(0, total)
-
-
 def transfer_trees(con: Contraction, lam: OpFamily) -> TransferResult:
     """Transfer via the explicit tree expansion; agrees with `transfer`.
 
@@ -393,7 +320,7 @@ def transfer_trees(con: Contraction, lam: OpFamily) -> TransferResult:
         phi_n = phi_ops.get(n, MultiOp.zero(n, 0, con.h_space, con.space))
         lam_phi = MultiOp.zero(n, 1, con.h_space, con.space)
         grown = []
-        for kids in _tree_multisets(pool, n):
+        for kids in multisets(pool, n):
             if len(kids) not in arities:
                 continue
             t = Tree.node(kids)
@@ -452,7 +379,7 @@ class AdaptedBasis:
                 a = basis.push(d, f"a{len(pairs)}", False)
                 b = basis.push(d + 1, f"b{len(pairs)}", False)
                 columns[a] = {(d, r): c for r, c in enumerate(vec) if c}
-                columns[b] = linear_apply(con.delta, columns[a])
+                columns[b] = con.delta.evaluate([columns[a]])
                 pairs.append((a, b))
         space = basis.build()
         from_adapted = MultiOp(1, 0, space, con.space,
@@ -550,8 +477,8 @@ def projection_morphism(con: Contraction, lam: OpFamily) -> OpFamily:
     if lam.degree != 1 or lam.source != con.space or lam.target != con.space:
         raise ValueError("operations must be a degree-1 endofamily of the ambient space")
     ab = AdaptedBasis.build(con)
-    fam = {k: op_then(op_precompose_linear(op, ab.from_adapted), ab.to_adapted)
-           for k, op in lam.ops.items()}
+    from_adapted = OpFamily(0, ab.space, con.space, {1: ab.from_adapted})
+    fam = {k: op_then(bullet_op(lam, from_adapted, k), ab.to_adapted) for k in lam.ops}
     top = arity_bound(0, con.h_space, con.space)
     rows: dict[tuple, dict] = {}
 
@@ -587,9 +514,9 @@ def projection_morphism(con: Contraction, lam: OpFamily) -> OpFamily:
         return {mono[0]: red[r][n] for r, mono in enumerate(reach)
                 if red[r][n] and len(mono) == 1 and mono[0][1] < con.h_space.dim(mono[0][0])}
 
-    ops = {}
-    for n in range(1, top + 1):
-        pi_n = MultiOp.from_function(n, 0, ab.space, con.h_space, value)
-        if not pi_n.is_zero():
-            ops[n] = op_precompose_linear(pi_n, ab.to_adapted)
+    adapted = OpFamily(0, ab.space, con.h_space,
+                       {n: MultiOp.from_function(n, 0, ab.space, con.h_space, value)
+                        for n in range(1, top + 1)})
+    to_adapted = OpFamily(0, con.space, ab.space, {1: ab.to_adapted})
+    ops = {n: bullet_op(adapted, to_adapted, n) for n in adapted.ops}
     return OpFamily(0, con.space, con.h_space, ops)

@@ -55,7 +55,7 @@ from itertools import combinations, combinations_with_replacement, permutations
 from math import factorial, gcd
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from linfty.algebra import (LinftyBundle, Morphism, linear_apply, map_family_coeffs,
+from linfty.algebra import (LinftyBundle, Morphism, map_family_coeffs,
                             map_op_coeffs, op_then, plain_bundle)
 from linfty.geometry import ShiftedTangentData, shifted_tangent_data
 from linfty.graded import (BasisBuilder, BasisKey, GradedSpace, MultiOp, OpFamily, Vector,
@@ -359,7 +359,7 @@ def transferred_mu1(con: Contraction, lam: OpFamily) -> MultiOp:
 
 def transferred_mu0(con: Contraction, lam: OpFamily) -> Vector:
     """Transferred curvature pi lam_0."""
-    return linear_apply(con.pi, lam.op(0).evaluate_basis(()))
+    return con.pi.evaluate([lam.op(0).evaluate_basis(())])
 
 
 def projection_phi1(con: Contraction, lam: OpFamily) -> MultiOp:

@@ -433,6 +433,14 @@ def test_zero_locus_rejects_unknown_coordinate(capsys):
     assert "unknown coordinate" in err
 
 
+@pytest.mark.parametrize("sections", ["x**True - 1", "x**False"])
+def test_zero_locus_refuses_a_boolean_exponent(capsys, sections):
+    # a boolean is no integer literal, in an exponent as in a factor
+    code, _, err = run(capsys, "zero-locus", "--coords", "x", "--sections", sections)
+    assert code == 2
+    assert "exponents must be nonnegative integer literals" in err
+
+
 def test_report_summarizes_the_model(square_model, capsys):
     code, out, _ = run(capsys, "report", square_model)
     assert code == 0

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import groupby, product
+from itertools import combinations_with_replacement, groupby, product
 from math import factorial, prod
 
 import pytest
@@ -13,13 +13,13 @@ from oracles import (amp2_bundle, bullet_literal, canonical_tuples_literal, circ
 
 import linfty.graded
 from linfty.graded import (GradedSpace, MultiOp, OpFamily, bullet, bullet_op,
-                           canonical_tuples, circ, koszul_sign,
-                           op_nilpotency_order, sort_keys_with_sign,
+                           canonical_tuples, circ, koszul_sign, multisets,
+                           op_nilpotency_order, sort_keys_with_sign, treeterm,
                            unshuffle_sign)
 from linfty.poly import Poly
 from linfty.samples import (break_algebra, random_bundle, random_mc_algebra,
                             random_morphism_onto, random_transfer_instance)
-from linfty.transfer import transfer, transfer_trees, treeterm
+from linfty.transfer import transfer, transfer_trees
 
 
 # -- signs --------------------------------------------------------------------
@@ -186,8 +186,9 @@ def test_evaluate_matches_the_recursive_expansion():
 
 
 def test_bullet_op_and_treeterm_read_parts_from_their_entries(monkeypatch):
-    """Both look each part up on a canonical sub-tuple; evaluate_basis is
-    left to the curvature, on the empty tuple."""
+    """Both look each part up on a canonical sub-tuple and never call
+    evaluate_basis, not even for the curvature, which reaches the empty
+    tuple through evaluate."""
     rng = random.Random(43)
     sp = GradedSpace.build({1: 2, 2: 2, 3: 1})
     products = []
@@ -198,20 +199,17 @@ def test_bullet_op_and_treeterm_read_parts_from_their_entries(monkeypatch):
     trng = random.Random(47)
     draws = [random_transfer_instance(trng, 4, 3) for _ in range(6)]
     recursive = [transfer(con, lam) for con, lam in draws]
-    real = MultiOp.evaluate_basis
-    curvature = []
 
-    def only_curvature(self, keys):
-        if keys:
-            raise AssertionError(f"evaluate_basis on {keys}")
-        curvature.append(self)
-        return real(self, keys)
+    def forbidden(self, keys):
+        raise AssertionError(f"evaluate_basis on {keys}")
 
-    monkeypatch.setattr(MultiOp, "evaluate_basis", only_curvature)
+    monkeypatch.setattr(MultiOp, "evaluate_basis", forbidden)
+    curved = 0
     for lam, phi, want in products:
         for n in range(lam.max_arity * phi.max_arity + 1):
             assert bullet_op(lam, phi, n) == want.op(n)
-    assert curvature
+        curved += not want.op(0).is_zero()
+    assert curved
     top = 0
     for (con, lam), want in zip(draws, recursive):
         got = transfer_trees(con, lam)
@@ -557,9 +555,12 @@ def test_bullet_is_associative():
 
 
 def test_bullet_literal_matches_partitions():
-    """Production bullet equals the permutation-sum definition at arities 0-5."""
+    """Production bullet equals the permutation-sum definition at arities
+    0-5; the draws reach the multisets of phi's arities (), (1, 1, 2),
+    (2, 2) and (1, 2, 2) with a nonzero contribution."""
     rng = random.Random(23)
     reached = set()
+    shapes = set()
     for dims, max_arity, draws in (({1: 2, 2: 2, 3: 1}, 2, 5),
                                    ({1: 4, 2: 1, 3: 1, 4: 1, 5: 1, 6: 1, 7: 1}, 3, 3)):
         sp = GradedSpace.build(dims)
@@ -569,7 +570,35 @@ def test_bullet_literal_matches_partitions():
             got = bullet(lam, phi)
             assert got == bullet_literal(lam, phi)
             reached |= set(got.arities())
+            pool = [(phi.ops[a], a) for a in phi.arities()]
+            for n in range(got.max_arity + 1):
+                for parts in multisets(pool, n):
+                    if len(parts) not in lam.ops:
+                        continue
+                    lam_k = lam.ops[len(parts)]
+                    if not (treeterm(lam_k, parts) if parts else lam_k).is_zero():
+                        shapes.add(tuple(p.arity for p in parts))
     assert reached == {0, 1, 2, 3, 4, 5}
+    assert {(), (1, 1, 2), (2, 2), (1, 2, 2)} <= shapes, shapes
+
+
+def test_multisets_match_filtered_combinations_with_replacement():
+    """Each multiset of the pool's items whose sizes sum to the total comes
+    once, its items in pool order; an item larger than the total is never
+    taken, and total 0 gives the empty multiset alone."""
+    pools = [[("a", 1), ("b", 2), ("c", 2), ("d", 5)], [("x", 2), ("y", 1)], []]
+    for pool in pools:
+        size = dict(pool)
+        for total in range(7):
+            got = list(multisets(pool, total))
+            want = [c for r in range(total + 1)
+                    for c in combinations_with_replacement(list(size), r)
+                    if sum(size[i] for i in c) == total]
+            assert sorted(got) == sorted(want) and len(set(got)) == len(got)
+    assert list(multisets(pools[0], 0)) == [()] == list(multisets([], 0))
+    assert list(multisets([], 2)) == []
+    assert not any("d" in m for m in multisets(pools[0], 4))
+    assert list(multisets(pools[1], 3)) == [("x", "y"), ("y", "y", "y")]
 
 
 def test_bullet_op_is_one_arity_of_bullet():

@@ -3,9 +3,9 @@ scripts imports is used there, every import in `linfty` sits at module
 level, every public name a module defines and every public method of its
 classes has a user outside the test suite, every parameter with a default
 is passed by some caller outside the test suite, only `poly.py` builds a
-Poly unchecked, only `graded.py` builds a MultiOp unchecked, only the
-listed functions tabulate a closure with `MultiOp.from_function` and the
-exact modules have no floating point."""
+Poly unchecked, only `graded.py` builds a MultiOp unchecked or calls
+`koszul_sign`, only the listed functions tabulate a closure with
+`MultiOp.from_function` and the exact modules have no floating point."""
 
 import ast
 import io
@@ -382,10 +382,39 @@ def test_the_scan_finds_an_unchecked_multiop_construction():
     assert files_mentioning("_from_clean", files) == ["graded.py", "transfer.py"]
 
 
+def modules_calling(name: str, trees: dict[str, ast.Module]) -> list[str]:
+    """Names of the modules with a call to `name`, bare or as an attribute."""
+    out = set()
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if (func.attr if isinstance(func, ast.Attribute)
+                        else getattr(func, "id", None)) == name:
+                    out.add(module)
+    return sorted(out)
+
+
+def test_koszul_signs_of_block_choices_stay_in_graded():
+    # one block feeder serves bullet and the tree terms; a sign computed
+    # elsewhere is a second implementation of it
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    callers = modules_calling("koszul_sign", trees)
+    assert callers == ["graded.py"], f"koszul_sign called outside graded.py: {callers}"
+
+
+def test_the_scan_finds_a_koszul_sign_call():
+    trees = {"graded.py": ast.parse("def unshuffle_sign(d, f):\n    return koszul_sign(d, f)\n"),
+             "transfer.py": ast.parse("s = graded.koszul_sign(degs, flat)\n"),
+             "algebra.py": ast.parse("from .graded import koszul_sign\n"
+                                     "NOTE = 'koszul_sign(degs, flat)'\n")}
+    assert modules_calling("koszul_sign", trees) == ["graded.py", "transfer.py"]
+
+
 # the functions that tabulate a closure over canonical tuples; every other
 # operation is written from entries
-FROM_FUNCTION_CALLERS = ["algebra.op_precompose_linear", "graded.bullet_op",
-                         "transfer.projection_morphism", "transfer.treeterm"]
+FROM_FUNCTION_CALLERS = ["graded.bullet_op", "graded.treeterm",
+                         "transfer.projection_morphism"]
 
 
 def from_function_callers(trees: dict[str, ast.Module]) -> list[str]:
