@@ -12,8 +12,8 @@ isomorphism tests, and the two constructions that produce new bundles
 Point searches are the one deliberately numerical corner: a coarse grid
 plus Newton iteration proposes candidate zeros, and only rational points
 that satisfy the equations exactly are promoted.  Newton's floats are the
-exact values at each float iterate, correctly rounded, from integer
-kernels staged once per polynomial.
+exact values at each float iterate, correctly rounded, from one integer
+kernel staged once per search.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .algebra import (LinftyBundle, Morphism, _eval_coeff, check_mc,
 from .graded import (BasisBuilder, GradedSpace, MultiOp, OpFamily, _insertion_slots,
                      bullet)
 from .linalg import kernel_basis, rank, right_inverse
-from .poly import Poly, _exact
+from .poly import Poly, _exact, stage
 
 Matrix = list[list[int | Fraction]]
 
@@ -172,19 +172,23 @@ def _ratios(coords, point) -> list[tuple[int, int]]:
 class _StagedMatrix:
     """A matrix of coefficients over base coordinates, staged for many points.
 
-    Rationals and constant polynomials are read once into a template; every
-    other polynomial entry is staged once (Poly.staged).  `at` returns the
-    exact rational matrix at a point given by `_ratios`.
+    Rationals and constant polynomials are read once into a template; the
+    other polynomial entries are staged together in one kernel (stage).
+    `at` returns the exact rational matrix at a point given by `_ratios`,
+    from one kernel call.
     """
 
     def __init__(self, rows: int, cols: int, entries, coords):
         self.template = [[0] * cols for _ in range(rows)]
-        self.kernels = []
+        self.places = []
+        polys = []
         for r, c, x in entries:
             if isinstance(x, Poly) and not x.is_constant():
-                self.kernels.append((r, c, x.staged(coords)))
+                self.places.append((r, c))
+                polys.append(x)
             else:
                 self.template[r][c] = _eval_coeff(x)
+        self.kernel = stage(polys, coords)
 
     @staticmethod
     def block(op: MultiOp, degree: int, coords) -> "_StagedMatrix":
@@ -205,8 +209,9 @@ class _StagedMatrix:
 
     def at(self, point) -> Matrix:
         m = [row[:] for row in self.template]
-        for r, c, kernel in self.kernels:
-            m[r][c] = _exact(Fraction(*kernel(point)))
+        nums, den = self.kernel(point)
+        for (r, c), num in zip(self.places, nums):
+            m[r][c] = _exact(Fraction(num, den))
         return m
 
 
@@ -819,12 +824,15 @@ def find_classical_points(bundle: LinftyBundle
     """Grid-seeded Newton search for zeros of the curvature section.
 
     Newton runs at most 60 steps from each point of a 7-point-per-axis grid
-    on [-3, 3]^m, for at most MAX_SEARCH_COORDS base coordinates.  Each
-    curvature component and each Jacobian entry is staged once as an
-    integer kernel (Poly.staged), so every step's floats are the exact
-    values at the float iterate, correctly rounded.  Converged numerical
-    zeros are deduplicated; candidates close to small rationals are
-    verified exactly with the same curvature kernels (every numerator
+    on [-3, 3]^m, for at most MAX_SEARCH_COORDS base coordinates.  The
+    curvature components and their partial derivatives (each taken once)
+    are staged together as one integer kernel (stage), so a step is one
+    kernel call and its floats are the exact values at the float iterate,
+    correctly rounded.  A seed stops when its step leaves the iterate
+    unchanged: the next step would see the same values and take the same
+    step, up to the step cap, so that seed cannot converge.  Converged
+    numerical zeros are deduplicated; candidates close to small rationals
+    are verified exactly with the same kernel (every curvature numerator
     zero at the candidate's ratios) and promoted to ClassicalPoint, the
     rest are reported as floats.
     """
@@ -835,9 +843,10 @@ def find_classical_points(bundle: LinftyBundle
         raise ValueError("point search supports at most three coordinates")
     comps = [c if isinstance(c, Poly) else Poly.constant(c)
              for _, c in sorted(bundle.curvature_section().items())]
-    f_kernels = [c.staged(bundle.coords) for c in comps]
-    jac_kernels = [[c.diff(name).staged(bundle.coords) for name in bundle.coords]
-                   for c in comps]
+    r = len(comps)
+    # values: the components, then row i of the Jacobian at r + i * m
+    kernel = stage(comps + [c.diff(name) for c in comps for name in bundle.coords],
+                   bundle.coords)
 
     lo, hi, grid = -3.0, 3.0, 7
     seeds = itertools.product(
@@ -847,17 +856,20 @@ def find_classical_points(bundle: LinftyBundle
         pt = list(seed)
         ok = False
         for _ in range(60):
-            at = [v.as_integer_ratio() for v in pt]
-            fv = _floats_at(f_kernels, at)
-            if max((abs(v) for v in fv), default=0.0) < _POINT_TOL:
+            nums, den = kernel([v.as_integer_ratio() for v in pt])
+            fv = [num / den for num in nums[:r]]
+            if max(map(abs, fv), default=0.0) < _POINT_TOL:
                 ok = True
                 break
-            jm = [_floats_at(row, at) for row in jac_kernels]
-            step = _least_squares_step(jm, fv, m)
+            jac = [num / den for num in nums[r:]]
+            step = _least_squares_step([jac[i:i + m] for i in range(0, r * m, m)], fv, m)
             if step is None:
                 break
-            pt = [a - b for a, b in zip(pt, step)]
-            if max(abs(v) for v in pt) > 1e6:
+            nxt = [a - b for a, b in zip(pt, step)]
+            if nxt == pt:
+                break
+            pt = nxt
+            if max(map(abs, pt)) > 1e6:
                 break
         if ok:
             converged.append(tuple(pt))
@@ -871,8 +883,7 @@ def find_classical_points(bundle: LinftyBundle
             cand = tuple(Fraction(v).limit_denominator(cap) for v in pt)
             if max(abs(float(c) - v) for c, v in zip(cand, pt)) > _SNAP_RADIUS:
                 continue
-            at = [c.as_integer_ratio() for c in cand]
-            if not any(kernel(at)[0] for kernel in f_kernels):
+            if not any(kernel([c.as_integer_ratio() for c in cand])[0][:r]):
                 if cand not in seen:
                     seen.add(cand)
                     exact.append(ClassicalPoint(cand))
@@ -882,28 +893,39 @@ def find_classical_points(bundle: LinftyBundle
     return exact, loose
 
 
-def _floats_at(kernels, at) -> list[float]:
-    """Each staged kernel's exact value at `at`, correctly rounded to a float."""
-    return [num / den for num, den in (kernel(at) for kernel in kernels)]
-
-
 def _least_squares_step(jm, fv, m):
-    """Solve the normal equations J^T J s = J^T f in floats."""
-    ata = [[sum(jm[r][i] * jm[r][j] for r in range(len(jm))) for j in range(m)]
-           for i in range(m)]
-    atb = [sum(jm[r][i] * fv[r] for r in range(len(jm))) for i in range(m)]
+    """Solve the ridged normal equations (J^T J + 1e-12 I) s = J^T f in floats.
+
+    Plain loops, so the step depends on IEEE arithmetic alone and not on
+    how the interpreter sums: each entry of J^T J and J^T f is summed left
+    to right from 0.0 over the rows, the elimination pivots on the first
+    entry of largest magnitude and gives up on one below 1e-14 (None).
+    """
+    aug = [[0.0] * (m + 1) for _ in range(m)]
     for i in range(m):
-        ata[i][i] += 1e-12
-    n = m
-    aug = [row[:] + [atb[i]] for i, row in enumerate(ata)]
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(aug[r][col]))
-        if abs(aug[piv][col]) < 1e-14:
+        for j in range(i, m):
+            s = 0.0
+            for row in jm:
+                s += row[i] * row[j]
+            aug[i][j] = aug[j][i] = s
+        aug[i][i] += 1e-12
+        s = 0.0
+        for row, f in zip(jm, fv):
+            s += row[i] * f
+        aug[i][m] = s
+    for col in range(m):
+        piv, big = col, abs(aug[col][col])
+        for r in range(col + 1, m):
+            if abs(aug[r][col]) > big:
+                piv, big = r, abs(aug[r][col])
+        if big < 1e-14:
             return None
         aug[col], aug[piv] = aug[piv], aug[col]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                fac = aug[r][col] / aug[col][col]
-                for cc in range(col, n + 1):
-                    aug[r][cc] -= fac * aug[col][cc]
-    return [aug[i][n] / aug[i][i] for i in range(n)]
+        top = aug[col]
+        for r in range(m):
+            row = aug[r]
+            if r != col and row[col]:
+                fac = row[col] / top[col]
+                for cc in range(col, m + 1):
+                    row[cc] -= fac * top[cc]
+    return [aug[i][m] / aug[i][i] for i in range(m)]

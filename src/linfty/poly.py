@@ -7,8 +7,9 @@ normal form: an int when integral, otherwise a Fraction with denominator
 greater than 1 (_exact).  Products go through _times, which does no
 arithmetic when a factor is the int 1 or -1.  All arithmetic is exact;
 there is no floating point anywhere in this module.  Evaluation
-runs on integers: Poly.staged clears the coefficient denominators once and
-returns a kernel that maps integer ratios to an unreduced integer ratio.
+runs on integers: stage clears the coefficient denominators of several
+polynomials once and returns a kernel that maps integer ratios to their
+values as integer numerators over one unreduced positive denominator.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from typing import Callable, Mapping, Sequence, Union
 
 Rat = Union[int, Fraction, str]
 # a point as one (numerator, positive denominator) pair per coordinate, to
-# an exact value as an unreduced (numerator, positive denominator) pair
-Kernel = Callable[[Sequence[tuple[int, int]]], tuple[int, int]]
+# exact values as numerators over one unreduced positive denominator
+Kernel = Callable[[Sequence[tuple[int, int]]], tuple[list[int], int]]
 
 
 def _exact(x):
@@ -384,55 +385,11 @@ class Poly:
                 out[m] = out[m] + cm if m in out else cm
         return Poly._trusted(vs, {m: _exact(c) for m, c in out.items() if c})
 
-    def staged(self, coords: Sequence[str]) -> Kernel:
-        """Exact evaluation at points given over `coords`, staged once.
-
-        The kernel takes one (numerator, positive denominator) pair per
-        coordinate, as `as_integer_ratio()` of an int, a Fraction or a
-        binary floating-point number gives it, and returns the value as an
-        unreduced pair (num, den) with den > 0.  Staging scales the
-        coefficients to integers by the lcm of their denominators and
-        records each used variable's slot in `coords` and its top exponent
-        k, so a term c * x^e becomes c * p^e * q^(k - e) over the common
-        denominator lcm * q^k.
-        """
-        used = [(j, top) for j, top in enumerate(map(max, zip(*self.terms))) if top]
-        slots = []
-        for j, top in used:
-            v = self.vars[j]
-            if v not in coords:
-                raise ValueError(f"no value supplied for variable {v!r}")
-            slots.append((coords.index(v), top))
-        scale = lcm(*[c.denominator for c in self.terms.values()])
-        terms = [(c.numerator * (scale // c.denominator), [e[j] for j, _ in used])
-                 for e, c in self.terms.items()]
-
-        def kernel(point):
-            den = scale
-            tables = []
-            for slot, top in slots:
-                p, q = point[slot]
-                ps, qs = [1, p], [1, q]
-                for _ in range(top - 1):
-                    ps.append(ps[-1] * p)
-                    qs.append(qs[-1] * q)
-                # table[e] = p^e * q^(top - e)
-                tables.append([pe * qe for pe, qe in zip(ps, reversed(qs))])
-                den *= qs[top]
-            num = 0
-            for a, exps in terms:
-                for table, e in zip(tables, exps):
-                    a *= table[e]
-                num += a
-            return num, den
-
-        return kernel
-
     def eval(self, values: Mapping[str, Rat]) -> int | Fraction:
         coords = [v for v in self.vars if v in values]
-        num, den = self.staged(coords)([as_rational(values[v]).as_integer_ratio()
-                                        for v in coords])
-        return _exact(Fraction(num, den))
+        nums, den = stage([self], coords)([as_rational(values[v]).as_integer_ratio()
+                                           for v in coords])
+        return _exact(Fraction(nums[0], den))
 
     # -- rendering ---------------------------------------------------------
 
@@ -463,3 +420,72 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self})"
+
+
+def stage(polys: Sequence[Poly], coords: Sequence[str]) -> Kernel:
+    """Exact evaluation of polynomials at points given over `coords`, staged once.
+
+    The kernel takes one (numerator, positive denominator) pair per
+    coordinate, as `as_integer_ratio()` of an int, a Fraction or a binary
+    floating-point number gives it, and returns (nums, den) with den > 0:
+    polys[i] is nums[i] / den there, unreduced.  Staging scales every
+    coefficient to an integer by one lcm of all their denominators and
+    records, for each coordinate some term uses, its slot in `coords` and
+    its top exponent k over all the polynomials, so a term c * x^e becomes
+    c * p^e * q^(k - e) over the common denominator lcm * q^k.  A point
+    then costs one power table per used coordinate, and a polynomial that
+    does not use a coordinate takes its q^k once, not per term.
+    """
+    # per polynomial, (index in its vars, slot in coords) of each variable a term uses
+    used = []
+    tops: dict[int, int] = {}
+    for p in polys:
+        mine = []
+        for j, top in enumerate(map(max, zip(*p.terms))):
+            if top:
+                if p.vars[j] not in coords:
+                    raise ValueError(f"no value supplied for variable {p.vars[j]!r}")
+                slot = coords.index(p.vars[j])
+                tops[slot] = max(tops.get(slot, 0), top)
+                mine.append((j, slot))
+        used.append(mine)
+    # the power tables of the used slots, one after another in one flat list
+    slots = sorted(tops.items())
+    start, n = {}, 0
+    for slot, top in slots:
+        start[slot] = n
+        n += top + 1
+    scale = lcm(*[c.denominator for p in polys for c in p.terms.values()])
+    plan = []
+    for p, mine in zip(polys, used):
+        terms = [(c.numerator * (scale // c.denominator), [start[slot] + e[j] for j, slot in mine])
+                 for e, c in p.terms.items()]
+        # a slot this polynomial does not use contributes its q^top, table[0], once
+        taken = {slot for _, slot in mine}
+        plan.append((terms, [start[slot] for slot, _ in slots if slot not in taken]))
+
+    def kernel(point):
+        flat = []
+        den = scale
+        for slot, top in slots:
+            p, q = point[slot]
+            ps, qs = [1, p], [1, q]
+            for _ in range(top - 1):
+                ps.append(ps[-1] * p)
+                qs.append(qs[-1] * q)
+            # table[e] = p^e * q^(top - e)
+            flat += [pe * qe for pe, qe in zip(ps, reversed(qs))]
+            den *= qs[top]
+        nums = []
+        for terms, absent in plan:
+            num = 0
+            for a, idx in terms:
+                for i in idx:
+                    a *= flat[i]
+                num += a
+            for i in absent:
+                num *= flat[i]
+            nums.append(num)
+        return nums, den
+
+    return kernel

@@ -20,7 +20,10 @@ row reduction in `linfty.linalg`.
 the public `Poly` operators, `eval_literal` evaluates one term by term in
 `Fraction` arithmetic, and `compose_linear_literal` composes
 arity-1 operations through `evaluate_basis` and the checked `MultiOp`
-constructor.
+constructor.  `find_classical_points_per_polynomial` is the Newton point
+search with one kernel per polynomial (each over its own denominator),
+the normal equations solved with `sum` and a `max` pivot, and every seed
+run to convergence, divergence or the step cap.
 
 Next to them sit closed forms the engines must reproduce: the graded
 commutator of circ, the arity-1 transferred maps and the identities of a
@@ -51,20 +54,21 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations, product
 from math import factorial, gcd
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from linfty.algebra import (LinftyBundle, Morphism, map_family_coeffs,
                             map_op_coeffs, op_then, plain_bundle)
-from linfty.geometry import ShiftedTangentData, shifted_tangent_data
+from linfty import geometry
+from linfty.geometry import ClassicalPoint, ShiftedTangentData, shifted_tangent_data
 from linfty.graded import (BasisBuilder, BasisKey, GradedSpace, MultiOp, OpFamily, Vector,
                            arity_bound, bullet, circ, koszul_sign, op_nilpotency_order,
                            unshuffle_sign, vec_add_into)
 from linfty.linalg import rank, rref
 from linfty.pathspace import (DerivedPathSpace, PathModel, _split_t, ambient_coord_names,
                               build_path_model, derived_path_space, path_perturbation)
-from linfty.poly import Poly, Rat, _times, as_rational
+from linfty.poly import Poly, Rat, _times, as_rational, stage
 from linfty.samples import conjugate, nonzero_fraction, random_contraction
 from linfty.transfer import (AdaptedBasis, Contraction, TransferResult, _apply_coderivation,
                              _apply_k, _checked_projector, _image_basis, neumann_inverse)
@@ -542,6 +546,80 @@ def eval_literal(p: Poly, values: Mapping[str, Rat]) -> Fraction:
             val = val * as_rational(values[v]) ** k
         out += val
     return out
+
+
+def least_squares_step_sums(jm, fv, m):
+    """The normal equations J^T J s = J^T f, ridged by 1e-12, solved in
+    floats with `sum` over the rows and the first maximal pivot by `max`."""
+    ata = [[sum(jm[r][i] * jm[r][j] for r in range(len(jm))) for j in range(m)]
+           for i in range(m)]
+    atb = [sum(jm[r][i] * fv[r] for r in range(len(jm))) for i in range(m)]
+    for i in range(m):
+        ata[i][i] += 1e-12
+    aug = [row[:] + [atb[i]] for i, row in enumerate(ata)]
+    for col in range(m):
+        piv = max(range(col, m), key=lambda r: abs(aug[r][col]))
+        if abs(aug[piv][col]) < 1e-14:
+            return None
+        aug[col], aug[piv] = aug[piv], aug[col]
+        for r in range(m):
+            if r != col and aug[r][col]:
+                fac = aug[r][col] / aug[col][col]
+                for cc in range(col, m + 1):
+                    aug[r][cc] -= fac * aug[col][cc]
+    return [aug[i][m] / aug[i][i] for i in range(m)]
+
+
+def find_classical_points_per_polynomial(bundle: LinftyBundle):
+    """`geometry.find_classical_points` with one kernel per curvature
+    component and per Jacobian entry, `least_squares_step_sums` as the
+    solve, and no early stop for a seed whose iterate stalls."""
+    m = len(bundle.coords)
+    if m == 0:
+        return ([] if bundle.curvature_section() else [ClassicalPoint(())]), []
+    comps = [c if isinstance(c, Poly) else Poly.constant(c)
+             for _, c in sorted(bundle.curvature_section().items())]
+    f_kernels = [stage([c], bundle.coords) for c in comps]
+    jac_kernels = [[stage([c.diff(name)], bundle.coords) for name in bundle.coords]
+                   for c in comps]
+
+    def floats(kernels, at):
+        return [nums[0] / den for nums, den in (kernel(at) for kernel in kernels)]
+
+    seeds = product(*[[-3.0 + 6.0 * i / 6 for i in range(7)]] * m)
+    converged = []
+    for seed in seeds:
+        pt = list(seed)
+        ok = False
+        for _ in range(60):
+            at = [v.as_integer_ratio() for v in pt]
+            fv = floats(f_kernels, at)
+            if max((abs(v) for v in fv), default=0.0) < geometry._POINT_TOL:
+                ok = True
+                break
+            step = least_squares_step_sums([floats(row, at) for row in jac_kernels], fv, m)
+            if step is None:
+                break
+            pt = [a - b for a, b in zip(pt, step)]
+            if max(abs(v) for v in pt) > 1e6:
+                break
+        if ok:
+            converged.append(tuple(pt))
+    exact, seen, loose = [], set(), []
+    for pt in sorted(geometry._drop_near_repeats(converged)):
+        for cap in (1, 2, 8, 64, 1000):
+            cand = tuple(Fraction(v).limit_denominator(cap) for v in pt)
+            if max(abs(float(c) - v) for c, v in zip(cand, pt)) > geometry._SNAP_RADIUS:
+                continue
+            at = [c.as_integer_ratio() for c in cand]
+            if not any(kernel(at)[0][0] for kernel in f_kernels):
+                if cand not in seen:
+                    seen.add(cand)
+                    exact.append(ClassicalPoint(cand))
+                break
+        else:
+            loose.append(pt)
+    return exact, loose
 
 
 # ---------------------------------------------------------------------------

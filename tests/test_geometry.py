@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 from oracles import (amp2_bundle, bareiss_betti, circle_bundle, eval_literal,
-                     identity_morphism, section_bundle, shifted_tangent_tabulated)
+                     find_classical_points_per_polynomial, identity_morphism,
+                     least_squares_step_sums, section_bundle, shifted_tangent_tabulated)
 
 import linfty.graded
 from linfty import geometry
@@ -192,20 +193,22 @@ def test_find_classical_points_differentiates_each_component_once(monkeypatch):
 
 
 def test_find_classical_points_stages_each_polynomial_once(monkeypatch):
-    builds, steps = [], []
-    staged, step = Poly.staged, geometry._least_squares_step
-    monkeypatch.setattr(Poly, "staged", lambda self, coords: builds.append(self)
-                        or staged(self, coords))
+    builds, diffs, steps = [], [], []
+    stage, diff, step = geometry.stage, Poly.diff, geometry._least_squares_step
+    monkeypatch.setattr(geometry, "stage", lambda polys, coords: builds.append(polys)
+                        or stage(polys, coords))
+    monkeypatch.setattr(Poly, "diff", lambda self, name: diffs.append(name)
+                        or diff(self, name))
     monkeypatch.setattr(geometry, "_least_squares_step", lambda *a: steps.append(a)
                         or step(*a))
     b = section_bundle(("x", "y"), (x ** 2 + y ** 2 - 2 * x, x - y, x * y))
     exact, _ = find_classical_points(b)
     assert exact == [ClassicalPoint((0, 0))]
     assert len(steps) > 49
-    # one kernel per component and per Jacobian entry, however many Newton
-    # steps ran and however many candidates the exact promotion checks
-    assert len(builds) == 3 + 3 * 2
-
+    # one kernel for the components and the Jacobian entries, however many
+    # Newton steps ran and however many candidates the exact promotion checks
+    assert len(builds) == 1 and len(builds[0]) == 3 + 3 * 2
+    assert sorted(diffs) == ["x"] * 3 + ["y"] * 3
 
 
 def test_newton_floats_are_the_exact_values_rounded_once():
@@ -215,12 +218,85 @@ def test_newton_floats_are_the_exact_values_rounded_once():
                            Fraction(rng.randint(-99, 99), rng.randint(1, 99))
                            for _ in range(rng.randint(1, 6))})
              for _ in range(40)]
-    kernels = [p.staged(coords) for p in polys]
+    kernel = geometry.stage(polys, coords)
     for _ in range(20):
         pt = [rng.uniform(-3, 3) for _ in coords]
         values = {n: Fraction(v) for n, v in zip(coords, pt)}
-        got = geometry._floats_at(kernels, [v.as_integer_ratio() for v in pt])
-        assert got == [float(eval_literal(p, values)) for p in polys]
+        nums, den = kernel([v.as_integer_ratio() for v in pt])
+        assert [num / den for num in nums] == [float(eval_literal(p, values)) for p in polys]
+
+
+def random_section(rng, coords):
+    """A curvature component over coords: a product of rational affine
+    factors, so that it has rational zeros, or a square plus a random
+    multilinear polynomial."""
+    if rng.random() < 0.5:
+        out = Poly.constant(rng.choice([1, -1, 2, Fraction(1, 3)]))
+        for _ in range(rng.randint(1, 2)):
+            v = Poly.variable(rng.choice(coords), coords)
+            out = out * (v - Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 4])))
+        return out
+    multilinear = Poly(coords, {tuple(rng.randint(0, 1) for _ in coords):
+                                Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                                for _ in range(rng.randint(1, 4))})
+    return multilinear + Poly.variable(rng.choice(coords), coords) ** 2
+
+
+def test_find_classical_points_matches_the_per_polynomial_search():
+    rng = random.Random(2307)
+    z = Poly.variable("z")
+    named = [(("x",), (x ** 2 + 1,)),                   # no real zero
+             (("x",), ((x - 1) ** 2,)),                 # a double root
+             (("x", "y"), (Poly.constant(3),)),         # a constant nonzero section
+             (("x",), (x ** 2 - 4,)),                   # the grid seed 0 has J = 0
+             (("x",), ((10 ** 8 * x - 1) * (x - 1),)),  # last steps below 1e-12
+             (("x", "y"), (x * y - 1, x ** 2 - 2)),     # irrational zeros only
+             (("x", "y", "z"), (x * y, y - z, (z - 1) ** 2))]
+    cases = list(named)
+    # a 3-coordinate search costs most: a seed that does not converge runs
+    # all its steps, and the per-polynomial search never stops it early
+    for m, count in ((1, 30), (2, 24), (3, 8)):
+        coords = ("x", "y", "z")[:m]
+        for _ in range(count):
+            cases.append((coords, tuple(random_section(rng, coords)
+                                        for _ in range(rng.randint(1, m)))))
+    seen = Counter()
+    for coords, sections in cases:
+        b = section_bundle(coords, sections)
+        exact, loose = find_classical_points(b)
+        want_exact, want_loose = find_classical_points_per_polynomial(b)
+        assert exact == want_exact
+        assert ([[v.hex() for v in p] for p in loose]
+                == [[v.hex() for v in p] for p in want_loose])
+        seen["exact"] += bool(exact)
+        seen["loose"] += bool(loose)
+        seen["none"] += not exact and not loose
+    assert len(cases) >= 60 and min(seen.values()) >= 5, seen
+
+
+def test_a_search_stops_each_stalled_seed_after_one_step(monkeypatch):
+    steps = []
+    step = geometry._least_squares_step
+    monkeypatch.setattr(geometry, "_least_squares_step", lambda *a: steps.append(a)
+                        or step(*a))
+    # J = 0 everywhere: every seed's step is zero, once per seed of the 7 x 7 grid
+    assert find_classical_points(section_bundle(("x", "y"), (Poly.constant(1),))) == ([], [])
+    assert len(steps) == 49
+
+
+def test_the_least_squares_step_sums_left_to_right():
+    # 1e16 + 1 rounds to 1e16, so J^T f is 0.0 left to right; a compensated
+    # sum would keep the 1 and give a nonzero step
+    assert geometry._least_squares_step([[1e8], [1.0], [-1e8]], [1e8, 1.0, 1e8], 1) == [0.0]
+    rng = random.Random(2307)
+    for _ in range(300):
+        m = rng.randint(1, 3)
+        jm = [[rng.choice([0.0, -0.0, 1e-8, rng.uniform(-5, 5)]) for _ in range(m)]
+              for _ in range(rng.randint(1, 4))]
+        fv = [rng.uniform(-5, 5) for _ in jm]
+        got = geometry._least_squares_step(jm, fv, m)
+        want = least_squares_step_sums(jm, fv, m)
+        assert got == want and (got is None or [v.hex() for v in got] == [v.hex() for v in want])
 
 # -- tangent complex -------------------------------------------------------------------
 

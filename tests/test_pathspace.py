@@ -652,9 +652,9 @@ def test_weak_equivalence_stages_once_and_certifies_each_point_once(monkeypatch)
     pts = find_classical_points(bundle)[0]
     assert len(pts) == 343
     staged, diffs, residuals = [], [], []
-    stage, diff, residual = Poly.staged, Poly.diff, geometry._residual
-    monkeypatch.setattr(Poly, "staged", lambda self, coords: staged.append(self)
-                        or stage(self, coords))
+    stage, diff, residual = geometry.stage, Poly.diff, geometry._residual
+    monkeypatch.setattr(geometry, "stage", lambda polys, coords: staged.append(polys)
+                        or stage(polys, coords))
     monkeypatch.setattr(Poly, "diff", lambda self, name: diffs.append(name) or diff(self, name))
     monkeypatch.setattr(geometry, "_residual", lambda curvature, at: residuals.append(
         (id(curvature), tuple(at))) or residual(curvature, at))
@@ -667,8 +667,9 @@ def test_weak_equivalence_stages_once_and_certifies_each_point_once(monkeypatch)
         return len(staged), len(diffs), list(residuals)
 
     one, every = run(pts[:1]), run(pts)
-    # curvature, Jacobian, base map and phi_1 entries: staged and
-    # differentiated once for the morphism, however many points follow
+    # curvature, Jacobian, base map and phi_1 entries: staged (one call
+    # per staged matrix) and differentiated once for the morphism, however
+    # many points follow
     assert every[0] > 0 and every[1] > 0
     assert one[:2] == every[:2]
     # the source points come certified from the search; each target point

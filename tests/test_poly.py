@@ -11,7 +11,7 @@ from oracles import (PathSection, eval_literal, path_delta, path_eta, pi_con, pi
                      pullback, substitute_literal)
 
 from linfty import poly as poly_module
-from linfty.poly import Poly, as_rational, format_fraction
+from linfty.poly import Poly, as_rational, format_fraction, stage
 
 x = Poly.variable("x")
 y = Poly.variable("y")
@@ -91,31 +91,42 @@ def random_float(rng):
 def test_eval_and_the_staged_kernel_match_the_literal_loop():
     rng = random.Random(2307)
     negative_zeros = 0
-    for _ in range(600):
-        vs = rng.sample(("x", "y", "z"), rng.randint(0, 3))
-        p = Poly(vs, {tuple(rng.randint(0, 3) for _ in vs):
-                      Fraction(rng.randint(-9, 9), rng.randint(1, 12))
-                      for _ in range(rng.randint(0, 6))})
-        rat = {v: Fraction(rng.randint(-20, 20), rng.randint(1, 12)) for v in vs}
-        assert p.eval(rat) == eval_literal(p, rat)
-        # staged over a shuffled superset of the variables, at float points:
-        # the quotient is the exact value rounded once, signed zeros included
-        coords = vs + ["w"]
+    for _ in range(240):
+        polys = []
+        for _ in range(rng.randint(1, 4)):
+            vs = rng.sample(("x", "y", "z"), rng.randint(0, 3))
+            p = Poly(vs, {tuple(rng.randint(0, 3) for _ in vs):
+                          Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+                          for _ in range(rng.randint(0, 6))})
+            rat = {v: Fraction(rng.randint(-20, 20), rng.randint(1, 12)) for v in vs}
+            assert p.eval(rat) == eval_literal(p, rat)
+            polys.append(p)
+        # staged together over a shuffled superset of the variables, at
+        # float points: each quotient over the one shared denominator is
+        # the exact value rounded once, signed zeros included
+        coords = ["x", "y", "z", "w"]
         rng.shuffle(coords)
         at = {v: random_float(rng) for v in coords}
-        num, den = p.staged(coords)([at[v].as_integer_ratio() for v in coords])
-        got = num / den
-        want = float(eval_literal(p, {v: Fraction(f) for v, f in at.items()}))
-        assert den > 0 and got.hex() == want.hex()
-        negative_zeros += got == 0 and math.copysign(1, got) < 0
+        nums, den = stage(polys, coords)([at[v].as_integer_ratio() for v in coords])
+        assert den > 0 and len(nums) == len(polys)
+        for p, num in zip(polys, nums):
+            got = num / den
+            want = float(eval_literal(p, {v: Fraction(f) for v, f in at.items()}))
+            assert got.hex() == want.hex()
+            negative_zeros += got == 0 and math.copysign(1, got) < 0
     assert negative_zeros
 
 
 def test_staging_requires_every_used_variable():
     p = x ** 2 + Poly.monomial(("x", "y"), (0, 0), 1)
-    assert p.staged(("x",))([(3, 2)]) == (13, 4)
-    with pytest.raises(ValueError):
-        p.staged(("y",))
+    assert stage([p], ("x",))([(3, 2)]) == ([13], 4)
+    # one denominator 2 * 2^2 for p, 1/2 and 3x at x = 3/2: y is in no
+    # term, so it adds no factor, and the constant takes x's 2^2 once
+    assert stage([p, Poly.constant(Fraction(1, 2)), 3 * x], ("x", "y"))(
+        [(3, 2), (1, 5)]) == ([26, 4, 36], 8)
+    assert stage([], ("x",))([(3, 2)]) == ([], 1)
+    with pytest.raises(ValueError, match="no value supplied for variable 'x'"):
+        stage([p], ("y",))
 
 
 # -- results built without re-validation --------------------------------------
