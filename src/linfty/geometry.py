@@ -830,7 +830,9 @@ def find_classical_points(bundle: LinftyBundle
     kernel call and its floats are the exact values at the float iterate,
     correctly rounded.  A seed stops when its step leaves the iterate
     unchanged: the next step would see the same values and take the same
-    step, up to the step cap, so that seed cannot converge.  Converged
+    step, up to the step cap, so that seed cannot converge.  A seed whose
+    values or Jacobian leave the float range, or whose step is not finite,
+    diverges and is dropped.  Converged
     numerical zeros are deduplicated; candidates close to small rationals
     are verified exactly with the same kernel (every curvature numerator
     zero at the candidate's ratios) and promoted to ClassicalPoint, the
@@ -857,13 +859,16 @@ def find_classical_points(bundle: LinftyBundle
         ok = False
         for _ in range(60):
             nums, den = kernel([v.as_integer_ratio() for v in pt])
-            fv = [num / den for num in nums[:r]]
-            if max(map(abs, fv), default=0.0) < _POINT_TOL:
-                ok = True
+            try:
+                fv = [num / den for num in nums[:r]]
+                if max(map(abs, fv), default=0.0) < _POINT_TOL:
+                    ok = True
+                    break
+                jac = [num / den for num in nums[r:]]
+            except OverflowError:
                 break
-            jac = [num / den for num in nums[r:]]
             step = _least_squares_step([jac[i:i + m] for i in range(0, r * m, m)], fv, m)
-            if step is None:
+            if step is None or not all(map(math.isfinite, step)):
                 break
             nxt = [a - b for a, b in zip(pt, step)]
             if nxt == pt:

@@ -12,8 +12,9 @@ operation coefficients are closed-form polynomials in (p, q).
 On top of the path space sit the diagonal factorization (constant paths
 followed by endpoint evaluation), homotopy fibered products as iterated
 pullbacks along the evaluation fibration, and derived intersections of
-parameterized submanifolds, including the comparison of a section's
-derived zero locus with its quasi-smooth model.
+polynomial maps into affine space (morphisms between plain bundles),
+including the comparison of a section's derived zero locus with its
+quasi-smooth model.
 """
 
 from __future__ import annotations
@@ -411,8 +412,9 @@ class FiberedProduct:
 
 
 def _product_morphism(f: Morphism, g: Morphism, dst_product: LinftyBundle,
-                      j0: dict, j1: dict) -> tuple[Morphism, Morphism]:
-    """f x g into an explicitly built product bundle; g may get renamed."""
+                      j0: dict, j1: dict) -> Morphism:
+    """f x g into an explicitly built product bundle; g's coordinates are
+    renamed in the product where they clash with f's."""
     g = rename_source_clear_of(g, f.src.coords, "r")
     src, m1, m2 = product_bundle(f.src, g.src)
 
@@ -423,7 +425,7 @@ def _product_morphism(f: Morphism, g: Morphism, dst_product: LinftyBundle,
             phi_ops[k] = phi_ops[k].plus(piece) if k in phi_ops else piece
     base = tuple(f.base_map) + tuple(g.base_map)
     return Morphism(src, dst_product, base,
-                    OpFamily(0, src.fiber, dst_product.fiber, phi_ops)), g
+                    OpFamily(0, src.fiber, dst_product.fiber, phi_ops))
 
 
 def homotopy_fibered_product(f: Morphism, g: Morphism) -> FiberedProduct:
@@ -431,29 +433,25 @@ def homotopy_fibered_product(f: Morphism, g: Morphism) -> FiberedProduct:
 
     Realizes the homotopy fibered product of the two morphisms into their
     shared target as an honest bundle; virtual dimension additivity is
-    asserted on the result.
+    asserted on the result.  to_left and to_right land on f.src and g.src
+    themselves, so they compose with f and g.
     """
     if not _same_target(f.dst, g.dst):
         raise ValueError("the two morphisms must share their target bundle")
     dps = derived_path_space(f.dst)
     j0, j1 = dps.product_maps
-    fg, g_used = _product_morphism(f, g, dps.product, j0, j1)
+    fg = _product_morphism(f, g, dps.product, j0, j1)
     if not check_morphism(fg).ok:
         raise AssertionError("product morphism failed its defining equation")
     res = pullback_fibration(dps.evaluation, fg)
 
-    # pullback may have renamed the product's coordinates; split what it used
     src_prod = res.other.src
-    n = len(f.src.coords)
-    left_factor = f.src.rename_coords(dict(zip(f.src.coords, src_prod.coords[:n])))
-    right_factor = g_used.src.rename_coords(dict(zip(g_used.src.coords,
-                                                     src_prod.coords[n:])))
-    left_proj = product_projection(src_prod, left_factor, first=True)
-    right_proj = product_projection(src_prod, right_factor, first=False)
-    to_left = compose(left_proj, res.to_other_source)
-    to_right = compose(right_proj, res.to_other_source)
+    to_left = compose(product_projection(src_prod, f.src, first=True),
+                      res.to_other_source)
+    to_right = compose(product_projection(src_prod, g.src, first=False),
+                       res.to_other_source)
 
-    want = (virtual_dimension(f.src) + virtual_dimension(g_used.src)
+    want = (virtual_dimension(f.src) + virtual_dimension(g.src)
             - virtual_dimension(f.dst))
     if virtual_dimension(res.bundle) != want:
         raise AssertionError("virtual dimension is not additive")
@@ -461,49 +459,33 @@ def homotopy_fibered_product(f: Morphism, g: Morphism) -> FiberedProduct:
 
 
 # ---------------------------------------------------------------------------
-# Derived intersections of parameterized submanifolds
+# Derived intersections of maps into affine space
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Submanifold:
-    """Parameterized submanifold of affine space: params -> image polys."""
-
-    params: tuple[str, ...]
-    image: tuple[Poly, ...]
-    name: str = ""
-
-    @property
-    def dim(self) -> int:
-        return len(self.params)
-
-    @property
-    def ambient_dim(self) -> int:
-        return len(self.image)
+def _plain_map(params, coords, image) -> Morphism:
+    """The map params -> affine space on coords given by the image polys."""
+    src, dst = plain_bundle(params), plain_bundle(coords)
+    base = []
+    for p in image:
+        pr = p.pruned()
+        if not set(pr.vars) <= set(src.coords):
+            raise ValueError("map image uses names outside its parameters")
+        base.append(pr.with_vars(src.coords))
+    return Morphism(src, dst, tuple(base), OpFamily(0, src.fiber, dst.fiber, {}))
 
 
-def axis_submanifold(axis: int, m: int) -> Submanifold:
+def axis_submanifold(axis: int, m: int) -> Morphism:
+    """The line u -> u e_axis in affine m-space."""
     image = tuple(Poly.variable("u") if j == axis else Poly.zero(("u",))
                   for j in range(m))
-    return Submanifold(("u",), image, name=f"axis-{axis}")
+    return _plain_map(("u",), ambient_coord_names(m), image)
 
 
-def graph_submanifold(fn: Poly) -> Submanifold:
+def graph_submanifold(fn: Poly) -> Morphism:
     """Graph of a one-variable polynomial inside the plane: u -> (u, fn(u))."""
     p = fn.substitute({v: Poly.variable("u") for v in fn.vars if v != "u"})
-    return Submanifold(("u",), (Poly.variable("u"), p), name="graph")
-
-
-def _inclusion_morphism(sub: Submanifold, ambient: LinftyBundle) -> Morphism:
-    src = plain_bundle(sub.params)
-    base = []
-    for p in sub.image:
-        pr = p.pruned()
-        if not set(pr.vars) <= set(sub.params):
-            raise ValueError("submanifold image uses unknown parameters")
-        base.append(pr.with_vars(tuple(sub.params)))
-    return Morphism(src, ambient, tuple(base),
-                    OpFamily(0, src.fiber, ambient.fiber, {}))
+    return _plain_map(("u",), ambient_coord_names(2), (Poly.variable("u"), p))
 
 
 @dataclass
@@ -526,26 +508,21 @@ def ambient_coord_names(m: int) -> tuple[str, ...]:
     return tuple("xyz"[i] if m <= 3 else f"x{i}" for i in range(m))
 
 
-def derived_intersection(x: Submanifold, y: Submanifold,
+def derived_intersection(f: Morphism, g: Morphism,
                          points=None) -> DerivedIntersection:
-    """Intersection of two parameterized submanifolds through the path space.
+    """Intersection of two maps into affine space through the path space.
 
-    Each classical point of the resulting quasi-smooth model is reported
-    with the cohomology of its tangent complex; transversality at a point
-    is vanishing of the top cohomology.
+    The model is the homotopy fibered product of f and g, and its virtual
+    dimension is read from it.  Each classical point of the model is
+    reported with its image under f and the cohomology of its tangent
+    complex; transversality at a point is vanishing of H^1, which is the
+    top cohomology only over affine space, so a target with a nonzero
+    fiber is refused.
     """
-    if x.ambient_dim != y.ambient_dim:
-        raise ValueError("submanifolds live in different ambient spaces")
-    m = x.ambient_dim
-    ambient = plain_bundle(ambient_coord_names(m))
-    inc_x = _inclusion_morphism(x, ambient)
-    inc_y = _inclusion_morphism(y, ambient)
-    fp = homotopy_fibered_product(inc_x, inc_y)
+    if f.dst.fiber.total_dim or g.dst.fiber.total_dim:
+        raise ValueError("derived intersections need maps into affine space")
+    fp = homotopy_fibered_product(f, g)
     bundle = fp.bundle
-
-    vdim = x.dim + y.dim - m
-    if virtual_dimension(bundle) != vdim:
-        raise AssertionError("virtual dimension disagrees with dim X + dim Y - dim M")
 
     staged = StagedTangent(bundle)
     pts: list[ClassicalPoint] = []
@@ -558,14 +535,14 @@ def derived_intersection(x: Submanifold, y: Submanifold,
     reports = []
     for p in pts:
         betti = staged.tangent_complex(p).cohomology()
-        values = {n: v for n, v in zip(bundle.coords, p.coords)}
-        amb = tuple(poly.eval(values) for poly in fp.to_left.base_map)
-        amb_img = tuple(poly.eval({n: v for n, v in
-                                   zip(x.params, amb)}) for poly in x.image)
-        reports.append(IntersectionPoint(p, amb_img, betti.get(0, 0),
+        values = dict(zip(bundle.coords, p.coords))
+        params = dict(zip(f.src.coords,
+                          (poly.eval(values) for poly in fp.to_left.base_map)))
+        amb = tuple(poly.eval(params) for poly in f.base_map)
+        reports.append(IntersectionPoint(p, amb, betti.get(0, 0),
                                          betti.get(1, 0),
                                          betti.get(1, 0) == 0))
-    return DerivedIntersection(bundle, reports, vdim)
+    return DerivedIntersection(bundle, reports, virtual_dimension(bundle))
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +581,7 @@ def zero_locus_model(coords, section, points=None) -> ZeroLocusComparison:
                                   {0: MultiOp(0, 1, fiber, fiber, {(): lam0})}
                                   if lam0 else {}))
 
-    total_names = coords + tuple(f"e{i}" for i in range(k))
+    total = ambient_coord_names(m + k)
     uparams = tuple(f"u{i}" for i in range(m))
     vparams = tuple(f"v{i}" for i in range(m))
     zero_image = tuple(Poly.variable(n, uparams) for n in uparams) + tuple(
@@ -613,10 +590,9 @@ def zero_locus_model(coords, section, points=None) -> ZeroLocusComparison:
     graph_image = tuple(Poly.variable(n, vparams) for n in vparams) + tuple(
         (p.substitute(sub_map) if isinstance(p, Poly) else Poly.constant(p))
         for p in section)
-    x = Submanifold(uparams, zero_image, name="zero-section")
-    y = Submanifold(vparams, graph_image, name="section-graph")
 
-    inter = derived_intersection(x, y, points=[])
+    inter = derived_intersection(_plain_map(uparams, total, zero_image),
+                                 _plain_map(vparams, total, graph_image), points=[])
     target = inter.bundle
 
     base = tuple(Poly.variable(c) for c in coords) * 2

@@ -56,7 +56,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Mapping, Sequence
+from math import prod
+from typing import Mapping
 
 from .algebra import invert_linear_op, op_matrix, op_then
 from .graded import (BasisBuilder, BasisKey, GradedSpace, MultiOp, OpFamily, Vector,
@@ -259,39 +260,6 @@ def transfer(con: Contraction, lam: OpFamily) -> TransferResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Tree:
-    """Rooted tree with unordered children; None children marks a leaf.
-
-    A node stands for an operation lam_k with k >= 2; lam_1 is resummed
-    into the leaves and the caps by (1 + eta lam_1)^{-1}.
-    """
-
-    children: tuple["Tree", ...] | None = None
-
-    def sort_key(self):
-        if self.children is None:
-            return (0,)
-        return (1, tuple(c.sort_key() for c in self.children))
-
-    @staticmethod
-    def leaf() -> "Tree":
-        return Tree(None)
-
-    @staticmethod
-    def node(children: Sequence["Tree"]) -> "Tree":
-        return Tree(tuple(sorted(children, key=Tree.sort_key)))
-
-    def weight(self) -> int:
-        """(-1)^(number of nodes): the tree's sign in phi."""
-        if self.children is None:
-            return 1
-        w = -1
-        for c in self.children:
-            w *= c.weight()
-        return w
-
-
 def transfer_trees(con: Contraction, lam: OpFamily) -> TransferResult:
     """Transfer via the explicit tree expansion; agrees with `transfer`.
 
@@ -299,7 +267,8 @@ def transfer_trees(con: Contraction, lam: OpFamily) -> TransferResult:
     inv1 = (1 + eta lam_1)^{-1} that `transfer` uses, so a leaf is
     inv1 iota and a tree's capped value is inv1 eta of its term (its root
     operation fed with its children's capped values).  phi_n sums
-    w(T) times the capped values of the n-leaf trees T, and
+    w(T) = (-1)^(nodes of T) times the capped values of the n-leaf trees
+    T, and
     mu_n = -sum w(T) pi(term of T) + pi lam_1 phi_n.  Each child of an
     n-leaf tree has fewer leaves, so one pass in increasing n finds every
     tree, tabulating its term once.  A tree whose capped value vanishes
@@ -311,10 +280,11 @@ def transfer_trees(con: Contraction, lam: OpFamily) -> TransferResult:
     inv1 = neumann_inverse(con.eta.compose_linear(lam1), label="eta lam_1")
     arities = {k for k in lam.arities() if k >= 2}
 
-    leaf = Tree.leaf()
-    capped = {leaf: inv1.compose_linear(con.iota)}
-    pool = [] if capped[leaf].is_zero() else [(leaf, 1)]
-    phi_ops = {1: capped[leaf]}
+    # a tree is its (capped value, weight); a run of identical children is
+    # one pool entry repeated, so treeterm feeds it once per choice
+    leaf = inv1.compose_linear(con.iota)
+    pool = [] if leaf.is_zero() else [((leaf, 1), 1)]
+    phi_ops = {1: leaf}
     mu_ops = {0: _curvature_on_h(con, lam)}
     for n in range(1, arity_bound(0, con.space, con.h_space) + 1):
         phi_n = phi_ops.get(n, MultiOp.zero(n, 0, con.h_space, con.space))
@@ -323,16 +293,14 @@ def transfer_trees(con: Contraction, lam: OpFamily) -> TransferResult:
         for kids in multisets(pool, n):
             if len(kids) not in arities:
                 continue
-            t = Tree.node(kids)
-            term = treeterm(lam.op(len(kids)), [capped[c] for c in t.children])
-            w = t.weight()
+            term = treeterm(lam.op(len(kids)), [val for val, _ in kids])
+            w = -prod(wc for _, wc in kids)
             # lam . phi lacks the -1 that phi = iota - eta (lam . phi) puts
             # at the root
             lam_phi = lam_phi.plus(term.scaled(-w))
             val = op_then(op_then(term, con.eta), inv1)
             if not val.is_zero():
-                capped[t] = val
-                grown.append((t, n))
+                grown.append(((val, w), n))
                 phi_n = phi_n.plus(val.scaled(w))
         pool += grown
         phi_ops[n] = phi_n

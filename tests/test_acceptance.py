@@ -22,7 +22,7 @@ from linfty.graded import GradedSpace, MultiOp, OpFamily, bullet
 from linfty.modelio import (bundle_from_json, bundle_to_json,
                             contraction_from_json, contraction_to_json, dumps,
                             morphism_from_json, morphism_to_json)
-from linfty.pathspace import (Submanifold, axis_submanifold,
+from linfty.pathspace import (_plain_map, ambient_coord_names, axis_submanifold,
                               derived_intersection, derived_path_space,
                               factorize_diagonal, graph_submanifold,
                               homotopy_fibered_product, verify_factorization,
@@ -293,16 +293,17 @@ def test_c08_derived_intersections():
         kx, ky = rng.randint(1, m), rng.randint(1, m)
         xs = tuple(f"u{i}" for i in range(kx))
         ys = tuple(f"v{i}" for i in range(ky))
+        amb = ambient_coord_names(m)
         if trial % 3 == 0 and m == 2:
             c1, c2 = rng.randint(-2, 2), rng.randint(-2, 2)
-            second = Submanifold(("v0",), (Poly.variable("v0"),
-                                           Poly.variable("v0") * c1
-                                           + Poly.variable("v0") ** 2 * c2))
+            second = _plain_map(("v0",), amb, (Poly.variable("v0"),
+                                               Poly.variable("v0") * c1
+                                               + Poly.variable("v0") ** 2 * c2))
             ky = 1
         else:
-            second = Submanifold(ys, _through_origin(
+            second = _plain_map(ys, amb, _through_origin(
                 random_affine_images(rng, m, ky, ys), ys))
-        first = Submanifold(xs, _through_origin(
+        first = _plain_map(xs, amb, _through_origin(
             random_affine_images(rng, m, kx, xs), xs))
         inter = derived_intersection(first, second,
                                      points=[(zero,) * (kx + ky)])

@@ -398,6 +398,18 @@ def test_zero_locus_without_real_points(capsys):
     assert "weak equivalence" not in out
 
 
+@pytest.mark.parametrize("sections", ["x**60 + 1", "x**56 - 3", "(x**2 + 1)**30"])
+def test_zero_locus_of_high_degree_checks_nothing(capsys, sections):
+    # no rational point; the search drops the seeds whose values leave the
+    # float range instead of raising on them
+    code, out, err = run(capsys, "zero-locus", "--coords", "x",
+                         "--sections", sections, "--json")
+    assert code == 1 and "Traceback" not in err
+    doc = json.loads(out)
+    assert doc["ok"] is False and doc["points"] == []
+    assert doc["note"].startswith("no point was checked")
+
+
 def test_zero_locus_beyond_the_point_search_checks_nothing(capsys):
     # a 3-dimensional locus in 4 coordinates, where the search does not run
     code, out, _ = run(capsys, "zero-locus", "--coords", "a,b,c,d",
@@ -568,6 +580,20 @@ def test_pool_job_gives_its_recorded_answer(job, monkeypatch, capsys):
     # every other pool job: both transfer engines, fibered products,
     # intersections, zero loci, tangent complexes and reports
     run_pool_job(job, monkeypatch, capsys)
+
+
+FIB_PRODUCT_DIGESTS = json.loads((ROOT / "tests" / "fib_product_digests.json").read_text())
+
+
+@pytest.mark.parametrize("job", [j for j in POOL["polybase"] if j["argv"][0] == "fib-product"],
+                         ids=lambda j: j["id"])
+def test_pool_fib_product_writes_its_recorded_bundle(job, monkeypatch, capsys):
+    # the pool checks these jobs by virtual dimension only; this pins the
+    # bundles they write
+    monkeypatch.chdir(ROOT)
+    code, out, _ = run(capsys, *job["argv"])
+    assert code == 0
+    assert digest(out) == FIB_PRODUCT_DIGESTS[job["id"]]
 
 
 @pytest.mark.parametrize("name, sha", [

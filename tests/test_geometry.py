@@ -21,6 +21,7 @@ from linfty.geometry import (ClassicalPoint, CochainComplex, StagedTangentMap,
                              tangent_complex, virtual_dimension)
 from linfty.graded import GradedSpace, MultiOp, OpFamily
 from linfty.linalg import kernel_basis
+from linfty.pathspace import _plain_map
 from linfty.poly import Poly
 from linfty.samples import random_bundle
 
@@ -136,6 +137,19 @@ def test_find_classical_points_two_simple_roots():
     exact, loose = find_classical_points(b)
     assert [p.coords for p in exact] == [(-1,), (1,)]
     assert loose == []
+
+
+@pytest.mark.parametrize("section, exact_coords, loose", [
+    # an iterate beyond the float range of x^60 is dropped, not raised on
+    (x ** 60 + 1, [], []),
+    (x ** 60 - 1, [(-1,), (1,)], []),
+    (x ** 56 - 3, [], [(-1.019811775641927,), (1.0198117756419274,)]),
+    ((x ** 2 + 1) ** 30, [], []),
+], ids=["x^60+1", "x^60-1", "x^56-3", "(x^2+1)^30"])
+def test_find_classical_points_on_sections_of_high_degree(section, exact_coords, loose):
+    found, near = find_classical_points(section_bundle(("x",), (section,)))
+    assert [p.coords for p in found] == exact_coords
+    assert near == loose
 
 
 def test_find_classical_points_snaps_double_root():
@@ -565,15 +579,10 @@ def test_pullback_of_a_weak_equivalence_along_a_fibration():
                                [(0, 0)], [(0, 0)]).ok
 
 
-def plain_map(src_coords, dst_coords, base_map):
-    src, dst = plain_bundle(src_coords), plain_bundle(dst_coords)
-    return Morphism(src, dst, tuple(base_map), OpFamily(0, src.fiber, dst.fiber, {}))
-
-
 def test_pullback_solves_the_other_leg_when_only_it_is_affine():
     u = Poly.variable("u")
-    fib = plain_map(("x", "y"), ("t",), (x + y * y,))
-    other = plain_map(("u",), ("t",), (2 * u + 1,))
+    fib = _plain_map(("x", "y"), ("t",), (x + y * y,))
+    other = _plain_map(("u",), ("t",), (2 * u + 1,))
     pb = pullback_fibration(fib, other)
     assert pb.bundle.coords == ("x", "y")
     assert pb.to_fibration_source.base_map == (x, y)
@@ -584,8 +593,8 @@ def test_pullback_solves_the_other_leg_when_only_it_is_affine():
 
 
 def test_pullback_renames_a_shared_coordinate_of_the_other_leg():
-    fib = plain_map(("x",), ("t",), (x,))
-    other = plain_map(("x",), ("t",), (x * x,))
+    fib = _plain_map(("x",), ("t",), (x,))
+    other = _plain_map(("x",), ("t",), (x * x,))
     pb = pullback_fibration(fib, other)
     assert pb.other.src.coords == ("x_b",)
     assert pb.bundle.coords == ("x_b",)
@@ -594,8 +603,8 @@ def test_pullback_renames_a_shared_coordinate_of_the_other_leg():
 
 def test_pullback_needs_an_affine_leg():
     u = Poly.variable("u")
-    fib = plain_map(("x",), ("t",), (x * x,))
-    other = plain_map(("u",), ("t",), (u * u,))
+    fib = _plain_map(("x",), ("t",), (x * x,))
+    other = _plain_map(("u",), ("t",), (u * u,))
     with pytest.raises(ValueError, match="need an affine base map on one side to form the graph"):
         pullback_fibration(fib, other)
 

@@ -14,7 +14,7 @@ from oracles import (PathSection, amp2_bundle, at_point, bareiss_betti, circle_b
                      pullback, section_bundle, square_bundle)
 
 from linfty.algebra import (LinftyBundle, Morphism, check_mc, check_morphism,
-                            op_matrix, plain_bundle)
+                            compose, op_matrix, plain_bundle)
 from linfty.cli import main
 from linfty.geometry import (CochainComplex, classical_point, find_classical_points,
                              is_weak_equivalence, shifted_tangent_data, tangent_complex,
@@ -25,7 +25,7 @@ from linfty.modelio import bundle_to_json, dumps
 from linfty.poly import Poly
 from linfty import algebra, geometry, linalg, pathspace, transfer
 from linfty.linalg import solve_columns
-from linfty.pathspace import (Submanifold, _doubled_names,
+from linfty.pathspace import (_doubled_names, _plain_map,
                               axis_submanifold, build_path_model, derived_intersection,
                               derived_path_space,
                               factorize_diagonal, graph_submanifold,
@@ -524,7 +524,6 @@ def test_factorization_of_the_plane():
 
 def test_factorization_legs_compose_to_the_diagonal():
     fz = factorize_diagonal(square_bundle())
-    from linfty.algebra import compose
     comp = compose(fz.fibration, fz.weak_equivalence)
     assert comp.base_map == fz.diagonal.base_map
     assert comp.phi == fz.diagonal.phi
@@ -716,6 +715,32 @@ def test_fibered_product_dimension_formula():
     fp = homotopy_fibered_product(f, f)
     assert virtual_dimension(fp.bundle) == 2 + 2 - 1
     assert check_mc(fp.bundle).ok
+    # the second copy of f.src is renamed inside the product; both legs
+    # still land on f.src and compose with f
+    assert fp.to_left.dst is f.src and fp.to_right.dst is f.src
+    for leg in (fp.to_left, fp.to_right):
+        assert check_morphism(compose(f, leg)).ok
+
+
+def test_derived_intersection_refuses_maps_into_different_targets():
+    u = Poly.variable("u")
+    with pytest.raises(ValueError, match="share their target"):
+        derived_intersection(_plain_map(("u",), ("x",), (u,)),
+                             _plain_map(("u",), ("y",), (u,)))
+    with pytest.raises(ValueError, match="share their target"):
+        derived_intersection(axis_submanifold(0, 2), axis_submanifold(0, 3))
+
+
+def test_derived_intersection_refuses_a_target_with_a_fiber():
+    b = square_bundle()
+    f = identity_morphism(b)
+    with pytest.raises(ValueError, match="affine space"):
+        derived_intersection(f, f)
+
+
+def test_a_map_whose_image_uses_an_unknown_name_is_refused():
+    with pytest.raises(ValueError, match="outside its parameters"):
+        _plain_map(("u",), ("x", "y"), (Poly.variable("u"), Poly.variable("w")))
 
 
 def test_transversal_axes_meet_in_a_smooth_point():
@@ -739,8 +764,8 @@ def test_axis_meets_parabola_non_transversally():
 
 
 def test_disjoint_points_have_empty_locus_and_negative_dimension():
-    p0 = Submanifold((), (Poly.constant(0),), name="pt0")
-    p1 = Submanifold((), (Poly.constant(1),), name="pt1")
+    p0 = _plain_map((), ("x",), (Poly.constant(0),))
+    p1 = _plain_map((), ("x",), (Poly.constant(1),))
     inter = derived_intersection(p0, p1)
     assert inter.virtual_dim == -1
     assert inter.points == []
@@ -749,8 +774,8 @@ def test_disjoint_points_have_empty_locus_and_negative_dimension():
 
 
 def test_self_intersection_of_the_plane_is_smooth():
-    a = Submanifold(("u0", "u1"), (Poly.variable("u0"), Poly.variable("u1")))
-    b = Submanifold(("v0", "v1"), (Poly.variable("v0"), Poly.variable("v1")))
+    a = _plain_map(("u0", "u1"), ("x", "y"), (Poly.variable("u0"), Poly.variable("u1")))
+    b = _plain_map(("v0", "v1"), ("x", "y"), (Poly.variable("v0"), Poly.variable("v1")))
     inter = derived_intersection(a, b, points=[(1, 2, 1, 2)])
     assert inter.virtual_dim == 2
     pt = inter.points[0]

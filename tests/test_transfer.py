@@ -15,7 +15,7 @@ from linfty.algebra import LinftyBundle, Morphism, check_mc, check_morphism
 from linfty.graded import (GradedSpace, MultiOp, OpFamily, arity_bound, bullet,
                            canonical_tuples, op_nilpotency_order)
 from linfty.samples import random_contraction, random_transfer_instance
-from linfty.transfer import (AdaptedBasis, Contraction, Tree, neumann_inverse,
+from linfty.transfer import (AdaptedBasis, Contraction, neumann_inverse,
                              projection_morphism, transfer, transfer_trees)
 
 
@@ -258,27 +258,6 @@ def test_transfer_tabulates_each_arity_once(monkeypatch):
 
 # -- tree expansion -----------------------------------------------------------------
 
-def test_tree_weights():
-    leaf = Tree.leaf()
-    assert leaf.weight() == 1
-    corolla2 = Tree.node([leaf, leaf])
-    assert corolla2.weight() == -1
-    chain = Tree.node([Tree.node([leaf, leaf]), leaf])
-    # (-1)^(number of nodes); equal children add no symmetry factor
-    assert chain.weight() == 1
-    double = Tree.node([Tree.node([leaf, leaf]), Tree.node([leaf, leaf])])
-    assert double.weight() == -1
-    assert all(type(t.weight()) is int for t in (leaf, corolla2, chain, double))
-
-
-def test_tree_describe_sorts_children():
-    leaf = Tree.leaf()
-    inner = Tree.node([leaf, leaf])
-    a = Tree.node([inner, leaf])
-    b = Tree.node([leaf, inner])
-    assert a == b and a.children == b.children == (leaf, inner)
-
-
 def test_trees_match_recursion():
     reach = ArityReach()
     for con, lam in default_then_wide_draws(202, 8):
@@ -291,35 +270,30 @@ def test_trees_match_recursion():
 
 
 def test_tree_engine_tabulates_each_tree_once(monkeypatch):
-    """One treeterm call per distinct tree: its term is capped for phi and
-    read for mu from the one tabulation."""
+    """One treeterm call per grown tree: its term is capped for phi and
+    read for mu from the one tabulation.  A tree is its root arity and its
+    children's capped values, which are the very objects fed to treeterm;
+    a leaf's is phi_1, the only part of arity 1."""
     calls = []
-    trees = set()
-    real_term, real_node = linfty.transfer.treeterm, Tree.node
+    real_term = linfty.transfer.treeterm
 
     def counting(op_k, parts):
-        calls.append(op_k.arity)
+        calls.append((op_k.arity, tuple(parts)))
         return real_term(op_k, parts)
 
-    def recording(children):
-        t = real_node(children)
-        trees.add(t)
-        return t
-
     monkeypatch.setattr(linfty.transfer, "treeterm", counting)
-    monkeypatch.setattr(Tree, "node", staticmethod(recording))
     reached = set()
     for con, lam in default_then_wide_draws(202, 8):
         calls.clear()
-        trees.clear()
         transfer_trees(con, lam)
+        trees = {(k, tuple(map(id, parts))) for k, parts in calls}
         assert len(calls) == len(trees)
-        for t in trees:
-            for i, c in enumerate(t.children):
-                if c.children is not None:
+        for _, parts in calls:
+            for i, c in enumerate(parts):
+                if c.arity > 1:
                     reached.add("non-leaf child")
-                if i and c == t.children[i - 1]:
-                    reached.add("equal children" if c.children is None
+                if i and c is parts[i - 1]:
+                    reached.add("equal children" if c.arity == 1
                                 else "equal non-leaf children")
     assert reached == {"non-leaf child", "equal children", "equal non-leaf children"}
 
