@@ -226,15 +226,14 @@ class LinftyBundle:
     def curvature_section(self) -> Vector:
         return self.ops.op(0).evaluate_basis(())
 
-    def map_coeffs(self, fn, coords: tuple[str, ...] | None = None) -> "LinftyBundle":
-        return LinftyBundle(self.coords if coords is None else coords, self.fiber,
-                            map_op_coeffs(self.delta, fn),
-                            map_family_coeffs(self.ops, fn))
-
     def rename_coords(self, mapping: Mapping[str, str]) -> "LinftyBundle":
         new = tuple(mapping.get(c, c) for c in self.coords)
         values = {c: Poly.variable(mapping[c]) for c in self.coords if mapping.get(c, c) != c}
-        return self.map_coeffs(lambda c: _substitute_coeff(c, values), coords=new)
+
+        def fn(c):
+            return _substitute_coeff(c, values)
+        return LinftyBundle(new, self.fiber, map_op_coeffs(self.delta, fn),
+                            map_family_coeffs(self.ops, fn))
 
 
 def product_bundle(a: LinftyBundle, b: LinftyBundle) -> tuple["LinftyBundle", dict, dict]:
@@ -270,9 +269,8 @@ def product_projection(prod: LinftyBundle, factor: LinftyBundle,
     else:
         base = tuple(Poly.variable(c) for c in prod.coords[len(prod.coords) - n:])
         shift = {d: prod.fiber.dims[d] - k for d, k in factor.fiber.dims.items()}
-    op = MultiOp(1, 0, prod.fiber, factor.fiber,
-                 {((d, i + shift[d]),): {(d, i): 1} for d, i in factor.fiber.keys()})
-    return Morphism(prod, factor, base, OpFamily(0, prod.fiber, factor.fiber, {1: op}))
+    return linear_morphism(prod, factor, base,
+                           {(d, i + shift[d]): {(d, i): 1} for d, i in factor.fiber.keys()})
 
 
 def plain_bundle(coords: Sequence[str]) -> LinftyBundle:
@@ -323,6 +321,16 @@ class Morphism:
         an empty substitution along an identity base map."""
         return {name: p for name, p in zip(self.dst.coords, self.base_map)
                 if p.variable_name() != name}
+
+
+def linear_morphism(src: LinftyBundle, dst: LinftyBundle, base_map,
+                    columns: Mapping) -> Morphism:
+    """The morphism over base_map whose fiber family is one arity-1
+    operation sending each source key in columns to its column, a
+    {target key: coefficient} vector, and every other key to zero; with
+    no column the family is empty."""
+    op = MultiOp(1, 0, src.fiber, dst.fiber, {(key,): col for key, col in columns.items()})
+    return Morphism(src, dst, base_map, OpFamily(0, src.fiber, dst.fiber, {1: op}))
 
 
 def pullback_family(fam: OpFamily, values: Mapping[str, Poly]) -> OpFamily:
@@ -505,8 +513,7 @@ def linearize_fibration(m: Morphism) -> LinearizedFibration:
     ident_base = tuple(Poly.variable(x) for x in src.coords)
     iso = Morphism(src, mid, ident_base, phi_prime)
 
-    proj = MultiOp(1, 0, mid_fiber, dst.fiber, {(e,): {k: 1} for k, e in into_e.items()})
-    linear = Morphism(mid, dst, m.base_map, OpFamily(0, mid_fiber, dst.fiber, {1: proj}))
+    linear = linear_morphism(mid, dst, m.base_map, {e: {k: 1} for k, e in into_e.items()})
 
     for cand in (iso, linear):
         rep = check_morphism(cand)

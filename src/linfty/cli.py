@@ -290,6 +290,10 @@ def cmd_weak_equiv(args) -> int:
 def cmd_fibration(args) -> int:
     mor = load_morphism(args.morphism)
     samples = parse_points(args.samples, "--samples")
+    n = len(mor.src.coords)
+    for s in samples:
+        if len(s) != n:
+            raise ModelFormatError(f"--samples: expected {n} coordinates, got {len(s)}")
     try:
         rep = is_fibration(mor, samples=samples)
     except ValueError as exc:
@@ -342,7 +346,7 @@ def cmd_path_space(args) -> int:
     bundle = _input_bundle(args)
     dps = derived_path_space(bundle)
     _emit_model(args, dumps(bundle_to_json(dps.bundle)),
-                "path space ok: structure and endpoint morphisms re-validated")
+                "path space ok: structure and endpoint evaluation re-validated")
     return 0
 
 
@@ -453,9 +457,8 @@ def cmd_zero_locus(args) -> int:
            "sections": [str(s) for s in sections],
            "ok": weq.ok,
            "points": [_json_point(p) for p in cmp.points],
-           "intersection_points": [{"ambient": _json_point(p.ambient),
-                                    "H^0": p.h0, "H^1": p.h1}
-                                   for p in cmp.intersection.points],
+           # no point is searched on the graph intersection itself
+           "intersection_points": [],
            "note": weq.note,
            "model": bundle_to_json(cmp.model)}
     lines = [("zero-locus", "; ".join(str(s) for s in sections)),

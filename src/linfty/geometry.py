@@ -27,8 +27,8 @@ from fractions import Fraction
 from operator import add
 
 from .algebra import (LinftyBundle, Morphism, _eval_coeff, check_mc,
-                      check_morphism, compose, linearize_fibration, op_then,
-                      pullback_family, reindex_op, rename_source_clear_of,
+                      check_morphism, compose, linear_morphism, linearize_fibration,
+                      op_then, pullback_family, reindex_op, rename_source_clear_of,
                       same_morphism)
 from .graded import (BasisBuilder, GradedSpace, MultiOp, OpFamily, _insertion_slots,
                      bullet)
@@ -727,10 +727,8 @@ def pullback_fibration(fib: Morphism, other: Morphism) -> PullbackResult:
                           MultiOp.zero(1, 1, lam_space, lam_space),
                           OpFamily(1, lam_space, lam_space, lifted_ops))
 
-    pr2 = Morphism(bundle, other.src, pr2_base,
-                   OpFamily(0, lam_space, other.src.fiber, {
-                       1: MultiOp(1, 0, lam_space, other.src.fiber,
-                                  {(lam,): {key: 1} for key, lam in into_lp.items()})}))
+    pr2 = linear_morphism(bundle, other.src, pr2_base,
+                          {lam: {key: 1} for key, lam in into_lp.items()})
     pr1 = Morphism(bundle, proj.src, pr1_base, psi)
     if lin is not None:
         pr1 = compose(lin.inverse, pr1)

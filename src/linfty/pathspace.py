@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (LinftyBundle, Morphism, check_mc, check_morphism, compose,
-                      plain_bundle, product_bundle, product_projection,
+                      linear_morphism, plain_bundle, product_bundle, product_projection,
                       reindex_op, rename_source_clear_of, same_morphism)
 from .geometry import (MAX_SEARCH_COORDS, ClassicalPoint, StagedTangent, _same_target,
                        classical_point, find_classical_points, is_fibration,
@@ -271,10 +271,10 @@ def path_perturbation(model: PathModel, pvals: dict[str, "Poly | Fraction"],
 
 @dataclass
 class DerivedPathSpace:
-    """Path space bundle over the doubled base, with its two morphisms."""
+    """Path space bundle over the doubled base, with its endpoint evaluation
+    into the product and the path model it was transferred from."""
 
     bundle: LinftyBundle           # over (p, q)
-    inclusion: Morphism            # constant paths
     evaluation: Morphism           # endpoint evaluation, a fibration
     product: LinftyBundle          # source x source with renamed coords
     product_maps: tuple[dict, dict]
@@ -302,9 +302,10 @@ def derived_path_space(bundle: LinftyBundle) -> DerivedPathSpace:
     """Transfer the path structure once manifold-wide, with symbolic ends.
 
     The output bundle lives over the doubled base; its operations have
-    polynomial coefficients in the two endpoint copies.  The constant-path
-    inclusion and the endpoint evaluation come along as morphisms, and the
-    defining equation of the result is re-checked on the spot.
+    polynomial coefficients in the two endpoint copies.  The endpoint
+    evaluation comes along as a morphism into the product of two renamed
+    copies of the bundle; the defining equation of the result and the
+    morphism equation of the evaluation are re-checked on the spot.
     """
     model = build_path_model(bundle)
     pnames, qnames = _doubled_names(bundle.coords)
@@ -321,33 +322,14 @@ def derived_path_space(bundle: LinftyBundle) -> DerivedPathSpace:
     right = bundle.rename_coords(dict(zip(bundle.coords, qnames)))
     product, j0, j1 = product_bundle(left, right)
 
-    ev_coeffs = {}
-    for (fk, end), hk in model.h_end.items():
-        ev_coeffs[(hk,)] = {(j0 if end == 0 else j1)[fk]: 1}
-    ev = Morphism(pm, product, tuple(Poly.variable(c) for c in coords),
-                  OpFamily(0, h, product.fiber,
-                           {1: MultiOp(1, 0, h, product.fiber, ev_coeffs)}))
-
-    inc_coeffs = {}
-    for d in bundle.fiber.degrees():
-        for i in range(bundle.fiber.dims[d]):
-            fk = (d, i)
-            inc_coeffs[(fk,)] = {model.h_end[(fk, 0)]: 1,
-                                 model.h_end[(fk, 1)]: 1}
-    inc = Morphism(bundle, pm,
-                   tuple(Poly.variable(c) for c in bundle.coords) * 2,
-                   OpFamily(0, bundle.fiber, h,
-                            {1: MultiOp(1, 0, bundle.fiber, h, inc_coeffs)}))
-
-    dps = DerivedPathSpace(pm, inc, ev, product, (j0, j1), model, result)
-    rep = check_mc(pm)
-    if not rep.ok:
+    ev = linear_morphism(pm, product, tuple(Poly.variable(c) for c in coords),
+                         {hk: {(j0 if end == 0 else j1)[fk]: 1}
+                          for (fk, end), hk in model.h_end.items()})
+    if not check_mc(pm).ok:
         raise AssertionError("path space structure fails the defining equation")
     if not check_morphism(ev).ok:
         raise AssertionError("endpoint evaluation is not a morphism")
-    if not check_morphism(inc).ok:
-        raise AssertionError("constant-path inclusion is not a morphism")
-    return dps
+    return DerivedPathSpace(pm, ev, product, (j0, j1), model, result)
 
 
 # ---------------------------------------------------------------------------
@@ -364,22 +346,26 @@ class Factorization:
 
 
 def factorize_diagonal(bundle: LinftyBundle) -> Factorization:
-    """Factor the diagonal through the path space and verify the composite."""
+    """Factor the diagonal as constant paths followed by endpoint evaluation.
+
+    The constant-path inclusion sends each fiber key to the sum of its two
+    end values in the path space; it is checked to be a morphism, and its
+    composite with the evaluation to equal the diagonal.
+    """
     dps = derived_path_space(bundle)
+    h_end = dps.model.h_end
     j0, j1 = dps.product_maps
-    diag_coeffs = {}
-    for d in bundle.fiber.degrees():
-        for i in range(bundle.fiber.dims[d]):
-            fk = (d, i)
-            diag_coeffs[(fk,)] = {j0[fk]: 1, j1[fk]: 1}
-    diag = Morphism(bundle, dps.product,
-                    tuple(Poly.variable(c) for c in bundle.coords) * 2,
-                    OpFamily(0, bundle.fiber, dps.product.fiber,
-                             {1: MultiOp(1, 0, bundle.fiber, dps.product.fiber,
-                                         diag_coeffs)}))
-    if not same_morphism(compose(dps.evaluation, dps.inclusion), diag):
+    doubled = tuple(Poly.variable(c) for c in bundle.coords) * 2
+    inc = linear_morphism(bundle, dps.bundle, doubled,
+                          {fk: {h_end[(fk, 0)]: 1, h_end[(fk, 1)]: 1}
+                           for fk in bundle.fiber.keys()})
+    if not check_morphism(inc).ok:
+        raise AssertionError("constant-path inclusion is not a morphism")
+    diag = linear_morphism(bundle, dps.product, doubled,
+                           {fk: {j0[fk]: 1, j1[fk]: 1} for fk in bundle.fiber.keys()})
+    if not same_morphism(compose(dps.evaluation, inc), diag):
         raise AssertionError("factorization composite is not the diagonal")
-    return Factorization(dps, dps.inclusion, dps.evaluation, diag)
+    return Factorization(dps, inc, dps.evaluation, diag)
 
 
 @dataclass
@@ -434,16 +420,20 @@ def homotopy_fibered_product(f: Morphism, g: Morphism) -> FiberedProduct:
     Realizes the homotopy fibered product of the two morphisms into their
     shared target as an honest bundle; virtual dimension additivity is
     asserted on the result.  to_left and to_right land on f.src and g.src
-    themselves, so they compose with f and g.
+    themselves, so they compose with f and g.  f and g are checked to be
+    morphisms, which is the same as f x g being one: its operations vanish
+    on mixed tuples and its fiber family is block diagonal.  A leg that
+    fails is named with its defect.
     """
     if not _same_target(f.dst, g.dst):
         raise ValueError("the two morphisms must share their target bundle")
+    for name, leg in (("f", f), ("g", g)):
+        rep = check_morphism(leg)
+        if not rep.ok:
+            raise AssertionError(f"leg {name} fails the morphism equation:\n{rep.describe()}")
     dps = derived_path_space(f.dst)
     j0, j1 = dps.product_maps
-    fg = _product_morphism(f, g, dps.product, j0, j1)
-    if not check_morphism(fg).ok:
-        raise AssertionError("product morphism failed its defining equation")
-    res = pullback_fibration(dps.evaluation, fg)
+    res = pullback_fibration(dps.evaluation, _product_morphism(f, g, dps.product, j0, j1))
 
     src_prod = res.other.src
     to_left = compose(product_projection(src_prod, f.src, first=True),
@@ -472,7 +462,7 @@ def _plain_map(params, coords, image) -> Morphism:
         if not set(pr.vars) <= set(src.coords):
             raise ValueError("map image uses names outside its parameters")
         base.append(pr.with_vars(src.coords))
-    return Morphism(src, dst, tuple(base), OpFamily(0, src.fiber, dst.fiber, {}))
+    return linear_morphism(src, dst, tuple(base), {})
 
 
 def axis_submanifold(axis: int, m: int) -> Morphism:
@@ -553,7 +543,6 @@ def derived_intersection(f: Morphism, g: Morphism,
 @dataclass
 class ZeroLocusComparison:
     model: LinftyBundle            # quasi-smooth (base, E, section)
-    intersection: DerivedIntersection
     weak_equiv: object
     points: list[ClassicalPoint]
 
@@ -561,7 +550,7 @@ class ZeroLocusComparison:
 def zero_locus_model(coords, section, points=None) -> ZeroLocusComparison:
     """Compare a section's quasi-smooth model with its derived zero locus.
 
-    The zero locus is computed as the derived intersection of the zero
+    The zero locus is computed as the homotopy fibered product of the zero
     section and the section's graph inside the total space; the comparison
     morphism sends a base point to the corresponding constant parameters
     and a fiber direction to the matching vertical displacement.  Weak
@@ -591,19 +580,12 @@ def zero_locus_model(coords, section, points=None) -> ZeroLocusComparison:
         (p.substitute(sub_map) if isinstance(p, Poly) else Poly.constant(p))
         for p in section)
 
-    inter = derived_intersection(_plain_map(uparams, total, zero_image),
-                                 _plain_map(vparams, total, graph_image), points=[])
-    target = inter.bundle
+    target = homotopy_fibered_product(_plain_map(uparams, total, zero_image),
+                                      _plain_map(vparams, total, graph_image)).bundle
 
-    base = tuple(Poly.variable(c) for c in coords) * 2
     # fiber directions of the total space sit after the base directions
-    phi_coeffs = {}
-    for i in range(k):
-        phi_coeffs[((1, i),)] = {(1, m + i): 1}
-    comparison = Morphism(model, target, base,
-                          OpFamily(0, fiber, target.fiber,
-                                   {1: MultiOp(1, 0, fiber, target.fiber,
-                                               phi_coeffs)}))
+    comparison = linear_morphism(model, target, tuple(Poly.variable(c) for c in coords) * 2,
+                                 {(1, i): {(1, m + i): 1} for i in range(k)})
     if not check_morphism(comparison).ok:
         raise AssertionError("zero-locus comparison is not a morphism")
 
@@ -616,4 +598,4 @@ def zero_locus_model(coords, section, points=None) -> ZeroLocusComparison:
         pts = []
     lifted = [tuple(p.coords) * 2 for p in pts]
     weq = is_weak_equivalence(comparison, pts, lifted)
-    return ZeroLocusComparison(model, inter, weq, pts)
+    return ZeroLocusComparison(model, weq, pts)

@@ -337,11 +337,11 @@ def test_c09_fibered_product_dimensions():
 
 def test_c10_round_trip_fixtures():
     con, lam, res = transfer_instances()[0]
-    dps = derived_path_space(square_bundle())
+    fz = factorize_diagonal(square_bundle())
     inter = derived_intersection(axis_submanifold(0, 2),
                                  graph_submanifold(Poly.variable("u") ** 2))
     bundles = [square_bundle(), circle_bundle(), amp2_bundle(),
-               dps.bundle, shifted_tangent(square_bundle()), inter.bundle]
+               fz.path_space.bundle, shifted_tangent(square_bundle()), inter.bundle]
     for b in bundles:
         doc = bundle_to_json(b)
         text = dumps(doc)
@@ -355,7 +355,7 @@ def test_c10_round_trip_fixtures():
     assert dumps(bundle_to_json(back)) == text
     assert check_mc(back).ok
 
-    for mor in [identity_morphism(square_bundle()), dps.inclusion]:
+    for mor in [identity_morphism(square_bundle()), fz.weak_equivalence]:
         doc = morphism_to_json(mor)
         text = dumps(doc)
         back = morphism_from_json(doc)

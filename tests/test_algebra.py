@@ -9,7 +9,7 @@ from oracles import amp2_bundle, at_point, circle_bundle, identity_morphism, squ
 from linfty import algebra as algebra_module
 from linfty import geometry
 from linfty.algebra import (LinftyBundle, Morphism, check_mc, check_morphism,
-                            compose, invert_family, invert_linear_op,
+                            compose, invert_family, invert_linear_op, linear_morphism,
                             linearize_fibration, op_matrix, plain_bundle,
                             product_bundle, product_projection, same_morphism,
                             transport_source)
@@ -232,6 +232,21 @@ def test_subalgebra_inclusion_is_a_morphism():
                                      ((2, 0),): {(2, 0): Fraction(1)}})
     m = Morphism(sub, amb, (), OpFamily(0, small, big, {1: inc}))
     assert check_morphism(m).ok
+
+
+def test_linear_morphism_sends_each_key_to_its_column():
+    big, small = chain_space(), GradedSpace.build({1: 1, 2: 1})
+    m = linear_morphism(algebra(small), algebra(big), (),
+                        {(1, 0): {(1, 0): Fraction(2)}, (2, 0): {(2, 0): Fraction(-1, 2)}})
+    assert m.phi.arities() == [1]
+    assert m.phi.op(1).coeffs == {((1, 0),): {(1, 0): 2}, ((2, 0),): {(2, 0): Fraction(-1, 2)}}
+    assert check_morphism(m).ok
+    # no column: the empty family of a map between plain bundles
+    empty = linear_morphism(plain_bundle(("u",)), plain_bundle(("x",)), (Poly.variable("u"),), {})
+    assert empty.phi.is_zero()
+    # a key outside the source is refused by the checked MultiOp constructor
+    with pytest.raises(KeyError):
+        linear_morphism(algebra(small), algebra(big), (), {(3, 0): {(3, 0): 1}})
 
 
 def test_broken_fiber_map_is_detected():

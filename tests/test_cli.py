@@ -11,7 +11,7 @@ import pytest
 from oracles import build_contraction, identity_morphism, section_bundle, square_bundle
 
 from linfty import cli
-from linfty.algebra import LinftyBundle, Morphism, plain_bundle
+from linfty.algebra import LinftyBundle, Morphism, check_morphism, linear_morphism, plain_bundle
 from linfty.cli import build_parser, main, parse_poly_expr
 from linfty.graded import GradedSpace, MultiOp, OpFamily
 from linfty.modelio import (ModelFormatError, bundle_to_json, contraction_to_json, dumps,
@@ -293,7 +293,16 @@ def test_fibration_rank_jump_is_a_witnessed_failure(tmp_path, capsys):
                      morphism_to_json(Morphism(b, b, (x,), phi)))
     code, _, err = run(capsys, "fibration", path, "--samples", "0;1")
     assert code == 1
-    assert "witness" in err
+    assert "witness" in err and "non-constant rank" in err
+
+
+def test_fibration_refuses_a_sample_of_the_wrong_length(tmp_path, capsys):
+    src, dst = plain_bundle(("x", "y")), plain_bundle(("x",))
+    proj = Morphism(src, dst, (x,), OpFamily(0, src.fiber, dst.fiber, {}))
+    path = write_doc(tmp_path, "proj.json", morphism_to_json(proj))
+    code, _, err = run(capsys, "fibration", path, "--samples", "0,0;1")
+    assert code == 2
+    assert "input error" in err and "expected 2 coordinates, got 1" in err
 
 
 # -- constructions that emit models ---------------------------------------------------
@@ -354,6 +363,18 @@ def test_fibered_product_of_the_two_axes(tmp_path, capsys):
     assert code == 0
     assert "virtual dimension 0" in out
     assert run(capsys, "check-axioms", out_path)[0] == 0
+
+
+@pytest.mark.parametrize("broken", ["f", "g"])
+def test_fib_product_names_the_leg_that_is_not_a_morphism(broken, tmp_path, capsys):
+    b = square_bundle()
+    bad = linear_morphism(b, b, (x,), {(1, 0): {(1, 0): Fraction(7, 3)}})
+    legs = {"f": identity_morphism(b), "g": identity_morphism(b), broken: bad}
+    paths = {n: write_doc(tmp_path, f"{n}.json", morphism_to_json(m)) for n, m in legs.items()}
+    code, out, err = run(capsys, "fib-product", "--f", paths["f"], "--g", paths["g"])
+    assert code == 1 and not out
+    assert f"leg {broken} fails the morphism equation" in err
+    assert check_morphism(bad).describe() in err
 
 
 # -- named intersections ----------------------------------------------------------------

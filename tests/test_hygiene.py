@@ -5,7 +5,9 @@ classes has a user outside the test suite, every parameter with a default
 is passed by some caller outside the test suite, only `poly.py` builds a
 Poly unchecked, only `graded.py` builds a MultiOp unchecked or calls
 `koszul_sign`, only the listed functions tabulate a closure with
-`MultiOp.from_function` and the exact modules have no floating point."""
+`MultiOp.from_function`, only `algebra.linear_morphism` writes a
+constant linear morphism out by hand and the exact modules have no
+floating point."""
 
 import ast
 import io
@@ -461,6 +463,76 @@ def test_the_scan_finds_a_tabulating_function():
                      "def written(op):\n"
                      "    return MultiOp(1, 0, op.source, op.target, {})\n")
     assert from_function_callers({"mod": tree}) == ["mod.Family.tabulate.inner", "mod.build"]
+
+
+def _callee(node) -> str | None:
+    """The name a call's function is spelled with, bare or as an attribute."""
+    if not isinstance(node, ast.Call):
+        return None
+    return getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+
+
+def _arity_one(node) -> bool:
+    """Whether node is a `MultiOp(1, ...)` call."""
+    return (_callee(node) == "MultiOp" and bool(node.args)
+            and isinstance(node.args[0], ast.Constant) and node.args[0].value == 1)
+
+
+def hand_built_linear_morphisms(tree: ast.Module) -> list[int]:
+    """Lines of the `Morphism(...)` calls outside `linear_morphism` whose
+    fiber family is an inline `OpFamily(...)` holding no operation or one
+    arity-1 `MultiOp(1, ...)`, written in place or bound to a name in the
+    same function."""
+    out = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) or (
+                fn.name == "linear_morphism"):
+            continue
+        body = [n for stmt in fn.body for n in ast.walk(stmt)]
+        bound = {t.id for n in body if isinstance(n, ast.Assign) and _arity_one(n.value)
+                 for t in n.targets if isinstance(t, ast.Name)}
+        for call in body:
+            if _callee(call) != "Morphism":
+                continue
+            phi = call.args[3] if len(call.args) > 3 else next(
+                (k.value for k in call.keywords if k.arg == "phi"), None)
+            if _callee(phi) != "OpFamily" or len(phi.args) < 4:
+                continue
+            ops = phi.args[3]
+            if not isinstance(ops, ast.Dict):
+                continue
+            if not ops.keys or (
+                    len(ops.keys) == 1 and isinstance(ops.keys[0], ast.Constant)
+                    and ops.keys[0].value == 1
+                    and (_arity_one(ops.values[0]) or isinstance(ops.values[0], ast.Name)
+                         and ops.values[0].id in bound)):
+                out.append(call.lineno)
+    return sorted(set(out))
+
+
+def test_constant_linear_morphisms_are_built_by_linear_morphism():
+    found = {p.name: lines for p in sorted(SRC.glob("*.py"))
+             if (lines := hand_built_linear_morphisms(ast.parse(p.read_text())))}
+    assert not found, f"constant linear morphisms written out by hand (use linear_morphism): {found}"
+
+
+def test_the_scan_finds_a_hand_built_linear_morphism():
+    tree = ast.parse("def linear_morphism(src, dst, base, cols):\n"
+                     "    op = MultiOp(1, 0, src.fiber, dst.fiber, cols)\n"
+                     "    return Morphism(src, dst, base, OpFamily(0, s, t, {1: op}))\n"
+                     "def inline(a, b):\n"
+                     "    return Morphism(a, b, (), OpFamily(0, s, t, {1: MultiOp(1, 0, s, t, {})}))\n"
+                     "def bound(a, b):\n"
+                     "    proj = MultiOp(1, 0, s, t, {})\n"
+                     "    return Morphism(a, b, (), phi=OpFamily(0, s, t, {1: proj}))\n"
+                     "def empty(a, b):\n"
+                     "    return Morphism(a, b, (), OpFamily(0, s, t, {}))\n"
+                     "def nonlinear(a, b, psi):\n"
+                     "    two = MultiOp(2, 0, s, t, {})\n"
+                     "    m = Morphism(a, b, (), OpFamily(0, s, t, {2: two}))\n"
+                     "    n = Morphism(a, b, (), OpFamily(0, s, t, {1: psi}))\n"
+                     "    return Morphism(a, b, (), psi.plus(m.phi))\n")
+    assert hand_built_linear_morphisms(tree) == [5, 8, 10]
 
 
 def floating_point_lines(tree: ast.Module) -> list[int]:

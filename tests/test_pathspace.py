@@ -360,7 +360,7 @@ def test_constant_path_reduces_to_the_doubled_curvature(square_dps):
 
 
 def test_inclusion_and_evaluation_are_morphisms(square_dps):
-    assert check_morphism(square_dps.inclusion).ok
+    assert check_morphism(factorize_diagonal(square_bundle()).weak_equivalence).ok
     assert check_morphism(square_dps.evaluation).ok
 
 
