@@ -33,7 +33,6 @@ from typing import Mapping, Sequence
 
 from .graded import (GradedSpace, MultiOp, OpFamily, Vector, arity_bound,
                      bullet, bullet_op, circ)
-from .linalg import inverse as mat_inverse
 from .linalg import kernel_basis, right_inverse, solve_columns
 from .poly import Poly, as_rational, format_fraction
 
@@ -113,18 +112,6 @@ def reindex_op(op: MultiOp, source: GradedSpace, target: GradedSpace,
     coeffs = {tuple(inputs[k] for k in tup): {outputs[r]: c for r, c in vec.items()}
               for tup, vec in op.coeffs.items()}
     return MultiOp(op.arity, op.degree, source, target, coeffs)
-
-
-def op_then(op: MultiOp, linear: MultiOp) -> MultiOp:
-    """Post-compose any operation with an arity-1 operation."""
-    if linear.arity != 1:
-        raise ValueError("op_then expects an arity-1 outer operation")
-    coeffs = {}
-    for tup, vec in op.coeffs.items():
-        out = linear.evaluate([vec])
-        if out:
-            coeffs[tup] = out
-    return MultiOp(op.arity, op.degree + linear.degree, op.source, linear.target, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -396,10 +383,8 @@ def invert_linear_op(op: MultiOp) -> MultiOp:
     coeffs: dict = {}
     for d in src.degrees():
         n = src.dims[d]
-        m = op_matrix(op, d)
-        try:
-            minv = mat_inverse(m)
-        except ValueError:
+        minv = right_inverse(op_matrix(op, d))
+        if minv is None:
             raise ValueError(f"linear part is singular in degree {d}")
         for i in range(n):
             col = {(d, j): minv[j][i] for j in range(n) if minv[j][i]}
@@ -421,7 +406,7 @@ def invert_family(phi: OpFamily) -> OpFamily:
     for n in range(2, arity_bound(0, phi.source, phi.target) + 1):
         resid = bullet_op(phi, psi, n)
         if not resid.is_zero():
-            psi = psi.with_op(op_then(resid, psi1).scaled(-1))
+            psi = psi.with_op(psi1.compose_linear(resid).scaled(-1))
     if bullet(psi, phi) != OpFamily.identity(phi.source):
         raise ValueError("inversion failed to verify; the family is not invertible")
     return psi

@@ -21,7 +21,7 @@ import functools
 import sys
 from fractions import Fraction
 
-from .algebra import LinftyBundle, check_mc, check_morphism, plain_bundle
+from .algebra import LinftyBundle, _format_vector, check_mc, check_morphism, plain_bundle
 from .geometry import (MAX_SEARCH_COORDS, StagedTangent, classical_point,
                        find_classical_points, is_fibration, is_weak_equivalence,
                        shifted_tangent, tangent_complex, virtual_dimension)
@@ -222,23 +222,25 @@ def cmd_transfer(args) -> int:
         raise ModelFormatError(
             "model differential disagrees with the contraction differential")
 
-    texts = {}
-    for mode in (["recursive", "trees"] if args.mode == "both" else [args.mode]):
-        res = (transfer if mode == "recursive" else transfer_trees)(con, lam)
-        transferred = LinftyBundle((), con.h_space, con.delta_h, res.mu)
-        rep = check_mc(transferred)
-        if not rep.ok:
-            print(f"transferred structure fails its defining equation ({mode}):\n"
-                  f"{rep.describe()}", file=sys.stderr)
+    mu = (transfer_trees if args.mode == "trees" else transfer)(con, lam).mu
+    if args.mode == "both":
+        other = transfer_trees(con, lam).mu
+        if mu != other:
+            n, tup = next((n, tup) for n in sorted(set(mu.ops) | set(other.ops))
+                          for tup in sorted(mu.op(n).minus(other.op(n)).coeffs))
+            print(f"witness: recursive and tree-sum transfers disagree on arity-{n} "
+                  f"input {tup}: recursive {_format_vector(mu.op(n).coeffs.get(tup, {}))}, "
+                  f"trees {_format_vector(other.op(n).coeffs.get(tup, {}))}",
+                  file=sys.stderr)
             return 1
-        texts[mode] = dumps(bundle_to_json(transferred))
-
-    if args.mode == "both" and texts["recursive"] != texts["trees"]:
-        print("witness: recursive and tree-sum transfers disagree after "
-              "canonicalization", file=sys.stderr)
+    transferred = LinftyBundle((), con.h_space, con.delta_h, mu)
+    rep = check_mc(transferred)
+    if not rep.ok:
+        print(f"transferred structure fails its defining equation ({args.mode}):\n"
+              f"{rep.describe()}", file=sys.stderr)
         return 1
-    text = texts[args.mode if args.mode != "both" else "recursive"]
-    _emit_model(args, text, f"transfer ok (mode {args.mode}), output re-validated")
+    _emit_model(args, dumps(bundle_to_json(transferred)),
+                f"transfer ok (mode {args.mode}), output re-validated")
     return 0
 
 

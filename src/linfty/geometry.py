@@ -28,7 +28,7 @@ from operator import add
 
 from .algebra import (LinftyBundle, Morphism, _eval_coeff, check_mc,
                       check_morphism, compose, linear_morphism, linearize_fibration,
-                      op_then, pullback_family, reindex_op, rename_source_clear_of,
+                      pullback_family, reindex_op, rename_source_clear_of,
                       same_morphism)
 from .graded import (BasisBuilder, GradedSpace, MultiOp, OpFamily, _insertion_slots,
                      bullet)
@@ -719,7 +719,7 @@ def pullback_fibration(fib: Morphism, other: Morphism) -> PullbackResult:
     pushed = bullet(src_total, psi)
     lifted_ops: dict[int, MultiOp] = {}
     for k in sorted(set(pushed.ops) | set(other_total.ops)):
-        op = op_then(pushed.op(k), proj_f).plus(
+        op = proj_f.compose_linear(pushed.op(k)).plus(
             reindex_op(other_total.op(k), lam_space, lam_space, into_lp, into_lp))
         if not op.is_zero():
             lifted_ops[k] = op

@@ -321,10 +321,11 @@ class MultiOp:
     with sort_keys_with_sign: the entry of the sorted tuple is read with
     the Koszul sign of the sort, and a tuple that repeats an odd key is
     zero.  A caller that holds a canonical tuple reads coeffs directly, as
-    no sort can change it.  The arity-1 algebra below
-    (identity, scaled, plus, minus, compose_linear) builds its results
-    through _from_clean, which skips those checks: each result is formed
-    from operations that already passed them.
+    no sort can change it.  The algebra below (identity, scaled, plus,
+    minus, and compose_linear, which post-composes an operation of any
+    arity with an arity-1 one) builds its results through _from_clean,
+    which skips those checks: each result is formed from operations that
+    already passed them.
     """
 
     arity: int
@@ -479,18 +480,19 @@ class MultiOp:
                 vec_add_into(out, okey, _times(coeff, c))
         return out
 
-    # -- linear (arity-1) helpers ---------------------------------------------
+    # -- post-composition with a linear map -----------------------------------
 
     def compose_linear(self, inner: "MultiOp") -> "MultiOp":
-        """self o inner for arity-1 operations."""
-        if self.arity != 1 or inner.arity != 1:
-            raise ValueError("compose_linear expects arity-1 operations")
+        """self o inner for an arity-1 self and an inner operation of any
+        arity; the result lives on inner's input tuples."""
+        if self.arity != 1:
+            raise ValueError("compose_linear expects an arity-1 outer operation")
         if not _same_space(self.source, inner.target):
             raise ValueError("compose_linear: inner target is not the outer source")
         # a single key is its own canonical tuple, with sign 1
         column = self.coeffs.get
         coeffs: dict[tuple[BasisKey, ...], Vector] = {}
-        for key, vec in inner.coeffs.items():
+        for tup, vec in inner.coeffs.items():
             out: Vector = {}
             for mid, c in vec.items():
                 res = column((mid,))
@@ -498,8 +500,8 @@ class MultiOp:
                     for okey, c2 in res.items():
                         vec_add_into(out, okey, _times(c, c2))
             if out:
-                coeffs[key] = out
-        return MultiOp._from_clean(1, self.degree + inner.degree, inner.source,
+                coeffs[tup] = out
+        return MultiOp._from_clean(inner.arity, self.degree + inner.degree, inner.source,
                                    self.target, coeffs)
 
 

@@ -16,10 +16,6 @@ from .poly import _exact, _times
 Matrix = list[list[int | Fraction]]
 
 
-def mat(rows: Sequence[Sequence]) -> Matrix:
-    return [[_exact(Fraction(x)) for x in row] for row in rows]
-
-
 def zeros(n: int, m: int) -> Matrix:
     return [[0] * m for _ in range(n)]
 
@@ -101,19 +97,6 @@ def solve_columns(a: Matrix, cols: Sequence[Sequence[int | Fraction]]
         for j, x in enumerate(out):
             x[pc] = red[r][n + j]
     return out
-
-
-def inverse(a: Matrix) -> Matrix:
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("inverse of a non-square matrix")
-    if n == 0:
-        return []
-    aug = [row[:] + identity(n)[i] for i, row in enumerate(a)]
-    red, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in red]
 
 
 def right_inverse(a: Matrix) -> Matrix | None:

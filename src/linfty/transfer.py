@@ -59,7 +59,7 @@ from itertools import combinations
 from math import prod
 from typing import Mapping
 
-from .algebra import invert_linear_op, op_matrix, op_then
+from .algebra import invert_linear_op, op_matrix
 from .graded import (BasisBuilder, BasisKey, GradedSpace, MultiOp, OpFamily, Vector,
                      arity_bound, bullet_op, multisets, op_nilpotency_order,
                      sort_keys_with_sign, treeterm, unshuffle_sign, vec_add_into)
@@ -213,11 +213,20 @@ class TransferResult:
     mu: OpFamily    # transferred operations on H; the differential is con.delta_h
 
 
-def _curvature_on_h(con: Contraction, lam: OpFamily) -> MultiOp:
-    """pi lam_0 as an arity-0 operation on H."""
-    mu0 = op_then(lam.op(0), con.pi)
+def _check_endofamily(con: Contraction, lam: OpFamily) -> None:
+    if lam.degree != 1 or lam.source != con.space or lam.target != con.space:
+        raise ValueError("operations must be a degree-1 endofamily of the ambient space")
+
+
+def _transfer_setup(con: Contraction, lam: OpFamily) -> tuple[MultiOp, MultiOp, MultiOp]:
+    """lam_1, inv1 = (1 + eta lam_1)^{-1} and mu_0 = pi lam_0 re-homed on H,
+    the start of both transfer engines."""
+    _check_endofamily(con, lam)
+    lam1 = lam.op(1)
+    inv1 = neumann_inverse(con.eta.compose_linear(lam1), label="eta lam_1")
+    mu0 = con.pi.compose_linear(lam.op(0))
     # arity-0 ops never read their source; re-home it on H
-    return MultiOp(0, 1, con.h_space, con.h_space, dict(mu0.coeffs))
+    return lam1, inv1, MultiOp(0, 1, con.h_space, con.h_space, dict(mu0.coeffs))
 
 
 def transfer(con: Contraction, lam: OpFamily) -> TransferResult:
@@ -232,25 +241,21 @@ def transfer(con: Contraction, lam: OpFamily) -> TransferResult:
     (lam . phi)_n = resid_n + lam_1 phi_n, and mu_n is pi of it; mu_0 is
     pi lam_0.
     """
-    if lam.degree != 1 or lam.source != con.space or lam.target != con.space:
-        raise ValueError("operations must be a degree-1 endofamily of the ambient space")
-    lam1 = lam.op(1)
-    inv1 = neumann_inverse(con.eta.compose_linear(lam1), label="eta lam_1")
-
+    lam1, inv1, mu0 = _transfer_setup(con, lam)
     phi1 = inv1.compose_linear(con.iota)
     phi = OpFamily(0, con.h_space, con.space, {1: phi1})
-    lam_phi = {1: op_then(phi1, lam1)}
+    lam_phi = {1: lam1.compose_linear(phi1)}
     top = arity_bound(0, con.space, con.h_space)
     for n in range(2, top + 1):
         resid = bullet_op(lam, phi, n)
         if resid.is_zero():
             continue
-        phi_n = op_then(op_then(resid, con.eta), inv1).scaled(-1)
+        phi_n = inv1.compose_linear(con.eta.compose_linear(resid)).scaled(-1)
         phi = phi.with_op(phi_n)
-        lam_phi[n] = resid.plus(op_then(phi_n, lam1))
+        lam_phi[n] = resid.plus(lam1.compose_linear(phi_n))
 
-    mu_ops = {n: op_then(op, con.pi) for n, op in lam_phi.items()}
-    mu_ops[0] = _curvature_on_h(con, lam)
+    mu_ops = {n: con.pi.compose_linear(op) for n, op in lam_phi.items()}
+    mu_ops[0] = mu0
     mu = OpFamily(1, con.h_space, con.h_space, mu_ops)
     return TransferResult(con, phi, mu)
 
@@ -274,10 +279,7 @@ def transfer_trees(con: Contraction, lam: OpFamily) -> TransferResult:
     tree, tabulating its term once.  A tree whose capped value vanishes
     is never made a child: every tree above it would vanish with it.
     """
-    if lam.degree != 1 or lam.source != con.space or lam.target != con.space:
-        raise ValueError("operations must be a degree-1 endofamily of the ambient space")
-    lam1 = lam.op(1)
-    inv1 = neumann_inverse(con.eta.compose_linear(lam1), label="eta lam_1")
+    lam1, inv1, mu0 = _transfer_setup(con, lam)
     arities = {k for k in lam.arities() if k >= 2}
 
     # a tree is its (capped value, weight); a run of identical children is
@@ -285,7 +287,7 @@ def transfer_trees(con: Contraction, lam: OpFamily) -> TransferResult:
     leaf = inv1.compose_linear(con.iota)
     pool = [] if leaf.is_zero() else [((leaf, 1), 1)]
     phi_ops = {1: leaf}
-    mu_ops = {0: _curvature_on_h(con, lam)}
+    mu_ops = {0: mu0}
     for n in range(1, arity_bound(0, con.space, con.h_space) + 1):
         phi_n = phi_ops.get(n, MultiOp.zero(n, 0, con.h_space, con.space))
         lam_phi = MultiOp.zero(n, 1, con.h_space, con.space)
@@ -298,13 +300,13 @@ def transfer_trees(con: Contraction, lam: OpFamily) -> TransferResult:
             # lam . phi lacks the -1 that phi = iota - eta (lam . phi) puts
             # at the root
             lam_phi = lam_phi.plus(term.scaled(-w))
-            val = op_then(op_then(term, con.eta), inv1)
+            val = inv1.compose_linear(con.eta.compose_linear(term))
             if not val.is_zero():
                 grown.append(((val, w), n))
                 phi_n = phi_n.plus(val.scaled(w))
         pool += grown
         phi_ops[n] = phi_n
-        mu_ops[n] = op_then(lam_phi.plus(op_then(phi_n, lam1)), con.pi)
+        mu_ops[n] = con.pi.compose_linear(lam_phi.plus(lam1.compose_linear(phi_n)))
     phi = OpFamily(0, con.h_space, con.space, phi_ops)
     mu = OpFamily(1, con.h_space, con.h_space, mu_ops)
     return TransferResult(con, phi, mu)
@@ -442,11 +444,10 @@ def projection_morphism(con: Contraction, lam: OpFamily) -> OpFamily:
     exists and is a RuntimeError.  Each arity is solved on adapted tuples
     and carried back to the ambient basis through to_adapted.
     """
-    if lam.degree != 1 or lam.source != con.space or lam.target != con.space:
-        raise ValueError("operations must be a degree-1 endofamily of the ambient space")
+    _check_endofamily(con, lam)
     ab = AdaptedBasis.build(con)
     from_adapted = OpFamily(0, ab.space, con.space, {1: ab.from_adapted})
-    fam = {k: op_then(bullet_op(lam, from_adapted, k), ab.to_adapted) for k in lam.ops}
+    fam = {k: ab.to_adapted.compose_linear(bullet_op(lam, from_adapted, k)) for k in lam.ops}
     top = arity_bound(0, con.h_space, con.space)
     rows: dict[tuple, dict] = {}
 

@@ -18,10 +18,11 @@ row reduction in `linfty.linalg`.
 `solve_literal` solves one right-hand side per elimination,
 `substitute_literal` substitutes into a polynomial term by term through
 the public `Poly` operators, `eval_literal` evaluates one term by term in
-`Fraction` arithmetic, and `compose_linear_literal` composes
-arity-1 operations through `evaluate_basis` and the checked `MultiOp`
-constructor.  `find_classical_points_per_polynomial` is the Newton point
-search with one kernel per polynomial (each over its own denominator),
+`Fraction` arithmetic, and `compose_linear_literal` post-composes an
+operation of any arity with an arity-1 one through `evaluate_basis` and
+the checked `MultiOp` constructor.
+`find_classical_points_per_polynomial` is the Newton point search with
+one kernel per polynomial (each over its own denominator),
 the normal equations solved with `sum` and a `max` pivot, and every seed
 run to convergence, divergence or the step cap.
 
@@ -59,7 +60,7 @@ from math import factorial, gcd
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from linfty.algebra import (LinftyBundle, Morphism, map_family_coeffs,
-                            map_op_coeffs, op_then, plain_bundle)
+                            map_op_coeffs, plain_bundle)
 from linfty import geometry
 from linfty.geometry import ClassicalPoint, ShiftedTangentData, shifted_tangent_data
 from linfty.graded import (BasisBuilder, BasisKey, GradedSpace, MultiOp, OpFamily, Vector,
@@ -337,13 +338,13 @@ def transfer_rebuild(con: Contraction, lam: OpFamily) -> TransferResult:
         resid = bullet(lam, phi).op(n)
         if resid.is_zero():
             continue
-        corr = op_then(op_then(resid, con.eta), inv1).scaled(-1)
+        corr = compose_linear_literal(inv1, compose_linear_literal(con.eta, resid)).scaled(-1)
         phi = phi.with_op(corr)
 
     lam_phi = bullet(lam, phi)
     mu_ops = {}
     for k in lam_phi.arities():
-        op = op_then(lam_phi.op(k), con.pi)
+        op = compose_linear_literal(con.pi, lam_phi.op(k))
         if not op.is_zero():
             mu_ops[k] = op
     mu = OpFamily(1, con.h_space, con.h_space, mu_ops)
@@ -491,20 +492,22 @@ def solve_literal(a, b):
 
 
 def compose_linear_literal(outer: MultiOp, inner: MultiOp) -> MultiOp:
-    """outer o inner for arity-1 operations: each middle key evaluated through
-    evaluate_basis, the result through the checked constructor."""
-    if outer.arity != 1 or inner.arity != 1:
-        raise ValueError("compose_linear expects arity-1 operations")
+    """outer o inner for an arity-1 outer and an inner of any arity: each
+    middle key evaluated through evaluate_basis, the result through the
+    checked constructor."""
+    if outer.arity != 1:
+        raise ValueError("compose_linear expects an arity-1 outer operation")
     coeffs: dict[tuple[BasisKey, ...], Vector] = {}
-    for (key,), vec in inner.coeffs.items():
+    for tup, vec in inner.coeffs.items():
         out: Vector = {}
         for mid, c in vec.items():
             res = outer.evaluate_basis((mid,))
             for okey, c2 in res.items():
                 vec_add_into(out, okey, c * c2)
         if out:
-            coeffs[(key,)] = out
-    return MultiOp(1, outer.degree + inner.degree, inner.source, outer.target, coeffs)
+            coeffs[tup] = out
+    return MultiOp(inner.arity, outer.degree + inner.degree, inner.source, outer.target,
+                   coeffs)
 
 
 def substitute_literal(p: Poly, values: Mapping[str, "Poly | Rat"]) -> Poly:

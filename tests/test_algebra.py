@@ -578,20 +578,22 @@ def test_a_corrupted_relabelling_is_caught(name, monkeypatch):
     """One flipped coefficient in the structure the in-place pullback
     builds is caught by the pullback's own checks."""
     m = PROJECTIONS[name]()
-    real = geometry.op_then
     flipped = []
 
-    def corrupt(op, linear):
-        out = real(op, linear)
-        if out.coeffs and not flipped:
-            tup, vec = next(iter(out.coeffs.items()))
-            key, c = next(iter(vec.items()))
-            flipped.append(tup)
-            return MultiOp(out.arity, out.degree, out.source, out.target,
-                           {**out.coeffs, tup: {**vec, key: -c}})
-        return out
+    class Corrupting(MultiOp):
+        # the operations geometry builds, its coordinate projection among
+        # them: their first nonzero post-composition has one flipped entry
+        def compose_linear(self, inner):
+            out = super().compose_linear(inner)
+            if out.coeffs and not flipped:
+                tup, vec = next(iter(out.coeffs.items()))
+                key, c = next(iter(vec.items()))
+                flipped.append(tup)
+                return MultiOp(out.arity, out.degree, out.source, out.target,
+                               {**out.coeffs, tup: {**vec, key: -c}})
+            return out
 
-    monkeypatch.setattr(geometry, "op_then", corrupt)
+    monkeypatch.setattr(geometry, "MultiOp", Corrupting)
     with pytest.raises(AssertionError, match="pullback"):
         pullback_fibration(m, identity_morphism(m.dst))
     assert flipped

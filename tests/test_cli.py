@@ -16,7 +16,8 @@ from linfty.cli import build_parser, main, parse_poly_expr
 from linfty.graded import GradedSpace, MultiOp, OpFamily
 from linfty.modelio import (ModelFormatError, bundle_to_json, contraction_to_json, dumps,
                             load_model, morphism_to_json)
-from linfty.poly import Poly
+from linfty.poly import Poly, format_fraction
+from linfty.transfer import TransferResult
 
 x = Poly.variable("x")
 u = Poly.variable("u")
@@ -601,6 +602,36 @@ def test_pool_job_gives_its_recorded_answer(job, monkeypatch, capsys):
     # every other pool job: both transfer engines, fibered products,
     # intersections, zero loci, tangent complexes and reports
     run_pool_job(job, monkeypatch, capsys)
+
+
+def test_transfer_both_names_an_entry_where_the_engines_disagree(monkeypatch, capsys):
+    # a tree engine with one coefficient of its top-arity mu flipped
+    real = cli.transfer_trees
+    flipped = []
+
+    def corrupt(con, lam):
+        res = real(con, lam)
+        n = max(res.mu.ops)
+        op = res.mu.op(n)
+        tup, vec = min(op.coeffs.items())
+        key, c = next(iter(vec.items()))
+        flipped.append((n, tup, key, c))
+        bad = MultiOp(n, op.degree, op.source, op.target, {**op.coeffs, tup: {**vec, key: -c}})
+        return TransferResult(res.contraction, res.phi, res.mu.with_op(bad))
+
+    monkeypatch.setattr(cli, "transfer_trees", corrupt)
+    monkeypatch.chdir(ROOT)
+    # a --mode both job whose transferred operations reach arity 2
+    job = next(j for j in POOL["transfer"] if j["id"] == "t-a4d3-11")
+    assert job["argv"][-2:] == ["--mode", "both"]
+    code, out, err = run(capsys, *job["argv"])
+    [(n, tup, key, c)] = flipped
+    assert code == 1 and out == ""
+    got = re.fullmatch(r"witness: recursive and tree-sum transfers disagree on arity-(\d+) "
+                       r"input (.+): recursive (\{.*\}), trees (\{.*\})\n", err)
+    assert got and (int(got[1]), got[2]) == (n, str(tup))
+    assert f"{key}: {format_fraction(c)}" in got[3]
+    assert f"{key}: {format_fraction(-c)}" in got[4]
 
 
 FIB_PRODUCT_DIGESTS = json.loads((ROOT / "tests" / "fib_product_digests.json").read_text())

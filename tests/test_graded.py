@@ -295,10 +295,11 @@ def entries(op):
 
 def test_arity_one_algebra_results_are_in_normal_form():
     """identity, scaled, plus, minus and compose_linear skip the constructor's
-    checks; their results pass them, and compose_linear agrees with the
-    evaluate_basis oracle."""
+    checks; their results pass them, and compose_linear, with an arity-1
+    outer and an inner of arity 0 to 4, agrees with the evaluate_basis
+    oracle."""
     rng = random.Random(8)
-    seen = {"cancelled": 0, "composed": 0}
+    seen = {"cancelled": 0, "composed": 0, "composed above arity 1": 0}
     for _ in range(100):
         sp = GradedSpace.build({d: rng.randint(0, 2) for d in (1, 2, 3, 4)})
         mid = GradedSpace.build({d: rng.randint(1, 2) for d in (1, 2, 3)})
@@ -311,14 +312,16 @@ def test_arity_one_algebra_results_are_in_normal_form():
         assert p.scaled(0).is_zero() and p.minus(p).is_zero()
         union = len(entries(p) | entries(q))
         seen["cancelled"] += min(len(entries(p.plus(q))), len(entries(p.minus(q)))) < union
-        inner = random_op(rng, mid, sp, 1, rng.randint(-1, 1))
+        inner = random_op(rng, mid, sp, rng.randint(0, 4), rng.randint(-1, 1))
         for outer in (random_op(rng, sp, mid, 1, rng.randint(-1, 1)),
                       random_op(rng, sp, sp, 1, 0).plus(MultiOp.identity(sp))):
             want = compose_linear_literal(outer, inner)
             got = outer.compose_linear(inner)
-            assert (got.degree, got.source, got.target) == (want.degree, want.source, want.target)
+            assert ((got.arity, got.degree, got.source, got.target)
+                    == (want.arity, want.degree, want.source, want.target))
             assert got.coeffs == want.coeffs
             seen["composed"] += not got.is_zero()
+            seen["composed above arity 1"] += got.arity > 1 and not got.is_zero()
             results.append(got)
         for r in results:
             assert_clean(r)

@@ -123,17 +123,69 @@ def public_definitions(tree: ast.Module) -> list[str]:
     return [n for n in names if not n.startswith("_")]
 
 
+def local_name_positions(tree: ast.Module, text: str) -> set[tuple[int, int]]:
+    """(line, column) of every name inside a function that binds it
+    locally, as a parameter or an assignment target.  A nested function
+    sees the locals of the functions around it; a `global` declaration
+    makes the name the module's again."""
+    lines = io.StringIO(text).readlines()
+    out = set()
+
+    def at(node):
+        # ast counts columns in UTF-8 bytes, tokenize in characters
+        line = lines[node.lineno - 1].encode()
+        out.add((node.lineno, len(line[:node.col_offset].decode())))
+
+    def params(fn) -> list[ast.arg]:
+        a = fn.args
+        return [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+
+    def scope(fn) -> tuple[set[str], set[str]]:
+        bound, declared = {p.arg for p in params(fn)}, set()
+        todo = list(fn.body) if isinstance(fn.body, list) else [fn.body]
+        while todo:
+            node = todo.pop()
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                bound.add(node.id)
+            elif isinstance(node, ast.Global):
+                declared.update(node.names)
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                todo.extend(ast.iter_child_nodes(node))
+        return bound, declared
+
+    def visit(node, local):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            bound, declared = scope(node)
+            local = (local | bound) - declared
+            for p in params(node):
+                at(p)
+        elif isinstance(node, ast.Name) and node.id in local:
+            at(node)
+        for child in ast.iter_child_nodes(node):
+            visit(child, local)
+
+    visit(tree, frozenset())
+    return out
+
+
 def names_without_users(modules: list[str], users: list[str]) -> list[str]:
     """Public names defined in `modules` that no text in `users` mentions
     beyond their definitions.  Users are scanned by token, so a file that
     does not parse still counts.  A name right after `.`, `def` or `class`
     is an attribute access or a header, not a use of a module-level name,
-    so a method of the same name does not keep a function alive."""
+    so a method of the same name does not keep a function alive.  In a
+    file that parses, a name a function binds locally is not a use inside
+    that function either."""
     seen = Counter()
     for text in users:
+        try:
+            local = local_name_positions(ast.parse(text), text)
+        except SyntaxError:
+            local = set()
         prev = None
         for tok in tokenize.generate_tokens(io.StringIO(text).readline):
-            if tok.type == tokenize.NAME and prev not in (".", "def", "class"):
+            if (tok.type == tokenize.NAME and prev not in (".", "def", "class")
+                    and tok.start not in local):
                 seen[tok.string] += 1
             if tok.type not in (tokenize.NL, tokenize.NEWLINE, tokenize.COMMENT):
                 prev = tok.string
@@ -185,6 +237,27 @@ def test_the_scan_does_not_count_attributes_or_headers():
               "class Shadow:\n"
               "    pass\n")
     assert names_without_users([module], [module, script]) == ["Shadow", "staged"]
+
+
+def test_the_scan_does_not_count_a_local_of_the_same_name():
+    # `mat` is only a parameter, a local variable, a closure's read of one
+    # and a lambda's parameter outside its own definition
+    module = ("def mat(rows):\n"
+              "    return rows\n"
+              "def kernel(a):\n"
+              "    mat = [list(r) for r in a]\n"
+              "    def width():\n"
+              "        return len(mat[0])\n"
+              "    return mat, width()\n"
+              "def rank(mat):\n"
+              "    return len(kernel(mat))\n"
+              "def pivots(a):\n"
+              "    return [lambda mat: mat for _ in rank(a)]\n")
+    script = "from mod import pivots\n"
+    assert names_without_users([module], [module, script]) == ["mat"]
+    # a function that declares it global reads the module's name
+    use = "def refresh(a):\n    global mat\n    mat = mat(a)\n"
+    assert names_without_users([module], [module, script, use]) == []
 
 
 def non_test_trees() -> tuple[list[ast.Module], list[str]]:
