@@ -33,7 +33,7 @@ from typing import Mapping, Sequence
 
 from .graded import (GradedSpace, MultiOp, OpFamily, Vector, arity_bound,
                      bullet, bullet_op, circ)
-from .linalg import kernel_basis, right_inverse, solve_columns
+from .linalg import kernel_basis, right_inverse
 from .poly import Poly, as_rational, format_fraction
 
 Rat = Fraction | int
@@ -514,31 +514,24 @@ def _kernel_complement(phi1: MultiOp, source: GradedSpace, target: GradedSpace):
 
     Returns the complement dimensions and, per degree with a nonzero
     complement, the kernel-basis coordinates of every source unit vector
-    after its W phi1 part is removed (W a right inverse of phi1): one
-    elimination per degree solves for all of them.
+    after its W phi1 part is removed (W a right inverse of phi1): the
+    columns of W followed by the kernel basis K form a basis, and the rows
+    of its inverse below W's are the K-coordinates, so one inversion per
+    degree gives them all.
     """
     comp_dims: dict[int, int] = {}
     kcoords: dict[int, list[list[Rat]]] = {}
     for d in sorted(set(source.degrees()) | set(target.degrees())):
         mat = op_matrix(phi1, d)
         n = source.dim(d)
-        w = None
-        if target.dim(d):
-            w = right_inverse(mat)
-            if w is None:
-                raise ValueError(f"linear part is not surjective in degree {d}")
+        w = right_inverse(mat) if target.dim(d) else [[] for _ in range(n)]
+        if w is None:
+            raise ValueError(f"linear part is not surjective in degree {d}")
         kern = kernel_basis(mat, cols=n)
         comp_dims[d] = len(kern)
         if not kern:
             continue
-        resid = [[int(r == i) for r in range(n)] for i in range(n)]
-        if w is not None:
-            for i in range(n):
-                img = [row[i] for row in mat]
-                for r in range(n):
-                    resid[i][r] -= sum(w[r][s] * img[s] for s in range(len(img)))
-        sols = solve_columns([[v[r] for v in kern] for r in range(n)], resid)
-        if sols is None:
-            raise ValueError("vector not in span")
-        kcoords[d] = sols
+        inv = right_inverse([row + [v[r] for v in kern] for r, row in enumerate(w)])
+        below = inv[n - len(kern):]
+        kcoords[d] = [list(col) for col in zip(*below)]
     return comp_dims, kcoords

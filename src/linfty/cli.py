@@ -26,13 +26,13 @@ from .geometry import (MAX_SEARCH_COORDS, StagedTangent, classical_point,
                        find_classical_points, is_fibration, is_weak_equivalence,
                        shifted_tangent, tangent_complex, virtual_dimension)
 from .graded import MultiOp, OpFamily
-from .modelio import (ModelFormatError, bundle_to_json, dumps, frac_str,
+from .modelio import (ModelFormatError, bundle_to_json, dumps,
                       load_contraction, load_model, load_morphism, parse_frac)
 from .pathspace import (ambient_coord_names, axis_submanifold, derived_intersection,
                         derived_path_space, factorize_diagonal, graph_submanifold,
                         homotopy_fibered_product, verify_factorization,
                         zero_locus_model)
-from .poly import Poly
+from .poly import Poly, format_fraction
 from .transfer import transfer, transfer_trees
 
 
@@ -112,12 +112,12 @@ def parse_points(text: str | None, where: str = "points") -> list[tuple[Fraction
 
 def _json_point(pt) -> list[str]:
     coords = pt.coords if hasattr(pt, "coords") else pt
-    return [frac_str(v) for v in coords]
+    return [format_fraction(v) for v in coords]
 
 
 def _fmt_point(pt) -> str:
     coords = pt.coords if hasattr(pt, "coords") else pt
-    return "(" + ", ".join(frac_str(v) for v in coords) + ")"
+    return "(" + ", ".join(format_fraction(v) for v in coords) + ")"
 
 
 def _weq_verdict(weq, failed: str) -> str:

@@ -598,7 +598,6 @@ class PullbackResult:
     bundle: LinftyBundle
     to_fibration_source: Morphism
     to_other_source: Morphism
-    other: Morphism
 
 
 def _same_target(a: LinftyBundle, b: LinftyBundle) -> bool:
@@ -642,25 +641,27 @@ def pullback_fibration(fib: Morphism, other: Morphism) -> PullbackResult:
     the source key it came from.  Any other fibration is first straightened
     by linearize_fibration into an isomorphism followed by a coordinate
     projection; that projection is pulled back the same way and the
-    inverse isomorphism composed after it.  The construction is verified
-    on the spot: fib being a morphism (which the straightening checks
-    itself), flatness of the structure, both projections being morphisms,
-    commutativity of the square, and additivity of virtual dimensions.
+    inverse isomorphism composed after it.  Where other's coordinates clash
+    with fib's, the pullback renames them in its own base only, so
+    to_other_source lands on other.src itself.
+
+    fib and other arrive certified by whoever built or loaded them and are
+    not checked again.  What this builds is certified here: flatness of
+    the structure, both projections being morphisms, commutativity of the
+    square, and additivity of virtual dimensions.
     """
     if not _same_target(fib.dst, other.dst):
         raise ValueError("the two morphisms must share their target bundle")
-    other = rename_source_clear_of(other, fib.src.coords, "b")
+    renamed = rename_source_clear_of(other, fib.src.coords, "b")
 
     proj, sigma, lin = fib, _coordinate_projection(fib), None
     if sigma is None:
         lin = linearize_fibration(fib)
         proj, sigma = lin.linear, _coordinate_projection(lin.linear)
-    elif not check_morphism(fib).ok:
-        raise ValueError("the fibration fails the morphism equation")
 
     # Base graph: solve the affine leg A x + c = (other leg's base map) for
     # its coordinates x, adding fresh coordinates z along the kernel of A.
-    legs = (proj, other)
+    legs = (proj, renamed)
     for side, leg_name in enumerate(("the fibration", "the other leg")):
         aff = _try_affine(legs[side].base_map, legs[side].src.coords)
         if aff is not None:
@@ -702,8 +703,8 @@ def pullback_fibration(fib: Morphism, other: Morphism) -> PullbackResult:
     drop = {key: into_f[k] for key, k in dropped.items()}
     back = {t: s for s, t in sigma.items()}
     src_total = pullback_family(proj.src.total(), substs[0])
-    other_total = pullback_family(other.src.total(), substs[1])
-    phi_other = pullback_family(other.phi, substs[1])
+    other_total = pullback_family(renamed.src.total(), substs[1])
+    phi_other = pullback_family(renamed.phi, substs[1])
 
     # pr1 lifts each dropped key and sends the other source's keys through
     # the other leg's fiber family; proj_f is the coordinate projection
@@ -745,7 +746,7 @@ def pullback_fibration(fib: Morphism, other: Morphism) -> PullbackResult:
             - virtual_dimension(fib.dst))
     if virtual_dimension(bundle) != want:
         raise AssertionError("virtual dimension is not additive")
-    return PullbackResult(bundle, pr1, pr2, other)
+    return PullbackResult(bundle, pr1, pr2)
 
 
 def _try_affine(polys, coords):

@@ -130,14 +130,6 @@ class GradedSpace:
         if not self.contains(key):
             raise KeyError(f"basis key {key} not in space with dims {dict(self.dims)}")
 
-    def label(self, key: BasisKey) -> str:
-        self.check_key(key)
-        return self.labels[key[0]][key[1]]
-
-    def is_dt(self, key: BasisKey) -> bool:
-        self.check_key(key)
-        return self.dt[key[0]][key[1]]
-
     def direct_sum(self, other: "GradedSpace") -> tuple["GradedSpace", dict, dict]:
         """Concatenate bases; returns (sum, keymap_self, keymap_other)."""
         basis = BasisBuilder()
@@ -292,15 +284,6 @@ def vec_scale(v: Vector, scale) -> Vector:
     return out
 
 
-def vec_eq(a: Vector, b: Vector) -> bool:
-    keys = set(a) | set(b)
-    zero = 0
-    for k in keys:
-        if a.get(k, zero) != b.get(k, zero):
-            return False
-    return True
-
-
 def _same_space(a: GradedSpace, b: GradedSpace) -> bool:
     """Whether a and b are the same space: the same object, or equal."""
     return a is b or a == b
@@ -411,10 +394,9 @@ class MultiOp:
     def __eq__(self, other):
         if not isinstance(other, MultiOp):
             return NotImplemented
-        if (self.arity, self.degree) != (other.arity, other.degree):
-            return False
-        keys = set(self.coeffs) | set(other.coeffs)
-        return all(vec_eq(self.coeffs.get(t, {}), other.coeffs.get(t, {})) for t in keys)
+        # no op holds an empty vector or a zero coefficient
+        return ((self.arity, self.degree) == (other.arity, other.degree)
+                and self.coeffs == other.coeffs)
 
     def scaled(self, c) -> "MultiOp":
         coeffs = {}

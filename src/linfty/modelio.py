@@ -37,7 +37,7 @@ from fractions import Fraction
 
 from .algebra import LinftyBundle, Morphism
 from .graded import GradedSpace, MultiOp, OpFamily
-from .poly import Poly, _exact
+from .poly import Poly, _exact, format_fraction
 from .transfer import Contraction
 
 
@@ -59,12 +59,6 @@ def _within(where: str, exc: ModelFormatError) -> ModelFormatError:
 # ---------------------------------------------------------------------------
 
 
-def frac_str(q: int | Fraction) -> str:
-    if type(q) is not int:
-        q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
 def parse_frac(s, where: str = "coefficient") -> int | Fraction:
     if isinstance(s, bool) or not isinstance(s, (str, int)):
         raise _fail(where, f"expected a rational string, got {s!r}")
@@ -82,13 +76,13 @@ def coeff_to_json(c, coords: tuple[str, ...]):
     if isinstance(c, Poly):
         p = c.pruned()
         if p.is_constant():
-            return frac_str(p.constant_value())
+            return format_fraction(p.constant_value())
         extra = set(p.vars) - set(coords)
         if extra:
             raise ValueError(f"coefficient uses unknown coordinates {sorted(extra)}")
         p = c.with_vars(coords)
-        return [[list(e), frac_str(q)] for e, q in sorted(p.terms.items())]
-    return frac_str(c)
+        return [[list(e), format_fraction(q)] for e, q in sorted(p.terms.items())]
+    return format_fraction(c)
 
 
 def coeff_from_json(obj, coords: tuple[str, ...], where: str):

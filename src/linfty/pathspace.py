@@ -304,8 +304,10 @@ def derived_path_space(bundle: LinftyBundle) -> DerivedPathSpace:
     The output bundle lives over the doubled base; its operations have
     polynomial coefficients in the two endpoint copies.  The endpoint
     evaluation comes along as a morphism into the product of two renamed
-    copies of the bundle; the defining equation of the result and the
-    morphism equation of the evaluation are re-checked on the spot.
+    copies of the bundle.  What is built here is certified here, once, for
+    every caller: the defining equation of the path space, the morphism
+    equation of the evaluation, and vdim(PZ) = vdim(Z).  bundle itself is
+    taken as given.
     """
     model = build_path_model(bundle)
     pnames, qnames = _doubled_names(bundle.coords)
@@ -329,6 +331,8 @@ def derived_path_space(bundle: LinftyBundle) -> DerivedPathSpace:
         raise AssertionError("path space structure fails the defining equation")
     if not check_morphism(ev).ok:
         raise AssertionError("endpoint evaluation is not a morphism")
+    if virtual_dimension(pm) != virtual_dimension(bundle):
+        raise AssertionError("path space changes the virtual dimension")
     return DerivedPathSpace(pm, ev, product, (j0, j1), model, result)
 
 
@@ -418,12 +422,14 @@ def homotopy_fibered_product(f: Morphism, g: Morphism) -> FiberedProduct:
     """Pull the path-space evaluation back along f x g.
 
     Realizes the homotopy fibered product of the two morphisms into their
-    shared target as an honest bundle; virtual dimension additivity is
-    asserted on the result.  to_left and to_right land on f.src and g.src
-    themselves, so they compose with f and g.  f and g are checked to be
-    morphisms, which is the same as f x g being one: its operations vanish
-    on mixed tuples and its fiber family is block diagonal.  A leg that
-    fails is named with its defect.
+    shared target as an honest bundle.  to_left and to_right project f x
+    g's own source onto its factors, so they land on f.src and g.src
+    themselves and compose with f and g.  The legs enter the engine here,
+    so f and g are certified here, which is the same as f x g being a
+    morphism: its operations vanish on mixed tuples and its fiber family
+    is block diagonal.  A leg that fails is named with its defect.  The
+    path space and the pullback certify what they build, additivity of
+    virtual dimensions included.
     """
     if not _same_target(f.dst, g.dst):
         raise ValueError("the two morphisms must share their target bundle")
@@ -433,18 +439,10 @@ def homotopy_fibered_product(f: Morphism, g: Morphism) -> FiberedProduct:
             raise AssertionError(f"leg {name} fails the morphism equation:\n{rep.describe()}")
     dps = derived_path_space(f.dst)
     j0, j1 = dps.product_maps
-    res = pullback_fibration(dps.evaluation, _product_morphism(f, g, dps.product, j0, j1))
-
-    src_prod = res.other.src
-    to_left = compose(product_projection(src_prod, f.src, first=True),
-                      res.to_other_source)
-    to_right = compose(product_projection(src_prod, g.src, first=False),
-                       res.to_other_source)
-
-    want = (virtual_dimension(f.src) + virtual_dimension(g.src)
-            - virtual_dimension(f.dst))
-    if virtual_dimension(res.bundle) != want:
-        raise AssertionError("virtual dimension is not additive")
+    fg = _product_morphism(f, g, dps.product, j0, j1)
+    res = pullback_fibration(dps.evaluation, fg)
+    to_left = compose(product_projection(fg.src, f.src, first=True), res.to_other_source)
+    to_right = compose(product_projection(fg.src, g.src, first=False), res.to_other_source)
     return FiberedProduct(res.bundle, to_left, to_right)
 
 

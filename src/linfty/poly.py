@@ -56,11 +56,11 @@ def as_rational(x: Rat) -> int | Fraction:
 
 
 def format_fraction(x: int | Fraction) -> str:
-    """Render a Fraction as 'num' or 'num/den' (canonical, reduced)."""
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    """Render a rational as 'num' or 'num/den' (canonical, reduced); an
+    int is written as it is, with no Fraction built."""
+    if type(x) is not int:
+        x = Fraction(x)
+    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def _reindexed(terms: Mapping[tuple, int | Fraction], pos: Sequence[int],
@@ -185,12 +185,6 @@ class Poly:
         if not self.terms:
             return 0
         return max(sum(e) for e in self.terms)
-
-    def degree_in(self, name: str) -> int:
-        if name not in self.vars or not self.terms:
-            return 0
-        i = self.vars.index(name)
-        return max(e[i] for e in self.terms)
 
     # -- variable alignment ------------------------------------------------
 

@@ -857,7 +857,7 @@ def shifted_tangent_tabulated(bundle: LinftyBundle) -> ShiftedTangentData:
     top = (max(arities) + 1) if arities else 0
 
     def value(tup):
-        dt_pos = [p for p, key in enumerate(tup) if space.is_dt(key)]
+        dt_pos = [p for p, (d, i) in enumerate(tup) if space.dt[d][i]]
         if len(dt_pos) > 1:
             return {}
         if not dt_pos:

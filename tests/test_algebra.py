@@ -8,13 +8,14 @@ from oracles import amp2_bundle, at_point, circle_bundle, identity_morphism, squ
 
 from linfty import algebra as algebra_module
 from linfty import geometry
-from linfty.algebra import (LinftyBundle, Morphism, check_mc, check_morphism,
-                            compose, invert_family, invert_linear_op, linear_morphism,
-                            linearize_fibration, op_matrix, plain_bundle,
+from linfty.algebra import (LinftyBundle, Morphism, _kernel_complement, check_mc,
+                            check_morphism, compose, invert_family, invert_linear_op,
+                            linear_morphism, linearize_fibration, op_matrix, plain_bundle,
                             product_bundle, product_projection, same_morphism,
                             transport_source)
 from linfty.graded import GradedSpace, MultiOp, OpFamily, bullet, circ
 from linfty.geometry import pullback_fibration, virtual_dimension
+from linfty.linalg import kernel_basis, right_inverse, solve_columns
 from linfty.pathspace import derived_path_space
 from linfty.poly import Poly
 from linfty.samples import (break_algebra, random_bundle, random_formal_iso,
@@ -551,6 +552,36 @@ def test_near_projection_takes_the_general_path(kind, monkeypatch):
     assert same_morphism(compose(lin.iso, lin.inverse), identity_morphism(lin.iso.dst))
 
 
+def residual_kernel_coordinates(phi1, source, target):
+    """Per degree, the kernel-basis coordinates of every source unit vector
+    e_i, solved from its residual e_i - W phi1 e_i (W a right inverse of
+    phi1) against the kernel basis."""
+    out = {}
+    for d in sorted(set(source.degrees()) | set(target.degrees())):
+        mat = op_matrix(phi1, d)
+        n = source.dim(d)
+        kern = kernel_basis(mat, cols=n)
+        if not kern:
+            continue
+        resid = [[int(r == i) for r in range(n)] for i in range(n)]
+        if target.dim(d):
+            w = right_inverse(mat)
+            for i in range(n):
+                for r in range(n):
+                    resid[i][r] -= sum(w[r][s] * mat[s][i] for s in range(len(mat)))
+        out[d] = solve_columns([[v[r] for v in kern] for r in range(n)], resid)
+    return out
+
+
+@pytest.mark.parametrize("kind", ["coefficient 2", "target hit twice", "arity 2", "seeded"])
+def test_kernel_coordinates_equal_the_residual_solve(kind):
+    m = seeded_projection() if kind == "seeded" else near_projection(kind)
+    phi1 = m.phi.op(1)
+    dims, coords = _kernel_complement(phi1, m.src.fiber, m.dst.fiber)
+    assert coords == residual_kernel_coordinates(phi1, m.src.fiber, m.dst.fiber)
+    assert set(coords) == {d for d, n in dims.items() if n}
+
+
 @pytest.mark.parametrize("kind", ["coefficient 2", "target hit twice", "arity 2"])
 def test_near_projection_is_straightened_inside_the_pullback(kind, monkeypatch):
     """The straightening runs once and solves the inverse of its iso once;
@@ -563,13 +594,14 @@ def test_near_projection_is_straightened_inside_the_pullback(kind, monkeypatch):
     real_inverse = algebra_module.invert_family
     monkeypatch.setattr(algebra_module, "invert_family",
                         lambda phi: calls.append("invert") or real_inverse(phi))
-    res = pullback_fibration(m, identity_morphism(m.dst))
+    other = identity_morphism(m.dst)
+    res = pullback_fibration(m, other)
     assert calls == ["straighten", "invert"]
     assert check_mc(res.bundle).ok
     assert check_morphism(res.to_fibration_source).ok
     assert check_morphism(res.to_other_source).ok
     assert same_morphism(compose(m, res.to_fibration_source),
-                         compose(res.other, res.to_other_source))
+                         compose(other, res.to_other_source))
     assert virtual_dimension(res.bundle) == virtual_dimension(m.src)
 
 
@@ -613,5 +645,7 @@ def test_a_projection_that_is_not_a_morphism_is_refused(name):
     src = LinftyBundle(m.src.coords, fiber, MultiOp.zero(1, 1, fiber, fiber),
                        ell.with_op(bad))
     broken = Morphism(src, m.dst, m.base_map, m.phi)
-    with pytest.raises(ValueError, match="fails the morphism equation"):
+    # the pullback takes its fibration as certified; its own certificate of
+    # the projection it builds is what refuses this one
+    with pytest.raises(AssertionError, match="pullback projection is not a morphism"):
         pullback_fibration(broken, identity_morphism(m.dst))

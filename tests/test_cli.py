@@ -4,13 +4,14 @@ import hashlib
 import json
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from oracles import build_contraction, identity_morphism, section_bundle, square_bundle
 
-from linfty import cli
+from linfty import algebra, cli, geometry, pathspace
 from linfty.algebra import LinftyBundle, Morphism, check_morphism, linear_morphism, plain_bundle
 from linfty.cli import build_parser, main, parse_poly_expr
 from linfty.graded import GradedSpace, MultiOp, OpFamily
@@ -677,3 +678,32 @@ def test_parse_poly_expr_matches_hand_built_polynomials():
 def test_parse_poly_expr_rejections(src):
     with pytest.raises(ModelFormatError):
         parse_poly_expr(src, ("x", "y"))
+
+
+CERTIFYING_MODULES = (algebra, geometry, pathspace, cli)
+
+
+@pytest.mark.parametrize("job", [j for j in POOL["polybase"] if j["argv"][0] in (
+    "fib-product", "intersect", "zero-locus", "path-space", "factorize")],
+    ids=lambda j: j["id"])
+def test_pool_job_certifies_each_map_once(job, monkeypatch, capsys):
+    # a construction certifies what it builds and takes its inputs as
+    # certified, so no object meets check_morphism or check_mc twice; every
+    # argument is held, so no id is reused within the job
+    held = []
+
+    def counting(real):
+        def certify(obj):
+            held.append(obj)
+            return real(obj)
+        return certify
+
+    for name in ("check_morphism", "check_mc"):
+        wrapped = counting(getattr(algebra, name))
+        for module in CERTIFYING_MODULES:
+            monkeypatch.setattr(module, name, wrapped)
+    run_pool_job(job, monkeypatch, capsys)
+    assert held
+    counts = Counter(map(id, held))
+    twice = sorted({type(obj).__name__ for obj in held if counts[id(obj)] > 1})
+    assert not twice, f"certified more than once: {twice}"

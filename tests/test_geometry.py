@@ -13,7 +13,8 @@ import linfty.graded
 from linfty import geometry
 from linfty.algebra import (LinftyBundle, Morphism, check_mc, check_morphism,
                             compose, linearize_fibration,
-                            plain_bundle, product_bundle, product_projection)
+                            plain_bundle, product_bundle, product_projection,
+                            same_morphism)
 from linfty.geometry import (ClassicalPoint, CochainComplex, StagedTangentMap,
                              classical_point, find_classical_points, is_fibration,
                              is_weak_equivalence, mapping_cone,
@@ -596,9 +597,13 @@ def test_pullback_renames_a_shared_coordinate_of_the_other_leg():
     fib = _plain_map(("x",), ("t",), (x,))
     other = _plain_map(("x",), ("t",), (x * x,))
     pb = pullback_fibration(fib, other)
-    assert pb.other.src.coords == ("x_b",)
+    # the rename stays inside the pullback: its leg lands on other.src itself
+    assert pb.to_other_source.dst is other.src
+    assert pb.to_other_source.base_map == (Poly.variable("x_b"),)
     assert pb.bundle.coords == ("x_b",)
     assert pb.to_fibration_source.base_map == (Poly.variable("x_b") ** 2,)
+    assert same_morphism(compose(other, pb.to_other_source),
+                         compose(fib, pb.to_fibration_source))
 
 
 def test_pullback_needs_an_affine_leg():
@@ -614,7 +619,7 @@ def test_pullback_needs_an_affine_leg():
 def test_shifted_tangent_of_a_plain_manifold():
     st = shifted_tangent(plain_bundle(("x", "y")))
     assert st.fiber.dims == {1: 2}
-    assert all(st.fiber.is_dt(k) for k in st.fiber.keys())
+    assert all(st.fiber.dt[d][i] for d, i in st.fiber.keys())
     assert st.ops.is_zero() or all(st.ops.op(k).is_zero() for k in st.ops.arities())
     assert check_mc(st).ok
 

@@ -95,8 +95,8 @@ def test_space_accessors():
     assert sp.degrees() == [1, 3]
     assert sp.dim(1) == 2 and sp.dim(2) == 0
     assert sp.total_dim == 3
-    assert sp.label((1, 1)) == "b"
-    assert sp.label((3, 0)) == "e3_0"
+    assert sp.labels[1][1] == "b"
+    assert sp.labels[3][0] == "e3_0"
     assert sp.contains((1, 0)) and not sp.contains((2, 0))
 
 

@@ -452,9 +452,9 @@ def plain_part(space, fam):
         op = fam.op(k)
         kept = {}
         for tup, vec in op.coeffs.items():
-            if any(space.is_dt(key) for key in tup):
+            if any(space.dt[d][i] for d, i in tup):
                 continue
-            out = {key: c for key, c in vec.items() if not space.is_dt(key)}
+            out = {(d, i): c for (d, i), c in vec.items() if not space.dt[d][i]}
             if out:
                 kept[tup] = out
         ops[k] = MultiOp(k, 1, space, space, kept)
@@ -639,7 +639,7 @@ def test_path_perturbation_of_amp2s_path_space_is_the_tabulation(amp2_path_space
 def test_path_spaces_beyond_t_degree_16_build(make):
     bundle = make()
     assert required_t_degree(bundle) > 16
-    dps = derived_path_space(bundle)   # re-checks its structure and both morphisms
+    dps = derived_path_space(bundle)   # certifies its structure, evaluation and vdim
     assert dps.model.cap == required_t_degree(bundle)
     assert virtual_dimension(dps.bundle) == virtual_dimension(bundle)
 

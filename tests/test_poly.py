@@ -32,7 +32,6 @@ def test_constant_and_variable_constructors():
     c = Poly.constant(Fraction(3, 2))
     assert c.is_constant() and c.constant_value() == Fraction(3, 2)
     assert not (x + c).is_constant()
-    assert x.degree_in("x") == 1 and x.degree_in("y") == 0
 
 
 def test_diff_and_substitute():
