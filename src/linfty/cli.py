@@ -199,7 +199,10 @@ def cmd_check_morphism(args) -> int:
 
 def _rehome_family(bundle: LinftyBundle, space):
     # model files address the fiber by (degree, index), so a contraction
-    # over the same ranks names the same space
+    # over the same ranks names the same space; a fiber equal to space,
+    # labels included, is already there
+    if bundle.fiber == space:
+        return bundle.delta, bundle.ops
     delta = MultiOp(1, 1, space, space, dict(bundle.delta.coeffs))
     ops = OpFamily(1, space, space,
                    {k: MultiOp(k, 1, space, space, dict(bundle.ops.op(k).coeffs))

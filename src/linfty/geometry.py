@@ -572,7 +572,7 @@ def shifted_tangent_data(bundle: LinftyBundle) -> ShiftedTangentData:
                 if vec:
                     longer[(tm_key[j],) + lifted] = vec
         # sigma moves v to the front of its entry; the sign rule adds (-1)^(A + |v| S)
-        for v, items in _insertion_slots(op).items():
+        for v, items in _insertion_slots(op.coeffs).items():
             for rest, sigma, w, *_ in items:
                 lifted = tuple(lpl_key[x] for x in rest)
                 p = bisect(lifted, ldt_key[v])

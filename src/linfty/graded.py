@@ -41,20 +41,32 @@ homotopy transfer, is the same feeder tabulated.  The literal
 n!-permutation sums that define both products, and circ as a sum over the
 2^n unshuffles of each canonical tuple, live in the test suite as
 references the engines are checked against.
+
+Both products run on integers when every coefficient they read is
+rational.  An operation's coefficients never change after construction,
+so each operation stages them once, on first use, as integer numerators
+over the lcm of their denominators (MultiOp._staged; an operation with
+integral coefficients is its own numerators, uncopied).  circ then sums
+ints over the product of the two families' denominators, and the block
+feeder sums ints over the node's denominator times its parts'; a
+rational is built only for each nonzero output coefficient, in normal
+form.  A factor with a Poly coefficient keeps the generic arithmetic.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import combinations, product
-from math import comb
-from typing import Callable, Iterator, Mapping, Sequence
+from math import comb, lcm
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .poly import _exact, _times
 
 BasisKey = tuple[int, int]  # (degree, index within degree)
 Vector = dict  # BasisKey -> scalar
+_UNSTAGED = object()
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +320,9 @@ class MultiOp:
     minus, and compose_linear, which post-composes an operation of any
     arity with an arity-1 one) builds its results through _from_clean,
     which skips those checks: each result is formed from operations that
-    already passed them.
+    already passed them.  coeffs is never changed after construction, so
+    what is derived from it, the integer staging of _staged, is computed
+    once and cached on the operation.
     """
 
     arity: int
@@ -386,6 +400,39 @@ class MultiOp:
                 coeffs[tup] = vec
         return cls(arity, degree, source, target, coeffs)
 
+    # what _staged returns, once computed: a plain attribute, since most
+    # operations are staged once and read a few times, and the first read
+    # of a functools.cached_property costs more than staging a small one
+    _stage = _UNSTAGED
+
+    def _staged(self) -> tuple[dict, int] | None:
+        """coeffs as integer numerators over one denominator, or None.
+
+        The denominator is the lcm of the coefficients' denominators, and
+        coeffs is the numerators divided by it, entry by entry.  An
+        operation whose coefficients are all ints is its own numerators:
+        coeffs itself, not a copy.  An operation with a coefficient that is
+        not a rational (a Poly) is not staged.  Computed on the first call
+        and kept in _stage.
+        """
+        if self._stage is not _UNSTAGED:
+            return self._stage
+        dens = set()
+        for vec in self.coeffs.values():
+            for c in vec.values():
+                if type(c) is Fraction:
+                    dens.add(c.denominator)
+                elif type(c) is not int:
+                    self._stage = None
+                    return None
+        if not dens:
+            self._stage = self.coeffs, 1
+        else:
+            den = lcm(*dens)
+            self._stage = {tup: {k: c.numerator * (den // c.denominator) for k, c in vec.items()}
+                           for tup, vec in self.coeffs.items()}, den
+        return self._stage
+
     # -- basic structure ----------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -442,20 +489,13 @@ class MultiOp:
         """Multilinear evaluation on sparse vectors (assumed degree-homogeneous).
 
         Each key tuple of the product of the inputs is sorted once and
-        looked up; the coefficients are multiplied only on a hit.
+        looked up (_product_hits); the coefficients are multiplied only on
+        a hit.
         """
         if len(vectors) != self.arity:
             raise ValueError("wrong number of arguments")
         out: Vector = {}
-        column = self.coeffs.get
-        for keys in product(*vectors):
-            srt, sign = sort_keys_with_sign(keys)
-            if not sign:
-                continue
-            vec = column(srt)
-            if not vec:
-                continue
-            coeff = sign
+        for keys, coeff, vec in _product_hits(self.coeffs.get, vectors):
             for v, k in zip(vectors, keys):
                 coeff = _times(coeff, v[k])
             for okey, c in vec.items():
@@ -485,6 +525,52 @@ class MultiOp:
                 coeffs[tup] = out
         return MultiOp._from_clean(inner.arity, self.degree + inner.degree, inner.source,
                                    self.target, coeffs)
+
+
+def _product_hits(column: Callable, vectors: Sequence[Vector]) -> Iterator[tuple]:
+    """The key tuples of the product of vectors that name an entry.
+
+    Yields (keys, sign, entry) for each tuple keys, in product order, whose
+    sorted form column maps to a nonempty entry; sign is the Koszul sign
+    of the sort.  The one product walk of MultiOp.evaluate and of the
+    block feeder's integer path.
+    """
+    for keys in product(*vectors):
+        srt, sign = sort_keys_with_sign(keys)
+        if sign:
+            vec = column(srt)
+            if vec:
+                yield keys, sign, vec
+
+
+def _all_staged(ops: Iterable[MultiOp]) -> bool:
+    """Whether every op has rational coefficients, so integers can carry them."""
+    for op in ops:
+        if op._staged() is None:
+            return False
+    return True
+
+
+def _numerators(ops: Mapping[int, MultiOp]) -> tuple[dict, int]:
+    """Each staged op's numerators with its factor to the ops' common
+    denominator, the lcm of theirs, by arity; and that denominator."""
+    staged = {a: op._staged() for a, op in ops.items()}
+    den = lcm(*(d for _, d in staged.values()))
+    return {a: (nums, den // d) for a, (nums, d) in staged.items()}, den
+
+
+def _rationals(nums: Vector, den: int) -> Vector:
+    """The vector nums / den in normal form, zero entries dropped: x // den
+    where den divides x, else one Fraction.  nums itself when den is 1 and
+    no entry is zero."""
+    if den == 1:
+        return nums if all(nums.values()) else {k: x for k, x in nums.items() if x}
+    out: Vector = {}
+    for k, x in nums.items():
+        if x:
+            q, r = divmod(x, den)
+            out[k] = Fraction(x, den) if r else q
+    return out
 
 
 def op_nilpotency_order(op: MultiOp) -> int | None:
@@ -605,15 +691,16 @@ def _parity_split(keys: tuple[BasisKey, ...]) -> tuple[tuple[BasisKey, ...], dic
     return odd, even or None
 
 
-def _insertion_slots(op: MultiOp) -> dict[BasisKey, list]:
-    """Each entry S -> w of op, once per distinct key o of S, indexed by o.
+def _insertion_slots(coeffs: Mapping[tuple[BasisKey, ...], Vector]) -> dict[BasisKey, list]:
+    """Each entry S -> w of an operation's coeffs, once per distinct key o
+    of S, indexed by o.
 
     An item is (R, sigma, w, *_parity_split(R)): R is S with one o removed
     and sigma = -1 exactly when o is odd and an odd number of odd keys
     precede it in S, the Koszul sign of sorting (o,) + R into S.
     """
     slots: dict[BasisKey, list] = {}
-    for tup, vec in op.coeffs.items():
+    for tup, vec in coeffs.items():
         odd_before = 0
         for j, o in enumerate(tup):
             if j and o == tup[j - 1]:
@@ -651,6 +738,10 @@ def circ(lam: OpFamily, mu: OpFamily) -> OpFamily:
 
     An odd key in both A and R makes T vanish, and nothing else reaches
     T: every front of T that mu does not kill is some entry A.
+
+    When every operation of both families is rational, the walk reads
+    their staged numerators, each rescaled to its family's common
+    denominator, and sums ints over the product of the two denominators.
     """
     if mu.source != mu.target:
         raise ValueError("circ expects an endomorphism family on the right")
@@ -659,17 +750,28 @@ def circ(lam: OpFamily, mu: OpFamily) -> OpFamily:
     degree = lam.degree + mu.degree
     n_max = min(arity_bound(degree, lam.target, lam.source),
                 lam.max_arity + mu.max_arity - 1 if (lam.ops and mu.ops) else -1)
-    slots = {m: _insertion_slots(op) for m, op in lam.ops.items() if m}
+    lam_ops = {m: op for m, op in lam.ops.items() if m}
+    exact = _all_staged([*lam_ops.values(), *mu.ops.values()])
+    if exact:
+        (lam_read, lam_den), (mu_read, mu_den) = _numerators(lam_ops), _numerators(mu.ops)
+    else:
+        lam_read = {m: (op.coeffs, 1) for m, op in lam_ops.items()}
+        mu_read = {k: (op.coeffs, 1) for k, op in mu.ops.items()}
+        lam_den = mu_den = 1
+    slots = {m: (_insertion_slots(coeffs), f) for m, (coeffs, f) in lam_read.items()}
     sums: dict[int, dict[tuple[BasisKey, ...], Vector]] = {}
-    for k, mu_k in mu.ops.items():
-        for m, by_key in slots.items():
+    for k, (mu_coeffs, f_mu) in mu_read.items():
+        for m, (by_key, f_lam) in slots.items():
             n = k + m - 1
             if n > n_max:
                 continue
+            f = f_mu * f_lam
             acc = sums.setdefault(n, {})
-            for front, vec in mu_k.coeffs.items():
+            for front, vec in mu_coeffs.items():
                 a_odd, a_even = _parity_split(front)
                 for o, c in vec.items():
+                    if f != 1:
+                        c *= f
                     # weight enters as sigma and leaves as eps * sigma * mult
                     for rest, weight, w, r_odd, r_even in by_key.get(o, ()):
                         if a_odd and r_odd:
@@ -687,14 +789,25 @@ def circ(lam: OpFamily, mu: OpFamily) -> OpFamily:
                                 rx = r_even.get(x)
                                 if rx:
                                     weight *= comb(ax + rx, ax)
-                        scale = _times(weight, c)
                         tup = tuple(sorted(front + rest)) if front else rest
                         dst = acc.setdefault(tup, {})
-                        for okey, x in w.items():
-                            vec_add_into(dst, okey, _times(scale, x))
+                        if exact:
+                            scale = weight * c
+                            for okey, x in w.items():
+                                dst[okey] = dst.get(okey, 0) + scale * x
+                        else:
+                            scale = _times(weight, c)
+                            for okey, x in w.items():
+                                vec_add_into(dst, okey, _times(scale, x))
+    den = lam_den * mu_den
     ops = {}
     for n in sorted(sums):
-        coeffs = {tup: sums[n][tup] for tup in sorted(sums[n]) if sums[n][tup]}
+        acc = sums[n]
+        coeffs = {}
+        for tup in sorted(acc):
+            vec = _rationals(acc[tup], den) if exact else acc[tup]
+            if vec:
+                coeffs[tup] = vec
         if coeffs:
             ops[n] = MultiOp(n, degree, lam.source, lam.target, coeffs)
     return OpFamily(degree, lam.source, lam.target, ops)
@@ -742,24 +855,40 @@ def _block_choices(parts: Sequence[MultiOp], positions: Sequence[int],
             yield [block] + tail
 
 
-def _feeder(op_k: MultiOp, parts: Sequence[MultiOp]) -> Callable[[Vector, tuple], None]:
+def _feeder(op_k: MultiOp, parts: Sequence[MultiOp],
+            exact: bool) -> tuple[Callable[[Vector, tuple, int], None], int]:
     """op_k fed with the degree-0 parts on blocks of a canonical tuple.
 
-    Returns into(out, tup), which adds to out the sum, over the choices of
-    blocks of tup's positions for the parts, of the Koszul sign of
-    bringing the blocks together in part order times op_k on the parts'
-    values there.  The choices depend on the arities alone, so they are
-    listed once, on the first call: a tabulation may meet no tuple at all.
-    A run of identical, adjacent parts is fed each unordered choice of
-    blocks once: by graded symmetry swapping two of its blocks changes
-    neither the sign nor the value.
+    Returns (into, den).  into(out, tup, scale) adds to out the sum, over
+    the choices of blocks of tup's positions for the parts, of the Koszul
+    sign of bringing the blocks together in part order times op_k on the
+    parts' values there.  The choices depend on the arities alone, so
+    they are listed once, on the first call: a tabulation may meet no
+    tuple at all.  A run of identical, adjacent parts is fed each
+    unordered choice of blocks once: by graded symmetry swapping two of
+    its blocks changes neither the sign nor the value.
+
+    With exact (op_k and every part staged), op_k walks the parts' staged
+    numerators and out sums ints: scale times the numerators of the terms
+    over den = den(op_k) * the product of den(part).  Otherwise out sums
+    the terms themselves in normal form, and den and scale are 1.
     """
     n = sum(p.arity for p in parts)
-    lookups = [p.coeffs.get for p in parts]
+    den = 1
+    if exact:
+        nums, den = op_k._staged()
+        column = nums.get
+        lookups = []
+        for p in parts:
+            nums, d = p._staged()
+            lookups.append(nums.get)
+            den *= d
+    else:
+        lookups = [p.coeffs.get for p in parts]
+        evaluate = op_k.evaluate
     choices: list = []
-    evaluate = op_k.evaluate
 
-    def into(out: Vector, tup: tuple[BasisKey, ...]) -> None:
+    def into(out: Vector, tup: tuple[BasisKey, ...], scale: int) -> None:
         if not choices:  # there is always at least one choice
             choices.extend((tuple(zip(lookups, blocks)), [i for b in blocks for i in b])
                            for blocks in _block_choices(parts, range(n), -1))
@@ -775,10 +904,37 @@ def _feeder(op_k: MultiOp, parts: Sequence[MultiOp]) -> Callable[[Vector, tuple]
                 vecs.append(v)
             else:
                 sign = koszul_sign(degs, flat)
-                for okey, c in evaluate(vecs).items():
-                    vec_add_into(out, okey, c if sign > 0 else -c)
+                if not exact:
+                    for okey, c in evaluate(vecs).items():
+                        vec_add_into(out, okey, c if sign > 0 else -c)
+                    continue
+                sign *= scale
+                for keys, coeff, vec in _product_hits(column, vecs):
+                    coeff *= sign
+                    for v, k in zip(vecs, keys):
+                        coeff *= v[k]
+                    for okey, c in vec.items():
+                        out[okey] = out.get(okey, 0) + coeff * c
 
-    return into
+    return into, den
+
+
+def _summed(feeders: Sequence[tuple[Callable, int]], exact: bool) -> Callable[[tuple], Vector]:
+    """value(tup): the feeders' sums at tup added up, in normal form.
+
+    On the integer path each feeder sums over the lcm of the feeders'
+    denominators, and the total becomes rationals once.
+    """
+    den = lcm(*(d for _, d in feeders))
+    scaled = [(into, den // d) for into, d in feeders]
+
+    def value(tup):
+        out: Vector = {}
+        for into, scale in scaled:
+            into(out, tup, scale)
+        return _rationals(out, den) if exact else out
+
+    return value
 
 
 def treeterm(op_k: MultiOp, parts: Sequence[MultiOp]) -> MultiOp:
@@ -791,13 +947,8 @@ def treeterm(op_k: MultiOp, parts: Sequence[MultiOp]) -> MultiOp:
     """
     if op_k.arity != len(parts):
         raise ValueError("arity of the node must match the number of subtrees")
-    into = _feeder(op_k, parts)
-
-    def value(tup):
-        out: Vector = {}
-        into(out, tup)
-        return out
-
+    exact = _all_staged([op_k, *parts])
+    value = _summed([_feeder(op_k, parts, exact)], exact)
     return MultiOp.from_function(sum(p.arity for p in parts), op_k.degree,
                                  parts[0].source, op_k.target, value)
 
@@ -833,15 +984,10 @@ def bullet_op(lam: OpFamily, phi: OpFamily, n: int) -> MultiOp:
     if n > _bullet_reach(lam, phi):
         return MultiOp.zero(n, lam.degree, phi.source, lam.target)
     pool = [(phi.ops[a], a) for a in phi.arities()]
-    feeders = [_feeder(lam.ops[len(parts)], parts)
-               for parts in multisets(pool, n) if len(parts) in lam.ops]
-
-    def value(tup):
-        out: Vector = {}
-        for into in feeders:
-            into(out, tup)
-        return out
-
+    fed = [(lam.ops[len(parts)], parts)
+           for parts in multisets(pool, n) if len(parts) in lam.ops]
+    exact = _all_staged([*(op_k for op_k, _ in fed), *phi.ops.values()])
+    value = _summed([_feeder(op_k, parts, exact) for op_k, parts in fed], exact)
     return MultiOp.from_function(n, lam.degree, phi.source, lam.target, value)
 
 

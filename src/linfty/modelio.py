@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .algebra import LinftyBundle, Morphism
 from .graded import GradedSpace, MultiOp, OpFamily
@@ -356,7 +357,49 @@ def contraction_from_json(doc) -> Contraction:
 
 
 def dumps(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """doc in the canonical layout: the bytes of json.dumps(doc, indent=2)
+    plus a trailing newline.  json's indenting encoder is its pure-Python
+    one, so the layout is written here, with json's own string escaper
+    and json.dumps for every other scalar."""
+    out: list[str] = []
+    _write_json(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(obj, newline: str, out: list[str]) -> None:
+    """Append obj to out, its nested lines starting with newline plus two spaces."""
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif type(obj) is int:
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in obj.items():
+            # json writes a non-string key (a number, bool or None) as a
+            # string of its JSON form
+            out += (sep, encode_basestring_ascii(key if isinstance(key, str) else json.dumps(key)),
+                    ": ")
+            _write_json(value, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for value in obj:
+            out.append(sep)
+            _write_json(value, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        out.append(json.dumps(obj))
 
 
 def load_document(path: str) -> dict:

@@ -307,7 +307,8 @@ def derived_path_space(bundle: LinftyBundle) -> DerivedPathSpace:
     copies of the bundle.  What is built here is certified here, once, for
     every caller: the defining equation of the path space, the morphism
     equation of the evaluation, and vdim(PZ) = vdim(Z).  bundle itself is
-    taken as given.
+    taken as given, and checked only when the path space fails its
+    equation: a bundle that fails its own is named as the cause.
     """
     model = build_path_model(bundle)
     pnames, qnames = _doubled_names(bundle.coords)
@@ -328,6 +329,10 @@ def derived_path_space(bundle: LinftyBundle) -> DerivedPathSpace:
                          {hk: {(j0 if end == 0 else j1)[fk]: 1}
                           for (fk, end), hk in model.h_end.items()})
     if not check_mc(pm).ok:
+        given = check_mc(bundle)
+        if not given.ok:
+            raise AssertionError(
+                f"input structure fails the defining equation:\n{given.describe()}")
         raise AssertionError("path space structure fails the defining equation")
     if not check_morphism(ev).ok:
         raise AssertionError("endpoint evaluation is not a morphism")

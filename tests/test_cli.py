@@ -154,6 +154,28 @@ def test_transfer_writes_the_induced_differential(tmp_path, capsys):
     assert all(back.ops.op(k).coeffs == model.ops.op(k).coeffs for k in model.ops.ops)
 
 
+def test_transfer_carries_a_model_with_other_labels_onto_the_contraction(tmp_path, capsys):
+    # the same model with default labels is re-homed onto the contraction's
+    # labelled space and gives the output of the model that shares it
+    model_path, _ = retract_pair(tmp_path)
+    model, _ = load_model(model_path)
+    sp = GradedSpace.build(model.fiber.dims)
+    assert sp != model.fiber
+    plain = LinftyBundle((), sp, MultiOp(1, 1, sp, sp, dict(model.delta.coeffs)),
+                         OpFamily(1, sp, sp, {1: MultiOp(1, 1, sp, sp,
+                                                         dict(model.ops.op(1).coeffs))}))
+    plain_path = write_doc(tmp_path, "plain.json", bundle_to_json(plain))
+    con = build_contraction(model.fiber, model.delta,
+                            MultiOp.zero(1, -1, model.fiber, model.fiber))
+    con_path = write_doc(tmp_path, "whole.json", contraction_to_json(con))
+    outs = []
+    for path in (model_path, plain_path):
+        code, out, _ = run(capsys, "transfer", path, con_path, "--mode", "both")
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1] and len(json.loads(outs[0])["ops"]) == 2
+
+
 @pytest.mark.parametrize("h_rank", [1, 0])
 def test_transfer_modes_refuse_a_non_nilpotent_eta_lam1(h_rank, tmp_path, capsys):
     # delta a = b, eta b = a and lam_1 a = b, so eta lam_1 a = a; with
@@ -334,6 +356,15 @@ def test_path_space_builds_a_bundle_needing_t_degree_17(tmp_path, capsys):
     code, out, _ = run(capsys, "path-space", model, "--out", out_path)
     assert code == 0 and "re-validated" in out
     assert run(capsys, "check-axioms", out_path)[0] == 0
+
+
+@pytest.mark.parametrize("command", ["path-space", "factorize"])
+def test_a_model_that_fails_its_equation_is_named_as_the_cause(command, violator_model,
+                                                              capsys):
+    code, out, err = run(capsys, command, violator_model)
+    assert code == 1 and out == ""
+    assert err.startswith("witness: input structure fails the defining equation")
+    assert "delta^2 != 0 on ((1, 0),)" in err and "path space" not in err
 
 
 def test_factorize_affine_line(capsys):

@@ -1,5 +1,6 @@
 """Canonical JSON serialization of models, morphisms, and contractions."""
 
+import json
 import re
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from oracles import build_contraction, identity_morphism, square_bundle
 
 from linfty.algebra import LinftyBundle, Morphism, check_mc, plain_bundle
+from linfty.cli import main
 from linfty.geometry import shifted_tangent
 from linfty.graded import GradedSpace, MultiOp, OpFamily
 from linfty.modelio import (ModelFormatError, bundle_from_json,
@@ -284,3 +286,24 @@ def test_entry_with_a_part_is_refused_outside_a_bundle():
         doc["iota"][0]["part"] = part
         with pytest.raises(ModelFormatError, match=re.escape(f"iota[0]: unknown part {part!r}")):
             contraction_from_json(doc)
+
+
+# -- the canonical writer ----------------------------------------------------------
+
+def test_dumps_writes_the_bytes_of_json_with_a_two_space_indent(tmp_path, capsys):
+    sp = GradedSpace.build({1: 2, 2: 1}, labels={1: ["\u03be", 'q"\\\n'], 2: ["\u2603"]})
+    delta = MultiOp(1, 1, sp, sp, {((1, 0),): {(2, 0): Fraction(-3, 4)}})
+    odd = LinftyBundle((), sp, delta, OpFamily(1, sp, sp, {}))
+    model = tmp_path / "square.json"
+    model.write_text(dumps(bundle_to_json(square_bundle())))
+    assert main(["check-axioms", str(model), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    docs = [bundle_to_json(square_bundle()),
+            bundle_to_json(odd, {"note": "caf\u00e9 \U0001d4b3", "empty": {}, "none": [],
+                                 "nested": [[], {}, [{}]], "flags": [True, False, None]}),
+            morphism_to_json(identity_morphism(square_bundle())),
+            contraction_to_json(worked_contraction()),
+            report, {}, [], {"": ""}]
+    assert report["ok"] is True
+    for doc in docs:
+        assert dumps(doc) == json.dumps(doc, indent=2) + "\n"

@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 from oracles import amp2_bundle, circle_bundle, identity_morphism, square_bundle
 
-from linfty.graded import GradedSpace, MultiOp
+from linfty.graded import GradedSpace, MultiOp, OpFamily, bullet, canonical_tuples, circ
 from linfty.modelio import bundle_from_json, bundle_to_json, dumps
 from linfty.pathspace import derived_path_space, homotopy_fibered_product
 from linfty.poly import Poly
@@ -101,3 +101,34 @@ def test_transfer_engines_store_normal_coefficients():
         con, lam = random_transfer_instance(rng, amplitude=3, max_dim=rng.choice([2, 3, 4]))
         assert_normal(transfer(con, lam))
         assert_normal(transfer_trees(con, lam))
+
+
+def _fractional_family(rng, space, degree, arities):
+    ops = {}
+    for n in arities:
+        coeffs = {}
+        for tup in canonical_tuples(space, n):
+            out = sum(k[0] for k in tup) + degree
+            vec = {key: Fraction(rng.randint(-6, 6), rng.choice((2, 3, 4, 6)))
+                   for key in space.keys() if key[0] == out and rng.random() < 0.6}
+            coeffs[tup] = {k: c for k, c in vec.items() if c}
+        ops[n] = MultiOp(n, degree, space, space, coeffs)
+    return OpFamily(degree, space, space, ops)
+
+
+def test_circ_and_bullet_store_normal_coefficients():
+    """Both sum integer numerators over one denominator and divide once per
+    output coefficient: a sum of fractional terms that is integral is
+    stored as an int."""
+    rng = random.Random(31)
+    sp = GradedSpace.build({1: 3, 2: 2, 3: 1, 4: 1})
+    integral = 0
+    for _ in range(6):
+        lam = _fractional_family(rng, sp, 1, (0, 1, 2))
+        mu = _fractional_family(rng, sp, 1, (0, 1, 2))
+        phi = _fractional_family(rng, sp, 0, (1, 2))
+        for result in (circ(lam, mu), bullet(lam, phi)):
+            assert_normal(result)
+            integral += any(type(c) is int for op in result.ops.values()
+                            for vec in op.coeffs.values() for c in vec.values())
+    assert integral

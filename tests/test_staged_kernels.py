@@ -1,0 +1,217 @@
+"""circ, bullet_op and treeterm on their integer path.
+
+An operation with rational coefficients is staged as integer numerators
+over one denominator, and the kernels sum ints over the product of their
+factors' denominators.  On seeded draws with fractional coefficients
+(small and large prime denominators), integral-only coefficients and
+polynomial ones, each kernel must equal the literal permutation sums of
+tests/oracles and the generic path, coefficient by coefficient in the
+normal form.
+"""
+
+import random
+from fractions import Fraction
+from itertools import groupby
+from math import factorial, prod
+
+import pytest
+from oracles import bullet_literal, circ_literal, circ_unshuffle, treeterm_ordered
+
+import linfty.graded
+from linfty.graded import (GradedSpace, MultiOp, OpFamily, bullet_op, canonical_tuples,
+                           circ, treeterm)
+from linfty.poly import Poly
+from linfty.samples import random_mc_algebra
+
+PRIMES = (999983, 1000003, 2147483647)
+
+
+def integral(rng):
+    return rng.randint(-3, 3)
+
+
+def fractional(rng):
+    return Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 4, 6)))
+
+
+def prime(rng):
+    if rng.random() < 0.3:
+        return rng.randint(-2, 2)
+    return Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.choice(PRIMES))
+
+
+def polynomial(rng):
+    return Poly(("x",), {(1,): fractional(rng), (0,): integral(rng)})
+
+
+KINDS = {"integral": integral, "fractional": fractional, "prime": prime,
+         "poly": polynomial}
+
+
+def draw_op(rng, source, target, arity, degree, coeff):
+    coeffs = {}
+    for tup in canonical_tuples(source, arity):
+        out = sum(k[0] for k in tup) + degree
+        vec = {key: coeff(rng) for key in target.keys()
+               if key[0] == out and rng.random() < 0.6}
+        vec = {k: c for k, c in vec.items() if c}
+        if vec:
+            coeffs[tup] = vec
+    return MultiOp(arity, degree, source, target, coeffs)
+
+
+def draw_family(rng, space, degree, arities, kind):
+    """A family whose last arity draws from kind and the others from
+    fractional, so a family of kind poly is rational but for one op."""
+    ops = {n: draw_op(rng, space, space, n, degree,
+                      KINDS[kind] if n == arities[-1] or kind != "poly" else fractional)
+           for n in arities}
+    return OpFamily(degree, space, space, ops)
+
+
+def typed(fam_or_op):
+    """Every stored coefficient with its type, so an int and an equal
+    Fraction differ."""
+    ops = fam_or_op.ops if isinstance(fam_or_op, OpFamily) else {fam_or_op.arity: fam_or_op}
+    return {(n, tup, k): (type(c), c) for n, op in ops.items()
+            for tup, vec in op.coeffs.items() for k, c in vec.items()}
+
+
+def generic(monkeypatch, fn, *args):
+    """fn(*args) with every operation read as unstaged: the generic path."""
+    with monkeypatch.context() as m:
+        m.setattr(linfty.graded, "_all_staged", lambda ops: False)
+        return fn(*args)
+
+
+def odd_clash(lam, mu):
+    """Whether some entry of mu meets an entry of lam through a key o with an
+    odd key in both its inputs and the rest of lam's tuple: a term that
+    repeats an odd key and so vanishes."""
+    for mu_k in mu.ops.values():
+        for op in lam.ops.values():
+            for front, vec in mu_k.coeffs.items():
+                for tup in op.coeffs:
+                    for o in set(vec) & set(tup):
+                        rest = list(tup)
+                        rest.remove(o)
+                        if any(r[0] % 2 and r in front for r in rest):
+                            return True
+    return False
+
+
+SPACE = {1: 3, 2: 2, 3: 1, 4: 1}
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_circ_equals_the_literal_sum_and_the_generic_path(kind, monkeypatch):
+    rng = random.Random(f"circ-{kind}")
+    sp = GradedSpace.build(SPACE)
+    clashes = reached = 0
+    for _ in range(4):
+        lam = draw_family(rng, sp, 1, (0, 1, 2), kind)
+        mu = draw_family(rng, sp, 1, (0, 1, 2), kind)
+        assert linfty.graded._all_staged([*lam.ops.values(), *mu.ops.values()]) == (
+            kind != "poly")
+        got = circ(lam, mu)
+        assert got == circ_literal(lam, mu) == circ_unshuffle(lam, mu)
+        assert typed(got) == typed(generic(monkeypatch, circ, lam, mu))
+        clashes += odd_clash(lam, mu)
+        reached += not got.is_zero()
+    assert clashes and reached == 4
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_bullet_op_equals_the_literal_sum_and_the_generic_path(kind, monkeypatch):
+    rng = random.Random(f"bullet-{kind}")
+    sp = GradedSpace.build(SPACE)
+    collapsed = []
+    sort = linfty.graded.sort_keys_with_sign
+
+    def counting(keys):
+        srt, sign = sort(keys)
+        collapsed.append(not sign)
+        return srt, sign
+
+    reached = set()
+    for _ in range(5):
+        lam = draw_family(rng, sp, 1, (0, 1, 2), kind)
+        phi = draw_family(rng, sp, 0, (1, 2), kind)
+        want = bullet_literal(lam, phi)
+        for n in range(5):
+            with monkeypatch.context() as m:
+                m.setattr(linfty.graded, "sort_keys_with_sign", counting)
+                got = bullet_op(lam, phi, n)
+            assert got == want.op(n)
+            assert typed(got) == typed(generic(monkeypatch, bullet_op, lam, phi, n))
+            if not got.is_zero():
+                reached.add(n)
+    # a product tuple that repeats an odd key was met, and collapsed
+    assert any(collapsed)
+    assert reached == {0, 1, 2, 3}
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_treeterm_equals_the_ordered_sum_and_the_generic_path(kind, monkeypatch):
+    rng = random.Random(f"treeterm-{kind}")
+    src = GradedSpace.build({1: 3, 2: 1})
+    tgt = GradedSpace.build({1: 2, 2: 2, 3: 2, 4: 1, 5: 1})
+    coeff = KINDS[kind]
+    nonzero = 0
+    for _ in range(5):
+        pool = [draw_op(rng, src, tgt, arity, 0, coeff) for arity in (1, 1, 2)]
+        for shape in ((0, 1), (0, 0), (0, 2), (0, 0, 1), (1, 1, 1)):
+            parts = [pool[i] for i in shape]
+            op_k = draw_op(rng, tgt, tgt, len(parts), 1, coeff)
+            got = treeterm(op_k, parts)
+            runs = prod(factorial(len(list(g))) for _, g in groupby(shape))
+            assert got.scaled(runs) == treeterm_ordered(op_k, parts)
+            assert typed(got) == typed(generic(monkeypatch, treeterm, op_k, parts))
+            nonzero += not got.is_zero()
+    assert nonzero >= 15
+
+
+def test_staging_shares_integral_coefficients_and_skips_polynomials():
+    sp = GradedSpace.build({1: 2, 2: 1})
+    whole = MultiOp(1, 1, sp, sp, {((1, 0),): {(2, 0): 3}, ((1, 1),): {(2, 0): -1}})
+    nums, den = whole._staged()
+    assert nums is whole.coeffs and den == 1
+    part = MultiOp(1, 1, sp, sp, {((1, 0),): {(2, 0): Fraction(1, 6)},
+                                  ((1, 1),): {(2, 0): Fraction(-3, 4)}})
+    nums, den = part._staged()
+    assert den == 12 and nums == {((1, 0),): {(2, 0): 2}, ((1, 1),): {(2, 0): -9}}
+    assert part._staged() is part._staged()  # computed once
+    poly = MultiOp(1, 1, sp, sp, {((1, 0),): {(2, 0): Poly(("x",), {(1,): 1})}})
+    assert poly._staged() is None
+
+
+def test_circ_and_bullet_build_one_fraction_per_output_coefficient_at_most(monkeypatch):
+    """On a rational draw the products build no Fraction per term: no more
+    Fractions are constructed while they run than they store."""
+    rng = random.Random(5)
+    alg = random_mc_algebra(rng, amplitude=4, max_dim=3)
+    ell = alg.total()
+    sp = alg.fiber
+    lam = draw_family(rng, sp, 1, (0, 1, 2), "prime")
+    phi = draw_family(rng, sp, 0, (1, 2), "fractional")
+    ops = [*ell.ops.values(), *lam.ops.values(), *phi.ops.values()]
+    assert linfty.graded._all_staged(ops)
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    runs = [(circ, (ell, ell)), (circ, (lam, ell)), (bullet_op, (lam, phi, 2)),
+            (bullet_op, (lam, phi, 3))]
+    fractions = 0
+    for fn, args in runs:
+        built.clear()
+        with monkeypatch.context() as m:
+            m.setattr(Fraction, "__new__", counting)
+            out = fn(*args)
+        stored = sum(t is Fraction for t, _ in typed(out).values())
+        assert len(built) <= stored
+        fractions += stored
+    assert fractions
