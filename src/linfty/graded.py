@@ -7,8 +7,9 @@ basis tuples.  Scalars are exact rationals in the normal form of
 linfty.poly (an int when integral, otherwise a Fraction with denominator
 greater than 1) or linfty.poly.Poly; the code only relies on +, *, unary -,
 and truthiness, so both work uniformly.  Every stored scalar is demoted to
-that normal form, and every product of scalars goes through poly._times,
-so a Koszul sign or a unit coefficient costs no multiplication.
+that normal form.  The algebra of single operations multiplies through
+poly._times, so a Koszul sign or a unit coefficient costs no
+multiplication; the two products sum staged numerators instead (below).
 
 Sign conventions: transposing two adjacent inputs of odd degree costs -1,
 all other transpositions are free (the usual Koszul rule).  An operation of
@@ -42,15 +43,17 @@ n!-permutation sums that define both products, and circ as a sum over the
 2^n unshuffles of each canonical tuple, live in the test suite as
 references the engines are checked against.
 
-Both products run on integers when every coefficient they read is
-rational.  An operation's coefficients never change after construction,
-so each operation stages them once, on first use, as integer numerators
-over the lcm of their denominators (MultiOp._staged; an operation with
-integral coefficients is its own numerators, uncopied).  circ then sums
-ints over the product of the two families' denominators, and the block
-feeder sums ints over the node's denominator times its parts'; a
-rational is built only for each nonzero output coefficient, in normal
-form.  A factor with a Poly coefficient keeps the generic arithmetic.
+Both products sum numerators and divide once.  An operation's
+coefficients never change after construction, so each operation stages
+them once, on first use, as numerators over the lcm of its Fraction
+coefficients' denominators (MultiOp._staged): a Fraction becomes an int
+numerator and an int or a Poly is multiplied by the denominator; an
+operation with no Fraction coefficient, every integral one and the usual
+Poly one, is its own numerators, uncopied.  circ sums numerators over
+the product of the two families' denominators, and the block feeder over
+the node's denominator times its parts'; each nonzero output coefficient
+is divided by that denominator once, in normal form (_rationals), so
+rational draws build no Fraction per term.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, lcm
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .poly import _exact, _times
 
@@ -321,8 +324,8 @@ class MultiOp:
     arity with an arity-1 one) builds its results through _from_clean,
     which skips those checks: each result is formed from operations that
     already passed them.  coeffs is never changed after construction, so
-    what is derived from it, the integer staging of _staged, is computed
-    once and cached on the operation.
+    what is derived from it, the numerators of _staged, is computed once
+    and cached on the operation.
     """
 
     arity: int
@@ -405,31 +408,26 @@ class MultiOp:
     # of a functools.cached_property costs more than staging a small one
     _stage = _UNSTAGED
 
-    def _staged(self) -> tuple[dict, int] | None:
-        """coeffs as integer numerators over one denominator, or None.
+    def _staged(self) -> tuple[dict, int]:
+        """coeffs as numerators over one int denominator.
 
-        The denominator is the lcm of the coefficients' denominators, and
-        coeffs is the numerators divided by it, entry by entry.  An
-        operation whose coefficients are all ints is its own numerators:
-        coeffs itself, not a copy.  An operation with a coefficient that is
-        not a rational (a Poly) is not staged.  Computed on the first call
-        and kept in _stage.
+        The denominator is the lcm of the denominators of the Fraction
+        coefficients; a Fraction becomes its int numerator over it, and an
+        int or a Poly is multiplied by it, so coeffs is the numerators
+        divided by it, entry by entry.  An operation with no Fraction
+        coefficient is its own numerators: coeffs itself with denominator
+        1, not a copy.  Computed on the first call and kept in _stage.
         """
         if self._stage is not _UNSTAGED:
             return self._stage
-        dens = set()
-        for vec in self.coeffs.values():
-            for c in vec.values():
-                if type(c) is Fraction:
-                    dens.add(c.denominator)
-                elif type(c) is not int:
-                    self._stage = None
-                    return None
+        dens = {c.denominator for vec in self.coeffs.values() for c in vec.values()
+                if type(c) is Fraction}
         if not dens:
             self._stage = self.coeffs, 1
         else:
             den = lcm(*dens)
-            self._stage = {tup: {k: c.numerator * (den // c.denominator) for k, c in vec.items()}
+            self._stage = {tup: {k: c.numerator * (den // c.denominator) if type(c) is Fraction
+                                 else c * den for k, c in vec.items()}
                            for tup, vec in self.coeffs.items()}, den
         return self._stage
 
@@ -533,7 +531,7 @@ def _product_hits(column: Callable, vectors: Sequence[Vector]) -> Iterator[tuple
     Yields (keys, sign, entry) for each tuple keys, in product order, whose
     sorted form column maps to a nonempty entry; sign is the Koszul sign
     of the sort.  The one product walk of MultiOp.evaluate and of the
-    block feeder's integer path.
+    block feeder.
     """
     for keys in product(*vectors):
         srt, sign = sort_keys_with_sign(keys)
@@ -541,14 +539,6 @@ def _product_hits(column: Callable, vectors: Sequence[Vector]) -> Iterator[tuple
             vec = column(srt)
             if vec:
                 yield keys, sign, vec
-
-
-def _all_staged(ops: Iterable[MultiOp]) -> bool:
-    """Whether every op has rational coefficients, so integers can carry them."""
-    for op in ops:
-        if op._staged() is None:
-            return False
-    return True
 
 
 def _numerators(ops: Mapping[int, MultiOp]) -> tuple[dict, int]:
@@ -560,16 +550,19 @@ def _numerators(ops: Mapping[int, MultiOp]) -> tuple[dict, int]:
 
 
 def _rationals(nums: Vector, den: int) -> Vector:
-    """The vector nums / den in normal form, zero entries dropped: x // den
-    where den divides x, else one Fraction.  nums itself when den is 1 and
-    no entry is zero."""
+    """The vector nums / den in normal form, zero entries dropped: for an
+    int x, x // den where den divides x, else one Fraction; a Poly x times
+    1/den.  nums itself when den is 1 and no entry is zero."""
     if den == 1:
         return nums if all(nums.values()) else {k: x for k, x in nums.items() if x}
     out: Vector = {}
     for k, x in nums.items():
         if x:
-            q, r = divmod(x, den)
-            out[k] = Fraction(x, den) if r else q
+            if type(x) is int:
+                q, r = divmod(x, den)
+                out[k] = Fraction(x, den) if r else q
+            else:
+                out[k] = x * Fraction(1, den)
     return out
 
 
@@ -739,9 +732,9 @@ def circ(lam: OpFamily, mu: OpFamily) -> OpFamily:
     An odd key in both A and R makes T vanish, and nothing else reaches
     T: every front of T that mu does not kill is some entry A.
 
-    When every operation of both families is rational, the walk reads
-    their staged numerators, each rescaled to its family's common
-    denominator, and sums ints over the product of the two denominators.
+    The walk reads the operations' staged numerators, each rescaled to
+    its family's common denominator, sums them over the product of the
+    two denominators and divides each output coefficient once.
     """
     if mu.source != mu.target:
         raise ValueError("circ expects an endomorphism family on the right")
@@ -750,14 +743,8 @@ def circ(lam: OpFamily, mu: OpFamily) -> OpFamily:
     degree = lam.degree + mu.degree
     n_max = min(arity_bound(degree, lam.target, lam.source),
                 lam.max_arity + mu.max_arity - 1 if (lam.ops and mu.ops) else -1)
-    lam_ops = {m: op for m, op in lam.ops.items() if m}
-    exact = _all_staged([*lam_ops.values(), *mu.ops.values()])
-    if exact:
-        (lam_read, lam_den), (mu_read, mu_den) = _numerators(lam_ops), _numerators(mu.ops)
-    else:
-        lam_read = {m: (op.coeffs, 1) for m, op in lam_ops.items()}
-        mu_read = {k: (op.coeffs, 1) for k, op in mu.ops.items()}
-        lam_den = mu_den = 1
+    (lam_read, lam_den), (mu_read, mu_den) = (
+        _numerators({m: op for m, op in lam.ops.items() if m}), _numerators(mu.ops))
     slots = {m: (_insertion_slots(coeffs), f) for m, (coeffs, f) in lam_read.items()}
     sums: dict[int, dict[tuple[BasisKey, ...], Vector]] = {}
     for k, (mu_coeffs, f_mu) in mu_read.items():
@@ -791,21 +778,16 @@ def circ(lam: OpFamily, mu: OpFamily) -> OpFamily:
                                     weight *= comb(ax + rx, ax)
                         tup = tuple(sorted(front + rest)) if front else rest
                         dst = acc.setdefault(tup, {})
-                        if exact:
-                            scale = weight * c
-                            for okey, x in w.items():
-                                dst[okey] = dst.get(okey, 0) + scale * x
-                        else:
-                            scale = _times(weight, c)
-                            for okey, x in w.items():
-                                vec_add_into(dst, okey, _times(scale, x))
+                        scale = weight * c
+                        for okey, x in w.items():
+                            dst[okey] = dst.get(okey, 0) + scale * x
     den = lam_den * mu_den
     ops = {}
     for n in sorted(sums):
         acc = sums[n]
         coeffs = {}
         for tup in sorted(acc):
-            vec = _rationals(acc[tup], den) if exact else acc[tup]
+            vec = _rationals(acc[tup], den)
             if vec:
                 coeffs[tup] = vec
         if coeffs:
@@ -855,8 +837,8 @@ def _block_choices(parts: Sequence[MultiOp], positions: Sequence[int],
             yield [block] + tail
 
 
-def _feeder(op_k: MultiOp, parts: Sequence[MultiOp],
-            exact: bool) -> tuple[Callable[[Vector, tuple, int], None], int]:
+def _feeder(op_k: MultiOp,
+            parts: Sequence[MultiOp]) -> tuple[Callable[[Vector, tuple, int], None], int]:
     """op_k fed with the degree-0 parts on blocks of a canonical tuple.
 
     Returns (into, den).  into(out, tup, scale) adds to out the sum, over
@@ -868,24 +850,18 @@ def _feeder(op_k: MultiOp, parts: Sequence[MultiOp],
     unordered choice of blocks once: by graded symmetry swapping two of
     its blocks changes neither the sign nor the value.
 
-    With exact (op_k and every part staged), op_k walks the parts' staged
-    numerators and out sums ints: scale times the numerators of the terms
-    over den = den(op_k) * the product of den(part).  Otherwise out sums
-    the terms themselves in normal form, and den and scale are 1.
+    op_k's staged numerators are walked (_product_hits) on the parts'
+    staged numerators, and out sums scale times the numerators of the
+    terms, over den = den(op_k) * the product of den(part).
     """
     n = sum(p.arity for p in parts)
-    den = 1
-    if exact:
-        nums, den = op_k._staged()
-        column = nums.get
-        lookups = []
-        for p in parts:
-            nums, d = p._staged()
-            lookups.append(nums.get)
-            den *= d
-    else:
-        lookups = [p.coeffs.get for p in parts]
-        evaluate = op_k.evaluate
+    nums, den = op_k._staged()
+    column = nums.get
+    lookups = []
+    for p in parts:
+        nums, d = p._staged()
+        lookups.append(nums.get)
+        den *= d
     choices: list = []
 
     def into(out: Vector, tup: tuple[BasisKey, ...], scale: int) -> None:
@@ -903,12 +879,7 @@ def _feeder(op_k: MultiOp, parts: Sequence[MultiOp],
                     break
                 vecs.append(v)
             else:
-                sign = koszul_sign(degs, flat)
-                if not exact:
-                    for okey, c in evaluate(vecs).items():
-                        vec_add_into(out, okey, c if sign > 0 else -c)
-                    continue
-                sign *= scale
+                sign = koszul_sign(degs, flat) * scale
                 for keys, coeff, vec in _product_hits(column, vecs):
                     coeff *= sign
                     for v, k in zip(vecs, keys):
@@ -919,11 +890,11 @@ def _feeder(op_k: MultiOp, parts: Sequence[MultiOp],
     return into, den
 
 
-def _summed(feeders: Sequence[tuple[Callable, int]], exact: bool) -> Callable[[tuple], Vector]:
+def _summed(feeders: Sequence[tuple[Callable, int]]) -> Callable[[tuple], Vector]:
     """value(tup): the feeders' sums at tup added up, in normal form.
 
-    On the integer path each feeder sums over the lcm of the feeders'
-    denominators, and the total becomes rationals once.
+    Each feeder sums over the lcm of the feeders' denominators, and the
+    total is divided by it once.
     """
     den = lcm(*(d for _, d in feeders))
     scaled = [(into, den // d) for into, d in feeders]
@@ -932,7 +903,7 @@ def _summed(feeders: Sequence[tuple[Callable, int]], exact: bool) -> Callable[[t
         out: Vector = {}
         for into, scale in scaled:
             into(out, tup, scale)
-        return _rationals(out, den) if exact else out
+        return _rationals(out, den)
 
     return value
 
@@ -947,8 +918,7 @@ def treeterm(op_k: MultiOp, parts: Sequence[MultiOp]) -> MultiOp:
     """
     if op_k.arity != len(parts):
         raise ValueError("arity of the node must match the number of subtrees")
-    exact = _all_staged([op_k, *parts])
-    value = _summed([_feeder(op_k, parts, exact)], exact)
+    value = _summed([_feeder(op_k, parts)])
     return MultiOp.from_function(sum(p.arity for p in parts), op_k.degree,
                                  parts[0].source, op_k.target, value)
 
@@ -986,8 +956,7 @@ def bullet_op(lam: OpFamily, phi: OpFamily, n: int) -> MultiOp:
     pool = [(phi.ops[a], a) for a in phi.arities()]
     fed = [(lam.ops[len(parts)], parts)
            for parts in multisets(pool, n) if len(parts) in lam.ops]
-    exact = _all_staged([*(op_k for op_k, _ in fed), *phi.ops.values()])
-    value = _summed([_feeder(op_k, parts, exact) for op_k, parts in fed], exact)
+    value = _summed([_feeder(op_k, parts) for op_k, parts in fed])
     return MultiOp.from_function(n, lam.degree, phi.source, lam.target, value)
 
 

@@ -134,23 +134,39 @@ def space_metadata(space: GradedSpace) -> dict:
     return meta
 
 
-def space_from_json(obj, meta: dict | None = None, where: str = "bundle") -> GradedSpace:
+def _degree(k: str, where: str) -> int:
+    try:
+        return int(k)
+    except ValueError as exc:
+        raise _fail(where, f"degree key {k!r} is not an integer") from exc
+
+
+def space_from_json(obj, meta, where: str, meta_where: str) -> GradedSpace:
+    """The space of ranks obj, labelled by the labels and dt blocks of
+    meta, which lives at meta_where in the document."""
     if not isinstance(obj, dict):
         raise _fail(where, f"expected an object of degree: rank, got {obj!r}")
     dims = {}
     for k, v in obj.items():
-        try:
-            d = int(k)
-        except ValueError as exc:
-            raise _fail(where, f"degree key {k!r} is not an integer") from exc
+        d = _degree(k, where)
         if type(v) is not int or v < 0:
             raise _fail(where, f"rank for degree {k} must be a nonnegative integer")
         dims[d] = v
-    meta = meta or {}
-    labels = {int(d): row for d, row in meta.get("labels", {}).items()}
-    dt = {int(d): row for d, row in meta.get("dt", {}).items()}
+    if not isinstance(meta, dict):
+        raise _fail(meta_where, "expected an object")
+    rows = {}
+    for name, kind, noun in (("labels", str, "strings"), ("dt", bool, "booleans")):
+        block = meta.get(name, {})
+        here = f"{meta_where}.{name}"
+        if not isinstance(block, dict):
+            raise _fail(here, f"expected an object of degree: list of {noun}, got {block!r}")
+        rows[name] = {}
+        for k, row in block.items():
+            if not isinstance(row, list) or any(type(x) is not kind for x in row):
+                raise _fail(f"{here}.{k}", f"expected a list of {noun}, got {row!r}")
+            rows[name][_degree(k, here)] = row
     try:
-        return GradedSpace.build(dims, labels=labels or None, dt=dt or None)
+        return GradedSpace.build(dims, labels=rows["labels"] or None, dt=rows["dt"] or None)
     except ValueError as exc:
         raise _fail(where, str(exc)) from exc
 
@@ -207,7 +223,7 @@ def _entries_from_json(entries, src: GradedSpace, dst: GradedSpace, coords,
             if not isinstance(e, dict):
                 raise _fail("", "expected an object")
             part = e.get("part")
-            if part not in parts:
+            if not (part is None or isinstance(part, str)) or part not in parts:
                 raise _fail("", f"unknown part {part!r}")
             lo, hi = parts[part]
             arity = e.get("arity")
@@ -268,9 +284,7 @@ def bundle_from_json(doc) -> tuple[LinftyBundle, dict]:
     if type(base.get("dim")) is not int or base["dim"] != len(coords):
         raise _fail("base.dim", f"dim {base.get('dim')} but {len(coords)} coords")
     meta = doc.get("metadata") or {}
-    if not isinstance(meta, dict):
-        raise _fail("metadata", "expected an object")
-    space = space_from_json(doc["bundle"], meta, "bundle")
+    space = space_from_json(doc["bundle"], meta, "bundle", "metadata")
     coords = tuple(coords)
     fams = _entries_from_json(doc["ops"], space, space, coords, 1, _BUNDLE_PARTS, "ops")
     try:
@@ -340,8 +354,11 @@ def contraction_from_json(doc) -> Contraction:
         if fld not in doc:
             raise _fail("document", f"missing required field {fld!r}")
     meta = doc.get("metadata") or {}
-    space = space_from_json(doc["space"], meta.get("space_labels"), "space")
-    h = space_from_json(doc["h"], meta.get("h_labels"), "h")
+    if not isinstance(meta, dict):
+        raise _fail("metadata", "expected an object")
+    space = space_from_json(doc["space"], meta.get("space_labels", {}), "space",
+                            "metadata.space_labels")
+    h = space_from_json(doc["h"], meta.get("h_labels", {}), "h", "metadata.h_labels")
     delta, eta, iota = (
         _entries_from_json(doc[fld], src, space, (), degree, _CONTRACTION_PARTS, fld)[None].op(1)
         for fld, src, degree in (("delta", space, 1), ("eta", space, -1), ("iota", h, 0)))

@@ -694,6 +694,39 @@ def test_shifted_tangent_prints_its_recorded_bytes(name, sha, monkeypatch, capsy
     assert hashlib.sha256(out.encode()).hexdigest() == sha
 
 
+def pool_doc_copy(tmp_path, name, mutate):
+    """A copy under tmp_path of the pool document perfbench/pool/name,
+    changed by mutate; the pool file itself is left alone."""
+    doc = json.loads((ROOT / "perfbench" / "pool" / name).read_text())
+    mutate(doc)
+    return write_doc(tmp_path, Path(name).name, doc)
+
+
+def test_fib_product_refuses_labels_that_are_not_an_object(tmp_path, capsys):
+    f = pool_doc_copy(tmp_path, "polybase/fp-14.f.json",
+                      lambda doc: doc["src"]["metadata"].update(labels="0"))
+    g = str(ROOT / "perfbench" / "pool" / "polybase" / "fp-14.g.json")
+    code, out, err = run(capsys, "fib-product", "--f", f, "--g", g)
+    assert code == 2 and out == ""
+    assert "input error: metadata.labels: expected an object of degree: list of strings" in err
+
+
+def test_path_space_refuses_a_label_row_that_is_not_a_list(tmp_path, capsys):
+    model = pool_doc_copy(tmp_path, "polybase/amp2.json",
+                          lambda doc: doc["metadata"]["labels"].update({"1": True}))
+    code, out, err = run(capsys, "path-space", model)
+    assert code == 2 and out == ""
+    assert "input error: metadata.labels.1: expected a list of strings, got True" in err
+
+
+def test_check_morphism_refuses_a_part_that_is_not_a_string(tmp_path, capsys):
+    mor = pool_doc_copy(tmp_path, "certify/mor-a5d4-6.json",
+                        lambda doc: doc["phi"][0].update(part=[0]))
+    code, out, err = run(capsys, "check-morphism", "--json", mor)
+    assert code == 2 and out == ""
+    assert "input error: phi[0]: unknown part [0]" in err
+
+
 # -- expression parser --------------------------------------------------------------------
 
 def test_parse_poly_expr_matches_hand_built_polynomials():

@@ -6,8 +6,8 @@ is passed by some caller outside the test suite, only `poly.py` builds a
 Poly unchecked, only `graded.py` builds a MultiOp unchecked or calls
 `koszul_sign`, only the listed functions tabulate a closure with
 `MultiOp.from_function`, only `algebra.linear_morphism` writes a
-constant linear morphism out by hand and the exact modules have no
-floating point."""
+constant linear morphism out by hand, `graded`'s products run on one
+arithmetic path and the exact modules have no floating point."""
 
 import ast
 import io
@@ -606,6 +606,57 @@ def test_the_scan_finds_a_hand_built_linear_morphism():
                      "    n = Morphism(a, b, (), OpFamily(0, s, t, {1: psi}))\n"
                      "    return Morphism(a, b, (), psi.plus(m.phi))\n")
     assert hand_built_linear_morphisms(tree) == [5, 8, 10]
+
+
+# the kernels that sum staged numerators and divide once, and the generic
+# arithmetic that a second path through them would use
+NUMERATOR_KERNELS = ("circ", "_feeder", "_summed", "treeterm", "bullet_op")
+GENERIC_ARITHMETIC = ("vec_add_into", "_times", "evaluate")
+
+
+def second_arithmetic_paths(tree: ast.Module) -> list[tuple[str, str, int]]:
+    """(function, name, line) for each mention of the generic arithmetic in
+    a numerator kernel, its nested functions included, and for each
+    `Fraction(...)` call in a module-level function other than `_rationals`
+    (a method under its class's name)."""
+    out = set()
+    for top in tree.body:
+        fns = [top] if isinstance(top, ast.FunctionDef) else [
+            f for f in getattr(top, "body", ()) if isinstance(f, ast.FunctionDef)]
+        for fn in fns:
+            for node in ast.walk(fn):
+                name = getattr(node, "id", None) or getattr(node, "attr", None)
+                if fn.name in NUMERATOR_KERNELS and name in GENERIC_ARITHMETIC:
+                    out.add((fn.name, name, node.lineno))
+                if _callee(node) == "Fraction" and fn.name != "_rationals":
+                    out.add((fn.name, "Fraction", node.lineno))
+    return sorted(out)
+
+
+def test_graded_products_run_on_one_arithmetic_path():
+    # circ and the block feeder sum numerators and divide once in _rationals;
+    # a Poly coefficient takes that path too
+    found = second_arithmetic_paths(ast.parse((SRC / "graded.py").read_text()))
+    assert not found, f"a second arithmetic path in graded.py: {found}"
+
+
+def test_the_scan_finds_a_second_arithmetic_path():
+    tree = ast.parse("def _rationals(nums, den):\n"
+                     "    return {k: Fraction(x, den) for k, x in nums.items()}\n"
+                     "def circ(lam, mu):\n"
+                     "    vec_add_into(out, key, _times(a, b))\n"
+                     "def _feeder(op_k, parts):\n"
+                     "    def into(out, tup, scale):\n"
+                     "        evaluate = op_k.evaluate\n"
+                     "    return into\n"
+                     "class MultiOp:\n"
+                     "    def evaluate(self, vectors):\n"
+                     "        return vec_add_into(out, key, Fraction(1, 2))\n"
+                     "def bullet_op(lam, phi, n):\n"
+                     "    return Fraction(1, n)\n")
+    assert second_arithmetic_paths(tree) == [
+        ("_feeder", "evaluate", 7), ("bullet_op", "Fraction", 13),
+        ("circ", "_times", 4), ("circ", "vec_add_into", 4), ("evaluate", "Fraction", 11)]
 
 
 def floating_point_lines(tree: ast.Module) -> list[int]:

@@ -180,6 +180,33 @@ def test_a_boolean_is_refused_where_an_integer_is_expected(path, value, message)
         bundle_from_json(doc)
 
 
+@pytest.mark.parametrize("meta, message", [
+    ("0", "metadata: expected an object"),
+    ({"labels": "0"}, "metadata.labels: expected an object of degree: list of strings, got '0'"),
+    ({"labels": {"1": True}}, "metadata.labels.1: expected a list of strings, got True"),
+    ({"labels": {"1": [7]}}, "metadata.labels.1: expected a list of strings, got [7]"),
+    ({"labels": {"one": ["e"]}}, "metadata.labels: degree key 'one' is not an integer"),
+    ({"dt": [True]}, "metadata.dt: expected an object of degree: list of booleans, got [True]"),
+    ({"dt": {"1": ["1"]}}, "metadata.dt.1: expected a list of booleans, got ['1']")],
+    ids=["metadata", "labels", "label-row", "label", "degree", "dt", "dt-flag"])
+def test_labels_and_dt_of_the_wrong_shape_are_refused(meta, message):
+    doc = base_doc()
+    doc["metadata"] = meta
+    with pytest.raises(ModelFormatError, match=re.escape(message)):
+        bundle_from_json(doc)
+
+
+def test_contraction_labels_of_the_wrong_shape_are_refused():
+    doc = contraction_to_json(worked_contraction())
+    for meta, message in (("0", "metadata: expected an object"),
+                          ({"h_labels": []}, "metadata.h_labels: expected an object"),
+                          ({"space_labels": {"labels": {"1": None}}},
+                           "metadata.space_labels.labels.1: expected a list of strings")):
+        doc["metadata"] = meta
+        with pytest.raises(ModelFormatError, match=re.escape(message)):
+            contraction_from_json(doc)
+
+
 def test_key_out_of_range_is_reported():
     doc = base_doc()
     doc["ops"][0]["output"] = [1, 5]

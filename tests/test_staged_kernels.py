@@ -1,12 +1,14 @@
-"""circ, bullet_op and treeterm on their integer path.
+"""circ, bullet_op and treeterm on staged numerators.
 
-An operation with rational coefficients is staged as integer numerators
-over one denominator, and the kernels sum ints over the product of their
-factors' denominators.  On seeded draws with fractional coefficients
-(small and large prime denominators), integral-only coefficients and
-polynomial ones, each kernel must equal the literal permutation sums of
-tests/oracles and the generic path, coefficient by coefficient in the
-normal form.
+Every operation is staged as numerators over one int denominator (a
+Fraction becomes an int numerator, an int or a Poly is multiplied by the
+denominator), and the kernels sum numerators over the product of their
+factors' denominators, dividing each output coefficient once.  On seeded
+draws with fractional coefficients (small and large prime denominators),
+integral-only coefficients, polynomial ones and polynomial ones over
+different variable sets, each kernel must equal the literal sums of
+tests/oracles, which run on the generic arithmetic (evaluate,
+vec_add_into, _times), coefficient by coefficient in the normal form.
 """
 
 import random
@@ -44,8 +46,16 @@ def polynomial(rng):
     return Poly(("x",), {(1,): fractional(rng), (0,): integral(rng)})
 
 
+def polynomial2(rng):
+    """A Poly over x, y or both, in either order, so sums align variables."""
+    vs = rng.choice((("x",), ("y",), ("x", "y"), ("y", "x")))
+    return Poly(vs, {tuple(rng.randint(0, 1) for _ in vs): fractional(rng),
+                     (0,) * len(vs): integral(rng)})
+
+
 KINDS = {"integral": integral, "fractional": fractional, "prime": prime,
-         "poly": polynomial}
+         "poly": polynomial, "poly2": polynomial2}
+POLY_KINDS = ("poly", "poly2")
 
 
 def draw_op(rng, source, target, arity, degree, coeff):
@@ -62,26 +72,21 @@ def draw_op(rng, source, target, arity, degree, coeff):
 
 def draw_family(rng, space, degree, arities, kind):
     """A family whose last arity draws from kind and the others from
-    fractional, so a family of kind poly is rational but for one op."""
+    fractional, so a family of a polynomial kind is rational but for one
+    op."""
     ops = {n: draw_op(rng, space, space, n, degree,
-                      KINDS[kind] if n == arities[-1] or kind != "poly" else fractional)
+                      KINDS[kind] if n == arities[-1] or kind not in POLY_KINDS
+                      else fractional)
            for n in arities}
     return OpFamily(degree, space, space, ops)
 
 
 def typed(fam_or_op):
     """Every stored coefficient with its type, so an int and an equal
-    Fraction differ."""
+    Fraction or Poly differ."""
     ops = fam_or_op.ops if isinstance(fam_or_op, OpFamily) else {fam_or_op.arity: fam_or_op}
     return {(n, tup, k): (type(c), c) for n, op in ops.items()
             for tup, vec in op.coeffs.items() for k, c in vec.items()}
-
-
-def generic(monkeypatch, fn, *args):
-    """fn(*args) with every operation read as unstaged: the generic path."""
-    with monkeypatch.context() as m:
-        m.setattr(linfty.graded, "_all_staged", lambda ops: False)
-        return fn(*args)
 
 
 def odd_clash(lam, mu):
@@ -104,18 +109,15 @@ SPACE = {1: 3, 2: 2, 3: 1, 4: 1}
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
-def test_circ_equals_the_literal_sum_and_the_generic_path(kind, monkeypatch):
+def test_circ_equals_the_literal_sum_and_the_generic_path(kind):
     rng = random.Random(f"circ-{kind}")
     sp = GradedSpace.build(SPACE)
     clashes = reached = 0
     for _ in range(4):
         lam = draw_family(rng, sp, 1, (0, 1, 2), kind)
         mu = draw_family(rng, sp, 1, (0, 1, 2), kind)
-        assert linfty.graded._all_staged([*lam.ops.values(), *mu.ops.values()]) == (
-            kind != "poly")
         got = circ(lam, mu)
-        assert got == circ_literal(lam, mu) == circ_unshuffle(lam, mu)
-        assert typed(got) == typed(generic(monkeypatch, circ, lam, mu))
+        assert typed(got) == typed(circ_literal(lam, mu)) == typed(circ_unshuffle(lam, mu))
         clashes += odd_clash(lam, mu)
         reached += not got.is_zero()
     assert clashes and reached == 4
@@ -142,8 +144,7 @@ def test_bullet_op_equals_the_literal_sum_and_the_generic_path(kind, monkeypatch
             with monkeypatch.context() as m:
                 m.setattr(linfty.graded, "sort_keys_with_sign", counting)
                 got = bullet_op(lam, phi, n)
-            assert got == want.op(n)
-            assert typed(got) == typed(generic(monkeypatch, bullet_op, lam, phi, n))
+            assert typed(got) == typed(want.op(n))
             if not got.is_zero():
                 reached.add(n)
     # a product tuple that repeats an odd key was met, and collapsed
@@ -152,7 +153,7 @@ def test_bullet_op_equals_the_literal_sum_and_the_generic_path(kind, monkeypatch
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
-def test_treeterm_equals_the_ordered_sum_and_the_generic_path(kind, monkeypatch):
+def test_treeterm_equals_the_ordered_sum_and_the_generic_path(kind):
     rng = random.Random(f"treeterm-{kind}")
     src = GradedSpace.build({1: 3, 2: 1})
     tgt = GradedSpace.build({1: 2, 2: 2, 3: 2, 4: 1, 5: 1})
@@ -165,13 +166,12 @@ def test_treeterm_equals_the_ordered_sum_and_the_generic_path(kind, monkeypatch)
             op_k = draw_op(rng, tgt, tgt, len(parts), 1, coeff)
             got = treeterm(op_k, parts)
             runs = prod(factorial(len(list(g))) for _, g in groupby(shape))
-            assert got.scaled(runs) == treeterm_ordered(op_k, parts)
-            assert typed(got) == typed(generic(monkeypatch, treeterm, op_k, parts))
+            assert typed(got.scaled(runs)) == typed(treeterm_ordered(op_k, parts))
             nonzero += not got.is_zero()
     assert nonzero >= 15
 
 
-def test_staging_shares_integral_coefficients_and_skips_polynomials():
+def test_staging_shares_coefficients_with_no_fraction():
     sp = GradedSpace.build({1: 2, 2: 1})
     whole = MultiOp(1, 1, sp, sp, {((1, 0),): {(2, 0): 3}, ((1, 1),): {(2, 0): -1}})
     nums, den = whole._staged()
@@ -181,8 +181,16 @@ def test_staging_shares_integral_coefficients_and_skips_polynomials():
     nums, den = part._staged()
     assert den == 12 and nums == {((1, 0),): {(2, 0): 2}, ((1, 1),): {(2, 0): -9}}
     assert part._staged() is part._staged()  # computed once
-    poly = MultiOp(1, 1, sp, sp, {((1, 0),): {(2, 0): Poly(("x",), {(1,): 1})}})
-    assert poly._staged() is None
+    x = Poly(("x",), {(1,): 1, (0,): Fraction(1, 2)})
+    poly = MultiOp(1, 1, sp, sp, {((1, 0),): {(2, 0): x}})
+    nums, den = poly._staged()
+    assert nums is poly.coeffs and den == 1
+    mixed = MultiOp(1, 1, sp, sp, {((1, 0),): {(2, 0): x},
+                                   ((1, 1),): {(2, 0): Fraction(-3, 4)}})
+    nums, den = mixed._staged()
+    assert den == 4 and nums[((1, 1),)] == {(2, 0): -3}
+    assert {tup: {k: c * Fraction(1, den) for k, c in vec.items()}
+            for tup, vec in nums.items()} == mixed.coeffs
 
 
 def test_circ_and_bullet_build_one_fraction_per_output_coefficient_at_most(monkeypatch):
@@ -195,7 +203,8 @@ def test_circ_and_bullet_build_one_fraction_per_output_coefficient_at_most(monke
     lam = draw_family(rng, sp, 1, (0, 1, 2), "prime")
     phi = draw_family(rng, sp, 0, (1, 2), "fractional")
     ops = [*ell.ops.values(), *lam.ops.values(), *phi.ops.values()]
-    assert linfty.graded._all_staged(ops)
+    assert not any(isinstance(c, Poly) for op in ops
+                   for vec in op.coeffs.values() for c in vec.values())
     built = []
     new = Fraction.__new__
 
