@@ -345,11 +345,12 @@ def check_morphism(m: Morphism) -> MorphismReport:
 
     The arity-0 component is the curvature compatibility
     phi_1(curv_src) = curv_dst o base_map; it is part of the same equation.
+    The two sides are compared first and subtracted only when they differ.
     """
     values = m.base_values()
     lhs = circ(m.phi, m.src.total())
     rhs = bullet(pullback_family(m.dst.total(), values), m.phi)
-    failures = _failures(lhs.minus(rhs))
+    failures = [] if lhs == rhs else _failures(lhs.minus(rhs))
     return MorphismReport(not failures, failures)
 
 

@@ -320,12 +320,14 @@ class MultiOp:
     the Koszul sign of the sort, and a tuple that repeats an odd key is
     zero.  A caller that holds a canonical tuple reads coeffs directly, as
     no sort can change it.  The algebra below (identity, scaled, plus,
-    minus, and compose_linear, which post-composes an operation of any
-    arity with an arity-1 one) builds its results through _from_clean,
-    which skips those checks: each result is formed from operations that
-    already passed them.  coeffs is never changed after construction, so
-    what is derived from it, the numerators of _staged, is computed once
-    and cached on the operation.
+    minus, compose_linear, which post-composes an operation of any arity
+    with an arity-1 one, from_function, and with it bullet_op and
+    treeterm, and circ) builds its results through _from_clean, which
+    skips those checks: each result is formed from operations that
+    already passed them, so each operation is checked once, where it
+    enters.  coeffs is never changed after construction, so an operation
+    may share it with another, and what is derived from it, the
+    numerators of _staged, is computed once and cached on the operation.
     """
 
     arity: int
@@ -392,7 +394,14 @@ class MultiOp:
     def from_function(cls, arity: int, degree: int, source: GradedSpace,
                       target: GradedSpace,
                       fn: Callable[[tuple[BasisKey, ...]], Vector]) -> "MultiOp":
-        """Tabulate fn on canonical tuples, pruned by target degree support."""
+        """Tabulate fn on canonical tuples, pruned by target degree support.
+
+        The table is trusted (_from_clean): fn must return, at each tuple,
+        a vector homogeneous of degree sum(tuple) + degree in target with
+        every coefficient nonzero and in normal form, as the kernels of
+        this module do.  A table that is not known to be so, such as a
+        linear solve, goes through MultiOp(...) afterwards.
+        """
         coeffs: dict[tuple[BasisKey, ...], Vector] = {}
         cap = target.max_degree - degree
         for tup in canonical_tuples(source, arity, max_total_degree=cap):
@@ -401,7 +410,7 @@ class MultiOp:
             vec = fn(tup)
             if vec:
                 coeffs[tup] = vec
-        return cls(arity, degree, source, target, coeffs)
+        return cls._from_clean(arity, degree, source, target, coeffs)
 
     # what _staged returns, once computed: a plain attribute, since most
     # operations are staged once and read a few times, and the first read
@@ -452,11 +461,17 @@ class MultiOp:
         return MultiOp._from_clean(self.arity, self.degree, self.source, self.target, coeffs)
 
     def plus(self, other: "MultiOp") -> "MultiOp":
+        """self + other.  When one side is zero the sum is the other
+        operand itself, with no copy: coeffs never changes."""
         if (self.arity, self.degree) != (other.arity, other.degree):
             raise ValueError("cannot add operations of different arity or degree")
         if not (_same_space(self.source, other.source)
                 and _same_space(self.target, other.target)):
             raise ValueError("cannot add operations between different spaces")
+        if not other.coeffs:
+            return self
+        if not self.coeffs:
+            return other
         coeffs: dict[tuple[BasisKey, ...], Vector] = {t: dict(v) for t, v in self.coeffs.items()}
         for t, v in other.coeffs.items():
             dst = coeffs.setdefault(t, {})
@@ -791,7 +806,7 @@ def circ(lam: OpFamily, mu: OpFamily) -> OpFamily:
             if vec:
                 coeffs[tup] = vec
         if coeffs:
-            ops[n] = MultiOp(n, degree, lam.source, lam.target, coeffs)
+            ops[n] = MultiOp._from_clean(n, degree, lam.source, lam.target, coeffs)
     return OpFamily(degree, lam.source, lam.target, ops)
 
 

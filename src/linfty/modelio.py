@@ -214,10 +214,12 @@ def _entries_from_json(entries, src: GradedSpace, dst: GradedSpace, coords,
                        degree: int, parts: dict[str | None, tuple[int, int | None]],
                        where: str) -> dict[str | None, OpFamily]:
     """Read an entry list into one family of the given degree from src to
-    dst for each part the document kind admits."""
+    dst for each part the document kind admits.  A coefficient string is
+    parsed once per list: its later entries reuse the value."""
     if not isinstance(entries, list):
         raise _fail(where, "expected a list of operation entries")
     tables: dict[str | None, dict] = {part: {} for part in parts}
+    parsed: dict[str, int | Fraction] = {}
     for n, e in enumerate(entries):
         try:
             if not isinstance(e, dict):
@@ -235,7 +237,13 @@ def _entries_from_json(entries, src: GradedSpace, dst: GradedSpace, coords,
                 raise _fail("", f"inputs must list exactly {arity} keys")
             tup = tuple(_read_key(k, src, ".inputs") for k in inputs)
             okey = _read_key(e.get("output"), dst, ".output")
-            c = coeff_from_json(e.get("coeff"), coords, ".coeff")
+            raw = e.get("coeff")
+            if type(raw) is str:
+                c = parsed.get(raw)
+                if c is None:
+                    c = parsed[raw] = parse_frac(raw, ".coeff")
+            else:
+                c = coeff_from_json(raw, coords, ".coeff")
             vec = tables[part].setdefault(arity, {}).setdefault(tup, {})
             if okey in vec:
                 raise _fail("", f"duplicate entry for {tup} -> {okey}")
@@ -283,7 +291,7 @@ def bundle_from_json(doc) -> tuple[LinftyBundle, dict]:
         raise _fail("base.coords", "expected a list of names")
     if type(base.get("dim")) is not int or base["dim"] != len(coords):
         raise _fail("base.dim", f"dim {base.get('dim')} but {len(coords)} coords")
-    meta = doc.get("metadata") or {}
+    meta = doc.get("metadata", {})
     space = space_from_json(doc["bundle"], meta, "bundle", "metadata")
     coords = tuple(coords)
     fams = _entries_from_json(doc["ops"], space, space, coords, 1, _BUNDLE_PARTS, "ops")
@@ -314,8 +322,14 @@ def morphism_from_json(doc) -> Morphism:
     for fld in ("src", "dst", "base_map", "phi"):
         if fld not in doc:
             raise _fail("document", f"missing required field {fld!r}")
-    src, _ = bundle_from_json(doc["src"])
-    dst, _ = bundle_from_json(doc["dst"])
+    try:
+        src, _ = bundle_from_json(doc["src"])
+    except ModelFormatError as exc:
+        raise _within("src.", exc) from None
+    try:
+        dst, _ = bundle_from_json(doc["dst"])
+    except ModelFormatError as exc:
+        raise _within("dst.", exc) from None
     if not isinstance(doc["base_map"], list):
         raise _fail("base_map", "expected a list of coefficients")
     base_map = tuple(coeff_from_json(p, src.coords, f"base_map[{i}]")
@@ -353,7 +367,7 @@ def contraction_from_json(doc) -> Contraction:
     for fld in ("space", "h", "delta", "eta", "iota"):
         if fld not in doc:
             raise _fail("document", f"missing required field {fld!r}")
-    meta = doc.get("metadata") or {}
+    meta = doc.get("metadata", {})
     if not isinstance(meta, dict):
         raise _fail("metadata", "expected an object")
     space = space_from_json(doc["space"], meta.get("space_labels", {}), "space",

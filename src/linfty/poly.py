@@ -224,6 +224,9 @@ class Poly:
         return None
 
     def __add__(self, other):
+        # the int 0 adds nothing: p + 0 is p itself, its variables kept
+        if type(other) is int and other == 0:
+            return self
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -255,6 +258,9 @@ class Poly:
         return o + (-self)
 
     def __mul__(self, other):
+        # a unit int costs no product: p * 1 is p itself and p * -1 is -p
+        if type(other) is int and other in (1, -1):
+            return self if other == 1 else -self
         o = self._coerce(other)
         if o is None:
             return NotImplemented

@@ -483,9 +483,11 @@ def projection_morphism(con: Contraction, lam: OpFamily) -> OpFamily:
         return {mono[0]: red[r][n] for r, mono in enumerate(reach)
                 if red[r][n] and len(mono) == 1 and mono[0][1] < con.h_space.dim(mono[0][0])}
 
-    adapted = OpFamily(0, ab.space, con.h_space,
-                       {n: MultiOp.from_function(n, 0, ab.space, con.h_space, value)
-                        for n in range(1, top + 1)})
+    # value is a linear solve, not a kernel: its tables meet the checks
+    adapted = OpFamily(0, ab.space, con.h_space, {
+        n: MultiOp(n, 0, ab.space, con.h_space,
+                   MultiOp.from_function(n, 0, ab.space, con.h_space, value).coeffs)
+        for n in range(1, top + 1)})
     to_adapted = OpFamily(0, con.space, ab.space, {1: ab.to_adapted})
     ops = {n: bullet_op(adapted, to_adapted, n) for n in adapted.ops}
     return OpFamily(0, con.space, con.h_space, ops)

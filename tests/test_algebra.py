@@ -221,6 +221,31 @@ def test_curvature_mismatch_fails_at_arity_zero():
     assert vec == {(1, 0): -(Poly.variable("u") ** 2)}
 
 
+def test_check_morphism_subtracts_the_sides_only_when_they_differ(monkeypatch):
+    """A valid morphism's two sides are compared, never subtracted; a
+    damaged one's witness is their difference, entry by entry."""
+    good = random_morphism_onto(random.Random(4), square_bundle(), "t")
+    bad = Morphism(good.src, good.dst, good.base_map,
+                   good.phi.with_op(good.phi.op(1).scaled(2)))
+    lhs = circ(bad.phi, bad.src.total())
+    rhs = bullet(algebra_module.pullback_family(bad.dst.total(), bad.base_values()), bad.phi)
+    want = sorted(((n, tup, vec) for n, op in lhs.minus(rhs).ops.items()
+                   for tup, vec in op.coeffs.items()), key=lambda f: f[:2])
+    assert want
+    minus = OpFamily.minus
+    calls = []
+
+    def counting(self, other):
+        calls.append(other)
+        return minus(self, other)
+
+    monkeypatch.setattr(OpFamily, "minus", counting)
+    assert check_morphism(good).ok and check_morphism(identity_morphism(square_bundle())).ok
+    assert not calls
+    rep = check_morphism(bad)
+    assert not rep.ok and rep.failures == want and len(calls) == 1
+
+
 def test_subalgebra_inclusion_is_a_morphism():
     # the e-f chain sits inside the e-f-g chain
     big = chain_space()

@@ -708,7 +708,7 @@ def test_fib_product_refuses_labels_that_are_not_an_object(tmp_path, capsys):
     g = str(ROOT / "perfbench" / "pool" / "polybase" / "fp-14.g.json")
     code, out, err = run(capsys, "fib-product", "--f", f, "--g", g)
     assert code == 2 and out == ""
-    assert "input error: metadata.labels: expected an object of degree: list of strings" in err
+    assert "input error: src.metadata.labels: expected an object of degree: list of strings" in err
 
 
 def test_path_space_refuses_a_label_row_that_is_not_a_list(tmp_path, capsys):

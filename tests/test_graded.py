@@ -328,6 +328,30 @@ def test_arity_one_algebra_results_are_in_normal_form():
     assert min(seen.values()) >= 15, seen
 
 
+def test_plus_with_a_zero_side_returns_the_other_operand():
+    """A zero summand costs no copy: the sum is the other operand itself,
+    after the same arity, degree and space checks as any sum."""
+    rng = random.Random(11)
+    sp = GradedSpace.build({1: 2, 2: 2, 3: 1})
+    p = random_op(rng, sp, sp, 2, 1)
+    zero = MultiOp.zero(2, 1, sp, sp)
+    assert not p.is_zero()
+    assert p.plus(zero) is p and zero.plus(p) is p
+    assert p.minus(zero) is p
+    assert zero.plus(zero).is_zero()
+    other = GradedSpace.build({1: 1, 2: 2})
+    for bad in (MultiOp.zero(1, 1, sp, sp), MultiOp.zero(2, 0, sp, sp),
+                MultiOp.zero(2, 1, other, other)):
+        with pytest.raises(ValueError):
+            p.plus(bad)
+        with pytest.raises(ValueError):
+            bad.plus(p)
+    # a family sum keeps each arity that only one side holds as it is
+    q = random_op(rng, sp, sp, 1, 1)
+    fam = OpFamily(1, sp, sp, {1: q}).plus(OpFamily(1, sp, sp, {2: p}))
+    assert fam.ops[1] is q and fam.ops[2] is p
+
+
 def test_arity_one_algebra_rejects_mismatched_spaces():
     a = GradedSpace.build({1: 2, 2: 1})
     b = GradedSpace.build({1: 1, 2: 2})

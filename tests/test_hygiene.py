@@ -4,7 +4,8 @@ level, every public name a module defines and every public method of its
 classes has a user outside the test suite, every parameter with a default
 is passed by some caller outside the test suite, only `poly.py` builds a
 Poly unchecked, only `graded.py` builds a MultiOp unchecked or calls
-`koszul_sign`, only the listed functions tabulate a closure with
+`koszul_sign`, `graded`'s kernels build their results unchecked, only the
+listed functions tabulate a closure with
 `MultiOp.from_function`, only `algebra.linear_morphism` writes a
 constant linear morphism out by hand, `graded`'s products run on one
 arithmetic path and the exact modules have no floating point."""
@@ -606,6 +607,55 @@ def test_the_scan_finds_a_hand_built_linear_morphism():
                      "    n = Morphism(a, b, (), OpFamily(0, s, t, {1: psi}))\n"
                      "    return Morphism(a, b, (), psi.plus(m.phi))\n")
     assert hand_built_linear_morphisms(tree) == [5, 8, 10]
+
+
+# the builders whose results are formed from checked operations, so they
+# wrap their tables with _from_clean: each operation is checked once, where
+# it enters, and not again on every product
+TRUSTED_BUILDERS = ("circ", "bullet_op", "treeterm", "MultiOp.from_function")
+
+
+def checked_constructions(tree: ast.Module) -> list[tuple[str, int]]:
+    """(function, line) for each call of the checked constructor in a
+    trusted builder, its nested functions included: `MultiOp(...)`, or
+    `cls(...)` in a method of MultiOp."""
+    out = set()
+    for top in tree.body:
+        fns = [(top.name, top)] if isinstance(top, ast.FunctionDef) else [
+            (f"{top.name}.{f.name}", f) for f in getattr(top, "body", ())
+            if isinstance(top, ast.ClassDef) and isinstance(f, ast.FunctionDef)]
+        for name, fn in fns:
+            if name not in TRUSTED_BUILDERS:
+                continue
+            for node in ast.walk(fn):
+                callee = _callee(node)
+                if callee == "MultiOp" or callee == "cls" and name.startswith("MultiOp."):
+                    out.add((name, node.lineno))
+    return sorted(out)
+
+
+def test_kernel_results_skip_the_checked_constructor():
+    found = checked_constructions(ast.parse((SRC / "graded.py").read_text()))
+    assert not found, f"a kernel result re-checked by the MultiOp constructor: {found}"
+
+
+def test_the_scan_finds_a_checked_construction_in_a_kernel():
+    tree = ast.parse("class MultiOp:\n"
+                     "    def from_function(cls, arity, fn):\n"
+                     "        return cls(arity, 0, s, t, {})\n"
+                     "    def zero(cls, arity):\n"
+                     "        return cls(arity, 0, s, t, {})\n"
+                     "def circ(lam, mu):\n"
+                     "    ops = {n: MultiOp._from_clean(n, 1, s, t, c) for n, c in sums}\n"
+                     "    return {1: MultiOp(1, 1, s, t, {})}\n"
+                     "def treeterm(op_k, parts):\n"
+                     "    def value(tup):\n"
+                     "        return graded.MultiOp(1, 0, s, t, {})\n"
+                     "    return value\n"
+                     "def bullet(lam, phi):\n"
+                     "    return MultiOp(0, 1, s, t, {})\n")
+    assert checked_constructions(tree) == [
+        ("MultiOp.from_function", 3), ("circ", 8), ("treeterm", 11)]
 
 
 # the kernels that sum staged numerators and divide once, and the generic

@@ -196,6 +196,18 @@ def test_labels_and_dt_of_the_wrong_shape_are_refused(meta, message):
         bundle_from_json(doc)
 
 
+@pytest.mark.parametrize("meta", [0, "", [], False, None], ids=repr)
+def test_a_falsy_metadata_is_refused_not_taken_as_absent(meta):
+    doc = base_doc()
+    doc["metadata"] = meta
+    with pytest.raises(ModelFormatError, match=re.escape("metadata: expected an object")):
+        bundle_from_json(doc)
+    doc = contraction_to_json(worked_contraction())
+    doc["metadata"] = meta
+    with pytest.raises(ModelFormatError, match=re.escape("metadata: expected an object")):
+        contraction_from_json(doc)
+
+
 def test_contraction_labels_of_the_wrong_shape_are_refused():
     doc = contraction_to_json(worked_contraction())
     for meta, message in (("0", "metadata: expected an object"),
@@ -250,6 +262,24 @@ def test_polynomial_base_map_round_trip():
     back = morphism_from_json(morphism_to_json(m))
     assert back.base_map == m.base_map
     assert back.src.coords == ("u",) and back.dst.coords == ("x", "y")
+
+
+@pytest.mark.parametrize("side, path, value, message", [
+    ("src", ("metadata",), {"labels": "0"},
+     "src.metadata.labels: expected an object of degree: list of strings, got '0'"),
+    ("dst", ("ops", 0, "output"), [9, 0],
+     "dst.ops[0].output: basis key (9, 0) outside bundle ranks"),
+    ("dst", ("base",), [], "dst.base: expected an object with dim and coords")],
+    ids=["src-labels", "dst-output", "dst-base"])
+def test_a_refusal_inside_a_morphism_names_its_bundle(side, path, value, message):
+    doc = morphism_to_json(identity_morphism(square_bundle()))
+    *head, last = path
+    node = doc[side]
+    for part in head:
+        node = node[part]
+    node[last] = value
+    with pytest.raises(ModelFormatError, match="^" + re.escape(message) + "$"):
+        morphism_from_json(doc)
 
 
 def test_morphism_document_embeds_both_bundles():

@@ -168,6 +168,31 @@ def test_operator_results_are_in_normal_form():
         assert all(not r.terms for r in cancelled)
 
 
+def test_a_unit_factor_or_a_zero_summand_costs_no_arithmetic(monkeypatch):
+    """p * 1 and 0 + p are p itself, p * -1 is -p, variables kept; every
+    other int or Fraction still takes the general product or sum."""
+    p = Poly(("y", "x", "z"), {(1, 0, 0): Fraction(1, 2), (0, 2, 0): -3})
+    assert p * 1 is p and 1 * p is p and p + 0 is p and 0 + p is p
+    for neg in (p * -1, -1 * p):
+        assert neg.vars == p.vars and neg.terms == {e: -c for e, c in p.terms.items()}
+    general = []
+    mul_terms = poly_module._mul_terms
+    monkeypatch.setattr(poly_module, "_mul_terms",
+                        lambda a, b: general.append(1) or mul_terms(a, b))
+    assert p * 1 is p and -1 * p == -p and not general
+    for c in (2, -2, 0, Fraction(1, 3), Fraction(-1)):
+        for r in (p * c, c * p):
+            assert r.vars == p.vars and r.terms == {e: v * c for e, v in p.terms.items()
+                                                    if v * c}
+    assert len(general) == 10
+    for c in (1, -1, Fraction(1, 2), Fraction(0)):
+        for r in (p + c, c + p):
+            assert r is not p and r.vars == p.vars
+            assert r.terms == Poly(p.vars, {**p.terms, (0, 0, 0): c}).terms
+    # True is an int equal to 1, but not the int 1: it takes the general path
+    assert p * True is not p and p * True == p
+
+
 def test_substitute_matches_the_term_by_term_oracle():
     rng = random.Random(2307)
     kinds = ("rational", "fresh", "shared", "unused name")

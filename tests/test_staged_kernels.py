@@ -9,6 +9,9 @@ integral-only coefficients, polynomial ones and polynomial ones over
 different variable sets, each kernel must equal the literal sums of
 tests/oracles, which run on the generic arithmetic (evaluate,
 vec_add_into, _times), coefficient by coefficient in the normal form.
+The kernels build their results without the constructor's checks, so
+each result must also come back unchanged through the checked
+constructor.
 """
 
 import random
@@ -81,6 +84,15 @@ def draw_family(rng, space, degree, arities, kind):
     return OpFamily(degree, space, space, ops)
 
 
+def rechecked(op):
+    """op rebuilt from its coeffs through the checked constructor.
+
+    The kernels build their results unchecked (_from_clean); a result that
+    the constructor would change, by dropping an entry or demoting a
+    coefficient, or refuse, differs from this."""
+    return MultiOp(op.arity, op.degree, op.source, op.target, op.coeffs)
+
+
 def typed(fam_or_op):
     """Every stored coefficient with its type, so an int and an equal
     Fraction or Poly differ."""
@@ -118,6 +130,7 @@ def test_circ_equals_the_literal_sum_and_the_generic_path(kind):
         mu = draw_family(rng, sp, 1, (0, 1, 2), kind)
         got = circ(lam, mu)
         assert typed(got) == typed(circ_literal(lam, mu)) == typed(circ_unshuffle(lam, mu))
+        assert all(typed(rechecked(op)) == typed(op) for op in got.ops.values())
         clashes += odd_clash(lam, mu)
         reached += not got.is_zero()
     assert clashes and reached == 4
@@ -145,6 +158,7 @@ def test_bullet_op_equals_the_literal_sum_and_the_generic_path(kind, monkeypatch
                 m.setattr(linfty.graded, "sort_keys_with_sign", counting)
                 got = bullet_op(lam, phi, n)
             assert typed(got) == typed(want.op(n))
+            assert typed(rechecked(got)) == typed(got)
             if not got.is_zero():
                 reached.add(n)
     # a product tuple that repeats an odd key was met, and collapsed
@@ -167,6 +181,7 @@ def test_treeterm_equals_the_ordered_sum_and_the_generic_path(kind):
             got = treeterm(op_k, parts)
             runs = prod(factorial(len(list(g))) for _, g in groupby(shape))
             assert typed(got.scaled(runs)) == typed(treeterm_ordered(op_k, parts))
+            assert typed(rechecked(got)) == typed(got)
             nonzero += not got.is_zero()
     assert nonzero >= 15
 
