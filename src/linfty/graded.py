@@ -7,9 +7,7 @@ basis tuples.  Scalars are exact rationals in the normal form of
 linfty.poly (an int when integral, otherwise a Fraction with denominator
 greater than 1) or linfty.poly.Poly; the code only relies on +, *, unary -,
 and truthiness, so both work uniformly.  Every stored scalar is demoted to
-that normal form.  The algebra of single operations multiplies through
-poly._times, so a Koszul sign or a unit coefficient costs no
-multiplication; the two products sum staged numerators instead (below).
+that normal form.
 
 Sign conventions: transposing two adjacent inputs of odd degree costs -1,
 all other transpositions are free (the usual Koszul rule).  An operation of
@@ -43,17 +41,20 @@ n!-permutation sums that define both products, and circ as a sum over the
 2^n unshuffles of each canonical tuple, live in the test suite as
 references the engines are checked against.
 
-Both products sum numerators and divide once.  An operation's
-coefficients never change after construction, so each operation stages
-them once, on first use, as numerators over the lcm of its Fraction
-coefficients' denominators (MultiOp._staged): a Fraction becomes an int
-numerator and an int or a Poly is multiplied by the denominator; an
-operation with no Fraction coefficient, every integral one and the usual
-Poly one, is its own numerators, uncopied.  circ sums numerators over
-the product of the two families' denominators, and the block feeder over
-the node's denominator times its parts'; each nonzero output coefficient
-is divided by that denominator once, in normal form (_rationals), so
-rational draws build no Fraction per term.
+All arithmetic on operations, the two products and the algebra of
+single operations alike, sums numerators and divides once.  An
+operation's coefficients never change after construction, so each
+operation stages them once, on first use, as numerators over the lcm of
+its Fraction coefficients' denominators (MultiOp._staged): a Fraction
+becomes an int numerator and an int or a Poly is multiplied by the
+denominator; an operation with no Fraction coefficient, every integral
+one and the usual Poly one, is its own numerators, uncopied.  scaled,
+plus and minus sum numerators over the lcm of their terms'
+denominators, compose_linear and circ over the product of their two
+factors' denominators, and the block feeder over the node's denominator
+times its parts'; each nonzero output coefficient is divided by that
+denominator once, in normal form (_rationals), so rational operands
+build no Fraction per term.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ from itertools import combinations, product
 from math import comb, lcm
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .poly import _exact, _times
+from .poly import _exact
 
 BasisKey = tuple[int, int]  # (degree, index within degree)
 Vector = dict  # BasisKey -> scalar
@@ -266,39 +267,6 @@ def canonical_tuples(space: GradedSpace, arity: int,
     yield from walk(0, arity, budget, ())
 
 
-# ---------------------------------------------------------------------------
-# vectors
-# ---------------------------------------------------------------------------
-
-
-def vec_add_into(dst: Vector, key: BasisKey, coeff) -> None:
-    if not coeff:
-        return
-    cur = dst.get(key)
-    if cur is None:
-        dst[key] = _exact(coeff)
-        return
-    new = _exact(cur + coeff)
-    if new:
-        dst[key] = new
-    else:
-        del dst[key]
-
-
-def vec_merge(dst: Vector, src: Vector) -> None:
-    for k, c in src.items():
-        vec_add_into(dst, k, c)
-
-
-def vec_scale(v: Vector, scale) -> Vector:
-    out: Vector = {}
-    for k, c in v.items():
-        sc = _times(scale, c)
-        if sc:
-            out[k] = sc
-    return out
-
-
 def _same_space(a: GradedSpace, b: GradedSpace) -> bool:
     """Whether a and b are the same space: the same object, or equal."""
     return a is b or a == b
@@ -315,11 +283,11 @@ class MultiOp:
 
     coeffs maps a sorted input tuple to a sparse output vector.  Degree
     homogeneity (output degree = input degree sum + degree) is enforced at
-    construction.  evaluate_basis and evaluate sort each input key tuple
-    with sort_keys_with_sign: the entry of the sorted tuple is read with
-    the Koszul sign of the sort, and a tuple that repeats an odd key is
-    zero.  A caller that holds a canonical tuple reads coeffs directly, as
-    no sort can change it.  The algebra below (identity, scaled, plus,
+    construction.  evaluate_basis sorts its input key tuple with
+    sort_keys_with_sign: the entry of the sorted tuple is read with the
+    Koszul sign of the sort, and a tuple that repeats an odd key is zero.
+    A caller that holds a canonical tuple reads coeffs directly, as no
+    sort can change it.  The algebra below (zero, identity, scaled, plus,
     minus, compose_linear, which post-composes an operation of any arity
     with an arity-1 one, from_function, and with it bullet_op and
     treeterm, and circ) builds its results through _from_clean, which
@@ -383,7 +351,7 @@ class MultiOp:
     @classmethod
     def zero(cls, arity: int, degree: int, source: GradedSpace,
              target: GradedSpace) -> "MultiOp":
-        return cls(arity, degree, source, target, {})
+        return cls._from_clean(arity, degree, source, target, {})
 
     @classmethod
     def identity(cls, space: GradedSpace) -> "MultiOp":
@@ -453,16 +421,19 @@ class MultiOp:
                 and self.coeffs == other.coeffs)
 
     def scaled(self, c) -> "MultiOp":
-        coeffs = {}
-        for t, v in self.coeffs.items():
-            out = vec_scale(v, c)
-            if out:
-                coeffs[t] = out
-        return MultiOp._from_clean(self.arity, self.degree, self.source, self.target, coeffs)
+        """c * self for a rational c (an int or a Fraction)."""
+        return self._combined(((self, c),))
 
     def plus(self, other: "MultiOp") -> "MultiOp":
         """self + other.  When one side is zero the sum is the other
         operand itself, with no copy: coeffs never changes."""
+        return self._sum(other, 1)
+
+    def minus(self, other: "MultiOp") -> "MultiOp":
+        return self._sum(other, -1)
+
+    def _sum(self, other: "MultiOp", sign: int) -> "MultiOp":
+        """self + sign * other, other negated inside the one sum."""
         if (self.arity, self.degree) != (other.arity, other.degree):
             raise ValueError("cannot add operations of different arity or degree")
         if not (_same_space(self.source, other.source)
@@ -470,18 +441,33 @@ class MultiOp:
             raise ValueError("cannot add operations between different spaces")
         if not other.coeffs:
             return self
-        if not self.coeffs:
+        if not self.coeffs and sign == 1:
             return other
-        coeffs: dict[tuple[BasisKey, ...], Vector] = {t: dict(v) for t, v in self.coeffs.items()}
-        for t, v in other.coeffs.items():
-            dst = coeffs.setdefault(t, {})
-            vec_merge(dst, v)
-            if not dst:
-                del coeffs[t]
-        return MultiOp._from_clean(self.arity, self.degree, self.source, self.target, coeffs)
+        return self._combined(((self, 1), (other, sign)))
 
-    def minus(self, other: "MultiOp") -> "MultiOp":
-        return self.plus(other.scaled(-1))
+    def _combined(self, terms: Sequence[tuple["MultiOp", int | Fraction]]) -> "MultiOp":
+        """The sum of c * op over the (op, c) of terms, ops like self and
+        each c = p / q rational: p times op's staged numerators, over
+        den(op) * q, each rescaled to the lcm of those denominators."""
+        parts = [(op._staged(), c.numerator, c.denominator) for op, c in terms]
+        den = lcm(*(d * q for (_, d), _, q in parts))
+        sums: dict[tuple[BasisKey, ...], Vector] = {}
+        for (nums, d), p, q in parts:
+            f = p * (den // (d * q))
+            for tup, vec in nums.items():
+                dst = sums.get(tup)
+                if dst is None:
+                    # a vector taken as it is is never written to: a later
+                    # term that meets it sums into a copy
+                    sums[tup] = vec if f == 1 else {k: x * f for k, x in vec.items()}
+                    continue
+                dst = sums[tup] = dict(dst)
+                for k, x in vec.items():
+                    if f != 1:
+                        x *= f
+                    dst[k] = dst[k] + x if k in dst else x
+        return MultiOp._from_clean(self.arity, self.degree, self.source, self.target,
+                                   _quotient(sums, den))
 
     # -- evaluation ----------------------------------------------------------
 
@@ -498,62 +484,32 @@ class MultiOp:
             return dict(vec)
         return {k: -c for k, c in vec.items()}
 
-    def evaluate(self, vectors: Sequence[Vector]) -> Vector:
-        """Multilinear evaluation on sparse vectors (assumed degree-homogeneous).
-
-        Each key tuple of the product of the inputs is sorted once and
-        looked up (_product_hits); the coefficients are multiplied only on
-        a hit.
-        """
-        if len(vectors) != self.arity:
-            raise ValueError("wrong number of arguments")
-        out: Vector = {}
-        for keys, coeff, vec in _product_hits(self.coeffs.get, vectors):
-            for v, k in zip(vectors, keys):
-                coeff = _times(coeff, v[k])
-            for okey, c in vec.items():
-                vec_add_into(out, okey, _times(coeff, c))
-        return out
-
     # -- post-composition with a linear map -----------------------------------
 
     def compose_linear(self, inner: "MultiOp") -> "MultiOp":
         """self o inner for an arity-1 self and an inner operation of any
-        arity; the result lives on inner's input tuples."""
+        arity; the result lives on inner's input tuples.  Their staged
+        numerators are multiplied and summed over den(self) * den(inner)."""
         if self.arity != 1:
             raise ValueError("compose_linear expects an arity-1 outer operation")
         if not _same_space(self.source, inner.target):
             raise ValueError("compose_linear: inner target is not the outer source")
+        (outer, d_outer), (nums, d_inner) = self._staged(), inner._staged()
         # a single key is its own canonical tuple, with sign 1
-        column = self.coeffs.get
-        coeffs: dict[tuple[BasisKey, ...], Vector] = {}
-        for tup, vec in inner.coeffs.items():
+        column = outer.get
+        sums: dict[tuple[BasisKey, ...], Vector] = {}
+        for tup, vec in nums.items():
             out: Vector = {}
             for mid, c in vec.items():
                 res = column((mid,))
                 if res:
                     for okey, c2 in res.items():
-                        vec_add_into(out, okey, _times(c, c2))
+                        x = c * c2
+                        out[okey] = out[okey] + x if okey in out else x
             if out:
-                coeffs[tup] = out
+                sums[tup] = out
         return MultiOp._from_clean(inner.arity, self.degree + inner.degree, inner.source,
-                                   self.target, coeffs)
-
-
-def _product_hits(column: Callable, vectors: Sequence[Vector]) -> Iterator[tuple]:
-    """The key tuples of the product of vectors that name an entry.
-
-    Yields (keys, sign, entry) for each tuple keys, in product order, whose
-    sorted form column maps to a nonempty entry; sign is the Koszul sign
-    of the sort.  The one product walk of MultiOp.evaluate and of the
-    block feeder.
-    """
-    for keys in product(*vectors):
-        srt, sign = sort_keys_with_sign(keys)
-        if sign:
-            vec = column(srt)
-            if vec:
-                yield keys, sign, vec
+                                   self.target, _quotient(sums, d_outer * d_inner))
 
 
 def _numerators(ops: Mapping[int, MultiOp]) -> tuple[dict, int]:
@@ -579,6 +535,17 @@ def _rationals(nums: Vector, den: int) -> Vector:
             else:
                 out[k] = x * Fraction(1, den)
     return out
+
+
+def _quotient(sums: Mapping[tuple[BasisKey, ...], Vector],
+              den: int) -> dict[tuple[BasisKey, ...], Vector]:
+    """Each vector of sums divided by den (_rationals), empty ones dropped."""
+    coeffs = {}
+    for tup, nums in sums.items():
+        vec = _rationals(nums, den)
+        if vec:
+            coeffs[tup] = vec
+    return coeffs
 
 
 def op_nilpotency_order(op: MultiOp) -> int | None:
@@ -652,18 +619,26 @@ class OpFamily:
     def __eq__(self, other):
         if not isinstance(other, OpFamily):
             return NotImplemented
-        if self.degree != other.degree:
-            return False
-        ks = set(self.ops) | set(other.ops)
-        return all(self.op(k) == other.op(k) for k in ks)
+        # no family holds a zero operation
+        return self.degree == other.degree and self.ops == other.ops
 
     def plus(self, other: "OpFamily") -> "OpFamily":
-        ks = set(self.ops) | set(other.ops)
-        return OpFamily(self.degree, self.source, self.target,
-                        {k: self.op(k).plus(other.op(k)) for k in ks})
+        """self + other, arity by arity; an arity that only one side holds
+        is that side's operation itself."""
+        return self._sum(other, 1)
 
     def minus(self, other: "OpFamily") -> "OpFamily":
-        return self.plus(other.scaled(-1))
+        return self._sum(other, -1)
+
+    def _sum(self, other: "OpFamily", sign: int) -> "OpFamily":
+        if self.degree != other.degree or not (_same_space(self.source, other.source)
+                                               and _same_space(self.target, other.target)):
+            raise ValueError("cannot add families of different degree or spaces")
+        ops = dict(self.ops)
+        for k, op in other.ops.items():
+            ops[k] = (ops[k]._sum(op, sign) if k in ops
+                      else op if sign == 1 else op.scaled(-1))
+        return OpFamily(self.degree, self.source, self.target, ops)
 
     def scaled(self, c) -> "OpFamily":
         return OpFamily(self.degree, self.source, self.target,
@@ -799,12 +774,7 @@ def circ(lam: OpFamily, mu: OpFamily) -> OpFamily:
     den = lam_den * mu_den
     ops = {}
     for n in sorted(sums):
-        acc = sums[n]
-        coeffs = {}
-        for tup in sorted(acc):
-            vec = _rationals(acc[tup], den)
-            if vec:
-                coeffs[tup] = vec
+        coeffs = _quotient(dict(sorted(sums[n].items())), den)
         if coeffs:
             ops[n] = MultiOp._from_clean(n, degree, lam.source, lam.target, coeffs)
     return OpFamily(degree, lam.source, lam.target, ops)
@@ -865,9 +835,10 @@ def _feeder(op_k: MultiOp,
     unordered choice of blocks once: by graded symmetry swapping two of
     its blocks changes neither the sign nor the value.
 
-    op_k's staged numerators are walked (_product_hits) on the parts'
-    staged numerators, and out sums scale times the numerators of the
-    terms, over den = den(op_k) * the product of den(part).
+    Each key tuple of the product of the parts' staged numerators is
+    sorted once and looked up in op_k's, and out sums scale times the
+    numerators of the terms, over den = den(op_k) * the product of
+    den(part).
     """
     n = sum(p.arity for p in parts)
     nums, den = op_k._staged()
@@ -895,7 +866,11 @@ def _feeder(op_k: MultiOp,
                 vecs.append(v)
             else:
                 sign = koszul_sign(degs, flat) * scale
-                for keys, coeff, vec in _product_hits(column, vecs):
+                for keys in product(*vecs):
+                    srt, coeff = sort_keys_with_sign(keys)
+                    vec = coeff and column(srt)
+                    if not vec:
+                        continue
                     coeff *= sign
                     for v, k in zip(vecs, keys):
                         coeff *= v[k]

@@ -62,9 +62,8 @@ from typing import Mapping
 from .algebra import invert_linear_op, op_matrix
 from .graded import (BasisBuilder, BasisKey, GradedSpace, MultiOp, OpFamily, Vector,
                      arity_bound, bullet_op, multisets, op_nilpotency_order,
-                     sort_keys_with_sign, treeterm, unshuffle_sign, vec_add_into)
+                     sort_keys_with_sign, treeterm, unshuffle_sign)
 from .linalg import rref, solve_columns
-from .poly import _times
 
 
 def _image_basis(op: MultiOp, degree: int) -> list[list[Fraction]]:
@@ -337,6 +336,8 @@ class AdaptedBasis:
 
     @staticmethod
     def build(con: Contraction) -> "AdaptedBasis":
+        """H's keys take iota's columns and each a_j a row of the image
+        basis of eta delta; the b_j = delta a_j are one compose_linear."""
         basis = BasisBuilder()
         columns: dict[BasisKey, Vector] = {}
         for d, i in con.h_space.keys():
@@ -349,9 +350,13 @@ class AdaptedBasis:
                 a = basis.push(d, f"a{len(pairs)}", False)
                 b = basis.push(d + 1, f"b{len(pairs)}", False)
                 columns[a] = {(d, r): c for r, c in enumerate(vec) if c}
-                columns[b] = con.delta.evaluate([columns[a]])
+                columns[b] = {}  # delta a, filled in below
                 pairs.append((a, b))
         space = basis.build()
+        b_cols = con.delta.compose_linear(
+            MultiOp(1, 0, space, con.space, {(a,): columns[a] for a, _ in pairs})).coeffs
+        for a, b in pairs:
+            columns[b] = b_cols.get((a,), {})
         from_adapted = MultiOp(1, 0, space, con.space,
                                {(k,): v for k, v in columns.items() if v})
         try:
@@ -403,8 +408,9 @@ def _apply_k(ab: AdaptedBasis, state: dict) -> dict:
     for mono, c in state.items():
         res = _sym_k(ab, mono)
         if res is not None:
-            vec_add_into(out, res[0], _times(c, res[1]))
-    return out
+            srt, x = res
+            out[srt] = out.get(srt, 0) + c * x
+    return {k: c for k, c in out.items() if c}
 
 
 def _apply_coderivation(fam: Mapping[int, MultiOp], state: dict) -> dict:
@@ -427,9 +433,9 @@ def _apply_coderivation(fam: Mapping[int, MultiOp], state: dict) -> dict:
                 for key, cv in val.items():
                     srt, s2 = sort_keys_with_sign((key,) + rest)
                     if s2:
-                        cc = _times(c, cv)
-                        vec_add_into(out, srt, cc if sign * s2 > 0 else -cc)
-    return out
+                        cc = c * cv
+                        out[srt] = out.get(srt, 0) + (cc if sign * s2 > 0 else -cc)
+    return {k: c for k, c in out.items() if c}
 
 
 def projection_morphism(con: Contraction, lam: OpFamily) -> OpFamily:

@@ -18,9 +18,13 @@ row reduction in `linfty.linalg`.
 `solve_literal` solves one right-hand side per elimination,
 `substitute_literal` substitutes into a polynomial term by term through
 the public `Poly` operators, `eval_literal` evaluates one term by term in
-`Fraction` arithmetic, and `compose_linear_literal` post-composes an
+`Fraction` arithmetic, `compose_linear_literal` post-composes an
 operation of any arity with an arity-1 one through `evaluate_basis` and
-the checked `MultiOp` constructor.
+the checked `MultiOp` constructor, and `combination_literal` sums
+multiples of operations coefficient by coefficient.  These references
+keep term-by-term arithmetic of their own: `vec_add_into` adds one
+coefficient into a sparse vector in normal form, and `evaluate_expanded`
+evaluates an operation on sparse vectors slot by slot.
 `find_classical_points_per_polynomial` is the Newton point search with
 one kernel per polynomial (each over its own denominator),
 the normal equations solved with `sum` and a `max` pivot, and every seed
@@ -65,11 +69,11 @@ from linfty import geometry
 from linfty.geometry import ClassicalPoint, ShiftedTangentData, shifted_tangent_data
 from linfty.graded import (BasisBuilder, BasisKey, GradedSpace, MultiOp, OpFamily, Vector,
                            arity_bound, bullet, circ, koszul_sign, op_nilpotency_order,
-                           unshuffle_sign, vec_add_into)
+                           unshuffle_sign)
 from linfty.linalg import rank, rref
 from linfty.pathspace import (DerivedPathSpace, PathModel, _split_t, ambient_coord_names,
                               build_path_model, derived_path_space, path_perturbation)
-from linfty.poly import Poly, Rat, _times, as_rational, stage
+from linfty.poly import Poly, Rat, _exact, _times, as_rational, stage
 from linfty.samples import conjugate, nonzero_fraction, random_contraction
 from linfty.transfer import (AdaptedBasis, Contraction, TransferResult, _apply_coderivation,
                              _apply_k, _checked_projector, _image_basis, neumann_inverse)
@@ -112,6 +116,21 @@ def sort_keys_general(keys) -> tuple[tuple[BasisKey, ...], int]:
     return tuple(keys[i] for i in order), sign
 
 
+def vec_add_into(dst: Vector, key: BasisKey, coeff) -> None:
+    """dst[key] += coeff in normal form, a sum that vanishes removed."""
+    if not coeff:
+        return
+    cur = dst.get(key)
+    if cur is None:
+        dst[key] = _exact(coeff)
+        return
+    new = _exact(cur + coeff)
+    if new:
+        dst[key] = new
+    else:
+        del dst[key]
+
+
 def evaluate_expanded(op: MultiOp, vectors: Sequence[Vector]) -> Vector:
     """op on sparse vectors, expanded recursively slot by slot through
     `evaluate_basis`, each prefix product carried down the recursion."""
@@ -134,7 +153,7 @@ def evaluate_expanded(op: MultiOp, vectors: Sequence[Vector]) -> Vector:
 
 def evaluate_with_keys(op: MultiOp, first: Vector, rest: Sequence[BasisKey]) -> Vector:
     """op with the vector first in slot one and the basis keys rest after it."""
-    return op.evaluate([first] + [{k: 1} for k in rest])
+    return evaluate_expanded(op, [first] + [{k: 1} for k in rest])
 
 
 def _circ_value_literal(lam: OpFamily, mu: OpFamily, tup) -> Vector:
@@ -223,7 +242,7 @@ def _bullet_value_literal(lam: OpFamily, phi: OpFamily, tup) -> Vector:
                     vecs.append(v)
                 if dead:
                     continue
-                res = lam_k.evaluate(vecs)
+                res = evaluate_expanded(lam_k, vecs)
                 for okey, c in res.items():
                     vec_add_into(out, okey, weight * c)
     return out
@@ -289,7 +308,7 @@ def treeterm_ordered(op_k: MultiOp, parts: Sequence[MultiOp]) -> MultiOp:
                     for part, block in zip(parts, blocks)]
             if sign == 0 or not all(vecs):
                 continue
-            for okey, c in op_k.evaluate(vecs).items():
+            for okey, c in evaluate_expanded(op_k, vecs).items():
                 vec_add_into(out, okey, sign * c)
         return out
 
@@ -364,7 +383,7 @@ def transferred_mu1(con: Contraction, lam: OpFamily) -> MultiOp:
 
 def transferred_mu0(con: Contraction, lam: OpFamily) -> Vector:
     """Transferred curvature pi lam_0."""
-    return con.pi.evaluate([lam.op(0).evaluate_basis(())])
+    return evaluate_expanded(con.pi, [lam.op(0).evaluate_basis(())])
 
 
 def projection_phi1(con: Contraction, lam: OpFamily) -> MultiOp:
@@ -508,6 +527,20 @@ def compose_linear_literal(outer: MultiOp, inner: MultiOp) -> MultiOp:
             coeffs[tup] = out
     return MultiOp(inner.arity, outer.degree + inner.degree, inner.source, outer.target,
                    coeffs)
+
+
+def combination_literal(terms: Sequence[tuple[MultiOp, int | Fraction]]) -> MultiOp:
+    """The sum of c * op over the (op, c) of terms, all ops of one arity,
+    degree and pair of spaces: each coefficient multiplied and added on its
+    own, the result through the checked constructor."""
+    first = terms[0][0]
+    coeffs: dict[tuple[BasisKey, ...], Vector] = {}
+    for op, c in terms:
+        for tup, vec in op.coeffs.items():
+            out = coeffs.setdefault(tup, {})
+            for okey, x in vec.items():
+                vec_add_into(out, okey, _times(c, x))
+    return MultiOp(first.arity, first.degree, first.source, first.target, coeffs)
 
 
 def substitute_literal(p: Poly, values: Mapping[str, "Poly | Rat"]) -> Poly:
@@ -874,8 +907,8 @@ def shifted_tangent_tabulated(bundle: LinftyBundle) -> ShiftedTangentData:
             k = len(tup)
             if k not in ell.ops:
                 return {}
-            vec = ell.op(k).evaluate(
-                [{ldt_inv[key]: 1}] + [{r: 1} for r in rest])
+            vec = evaluate_expanded(ell.op(k),
+                                    [{ldt_inv[key]: 1}] + [{r: 1} for r in rest])
             return {ldt_key[q]: (c if sign > 0 else -c) for q, c in vec.items()}
         j = tm_inv[key]
         k = len(tup) - 1

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement, groupby, product
+from itertools import combinations_with_replacement, groupby
 from math import factorial, prod
 
 import pytest
@@ -146,49 +146,13 @@ def test_evaluate_on_vectors_is_multilinear():
     v = {(1, 0): Fraction(2), (1, 1): Fraction(3)}
     w = {(1, 0): Fraction(1), (1, 1): Fraction(-1)}
     # bilinear with odd-odd antisymmetry: 2*(-1) - 3*1 = -5
-    assert op.evaluate([v, w]) == {(2, 0): Fraction(-5)}
-
-
-def test_evaluate_matches_the_recursive_expansion():
-    """The product walk equals the slot-by-slot expansion, in value and in
-    the order of the output keys, on constant and polynomial coefficients."""
-    rng = random.Random(61)
-    src = GradedSpace.build({1: 3, 2: 2})
-    tgt = GradedSpace.build({d: 2 for d in range(1, 8)})
-    x = Poly.variable("x")
-    reached = set()
-    for arity in range(4):
-        for draw in range(6):
-            for poly in (False, True):
-                op = random_op(rng, src, tgt, arity, 1, scale=3)
-                grow = (lambda c: c * (x + c)) if poly else (lambda c: c)
-                op = MultiOp(arity, 1, src, tgt, {t: {k: grow(c) for k, c in v.items()}
-                                                  for t, v in op.coeffs.items()})
-                vecs = []
-                for _ in range(arity):
-                    d = rng.choice((1, 2))
-                    vecs.append({k: grow(Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 2)))
-                                 for k in src.keys() if k[0] == d and rng.random() < 0.7})
-                got = op.evaluate(vecs)
-                want = evaluate_expanded(op, vecs)
-                assert got == want and list(got) == list(want)
-                reached.add(f"arity {arity}")
-                reached |= {"poly"} if poly and got else set()
-                reached |= {"empty vector"} if any(not v for v in vecs) else set()
-                for keys in product(*vecs):
-                    srt, sign = sort_keys_general(keys)
-                    if sign == 0:
-                        reached.add("odd repeat")
-                    elif sign < 0 and srt in op.coeffs:
-                        reached.add("sign -1")
-    assert reached == {"arity 0", "arity 1", "arity 2", "arity 3", "poly",
-                       "empty vector", "odd repeat", "sign -1"}
+    assert evaluate_expanded(op, [v, w]) == {(2, 0): Fraction(-5)}
 
 
 def test_bullet_op_and_treeterm_read_parts_from_their_entries(monkeypatch):
     """Both look each part up on a canonical sub-tuple and never call
-    evaluate_basis, not even for the curvature, which reaches the empty
-    tuple through evaluate."""
+    evaluate_basis, not even for the curvature, read on the empty
+    tuple."""
     rng = random.Random(43)
     sp = GradedSpace.build({1: 2, 2: 2, 3: 1})
     products = []
@@ -243,7 +207,7 @@ def test_treeterm_feeds_a_run_of_identical_parts_once_per_choice():
                 for blocks in ordered_block_assignments([p.arity for p in parts], range(n)):
                     vecs = [p.coeffs.get(tuple(tup[i] for i in b)) for p, b in zip(parts, blocks)]
                     if (koszul_sign(degs, [i for b in blocks for i in b]) < 0
-                            and all(vecs) and op_k.evaluate(vecs)):
+                            and all(vecs) and evaluate_expanded(op_k, vecs)):
                         reached.add("sign -1")
         twin = MultiOp(1, 0, src, tgt, dict(pool[0].coeffs))
         assert twin == pool[0] and twin is not pool[0]
@@ -350,6 +314,39 @@ def test_plus_with_a_zero_side_returns_the_other_operand():
     q = random_op(rng, sp, sp, 1, 1)
     fam = OpFamily(1, sp, sp, {1: q}).plus(OpFamily(1, sp, sp, {2: p}))
     assert fam.ops[1] is q and fam.ops[2] is p
+
+
+def test_family_sums_check_degree_and_spaces_and_build_no_zero_op(monkeypatch):
+    """A family sum refuses a summand of another degree or between other
+    spaces even when neither side holds an operation; sums and equality
+    never build a zero operation for an arity one side lacks."""
+    rng = random.Random(13)
+    s = GradedSpace.build({1: 2, 2: 2, 3: 1})
+    t = GradedSpace.build({1: 1, 2: 1})
+    for a, b in ((OpFamily.zero(1, s, s), OpFamily.zero(0, t, t)),
+                 (OpFamily.zero(1, s, s), OpFamily.zero(0, s, s)),
+                 (OpFamily.zero(1, s, s), OpFamily.zero(1, t, t)),
+                 (OpFamily.zero(1, s, s), OpFamily(1, t, t, {1: random_op(rng, t, t, 1, 1)}))):
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(ValueError):
+                x.plus(y)
+            with pytest.raises(ValueError):
+                x.minus(y)
+    lo = OpFamily(1, s, s, {0: MultiOp(0, 1, s, s, {(): {(1, 0): 2}}),
+                            1: MultiOp(1, 1, s, s, {((1, 0),): {(2, 0): 1},
+                                                    ((2, 1),): {(3, 0): Fraction(1, 2)}})})
+    hi = OpFamily(1, s, s, {1: MultiOp(1, 1, s, s, {((1, 0),): {(2, 0): -1, (2, 1): 3}}),
+                            2: MultiOp(2, 1, s, s, {((1, 0), (1, 1)): {(3, 0): 5}})})
+
+    def forbidden(cls, *args):
+        raise AssertionError(f"a zero operation built for {args}")
+
+    monkeypatch.setattr(MultiOp, "zero", classmethod(forbidden))
+    total = lo.plus(hi)
+    assert total.ops[0] is lo.ops[0] and total.ops[2] is hi.ops[2]
+    assert total.ops[1].coeffs == {((1, 0),): {(2, 1): 3}, ((2, 1),): {(3, 0): Fraction(1, 2)}}
+    assert total != lo and lo != hi and total.minus(hi) == lo
+    assert total == OpFamily(1, s, s, dict(total.ops))
 
 
 def test_arity_one_algebra_rejects_mismatched_spaces():

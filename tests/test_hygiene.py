@@ -7,8 +7,9 @@ Poly unchecked, only `graded.py` builds a MultiOp unchecked or calls
 `koszul_sign`, `graded`'s kernels build their results unchecked, only the
 listed functions tabulate a closure with
 `MultiOp.from_function`, only `algebra.linear_morphism` writes a
-constant linear morphism out by hand, `graded`'s products run on one
-arithmetic path and the exact modules have no floating point."""
+constant linear morphism out by hand, `graded`'s arithmetic on
+operations runs on one path, `transfer` sums without the term-by-term
+helpers and the exact modules have no floating point."""
 
 import ast
 import io
@@ -16,6 +17,7 @@ import re
 import tokenize
 from collections import Counter
 from pathlib import Path
+from typing import Iterator, Sequence
 
 import pytest
 
@@ -658,40 +660,79 @@ def test_the_scan_finds_a_checked_construction_in_a_kernel():
         ("MultiOp.from_function", 3), ("circ", 8), ("treeterm", 11)]
 
 
-# the kernels that sum staged numerators and divide once, and the generic
-# arithmetic that a second path through them would use
-NUMERATOR_KERNELS = ("circ", "_feeder", "_summed", "treeterm", "bullet_op")
-GENERIC_ARITHMETIC = ("vec_add_into", "_times", "evaluate")
+# the term-by-term arithmetic that the staged numerators replace: graded
+# runs every operation through _staged and _rationals, and transfer sums
+# into plain dicts
+GRADED_GENERIC = ("vec_add_into", "_times", "evaluate")
+TRANSFER_GENERIC = ("vec_add_into", "_times")
+
+
+def _scoped_nodes(tree: ast.Module) -> Iterator[tuple[str, ast.AST]]:
+    """(scope, node) for every node of the module: scope is the module-level
+    function or the method (as Class.method) the node lies in, "" outside
+    any."""
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef):
+            scoped = [(top.name, top)]
+        elif isinstance(top, ast.ClassDef):
+            scoped = [(f"{top.name}.{f.name}" if isinstance(f, ast.FunctionDef) else "", f)
+                      for f in top.body]
+        else:
+            scoped = [("", top)]
+        for scope, node in scoped:
+            for sub in ast.walk(node):
+                yield scope, sub
+
+
+def _mentioned(node: ast.AST) -> list[str]:
+    """The names a node spells: a name, an attribute, a def, an import."""
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.FunctionDef):
+        return [node.name]
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return [alias.name for alias in node.names]
+    return []
+
+
+def generic_arithmetic(tree: ast.Module, names: Sequence[str]) -> list[tuple[str, str, int]]:
+    """(scope, name, line) for each mention of one of names anywhere in the
+    module, imports and definitions included."""
+    return sorted({(scope, name, node.lineno) for scope, node in _scoped_nodes(tree)
+                   for name in _mentioned(node) if name in names})
 
 
 def second_arithmetic_paths(tree: ast.Module) -> list[tuple[str, str, int]]:
-    """(function, name, line) for each mention of the generic arithmetic in
-    a numerator kernel, its nested functions included, and for each
-    `Fraction(...)` call in a module-level function other than `_rationals`
-    (a method under its class's name)."""
-    out = set()
-    for top in tree.body:
-        fns = [top] if isinstance(top, ast.FunctionDef) else [
-            f for f in getattr(top, "body", ()) if isinstance(f, ast.FunctionDef)]
-        for fn in fns:
-            for node in ast.walk(fn):
-                name = getattr(node, "id", None) or getattr(node, "attr", None)
-                if fn.name in NUMERATOR_KERNELS and name in GENERIC_ARITHMETIC:
-                    out.add((fn.name, name, node.lineno))
-                if _callee(node) == "Fraction" and fn.name != "_rationals":
-                    out.add((fn.name, "Fraction", node.lineno))
+    """graded's rules: the generic arithmetic anywhere, a `Fraction(...)`
+    call anywhere but `_rationals`, and a use of `_exact` anywhere but
+    `MultiOp.__post_init__`, the checked constructor."""
+    out = set(generic_arithmetic(tree, GRADED_GENERIC))
+    for scope, node in _scoped_nodes(tree):
+        if _callee(node) == "Fraction" and scope != "_rationals":
+            out.add((scope, "Fraction", node.lineno))
+        if (isinstance(node, (ast.Name, ast.Attribute)) and "_exact" in _mentioned(node)
+                and scope != "MultiOp.__post_init__"):
+            out.add((scope, "_exact", node.lineno))
     return sorted(out)
 
 
 def test_graded_products_run_on_one_arithmetic_path():
-    # circ and the block feeder sum numerators and divide once in _rationals;
-    # a Poly coefficient takes that path too
+    # every operation's arithmetic sums staged numerators and divides once
+    # in _rationals; a Poly coefficient takes that path too
     found = second_arithmetic_paths(ast.parse((SRC / "graded.py").read_text()))
     assert not found, f"a second arithmetic path in graded.py: {found}"
 
 
+def test_transfer_sums_without_the_generic_arithmetic():
+    found = generic_arithmetic(ast.parse((SRC / "transfer.py").read_text()), TRANSFER_GENERIC)
+    assert not found, f"term-by-term arithmetic in transfer.py: {found}"
+
+
 def test_the_scan_finds_a_second_arithmetic_path():
-    tree = ast.parse("def _rationals(nums, den):\n"
+    tree = ast.parse("from .poly import _exact, _times\n"
+                     "def _rationals(nums, den):\n"
                      "    return {k: Fraction(x, den) for k, x in nums.items()}\n"
                      "def circ(lam, mu):\n"
                      "    vec_add_into(out, key, _times(a, b))\n"
@@ -700,13 +741,28 @@ def test_the_scan_finds_a_second_arithmetic_path():
                      "        evaluate = op_k.evaluate\n"
                      "    return into\n"
                      "class MultiOp:\n"
+                     "    def __post_init__(self):\n"
+                     "        self.coeffs = {k: _exact(c) for k, c in self.coeffs.items()}\n"
                      "    def evaluate(self, vectors):\n"
-                     "        return vec_add_into(out, key, Fraction(1, 2))\n"
+                     "        return poly._exact(Fraction(1, 2))\n"
+                     "class OpFamily:\n"
+                     "    def __post_init__(self):\n"
+                     "        self.degree = _exact(self.degree)\n"
                      "def bullet_op(lam, phi, n):\n"
                      "    return Fraction(1, n)\n")
     assert second_arithmetic_paths(tree) == [
-        ("_feeder", "evaluate", 7), ("bullet_op", "Fraction", 13),
-        ("circ", "_times", 4), ("circ", "vec_add_into", 4), ("evaluate", "Fraction", 11)]
+        ("", "_times", 1), ("MultiOp.evaluate", "Fraction", 14),
+        ("MultiOp.evaluate", "_exact", 14), ("MultiOp.evaluate", "evaluate", 13),
+        ("OpFamily.__post_init__", "_exact", 17), ("_feeder", "evaluate", 8),
+        ("bullet_op", "Fraction", 19), ("circ", "_times", 5), ("circ", "vec_add_into", 5)]
+    tree = ast.parse("from .graded import MultiOp, vec_add_into\n"
+                     "from .poly import _exact, _times\n"
+                     "def _apply_k(ab, state):\n"
+                     "    vec_add_into(out, key, _times(c, x))\n"
+                     "    return {k: _exact(c) for k, c in out.items()}\n")
+    assert generic_arithmetic(tree, TRANSFER_GENERIC) == [
+        ("", "_times", 2), ("", "vec_add_into", 1),
+        ("_apply_k", "_times", 4), ("_apply_k", "vec_add_into", 4)]
 
 
 def floating_point_lines(tree: ast.Module) -> list[int]:

@@ -1,17 +1,19 @@
-"""circ, bullet_op and treeterm on staged numerators.
+"""circ, bullet_op, treeterm and the algebra of single operations on
+staged numerators.
 
 Every operation is staged as numerators over one int denominator (a
 Fraction becomes an int numerator, an int or a Poly is multiplied by the
-denominator), and the kernels sum numerators over the product of their
-factors' denominators, dividing each output coefficient once.  On seeded
-draws with fractional coefficients (small and large prime denominators),
-integral-only coefficients, polynomial ones and polynomial ones over
-different variable sets, each kernel must equal the literal sums of
-tests/oracles, which run on the generic arithmetic (evaluate,
-vec_add_into, _times), coefficient by coefficient in the normal form.
-The kernels build their results without the constructor's checks, so
-each result must also come back unchanged through the checked
-constructor.
+denominator).  The products and compose_linear sum numerators over the
+product of their factors' denominators, and scaled, plus and minus over
+the lcm of their terms', dividing each output coefficient once.  On
+seeded draws with fractional coefficients (small and large prime
+denominators), integral-only coefficients, polynomial ones and
+polynomial ones over different variable sets, each must equal the
+literal sums of tests/oracles, which keep term-by-term arithmetic of
+their own (evaluate_expanded, vec_add_into, poly._times), coefficient by
+coefficient in the normal form.  The engine builds its results without
+the constructor's checks, so each result must also come back unchanged
+through the checked constructor.
 """
 
 import random
@@ -20,7 +22,8 @@ from itertools import groupby
 from math import factorial, prod
 
 import pytest
-from oracles import bullet_literal, circ_literal, circ_unshuffle, treeterm_ordered
+from oracles import (bullet_literal, circ_literal, circ_unshuffle, combination_literal,
+                     compose_linear_literal, treeterm_ordered)
 
 import linfty.graded
 from linfty.graded import (GradedSpace, MultiOp, OpFamily, bullet_op, canonical_tuples,
@@ -184,6 +187,40 @@ def test_treeterm_equals_the_ordered_sum_and_the_generic_path(kind):
             assert typed(rechecked(got)) == typed(got)
             nonzero += not got.is_zero()
     assert nonzero >= 15
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_single_operation_algebra_equals_the_term_by_term_sums(kind):
+    """plus, minus, scaled (by an int, a Fraction and 0) and compose_linear
+    with an inner operation of arity 0 to 3."""
+    rng = random.Random(f"algebra-{kind}")
+    sp = GradedSpace.build(SPACE)
+    coeff = KINDS[kind]
+    reached = set()
+    for arity in range(4):
+        degree = 1 if arity == 0 else 0
+        for _ in range(4):
+            p, q = (draw_op(rng, sp, sp, arity, degree, coeff) for _ in range(2))
+            # r is q but for every other entry of p, negated: p + r drops it
+            r = MultiOp(arity, degree, sp, sp, {
+                **q.coeffs, **{t: {k: -x for k, x in v.items()}
+                               for t, v in list(p.coeffs.items())[::2]}})
+            c = Fraction(rng.choice((-5, 1, 7)), rng.choice((2, 6, 999983)))
+            for got, terms in ((p.plus(q), ((p, 1), (q, 1))), (p.minus(q), ((p, 1), (q, -1))),
+                               (p.plus(r), ((p, 1), (r, 1))), (q.minus(p), ((q, 1), (p, -1))),
+                               (p.minus(p), ((p, 1), (p, -1))), (p.scaled(-3), ((p, -3),)),
+                               (p.scaled(c), ((p, c),)), (p.scaled(0), ((p, 0),))):
+                assert typed(got) == typed(combination_literal(terms))
+                assert typed(rechecked(got)) == typed(got)
+            if p.coeffs.keys() - p.plus(r).coeffs.keys():
+                reached.add("cancelled")
+            outer = draw_op(rng, sp, sp, 1, rng.choice((0, 0, 1)), coeff)
+            got = outer.compose_linear(p)
+            assert typed(got) == typed(compose_linear_literal(outer, p))
+            assert typed(rechecked(got)) == typed(got)
+            if not got.is_zero():
+                reached.add(f"composed at arity {arity}")
+    assert reached == {"cancelled", *(f"composed at arity {n}" for n in range(4))}
 
 
 def test_staging_shares_coefficients_with_no_fraction():
