@@ -142,10 +142,6 @@ class GradedSpace:
     def contains(self, key: BasisKey) -> bool:
         return key[0] in self.dims and 0 <= key[1] < self.dims[key[0]]
 
-    def check_key(self, key: BasisKey) -> None:
-        if not self.contains(key):
-            raise KeyError(f"basis key {key} not in space with dims {dict(self.dims)}")
-
     def direct_sum(self, other: "GradedSpace") -> tuple["GradedSpace", dict, dict]:
         """Concatenate bases; returns (sum, keymap_self, keymap_other)."""
         basis = BasisBuilder()
@@ -277,6 +273,75 @@ def _same_space(a: GradedSpace, b: GradedSpace) -> bool:
 # ---------------------------------------------------------------------------
 
 
+class EntryError(ValueError):
+    """A refused entry of an operation's table: index is its position in
+    the entries checked; slot is "inputs" or "output" when key, a key of
+    that slot, lies outside the ranks of its space, and "" for any other
+    fault."""
+
+    def __init__(self, index: int, message: str, slot: str = "", key: BasisKey | None = None):
+        super().__init__(message)
+        self.index, self.slot, self.key = index, slot, key
+
+
+def _outside(index: int, slot: str, key: BasisKey, space: GradedSpace) -> EntryError:
+    return EntryError(index, f"basis key {key} not in space with dims {dict(space.dims)}",
+                      slot, key)
+
+
+def _checked_coeffs(arity: int, degree: int, source: GradedSpace, target: GradedSpace,
+                    entries: Sequence[tuple[tuple[BasisKey, ...], BasisKey, object]]
+                    ) -> dict[tuple[BasisKey, ...], Vector]:
+    """The coefficient table of entries, (input tuple, output key,
+    coefficient) triples, each checked once.  An input tuple, at its
+    first entry: of the given arity, each key within the ranks of source,
+    canonically sorted; a tuple that repeats an odd key is zero, and its
+    entries are dropped.  Every entry: its output key within the ranks of
+    target, not repeating an earlier entry's keys and, unless its tuple is
+    zero, of degree sum(tuple) + degree.  Zero coefficients are dropped.
+    Raises EntryError at the first entry refused."""
+    src_dims, dst_dims = source.dims, target.dims
+    # tuple -> (every output read for it, its output degree or None when it is zero)
+    rows: dict[tuple[BasisKey, ...], tuple[Vector, int | None]] = {}
+    coeffs: dict[tuple[BasisKey, ...], Vector] = {}
+    zero = False
+    for n, (tup, okey, c) in enumerate(entries):
+        row = rows.get(tup)
+        if row is None:
+            if len(tup) != arity:
+                raise EntryError(n, f"tuple {tup} has wrong arity (expected {arity})")
+            # canonical: each key at least the one before it (() is below
+            # every key); zero: an odd key repeats
+            total, last, odd_repeat = degree, (), False
+            for k in tup:
+                if not 0 <= k[1] < src_dims.get(k[0], 0):
+                    raise _outside(n, "inputs", k, source)
+                if k < last:
+                    raise EntryError(n, f"input tuple {tup} is not canonically sorted")
+                if k == last and k[0] % 2:
+                    odd_repeat = True
+                total += k[0]
+                last = k
+            row = rows[tup] = {}, None if odd_repeat else total
+            if not odd_repeat:
+                coeffs[tup] = row[0]
+        vec, total = row
+        if not 0 <= okey[1] < dst_dims.get(okey[0], 0):
+            raise _outside(n, "output", okey, target)
+        if okey in vec:
+            raise EntryError(n, f"duplicate entry for {tup} -> {okey}")
+        if total is not None and okey[0] != total:
+            raise EntryError(
+                n, f"inhomogeneous entry {tup} -> {okey}: expected output degree {total}")
+        vec[okey] = c
+        if not c:
+            zero = True
+    if zero:
+        coeffs = {tup: vec for tup, read in coeffs.items()
+                  if (vec := {k: c for k, c in read.items() if c})}
+    return coeffs
+
+
 @dataclass
 class MultiOp:
     """Graded-symmetric multilinear map stored on canonical basis tuples.
@@ -287,7 +352,11 @@ class MultiOp:
     sort_keys_with_sign: the entry of the sorted tuple is read with the
     Koszul sign of the sort, and a tuple that repeats an odd key is zero.
     A caller that holds a canonical tuple reads coeffs directly, as no
-    sort can change it.  The algebra below (zero, identity, scaled, plus,
+    sort can change it.  The constructor and from_entries, which builds an
+    operation from a list of (input tuple, output key, coefficient)
+    entries and refuses a repeated one, check each entry once, in
+    _checked_coeffs: keys against the ranks, canonical order, the zero of
+    a repeated odd key, and homogeneity.  The algebra below (zero, identity, scaled, plus,
     minus, compose_linear, which post-composes an operation of any arity
     with an arity-1 one, from_function, and with it bullet_op and
     treeterm, and circ) builds its results through _from_clean, which
@@ -305,29 +374,15 @@ class MultiOp:
     coeffs: dict[tuple[BasisKey, ...], Vector] = field(default_factory=dict)
 
     def __post_init__(self):
-        clean: dict[tuple[BasisKey, ...], Vector] = {}
-        for tup, vec in self.coeffs.items():
-            if len(tup) != self.arity:
-                raise ValueError(f"tuple {tup} has wrong arity (expected {self.arity})")
-            srt, sign = sort_keys_with_sign(tup)
-            if srt != tup:
-                raise ValueError(f"input tuple {tup} is not canonically sorted")
-            if sign == 0:
-                continue
-            for k in tup:
-                self.source.check_key(k)
-            total = sum(k[0] for k in tup) + self.degree
-            out: Vector = {}
-            for okey, c in vec.items():
-                self.target.check_key(okey)
-                if okey[0] != total:
-                    raise ValueError(
-                        f"inhomogeneous entry {tup} -> {okey}: expected output degree {total}")
-                if c:
-                    out[okey] = _exact(c)
-            if out:
-                clean[tup] = out
-        self.coeffs = clean
+        try:
+            self.coeffs = _checked_coeffs(
+                self.arity, self.degree, self.source, self.target,
+                [(tup, okey, _exact(c)) for tup, vec in self.coeffs.items()
+                 for okey, c in vec.items()])
+        except EntryError as exc:
+            if exc.slot:
+                raise KeyError(str(exc)) from None
+            raise
 
     # -- constructors ------------------------------------------------------
 
@@ -347,6 +402,19 @@ class MultiOp:
         op.arity, op.degree, op.source, op.target, op.coeffs = (
             arity, degree, source, target, coeffs)
         return op
+
+    @classmethod
+    def from_entries(cls, arity: int, degree: int, source: GradedSpace, target: GradedSpace,
+                     entries: Sequence[tuple[tuple[BasisKey, ...], BasisKey, object]]
+                     ) -> "MultiOp":
+        """The operation holding each (input tuple, output key,
+        coefficient) of entries, every entry checked as the constructor
+        checks a table, and refused when it repeats the keys of an earlier
+        one.  Coefficients must be in normal form (linfty.poly._exact), as
+        a parsed rational or a Poly is.  Raises EntryError at the first
+        entry refused."""
+        return cls._from_clean(arity, degree, source, target,
+                               _checked_coeffs(arity, degree, source, target, entries))
 
     @classmethod
     def zero(cls, arity: int, degree: int, source: GradedSpace,

@@ -22,11 +22,21 @@ entries.  Each kind admits its own (part, arity) pairs:
 - morphism "phi": no part, arity >= 1;
 - contraction "delta", "eta" and "iota": no part, arity 1.
 
-One reader and one writer serve every kind.  The reader names an entry's
-position (as in "ops[3].coeff[0]") only in the error it raises.  The
-writer emits one canonical form: entries sorted by (arity, inputs,
-output), a bundle's delta entries first, fractions reduced, two-space
-indent, trailing newline.  Serialization after deserialization therefore
+One reader and one writer serve every kind.  The reader checks each
+entry once.  Its one pass over an entry list checks each entry's JSON
+shape (part, arity, the [degree, index] pairs) and parses its
+coefficient, each distinct coefficient string once per list; parse_frac
+reads "[+-]digits" and "[+-]digits/digits" with int() and anything else
+with Fraction's parser.  MultiOp.from_entries in graded, which shares
+its check with the MultiOp constructor, then tests each key against the
+ranks by a degree -> rank lookup, each tuple's canonical order and
+repeated odd keys, and each entry's homogeneity and repeats, once, and
+reports the position of an entry it refuses.  The reader names an
+entry's position (as in "ops[3].coeff[0]" or "ops[3]: input tuple ...
+is not canonically sorted") only in the error it raises.  The writer
+emits one canonical form: entries sorted by (arity, inputs, output), a
+bundle's delta entries first, fractions reduced, two-space indent,
+trailing newline.  Serialization after deserialization therefore
 reproduces a canonical file byte for byte.
 """
 
@@ -37,7 +47,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from .algebra import LinftyBundle, Morphism
-from .graded import GradedSpace, MultiOp, OpFamily
+from .graded import EntryError, GradedSpace, MultiOp, OpFamily
 from .poly import Poly, _exact, format_fraction
 from .transfer import Contraction
 
@@ -64,10 +74,18 @@ def parse_frac(s, where: str = "coefficient") -> int | Fraction:
     if isinstance(s, bool) or not isinstance(s, (str, int)):
         raise _fail(where, f"expected a rational string, got {s!r}")
     try:
-        # an integer string is read by int(), which agrees with Fraction's parser
-        # wherever both accept it at a twentieth of the cost
-        if isinstance(s, int) or s.lstrip("+-").isdigit():
+        if isinstance(s, int):
             return int(s)
+        # "[+-]digits" and "[+-]digits/digits" are read by int(), which
+        # accepts exactly the digit strings Fraction's parser accepts and
+        # refuses the others ("+-3", a superscript digit), at a twentieth
+        # of the parser's cost for an integer and half for a fraction
+        num, slash, den = s.partition("/")
+        if num.lstrip("+-").isdigit():
+            if not slash:
+                return int(num)
+            if den.isdigit():
+                return _exact(Fraction(int(num), int(den)))
         return _exact(Fraction(s))
     except (ValueError, ZeroDivisionError) as exc:
         raise _fail(where, f"bad rational {s!r}") from exc
@@ -200,25 +218,24 @@ def _entries_to_json(ops, coords, part: str | None = None) -> list[dict]:
     return entries
 
 
-def _read_key(obj, space: GradedSpace, where: str) -> tuple[int, int]:
-    if (not isinstance(obj, list) or len(obj) != 2
+def _check_key(obj, where: str) -> None:
+    if (type(obj) is not list or len(obj) != 2
             or type(obj[0]) is not int or type(obj[1]) is not int):
         raise _fail(where, f"expected a [degree, index] pair, got {obj!r}")
-    key = (obj[0], obj[1])
-    if not space.contains(key):
-        raise _fail(where, f"basis key {key} outside bundle ranks")
-    return key
 
 
 def _entries_from_json(entries, src: GradedSpace, dst: GradedSpace, coords,
                        degree: int, parts: dict[str | None, tuple[int, int | None]],
                        where: str) -> dict[str | None, OpFamily]:
     """Read an entry list into one family of the given degree from src to
-    dst for each part the document kind admits.  A coefficient string is
-    parsed once per list: its later entries reuse the value."""
+    dst for each part the document kind admits.  One pass reads each
+    entry's fields, refusing a wrong JSON shape; MultiOp.from_entries then
+    checks keys, order and degrees once per entry.  A coefficient string
+    is parsed once per list: its later entries reuse the value."""
     if not isinstance(entries, list):
         raise _fail(where, "expected a list of operation entries")
-    tables: dict[str | None, dict] = {part: {} for part in parts}
+    # part -> arity -> the (inputs, output, coefficient) read and their positions
+    tables: dict[str | None, dict[int, tuple[list, list[int]]]] = {part: {} for part in parts}
     parsed: dict[str, int | Fraction] = {}
     for n, e in enumerate(entries):
         try:
@@ -235,8 +252,12 @@ def _entries_from_json(entries, src: GradedSpace, dst: GradedSpace, coords,
             inputs = e.get("inputs")
             if not isinstance(inputs, list) or len(inputs) != arity:
                 raise _fail("", f"inputs must list exactly {arity} keys")
-            tup = tuple(_read_key(k, src, ".inputs") for k in inputs)
-            okey = _read_key(e.get("output"), dst, ".output")
+            for k in inputs:
+                _check_key(k, ".inputs")
+            tup = tuple(map(tuple, inputs))
+            okey = e.get("output")
+            _check_key(okey, ".output")
+            okey = tuple(okey)
             raw = e.get("coeff")
             if type(raw) is str:
                 c = parsed.get(raw)
@@ -244,19 +265,27 @@ def _entries_from_json(entries, src: GradedSpace, dst: GradedSpace, coords,
                     c = parsed[raw] = parse_frac(raw, ".coeff")
             else:
                 c = coeff_from_json(raw, coords, ".coeff")
-            vec = tables[part].setdefault(arity, {}).setdefault(tup, {})
-            if okey in vec:
-                raise _fail("", f"duplicate entry for {tup} -> {okey}")
-            vec[okey] = c
         except ModelFormatError as exc:
             raise _within(f"{where}[{n}]", exc) from None
-    try:
-        return {part: OpFamily(degree, src, dst,
-                               {k: MultiOp(k, degree, src, dst, coeffs)
-                                for k, coeffs in table.items()})
-                for part, table in tables.items()}
-    except ValueError as exc:
-        raise _fail(where, str(exc)) from exc
+        group = tables[part].get(arity)
+        if group is None:
+            group = tables[part][arity] = [], []
+        group[0].append((tup, okey, c))
+        group[1].append(n)
+    fams = {}
+    for part, table in tables.items():
+        ops = {}
+        for arity, (rows, at) in table.items():
+            try:
+                ops[arity] = MultiOp.from_entries(arity, degree, src, dst, rows)
+            except EntryError as exc:
+                here = f"{where}[{at[exc.index]}]"
+                if exc.slot:
+                    raise _fail(f"{here}.{exc.slot}",
+                                f"basis key {exc.key} outside bundle ranks") from None
+                raise _fail(here, str(exc)) from None
+        fams[part] = OpFamily(degree, src, dst, ops)
+    return fams
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,11 @@ evaluates an operation on sparse vectors slot by slot.
 one kernel per polynomial (each over its own denominator),
 the normal equations solved with `sum` and a `max` pivot, and every seed
 run to convergence, divergence or the step cap.
+`entries_from_json_literal` reads an operation entry list as the model
+reader did before it checked each entry once: every key tested against
+its space as it is read, every table checked again by the `MultiOp`
+constructor's checks written out (`checked_table_literal`), and every
+coefficient string parsed by `Fraction` (`parse_frac_literal`).
 
 Next to them sit closed forms the engines must reproduce: the graded
 commutator of circ, the arity-1 transferred maps and the identities of a
@@ -71,6 +76,7 @@ from linfty.graded import (BasisBuilder, BasisKey, GradedSpace, MultiOp, OpFamil
                            arity_bound, bullet, circ, koszul_sign, op_nilpotency_order,
                            unshuffle_sign)
 from linfty.linalg import rank, rref
+from linfty.modelio import ModelFormatError, _fail, _within, coeff_from_json
 from linfty.pathspace import (DerivedPathSpace, PathModel, _split_t, ambient_coord_names,
                               build_path_model, derived_path_space, path_perturbation)
 from linfty.poly import Poly, Rat, _exact, _times, as_rational, stage
@@ -991,6 +997,111 @@ def path_space_manifold(m: int) -> DerivedPathSpace:
     if m <= 0:
         raise ValueError("dimension must be positive")
     return derived_path_space(plain_bundle(ambient_coord_names(m)))
+
+
+# ---------------------------------------------------------------------------
+# the literal document reader
+# ---------------------------------------------------------------------------
+
+
+def parse_frac_literal(s, where: str) -> int | Fraction:
+    """modelio.parse_frac by Fraction's own string parser alone."""
+    if isinstance(s, bool) or not isinstance(s, (str, int)):
+        raise _fail(where, f"expected a rational string, got {s!r}")
+    try:
+        return _exact(Fraction(s))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise _fail(where, f"bad rational {s!r}") from exc
+
+
+def _read_key_literal(obj, space: GradedSpace, where: str) -> BasisKey:
+    if (not isinstance(obj, list) or len(obj) != 2
+            or type(obj[0]) is not int or type(obj[1]) is not int):
+        raise _fail(where, f"expected a [degree, index] pair, got {obj!r}")
+    key = (obj[0], obj[1])
+    if not space.contains(key):
+        raise _fail(where, f"basis key {key} outside bundle ranks")
+    return key
+
+
+def checked_table_literal(arity: int, degree: int, source: GradedSpace, target: GradedSpace,
+                          coeffs) -> dict:
+    """The checks of the MultiOp constructor written out, tuple by tuple:
+    arity, canonical order by sorting, a tuple that repeats an odd key
+    dropped, then every key tested against its space and every output
+    degree compared; zero coefficients dropped."""
+    clean = {}
+    for tup, vec in coeffs.items():
+        if len(tup) != arity:
+            raise ValueError(f"tuple {tup} has wrong arity (expected {arity})")
+        srt, sign = sort_keys_general(tup)
+        if srt != tup:
+            raise ValueError(f"input tuple {tup} is not canonically sorted")
+        if sign == 0:
+            continue
+        for k in tup:
+            if not source.contains(k):
+                raise KeyError(f"basis key {k} not in space with dims {dict(source.dims)}")
+        total = sum(k[0] for k in tup) + degree
+        out = {}
+        for okey, c in vec.items():
+            if not target.contains(okey):
+                raise KeyError(f"basis key {okey} not in space with dims {dict(target.dims)}")
+            if okey[0] != total:
+                raise ValueError(
+                    f"inhomogeneous entry {tup} -> {okey}: expected output degree {total}")
+            if c:
+                out[okey] = _exact(c)
+        if out:
+            clean[tup] = out
+    return clean
+
+
+def entries_from_json_literal(entries, src: GradedSpace, dst: GradedSpace, coords,
+                              degree: int, parts, where: str) -> dict[str | None, OpFamily]:
+    """modelio._entries_from_json written out: each key read and tested
+    against its space, each coefficient string parsed by Fraction, the
+    entries gathered into tables with repeats refused, and every table
+    checked again, order and degrees included, by the constructor's checks
+    (checked_table_literal).  A table's fault names the entry list, not
+    the entry."""
+    if not isinstance(entries, list):
+        raise _fail(where, "expected a list of operation entries")
+    tables: dict[str | None, dict] = {part: {} for part in parts}
+    for n, e in enumerate(entries):
+        try:
+            if not isinstance(e, dict):
+                raise _fail("", "expected an object")
+            part = e.get("part")
+            if not (part is None or isinstance(part, str)) or part not in parts:
+                raise _fail("", f"unknown part {part!r}")
+            lo, hi = parts[part]
+            arity = e.get("arity")
+            if type(arity) is not int or arity < lo or hi is not None and arity > hi:
+                raise _fail("", f"arity must be {lo}" if lo == hi
+                            else f"arity must be an integer >= {lo}")
+            inputs = e.get("inputs")
+            if not isinstance(inputs, list) or len(inputs) != arity:
+                raise _fail("", f"inputs must list exactly {arity} keys")
+            tup = tuple(_read_key_literal(k, src, ".inputs") for k in inputs)
+            okey = _read_key_literal(e.get("output"), dst, ".output")
+            raw = e.get("coeff")
+            c = (parse_frac_literal(raw, ".coeff") if type(raw) is str
+                 else coeff_from_json(raw, coords, ".coeff"))
+            vec = tables[part].setdefault(arity, {}).setdefault(tup, {})
+            if okey in vec:
+                raise _fail("", f"duplicate entry for {tup} -> {okey}")
+            vec[okey] = c
+        except ModelFormatError as exc:
+            raise _within(f"{where}[{n}]", exc) from None
+    try:
+        return {part: OpFamily(degree, src, dst,
+                               {k: MultiOp(k, degree, src, dst,
+                                           checked_table_literal(k, degree, src, dst, coeffs))
+                                for k, coeffs in table.items()})
+                for part, table in tables.items()}
+    except ValueError as exc:
+        raise _fail(where, str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ level, every public name a module defines and every public method of its
 classes has a user outside the test suite, every parameter with a default
 is passed by some caller outside the test suite, only `poly.py` builds a
 Poly unchecked, only `graded.py` builds a MultiOp unchecked or calls
-`koszul_sign`, `graded`'s kernels build their results unchecked, only the
+`koszul_sign`, `modelio` tests no key against a space itself, `graded`'s
+kernels build their results unchecked, only the
 listed functions tabulate a closure with
 `MultiOp.from_function`, only `algebra.linear_morphism` writes a
 constant linear morphism out by hand, `graded`'s arithmetic on
@@ -487,6 +488,32 @@ def test_the_scan_finds_a_koszul_sign_call():
              "algebra.py": ast.parse("from .graded import koszul_sign\n"
                                      "NOTE = 'koszul_sign(degs, flat)'\n")}
     assert modules_calling("koszul_sign", trees) == ["graded.py", "transfer.py"]
+
+
+# a key's membership in a space; the model reader leaves it to
+# MultiOp.from_entries, which tests each key read once, by a degree -> rank lookup
+MEMBERSHIP_TESTS = ("contains", "check_key")
+
+
+def membership_tests(tree: ast.Module) -> list[tuple[str, int]]:
+    """(name, line) for each call of a membership test, bare or as an attribute."""
+    return sorted((_callee(node), node.lineno) for node in ast.walk(tree)
+                  if _callee(node) in MEMBERSHIP_TESTS)
+
+
+def test_the_model_reader_tests_no_key_itself():
+    found = membership_tests(ast.parse((SRC / "modelio.py").read_text()))
+    assert not found, f"modelio.py tests keys against a space itself: {found}"
+
+
+def test_the_scan_finds_a_membership_test_in_the_reader():
+    tree = ast.parse("if not space.contains(key):\n"
+                     "    raise ValueError(key)\n"
+                     "dst.check_key(okey)\n"
+                     "found = contains(space, key)\n"
+                     "NOTE = 'space.contains(key)'\n"
+                     "test = space.contains\n")
+    assert membership_tests(tree) == [("check_key", 3), ("contains", 1), ("contains", 4)]
 
 
 # the functions that tabulate a closure over canonical tuples; every other

@@ -1,11 +1,17 @@
 """Canonical JSON serialization of models, morphisms, and contractions."""
 
 import json
+import random
 import re
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from oracles import build_contraction, identity_morphism, square_bundle
+from oracles import (amp2_bundle, build_contraction, circle_bundle, entries_from_json_literal,
+                     identity_morphism, square_bundle)
+
+from linfty import modelio
 
 from linfty.algebra import LinftyBundle, Morphism, check_mc, plain_bundle
 from linfty.cli import main
@@ -17,7 +23,7 @@ from linfty.modelio import (ModelFormatError, bundle_from_json,
                             load_document, morphism_from_json,
                             morphism_to_json, parse_frac)
 from linfty.pathspace import derived_path_space
-from linfty.poly import Poly, format_fraction
+from linfty.poly import Poly, _exact, format_fraction
 
 x = Poly.variable("x")
 y = Poly.variable("y")
@@ -230,8 +236,29 @@ def test_inhomogeneous_entry_is_reported():
     sp = GradedSpace.build({1: 1, 2: 1})
     b = LinftyBundle((), sp, MultiOp.zero(1, 1, sp, sp), OpFamily(1, sp, sp, {}))
     doc = bundle_to_json(b)
-    doc["ops"] = [{"arity": 1, "inputs": [[1, 0]], "output": [1, 0], "coeff": "1"}]
-    with pytest.raises(ModelFormatError):
+    doc["ops"] = [{"arity": 1, "inputs": [[1, 0]], "output": [2, 0], "coeff": "1"},
+                  {"arity": 1, "inputs": [[1, 0]], "output": [1, 0], "coeff": "1"}]
+    message = "ops[1]: inhomogeneous entry ((1, 0),) -> (1, 0): expected output degree 2"
+    with pytest.raises(ModelFormatError, match="^" + re.escape(message) + "$"):
+        bundle_from_json(doc)
+
+
+def test_entry_out_of_canonical_order_is_reported():
+    sp = GradedSpace.build({1: 2, 3: 1})
+    b = LinftyBundle((), sp, MultiOp.zero(1, 1, sp, sp), OpFamily(1, sp, sp, {}))
+    doc = bundle_to_json(b)
+    doc["ops"] = [{"arity": 2, "inputs": [[1, 0], [1, 1]], "output": [3, 0], "coeff": "1"},
+                  {"arity": 2, "inputs": [[1, 1], [1, 0]], "output": [3, 0], "coeff": "1"}]
+    message = "ops[1]: input tuple ((1, 1), (1, 0)) is not canonically sorted"
+    with pytest.raises(ModelFormatError, match="^" + re.escape(message) + "$"):
+        bundle_from_json(doc)
+
+
+def test_repeated_entry_is_reported():
+    doc = base_doc()
+    doc["ops"].append(dict(doc["ops"][0]))
+    n = len(doc["ops"]) - 1
+    with pytest.raises(ModelFormatError, match=re.escape(f"ops[{n}]: duplicate entry for")):
         bundle_from_json(doc)
 
 
@@ -343,6 +370,184 @@ def test_entry_with_a_part_is_refused_outside_a_bundle():
         doc["iota"][0]["part"] = part
         with pytest.raises(ModelFormatError, match=re.escape(f"iota[0]: unknown part {part!r}")):
             contraction_from_json(doc)
+
+
+# -- the reader against its literal reference ----------------------------------------
+
+POOL_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "pool"
+
+
+def rational_corpus() -> list:
+    """Strings around the "[+-]digits/digits" form parse_frac reads with
+    int(): signs, padding, spaced slashes, underscores, leading zeros,
+    zero denominators, decimals, exponents, nan and non-ASCII digits."""
+    signs = ("", "+", "-", "+-", "--")
+    bodies = ("1", "3", "007", "0", "12_000", "1__0", "_1", "1_", "\u0663", "\u00b2",
+              "\uff11\uff12", "3.5", ".5", "5.", "1e3", "1E3", "1e400", "1e-2", "nan",
+              "inf", "x", "")
+    tails = ("",) + tuple(slash + den for slash in ("/", " /", "/ ", " / ")
+                          for den in ("3", "4", "014", "0", "00", "-4", "+4", "\u0664", "\u00b2",
+                                      "4_0", "4.0", "", "1e3"))
+    pads = (("", ""), (" ", " "), ("\t", ""), ("", "\n"))
+    # past int()'s 4300-digit limit, which Fraction's parser meets too
+    long = "9" * 5000
+    return [left + sign + body + tail + right for sign in signs for body in bodies
+            for tail in tails for left, right in pads] + [long, f"-{long}/7", f"7/{long}"]
+
+
+def test_parse_frac_accepts_and_refuses_what_fraction_does():
+    corpus = rational_corpus()
+    assert {"-0/3", "007/014", "3 /4", "+-3", "1/0"} <= set(corpus)
+    accepted = 0
+    for text in corpus:
+        try:
+            want = _exact(Fraction(text))
+        except (ValueError, ZeroDivisionError):
+            with pytest.raises(ModelFormatError):
+                parse_frac(text)
+            continue
+        got = parse_frac(text)
+        assert got == want and type(got) is type(want), text
+        accepted += 1
+    assert 0 < accepted < len(corpus)
+
+
+def entry_lists(doc) -> list[list]:
+    """The operation entry lists of a model, morphism or contraction document."""
+    if doc.get("kind") == "morphism":
+        return [doc["src"]["ops"], doc["dst"]["ops"], doc["phi"]]
+    if doc.get("kind") == "contraction":
+        return [doc["delta"], doc["eta"], doc["iota"]]
+    return [doc["ops"]]
+
+
+def read_document(doc):
+    if doc.get("kind") == "morphism":
+        return morphism_from_json(doc)
+    if doc.get("kind") == "contraction":
+        return contraction_from_json(doc)
+    return bundle_from_json(doc)
+
+
+MUTATION_VALUES = [None, 0, -1, 1.5, "x", "1/0", "", [], {}, True, 10 ** 30, "0", "-1/2",
+                   [0, 0], "1e400", "nan"]
+MUTATIONS = ("arity", "inputs", "key", "output", "coeff", "part", "index", "repeat", "shift",
+             "reverse", "double")
+# the mutations that need an entry of arity >= 2
+WIDE_MUTATIONS = ("reverse", "double")
+
+
+def mutate_entry(rng: random.Random, doc, kind: str) -> None:
+    """Change one entry of doc in place as kind says: a field, or a
+    component of one of its keys, set to a value of MUTATION_VALUES; a key
+    index set to -1 or raised by 1 or 100; the entry repeated; its output
+    degree moved by one; or, on an entry of arity >= 2, its inputs
+    reversed or the first one put in the second's place."""
+    held = [(entries, e) for entries in entry_lists(doc) for e in entries
+            if kind not in WIDE_MUTATIONS or len(e["inputs"]) > 1]
+    entries, e = rng.choice(held)
+    key = rng.choice(e["inputs"] + [e["output"]])
+    if kind == "key":
+        key[rng.randrange(2)] = rng.choice(MUTATION_VALUES)
+    elif kind == "index":
+        key[1] = rng.choice((-1, key[1] + 1, key[1] + 100))
+    elif kind == "repeat":
+        entries.append(json.loads(json.dumps(e)))
+    elif kind == "shift":
+        e["output"][0] += rng.choice((-1, 1))
+    elif kind == "reverse":
+        e["inputs"].reverse()
+    elif kind == "double":
+        e["inputs"][1] = list(e["inputs"][0])
+    else:
+        e[kind] = rng.choice(MUTATION_VALUES)
+
+
+def differential_documents() -> list:
+    """Fixture documents and a slice of the benchmark pool's inputs."""
+    docs = [bundle_to_json(b) for b in (square_bundle(), circle_bundle(), amp2_bundle(),
+                                        derived_path_space(square_bundle()).bundle)]
+    docs += [morphism_to_json(identity_morphism(square_bundle())),
+             contraction_to_json(worked_contraction())]
+    for workload in ("certify", "transfer", "polybase"):
+        paths = sorted((POOL_DIR / workload).glob("*.json"))
+        docs += [json.loads(p.read_text()) for p in paths[::12]]
+    return docs
+
+
+def test_reader_agrees_with_its_literal_reference(monkeypatch):
+    # each mutated document is read once, every entry list by the reader
+    # and by the reference: both refuse it, or both build equal
+    # operations with their entries in the same order; nothing but
+    # ModelFormatError escapes
+    reader = modelio._entries_from_json
+    outcomes = Counter()
+
+    def compared(*args):
+        try:
+            want = entries_from_json_literal(*args)
+        except ModelFormatError:
+            want = None
+        try:
+            got = reader(*args)
+        except ModelFormatError as exc:
+            assert want is None, f"refused what the reference reads: {exc}"
+            outcomes[re.sub(r"^[^:]*: |[(\[].*", "", str(exc))] += 1
+            raise
+        assert want is not None, "read what the reference refuses"
+        assert got == want
+        assert ([(p, a, list(op.coeffs), [list(v) for v in op.coeffs.values()])
+                 for p, fam in got.items() for a, op in fam.ops.items()]
+                == [(p, a, list(op.coeffs), [list(v) for v in op.coeffs.values()])
+                    for p, fam in want.items() for a, op in fam.ops.items()])
+        return got
+
+    monkeypatch.setattr(modelio, "_entries_from_json", compared)
+    docs = differential_documents()
+    wide = [doc for doc in docs
+            if any(len(e["inputs"]) > 1 for entries in entry_lists(doc) for e in entries)]
+    rng = random.Random(12345)
+    for _ in range(960):
+        kind = rng.choice(MUTATIONS)
+        doc = json.loads(json.dumps(rng.choice(wide if kind in WIDE_MUTATIONS else docs)))
+        mutate_entry(rng, doc, kind)
+        try:
+            read_document(doc)
+            outcomes["read"] += 1
+        except ModelFormatError:
+            outcomes["refused"] += 1
+    assert outcomes["read"] and outcomes["refused"]
+    for message in ("basis key ", "input tuple ", "inhomogeneous entry ", "duplicate entry for "):
+        assert outcomes[message], (message, outcomes)
+
+
+def test_each_key_read_is_tested_against_its_space_at_most_once(monkeypatch):
+    # a key is tested once, where the entry is checked, by a degree -> rank
+    # lookup; before, the reader tested it and the MultiOp constructor again
+    doc = json.loads((POOL_DIR / "certify" / "mor-a7d4-8.json").read_text())
+    keys = sum(len(e["inputs"]) + 1 for lst in entry_lists(doc) for e in lst)
+    tests = Counter()
+
+    class CountedRanks(dict):
+        def get(self, *args):
+            tests["ranks"] += 1
+            return super().get(*args)
+
+    build, contains = GradedSpace.build, GradedSpace.contains
+
+    def counted_build(*args, **kwargs):
+        space = build(*args, **kwargs)
+        object.__setattr__(space, "dims", CountedRanks(space.dims))
+        return space
+
+    def counted_contains(space, key):
+        tests["contains"] += 1
+        return contains(space, key)
+
+    monkeypatch.setattr(GradedSpace, "build", staticmethod(counted_build))
+    monkeypatch.setattr(GradedSpace, "contains", counted_contains)
+    morphism_from_json(doc)
+    assert keys > 100 and 0 < sum(tests.values()) <= keys, (tests, keys)
 
 
 # -- the canonical writer ----------------------------------------------------------
