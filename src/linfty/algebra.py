@@ -39,21 +39,24 @@ from .poly import Poly, as_rational, format_fraction
 Rat = Fraction | int
 
 
-def _coeff_vars(c) -> set[str]:
-    if isinstance(c, Poly):
-        return set(c.pruned().vars)
-    return set()
+def _unknown_vars(p: Poly, known: set[str]) -> list[str]:
+    """The names outside known that a term of p uses, sorted.  p is pruned
+    only when its variable tuple is not already within known: a name that
+    no term uses is allowed."""
+    if known.issuperset(p.vars):
+        return []
+    return sorted(set(p.pruned().vars) - known)
 
 
 def _check_coeff_vars(ops, coords: tuple[str, ...]) -> None:
-    """Reject a coefficient of ops that uses a name outside coords."""
+    """Reject a coefficient of ops that uses a name outside coords; only a
+    Poly coefficient can."""
     known = set(coords)
     for op in ops:
         for vec in op.coeffs.values():
             for c in vec.values():
-                extra = _coeff_vars(c) - known
-                if extra:
-                    raise ValueError(f"coefficient uses unknown coordinates {sorted(extra)}")
+                if isinstance(c, Poly) and (extra := _unknown_vars(c, known)):
+                    raise ValueError(f"coefficient uses unknown coordinates {extra}")
 
 
 def _substitute_coeff(c, values: Mapping[str, Poly]):
@@ -291,10 +294,10 @@ class Morphism:
                               for p in self.base_map)
         if len(self.base_map) != self.dst.base_dim:
             raise ValueError(f"base map needs {self.dst.base_dim} components")
+        known = set(self.src.coords)
         for p in self.base_map:
-            extra = _coeff_vars(p) - set(self.src.coords)
-            if extra:
-                raise ValueError(f"base map uses unknown coordinates {sorted(extra)}")
+            if extra := _unknown_vars(p, known):
+                raise ValueError(f"base map uses unknown coordinates {extra}")
         if self.phi.degree != 0:
             raise ValueError("fiber family must have degree 0")
         if 0 in self.phi.ops:

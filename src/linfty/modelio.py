@@ -474,13 +474,24 @@ def load_document(path: str) -> dict:
         ) from exc
 
 
+def _load(path: str, from_json):
+    """from_json of the document at path; a refusal names the file, as
+    load_document's own do, so a command reading several files says which
+    one is at fault."""
+    doc = load_document(path)
+    try:
+        return from_json(doc)
+    except ModelFormatError as exc:
+        raise _within(f"{path}: ", exc) from None
+
+
 def load_model(path: str) -> tuple[LinftyBundle, dict]:
-    return bundle_from_json(load_document(path))
+    return _load(path, bundle_from_json)
 
 
 def load_morphism(path: str) -> Morphism:
-    return morphism_from_json(load_document(path))
+    return _load(path, morphism_from_json)
 
 
 def load_contraction(path: str) -> Contraction:
-    return contraction_from_json(load_document(path))
+    return _load(path, contraction_from_json)

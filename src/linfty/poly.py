@@ -5,11 +5,16 @@ plus a dict mapping exponent vectors to nonzero exact rationals.  Every
 stored rational, here and in the modules built on this one, is in one
 normal form: an int when integral, otherwise a Fraction with denominator
 greater than 1 (_exact).  Products go through _times, which does no
-arithmetic when a factor is the int 1 or -1.  All arithmetic is exact;
-there is no floating point anywhere in this module.  Evaluation
-runs on integers: stage clears the coefficient denominators of several
-polynomials once and returns a kernel that maps integer ratios to their
-values as integer numerators over one unreduced positive denominator.
+arithmetic when a factor is the int 1 or -1.  Operations use a
+polynomial as it stands when its normal form already answers: pruned()
+returns it when every variable occurs and with_vars() when its variables
+are already those asked for, two polynomials over one variable tuple
+compare by their term dicts, and a rational scalar scales the terms over
+the same variables.  All arithmetic is exact; there is no floating point
+anywhere in this module.  Evaluation runs on integers: stage clears the
+coefficient denominators of several polynomials once and returns a
+kernel that maps integer ratios to their values as integer numerators
+over one unreduced positive denominator.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ def _exact(x):
 def _times(a, b):
     """a * b in normal form.  A factor that is the int 1 or -1 costs no
     multiplication; it is recognised as an int first, so no Fraction or
-    Poly is ever compared with 1 (Poly.__eq__ prunes and aligns both sides)."""
+    Poly is ever compared with 1 (Poly.__eq__ would build a constant Poly)."""
     if type(a) is int and a in (1, -1):
         return b if a == 1 else -b
     if type(b) is int and b in (1, -1):
@@ -104,9 +109,7 @@ class Poly:
     __slots__ = ("vars", "terms")
 
     def __init__(self, vars: Sequence[str], terms: Mapping[tuple, Rat]):
-        vs = tuple(vars)
-        if len(set(vs)) != len(vs):
-            raise ValueError(f"duplicate variable names in {vs}")
+        vs = Poly._distinct(vars)
         clean: dict[tuple, int | Fraction] = {}
         for exps, coeff in terms.items():
             e = tuple(int(k) for k in exps)
@@ -143,21 +146,29 @@ class Poly:
 
     # -- constructors ------------------------------------------------------
 
+    @staticmethod
+    def _distinct(vars: Sequence[str]) -> tuple[str, ...]:
+        """vars as a tuple, refused when a name repeats."""
+        vs = tuple(vars)
+        if len(set(vs)) != len(vs):
+            raise ValueError(f"duplicate variable names in {vs}")
+        return vs
+
     @classmethod
     def zero(cls, vars: Sequence[str] = ()) -> "Poly":
-        return cls(vars, {})
+        return cls._trusted(cls._distinct(vars), {})
 
     @classmethod
     def constant(cls, c: Rat) -> "Poly":
-        return cls((), {(): c})
+        c = c if type(c) is int else as_rational(c)
+        return cls._trusted((), {(): c} if c else {})
 
     @classmethod
     def variable(cls, name: str, vars: Sequence[str] | None = None) -> "Poly":
         vs = (name,) if vars is None else tuple(vars)
         if name not in vs:
             raise ValueError(f"{name!r} not among variables {vs}")
-        e = tuple(1 if v == name else 0 for v in vs)
-        return cls(vs, {e: 1})
+        return cls._trusted(cls._distinct(vs), {tuple(1 if v == name else 0 for v in vs): 1})
 
     @classmethod
     def monomial(cls, vars: Sequence[str], exps: Sequence[int], c: Rat = 1) -> "Poly":
@@ -189,20 +200,23 @@ class Poly:
     # -- variable alignment ------------------------------------------------
 
     def with_vars(self, vars: Sequence[str]) -> "Poly":
-        """Reinterpret over a superset (or reordering) of the variables."""
+        """Reinterpret over a superset (or reordering) of the variables; the
+        polynomial itself when vars is its own variable tuple."""
         vs = tuple(vars)
+        if vs == self.vars:
+            return self
         missing = [v for v in self.vars if v not in vs]
         if missing:
             raise ValueError(f"cannot drop variables {missing}")
-        if len(set(vs)) != len(vs):
-            raise ValueError(f"duplicate variable names in {vs}")
-        return Poly._trusted(vs, _reindexed(self.terms, [vs.index(v) for v in self.vars],
-                                            len(vs)))
+        return Poly._trusted(Poly._distinct(vs),
+                             _reindexed(self.terms, [vs.index(v) for v in self.vars], len(vs)))
 
     def pruned(self) -> "Poly":
-        """Drop variables that do not occur in any term."""
-        used = [i for i in range(len(self.vars))
-                if any(e[i] for e in self.terms)]
+        """Drop variables that do not occur in any term; the polynomial
+        itself, uncopied, when every variable occurs in some term."""
+        used = [i for i, column in enumerate(zip(*self.terms)) if any(column)]
+        if len(used) == len(self.vars):
+            return self
         vs = tuple(self.vars[i] for i in used)
         return Poly._trusted(vs, {tuple(e[i] for i in used): c for e, c in self.terms.items()})
 
@@ -258,9 +272,17 @@ class Poly:
         return o + (-self)
 
     def __mul__(self, other):
-        # a unit int costs no product: p * 1 is p itself and p * -1 is -p
-        if type(other) is int and other in (1, -1):
-            return self if other == 1 else -self
+        """The product, over the union of the variables.  An int or Fraction
+        scales the terms over self.vars, with no constant Poly built: a
+        factor equal to 1 gives p itself, -1 gives -p and 0 the zero
+        polynomial over p.vars.  Any other factor (a Poly, or True) takes
+        the general product."""
+        if type(other) is int or type(other) is Fraction:
+            c = _exact(other)
+            if type(c) is int and c in (1, -1):
+                return self if c == 1 else -self
+            return Poly._trusted(self.vars,
+                                 {e: _times(v, c) for e, v in self.terms.items()} if c else {})
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -283,9 +305,15 @@ class Poly:
         return out
 
     def __eq__(self, other):
+        """Equality of values.  Over one variable tuple the normal form makes
+        it equality of the term dicts; otherwise both sides are pruned and
+        aligned first, so p equals p.with_vars(...) and a constant equals
+        its int or Fraction."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if self.vars == o.vars:
+            return self.terms == o.terms
         a, b = Poly._aligned(self.pruned(), o.pruned())
         return a.terms == b.terms
 

@@ -25,6 +25,11 @@ multiples of operations coefficient by coefficient.  These references
 keep term-by-term arithmetic of their own: `vec_add_into` adds one
 coefficient into a sparse vector in normal form, and `evaluate_expanded`
 evaluates an operation on sparse vectors slot by slot.
+`scalar_product_literal`, `poly_eq_literal` and `pruned_literal` are
+`Poly`'s product by a rational, equality and pruning as they were before
+the normal form was read directly: the scalar wrapped as a constant `Poly`
+and multiplied through `_aligned` and `_mul_terms`, both sides of an
+equality always pruned and aligned, and a pruned copy always built.
 `find_classical_points_per_polynomial` is the Newton point search with
 one kernel per polynomial (each over its own denominator),
 the normal equations solved with `sum` and a `max` pivot, and every seed
@@ -79,7 +84,7 @@ from linfty.linalg import rank, rref
 from linfty.modelio import ModelFormatError, _fail, _within, coeff_from_json
 from linfty.pathspace import (DerivedPathSpace, PathModel, _split_t, ambient_coord_names,
                               build_path_model, derived_path_space, path_perturbation)
-from linfty.poly import Poly, Rat, _exact, _times, as_rational, stage
+from linfty.poly import Poly, Rat, _exact, _mul_terms, _times, as_rational, stage
 from linfty.samples import conjugate, nonzero_fraction, random_contraction
 from linfty.transfer import (AdaptedBasis, Contraction, TransferResult, _apply_coderivation,
                              _apply_k, _checked_projector, _image_basis, neumann_inverse)
@@ -573,6 +578,29 @@ def substitute_literal(p: Poly, values: Mapping[str, "Poly | Rat"]) -> Poly:
                 term = term * Poly.variable(v, tuple(out_vars)) ** k
         out = out + term
     return out
+
+
+def scalar_product_literal(p: Poly, c) -> Poly:
+    """p * c through the general product: c wrapped as a constant Poly over
+    p.vars, aligned with p and multiplied term by term.  p * 1 is p itself
+    and p * -1 is -p."""
+    if type(c) is int and c in (1, -1):
+        return p if c == 1 else -p
+    a, b = Poly._aligned(p, p._coerce(c))
+    return Poly._trusted(a.vars, _mul_terms(a.terms, b.terms))
+
+
+def pruned_literal(p: Poly) -> Poly:
+    """A copy of p over the variables some term uses, always built."""
+    used = [i for i in range(len(p.vars)) if any(e[i] for e in p.terms)]
+    return Poly._trusted(tuple(p.vars[i] for i in used),
+                         {tuple(e[i] for i in used): c for e, c in p.terms.items()})
+
+
+def poly_eq_literal(p: Poly, other) -> bool:
+    """p == other with both sides pruned and aligned, whatever their variables."""
+    a, b = Poly._aligned(pruned_literal(p), pruned_literal(p._coerce(other)))
+    return a.terms == b.terms
 
 
 def eval_literal(p: Poly, values: Mapping[str, Rat]) -> Fraction:

@@ -151,6 +151,42 @@ def test_bundle_rejects_unknown_coordinates():
                      OpFamily(1, fiber, fiber, {0: lam0}))
 
 
+def test_coordinate_checks_read_the_terms_not_the_variable_tuple(monkeypatch):
+    """A coefficient or base map may carry a name outside the coordinates
+    that none of its terms uses; one that a term uses is refused by name.
+    No polynomial is pruned when every variable tuple lies within the
+    coordinates."""
+    fiber = GradedSpace.build({1: 1})
+
+    def bundle(coeff):
+        lam0 = MultiOp(0, 1, fiber, fiber, {(): {(1, 0): coeff}})
+        return LinftyBundle(("x",), fiber, MultiOp.zero(1, 1, fiber, fiber),
+                            OpFamily(1, fiber, fiber, {0: lam0}))
+
+    unused_w = Poly(("x", "w"), {(1, 0): 1})
+    uses_w = Poly(("x", "w"), {(1, 0): 1, (0, 2): Fraction(1, 2)})
+    assert bundle(unused_w).ops.ops[0].coeffs[()][(1, 0)] is unused_w
+    with pytest.raises(ValueError, match=r"^coefficient uses unknown coordinates \['w'\]$"):
+        bundle(uses_w)
+    src, dst = plain_bundle(("x",)), plain_bundle(("y",))
+    empty = OpFamily(0, src.fiber, dst.fiber, {})
+    assert Morphism(src, dst, (unused_w,), empty).base_map == (unused_w,)
+    with pytest.raises(ValueError, match=r"^base map uses unknown coordinates \['w'\]$"):
+        Morphism(src, dst, (uses_w,), empty)
+
+    pruned = []
+    real = Poly.pruned
+    monkeypatch.setattr(Poly, "pruned", lambda p: pruned.append(p) or real(p))
+    inside = Poly(("x",), {(2,): 3, (0,): Fraction(1, 2)})
+    b = bundle(inside)
+    Morphism(src, dst, (inside,), empty)
+    phi1 = MultiOp(1, 0, fiber, fiber, {((1, 0),): {(1, 0): inside}})
+    Morphism(b, b, (x,), OpFamily(0, fiber, fiber, {1: phi1}))
+    assert pruned == []
+    bundle(unused_w)
+    assert pruned == [unused_w]
+
+
 def test_bundle_rejects_nonpositive_fiber():
     fiber = GradedSpace.build({0: 1})
     with pytest.raises(ValueError):

@@ -227,23 +227,25 @@ def test_transfer_refuses_a_contraction_entry_of_arity_two(tmp_path, capsys):
     bad = write_doc(tmp_path, "arity2.json", doc)
     code, out, err = run(capsys, "transfer", model, bad, "--json")
     assert code == 2 and out == ""
-    assert "input error" in err and f"delta[{n}]: arity must be 1" in err
+    assert f"input error: {bad}: delta[{n}]: arity must be 1" in err
 
 
 def test_check_axioms_refuses_an_exponent_that_is_a_list(tmp_path, capsys):
     doc = bundle_to_json(square_bundle())
     doc["ops"][0]["coeff"] = [[[[1]], "1"]]
-    code, out, err = run(capsys, "check-axioms", write_doc(tmp_path, "bad.json", doc))
+    bad = write_doc(tmp_path, "bad.json", doc)
+    code, out, err = run(capsys, "check-axioms", bad)
     assert code == 2 and out == ""
-    assert "input error: ops[0].coeff[0]: exponents must be integers" in err
+    assert f"input error: {bad}: ops[0].coeff[0]: exponents must be integers" in err
 
 
 def test_check_axioms_refuses_a_boolean_for_an_integer(tmp_path, capsys):
     doc = bundle_to_json(square_bundle())
     doc["ops"][0]["output"] = [True, False]
-    code, out, err = run(capsys, "check-axioms", write_doc(tmp_path, "bad.json", doc))
+    bad = write_doc(tmp_path, "bad.json", doc)
+    code, out, err = run(capsys, "check-axioms", bad)
     assert code == 2 and out == ""
-    assert "input error: ops[0].output: expected a [degree, index] pair" in err
+    assert f"input error: {bad}: ops[0].output: expected a [degree, index] pair" in err
 
 
 # -- pointwise reports ----------------------------------------------------------------
@@ -708,7 +710,23 @@ def test_fib_product_refuses_labels_that_are_not_an_object(tmp_path, capsys):
     g = str(ROOT / "perfbench" / "pool" / "polybase" / "fp-14.g.json")
     code, out, err = run(capsys, "fib-product", "--f", f, "--g", g)
     assert code == 2 and out == ""
-    assert "input error: src.metadata.labels: expected an object of degree: list of strings" in err
+    assert err == (f"input error: {f}: src.metadata.labels: "
+                   "expected an object of degree: list of strings, got '0'\n")
+
+
+def test_fib_product_names_the_file_at_fault(tmp_path, capsys):
+    """Two morphism files damaged the same way: each refusal names its own."""
+    f = pool_doc_copy(tmp_path, "polybase/fp-14.f.json",
+                      lambda doc: doc["src"]["metadata"].update(labels="0"))
+    g = pool_doc_copy(tmp_path, "polybase/fp-14.g.json",
+                      lambda doc: doc["src"]["metadata"].update(labels="0"))
+    good_f = str(ROOT / "perfbench" / "pool" / "polybase" / "fp-14.f.json")
+    good_g = str(ROOT / "perfbench" / "pool" / "polybase" / "fp-14.g.json")
+    for args, bad in ((("--f", good_f, "--g", g), g), (("--f", f, "--g", good_g), f),
+                      (("--f", f, "--g", g), f)):
+        code, out, err = run(capsys, "fib-product", *args)
+        assert code == 2 and out == ""
+        assert err.startswith(f"input error: {bad}: src.metadata.labels: ")
 
 
 def test_path_space_refuses_a_label_row_that_is_not_a_list(tmp_path, capsys):
@@ -716,7 +734,7 @@ def test_path_space_refuses_a_label_row_that_is_not_a_list(tmp_path, capsys):
                           lambda doc: doc["metadata"]["labels"].update({"1": True}))
     code, out, err = run(capsys, "path-space", model)
     assert code == 2 and out == ""
-    assert "input error: metadata.labels.1: expected a list of strings, got True" in err
+    assert f"input error: {model}: metadata.labels.1: expected a list of strings, got True" in err
 
 
 def test_check_morphism_refuses_a_part_that_is_not_a_string(tmp_path, capsys):
@@ -724,7 +742,7 @@ def test_check_morphism_refuses_a_part_that_is_not_a_string(tmp_path, capsys):
                         lambda doc: doc["phi"][0].update(part=[0]))
     code, out, err = run(capsys, "check-morphism", "--json", mor)
     assert code == 2 and out == ""
-    assert "input error: phi[0]: unknown part [0]" in err
+    assert f"input error: {mor}: phi[0]: unknown part [0]" in err
 
 
 # -- expression parser --------------------------------------------------------------------

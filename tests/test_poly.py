@@ -7,8 +7,9 @@ from itertools import permutations, product
 
 import pytest
 from hypothesis import given, strategies as st
-from oracles import (PathSection, eval_literal, path_delta, path_eta, pi_con, pi_lin, poly_t,
-                     pullback, substitute_literal)
+from oracles import (PathSection, eval_literal, path_delta, path_eta, pi_con, pi_lin,
+                     poly_eq_literal, poly_t, pruned_literal, pullback, scalar_product_literal,
+                     substitute_literal)
 
 from linfty import poly as poly_module
 from linfty.poly import Poly, as_rational, format_fraction, stage
@@ -169,8 +170,9 @@ def test_operator_results_are_in_normal_form():
 
 
 def test_a_unit_factor_or_a_zero_summand_costs_no_arithmetic(monkeypatch):
-    """p * 1 and 0 + p are p itself, p * -1 is -p, variables kept; every
-    other int or Fraction still takes the general product or sum."""
+    """p * 1 and 0 + p are p itself, p * -1 is -p; any int or Fraction
+    factor scales the terms over p.vars with no general product, and a
+    zero factor gives the zero polynomial over p.vars."""
     p = Poly(("y", "x", "z"), {(1, 0, 0): Fraction(1, 2), (0, 2, 0): -3})
     assert p * 1 is p and 1 * p is p and p + 0 is p and 0 + p is p
     for neg in (p * -1, -1 * p):
@@ -179,18 +181,59 @@ def test_a_unit_factor_or_a_zero_summand_costs_no_arithmetic(monkeypatch):
     mul_terms = poly_module._mul_terms
     monkeypatch.setattr(poly_module, "_mul_terms",
                         lambda a, b: general.append(1) or mul_terms(a, b))
-    assert p * 1 is p and -1 * p == -p and not general
-    for c in (2, -2, 0, Fraction(1, 3), Fraction(-1)):
+    for c in (1, -1, 2, -2, 7, Fraction(1, 3), Fraction(-5, 2), Fraction(-1), Fraction(6, 3)):
         for r in (p * c, c * p):
-            assert r.vars == p.vars and r.terms == {e: v * c for e, v in p.terms.items()
-                                                    if v * c}
-    assert len(general) == 10
+            assert r.vars == p.vars
+            assert r.terms == {e: as_rational(v * c) for e, v in p.terms.items()}
+            assert all(type(v) is int or v.denominator > 1 for v in r.terms.values())
+    for zero in (0, Fraction(0)):
+        for r in (p * zero, zero * p):
+            assert r.vars == p.vars and r.terms == {} and r == Poly.zero(p.vars)
+    assert not general
     for c in (1, -1, Fraction(1, 2), Fraction(0)):
         for r in (p + c, c + p):
             assert r is not p and r.vars == p.vars
             assert r.terms == Poly(p.vars, {**p.terms, (0, 0, 0): c}).terms
     # True is an int equal to 1, but not the int 1: it takes the general path
-    assert p * True is not p and p * True == p
+    r = p * True
+    assert r is not p and r == p and r.vars == p.vars and len(general) == 1
+
+
+def test_scalar_products_equality_and_pruning_agree_with_the_reference():
+    """The scalar branch of __mul__, the direct comparison of __eq__ and the
+    uncopied pruned() give what the general product, the prune-and-align
+    comparison and the copying prune give, and equal values hash equal."""
+    rng = random.Random(3507)
+    scalars = (0, 1, -1, 2, -2, Fraction(1, 3), Fraction(-1, 3), True)
+    polys = []
+    for n in range(150):
+        vs = rng.sample(("x", "y", "z", "w"), rng.randint(0, 4))
+        live = rng.sample(vs, rng.randint(0, len(vs)))   # the other names stay unused
+        terms = {}
+        for _ in range(0 if n % 8 == 0 else rng.randint(1, 4)):
+            e = tuple(rng.randint(0, 3) if v in live else 0 for v in vs)
+            terms[e] = rng.choice([rng.randint(-4, 4),
+                                   Fraction(rng.randint(-4, 4), rng.randint(2, 3))])
+        p = Poly(vs, terms)
+        polys += [p, p.with_vars(rng.sample(vs, len(vs)) + ["v"][:n % 2])]
+    # the draws hold zero polynomials, unused variables and fully used ones
+    assert any(not p for p in polys)
+    assert any(p.pruned() is not p for p in polys) and any(p.pruned() is p and p.vars
+                                                           for p in polys)
+    for p in polys:
+        ref = pruned_literal(p)
+        got = p.pruned()
+        assert (got.vars, got.terms) == (ref.vars, ref.terms)
+        for c in scalars:
+            ref = scalar_product_literal(p, c)
+            for got in (p * c, c * p):
+                assert (got.vars, got.terms) == (ref.vars, ref.terms)
+            assert (p == c) == poly_eq_literal(p, c)
+    for p, q in [(rng.choice(polys), rng.choice(polys)) for _ in range(3000)] \
+            + [(p, q) for p in polys[:40] for q in polys[:40]] + list(zip(polys, polys[1:])):
+        assert (p == q) == poly_eq_literal(p, q) == (q == p)
+        if p == q:
+            assert hash(p) == hash(q)
 
 
 def test_substitute_matches_the_term_by_term_oracle():
