@@ -22,9 +22,9 @@ import sys
 from fractions import Fraction
 
 from .algebra import LinftyBundle, _format_vector, check_mc, check_morphism, plain_bundle
-from .geometry import (MAX_SEARCH_COORDS, StagedTangent, classical_point,
-                       find_classical_points, is_fibration, is_weak_equivalence,
-                       shifted_tangent, tangent_complex, virtual_dimension)
+from .geometry import (StagedTangent, WeakEquivReport, classical_point, is_fibration,
+                       is_weak_equivalence, shifted_tangent, tangent_complex,
+                       virtual_dimension)
 from .graded import MultiOp, OpFamily
 from .modelio import (ModelFormatError, bundle_to_json, dumps,
                       load_contraction, load_model, load_morphism, parse_frac)
@@ -356,12 +356,11 @@ def cmd_path_space(args) -> int:
 
 
 def _candidate_points(bundle: LinftyBundle, supplied):
-    if supplied:
-        return [classical_point(bundle, p) for p in supplied]
-    if len(bundle.coords) > MAX_SEARCH_COORDS:
+    found = StagedTangent(bundle).points(supplied)
+    if found is None:
         raise ModelFormatError(
             "point search supports at most three coordinates; pass --points")
-    exact, leftovers = find_classical_points(bundle)
+    exact, leftovers = found
     if leftovers:
         raise ModelFormatError(
             f"numeric search found non-rational candidate zeros {leftovers}; "
@@ -372,7 +371,7 @@ def _candidate_points(bundle: LinftyBundle, supplied):
 def cmd_factorize(args) -> int:
     bundle = _input_bundle(args)
     fz = factorize_diagonal(bundle)
-    pts = _candidate_points(bundle, parse_points(args.points, "--points"))
+    pts = _candidate_points(bundle, parse_points(args.points, "--points") or None)
     rep = verify_factorization(fz, pts)
     weq, fib = rep.weak_equiv, rep.fibration
     doc = {"command": "factorize", "ok": rep.ok,
@@ -489,17 +488,15 @@ def cmd_report(args) -> int:
              ("amplitude", bundle.amplitude),
              ("max arity", max(bundle.ops.arities(), default=0)),
              ("structure equations", "hold" if rep.ok else "FAIL")]
+    staged = StagedTangent(bundle)
     if not rep.ok:
         lines.append(("witness", rep.describe()))
-    elif len(bundle.coords) > MAX_SEARCH_COORDS:
+    elif (found := staged.points(None)) is None:
         doc["note"] = "no point checked: the point search takes at most three coordinates"
         lines.append(("note", doc["note"]))
     else:
-        exact, leftovers = find_classical_points(bundle)
+        exact, leftovers = found
         pts_doc = []
-        note = ("certified on the supplied candidate loci only; global "
-                "statements need a complete point list")
-        staged = StagedTangent(bundle)
         for cp in exact:
             betti = staged.tangent_complex(cp).cohomology()
             pts_doc.append({"point": _json_point(cp),
@@ -509,12 +506,12 @@ def cmd_report(args) -> int:
                           or "acyclic"))
         doc["classical_points"] = pts_doc
         doc["non_rational_candidates"] = [list(map(str, p)) for p in leftovers]
-        doc["note"] = note
+        doc["note"] = WeakEquivReport.note
         if leftovers:
             lines.append(("non-rational candidates",
                           "; ".join(str(tuple(round(v, 6) for v in p))
                                     for p in leftovers)))
-        lines.append(("note", note))
+        lines.append(("note", doc["note"]))
     if meta:
         doc["metadata"] = meta
     _emit_report(args, doc, lines)

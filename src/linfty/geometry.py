@@ -13,7 +13,9 @@ Point searches are the one deliberately numerical corner: a coarse grid
 plus Newton iteration proposes candidate zeros, and only rational points
 that satisfy the equations exactly are promoted.  Newton's floats are the
 exact values at each float iterate, correctly rounded, from one integer
-kernel staged once per search.
+kernel staged once per search.  The points a command checks come from one
+seam, StagedTangent.points: supplied points are certified, else the search
+runs on bases of at most MAX_SEARCH_COORDS coordinates.
 """
 
 from __future__ import annotations
@@ -265,9 +267,11 @@ class StagedTangent:
     def classical_point(self, point) -> ClassicalPoint:
         """The point, once its curvature is checked to vanish exactly.
 
-        Each point is checked once per StagedTangent; asking again returns
-        the certified point.
+        A ClassicalPoint is trusted and returned as is; any other point is
+        checked once per StagedTangent, and asking again returns it.
         """
+        if isinstance(point, ClassicalPoint):
+            return point
         key = _fractions(point)
         got = self._points.get(key)
         if got is None:
@@ -276,6 +280,17 @@ class StagedTangent:
                 raise ValueError(f"curvature does not vanish there (residual {resid})")
             got = self._points[key] = ClassicalPoint(key)
         return got
+
+    def points(self, supplied) -> tuple[list[ClassicalPoint], list[tuple[float, ...]]] | None:
+        """(points, non-rational candidates): the supplied points certified
+        here and no candidate, or with None supplied find_classical_points,
+        or None when that base has over MAX_SEARCH_COORDS coordinates.
+        """
+        if supplied is not None:
+            return [self.classical_point(p) for p in supplied], []
+        if len(self.bundle.coords) > MAX_SEARCH_COORDS:
+            return None
+        return find_classical_points(self.bundle)
 
     def tangent_complex(self, point: ClassicalPoint) -> CochainComplex:
         """Tangent complex at a classical point.
@@ -402,15 +417,12 @@ def is_weak_equivalence(mor: Morphism, src_points, dst_points) -> WeakEquivRepor
     is not ok and says so: an empty point list certifies nothing, even when
     the target's list is empty too.  The morphism is staged once; source
     coordinates are certified on the source and every target point once on
-    the target.
+    the target; a ClassicalPoint is trusted, and tangent_map certifies
+    every image the bijection is tested against.
     """
     staged = StagedTangentMap(mor)
-    src_pts = [p if isinstance(p, ClassicalPoint) else staged.src.classical_point(p)
-               for p in src_points]
-    dst_set = {_fractions(p.coords if isinstance(p, ClassicalPoint) else p)
-               for p in dst_points}
-    for q in dst_set:
-        staged.dst.classical_point(q)
+    src_pts = [staged.src.classical_point(p) for p in src_points]
+    dst_set = {staged.dst.classical_point(q).coords for q in dst_points}
 
     pairs = [(p, staged.image(p.coords)) for p in src_pts]
     images = [image for _, image in pairs]

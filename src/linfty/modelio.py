@@ -99,7 +99,7 @@ def coeff_to_json(c, coords: tuple[str, ...]):
         extra = set(p.vars) - set(coords)
         if extra:
             raise ValueError(f"coefficient uses unknown coordinates {sorted(extra)}")
-        p = c.with_vars(coords)
+        p = p.with_vars(coords)
         return [[list(e), format_fraction(q)] for e, q in sorted(p.terms.items())]
     return format_fraction(c)
 

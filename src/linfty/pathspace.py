@@ -25,8 +25,7 @@ from fractions import Fraction
 from .algebra import (LinftyBundle, Morphism, check_mc, check_morphism, compose,
                       linear_morphism, plain_bundle, product_bundle, product_projection,
                       reindex_op, rename_source_clear_of, same_morphism)
-from .geometry import (MAX_SEARCH_COORDS, ClassicalPoint, StagedTangent, _same_target,
-                       classical_point, find_classical_points, is_fibration,
+from .geometry import (ClassicalPoint, StagedTangent, _same_target, is_fibration,
                        is_weak_equivalence, pullback_fibration, shifted_tangent_data,
                        virtual_dimension)
 from .graded import BasisBuilder, GradedSpace, MultiOp, OpFamily
@@ -385,9 +384,8 @@ class FactorizationReport:
 
 
 def verify_factorization(fz: Factorization, points) -> FactorizationReport:
-    """Check the two legs at supplied classical points of the source."""
-    pts = [p if isinstance(p, ClassicalPoint)
-           else classical_point(fz.weak_equivalence.src, p) for p in points]
+    """Check the two legs at supplied classical points, staging the source once."""
+    pts = StagedTangent(fz.weak_equivalence.src).points(points)[0]
     lifted = [tuple(p.coords) * 2 for p in pts]
     weq = is_weak_equivalence(fz.weak_equivalence, pts, lifted)
     fib = is_fibration(fz.fibration, samples=[tuple(p.coords) * 2 for p in pts])
@@ -518,12 +516,8 @@ def derived_intersection(f: Morphism, g: Morphism,
     bundle = fp.bundle
 
     staged = StagedTangent(bundle)
-    pts: list[ClassicalPoint] = []
-    if points is not None:
-        pts = [p if isinstance(p, ClassicalPoint) else staged.classical_point(p)
-               for p in points]
-    elif len(bundle.coords) <= MAX_SEARCH_COORDS:
-        pts = find_classical_points(bundle)[0]
+    found = staged.points(points)
+    pts = found[0] if found else []
 
     reports = []
     for p in pts:
@@ -592,13 +586,8 @@ def zero_locus_model(coords, section, points=None) -> ZeroLocusComparison:
     if not check_morphism(comparison).ok:
         raise AssertionError("zero-locus comparison is not a morphism")
 
-    if points is not None:
-        pts = [p if isinstance(p, ClassicalPoint) else classical_point(model, p)
-               for p in points]
-    elif m <= MAX_SEARCH_COORDS:
-        pts = find_classical_points(model)[0]
-    else:
-        pts = []
+    found = StagedTangent(model).points(points)
+    pts = found[0] if found else []
     lifted = [tuple(p.coords) * 2 for p in pts]
     weq = is_weak_equivalence(comparison, pts, lifted)
     return ZeroLocusComparison(model, weq, pts)

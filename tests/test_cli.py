@@ -484,6 +484,26 @@ def test_zero_locus_text_says_an_unchecked_comparison_is_not_checked(capsys):
     assert "FAILS" not in out
 
 
+def test_factorize_searches_no_base_of_more_than_three_coordinates(tmp_path, capsys):
+    model = write_doc(tmp_path, "four.json",
+                      bundle_to_json(plain_bundle(("a", "b", "c", "d"))))
+    code, out, err = run(capsys, "factorize", model)
+    assert (code, out) == (2, "")
+    assert err == "input error: point search supports at most three coordinates; pass --points\n"
+    code, out, _ = run(capsys, "factorize", model, "--points", "0,1,2,3")
+    assert code == 0 and "classical points  (0, 1, 2, 3)\n" in out
+
+
+def test_factorize_refuses_non_rational_candidate_zeros(tmp_path, capsys):
+    model = write_doc(tmp_path, "root-two.json",
+                      bundle_to_json(section_bundle(("x",), (x ** 2 - 2,))))
+    code, out, err = run(capsys, "factorize", model)
+    assert (code, out) == (2, "")
+    assert re.fullmatch(r"input error: numeric search found non-rational candidate zeros "
+                        r"\[\(-1\.41421356\d*,\), \(1\.41421356\d*,\)\]; "
+                        r"pass --points with exact coordinates\n", err)
+
+
 def test_factorize_text_says_an_unchecked_leg_is_not_checked(tmp_path, capsys):
     # x^2 + 1 has no real point, so the inclusion leg is checked nowhere
     model = write_doc(tmp_path, "no-points.json",

@@ -15,7 +15,7 @@ from linfty.algebra import (LinftyBundle, Morphism, check_mc, check_morphism,
                             compose, linearize_fibration,
                             plain_bundle, product_bundle, product_projection,
                             same_morphism)
-from linfty.geometry import (ClassicalPoint, CochainComplex, StagedTangentMap,
+from linfty.geometry import (ClassicalPoint, CochainComplex, StagedTangent, StagedTangentMap,
                              classical_point, find_classical_points, is_fibration,
                              is_weak_equivalence, mapping_cone,
                              pullback_fibration, shifted_tangent, shifted_tangent_data,
@@ -131,6 +131,40 @@ def test_classical_point_accepts_zeros_of_the_curvature():
 def test_classical_point_rejects_other_points():
     with pytest.raises(ValueError):
         classical_point(square_bundle(), (1,))
+
+
+def test_points_certifies_what_is_supplied_or_searches_up_to_three_coordinates():
+    b = square_bundle()
+    staged = StagedTangent(b)
+    assert staged.points([(0,), (Fraction(0),)]) == ([ClassicalPoint((Fraction(0),))] * 2, [])
+    assert staged.points([]) == ([], [])
+    with pytest.raises(ValueError, match="residual 1"):
+        staged.points([(1,)])
+    assert staged.points(None) == find_classical_points(b) == ([ClassicalPoint((0,))], [])
+    irrational = StagedTangent(section_bundle(("x",), (x ** 2 - 2,))).points(None)
+    assert irrational[0] == [] and len(irrational[1]) == 2
+    # beyond three coordinates supplied points are still certified, but
+    # nothing is searched
+    four = StagedTangent(plain_bundle(("a", "b", "c", "d")))
+    assert four.points(None) is None
+    assert four.points([(0, 1, 2, 3)]) == ([ClassicalPoint((0, 1, 2, 3))], [])
+
+
+def test_a_classical_point_is_trusted_and_every_image_certified(monkeypatch):
+    b = square_bundle()
+    residuals = []
+    residual = geometry._residual
+    monkeypatch.setattr(geometry, "_residual", lambda curvature, at: residuals.append(
+        tuple(at)) or residual(curvature, at))
+    origin = ClassicalPoint((Fraction(0),))
+    assert StagedTangent(b).classical_point(origin) is origin and residuals == []
+    # trusted on both lists, the only check is of the image, on the target
+    rep = is_weak_equivalence(identity_morphism(b), [origin], [origin])
+    assert rep.ok and residuals == [((0, 1),)]
+    # a forged target point cannot stand in for a non-classical image
+    shift = Morphism(b, b, (x + 1,), OpFamily.identity(b.fiber))
+    with pytest.raises(ValueError, match=r"residual 1\)"):
+        is_weak_equivalence(shift, [origin], [ClassicalPoint((Fraction(1),))])
 
 
 def test_find_classical_points_two_simple_roots():

@@ -10,7 +10,8 @@ listed functions tabulate a closure with
 `MultiOp.from_function`, only `algebra.linear_morphism` writes a
 constant linear morphism out by hand, `graded`'s arithmetic on
 operations runs on one path, `transfer` sums without the term-by-term
-helpers and the exact modules have no floating point."""
+helpers, only `geometry` decides which classical points a command checks
+and the exact modules have no floating point."""
 
 import ast
 import io
@@ -790,6 +791,58 @@ def test_the_scan_finds_a_second_arithmetic_path():
     assert generic_arithmetic(tree, TRANSFER_GENERIC) == [
         ("", "_times", 2), ("", "vec_add_into", 1),
         ("_apply_k", "_times", 4), ("_apply_k", "vec_add_into", 4)]
+
+
+# which classical points a command checks is decided by StagedTangent.points:
+# it certifies supplied points (a ClassicalPoint is trusted only in
+# StagedTangent.classical_point) or runs the search within its limit
+POINT_SEARCH = ("find_classical_points", "MAX_SEARCH_COORDS")
+POINT_SEAM = ("geometry", "StagedTangent.classical_point")
+
+
+def point_decisions(trees: dict[str, ast.Module]) -> list[tuple[str, str, str, int]]:
+    """(module, scope, name, line) for each mention of the point search or its
+    limit outside geometry, imports included, and each
+    `isinstance(..., ClassicalPoint)` test outside the seam."""
+    out = set()
+    for module, tree in trees.items():
+        for scope, node in _scoped_nodes(tree):
+            if module != POINT_SEAM[0]:
+                out.update((module, scope, name, node.lineno)
+                           for name in _mentioned(node) if name in POINT_SEARCH)
+            if (_callee(node) == "isinstance" and len(node.args) == 2
+                    and (module, scope) != POINT_SEAM
+                    and any("ClassicalPoint" in _mentioned(n) for n in ast.walk(node.args[1]))):
+                out.add((module, scope, "isinstance", node.lineno))
+    return sorted(out)
+
+
+def test_classical_points_are_decided_in_one_place():
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    found = point_decisions(trees)
+    assert not found, f"classical points decided outside StagedTangent.points: {found}"
+
+
+def test_the_scan_finds_a_point_decision():
+    geometry = ast.parse("MAX_SEARCH_COORDS = 3\n"
+                         "class StagedTangent:\n"
+                         "    def classical_point(self, point):\n"
+                         "        if isinstance(point, ClassicalPoint):\n"
+                         "            return point\n"
+                         "    def points(self, supplied):\n"
+                         "        return find_classical_points(self.bundle)\n"
+                         "def is_weak_equivalence(mor, src, dst):\n"
+                         "    return [isinstance(q, (tuple, geometry.ClassicalPoint)) for q in dst]\n")
+    cli = ast.parse("from .geometry import MAX_SEARCH_COORDS, StagedTangent\n"
+                    "NOTE = 'find_classical_points'\n"
+                    "def _candidate_points(bundle, supplied):\n"
+                    "    if len(bundle.coords) > geometry.MAX_SEARCH_COORDS:\n"
+                    "        return isinstance(supplied, list)\n"
+                    "    return [p if isinstance(p, ClassicalPoint) else p for p in supplied]\n")
+    assert point_decisions({"geometry": geometry, "cli": cli}) == [
+        ("cli", "", "MAX_SEARCH_COORDS", 1), ("cli", "_candidate_points", "MAX_SEARCH_COORDS", 4),
+        ("cli", "_candidate_points", "isinstance", 6),
+        ("geometry", "is_weak_equivalence", "isinstance", 9)]
 
 
 def floating_point_lines(tree: ast.Module) -> list[int]:

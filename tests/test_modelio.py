@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 from oracles import (amp2_bundle, build_contraction, circle_bundle, entries_from_json_literal,
-                     identity_morphism, square_bundle)
+                     identity_morphism, section_bundle, square_bundle)
 
 from linfty import modelio
 
@@ -70,6 +70,19 @@ def test_square_bundle_round_trip():
     assert back.curvature_section() == {(1, 0): x ** 2}
     assert meta == {}
     assert check_mc(back).ok
+
+
+def test_coefficients_with_unused_variables_round_trip():
+    # a coefficient may carry a variable it does not use; the writer drops it
+    b = section_bundle(("x",), (Poly(("x", "w"), {(1, 0): 1}),))
+    back, _ = round_trip_bundle(b)
+    assert back.curvature_section() == {(1, 0): x}
+    src, dst = plain_bundle(("u",)), plain_bundle(("x",))
+    m = Morphism(src, dst, (Poly(("w", "u"), {(0, 2): 1}),),
+                 OpFamily(0, src.fiber, dst.fiber, {}))
+    back = morphism_from_json(morphism_to_json(m))
+    assert back.base_map == (Poly.variable("u") ** 2,)
+    assert back.base_map[0].vars == ("u",)
 
 
 def test_round_trip_keeps_user_metadata():

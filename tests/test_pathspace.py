@@ -676,6 +676,23 @@ def test_weak_equivalence_stages_once_and_certifies_each_point_once(monkeypatch)
     assert len({c for c, _ in every[2]}) == 1
 
 
+def test_verify_factorization_stages_the_source_once(monkeypatch):
+    fz = factorize_diagonal(plain_bundle(("x",)))
+    staged = []
+    stage = geometry.stage
+    monkeypatch.setattr(geometry, "stage", lambda polys, coords: staged.append(polys)
+                        or stage(polys, coords))
+
+    def count(points):
+        staged.clear()
+        rep = verify_factorization(fz, points)
+        assert rep.ok and len(rep.weak_equiv.pairs) == len(points)
+        return len(staged)
+
+    # raw points are certified on one staging of the source, however many
+    assert count([(0,)]) == count([(0,), (1,), (2,), (3,)]) == 8
+
+
 def test_fibered_product_over_a_point_is_the_product():
     b = square_bundle()
     pt = plain_bundle(())
